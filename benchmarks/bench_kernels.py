@@ -5,6 +5,7 @@ full re-execution), so these are the numbers that size every figure's
 wall-clock cost.
 """
 
+import numpy as np
 import pytest
 
 from repro.benchmarks.registry import create, names
@@ -28,12 +29,34 @@ def test_clamr_kdtree_build(benchmark):
     assert int(tree.n_nodes[()]) > 1
 
 
+def _refined_dam_break():
+    """A default-size CLAMR mesh after three adapt phases."""
+    bench = create("clamr")
+    state = bench.make_state(derive_rng(7, "kernel"))
+    for index in range(3 * 6):  # three timesteps of six phases each
+        bench.step(state, index)
+    return state.mesh
+
+
 def test_clamr_neighbour_queries(benchmark):
     from repro.benchmarks.clamr.kdtree import KdTree
+    from repro.benchmarks.clamr.shallow import find_face_neighbors
 
-    rng = derive_rng(6, "kd-bench")
-    x, y = rng.random(480), rng.random(480)
-    tree = KdTree.build(x, y, leaf_size=8)
-    qx, qy = rng.random(480), rng.random(480)
-    found = benchmark(lambda: tree.query_nearest(x, y, qx, qy))
-    assert found.shape == (480,)
+    mesh = _refined_dam_break()
+    n = mesh.live()
+    tree = KdTree.build(mesh.x[:n], mesh.y[:n], leaf_size=8)
+    # Face-offset query points, exactly as a CLAMR step issues them.
+    nbrs = benchmark(lambda: find_face_neighbors(mesh, tree))
+    assert nbrs.shape == (4, n)
+    assert (nbrs >= 0).any()
+
+
+def test_clamr_coarsen(benchmark):
+    mesh = _refined_dam_break()
+    quiet = np.ones(mesh.live(), dtype=bool)
+    removed = benchmark.pedantic(
+        lambda fresh: fresh.coarsen(quiet),
+        setup=lambda: ((mesh.clone(),), {}),
+        rounds=200,
+    )
+    assert removed > 0

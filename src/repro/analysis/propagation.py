@@ -78,7 +78,7 @@ class PropagationProfile:
 def _compare(benchmark: Benchmark, clean, dirty) -> tuple[int, float, float]:
     golden = benchmark.output(clean)
     observed = benchmark.output(dirty)
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         g = np.asarray(golden, dtype=np.float64)
         o = np.asarray(observed, dtype=np.float64)
         neq = ~np.isclose(o, g, rtol=0.0, atol=0.0, equal_nan=True)

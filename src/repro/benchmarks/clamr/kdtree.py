@@ -10,7 +10,12 @@ trips the traversal budget (DUE hang).
 
 Build is iterative over node segments (O(n log n) with ~n/leaf_size
 Python iterations); queries are batched — all query points descend the
-tree simultaneously in vectorised sweeps.
+tree simultaneously in vectorised sweeps, then the leaf scan gathers
+one candidate matrix per distinct leaf width (a handful: widths
+rarely exceed ``leaf_size``) and takes a single ``argmin`` over each.
+Every reached leaf is validated before any is scanned, in ascending
+leaf-id order, so a corrupted tree raises the same error whatever the
+order of the queries.
 """
 
 from __future__ import annotations
@@ -24,6 +29,9 @@ from repro.benchmarks.base import BenchmarkHang
 __all__ = ["KdTree"]
 
 _MAX_DESCENT = 64
+
+# Per-node descent states; a sweep acts on the worst state reached.
+_LEAF, _STEP, _BAD_DIM = 0, 1, 2
 
 
 @dataclass
@@ -112,11 +120,21 @@ class KdTree:
         """Index of the point nearest each query (approximate: leaf-local).
 
         Descends every query to its containing leaf simultaneously,
-        then scans each leaf's candidates.  CLAMR's neighbour queries
-        target the interior of the neighbouring cell, so the containing
-        leaf almost always holds the true nearest centre; the rare
-        boundary miss adds a little numerical diffusion but keeps the
-        scheme deterministic and stable.
+        then scans the reached leaves' candidates.  CLAMR's neighbour
+        queries target the interior of the neighbouring cell, so the
+        containing leaf almost always holds the true nearest centre; the
+        rare boundary miss adds a little numerical diffusion but keeps
+        the scheme deterministic and stable.
+
+        The reached leaves are checked in ascending leaf id, and the
+        first bad one raises ``IndexError``: its ``leaf_lo``/``leaf_hi``
+        range is checked before its ``perm`` candidates.  The scan then
+        buckets queries by their leaf's width and, per bucket, takes one
+        ``argmin`` over a ``(queries, width)`` squared-distance matrix
+        whose rows list candidates in ``perm`` order, so ties go to the
+        first candidate and a NaN distance wins, exactly as a per-leaf
+        scan would.  Buckets are not padded to a common width: a
+        corrupted range may make one leaf span the whole point set.
         """
         n_nodes = int(self.n_nodes[()])
         if not 0 < n_nodes <= self.left.shape[0]:
@@ -124,41 +142,83 @@ class KdTree:
         qx = np.asarray(qx, dtype=float)
         qy = np.asarray(qy, dtype=float)
         m = qx.shape[0]
-        cur = np.zeros(m, dtype=np.int64)
-        coords = (qx, qy)
+
+        # Descent tables over the live nodes.  Leaves point at themselves
+        # and out-of-range children at the sentinel id n_nodes, so every
+        # sweep steps all queries at once and each check is one
+        # reduction; errors still surface sweep by sweep, a bad split
+        # dimension before a bad child pointer.
+        left = self.left[:n_nodes]
+        internal = left >= 0
+        dims = self.split_dim[:n_nodes]
+        bad_dim = (dims < 0) | (dims > 1)
+        state = np.where(internal, np.where(bad_dim, _BAD_DIM, _STEP), _LEAF)
+        node = np.arange(n_nodes)
+        right_kid = np.where(internal, self.right[:n_nodes], node)
+        left_kid = np.where(internal, left, node)
+        kids = np.stack((right_kid, left_kid), axis=1)
+        kids[(kids < 0) | (kids >= n_nodes)] = n_nodes
+        on_y = dims == 1
+        split_val = self.split_val[:n_nodes]
+        cur = np.zeros(m, dtype=np.intp)
         for _sweep in range(_MAX_DESCENT):
-            left = self.left[cur]
-            internal = left >= 0
-            if not internal.any():
+            worst = state[cur].max(initial=_LEAF)
+            if worst == _LEAF:
                 break
-            idx = np.flatnonzero(internal)
-            nodes = cur[idx]
-            dims = self.split_dim[nodes]
-            if np.any((dims < 0) | (dims > 1)):
+            if worst == _BAD_DIM:
                 raise IndexError("corrupted kd-tree split dimension")
-            pts = np.where(dims == 0, qx[idx], qy[idx])
-            go_left = pts <= self.split_val[nodes]
-            nxt = np.where(go_left, self.left[nodes], self.right[nodes])
-            if np.any((nxt < 0) | (nxt >= n_nodes)):
+            go_left = np.where(on_y[cur], qy, qx) <= split_val[cur]
+            cur = kids[cur, go_left.view(np.int8)]
+            if cur.max() == n_nodes:
                 raise IndexError("corrupted kd-tree child pointer")
-            cur[idx] = nxt
         else:
             raise BenchmarkHang("kd-tree descent did not terminate")
 
-        out = np.empty(m, dtype=np.int64)
+        # Validate every reached leaf before scanning any of them: the
+        # first bad leaf in ascending id order raises, range before
+        # candidates, so DUE details do not depend on the query order.
+        leaves, leaf_of = np.unique(cur, return_inverse=True)
+        lo = self.leaf_lo[leaves].astype(np.intp)
+        hi = self.leaf_hi[leaves].astype(np.intp)
+        bad_range = (lo < 0) | (lo >= hi) | (hi > self.perm.shape[0])
+        # Bad candidates per leaf via a prefix count over the whole perm.
         n_points = x.shape[0]
-        for leaf in np.unique(cur):
-            lo, hi = int(self.leaf_lo[leaf]), int(self.leaf_hi[leaf])
-            if not (0 <= lo < hi <= self.perm.shape[0]):
-                raise IndexError(f"corrupted kd-tree leaf range [{lo}, {hi})")
-            cand = self.perm[lo:hi]
-            if np.any((cand < 0) | (cand >= n_points)):
-                raise IndexError("corrupted kd-tree leaf candidate")
-            sel = np.flatnonzero(cur == leaf)
+        bad_perm = np.concatenate(([0], np.cumsum((self.perm < 0) | (self.perm >= n_points))))
+        safe_lo = np.where(bad_range, 0, lo)
+        safe_hi = np.where(bad_range, 0, hi)
+        bad = bad_range | (bad_perm[safe_hi] > bad_perm[safe_lo])
+        if bad.any():
+            first = int(np.argmax(bad))
+            if bad_range[first]:
+                raise IndexError(
+                    f"corrupted kd-tree leaf range [{int(lo[first])}, {int(hi[first])})"
+                )
+            raise IndexError("corrupted kd-tree leaf candidate")
+
+        # Scan one (queries, width) candidate matrix per distinct leaf
+        # width, queries sorted by width so each bucket is a slice.  Rows
+        # keep perm order, so argmin ties and NaNs resolve exactly as a
+        # per-leaf scan would.
+        perm = self.perm.astype(np.intp)
+        span = hi - lo
+        order = np.argsort(span[leaf_of], kind="stable")
+        leaf_of = leaf_of[order]
+        width, start = span[leaf_of], lo[leaf_of]
+        qx, qy = qx[order], qy[order]
+        found = np.empty(m, dtype=np.int64)
+        # Bucket starts; widths are positive, so the prepended 0 marks the first.
+        cuts = np.flatnonzero(np.diff(width, prepend=0)).tolist()
+        for a, b in zip(cuts, cuts[1:] + [m]):
+            cand = perm.take(start[a:b, None] + np.arange(width[a]))
             with np.errstate(over="ignore", invalid="ignore"):
-                dx = coords[0][sel][:, None] - x[cand][None, :]
-                dy = coords[1][sel][:, None] - y[cand][None, :]
-                out[sel] = cand[np.argmin(dx * dx + dy * dy, axis=1)]
+                dx = qx[a:b, None] - x.take(cand)
+                dy = qy[a:b, None] - y.take(cand)
+                dx *= dx
+                dy *= dy
+                dx += dy
+            found[a:b] = cand[np.arange(b - a), dx.argmin(axis=1)]
+        out = np.empty(m, dtype=np.int64)
+        out[order] = found
         return out
 
     def variables(self) -> dict[str, np.ndarray]:

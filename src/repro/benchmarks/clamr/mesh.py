@@ -156,35 +156,34 @@ class AmrMesh:
         if not np.any(parents >= 0):
             return 0
         order = np.argsort(parents, kind="stable")
-        keep = np.ones(n, dtype=bool)
-        removed = 0
-        pos = 0
         sorted_parents = parents[order]
-        while pos < n:
-            pid = sorted_parents[pos]
-            end = pos
-            while end < n and sorted_parents[end] == pid:
-                end += 1
-            if pid >= 0 and end - pos == 4:
-                members = order[pos:end]
-                levs = self.lev[members]
-                if np.all(levs == levs[0]) and levs[0] > 0 and bool(np.all(quiet[members])):
-                    keep_idx = int(members[np.argmin(self.slot[members])])
-                    self.x[keep_idx] = float(self.x[members].mean())
-                    self.y[keep_idx] = float(self.y[members].mean())
-                    self.h[keep_idx] = float(self.h[members].mean())
-                    self.hu[keep_idx] = float(self.hu[members].mean())
-                    self.hv[keep_idx] = float(self.hv[members].mean())
-                    self.lev[keep_idx] = levs[0] - 1
-                    self.parent[keep_idx] = -1
-                    self.slot[keep_idx] = 0
-                    drop = members[members != keep_idx]
-                    keep[drop] = False
-                    removed += drop.size
-            pos = end
-        if removed:
-            self._compact(keep, n)
-        return removed
+        # Runs of equal parent id; a candidate quartet is a run of
+        # exactly four cells under a real (non-negative) parent.
+        start = np.flatnonzero(np.concatenate(([True], sorted_parents[1:] != sorted_parents[:-1])))
+        length = np.diff(np.append(start, n))
+        start = start[(length == 4) & (sorted_parents[start] >= 0)]
+        # (quartets, 4) member cells, each row in ascending cell order.
+        members = order[start[:, None] + np.arange(4)]
+        levs = self.lev[members]
+        siblings = np.all(levs == levs[:, :1], axis=1) & (levs[:, 0] > 0)
+        merge = siblings & np.all(quiet[members], axis=1)
+        members, levs = members[merge], levs[merge]
+        if not members.size:
+            return 0
+        # Quartets are disjoint, so merging them all at once reads the
+        # same values a one-quartet-at-a-time merge would.
+        rows = np.arange(members.shape[0])
+        keep_idx = members[rows, np.argmin(self.slot[members], axis=1)]
+        for arr in (self.x, self.y, self.h, self.hu, self.hv):
+            arr[keep_idx] = arr[members].mean(axis=1)
+        self.lev[keep_idx] = levs[:, 0] - 1
+        self.parent[keep_idx] = -1
+        self.slot[keep_idx] = 0
+        keep = np.ones(n, dtype=bool)
+        keep[members] = False
+        keep[keep_idx] = True
+        self._compact(keep, n)
+        return 3 * members.shape[0]
 
     def _compact(self, keep: np.ndarray, n: int) -> None:
         """Densify live arrays after coarsening removed cells."""

@@ -1,8 +1,11 @@
 """Propagation profiling."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from repro.analysis.propagation import PropagationProfile, propagation_profile
+from repro.analysis.propagation import PropagationProfile, _compare, propagation_profile
 from repro.benchmarks.registry import create
 from repro.faults.models import FaultModel
 from repro.faults.site import FaultSite
@@ -72,3 +75,21 @@ def test_empty_profile_properties():
     assert profile.final_wrong == 0
     assert profile.peak_wrong == 0
     assert profile.monotone_growth_fraction() == 1.0
+
+
+class _OutputIsState:
+    """Minimal benchmark whose output is the state itself."""
+
+    def output(self, state):
+        return state
+
+
+def test_compare_zero_golden_element_is_silent():
+    golden = np.array([0.0, 2.0, 4.0])
+    observed = np.array([1.0, 2.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        wrong, fraction, max_rel = _compare(_OutputIsState(), golden, observed)
+    assert wrong == 2
+    assert fraction == pytest.approx(2 / 3)
+    assert max_rel == np.inf  # a wrong value where golden is zero
