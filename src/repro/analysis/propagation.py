@@ -8,12 +8,13 @@ contaminating "a consistent part of the output" roughly linearly in
 time.  This module measures exactly that on our substrate: run a clean
 and a corrupted replica in lockstep and record, after every scheduling
 quantum, how many output elements differ and how large the worst
-relative deviation is.
+relative deviation is.  The two replicas are identical up to the
+injection, so only the clean one walks the prefix; the corrupted one is
+cloned from it through the snapshot protocol at the interrupt step.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,7 +109,6 @@ def propagation_profile(
     """
     rng = derive_rng(seed, "propagation", benchmark.name)
     clean = benchmark.make_state(derive_rng(seed, "propagation", benchmark.name, "in"))
-    dirty = copy.deepcopy(clean)
     total = benchmark.num_steps(clean)
     if interrupt_step is None:
         interrupt_step = int(rng.integers(0, total))
@@ -116,14 +116,15 @@ def propagation_profile(
         raise ValueError(f"interrupt step {interrupt_step} out of range")
 
     flip = FlipScript(policy)
-    site = FaultSite("none", "none", 0, "none")
     points: list[PropagationPoint] = []
     crashed = False
     crash_detail = ""
 
-    for index in range(total):
-        if index == interrupt_step:
-            site, _bits = flip.inject(benchmark, dirty, index, model, rng)
+    for index in range(interrupt_step):
+        benchmark.step(clean, index)
+    dirty = benchmark.restore(benchmark.snapshot(clean))
+    site, _bits = flip.inject(benchmark, dirty, interrupt_step, model, rng)
+    for index in range(interrupt_step, total):
         benchmark.step(clean, index)
         try:
             benchmark.step(dirty, index)
@@ -131,17 +132,16 @@ def propagation_profile(
             crashed = True
             crash_detail = f"{type(exc).__name__}: {exc}"
             break
-        if index >= interrupt_step:
-            wrong, fraction, rel = _compare(benchmark, clean, dirty)
-            points.append(
-                PropagationPoint(
-                    step=index,
-                    steps_since_injection=index - interrupt_step,
-                    wrong_elements=wrong,
-                    wrong_fraction=fraction,
-                    max_rel_err=rel,
-                )
+        wrong, fraction, rel = _compare(benchmark, clean, dirty)
+        points.append(
+            PropagationPoint(
+                step=index,
+                steps_since_injection=index - interrupt_step,
+                wrong_elements=wrong,
+                wrong_fraction=fraction,
+                max_rel_err=rel,
             )
+        )
 
     return PropagationProfile(
         benchmark=benchmark.name,

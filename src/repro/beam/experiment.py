@@ -13,6 +13,15 @@ This is exact importance sampling of the single-strike regime the
 paper tunes its beam for (<1e-4 errors/execution makes double events
 negligible), so campaign outcome frequencies divide directly into FIT
 rates via the cross-section bookkeeping in :mod:`repro.beam.fit`.
+
+Trials resume from the golden prefix, exactly like CAROL-FI runs
+(:class:`~repro.carolfi.prefixcache.PrefixStore`): a strike lands at
+the entry of its step, the machine model keeps no per-trial state and
+each trial's RNG is keyed by its trial index, so restoring the deepest
+snapshot at or below the strike step and stepping only the suffix
+yields the record a replay from step 0 would.  The store starts empty
+— the constructor's timed golden run captures nothing — and fills
+lazily from the golden prefixes of occupied trials.
 """
 
 from __future__ import annotations
@@ -26,6 +35,7 @@ from repro.analysis.spatial import classify_mask, max_relative_error, wrong_mask
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
 from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity
+from repro.carolfi.prefixcache import PrefixStore
 from repro.faults.outcome import DueKind, Outcome
 from repro.phi.config import KNC_3120A, PhiConfig
 from repro.phi.machine import MachineCheckError, SchedulerWedge, XeonPhiMachine
@@ -135,16 +145,21 @@ class BeamExperiment:
         self.sensitivity = sensitivity
         self.machine = XeonPhiMachine(config)
         self.watchdog_factor = float(watchdog_factor)
+        self._pristine: Any = None
         state = self._fresh_state()
         self.total_steps = benchmark.num_steps(state)
         start = time.perf_counter()
         self.golden = benchmark.run(state)
         self.golden_runtime = max(time.perf_counter() - start, 1e-4)
+        self.prefix = PrefixStore(benchmark, self.total_steps)
 
     def _fresh_state(self) -> Any:
-        return self.benchmark.make_state(
-            derive_rng(self.seed, "beam", self.benchmark.name, "input")
-        )
+        """A bit-exact clone of the campaign's input, generated once."""
+        if self._pristine is None:
+            self._pristine = self.benchmark.make_state(
+                derive_rng(self.seed, "beam", self.benchmark.name, "input")
+            )
+        return self.benchmark.restore(self._pristine)
 
     def run_trial(self, trial: int) -> BeamRecord:
         """Simulate one potential strike and classify its outcome."""
@@ -166,7 +181,7 @@ class BeamExperiment:
                 outcome=Outcome.MASKED,
             )
 
-        state = self._fresh_state()
+        state, start_step = self.prefix.resume(strike_step, self._fresh_state)
         deadline = time.perf_counter() + self.watchdog_factor * self.golden_runtime + 1.0
         effect = "unapplied"
         outcome = Outcome.MASKED
@@ -174,7 +189,8 @@ class BeamExperiment:
         due_detail = ""
         sdc_metrics: dict[str, Any] = {}
         try:
-            for index in range(self.total_steps):
+            for index in range(start_step, self.total_steps):
+                self.prefix.fill(index, state, strike_step)
                 if index == strike_step:
                     result = self.machine.apply_strike(bench, state, index, resource, rng)
                     effect = result.effect

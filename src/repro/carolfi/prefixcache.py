@@ -7,11 +7,18 @@ construction.  Re-executing that prefix for each of the campaign's
 thousands of runs is the reproduction's single largest cost (the paper's
 §6.1 checkpoint-frequency framing: recomputation versus restore).
 
-:class:`PrefixStore` holds periodic state snapshots captured during the
-one golden execution, keyed by the step they were taken *at the entry
-of*.  ``Supervisor.run_one`` restores the latest snapshot at or below
-its interrupt step and replays only the remaining few steps, turning
-``O(total_steps)`` per-run work into ``O(interval + suffix)``.
+:class:`PrefixStore` holds periodic state snapshots of the golden
+execution, keyed by the step they were taken *at the entry of*.
+:meth:`PrefixStore.resume` hands a run the latest snapshot at or below
+its perturbation step, so it replays only the remaining few steps,
+turning ``O(total_steps)`` per-run work into ``O(interval + suffix)``;
+:meth:`PrefixStore.fill` captures missing snapshots from the golden
+prefix a run walks anyway.  Every perturbed-run loop resumes through
+this pair: CAROL-FI's ``Supervisor.run_one``, the beam's
+``BeamExperiment.run_trial`` and the hardened
+``HardenedSupervisor._execute``.  The same argument covers all three —
+a bit flip or a machine-model strike lands at the entry of its step on
+a state the prefix left bit-exact, so skipping the prefix is invisible.
 
 Snapshot cadence is derived from the benchmark's window geometry:
 ``interval = max(1, total_steps // (SNAPSHOT_DENSITY * num_windows))``
@@ -43,6 +50,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.benchmarks.base import Benchmark, state_nbytes
+from repro.telemetry import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
     from repro.carolfi.shmstore import ShmSegment
@@ -166,6 +174,42 @@ class PrefixStore:
         if pos == 0:
             return None
         return self._snapshots[self._steps_sorted[pos - 1]]
+
+    def resume(self, step: int, pristine: Callable[[], Any]) -> tuple[Any, int]:
+        """A writable golden state for a run perturbed at ``step``.
+
+        Returns the state at the deepest snapshot at or below ``step``
+        plus that snapshot's step or, with no such snapshot, a fresh
+        ``pristine()`` clone of the caller's memoised input and step 0.
+        The caller steps only from there on: the skipped steps are pure
+        golden work, so the perturbation at ``step`` lands on exactly
+        the state a full replay would have reached.
+        """
+        snap = self.latest(step)
+        if snap is None:
+            return pristine(), 0
+        state = self.materialize(snap)
+        self._count("repro_snapshot_restores_total")
+        self._count("repro_steps_skipped_total", float(snap.step))
+        return state, snap.step
+
+    def fill(self, index: int, state: Any, perturb_step: int) -> None:
+        """Capture ``state`` at the entry of ``index`` if the store wants it.
+
+        Called at the top of every step of a resumed run: up to (and at
+        the entry of) ``perturb_step`` the run's state is still a golden
+        prefix, so it fills the gaps an empty or budget-capped store
+        left.  Later steps are never captured.
+        """
+        if index <= perturb_step and self.wants(index):
+            self.capture(index, state)
+            self._count("repro_snapshot_captures_total")
+
+    def _count(self, name: str, amount: float = 1.0) -> None:
+        """Bump a prefix-efficiency counter (no-op with telemetry off)."""
+        current_registry().counter(
+            name, help="Prefix fast-path cache efficiency counter."
+        ).inc(amount, benchmark=self.benchmark.name)
 
     def materialize(self, snap: Snapshot) -> Any:
         """A writable state rehydrated from ``snap``.

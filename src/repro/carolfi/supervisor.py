@@ -271,7 +271,7 @@ class Supervisor:
                 }
             )
 
-    def _count(self, name: str, amount: float = 1.0, **labels: Any) -> None:
+    def _count(self, name: str, **labels: Any) -> None:
         """Bump a cache-efficiency counter (no-op with telemetry off).
 
         These counters describe *work saved in this process*, so unlike
@@ -281,11 +281,13 @@ class Supervisor:
         exclude the ``repro_snapshot_*``/``repro_steps_skipped``/
         ``repro_compare_fastpath``/``repro_golden_cache``/``repro_shm_*``
         families (``repro_snapshot_*`` includes
-        ``repro_snapshot_budget_degraded``).
+        ``repro_snapshot_budget_degraded``).  The snapshot restore,
+        capture and skipped-step counters are bumped by the
+        :class:`PrefixStore` itself.
         """
         current_registry().counter(
             name, help="CAROL-FI fast-path cache efficiency counter."
-        ).inc(amount, benchmark=self.benchmark.name, **labels)
+        ).inc(benchmark=self.benchmark.name, **labels)
 
     def _quantize(self, output: np.ndarray) -> np.ndarray:
         """Round to the precision the benchmark's output file carries.
@@ -442,17 +444,11 @@ class Supervisor:
         # the (first) interrupt step; the skipped steps are bit-identical
         # to the golden execution by construction, so the injected suffix
         # sees exactly the state a full replay would have produced.
-        start_step = 0
-        state: Any = None
-        if self.prefix is not None:
-            snap = self.prefix.latest(first_step)
-            if snap is not None:
-                state = self.prefix.materialize(snap)
-                start_step = snap.step
-                self._count("repro_snapshot_restores_total")
-                self._count("repro_steps_skipped_total", amount=float(start_step))
-        if state is None:
-            state = self._fresh_state()
+        prefix = self.prefix
+        if prefix is not None:
+            state, start_step = prefix.resume(first_step, self._fresh_state)
+        else:
+            state, start_step = self._fresh_state(), 0
         deadline = time.perf_counter() + self.watchdog_factor * self.golden_runtime + 1.0
         site: FaultSite | None = None
         bits: tuple[int, ...] | None = None
@@ -472,17 +468,10 @@ class Supervisor:
                 arm_deadline(deadline)
                 with tracer.span("execute", interrupt_step=first_step):
                     for index in range(start_step, total):
-                        # Up to (and at the entry of) the first interrupt
-                        # step the state is still a pure golden prefix:
-                        # fill store gaps left by a disk-cached golden run
+                        # Fill store gaps left by a disk-cached golden run
                         # or an exhausted byte budget.
-                        if (
-                            self.prefix is not None
-                            and index <= first_step
-                            and self.prefix.wants(index)
-                        ):
-                            self.prefix.capture(index, state)
-                            self._count("repro_snapshot_captures_total")
+                        if prefix is not None:
+                            prefix.fill(index, state, first_step)
                         for fault_model in schedule.get(index, ()):
                             with tracer.span("corrupt", step=index):
                                 fault_site, fault_bits = self.flip.inject(

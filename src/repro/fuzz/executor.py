@@ -39,6 +39,7 @@ from repro.hardening.guards import (
     VariableGuard,
     attach_observer,
     build_guards,
+    sync_guards,
 )
 from repro.util.rng import derive_rng
 
@@ -294,10 +295,7 @@ class ScenarioExecutor:
             attach_observer(
                 guards, lambda event: run.events.append(event.to_dict())
             )
-            initial = {v.name: v.array for v in bench.variables(state, 0)}
-            for name, guard in guards.items():
-                if name in initial:
-                    guard.resync(initial[name])
+            sync_guards(guards, bench.variables(state, 0))
 
         checkpointing = scheme.checkpoint_interval > 0
         snapshots: list[tuple[int, Any]] = (
@@ -316,12 +314,7 @@ class ScenarioExecutor:
         wrong_elements = 0
 
         def resync_guards(at_step: int) -> None:
-            arrays = {v.name: v.array for v in bench.variables(state, at_step)}
-            for name, guard in guards.items():
-                if name in arrays:
-                    guard.resync(arrays[name])
-                else:
-                    guard.detach()
+            sync_guards(guards, bench.variables(state, at_step))
 
         while index < total:
             if run.executed >= budget:

@@ -21,11 +21,12 @@ Three guard kinds cover the paper's software techniques:
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
+from repro.benchmarks.base import Variable
 from repro.hardening.parity import word_parity
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "VariableGuard",
     "attach_observer",
     "build_guards",
+    "sync_guards",
 ]
 
 
@@ -211,3 +213,22 @@ def attach_observer(
     """Wire one observer into every guard of a :func:`build_guards` set."""
     for guard in guards.values():
         guard.observer = observer
+
+
+def sync_guards(guards: dict[str, VariableGuard], variables: Iterable[Variable]) -> None:
+    """Resync every guard whose variable is live, detach the rest.
+
+    Applied to the variables live at the entry of step ``k`` of a
+    fault-free execution, this *is* the guard state that walking the
+    golden prefix to ``k`` leaves behind: ``resync`` is a pure function
+    of the store's contents, and ``verify`` never trips on golden data.
+    """
+    arrays = {v.name: v.array for v in variables}
+    for name, guard in guards.items():
+        if name in arrays:
+            guard.resync(arrays[name])
+        else:
+            # Not live here (never allocated yet, or consumed/freed): a
+            # later allocation under the same name is a different store
+            # and must re-attach fresh.
+            guard.detach()

@@ -18,6 +18,16 @@ Outcomes gain two new categories relative to Figure 4: ``detected``
 (a guard or the ABFT verification flagged the corruption — the system
 can abort/retry instead of silently corrupting) and ``corrected``
 (ABFT repaired the output in place).
+
+Injected runs resume from the golden prefix through the same
+:class:`~repro.carolfi.prefixcache.PrefixStore` path as CAROL-FI.  The
+guards need no replay either: after a fault-free prefix to step ``k``
+every guard whose variable is live at ``k`` holds ``resync`` of that
+variable (a pure function of the store) and every other guard is
+detached, and ``verify`` never trips on golden data — so rebuilding
+exactly that state at ``k`` is indistinguishable from walking there.
+The timed fault-free run stays a full replay, so the measured
+protection overhead keeps its meaning.
 """
 
 from __future__ import annotations
@@ -32,6 +42,7 @@ from repro.analysis.spatial import wrong_mask
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
 from repro.carolfi.flipscript import FlipScript, SitePolicy
+from repro.carolfi.prefixcache import PrefixStore
 from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.models import FaultModel
 from repro.faults.site import FaultSite
@@ -41,6 +52,7 @@ from repro.hardening.guards import (
     FaultDetected,
     attach_observer,
     build_guards,
+    sync_guards,
 )
 from repro.util.rng import derive_rng
 
@@ -116,6 +128,7 @@ class HardenedSupervisor:
         #: Optional ``Callable[[DetectorEvent], None]`` wired into every
         #: guard of every run (the fuzz oracle's detector-state tap).
         self.detector_observer = detector_observer
+        self._pristine: Any = None
 
         plain_start = time.perf_counter()
         state = self._fresh_state()
@@ -132,6 +145,12 @@ class HardenedSupervisor:
         rerun_runtime = max(time.perf_counter() - rerun_start, 1e-4)
         self.plain_runtime = min(self.plain_runtime, rerun_runtime)
         self.golden_runtime = self.plain_runtime
+        self.prefix = PrefixStore(benchmark, self.total_steps)
+        # ABFT checksums derive from the operands at load time: once,
+        # from the pristine input every run starts from.
+        self._checksums = (
+            abft_checksums(self._pristine.a_src, self._pristine.b_src) if self.abft else None
+        )
 
         # Measure the hardened fault-free run: overhead = guards +
         # (for DGEMM) the ABFT verification.
@@ -145,9 +164,12 @@ class HardenedSupervisor:
     # -- plumbing ---------------------------------------------------------------
 
     def _fresh_state(self) -> Any:
-        return self.benchmark.make_state(
-            derive_rng(self.seed, "carolfi", self.benchmark.name, "input")
-        )
+        """A bit-exact clone of the campaign's input, generated once."""
+        if self._pristine is None:
+            self._pristine = self.benchmark.make_state(
+                derive_rng(self.seed, "carolfi", self.benchmark.name, "input")
+            )
+        return self.benchmark.restore(self._pristine)
 
     def _quantize(self, output: np.ndarray) -> np.ndarray:
         decimals = self.benchmark.output_decimals
@@ -167,11 +189,6 @@ class HardenedSupervisor:
                 total += guard.overhead_bytes
         return total
 
-    def _abft_checksums(self, state: Any) -> tuple[np.ndarray, np.ndarray] | None:
-        if not self.abft:
-            return None
-        return abft_checksums(state.a_src, state.b_src)
-
     # -- the hardened run -----------------------------------------------------------
 
     def _execute(
@@ -182,11 +199,16 @@ class HardenedSupervisor:
     ) -> HardenedRecord:
         bench = self.benchmark
         rng = derive_rng(self.seed, "hardened", bench.name, "run", str(run_index))
-        if model is not None and interrupt_step is None:
-            interrupt_step = int(rng.integers(0, self.total_steps))
-
-        state = self._fresh_state()
-        checksums = self._abft_checksums(state)
+        if model is None:
+            # The timed fault-free run: a full replay, no captures.
+            state, start_step = self._fresh_state(), 0
+        else:
+            if interrupt_step is None:
+                interrupt_step = int(rng.integers(0, self.total_steps))
+            if not 0 <= interrupt_step < self.total_steps:
+                raise ValueError(f"interrupt step {interrupt_step} out of range")
+            state, start_step = self.prefix.resume(interrupt_step, self._fresh_state)
+        checksums = self._checksums
         guards = build_guards(bench.name)
         if self.detector_observer is not None:
             attach_observer(guards, self.detector_observer)
@@ -197,16 +219,14 @@ class HardenedSupervisor:
         deadline = time.perf_counter() + self.watchdog_factor * self.plain_runtime + 1.0
 
         try:
-            # Attach the guards to the pristine state so corruption at
-            # the very first quantum is already covered.
-            initial = {v.name: v.array for v in bench.variables(state, 0)}
-            for name, guard in guards.items():
-                if name in initial:
-                    guard.resync(initial[name])
-            for index in range(self.total_steps):
-                if model is not None and index == interrupt_step:
-                    fault_site, _bits = self.flip.inject(bench, state, index, model, rng)
-                    site = fault_site
+            # Attach the guards to the state the run starts from, so
+            # corruption at its very first quantum is already covered.
+            sync_guards(guards, bench.variables(state, start_step))
+            for index in range(start_step, self.total_steps):
+                if model is not None:
+                    self.prefix.fill(index, state, interrupt_step)
+                    if index == interrupt_step:
+                        site, _bits = self.flip.inject(bench, state, index, model, rng)
                 arrays = {v.name: v.array for v in bench.variables(state, index)}
                 # Scheduled scrub point: verify every guarded store
                 # before this quantum consumes it.
@@ -216,15 +236,7 @@ class HardenedSupervisor:
                 bench.step(state, index)
                 if time.perf_counter() > deadline:
                     raise BenchmarkHang("hardened watchdog expired")
-                arrays = {v.name: v.array for v in bench.variables(state, index + 1)}
-                for name, guard in guards.items():
-                    if name in arrays:
-                        guard.resync(arrays[name])
-                    else:
-                        # The artifact was consumed/freed this quantum:
-                        # a later allocation under the same name is a
-                        # different store and must re-attach fresh.
-                        guard.detach()
+                sync_guards(guards, bench.variables(state, index + 1))
             observed = bench.output(state)
             if checksums is not None:
                 verdict = abft_check(observed, checksums[0], checksums[1])

@@ -135,6 +135,37 @@ def test_prefix_store_rejects_out_of_range_captures():
         store.capture(10**6, state)
 
 
+def test_prefix_store_resume_and_fill():
+    """``resume`` hands out the deepest snapshot at or below the step, or
+    a pristine clone at step 0; ``fill`` captures only up to the
+    perturbation step, where the state is still a golden prefix."""
+    bench = create("nw", n=16, rows_per_step=4)
+    pristine = bench.make_state(derive_rng(3, "store"))
+    total = bench.num_steps(pristine)
+    store = PrefixStore(bench, total)
+    assert store.interval == 1 and total == 4
+
+    def fresh():
+        return bench.restore(pristine)
+
+    state, start = store.resume(total - 1, fresh)
+    assert start == 0 and len(store) == 0
+    entry_outputs = []
+    for index in range(total):
+        store.fill(index, state, 2)
+        entry_outputs.append(bench.output(state))
+        bench.step(state, index)
+    assert len(store) == 2 and store.latest(total - 1).step == 2
+
+    for step, anchor in ((0, 0), (1, 1), (2, 2), (3, 2)):
+        state, start = store.resume(step, fresh)
+        assert start == anchor
+        assert np.array_equal(bench.output(state), entry_outputs[anchor])
+        bench.step(state, start)  # a private copy: the snapshot is untouched
+        again, _ = store.resume(step, fresh)
+        assert np.array_equal(bench.output(again), entry_outputs[anchor])
+
+
 def test_prefix_store_byte_budget_caps_captures():
     bench = create("nw", n=16, rows_per_step=4)
     state = bench.make_state(derive_rng(3, "store"))
@@ -213,6 +244,28 @@ def test_snapshot_counters_emitted_on_serial_campaign():
     assert restores > 0
     assert skipped >= restores, "every restore skips at least one step"
     assert sum(counters["repro_compare_fastpath_total"].values()) > 0
+
+
+def test_snapshot_counters_emitted_on_beam_and_hardened_campaigns():
+    from repro.beam.experiment import BeamExperiment
+    from repro.hardening.hardened import HardenedSupervisor
+
+    for campaign in ("beam", "hardened"):
+        tel = Telemetry(TelemetryConfig())
+        with tel.activate():
+            if campaign == "beam":
+                BeamExperiment(small("dgemm"), seed=8).run_campaign(60)
+            else:
+                supervisor = HardenedSupervisor(small("dgemm"), seed=8)
+                for run in range(40):
+                    supervisor.run_one(run, FaultModel.all()[run % 4])
+        counters = tel.registry.counter_values()
+        restores = sum(counters["repro_snapshot_restores_total"].values())
+        skipped = sum(counters["repro_steps_skipped_total"].values())
+        assert restores > 0, campaign
+        assert skipped >= restores, campaign
+        assert sum(counters["repro_snapshot_captures_total"].values()) > 0, campaign
+        assert set(counters["repro_snapshot_restores_total"]) == {"benchmark=dgemm"}
 
 
 def test_cache_hit_supervisor_fills_store_opportunistically(tmp_path):

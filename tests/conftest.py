@@ -23,6 +23,9 @@ SMALL_CLAMR = {
     "leaf_size": 4,
 }
 
+#: A ten-step DGEMM for differential tests that replay every run from step 0.
+SMALL_DGEMM = {"n": 24, "n_threads": 8, "k_block": 8}
+
 
 @pytest.fixture
 def rng() -> np.random.Generator:
