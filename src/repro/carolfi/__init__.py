@@ -40,6 +40,7 @@ from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
     IsolationMode,
+    SandboxDeath,
     SandboxError,
 )
 from repro.carolfi.prefixcache import PrefixStore, Snapshot, snapshot_interval
@@ -58,6 +59,7 @@ __all__ = [
     "IsolationMode",
     "PrefixStore",
     "RetryPolicy",
+    "SandboxDeath",
     "SandboxError",
     "ShardFailure",
     "ShardProgress",

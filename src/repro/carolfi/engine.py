@@ -21,24 +21,31 @@ re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
 :class:`CheckpointError` rather than silently mixing campaigns.
 
-Fault domains: every in-flight shard is one disposable OS process the
-engine supervises directly — it can observe its exit code, reap it when
-its heartbeat stalls, and re-dispatch the shard without touching any
-other worker.  Shard failures are retried with deterministic
-exponential backoff plus jitter; a run that repeatedly kills its worker
-is **quarantined** (recorded as a DUE with a ``sandbox:`` detail and
-skipped on the next attempt), so a campaign degrades gracefully instead
-of aborting.  Only a shard that keeps failing *without making progress*
-raises :class:`ShardFailure`.  Every retry, reap, worker death,
-sandbox kill and quarantine is appended to a structured failure-event
-log (``failures.jsonl`` under the checkpoint directory by default).
+Fault domains: every campaign runs through one control plane, the
+shard scheduler (:func:`repro.service.scheduler.run_shards`), over a
+:class:`~repro.service.backend.ShardBackend` — in the calling process
+for ``workers=1`` (:class:`~repro.service.local.InlineBackend`), one
+disposable, supervised OS process per in-flight shard otherwise
+(:class:`~repro.service.local.LocalBackend`), or a caller's broker.
+The scheduler alone decides retry and quarantine.  A failed execution
+— an exception that escapes the crash net, a worker death, a reaped
+hang — is retried with deterministic exponential backoff plus jitter;
+a run that fails ``RetryPolicy.max_run_deaths`` times is
+**quarantined** (recorded as a DUE with a ``sandbox:`` detail and
+skipped on the next attempt), so a campaign degrades gracefully
+instead of aborting.  Only a shard that keeps failing *without making
+progress* raises :class:`ShardFailure`.  Every retry, reap, worker
+death, sandbox kill and quarantine is appended to a structured
+failure-event log (``failures.jsonl`` under the checkpoint directory
+by default).
 
 With ``isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS, ...)``
 each individual injection additionally runs inside the
-:class:`~repro.carolfi.isolation.InjectionSandbox`, making crashes and
-hangs *observed process deaths* exactly like the paper's GDB-supervised
-runs.  Serial in-process execution (``workers=1``, inproc isolation)
-stays the default, so the test suite remains subprocess-free.
+:class:`~repro.carolfi.isolation.InjectionSandbox` owned by the
+executor of the shard, making crashes and hangs *observed process
+deaths* exactly like the paper's GDB-supervised runs.  Serial
+in-process execution (``workers=1``, inproc isolation) stays the
+default, so the test suite remains subprocess-free.
 """
 
 from __future__ import annotations
@@ -49,7 +56,7 @@ import math
 import os
 import time
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -59,12 +66,10 @@ from repro.carolfi.campaign import CampaignConfig, CampaignResult, model_for
 from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
-    IsolationMode,
     SandboxError,
     campaign_store_key,
     make_due_record,
     supervisor_for,
-    supervisor_key,
 )
 from repro.faults.outcome import DueKind, InjectionRecord
 from repro.telemetry import (
@@ -166,7 +171,12 @@ class RetryPolicy:
     and its shard re-dispatched, the hung run charged a death)."""
 
     max_run_deaths: int = 2
-    """Worker deaths attributed to one run before it is quarantined."""
+    """Failed executions attributed to one run before it is quarantined.
+
+    A failed execution is an exception that escaped the crash net
+    (including a sandbox worker's own death), a shard-worker death, or
+    a reap.  The scheduler is the only reader: one threshold for every
+    execution mode."""
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -357,24 +367,7 @@ class FailureSink:
             self._log.close()
 
 
-# -- shard execution (runs inside worker processes) ----------------------------
-
-#: Per-process sandbox cache: a serial campaign reuses one sandbox
-#: across all its shards instead of respawning a worker per shard.
-_SANDBOXES: dict[str, InjectionSandbox] = {}
-
-
-def _sandbox_for(
-    config: CampaignConfig,
-    isolation: IsolationConfig,
-    golden_cache: str | None = None,
-) -> InjectionSandbox:
-    key = supervisor_key(config) + "|" + json.dumps(isolation.to_dict(), sort_keys=True)
-    sandbox = _SANDBOXES.get(key)
-    if sandbox is None:
-        sandbox = InjectionSandbox(config, isolation, golden_cache=golden_cache)
-        _SANDBOXES[key] = sandbox
-    return sandbox
+# -- shard execution (runs in whichever process executes the lease) -----------
 
 
 def _execute_shard(
@@ -382,7 +375,7 @@ def _execute_shard(
     spec: ShardSpec,
     checkpoint_file: str | None,
     fingerprint: str,
-    isolation: IsolationConfig | None = None,
+    sandbox: InjectionSandbox | None = None,
     skip_runs: dict[int, tuple[str, str]] | None = None,
     on_run: Callable[[int], None] | None = None,
     on_run_done: Callable[[int], None] | None = None,
@@ -391,20 +384,23 @@ def _execute_shard(
 ) -> tuple[int, list[dict]]:
     """Run one shard, checkpointing each record; returns record dicts.
 
+    ``sandbox`` is the executor's own :class:`InjectionSandbox` to run
+    every injection through, or ``None`` to run them in this process.
     ``skip_runs`` maps quarantined run indices to their ``(due_kind,
     detail)``: those runs are recorded as synthetic DUEs without being
     executed.  ``on_run``/``on_run_done`` are the heartbeat hooks the
-    engine uses for liveness and death attribution.
+    scheduler uses for liveness and death attribution.  An exception a
+    run lets escape — a sandbox worker's death included — is raised as
+    :class:`ShardRunError` naming that run.
 
     Telemetry is ambient (:func:`repro.telemetry.current_registry` /
-    ``current_tracer``): the serial engine activates the campaign
-    bundle, shard workers activate their local accumulator, and this
+    ``current_tracer``): an inline executor runs inside the campaign
+    bundle, lease workers activate their local accumulator, and this
     function instruments identically either way — per-outcome run
     counters, run-duration histogram, a shard span, and a
     checkpoint-write span.  With telemetry disabled every instrument is
     a shared no-op.
     """
-    iso = isolation or IsolationConfig()
     registry = current_registry()
     tracer = current_tracer()
     runs_total = registry.counter(
@@ -418,52 +414,29 @@ def _execute_shard(
     )
     run_fn: Callable[[int, Any], InjectionRecord]
     skip = skip_runs or {}
-    batched: dict[int, InjectionRecord] = {}
-    if iso.mode is IsolationMode.SUBPROCESS:
-        if config.shared_store:
-            # Publish (or attach) the host-wide shared segment from
-            # *this* long-lived process before any sandbox worker
-            # exists: sandbox children exit via os._exit and never run
-            # teardown, so the publisher must be a process whose
-            # release path runs — the serial engine (released in
-            # run_sharded_campaign's finally) or a lease worker that
-            # inherited/attached the backend's warm-up segment.
-            try:
-                supervisor_for(config, golden_cache=golden_cache, on_event=on_failure)
-            except Exception:  # noqa: BLE001 — sandbox reports the real failure
-                pass
-        sandbox = _sandbox_for(config, iso, golden_cache)
-        sandbox.on_event = on_failure
+    if sandbox is not None:
         run_fn = sandbox.run_one
         total_steps, num_windows = sandbox.total_steps, sandbox.num_windows
-        if config.batch_size > 1:
-            # Vectorized fast path inside the sandbox: the whole group
-            # runs through BatchRunner in one forked worker, and only
-            # vectorized-path records come back.  Fallback members (and
-            # any batch-wide abort) flow through the unchanged scalar
-            # sandbox machinery below — per-run death attribution,
-            # retry and quarantine intact.
-            todo = [
-                (run_index, model_for(config, run_index))
-                for run_index in spec.run_indices()
-                if run_index not in skip
-            ]
-            batched = sandbox.run_batch(todo, config.batch_size)
     else:
         supervisor = supervisor_for(config, golden_cache=golden_cache, on_event=on_failure)
         run_fn = supervisor.run_one
         total_steps = supervisor.total_steps
         num_windows = supervisor.benchmark.num_windows
-        if config.batch_size > 1:
-            # Vectorized fast path.  Runs the batch path completes are
-            # looked up below; everything else — fallbacks, skips —
-            # flows through the unchanged scalar machinery, including
-            # its error attribution.
-            todo = [
-                (run_index, model_for(config, run_index))
-                for run_index in spec.run_indices()
-                if run_index not in skip
-            ]
+    batched: dict[int, InjectionRecord] = {}
+    if config.batch_size > 1:
+        # Vectorized fast path, inside the sandbox worker when there is
+        # one.  Runs the batch path completes are looked up below;
+        # everything else — fallbacks, skips, a batch-wide abort — flows
+        # through the unchanged scalar machinery, including its error
+        # attribution.
+        todo = [
+            (run_index, model_for(config, run_index))
+            for run_index in spec.run_indices()
+            if run_index not in skip
+        ]
+        if sandbox is not None:
+            batched = sandbox.run_batch(todo, config.batch_size)
+        else:
             batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
     log: JsonlLog | None = None
     if checkpoint_file is not None:
@@ -729,8 +702,10 @@ def run_sharded_campaign(
 
     ``workers=1`` executes the shards serially in the calling process;
     any other count fans shards out over dedicated worker processes
-    (one disposable process per in-flight shard).  ``workers=None``
-    resolves via ``REPRO_WORKERS`` then ``os.cpu_count()``.
+    (one disposable process per in-flight shard).  Both go through the
+    same shard scheduler, so retries and quarantine are decided alike.
+    ``workers=None`` resolves via ``REPRO_WORKERS`` then
+    ``os.cpu_count()``.
 
     ``backend`` overrides *where* shards execute: any
     :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
@@ -844,47 +819,56 @@ def run_sharded_campaign(
                 pending.clear()
 
             if pending:
+                # Imported here, not at module top: repro.service imports
+                # this module.
+                from repro.service.local import InlineBackend, LocalBackend
+                from repro.service.scheduler import run_shards
 
                 def ckpt_file(spec: ShardSpec) -> str | None:
-                    if ckpt_dir is None:
-                        return None
-                    return str(shard_path(ckpt_dir, spec.index))
+                    return None if ckpt_dir is None else str(shard_path(ckpt_dir, spec.index))
 
-                if workers == 1 and backend is None:
-                    _run_serial(
-                        config,
-                        pending,
-                        ckpt_file,
-                        fingerprint,
-                        heartbeat,
-                        executed,
-                        iso,
-                        policy,
-                        sink,
-                        tel,
-                        reporter,
-                        gate,
-                        cache_dir,
+                # A caller's backend (e.g. the broker) stays the caller's;
+                # otherwise the engine owns one for this campaign.
+                owned: ShardBackend | None = None
+                if backend is None:
+                    owned = backend = (
+                        LocalBackend(
+                            config,
+                            fingerprint,
+                            workers=workers,
+                            isolation=iso,
+                            telemetry=tel,
+                            golden_cache=cache_dir,
+                            on_event=sink,
+                        )
+                        if workers > 1
+                        else InlineBackend(
+                            config,
+                            fingerprint,
+                            isolation=iso,
+                            golden_cache=cache_dir,
+                            on_run_done=reporter.tick,
+                        )
                     )
-                else:
-                    _run_pool(
+                try:
+                    run_shards(
                         config,
                         pending,
                         ckpt_file,
                         fingerprint,
                         heartbeat,
                         executed,
-                        workers,
-                        iso,
+                        backend,
                         policy,
                         sink,
                         tel,
                         reporter,
                         gate,
-                        cache_dir,
-                        backend=backend,
                         steal=steal,
                     )
+                finally:
+                    if owned is not None:
+                        owned.close()
 
             included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
             expected_runs = included[-1].stop
@@ -962,207 +946,3 @@ def run_sharded_campaign(
         with JsonlLog(log_path) as log:
             log.extend(r.to_dict() for r in records_out)
     return CampaignResult(config=config, records=records_out, stopped_early=gate.stopped)
-
-
-# -- serial fault domain -------------------------------------------------------
-
-
-def _run_serial(
-    config: CampaignConfig,
-    pending: Iterable[ShardSpec],
-    ckpt_file: Callable[[ShardSpec], str | None],
-    fingerprint: str,
-    heartbeat: _Heartbeat,
-    executed: dict[int, list[dict]],
-    isolation: IsolationConfig,
-    policy: RetryPolicy,
-    sink: FailureSink,
-    tel: Telemetry,
-    reporter: Any,
-    gate: _ConvergenceGate,
-    golden_cache: str | None = None,
-) -> None:
-    """Serial execution with backoff retries and poison-run quarantine.
-
-    In inproc mode an *uncatchable* condition (``os._exit``, a guard-free
-    spin) still takes the calling process down — subprocess isolation
-    exists for exactly that — but any exception-shaped failure is
-    retried, attributed, and quarantined just like in the pool.
-    """
-    shard_done = tel.registry.gauge("repro_shard_runs_done")
-    shard_seconds = tel.registry.histogram(
-        "repro_shard_duration_seconds", help="Wall-clock duration of one completed shard."
-    )
-    for spec in pending:
-        heartbeat.emit("started", spec)
-        deaths: dict[int, int] = {}
-        skip: dict[int, tuple[str, str]] = {}
-        attempts = 0
-        no_progress = 0
-        shard_started = time.perf_counter()
-
-        def shard_sink(event: dict[str, Any], _index: int = spec.index) -> None:
-            sink({"shard": _index, **event})
-
-        def run_done(run_index: int, _spec: ShardSpec = spec) -> None:
-            shard_done.set(run_index - _spec.start + 1, shard=_spec.index)
-            reporter.tick()
-
-        while True:
-            try:
-                _, rows = _execute_shard(
-                    config,
-                    spec,
-                    ckpt_file(spec),
-                    fingerprint,
-                    isolation=isolation,
-                    skip_runs=skip,
-                    on_run_done=run_done,
-                    on_failure=shard_sink,
-                    golden_cache=golden_cache,
-                )
-                break
-            except Exception as exc:  # noqa: BLE001 — classified below
-                attempts += 1
-                detail = f"{type(exc).__name__}: {exc}"
-                progressed = False
-                if isinstance(exc, ShardRunError):
-                    run = exc.run_index
-                    count = deaths[run] = deaths.get(run, 0) + 1
-                    sink(
-                        {
-                            "event": "run_error",
-                            "shard": spec.index,
-                            "run": run,
-                            "attempt": attempts,
-                            "deaths": count,
-                            "detail": detail,
-                        }
-                    )
-                    if count >= policy.max_run_deaths:
-                        skip[run] = (
-                            DueKind.CRASH.value,
-                            f"sandbox: quarantined after {count} failed "
-                            f"executions ({detail})",
-                        )
-                        sink(
-                            {
-                                "event": "quarantine",
-                                "shard": spec.index,
-                                "run": run,
-                                "detail": detail,
-                            }
-                        )
-                        heartbeat.emit("quarantined", spec, detail=f"run {run}: {detail}")
-                        progressed = True
-                if progressed:
-                    no_progress = 0
-                else:
-                    no_progress += 1
-                    if no_progress >= policy.max_attempts:
-                        sink(
-                            {
-                                "event": "shard_failed",
-                                "shard": spec.index,
-                                "attempt": attempts,
-                                "detail": detail,
-                            }
-                        )
-                        heartbeat.emit("failed", spec, detail=detail)
-                        raise ShardFailure(spec.index, attempts, detail) from exc
-                delay = backoff_delay(config.seed, spec.index, attempts, policy)
-                sink(
-                    {
-                        "event": "retry",
-                        "shard": spec.index,
-                        "attempt": attempts,
-                        "delay_s": round(delay, 3),
-                        "detail": detail,
-                    }
-                )
-                heartbeat.emit("retried", spec, detail=detail)
-                time.sleep(delay)
-        executed[spec.index] = rows
-        shard_done.set(spec.size, shard=spec.index)
-        if tel.registry.enabled:
-            shard_seconds.observe(time.perf_counter() - shard_started)
-        heartbeat.record_done(spec.size, live=True)
-        heartbeat.emit("finished", spec)
-        if gate.mark_complete(spec.index):
-            break
-
-
-# -- parallel fault domains ----------------------------------------------------
-
-
-def _run_pool(
-    config: CampaignConfig,
-    pending: list[ShardSpec],
-    ckpt_file: Callable[[ShardSpec], str | None],
-    fingerprint: str,
-    heartbeat: _Heartbeat,
-    executed: dict[int, list[dict]],
-    workers: int,
-    isolation: IsolationConfig,
-    policy: RetryPolicy,
-    sink: FailureSink,
-    tel: Telemetry,
-    reporter: Any,
-    gate: _ConvergenceGate,
-    golden_cache: str | None = None,
-    backend: Any = None,
-    steal: Any = None,
-) -> None:
-    """Fan shards out over a :class:`~repro.service.backend.ShardBackend`.
-
-    Without an explicit ``backend`` this builds the engine's classic
-    fault-domain pool (:class:`repro.service.local.LocalBackend`): one
-    dedicated, individually supervised process per in-flight shard, so
-    the engine observes worker exit codes directly, reaps stalled
-    workers, and one pathological run can never poison a neighbouring
-    shard's executor.  A provided backend (e.g. the distributed broker)
-    is driven by the same scheduler — retries, quarantine, liveness and
-    telemetry merging behave identically — but its lifetime belongs to
-    the caller.
-
-    Workers ship telemetry over the same channel as heartbeats: deltas
-    merge into the engine's registry as they arrive, so the live
-    progress line and the final export read one registry whether the
-    campaign ran serial, pooled or distributed.
-    """
-    # Imported here, not at module top: repro.service imports this
-    # module, and the engine only needs a backend once a parallel
-    # campaign actually starts.
-    from repro.service.local import LocalBackend
-    from repro.service.scheduler import run_shards
-
-    owned = None
-    if backend is None:
-        backend = owned = LocalBackend(
-            config,
-            fingerprint,
-            workers=workers,
-            isolation=isolation,
-            telemetry=tel,
-            golden_cache=golden_cache,
-            on_event=sink,
-        )
-    try:
-        run_shards(
-            config,
-            pending,
-            ckpt_file,
-            fingerprint,
-            heartbeat,
-            executed,
-            backend,
-            policy,
-            sink,
-            tel,
-            reporter,
-            gate,
-            steal=steal,
-        )
-    finally:
-        if owned is not None:
-            owned.close()

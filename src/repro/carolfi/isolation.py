@@ -18,11 +18,13 @@ exit code 0 mid-run       protocol violation             DUE ``crash``
 ========================  =============================  ==============
 
 Deadline and RSS kills are the sandbox's *own* deterministic actions, so
-they are recorded immediately.  Self-inflicted worker deaths (signals,
-exit codes, escaped exceptions) are retried in a fresh worker to rule
-out infrastructure flakiness; a run that keeps killing its sandbox is
-**quarantined** — recorded as a DUE with a ``sandbox:`` detail and never
-retried again — so one poisonous injection cannot take down a campaign.
+they are recorded immediately.  A self-inflicted worker death (signal,
+exit code) is only *reported*: :meth:`InjectionSandbox.run_one` raises
+:class:`SandboxDeath` and respawns lazily on the next call.  Whether the
+run is retried or **quarantined** — recorded as a DUE with a
+``sandbox:`` detail and never executed again — is the campaign
+scheduler's decision (:mod:`repro.service.scheduler`), made by one
+policy for every execution mode.
 
 The sandbox prefers the ``fork`` start method where available: a parent
 that has already warmed :func:`supervisor_for`'s cache hands each worker
@@ -64,6 +66,7 @@ __all__ = [
     "InjectionSandbox",
     "IsolationConfig",
     "IsolationMode",
+    "SandboxDeath",
     "SandboxError",
     "describe_exitcode",
     "make_due_record",
@@ -92,6 +95,10 @@ class SandboxError(RuntimeError):
     """The sandbox worker could not be started (not a run outcome)."""
 
 
+class SandboxDeath(RuntimeError):
+    """The sandbox worker died on its own (signal, exit code) mid-run."""
+
+
 @dataclass(frozen=True)
 class IsolationConfig:
     """How injections are isolated from the campaign engine."""
@@ -109,9 +116,6 @@ class IsolationConfig:
     startup_timeout_s: float = 300.0
     """Deadline for a fresh worker to finish its golden run."""
 
-    max_run_deaths: int = 2
-    """Worker deaths attributed to one run before it is quarantined."""
-
     poll_interval_s: float = 0.01
     """Supervision tick: pipe poll / liveness / RSS check cadence."""
 
@@ -121,8 +125,6 @@ class IsolationConfig:
             raise ValueError("timeout_s must be positive")
         if self.mem_limit_mb is not None and self.mem_limit_mb <= 0:
             raise ValueError("mem_limit_mb must be positive")
-        if self.max_run_deaths < 1:
-            raise ValueError("max_run_deaths must be at least 1")
         if self.startup_timeout_s <= 0 or self.poll_interval_s <= 0:
             raise ValueError("timeouts must be positive")
 
@@ -132,7 +134,6 @@ class IsolationConfig:
             "timeout_s": self.timeout_s,
             "mem_limit_mb": self.mem_limit_mb,
             "startup_timeout_s": self.startup_timeout_s,
-            "max_run_deaths": self.max_run_deaths,
             "poll_interval_s": self.poll_interval_s,
         }
 
@@ -416,9 +417,9 @@ class InjectionSandbox:
     Presents the same ``run_one(run_index, model) -> InjectionRecord``
     surface as :class:`Supervisor`, but every call is executed in the
     worker and supervised with a hard wall-clock deadline and an
-    optional RSS ceiling.  Failure events (spawns, deaths, kills,
-    quarantines) are delivered to ``on_event`` as dicts — the campaign
-    engine forwards them into its ``failures.jsonl``.
+    optional RSS ceiling.  Failure events (spawns, deaths, kills) are
+    delivered to ``on_event`` as dicts — the executor that owns the
+    sandbox forwards them into the campaign's ``failures.jsonl``.
     """
 
     def __init__(
@@ -445,7 +446,6 @@ class InjectionSandbox:
         self._proc: BaseProcess | None = None
         self._conn: Connection | None = None
         self._meta: dict[str, Any] | None = None
-        self._deaths: dict[int, int] = {}
         self._mem_warned = False
 
     # -- metadata (cached from the most recent worker handshake) ---------------
@@ -553,24 +553,6 @@ class InjectionSandbox:
         self._proc = None
         self._conn = None
 
-    def forget_worker(self) -> None:
-        """Drop inherited worker handles without touching the worker.
-
-        A forked campaign worker inherits this sandbox with handles to a
-        process that is *not its child*: multiprocessing forbids
-        managing it from here, and sharing its pipe across processes
-        would interleave messages.  Closing our copy of the pipe fd and
-        nulling the handles leaves the original parent's sandbox intact
-        while keeping the cached geometry metadata.
-        """
-        if self._conn is not None:
-            try:
-                self._conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._proc = None
-        self._conn = None
-
     def close(self) -> None:
         """Shut the worker down (politely, then by force)."""
         if self._proc is not None and self._proc.is_alive() and self._conn is not None:
@@ -592,10 +574,13 @@ class InjectionSandbox:
     def run_one(self, run_index: int, model: FaultModel) -> InjectionRecord:
         """Execute one injection in the sandbox and classify the result.
 
-        Always returns a record: completed runs return the worker's own
-        record; deadline and RSS kills return an immediate DUE; repeated
-        self-inflicted worker deaths return a quarantine DUE.  Only a
-        worker that cannot even *start* raises :class:`SandboxError`.
+        Completed runs return the worker's own record, and deadline and
+        RSS kills return an immediate ``hang``/``oom`` DUE: both are run
+        outcomes.  A worker that dies on its own emits ``sandbox_death``
+        and raises :class:`SandboxDeath` — a failed execution, which the
+        campaign scheduler retries or quarantines; the sandbox keeps no
+        count.  A worker that cannot even *start* raises
+        :class:`SandboxError`.
         """
         model = FaultModel(model)
         while True:
@@ -603,30 +588,21 @@ class InjectionSandbox:
             assert self._conn is not None and self._proc is not None
             try:
                 self._conn.send(("run", run_index, model.value))
+                break
             except (OSError, ValueError):
                 # Died between runs: infrastructure, not this run's doing.
                 self._emit("sandbox_death", run_index=None, detail="died while idle")
                 self._teardown()
-                continue
-            verdict = self._await_verdict(run_index)
-            if verdict[0] == "record":
-                return InjectionRecord.from_dict(verdict[1])
-            _, kind, detail = verdict
-            if kind in (DueKind.HANG, DueKind.OOM):
-                # Our own deterministic kill — an observed hang/OOM is
-                # the run's outcome, exactly like a watchdog DUE.
-                return self._due(run_index, model, kind, f"sandbox: {detail}")
-            deaths = self._deaths[run_index] = self._deaths.get(run_index, 0) + 1
-            self._emit("sandbox_death", run_index, detail=detail, deaths=deaths)
-            if deaths >= self.isolation.max_run_deaths:
-                self._emit("sandbox_quarantine", run_index, detail=detail, deaths=deaths)
-                return self._due(
-                    run_index,
-                    model,
-                    kind,
-                    f"sandbox: quarantined after {deaths} worker deaths ({detail})",
-                )
-            # else: respawn and retry the same run to rule out flakiness.
+        verdict = self._await_verdict(run_index)
+        if verdict[0] == "record":
+            return InjectionRecord.from_dict(verdict[1])
+        _, kind, detail = verdict
+        if kind is DueKind.CRASH:
+            self._emit("sandbox_death", run_index, detail=detail)
+            raise SandboxDeath(detail)
+        # Our own deterministic kill — an observed hang/OOM is the run's
+        # outcome, exactly like a watchdog DUE.
+        return self._due(run_index, model, kind, f"sandbox: {detail}")
 
     # -- one supervised batch group --------------------------------------------
 
@@ -639,11 +615,10 @@ class InjectionSandbox:
         the returned mapping holds records only for runs the worker
         completed vectorized; a missing run means "finish it with the
         scalar :meth:`run_one`" — which preserves the scalar path's
-        per-run death attribution, retry and quarantine behaviour, and
-        therefore byte-identical records.  A worker death, RSS overrun
-        or deadline *during* the batch aborts the whole group (returns
-        ``{}``): nothing is ever classified from a batch-wide failure,
-        every member simply retries scalar.
+        per-run death attribution, and therefore byte-identical records.
+        A worker death, RSS overrun or deadline *during* the batch aborts
+        the whole group (returns ``{}``): nothing is ever classified from
+        a batch-wide failure, every member simply retries scalar.
         """
         if not runs:
             return {}

@@ -3,8 +3,10 @@
 The campaign engine executes shards through a transport-agnostic
 :class:`~repro.service.backend.ShardBackend`:
 
+* :class:`~repro.service.local.InlineBackend` — each lease in the
+  calling process (the engine's serial mode);
 * :class:`~repro.service.local.LocalBackend` — one supervised
-  ``mp.Process`` per lease on this host (the engine's default);
+  ``mp.Process`` per lease on this host (the engine's pooled mode);
 * :class:`~repro.service.broker.BrokerBackend` — a TCP work-queue
   broker leasing shards to connected ``repro-worker`` agents, with
   record streaming, re-lease on worker loss and work stealing.

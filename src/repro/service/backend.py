@@ -3,10 +3,12 @@
 The campaign scheduler (:mod:`repro.service.scheduler`) never talks to
 processes, pipes or sockets directly: it leases contiguous run ranges
 to a :class:`ShardBackend` and reacts to the events the backend drains
-back.  Two implementations exist:
+back.  Three implementations exist:
 
-* :class:`repro.service.local.LocalBackend` — the engine's original
-  fault-domain machinery: one disposable ``mp.Process`` per lease,
+* :class:`repro.service.local.InlineBackend` — serial campaigns: each
+  lease runs synchronously in the calling process;
+* :class:`repro.service.local.LocalBackend` — the engine's
+  fault-domain pool: one disposable ``mp.Process`` per lease,
   heartbeats over a pipe;
 * :class:`repro.service.broker.BrokerBackend` — a TCP work-queue
   server leasing shards to connected ``repro-worker`` agents, with

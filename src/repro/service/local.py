@@ -1,14 +1,27 @@
-"""LocalBackend: the engine's mp.Process fault domains behind ShardBackend.
+"""Local shard backends: in the calling process, or one process per lease.
 
-This is the machinery that used to live inline in
-``repro.carolfi.engine._run_pool``: one disposable, individually
-supervised OS process per in-flight lease, heartbeating over a pipe.
-The pipe now carries the same tagged JSON frames as the broker socket
-(:mod:`repro.service.wire`) — ``Connection.send_bytes`` is already
-message-oriented, so framing adds checksum validation, and local and
-distributed execution share one wire vocabulary:
+Two executors run the same lease body (:func:`_run_lease`:
+``_execute_shard`` over the lease range, reported as frames) and
+differ only in which process runs it:
 
-``{"kind": "run"|"ok"|"metrics"|"spans"|"failure"|"done"|"error", ...}``
+* :class:`InlineBackend` — serial campaigns: each lease runs
+  synchronously in the calling process, inside the campaign's own
+  telemetry scope;
+* :class:`LocalBackend` — pooled campaigns: one disposable,
+  individually supervised OS process per in-flight lease, heartbeating
+  over a pipe.
+
+Lease frames share one vocabulary with the broker socket
+(:mod:`repro.service.wire`)::
+
+    {"kind": "run"|"ok"|"metrics"|"spans"|"failure"|"done"|"error", ...}
+
+Over the pipe they are tagged and checksummed (``Connection.send_bytes``
+is already message-oriented, so framing adds validation); inline they
+are decoded in place.  Each executor owns the
+:class:`~repro.carolfi.isolation.InjectionSandbox` its leases run
+through — built on first use, closed when the executor ends — so no
+sandbox outlives its campaign.
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
@@ -21,10 +34,18 @@ workers.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.carolfi import shmstore
-from repro.carolfi.isolation import IsolationConfig, describe_exitcode, mp_context, supervisor_for
+from repro.carolfi.engine import ShardRunError, ShardSpec, _execute_shard
+from repro.carolfi.isolation import (
+    InjectionSandbox,
+    IsolationConfig,
+    IsolationMode,
+    describe_exitcode,
+    mp_context,
+    supervisor_for,
+)
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.wire import FrameError, decode_frame, encode_frame
 from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
@@ -34,10 +55,92 @@ if TYPE_CHECKING:  # pragma: no cover
 
     from repro.carolfi.campaign import CampaignConfig
 
-__all__ = ["LocalBackend"]
+__all__ = ["InlineBackend", "LocalBackend"]
+
+Frame = dict[str, Any]
+
+#: Payload field of each non-terminal frame kind that carries one.
+_PAYLOADS = {"metrics": "delta", "spans": "batch", "failure": "event"}
 
 
-def _send(conn: "Connection", frame: dict[str, Any]) -> None:
+def _new_sandbox(
+    config: "CampaignConfig",
+    isolation: IsolationConfig,
+    golden_cache: str | None,
+    send: Callable[[Frame], None],
+) -> InjectionSandbox | None:
+    """The executor's own sandbox, or ``None`` for in-process runs."""
+    if isolation.mode is not IsolationMode.SUBPROCESS:
+        return None
+    return InjectionSandbox(
+        config,
+        isolation,
+        on_event=lambda event: send({"kind": "failure", "event": event}),
+        golden_cache=golden_cache,
+    )
+
+
+def _run_lease(
+    config: "CampaignConfig",
+    lease: ShardLease,
+    fingerprint: str,
+    sandbox: InjectionSandbox | None,
+    send: Callable[[Frame], None],
+    golden_cache: str | None = None,
+) -> Frame:
+    """The one lease body: run ``[start, stop)``, report it as frames.
+
+    Progress goes out through ``send`` as ``run`` / ``ok`` / ``failure``
+    frames; the terminal frame is *returned*, so the executor can
+    release what it holds before the scheduler learns the lease is
+    over.  It is ``done`` with the rows, or ``error`` with the detail
+    and — for a :class:`ShardRunError` — the run to charge.
+    """
+    spec = ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
+    try:
+        _, rows = _execute_shard(
+            config,
+            spec,
+            lease.checkpoint_file,
+            fingerprint,
+            sandbox=sandbox,
+            skip_runs=lease.skip,
+            on_run=lambda k: send({"kind": "run", "run": k}),
+            on_run_done=lambda k: send({"kind": "ok", "run": k}),
+            on_failure=lambda event: send({"kind": "failure", "event": event}),
+            golden_cache=golden_cache,
+        )
+    except Exception as exc:  # noqa: BLE001 — the scheduler judges it
+        run = exc.run_index if isinstance(exc, ShardRunError) else None
+        return {"kind": "error", "detail": f"{type(exc).__name__}: {exc}", "run": run}
+    return {"kind": "done", "rows": rows}
+
+
+def _frame_event(lease_id: str, frame: Frame) -> BackendEvent | None:
+    """The backend event a non-terminal frame stands for (``None``: unknown)."""
+    kind = frame.get("kind")
+    if kind in ("run", "ok"):
+        return BackendEvent(kind, lease_id, run=int(frame["run"]))
+    if kind in _PAYLOADS:
+        return BackendEvent(kind, lease_id, payload=frame[_PAYLOADS[kind]])
+    return None
+
+
+def _terminal_result(lease_id: str, frame: Frame, worker: str) -> LeaseResult:
+    """The lease result a ``done``/``error`` frame stands for."""
+    if frame["kind"] == "done":
+        return LeaseResult(lease_id, "done", rows=list(frame["rows"]), worker=worker)
+    run = frame.get("run")
+    return LeaseResult(
+        lease_id,
+        "error",
+        detail=str(frame["detail"]),
+        error_run=None if run is None else int(run),
+        worker=worker,
+    )
+
+
+def _send(conn: "Connection", frame: Frame) -> None:
     try:
         conn.send_bytes(encode_frame(frame))
     except (OSError, ValueError):  # pragma: no cover — parent already gone
@@ -62,18 +165,6 @@ def _lease_worker_main(
     final ``done`` keeps merging at-most-once: a killed worker loses
     only its undrained tail, never double-counts.
     """
-    # Imported here (not at module top) so the engine module is fully
-    # initialised in forked children before we reach into it.
-    from repro.carolfi import engine as _engine
-
-    # Under the fork start method this process inherits the parent's
-    # sandbox cache, whose workers are NOT our children: drop the
-    # handles (keeping cached geometry) and let the engine build our
-    # own sandbox on first use.
-    for inherited in _engine._SANDBOXES.values():
-        inherited.forget_worker()
-    _engine._SANDBOXES.clear()
-
     worker_tel = WorkerTelemetry(shard_tel)
 
     def flush_telemetry() -> None:
@@ -83,63 +174,42 @@ def _lease_worker_main(
         if spans:
             _send(conn, {"kind": "spans", "batch": spans})
 
-    def run_done(k: int) -> None:
-        _send(conn, {"kind": "ok", "run": k})
-        flush_telemetry()
+    def send(frame: Frame) -> None:
+        _send(conn, frame)
+        if frame["kind"] == "ok":
+            flush_telemetry()
 
-    def forward_failure(event: dict[str, Any]) -> None:
-        _send(conn, {"kind": "failure", "event": event})
-
-    spec = _engine.ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
+    sandbox = _new_sandbox(config, isolation, golden_cache, send)
     try:
         with worker_tel.activate():
-            _, rows = _engine._execute_shard(
-                config,
-                spec,
-                lease.checkpoint_file,
-                fingerprint,
-                isolation=isolation,
-                skip_runs=lease.skip,
-                on_run=lambda k: _send(conn, {"kind": "run", "run": k}),
-                on_run_done=run_done,
-                on_failure=forward_failure,
-                golden_cache=golden_cache,
-            )
+            terminal = _run_lease(config, lease, fingerprint, sandbox, send, golden_cache)
         flush_telemetry()  # tail: skip-run counters, shard + checkpoint spans
-        _send(conn, {"kind": "done", "rows": rows})
-        conn.close()
-    except BaseException as exc:
-        run = exc.run_index if isinstance(exc, _engine.ShardRunError) else None
-        _send(conn, {"kind": "error", "detail": f"{type(exc).__name__}: {exc}", "run": run})
-        raise SystemExit(1) from exc
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
-        # daemon grandchildren are never auto-terminated and any
-        # segment registered here is never auto-unlinked.  Close our
-        # sandbox workers explicitly — an orphaned sandbox blocks in
-        # conn.recv() forever, because its own inherited copy of the
-        # parent pipe end keeps EOF from ever arriving — and reap any
-        # segment *this* process published (normally none: the backend
-        # publishes before forking; the pid guard protects the
-        # parent's segments from us).
-        for sandbox in _engine._SANDBOXES.values():
+        # nothing here is released unless we do it — and before the
+        # terminal frame, since the backend kills a worker once it has
+        # reported.  Close our sandbox (an orphaned one would only die
+        # on EOF) and reap any segment *this* process published
+        # (normally none: the backend publishes before forking; the pid
+        # guard protects the parent's segments from us).
+        if sandbox is not None:
             sandbox.close()
-        _engine._SANDBOXES.clear()
         shmstore.release_published()
+    _send(conn, terminal)
+    conn.close()
 
 
 class _LeaseProc:
-    """One live lease: its process, pipe, and staged terminal frames."""
+    """One live lease: its process, pipe, and staged terminal frame."""
 
-    __slots__ = ("lease", "proc", "conn", "done_rows", "error", "worker")
+    __slots__ = ("lease", "proc", "conn", "terminal", "worker")
 
     def __init__(self, lease: ShardLease, proc: Any, conn: Any, worker: str):
         self.lease = lease
         self.proc = proc
         self.conn = conn
         self.worker = worker
-        self.done_rows: list[dict[str, Any]] | None = None
-        self.error: tuple[str, int | None] | None = None
+        self.terminal: Frame | None = None
 
 
 class LocalBackend(ShardBackend):
@@ -244,23 +314,12 @@ class LocalBackend(ShardBackend):
                 frame = decode_frame(raw)
             except FrameError:
                 continue  # torn frame from a dying worker: skip, judge by exit code
-            kind = frame.get("kind")
-            lease_id = live.lease.lease_id
-            if kind == "run":
-                events.append(BackendEvent("run", lease_id, run=int(frame["run"])))
-            elif kind == "ok":
-                events.append(BackendEvent("ok", lease_id, run=int(frame["run"])))
-            elif kind == "metrics":
-                events.append(BackendEvent("metrics", lease_id, payload=frame["delta"]))
-            elif kind == "spans":
-                events.append(BackendEvent("spans", lease_id, payload=frame["batch"]))
-            elif kind == "failure":
-                events.append(BackendEvent("failure", lease_id, payload=frame["event"]))
-            elif kind == "done":
-                live.done_rows = list(frame["rows"])
-            elif kind == "error":
-                run = frame.get("run")
-                live.error = (str(frame["detail"]), None if run is None else int(run))
+            if frame.get("kind") in ("done", "error"):
+                live.terminal = frame
+                continue
+            event = _frame_event(live.lease.lease_id, frame)
+            if event is not None:
+                events.append(event)
 
     def heartbeats(self) -> list[BackendEvent]:
         events: list[BackendEvent] = []
@@ -271,38 +330,22 @@ class LocalBackend(ShardBackend):
 
     def _judge(self, live: _LeaseProc, events: list[BackendEvent]) -> None:
         """Stage a terminal result once the lease's fate is knowable."""
-        lease_id = live.lease.lease_id
-        if live.done_rows is not None:
-            self._retire(live)
-            self._results.append(
-                LeaseResult(lease_id, "done", rows=live.done_rows, worker=live.worker)
-            )
-            del self._live[lease_id]
-        elif live.proc is not None and not live.proc.is_alive():
+        if live.terminal is None:
+            if live.proc is None or live.proc.is_alive():
+                return
             live.proc.join(timeout=5.0)
             # A final done/error frame may still sit in the pipe: drain
             # once more before judging the death.
             self._drain_conn(live, events)
-            if live.done_rows is not None:
-                self._retire(live)
-                self._results.append(
-                    LeaseResult(lease_id, "done", rows=live.done_rows, worker=live.worker)
-                )
-            elif live.error is not None:
-                detail, run = live.error
-                self._retire(live)
-                self._results.append(
-                    LeaseResult(
-                        lease_id, "error", detail=detail, error_run=run, worker=live.worker
-                    )
-                )
-            else:
-                detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
-                self._retire(live)
-                self._results.append(
-                    LeaseResult(lease_id, "dead", detail=detail, worker=live.worker)
-                )
-            del self._live[lease_id]
+        lease_id = live.lease.lease_id
+        if live.terminal is not None:
+            result = _terminal_result(lease_id, live.terminal, live.worker)
+        else:
+            detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
+            result = LeaseResult(lease_id, "dead", detail=detail, worker=live.worker)
+        self._retire(live)
+        self._results.append(result)
+        del self._live[lease_id]
 
     def results(self) -> list[LeaseResult]:
         out = self._results
@@ -331,3 +374,93 @@ class LocalBackend(ShardBackend):
 
     def __repr__(self) -> str:  # pragma: no cover — debugging aid
         return f"LocalBackend(workers={self._workers}, live={len(self._live)}, pid={os.getpid()})"
+
+
+class InlineBackend(ShardBackend):
+    """Runs each lease synchronously in the calling process (serial mode).
+
+    :meth:`submit` only stages the lease; the next :meth:`heartbeats`
+    runs it to completion through the shared lease body, in the
+    campaign's own telemetry scope, and decodes its frames in place.
+    One lease at a time: capacity is 0 while a lease is staged or its
+    result is still undrained.  ``on_run_done`` is called after every
+    completed run (the live progress line's tick).  Non-streaming, no
+    stealing, no liveness to lose: a run that hangs or kills this
+    process takes the campaign with it — subprocess isolation exists
+    for exactly that.
+    """
+
+    supports_steal = False
+    streams_records = False
+
+    #: Worker label of every inline lease.
+    WORKER = "inline"
+
+    def __init__(
+        self,
+        config: "CampaignConfig",
+        fingerprint: str,
+        *,
+        isolation: IsolationConfig | None = None,
+        golden_cache: str | None = None,
+        on_run_done: Callable[[], Any] | None = None,
+    ):
+        self._config = config
+        self._fingerprint = fingerprint
+        self._isolation = isolation or IsolationConfig()
+        self._golden_cache = golden_cache
+        self._on_run_done = on_run_done
+        self._sandbox: InjectionSandbox | None = None
+        self._lease: ShardLease | None = None
+        self._running = ""
+        self._events: list[BackendEvent] = []
+        self._results: list[LeaseResult] = []
+
+    def capacity(self) -> int:
+        return 0 if self._lease is not None or self._results else 1
+
+    def submit(self, lease: ShardLease) -> str:
+        self._lease = lease
+        return self.WORKER
+
+    def _send(self, frame: Frame) -> None:
+        event = _frame_event(self._running, frame)
+        if event is not None:
+            self._events.append(event)
+        if frame["kind"] == "ok" and self._on_run_done is not None:
+            self._on_run_done()
+
+    def heartbeats(self) -> list[BackendEvent]:
+        lease, self._lease = self._lease, None
+        if lease is not None:
+            self._running = lease.lease_id
+            if self._sandbox is None:
+                self._sandbox = _new_sandbox(
+                    self._config, self._isolation, self._golden_cache, self._send
+                )
+            terminal = _run_lease(
+                self._config,
+                lease,
+                self._fingerprint,
+                self._sandbox,
+                self._send,
+                self._golden_cache,
+            )
+            self._results.append(_terminal_result(lease.lease_id, terminal, self.WORKER))
+        events, self._events = self._events, []
+        return events
+
+    def results(self) -> list[LeaseResult]:
+        results, self._results = self._results, []
+        return results
+
+    def cancel(self, lease_id: str, *, reap: bool = False) -> None:
+        if self._lease is not None and self._lease.lease_id == lease_id:
+            self._lease = None
+        self._results = [r for r in self._results if r.lease_id != lease_id]
+
+    def close(self) -> None:
+        self._lease = None
+        if self._sandbox is not None:
+            self._sandbox.close()
+            self._sandbox = None

@@ -1,11 +1,14 @@
 """Transport-agnostic shard scheduling: leases, retries, steals, re-leases.
 
-This loop is the generalisation of the engine's original process pool:
-it keeps the fault-domain semantics (deterministic backoff, liveness
-reaping, poison-run quarantine, no-progress abandonment) but talks to a
-:class:`~repro.service.backend.ShardBackend` instead of ``mp.Process``
-directly, so the same scheduler drives local worker processes and
-remote ``repro-worker`` agents behind a broker.
+This loop is the campaign engine's one control plane: every CAROL-FI
+campaign — serial, pooled or distributed — runs through it, and it is
+the only place that decides retries and quarantine (deterministic
+backoff, liveness reaping, poison-run quarantine at
+``RetryPolicy.max_run_deaths`` failed executions, no-progress
+abandonment).  It talks to a :class:`~repro.service.backend.
+ShardBackend`, so the same scheduler drives the in-process inline
+executor, local worker processes and remote ``repro-worker`` agents
+behind a broker.
 
 Additions over the original pool, available when the backend supports
 them:
@@ -343,7 +346,7 @@ def run_shards(
 
         Dedupe by ``(shard, run)``: concurrent leases (a victim and its
         thief, or racing re-leases) may both die on the same run, but
-        only the first death past the threshold emits the quarantine
+        only the first failure past the threshold emits the quarantine
         event and extends the skip set — a shard re-leased to another
         host never silently skips a run without its ``sandbox:`` event
         on record.
@@ -355,7 +358,7 @@ def run_shards(
         count = shard.deaths.get(run, 0)
         shard.skip[run] = (
             due_kind.value,
-            f"sandbox: quarantined after {count} shard-worker deaths ({detail})",
+            f"sandbox: quarantined after {count} failed executions ({detail})",
         )
         sink(
             {
@@ -370,41 +373,41 @@ def run_shards(
         heartbeat.emit("quarantined", shard.spec, detail=f"run {run}: {detail}")
         return True
 
-    def handle_failure(shard: _Shard, state: _Lease, detail: str, reaped: bool) -> None:
+    def handle_failure(
+        shard: _Shard, state: _Lease, detail: str, event: str, due_kind: DueKind = DueKind.CRASH
+    ) -> None:
+        """Judge one failed execution: charge its run, then retry or give up.
+
+        ``event`` is ``run_error`` (the executor reported an exception)
+        or ``worker_death`` (the executor died, or was reaped as hung —
+        ``due_kind`` ``hang``).  Either way the run it was executing is
+        charged one failed execution.
+        """
         index = shard.spec.index
         lease_id = state.lease.lease_id
         run = state.current_run
-        due_kind = DueKind.HANG if reaped else DueKind.CRASH
         progressed = shard.progress(streaming) > shard.progress_mark
         shard.progress_mark = max(shard.progress(streaming), shard.progress_mark)
+        count = None
         if run is not None:
             count = shard.deaths[run] = shard.deaths.get(run, 0) + 1
-            sink(
-                {
-                    "event": "worker_death",
-                    "shard": index,
-                    "run": run,
-                    "attempt": shard.attempts,
-                    "deaths": count,
-                    "detail": detail,
-                    **({"lease": lease_id, "worker": state.worker} if announce else {}),
-                }
-            )
-            if count >= policy.max_run_deaths and quarantine(
-                shard, run, due_kind, detail, lease_id
-            ):
-                progressed = True
-        else:
-            sink(
-                {
-                    "event": "worker_death",
-                    "shard": index,
-                    "run": None,
-                    "attempt": shard.attempts,
-                    "detail": detail,
-                    **({"lease": lease_id, "worker": state.worker} if announce else {}),
-                }
-            )
+        sink(
+            {
+                "event": event,
+                "shard": index,
+                "run": run,
+                "attempt": shard.attempts,
+                **({} if count is None else {"deaths": count}),
+                "detail": detail,
+                **({"lease": lease_id, "worker": state.worker} if announce else {}),
+            }
+        )
+        if (
+            run is not None
+            and shard.deaths[run] >= policy.max_run_deaths
+            and quarantine(shard, run, due_kind, detail, lease_id)
+        ):
+            progressed = True
         if progressed:
             shard.no_progress = 0
         else:
@@ -432,7 +435,7 @@ def run_shards(
         )
         heartbeat.emit("retried", shard.spec, detail=detail)
         shard.eligible_at = time.monotonic() + delay
-        # Re-queue what the dead lease still owed.  Streaming backends
+        # Re-queue what the failed lease still owed.  Streaming backends
         # resume from the last delivered record; others re-run the
         # whole range (their records only arrive wholesale at "done").
         resume = max(state.done_through + 1, state.lease.start) if streaming else state.lease.start
@@ -498,12 +501,13 @@ def run_shards(
                 executed[index] = result.rows
                 finish_shard(shard)
         elif result.status == "error":
-            state.current_run = (
-                result.error_run if result.error_run is not None else state.current_run
-            )
-            handle_failure(shard, state, result.detail, reaped=False)
+            # The executor attributes its own exception: a run-level
+            # error names the run, an infrastructure one (a sandbox that
+            # cannot start) names none and charges no run.
+            state.current_run = result.error_run
+            handle_failure(shard, state, result.detail, "run_error")
         else:  # dead
-            handle_failure(shard, state, result.detail, reaped=False)
+            handle_failure(shard, state, result.detail, "worker_death")
         if streaming and not shard.finished and not shard.active and not shard.pending:
             missing = shard.missing_runs()
             if not missing:
@@ -651,8 +655,10 @@ def run_shards(
             reporter.tick()
             for event in backend.heartbeats():
                 handle_event(event, now)
+            busy = False
             for result in backend.results():
                 handle_result(result, now)
+                busy = True
             # Liveness: a lease whose executor sent nothing for too long
             # is reaped — cancelled at the backend, its in-flight run
             # charged a death, its remaining range re-queued.
@@ -683,10 +689,12 @@ def run_shards(
                         state,
                         f"hung: no heartbeat for {policy.liveness_timeout_s:.0f}s; "
                         "worker reaped",
-                        reaped=True,
+                        "worker_death",
+                        DueKind.HANG,
                     )
-            # Dispatch pending ranges into free capacity, shard order.
-            while backend.capacity() > 0:
+            # Dispatch pending ranges into free capacity, shard order
+            # (none once the gate has stopped the campaign).
+            while not gate.stopped and backend.capacity() > 0:
                 ready = next(
                     (
                         s
@@ -699,8 +707,11 @@ def run_shards(
                     break
                 start, stop = ready.pending.pop(0)
                 dispatch(ready, start, stop, now)
+                busy = True
             try_steal(now)
-            if any(not s.finished for s in shards.values()) and not gate.stopped:
+            # Poll again at once after a pass that moved work: an inline
+            # backend has its next result ready, not in _POLL_S.
+            if not busy and any(not s.finished for s in shards.values()) and not gate.stopped:
                 time.sleep(_POLL_S)
     finally:
         # A converged gate (or a raised ShardFailure) ends the campaign:

@@ -1109,10 +1109,14 @@ def _service_main(argv: list[str], out: IO[str]) -> int:
                 )
             elif kind == "re_lease":
                 what = f"{e['lease']} resumes at run {e['resume_from']}: {e.get('detail', '')}"
-            elif kind == "worker_death":
+            elif kind in ("worker_death", "run_error"):
                 run = e.get("run")
                 where = f"run {run}" if run is not None else "between runs"
-                what = f"{e.get('worker', e.get('lease', '?'))} died at {where}: {e.get('detail', '')}"
+                verb = "died" if kind == "worker_death" else "raised"
+                what = (
+                    f"{e.get('worker', e.get('lease', '?'))} {verb} at {where}: "
+                    f"{e.get('detail', '')}"
+                )
             elif kind == "quarantine":
                 what = f"run {e['run']} quarantined: {e.get('detail', '')}"
             elif kind == "worker_lost":

@@ -2,7 +2,9 @@
 
 import io
 import json
+import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -432,6 +434,78 @@ def test_pool_reaps_hung_worker_and_quarantines_run(tmp_path):
     assert "reap" in log_kinds and "quarantine" in log_kinds
 
 
+SUBPROC = IsolationConfig(mode=IsolationMode.SUBPROCESS)
+
+
+def quarantined_records(result):
+    return [r for r in result.records if r.due_detail.startswith("sandbox: quarantined")]
+
+
+@pytest.mark.parametrize(
+    "failure, isolation",
+    [("oserror", None), ("exit", SUBPROC)],
+    ids=["inproc-oserror", "subprocess-exit"],
+)
+def test_quarantined_records_do_not_depend_on_worker_count(failure, isolation):
+    """One scheduler decides quarantine, so a poison run's record — its
+    ``due_detail`` included — is the same serial and pooled."""
+    serial = run_campaign(
+        _chaos(failure), workers=1, shard_size=4, retry=FAST_RETRY, isolation=isolation
+    )
+    pooled = run_campaign(
+        _chaos(failure), workers=2, shard_size=4, retry=FAST_RETRY, isolation=isolation
+    )
+    assert quarantined_records(serial)
+    assert dicts(pooled) == dicts(serial)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_subprocess_quarantines_reach_progress_metrics_and_status_line(workers):
+    stream = io.StringIO()
+    tel = Telemetry(TelemetryConfig(progress_interval_s=3600.0, progress_stream=stream))
+    events = []
+    result = run_campaign(
+        _chaos("exit"),
+        workers=workers,
+        shard_size=4,
+        retry=FAST_RETRY,
+        isolation=SUBPROC,
+        telemetry=tel,
+        progress=events.append,
+    )
+    quarantined = len(quarantined_records(result))
+    assert quarantined >= 1
+    assert sum(e.event == "quarantined" for e in events) == quarantined
+    counted = tel.registry.counter_values()["repro_failure_events_total"]
+    assert counted.get("event=quarantine", 0.0) == quarantined
+    status = re.search(r"quarantined (\d+)", stream.getvalue().splitlines()[-1])
+    assert status is not None and int(status.group(1)) == quarantined
+
+
+def _running(pid):
+    """Whether ``pid`` is a live (not zombie) process, via ``/proc``."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
+def test_subprocess_campaigns_leave_no_sandbox_alive(tmp_path):
+    lud = CampaignConfig(benchmark="lud", injections=8, seed=13)
+    for config, workers in ((CONFIG, 1), (lud, 1), (CONFIG, 2)):
+        log = tmp_path / f"{config.benchmark}-{workers}.jsonl"
+        run_campaign(
+            config, workers=workers, shard_size=SHARD_SIZE, isolation=SUBPROC, failure_log=log
+        )
+        children = [p.name for p in multiprocessing.active_children()]
+        assert not [name for name in children if name.startswith("sandbox-")], children
+        spawned = [e["pid"] for e in read_failure_log(log)[0] if e["event"] == "sandbox_spawn"]
+        assert spawned, "the campaign never ran a sandbox; test is vacuous"
+        assert not [pid for pid in spawned if _running(pid)]
+
+
 def test_progress_heartbeat_fields():
     events = []
     run_campaign(CONFIG, workers=1, shard_size=SHARD_SIZE, progress=events.append)
@@ -560,15 +634,14 @@ def test_run_replays_also_counted(tmp_path):
 
 
 def test_progress_reporter_emits_status_lines():
-    stream = io.StringIO()
-    tel = Telemetry(
-        TelemetryConfig(progress_interval_s=0.001, progress_stream=stream)
-    )
-    run_campaign(CONFIG, workers=2, shard_size=SHARD_SIZE, telemetry=tel)
-    lines = stream.getvalue().splitlines()
-    assert lines, "an interval this short must emit at least one line"
-    assert lines[-1].startswith(f"[nw] {CONFIG.injections}/{CONFIG.injections} runs")
-    assert "masked" in lines[-1] and "eta" in lines[-1]
+    for workers in (1, 2):
+        stream = io.StringIO()
+        tel = Telemetry(TelemetryConfig(progress_interval_s=0.001, progress_stream=stream))
+        run_campaign(CONFIG, workers=workers, shard_size=SHARD_SIZE, telemetry=tel)
+        lines = stream.getvalue().splitlines()
+        assert lines, "an interval this short must emit at least one line"
+        assert lines[-1].startswith(f"[nw] {CONFIG.injections}/{CONFIG.injections} runs")
+        assert "masked" in lines[-1] and "eta" in lines[-1]
 
 
 def test_failure_events_counted_by_kind(tmp_path):

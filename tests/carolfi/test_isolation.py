@@ -14,7 +14,7 @@ import pytest
 
 from repro.benchmarks.base import window_of_step
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import read_failure_log
+from repro.carolfi.engine import RetryPolicy, read_failure_log
 from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
@@ -65,8 +65,6 @@ def test_isolation_config_validation():
         IsolationConfig(timeout_s=0)
     with pytest.raises(ValueError):
         IsolationConfig(mem_limit_mb=-1)
-    with pytest.raises(ValueError):
-        IsolationConfig(max_run_deaths=0)
     with pytest.raises(ValueError):
         IsolationConfig(mode="gdb")
 
@@ -140,9 +138,15 @@ def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
     events, skipped = read_failure_log(log)
     assert skipped == 0
     kinds = [e["event"] for e in events]
-    assert "sandbox_death" in kinds and "sandbox_quarantine" in kinds
-    deaths = [e for e in events if e["event"] == "sandbox_death"]
-    assert max(e["deaths"] for e in deaths) == SUBPROC.max_run_deaths
+    assert "sandbox_death" in kinds and "quarantine" in kinds
+    # The sandbox only reports each death; the scheduler charges it to
+    # the run as a failed execution and quarantines at the threshold.
+    quarantined = {e["run"] for e in events if e["event"] == "quarantine"}
+    assert len(quarantined) == sum("quarantined" in r.due_detail for r in dues)
+    for run in quarantined:
+        errors = [e for e in events if e["event"] == "run_error" and e["run"] == run]
+        assert len(errors) == RetryPolicy().max_run_deaths
+        assert max(e["deaths"] for e in errors) == RetryPolicy().max_run_deaths
 
 
 def test_signal_death_classified_as_crash(clean_twin):

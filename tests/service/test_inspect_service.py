@@ -61,6 +61,26 @@ def test_service_view_renders_leases_workers_and_disruptions(tmp_path):
     assert "run 5 quarantined" in text
 
 
+def test_service_view_lists_run_errors(tmp_path):
+    log = tmp_path / "failures.jsonl"
+    run_error = {
+        "event": "run_error",
+        "shard": 1,
+        "run": 9,
+        "attempt": 1,
+        "deaths": 1,
+        "detail": "ShardRunError: run 9 (shard 1) raised OSError: boom",
+        "lease": "s00001.1",
+        "worker": "w1",
+    }
+    log.write_text("".join(json.dumps(e) + "\n" for e in EVENTS + [run_error]))
+    out = io.StringIO()
+    assert main(["service", str(log)], stream=out) == 0
+    text = out.getvalue()
+    assert "run_error" in text
+    assert "w1 raised at run 9: ShardRunError" in text
+
+
 def test_service_view_accepts_campaign_directory(tmp_path):
     _write_log(tmp_path)
     out = io.StringIO()
