@@ -58,14 +58,12 @@ def _broker_rate() -> tuple[float, float | None, float | None]:
     attached, so the fleet RTT histogram fills in — the latency floor
     the adaptive stealer's coordination-cost estimate rests on.
     """
-    from repro.carolfi.engine import campaign_fingerprint, run_sharded_campaign
+    from repro.carolfi.engine import run_sharded_campaign
     from repro.service.broker import BrokerBackend
     from repro.telemetry.metrics import Histogram
 
     tel = Telemetry(TelemetryConfig())
-    broker = BrokerBackend(
-        SCALING_CONFIG, campaign_fingerprint(SCALING_CONFIG, SCALING_SHARD_SIZE)
-    )
+    broker = BrokerBackend(SCALING_CONFIG)
     host, port = broker.address
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)

@@ -14,8 +14,9 @@ matter which worker executes it, in what order, or how the campaign is
 sharded.  ``run_campaign(config, workers=4)`` therefore equals
 ``run_campaign(config, workers=1)`` record for record.
 
-Resumability: with a ``checkpoint_dir``, each shard appends its records
-to its own JSONL file (header → records → ``done`` footer).  On
+Resumability: with a ``checkpoint_dir``, the scheduler writes each
+shard's records to its own JSONL file (header → records → ``done``
+footer) once the shard completes, whichever process executed it.  On
 restart the engine replays every *complete* shard file from disk and
 re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
@@ -80,7 +81,7 @@ from repro.telemetry import (
     stamp,
 )
 from repro.telemetry.convergence import ConvergenceMonitor
-from repro.util.jsonlog import JsonlLog, load_records, load_records_tolerant
+from repro.util.jsonlog import JsonlLog, dump_records, load_records, load_records_tolerant
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -104,6 +105,7 @@ __all__ = [
     "resolve_workers",
     "run_sharded_campaign",
     "shard_path",
+    "write_shard_checkpoint",
 ]
 
 #: Checkpoint file format version (bump on incompatible layout changes).
@@ -373,33 +375,35 @@ class FailureSink:
 def _execute_shard(
     config: CampaignConfig,
     spec: ShardSpec,
-    checkpoint_file: str | None,
-    fingerprint: str,
     sandbox: InjectionSandbox | None = None,
     skip_runs: dict[int, tuple[str, str]] | None = None,
     on_run: Callable[[int], None] | None = None,
-    on_run_done: Callable[[int], None] | None = None,
+    on_record: Callable[[int, dict], None] | None = None,
     on_failure: Callable[[dict], None] | None = None,
     golden_cache: str | None = None,
-) -> tuple[int, list[dict]]:
-    """Run one shard, checkpointing each record; returns record dicts.
+    stop: Callable[[], int] | None = None,
+) -> None:
+    """Run one shard's range, handing each record to ``on_record(run, row)``.
 
     ``sandbox`` is the executor's own :class:`InjectionSandbox` to run
     every injection through, or ``None`` to run them in this process.
     ``skip_runs`` maps quarantined run indices to their ``(due_kind,
     detail)``: those runs are recorded as synthetic DUEs without being
-    executed.  ``on_run``/``on_run_done`` are the heartbeat hooks the
-    scheduler uses for liveness and death attribution.  An exception a
-    run lets escape — a sandbox worker's death included — is raised as
-    :class:`ShardRunError` naming that run.
+    executed.  ``on_run`` fires before each scalar run (the liveness
+    beat the scheduler attributes deaths with).  ``stop`` is read
+    before every run and returns the range's current end, so an
+    executor can narrow (steal) or empty (cancel) the range at a run
+    boundary; without it the range is ``spec``'s.  An exception a run
+    lets escape — a sandbox worker's death included — is raised as
+    :class:`ShardRunError` naming that run.  Checkpoints are not this
+    function's business: the scheduler writes them from the records.
 
     Telemetry is ambient (:func:`repro.telemetry.current_registry` /
     ``current_tracer``): an inline executor runs inside the campaign
     bundle, lease workers activate their local accumulator, and this
     function instruments identically either way — per-outcome run
-    counters, run-duration histogram, a shard span, and a
-    checkpoint-write span.  With telemetry disabled every instrument is
-    a shared no-op.
+    counters, run-duration histogram and a shard span.  With telemetry
+    disabled every instrument is a shared no-op.
     """
     registry = current_registry()
     tracer = current_tracer()
@@ -412,6 +416,7 @@ def _execute_shard(
     run_seconds = registry.histogram(
         "repro_run_duration_seconds", help="Wall-clock duration of one injection run."
     )
+    end = stop or (lambda: spec.stop)
     run_fn: Callable[[int, Any], InjectionRecord]
     skip = skip_runs or {}
     if sandbox is not None:
@@ -431,31 +436,17 @@ def _execute_shard(
         # attribution.
         todo = [
             (run_index, model_for(config, run_index))
-            for run_index in spec.run_indices()
+            for run_index in range(spec.start, end())
             if run_index not in skip
         ]
         if sandbox is not None:
             batched = sandbox.run_batch(todo, config.batch_size)
         else:
             batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
-    log: JsonlLog | None = None
-    if checkpoint_file is not None:
-        path = Path(checkpoint_file)
-        path.unlink(missing_ok=True)  # drop any partial previous attempt
-        log = JsonlLog(path)
-        log.append(
-            {
-                "kind": "header",
-                "version": CHECKPOINT_VERSION,
-                "config_hash": fingerprint,
-                "shard": spec.index,
-                "start": spec.start,
-                "stop": spec.stop,
-            }
-        )
-    rows: list[dict] = []
     with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
         for run_index in spec.run_indices():
+            if run_index >= end():
+                break
             model = model_for(config, run_index)
             if run_index in skip:
                 kind, detail = skip[run_index]
@@ -470,8 +461,6 @@ def _execute_shard(
                 )
             elif run_index in batched:
                 record = batched[run_index]
-                if on_run_done is not None:
-                    on_run_done(run_index)
             else:
                 if on_run is not None:
                     on_run(run_index)
@@ -484,19 +473,11 @@ def _execute_shard(
                     raise ShardRunError(spec.index, run_index, exc) from exc
                 if registry.enabled:
                     run_seconds.observe(time.perf_counter() - began)
-                if on_run_done is not None:
-                    on_run_done(run_index)
             runs_total.inc(outcome=record.outcome.value)
             if record.due_kind is not None:
                 dues_total.inc(kind=record.due_kind.value)
-            rows.append(record.to_dict())
-            if log is not None:
-                log.append({"kind": "record", "data": rows[-1]})
-        if log is not None:
-            with tracer.span("checkpoint_write", shard=spec.index, records=len(rows)):
-                log.append({"kind": "done", "count": len(rows)})
-                log.close()
-    return spec.index, rows
+            if on_record is not None:
+                on_record(run_index, record.to_dict())
 
 
 # -- checkpoint replay --------------------------------------------------------
@@ -548,6 +529,27 @@ def _replay_shard(path: Path, fingerprint: str, spec: ShardSpec) -> list[Injecti
         return [InjectionRecord.from_dict(row["data"]) for row in body]
     except (KeyError, TypeError, ValueError):
         return None
+
+
+def write_shard_checkpoint(
+    path: str | Path, fingerprint: str, spec: ShardSpec, rows: Iterable[dict[str, Any]]
+) -> None:
+    """Write one complete shard checkpoint: header, records, ``done`` footer.
+
+    The scheduler calls this once per shard, when its last record has
+    arrived, so a killed campaign leaves only complete shard files (a
+    torn write lacks the footer and :func:`_replay_shard` re-runs it).
+    """
+    header = {
+        "kind": "header",
+        "version": CHECKPOINT_VERSION,
+        "config_hash": fingerprint,
+        "shard": spec.index,
+        "start": spec.start,
+        "stop": spec.stop,
+    }
+    records = [{"kind": "record", "data": row} for row in rows]
+    dump_records(path, [header, *records, {"kind": "done", "count": len(records)}])
 
 
 def _validate_checkpoint_dir(checkpoint_dir: Path, fingerprint: str) -> None:
@@ -834,7 +836,6 @@ def run_sharded_campaign(
                     owned = backend = (
                         LocalBackend(
                             config,
-                            fingerprint,
                             workers=workers,
                             isolation=iso,
                             telemetry=tel,
@@ -844,7 +845,6 @@ def run_sharded_campaign(
                         if workers > 1
                         else InlineBackend(
                             config,
-                            fingerprint,
                             isolation=iso,
                             golden_cache=cache_dir,
                             on_run_done=reporter.tick,

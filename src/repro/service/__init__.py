@@ -9,7 +9,11 @@ The campaign engine executes shards through a transport-agnostic
   ``mp.Process`` per lease on this host (the engine's pooled mode);
 * :class:`~repro.service.broker.BrokerBackend` — a TCP work-queue
   broker leasing shards to connected ``repro-worker`` agents, with
-  record streaming, re-lease on worker loss and work stealing.
+  re-lease on worker loss and work stealing.
+
+All three executors run one lease body and stream each record back as
+it is produced; the scheduler re-leases a failed lease from its last
+delivered record and alone writes shard checkpoints.
 
 :mod:`repro.service.serve` adds ``repro-serve``: an HTTP front door
 that accepts campaign configs, runs them through either backend, and

@@ -12,13 +12,29 @@ back.  Three implementations exist:
   heartbeats over a pipe;
 * :class:`repro.service.broker.BrokerBackend` — a TCP work-queue
   server leasing shards to connected ``repro-worker`` agents, with
-  per-record streaming, work stealing and re-lease on worker loss.
+  work stealing and re-lease on worker loss.
 
 A **lease** is one attempt to execute one contiguous run range of one
 shard.  A shard may be covered by several leases over its lifetime
 (retries after a worker death, a steal splitting a straggler's
 remaining range); the scheduler owns that bookkeeping, the backend only
 executes leases and reports what happened to them.
+
+Every executor speaks one lease protocol, whatever carries it (an
+in-process call, a pipe, a socket): it runs
+:func:`repro.service.local._run_lease` and sends one frame per event::
+
+    {"kind": "run", "run": k}                  # liveness beat
+    {"kind": "rec", "run": k, "row": {...}}    # run k's record
+    {"kind": "metrics", "delta": {...}} / {"kind": "spans", "batch": [...]}
+    {"kind": "failure", "event": {...}}
+    {"kind": "done"} / {"kind": "error", "detail": s, "run": k | None}
+
+:func:`event_from_frame` and :func:`result_from_frame` turn those frames
+into the :class:`BackendEvent` / :class:`LeaseResult` the scheduler
+drains.  Records reach the scheduler only as ``rec`` frames, so it can
+re-lease a failed lease from its last delivered record and is the only
+writer of shard checkpoints.
 """
 
 from __future__ import annotations
@@ -32,6 +48,8 @@ __all__ = [
     "LeaseResult",
     "ShardBackend",
     "ShardLease",
+    "event_from_frame",
+    "result_from_frame",
 ]
 
 
@@ -54,7 +72,6 @@ class ShardLease:
     stop: int
     attempt: int
     skip: dict[int, tuple[str, str]] = field(default_factory=dict)
-    checkpoint_file: str | None = None
 
     def __post_init__(self) -> None:
         if not 0 <= self.start < self.stop:
@@ -72,9 +89,7 @@ class BackendEvent:
     ``kind`` is one of:
 
     * ``"run"`` — the lease began executing run ``run`` (liveness beat);
-    * ``"ok"`` — run ``run`` completed (non-streaming backends);
-    * ``"rec"`` — run ``run`` completed and ``row`` is its record dict
-      (streaming backends);
+    * ``"rec"`` — run ``run`` completed and ``row`` is its record dict;
     * ``"metrics"`` / ``"spans"`` — a telemetry delta / span batch in
       ``payload``;
     * ``"failure"`` — a worker-side failure event dict in ``payload``;
@@ -93,16 +108,14 @@ class BackendEvent:
 class LeaseResult:
     """Terminal outcome of one lease attempt.
 
-    ``status`` is ``"done"`` (range fully executed; ``rows`` carries the
-    record dicts unless the backend streamed them), ``"error"`` (one
-    run raised an exception that escaped the crash net; ``error_run``
-    attributes it) or ``"dead"`` (the executor vanished — process exit,
-    connection loss — without reporting).
+    ``status`` is ``"done"`` (range fully executed, every record already
+    streamed), ``"error"`` (one run raised an exception that escaped the
+    crash net; ``error_run`` attributes it) or ``"dead"`` (the executor
+    vanished — process exit, connection loss — without reporting).
     """
 
     lease_id: str
     status: str
-    rows: list[dict[str, Any]] | None = None
     detail: str = ""
     error_run: int | None = None
     worker: str = ""
@@ -116,10 +129,10 @@ class ShardBackend(abc.ABC):
     #: re-scoped mid-flight leave this False.
     supports_steal: bool = False
 
-    #: Whether completed runs stream back one ``"rec"`` event at a time.
-    #: Streaming backends can resume a failed lease from its last
-    #: delivered record; non-streaming ones re-run the whole range.
-    streams_records: bool = False
+    #: Whether executors run off-host.  Only remote backends get the
+    #: lease-lifecycle events and the ``repro_service_*`` series: a
+    #: local campaign's registry must equal its serial twin's.
+    remote: bool = False
 
     def attach_telemetry(self, telemetry: Any) -> None:
         """Optional hook: the scheduler hands over the campaign's
@@ -174,3 +187,33 @@ class ShardBackend(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
+
+
+#: Payload field of each non-terminal frame kind that carries one.
+_PAYLOADS = {"metrics": "delta", "spans": "batch", "failure": "event"}
+
+
+def event_from_frame(lease_id: str | None, frame: dict[str, Any]) -> BackendEvent | None:
+    """The backend event a non-terminal frame stands for (``None``: unknown)."""
+    kind = frame.get("kind")
+    if kind == "run":
+        return BackendEvent(kind, lease_id, run=int(frame["run"]))
+    if kind == "rec":
+        return BackendEvent(kind, lease_id, run=int(frame["run"]), row=frame["row"])
+    if kind in _PAYLOADS:
+        return BackendEvent(kind, lease_id, payload=frame[_PAYLOADS[kind]])
+    return None
+
+
+def result_from_frame(lease_id: str, frame: dict[str, Any], worker: str) -> LeaseResult:
+    """The lease result a terminal ``done``/``error`` frame stands for."""
+    if frame["kind"] == "done":
+        return LeaseResult(lease_id, "done", worker=worker)
+    run = frame.get("run")
+    return LeaseResult(
+        lease_id,
+        "error",
+        detail=str(frame.get("detail", "worker error")),
+        error_run=None if run is None else int(run),
+        worker=worker,
+    )

@@ -5,24 +5,21 @@ embedded in the scheduler's poll loop — ``heartbeats()`` doubles as the
 event pump (accept, read, flush), so no extra thread is needed and the
 scheduler stays single-threaded.  Workers connect, announce themselves
 (``hello``), and then hold at most one lease each; everything on the
-socket is the tagged JSON frame format of :mod:`repro.service.wire`,
-the same vocabulary the local heartbeat pipe speaks.
+socket is the tagged JSON frame format of :mod:`repro.service.wire`.
 
 Frames the broker **sends**::
 
-    {"kind": "lease", "lease": {...}, "config": {...}, "fingerprint": s}
+    {"kind": "lease", "lease": {...}, "config": {...}, "trace": {...}?}
     {"kind": "shrink", "lease": id, "stop": n}     # work stealing
     {"kind": "cancel", "lease": id}                # abandon politely
+    {"kind": "ping", "seq": n}                     # heartbeat RTT probe
 
-Frames the broker **receives**::
-
-    {"kind": "hello", "worker": name, "pid": n}
-    {"kind": "run",  "lease": id, "run": k}        # liveness beat
-    {"kind": "rec",  "lease": id, "run": k, "row": {...}}
-    {"kind": "metrics", "delta": {...}} / {"kind": "spans", "batch": [...]}
-    {"kind": "failure", "event": {...}}
-    {"kind": "pong", "seq": n}                     # heartbeat RTT probe
-    {"kind": "done", "lease": id} / {"kind": "error", "lease": id, ...}
+Frames the broker **receives** are ``hello`` (``worker``, ``pid``),
+``pong`` (``seq``), and the lease protocol of
+:mod:`repro.service.backend` — ``run`` / ``rec`` / ``metrics`` /
+``spans`` / ``failure`` / ``done`` / ``error`` — each tagged with its
+``lease`` id, exactly the frames a local lease worker sends over its
+pipe.
 
 Observability: when the scheduler attaches its telemetry bundle
 (:meth:`BrokerBackend.attach_telemetry`), lease frames carry the
@@ -54,7 +51,14 @@ import threading
 import time
 from typing import TYPE_CHECKING, Any
 
-from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
+from repro.service.backend import (
+    BackendEvent,
+    LeaseResult,
+    ShardBackend,
+    ShardLease,
+    event_from_frame,
+    result_from_frame,
+)
 from repro.service.wire import FrameDecoder, encode_frame
 from repro.telemetry.exporters import prometheus_text
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
@@ -147,19 +151,17 @@ class BrokerBackend(ShardBackend):
     """Lease shards to remote ``repro-worker`` agents over TCP."""
 
     supports_steal = True
-    streams_records = True
+    remote = True
 
     def __init__(
         self,
         config: "CampaignConfig",
-        fingerprint: str,
         *,
         host: str = "127.0.0.1",
         port: int = 0,
         metrics_port: int | None = None,
     ):
         self._config_wire = config.to_wire()
-        self._fingerprint = fingerprint
         self._selector = selectors.DefaultSelector()
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -270,12 +272,7 @@ class BrokerBackend(ShardBackend):
         agent = min(idle, key=lambda a: a.name or "")
         agent.lease_id = lease.lease_id
         self._leases[lease.lease_id] = agent
-        frame = {
-            "kind": "lease",
-            "lease": lease_to_wire(lease),
-            "config": self._config_wire,
-            "fingerprint": self._fingerprint,
-        }
+        frame = {"kind": "lease", "lease": lease_to_wire(lease), "config": self._config_wire}
         if self._trace_context is not None:
             # The worker opens its lease/run spans as children of the
             # campaign span, so the merged trace.jsonl is one tree.
@@ -534,44 +531,22 @@ class BrokerBackend(ShardBackend):
                 agent.ping_sent = None
             return
         lease_id = frame.get("lease")
+        worker = agent.name or "worker"
         active = lease_id is not None and self._leases.get(lease_id) is agent
-        if kind == "run" and active:
-            self._events.append(BackendEvent("run", lease_id, run=int(frame["run"])))
-        elif kind == "rec" and active:
-            row = dict(frame["row"])
-            self._worker_runs.inc(
-                worker=agent.name or "worker", outcome=str(row.get("outcome", "?"))
-            )
-            self._events.append(BackendEvent("rec", lease_id, run=int(frame["run"]), row=row))
-        elif kind == "metrics":
-            self._events.append(BackendEvent("metrics", payload=frame["delta"]))
-        elif kind == "spans":
-            self._events.append(BackendEvent("spans", payload=frame["batch"]))
-        elif kind == "failure":
+        if kind in ("done", "error"):
             if active:
-                self._events.append(BackendEvent("failure", lease_id, payload=frame["event"]))
-        elif kind == "done" and active:
-            assert lease_id is not None
-            self._leases.pop(lease_id, None)
-            agent.lease_id = None
-            self._results.append(
-                LeaseResult(lease_id, "done", worker=agent.name or "worker")
-            )
-        elif kind == "error" and active:
-            assert lease_id is not None
-            self._leases.pop(lease_id, None)
-            agent.lease_id = None
-            run = frame.get("run")
-            self._results.append(
-                LeaseResult(
-                    lease_id,
-                    "error",
-                    detail=str(frame.get("detail", "worker error")),
-                    error_run=None if run is None else int(run),
-                    worker=agent.name or "worker",
-                )
-            )
-        # Frames for stale leases (cancelled, already judged) are dropped.
+                self._leases.pop(lease_id, None)
+                agent.lease_id = None
+                self._results.append(result_from_frame(lease_id, frame, worker))
+            return
+        if not active and kind not in ("metrics", "spans"):
+            return  # a stale lease's frame (cancelled, already judged)
+        if kind == "rec":
+            outcome = str(frame["row"].get("outcome", "?"))
+            self._worker_runs.inc(worker=worker, outcome=outcome)
+        event = event_from_frame(lease_id, frame)
+        if event is not None:
+            self._events.append(event)
 
     def _drop(self, agent: _Agent, announce: bool, detail: str = "") -> None:
         if agent.closed:

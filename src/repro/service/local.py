@@ -1,8 +1,11 @@
-"""Local shard backends: in the calling process, or one process per lease.
+"""The lease body, and the local backends that run it.
 
-Two executors run the same lease body (:func:`_run_lease`:
-``_execute_shard`` over the lease range, reported as frames) and
-differ only in which process runs it:
+:func:`_run_lease` is the one lease body of every executor:
+``_execute_shard`` over the lease range, each record streamed as a
+``rec`` frame, ending in a bare ``done`` or an ``error`` (the protocol
+of :mod:`repro.service.backend`).  ``repro-worker`` runs it behind the
+broker; the two local executors here differ only in which process runs
+it:
 
 * :class:`InlineBackend` — serial campaigns: each lease runs
   synchronously in the calling process, inside the campaign's own
@@ -11,14 +14,11 @@ differ only in which process runs it:
   individually supervised OS process per in-flight lease, heartbeating
   over a pipe.
 
-Lease frames share one vocabulary with the broker socket
-(:mod:`repro.service.wire`)::
-
-    {"kind": "run"|"ok"|"metrics"|"spans"|"failure"|"done"|"error", ...}
-
-Over the pipe they are tagged and checksummed (``Connection.send_bytes``
-is already message-oriented, so framing adds validation); inline they
-are decoded in place.  Each executor owns the
+Over the pipe, frames are tagged and checksummed
+(:mod:`repro.service.wire`; ``Connection.send_bytes`` is already
+message-oriented, so framing adds validation); inline they are decoded
+in place.  No executor writes checkpoints: the scheduler does, from the
+streamed records.  Each executor owns the
 :class:`~repro.carolfi.isolation.InjectionSandbox` its leases run
 through — built on first use, closed when the executor ends — so no
 sandbox outlives its campaign.
@@ -46,7 +46,14 @@ from repro.carolfi.isolation import (
     mp_context,
     supervisor_for,
 )
-from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
+from repro.service.backend import (
+    BackendEvent,
+    LeaseResult,
+    ShardBackend,
+    ShardLease,
+    event_from_frame,
+    result_from_frame,
+)
 from repro.service.wire import FrameError, decode_frame, encode_frame
 from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
 
@@ -58,9 +65,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["InlineBackend", "LocalBackend"]
 
 Frame = dict[str, Any]
-
-#: Payload field of each non-terminal frame kind that carries one.
-_PAYLOADS = {"metrics": "delta", "spans": "batch", "failure": "event"}
 
 
 def _new_sandbox(
@@ -83,61 +87,38 @@ def _new_sandbox(
 def _run_lease(
     config: "CampaignConfig",
     lease: ShardLease,
-    fingerprint: str,
     sandbox: InjectionSandbox | None,
     send: Callable[[Frame], None],
     golden_cache: str | None = None,
+    stop: Callable[[], int] | None = None,
 ) -> Frame:
     """The one lease body: run ``[start, stop)``, report it as frames.
 
-    Progress goes out through ``send`` as ``run`` / ``ok`` / ``failure``
-    frames; the terminal frame is *returned*, so the executor can
-    release what it holds before the scheduler learns the lease is
-    over.  It is ``done`` with the rows, or ``error`` with the detail
-    and — for a :class:`ShardRunError` — the run to charge.
+    Progress goes out through ``send`` as ``run`` / ``rec`` /
+    ``failure`` frames, one ``rec`` (run and row) per record; ``stop``
+    is ``_execute_shard``'s run-boundary hook.  The terminal frame is
+    *returned*, so the executor can release what it holds before the
+    scheduler learns the lease is over.  It is a bare ``done``, or
+    ``error`` with the detail and — for a :class:`ShardRunError` — the
+    run to charge.
     """
     spec = ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
     try:
-        _, rows = _execute_shard(
+        _execute_shard(
             config,
             spec,
-            lease.checkpoint_file,
-            fingerprint,
             sandbox=sandbox,
             skip_runs=lease.skip,
             on_run=lambda k: send({"kind": "run", "run": k}),
-            on_run_done=lambda k: send({"kind": "ok", "run": k}),
+            on_record=lambda k, row: send({"kind": "rec", "run": k, "row": row}),
             on_failure=lambda event: send({"kind": "failure", "event": event}),
             golden_cache=golden_cache,
+            stop=stop,
         )
     except Exception as exc:  # noqa: BLE001 — the scheduler judges it
         run = exc.run_index if isinstance(exc, ShardRunError) else None
         return {"kind": "error", "detail": f"{type(exc).__name__}: {exc}", "run": run}
-    return {"kind": "done", "rows": rows}
-
-
-def _frame_event(lease_id: str, frame: Frame) -> BackendEvent | None:
-    """The backend event a non-terminal frame stands for (``None``: unknown)."""
-    kind = frame.get("kind")
-    if kind in ("run", "ok"):
-        return BackendEvent(kind, lease_id, run=int(frame["run"]))
-    if kind in _PAYLOADS:
-        return BackendEvent(kind, lease_id, payload=frame[_PAYLOADS[kind]])
-    return None
-
-
-def _terminal_result(lease_id: str, frame: Frame, worker: str) -> LeaseResult:
-    """The lease result a ``done``/``error`` frame stands for."""
-    if frame["kind"] == "done":
-        return LeaseResult(lease_id, "done", rows=list(frame["rows"]), worker=worker)
-    run = frame.get("run")
-    return LeaseResult(
-        lease_id,
-        "error",
-        detail=str(frame["detail"]),
-        error_run=None if run is None else int(run),
-        worker=worker,
-    )
+    return {"kind": "done"}
 
 
 def _send(conn: "Connection", frame: Frame) -> None:
@@ -150,7 +131,6 @@ def _send(conn: "Connection", frame: Frame) -> None:
 def _lease_worker_main(
     config: "CampaignConfig",
     lease: ShardLease,
-    fingerprint: str,
     isolation: IsolationConfig,
     shard_tel: ShardTelemetry,
     conn: "Connection",
@@ -161,7 +141,7 @@ def _lease_worker_main(
     Telemetry is rebuilt locally from the picklable ``shard_tel``
     coordinates: metrics accumulate in a worker-private registry and
     spans buffer in memory, and both are drained over the pipe after
-    every run (``metrics`` / ``spans`` frames).  Draining before the
+    every record (``metrics`` / ``spans`` frames).  Draining before the
     final ``done`` keeps merging at-most-once: a killed worker loses
     only its undrained tail, never double-counts.
     """
@@ -176,14 +156,14 @@ def _lease_worker_main(
 
     def send(frame: Frame) -> None:
         _send(conn, frame)
-        if frame["kind"] == "ok":
+        if frame["kind"] == "rec":
             flush_telemetry()
 
     sandbox = _new_sandbox(config, isolation, golden_cache, send)
     try:
         with worker_tel.activate():
-            terminal = _run_lease(config, lease, fingerprint, sandbox, send, golden_cache)
-        flush_telemetry()  # tail: skip-run counters, shard + checkpoint spans
+            terminal = _run_lease(config, lease, sandbox, send, golden_cache)
+        flush_telemetry()  # tail: the shard span
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
         # nothing here is released unless we do it — and before the
@@ -221,13 +201,9 @@ class LocalBackend(ShardBackend):
     run can never poison a neighbouring shard's executor.
     """
 
-    supports_steal = False
-    streams_records = False
-
     def __init__(
         self,
         config: "CampaignConfig",
-        fingerprint: str,
         *,
         workers: int,
         isolation: IsolationConfig | None = None,
@@ -238,7 +214,6 @@ class LocalBackend(ShardBackend):
         if workers < 1:
             raise ValueError("workers must be positive")
         self._config = config
-        self._fingerprint = fingerprint
         self._workers = workers
         self._isolation = isolation or IsolationConfig()
         self._telemetry = telemetry
@@ -287,7 +262,6 @@ class LocalBackend(ShardBackend):
             args=(
                 self._config,
                 lease,
-                self._fingerprint,
                 self._isolation,
                 shard_tel,
                 conn_w,
@@ -317,7 +291,7 @@ class LocalBackend(ShardBackend):
             if frame.get("kind") in ("done", "error"):
                 live.terminal = frame
                 continue
-            event = _frame_event(live.lease.lease_id, frame)
+            event = event_from_frame(live.lease.lease_id, frame)
             if event is not None:
                 events.append(event)
 
@@ -339,7 +313,7 @@ class LocalBackend(ShardBackend):
             self._drain_conn(live, events)
         lease_id = live.lease.lease_id
         if live.terminal is not None:
-            result = _terminal_result(lease_id, live.terminal, live.worker)
+            result = result_from_frame(lease_id, live.terminal, live.worker)
         else:
             detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
             result = LeaseResult(lease_id, "dead", detail=detail, worker=live.worker)
@@ -384,14 +358,10 @@ class InlineBackend(ShardBackend):
     campaign's own telemetry scope, and decodes its frames in place.
     One lease at a time: capacity is 0 while a lease is staged or its
     result is still undrained.  ``on_run_done`` is called after every
-    completed run (the live progress line's tick).  Non-streaming, no
-    stealing, no liveness to lose: a run that hangs or kills this
-    process takes the campaign with it — subprocess isolation exists
-    for exactly that.
+    record (the live progress line's tick).  No stealing, no liveness
+    to lose: a run that hangs or kills this process takes the campaign
+    with it — subprocess isolation exists for exactly that.
     """
-
-    supports_steal = False
-    streams_records = False
 
     #: Worker label of every inline lease.
     WORKER = "inline"
@@ -399,14 +369,12 @@ class InlineBackend(ShardBackend):
     def __init__(
         self,
         config: "CampaignConfig",
-        fingerprint: str,
         *,
         isolation: IsolationConfig | None = None,
         golden_cache: str | None = None,
         on_run_done: Callable[[], Any] | None = None,
     ):
         self._config = config
-        self._fingerprint = fingerprint
         self._isolation = isolation or IsolationConfig()
         self._golden_cache = golden_cache
         self._on_run_done = on_run_done
@@ -424,10 +392,10 @@ class InlineBackend(ShardBackend):
         return self.WORKER
 
     def _send(self, frame: Frame) -> None:
-        event = _frame_event(self._running, frame)
+        event = event_from_frame(self._running, frame)
         if event is not None:
             self._events.append(event)
-        if frame["kind"] == "ok" and self._on_run_done is not None:
+        if frame["kind"] == "rec" and self._on_run_done is not None:
             self._on_run_done()
 
     def heartbeats(self) -> list[BackendEvent]:
@@ -439,14 +407,9 @@ class InlineBackend(ShardBackend):
                     self._config, self._isolation, self._golden_cache, self._send
                 )
             terminal = _run_lease(
-                self._config,
-                lease,
-                self._fingerprint,
-                self._sandbox,
-                self._send,
-                self._golden_cache,
+                self._config, lease, self._sandbox, self._send, self._golden_cache
             )
-            self._results.append(_terminal_result(lease.lease_id, terminal, self.WORKER))
+            self._results.append(result_from_frame(lease.lease_id, terminal, self.WORKER))
         events, self._events = self._events, []
         return events
 

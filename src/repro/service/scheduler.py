@@ -8,15 +8,15 @@ backoff, liveness reaping, poison-run quarantine at
 abandonment).  It talks to a :class:`~repro.service.backend.
 ShardBackend`, so the same scheduler drives the in-process inline
 executor, local worker processes and remote ``repro-worker`` agents
-behind a broker.
+behind a broker, all through one lease protocol:
 
-Additions over the original pool, available when the backend supports
-them:
-
-* **record streaming** — completed runs arrive one ``rec`` event at a
-  time, so a lease that dies mid-range is re-leased from its last
-  delivered record, not from the start of the shard;
-* **work stealing** — when every shard is leased and capacity is idle,
+* **record streaming** — every executor sends each record as one
+  ``rec`` event, so a lease that fails mid-range is re-leased from its
+  last delivered record, never from the start of the shard, and the
+  scheduler is the only writer of shard checkpoints (one complete file
+  per shard, written when its last record arrives);
+* **work stealing** — on backends that support it, when every shard is
+  leased and capacity is idle,
   the straggler lease with the most remaining runs is split at the
   midpoint of its remaining range (a pure function of its progress, so
   the split is deterministic given the same state) and the tail half is
@@ -37,26 +37,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import TYPE_CHECKING, Any, Callable
 
 from repro.carolfi.engine import (
-    CHECKPOINT_VERSION,
     RetryPolicy,
     ShardFailure,
     ShardSpec,
     backoff_delay,
+    write_shard_checkpoint,
 )
 from repro.faults.outcome import DueKind
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.telemetry import Telemetry
 from repro.telemetry.metrics import NULL_REGISTRY, Histogram
-from repro.util.jsonlog import JsonlLog
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.carolfi.campaign import CampaignConfig
     from repro.carolfi.engine import FailureSink, _ConvergenceGate, _Heartbeat
 
-__all__ = ["StealPolicy", "run_shards", "write_shard_checkpoint"]
+__all__ = ["StealPolicy", "run_shards"]
 
 #: Scheduler poll period while leases are in flight.
 _POLL_S = 0.005
@@ -118,7 +117,7 @@ class _Lease:
     worker: str
     stop: int  # effective stop; shrinks when the lease is stolen from
     current_run: int | None = None
-    done_through: int = -1  # last run index whose record arrived (streaming)
+    done_through: int = -1  # last run index whose record arrived
     last_beat: float = 0.0
     dispatched_mono: float = 0.0  # monotonic submit time (turnaround base)
     last_rec_mono: float | None = None  # monotonic arrival of latest record
@@ -140,15 +139,11 @@ class _Shard:
     attempts: int = 0
     lease_seq: int = 0
     no_progress: int = 0
-    progress_mark: int = -1
-    max_ok: int = -1
+    progress_mark: int = 0  # records delivered at the last failure
     started: bool = False
     finished: bool = False
     eligible_at: float = 0.0
     dispatched_at: float = 0.0
-
-    def progress(self, streaming: bool) -> int:
-        return len(self.rows) if streaming else self.max_ok
 
     def missing_runs(self) -> list[int]:
         return [k for k in self.spec.run_indices() if k not in self.rows]
@@ -163,39 +158,6 @@ def _contiguous_ranges(indices: list[int]) -> list[tuple[int, int]]:
         else:
             ranges.append((k, k + 1))
     return ranges
-
-
-def write_shard_checkpoint(
-    path: str, fingerprint: str, spec: ShardSpec, rows: Iterable[dict[str, Any]]
-) -> None:
-    """Write one complete shard checkpoint (header, records, done footer).
-
-    Streaming backends deliver records to the scheduler instead of
-    letting the executing worker write its own checkpoint file (the
-    worker may be on another host); the scheduler persists the shard in
-    the engine's existing checkpoint format once it completes, so
-    resume works identically for local and distributed campaigns.
-    """
-    from pathlib import Path
-
-    target = Path(path)
-    target.unlink(missing_ok=True)
-    with JsonlLog(target) as log:
-        log.append(
-            {
-                "kind": "header",
-                "version": CHECKPOINT_VERSION,
-                "config_hash": fingerprint,
-                "shard": spec.index,
-                "start": spec.start,
-                "stop": spec.stop,
-            }
-        )
-        count = 0
-        for row in rows:
-            log.append({"kind": "record", "data": row})
-            count += 1
-        log.append({"kind": "done", "count": count})
 
 
 def run_shards(
@@ -221,8 +183,7 @@ def run_shards(
     serves) — but every lease this call opened is cancelled.
     """
     steal = steal or StealPolicy()
-    streaming = backend.streams_records
-    announce = streaming  # lease lifecycle events only exist off-host
+    remote = backend.remote  # lease lifecycle events only exist off-host
     # Hand the backend the campaign's telemetry bundle before anything
     # is dispatched: a broker registers its fleet-only series here and
     # captures the campaign span context (run_shards executes inside it)
@@ -235,11 +196,11 @@ def run_shards(
         "repro_shard_duration_seconds",
         help="Wall time of one shard execution (successful attempt).",
     )
-    # Service counters exist only for distributed backends: a local
+    # Service counters exist only for remote backends: a local
     # campaign's registry must stay counter-for-counter identical to its
     # serial twin (tested), and leases are invisible implementation
     # detail there anyway.
-    if announce:
+    if remote:
         lease_counter = tel.registry.counter(
             "repro_service_leases_total", help="Shard leases issued, by disposition."
         )
@@ -272,7 +233,7 @@ def run_shards(
     slowest_by_worker: dict[str, float] = {}
     fleet_latency = Histogram("fleet_run_latency_seconds")
     rtt_hist: Histogram | None = None
-    if announce and tel.registry.enabled:
+    if remote and tel.registry.enabled:
         for metric in tel.registry.metrics():
             if metric.name == "repro_service_heartbeat_rtt_seconds" and isinstance(
                 metric, Histogram
@@ -296,7 +257,6 @@ def run_shards(
             stop=stop,
             attempt=shard.attempts,
             skip={k: v for k, v in shard.skip.items() if start <= k < stop},
-            checkpoint_file=None if streaming else ckpt_file(shard.spec),
         )
         worker = backend.submit(lease)
         state = _Lease(
@@ -306,7 +266,7 @@ def run_shards(
         shard.dispatched_at = time.perf_counter()
         lease_to_shard[lease_id] = shard.spec.index
         lease_counter.inc(event="issued")
-        if announce:
+        if remote:
             sink(
                 {
                     "event": "lease",
@@ -325,14 +285,12 @@ def run_shards(
 
     def finish_shard(shard: _Shard) -> None:
         index = shard.spec.index
-        if streaming:
-            rows = [shard.rows[k] for k in shard.spec.run_indices()]
-            path = ckpt_file(shard.spec)
-            if path is not None:
+        rows = [shard.rows[k] for k in shard.spec.run_indices()]
+        path = ckpt_file(shard.spec)
+        if path is not None:
+            with tel.tracer.span("checkpoint_write", shard=index, records=len(rows)):
                 write_shard_checkpoint(path, fingerprint, shard.spec, rows)
-            executed[index] = rows
-        # Non-streaming backends stored the rows wholesale in the done
-        # result handler before calling finish_shard.
+        executed[index] = rows
         shard.finished = True
         heartbeat.record_done(shard.spec.size, live=True)
         heartbeat.emit("finished", shard.spec)
@@ -366,7 +324,7 @@ def run_shards(
                 "shard": shard.spec.index,
                 "run": run,
                 "detail": detail,
-                **({"lease": lease_id} if announce else {}),
+                **({"lease": lease_id} if remote else {}),
             }
         )
         lease_counter.inc(event="quarantine")
@@ -386,8 +344,8 @@ def run_shards(
         index = shard.spec.index
         lease_id = state.lease.lease_id
         run = state.current_run
-        progressed = shard.progress(streaming) > shard.progress_mark
-        shard.progress_mark = max(shard.progress(streaming), shard.progress_mark)
+        progressed = len(shard.rows) > shard.progress_mark
+        shard.progress_mark = len(shard.rows)
         count = None
         if run is not None:
             count = shard.deaths[run] = shard.deaths.get(run, 0) + 1
@@ -399,7 +357,7 @@ def run_shards(
                 "attempt": shard.attempts,
                 **({} if count is None else {"deaths": count}),
                 "detail": detail,
-                **({"lease": lease_id, "worker": state.worker} if announce else {}),
+                **({"lease": lease_id, "worker": state.worker} if remote else {}),
             }
         )
         if (
@@ -435,24 +393,37 @@ def run_shards(
         )
         heartbeat.emit("retried", shard.spec, detail=detail)
         shard.eligible_at = time.monotonic() + delay
-        # Re-queue what the failed lease still owed.  Streaming backends
-        # resume from the last delivered record; others re-run the
-        # whole range (their records only arrive wholesale at "done").
-        resume = max(state.done_through + 1, state.lease.start) if streaming else state.lease.start
-        if resume < state.stop:
-            shard.pending.append((resume, state.stop))
-            if announce:
-                sink(
-                    {
-                        "event": "re_lease",
-                        "shard": index,
-                        "lease": lease_id,
-                        "resume_from": resume,
-                        "stop": state.stop,
-                        "detail": detail,
-                    }
-                )
-                lease_counter.inc(event="re_lease")
+        # The failed lease still owes the runs after its last delivered
+        # record; settle() queues exactly those.
+        resume = state.done_through + 1
+        if remote and resume < state.stop:
+            sink(
+                {
+                    "event": "re_lease",
+                    "shard": index,
+                    "lease": lease_id,
+                    "resume_from": resume,
+                    "stop": state.stop,
+                    "detail": detail,
+                }
+            )
+            lease_counter.inc(event="re_lease")
+
+    def settle(shard: _Shard) -> None:
+        """Queue the runs no lease owes any more; finish a complete shard.
+
+        Called whenever a lease leaves the shard (done, failed, reaped).
+        A failed lease's undelivered tail is owed by nobody, so it is
+        queued here; a ``done`` lease's range is covered unless it was
+        narrowed; other live leases (after a steal) and queued ranges
+        still owe their own runs.
+        """
+        owed = {k for st in shard.active.values() for k in range(st.done_through + 1, st.stop)}
+        owed.update(k for start, stop in shard.pending for k in range(start, stop))
+        missing = shard.missing_runs()
+        shard.pending.extend(_contiguous_ranges([k for k in missing if k not in owed]))
+        if not missing and not shard.active:
+            finish_shard(shard)
 
     def drop_lease(shard: _Shard, lease_id: str) -> _Lease:
         state = shard.active.pop(lease_id)
@@ -472,7 +443,7 @@ def run_shards(
             if turnaround > slowest_by_worker.get(state.worker, 0.0):
                 slowest_by_worker[state.worker] = turnaround
                 slowest_gauge.set(round(turnaround, 6), worker=state.worker)
-            if announce:
+            if remote:
                 sink(
                     {
                         "event": "lease_done",
@@ -482,24 +453,6 @@ def run_shards(
                         "runs": state.stop - state.lease.start,
                     }
                 )
-            if streaming:
-                # The lease's own range must be covered; other leases
-                # (after a steal) may still owe their halves.
-                missing = shard.missing_runs()
-                owed = {
-                    k
-                    for other in shard.active.values()
-                    for k in range(max(other.done_through + 1, other.lease.start), other.stop)
-                }
-                stray = [k for k in missing if k not in owed]
-                for start, stop in _contiguous_ranges(stray):
-                    shard.pending.append((start, stop))
-                if not missing and not shard.active:
-                    finish_shard(shard)
-            else:
-                assert result.rows is not None
-                executed[index] = result.rows
-                finish_shard(shard)
         elif result.status == "error":
             # The executor attributes its own exception: a run-level
             # error names the run, an infrastructure one (a sandbox that
@@ -508,10 +461,7 @@ def run_shards(
             handle_failure(shard, state, result.detail, "run_error")
         else:  # dead
             handle_failure(shard, state, result.detail, "worker_death")
-        if streaming and not shard.finished and not shard.active and not shard.pending:
-            missing = shard.missing_runs()
-            if not missing:
-                finish_shard(shard)
+        settle(shard)
 
     def handle_event(event: BackendEvent, now: float) -> None:
         if event.kind == "metrics":
@@ -522,7 +472,7 @@ def run_shards(
                 tel.trace_write(record)
             return
         if event.kind == "worker":
-            if announce:
+            if remote:
                 sink(dict(event.payload))
             return
         index = lease_to_shard.get(event.lease_id or "")
@@ -535,11 +485,6 @@ def run_shards(
         state.last_beat = now
         if event.kind == "run":
             state.current_run = event.run
-        elif event.kind == "ok":
-            state.current_run = None
-            assert event.run is not None
-            shard.max_ok = max(shard.max_ok, event.run)
-            shard_done.set(event.run - shard.spec.start + 1, shard=index)
         elif event.kind == "rec":
             state.current_run = None
             assert event.run is not None and event.row is not None
@@ -674,7 +619,7 @@ def run_shards(
                             "attempt": shard.attempts,
                             "detail": f"no heartbeat for "
                             f"{policy.liveness_timeout_s:.0f}s; worker killed",
-                            **({"lease": lease_id, "worker": state.worker} if announce else {}),
+                            **({"lease": lease_id, "worker": state.worker} if remote else {}),
                         }
                     )
                     heartbeat.emit(
@@ -692,6 +637,7 @@ def run_shards(
                         "worker_death",
                         DueKind.HANG,
                     )
+                    settle(shard)
             # Dispatch pending ranges into free capacity, shard order
             # (none once the gate has stopped the campaign).
             while not gate.stopped and backend.capacity() > 0:
@@ -716,7 +662,7 @@ def run_shards(
     finally:
         # A converged gate (or a raised ShardFailure) ends the campaign:
         # in-flight leases beyond the stop point are abandoned (their
-        # partial checkpoints are simply re-run on a later resume).
+        # shards have no checkpoint yet and re-run on a later resume).
         for shard in shards.values():
             for lease_id in list(shard.active):
                 backend.cancel(lease_id)

@@ -168,7 +168,7 @@ class CampaignService:
             self._run_one(self.jobs[job_id])
 
     def _run_one(self, job: CampaignJob) -> None:
-        from repro.carolfi.engine import campaign_fingerprint, run_sharded_campaign
+        from repro.carolfi.engine import run_sharded_campaign
 
         tel = Telemetry(TelemetryConfig())
         job.telemetry = tel
@@ -192,7 +192,6 @@ class CampaignService:
 
                 backend = BrokerBackend(
                     job.config,
-                    campaign_fingerprint(job.config, None),
                     host=self.broker_host,
                     port=self.broker_port,
                     metrics_port=self.broker_metrics_port,

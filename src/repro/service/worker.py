@@ -2,37 +2,40 @@
 
 One worker process connects to a :class:`repro.service.broker.
 BrokerBackend`, announces itself, and then executes the leases the
-broker sends — one at a time, one run at a time, streaming each run's
-record back as it completes (``rec`` frames).  Between runs it polls
-the socket for control frames, so a ``shrink`` (work stealing) or
-``cancel`` takes effect at the next run boundary, and a ``ping`` is
-answered immediately (the broker's heartbeat-RTT probe).
+broker sends, one at a time.  Each lease runs through the engine's one
+lease body, :func:`repro.service.local._run_lease` — the code a local
+lease worker runs — so the whole lease range gets ``BatchRunner``
+batching and every record is produced byte-for-byte as in a local
+campaign; each record streams back as a ``rec`` frame the moment it
+exists.  This module only adds the socket: frames are tagged with the
+lease id, and the lease body's run-boundary ``stop`` hook polls for
+control frames, so a ``shrink`` (work stealing) or ``cancel`` takes
+effect before the next run and a ``ping`` (the broker's heartbeat-RTT
+probe) is answered there.  A worker is therefore silent while its
+lease's batch groups run, as a local lease worker is.  Leases run in
+this process (no sandbox), and the wire carries no checkpoint path or
+fingerprint: the broker's scheduler writes the checkpoints.
 
 Observability: when the lease frame carries a span context, the worker
-builds a local tracer parented on the broker's campaign span, wraps the
-lease and each run in spans, and streams finished spans back as
-``spans`` frames — always *before* the terminal ``done``/``error``
+continues the broker's campaign trace — a ``lease`` span around the
+lease body's ``shard`` span and its ``run`` spans — and streams
+finished spans back as ``spans`` frames, with the metric delta, after
+every record and once more *before* the terminal ``done``/``error``
 frame, so they arrive while the scheduler is still draining events for
 this lease.  None of this touches record production: spans and metrics
 never draw from the campaign's RNG streams, and a campaign without
 tracing sends no span frames at all, so ``campaign.jsonl`` stays
 byte-identical to serial either way.
 
-Determinism: every run is executed through the engine's own
-``_execute_shard`` on a single-run range, so record production — RNG
-derivation, fault-model rotation, quarantined-run synthesis, outcome
-classification — is byte-for-byte the code path a local campaign runs.
-A worker never needs campaign context beyond the lease: the config
-rides along in the lease frame and the per-run RNG is keyed by run
-index.
-
 Failure injection for tests (and chaos drills):
 
 * ``REPRO_WORKER_DIE_AFTER=N`` — the process exits abruptly (no
   goodbye, no flush) after streaming its N-th record, simulating a
   worker host dying mid-lease;
-* ``REPRO_WORKER_SLOW_S=x`` — sleep ``x`` seconds before each run,
-  turning this worker into the straggler a steal rescues.
+* ``REPRO_WORKER_SLOW_S=x`` — sleep ``x`` seconds before streaming
+  each record (batched runs send no ``run`` frame, so the record is
+  the one per-run point), turning this worker into the straggler a
+  steal rescues.
 """
 
 from __future__ import annotations
@@ -46,10 +49,10 @@ from typing import Any, Sequence
 
 from repro.carolfi.campaign import CampaignConfig
 from repro.service.broker import lease_from_wire
+from repro.service.local import _run_lease
 from repro.service.wire import FrameDecoder, encode_frame
-from repro.telemetry import NOOP_TRACER, activate
-from repro.telemetry.metrics import MetricsRegistry
-from repro.telemetry.spans import SpanContext, Tracer
+from repro.telemetry import ShardTelemetry, WorkerTelemetry
+from repro.telemetry.spans import SpanContext
 
 __all__ = ["main", "run_worker"]
 
@@ -107,38 +110,64 @@ def _execute_lease(
     state: dict[str, int],
     worker_name: str = "worker",
 ) -> None:
-    """Run one lease, streaming records; returns when the lease ends."""
-    from repro.carolfi import engine as _engine
-
+    """Run one lease through the lease body; returns when the lease ends."""
     lease = lease_from_wire(frame["lease"])
     config = CampaignConfig.from_wire(frame["config"])
-    fingerprint = str(frame["fingerprint"])
     lease_id = lease.lease_id
-    stop = lease.stop
+    end = lease.stop
+    cancelled = False
     die_after = int(os.environ.get("REPRO_WORKER_DIE_AFTER", "0") or 0)
     slow_s = float(os.environ.get("REPRO_WORKER_SLOW_S", "0") or 0)
-
-    def forward_failure(event: dict[str, Any]) -> None:
-        link.send({"kind": "failure", "lease": lease_id, "event": event})
-
     # Continue the broker's campaign trace when the lease carries its
-    # span context: our lease/run spans become children of the campaign
-    # span, and the merged trace.jsonl is one tree across hosts.
-    spans: list[dict[str, Any]] = []
-    if frame.get("trace") is not None:
-        tracer: Any = Tracer(spans.append, parent=SpanContext.from_wire(frame["trace"]))
-    else:
-        tracer = NOOP_TRACER
+    # span context: our spans become children of the campaign span, and
+    # the merged trace.jsonl is one tree across hosts.
+    trace = frame.get("trace")
+    tel = WorkerTelemetry(
+        ShardTelemetry(
+            metrics=True,
+            trace=trace is not None,
+            context=None if trace is None else SpanContext.from_wire(trace),
+        )
+    )
 
-    def flush_spans() -> None:
+    def flush_telemetry() -> None:
+        delta, spans = tel.drain()
+        if delta:
+            link.send({"kind": "metrics", "lease": lease_id, "delta": delta})
         if spans:
-            link.send({"kind": "spans", "lease": lease_id, "batch": list(spans)})
-            spans.clear()
+            link.send({"kind": "spans", "lease": lease_id, "batch": spans})
 
-    registry = MetricsRegistry()
-    outcome = "done"  # done | cancelled | error
-    error: tuple[str, int] | None = None
-    with tracer.span(
+    def send(out: dict[str, Any]) -> None:
+        if out["kind"] == "rec" and slow_s > 0:
+            time.sleep(slow_s)
+        link.send({**out, "lease": lease_id})
+        if out["kind"] == "rec":
+            flush_telemetry()
+            state["records"] += 1
+            if die_after and state["records"] >= die_after:
+                # Chaos hook: vanish mid-lease with no goodbye — exactly
+                # what a dying worker host looks like to the broker.
+                os._exit(7)
+
+    def stop() -> int:
+        # Control frames act at run boundaries: shrink narrows the range
+        # (steal), cancel empties it, ping is answered in place.  Frames
+        # after a cancel belong to the next lease and stay queued.
+        nonlocal end, cancelled
+        frames = link.poll(0)
+        while frames and not cancelled:
+            control = frames.pop(0)
+            kind = control.get("kind")
+            if kind == "ping":
+                link.send({"kind": "pong", "seq": control.get("seq")})
+            elif kind == "shrink" and control.get("lease") == lease_id:
+                end = min(end, int(control["stop"]))
+            elif kind == "cancel" and control.get("lease") == lease_id:
+                cancelled = True
+        link.queue[:0] = frames
+        return lease.start if cancelled else end
+
+    with tel.activate(), tel.tracer.span(
         "lease",
         lease=lease_id,
         shard=lease.shard_index,
@@ -147,62 +176,15 @@ def _execute_lease(
         attempt=lease.attempt,
         worker=worker_name,
     ) as lease_span:
-        k = lease.start
-        while k < stop:
-            # Control frames act at run boundaries: shrink narrows the
-            # range (steal), cancel abandons the lease, ping is answered
-            # in place.  Anything for an older lease is stale, dropped.
-            for control in link.poll(0):
-                kind = control.get("kind")
-                if kind == "ping":
-                    link.send({"kind": "pong", "seq": control.get("seq")})
-                elif kind == "shrink" and control.get("lease") == lease_id:
-                    stop = min(stop, int(control["stop"]))
-                elif kind == "cancel" and control.get("lease") == lease_id:
-                    outcome = "cancelled"
-                    break
-            if outcome == "cancelled" or k >= stop:
-                break
-            link.send({"kind": "run", "lease": lease_id, "run": k})
-            if slow_s > 0:
-                time.sleep(slow_s)
-            spec = _engine.ShardSpec(index=lease.shard_index, start=k, stop=k + 1)
-            try:
-                with activate(registry, tracer), tracer.span("run", run=k):
-                    _, rows = _engine._execute_shard(
-                        config,
-                        spec,
-                        None,
-                        fingerprint,
-                        skip_runs=lease.skip,
-                        on_failure=forward_failure,
-                    )
-            except Exception as exc:  # noqa: BLE001 — reported, worker survives
-                outcome = "error"
-                error = (f"{type(exc).__name__}: {exc}", k)
-                break
-            link.send({"kind": "rec", "lease": lease_id, "run": k, "row": rows[0]})
-            delta = registry.drain_delta()
-            if delta:
-                link.send({"kind": "metrics", "lease": lease_id, "delta": delta})
-            flush_spans()
-            state["records"] += 1
-            if die_after and state["records"] >= die_after:
-                # Chaos hook: vanish mid-lease with no goodbye — exactly
-                # what a dying worker host looks like to the broker.
-                os._exit(7)
-            k += 1
+        terminal = _run_lease(config, lease, None, send, stop=stop)
+        outcome = "cancelled" if cancelled else terminal["kind"]
         if outcome != "done":
             lease_span.set_attr("outcome", outcome)
     # The lease span is finished now; ship it (and any stragglers)
     # before the terminal frame so the scheduler still drains it.
-    flush_spans()
-    if outcome == "error" and error is not None:
-        detail, run = error
-        link.send({"kind": "error", "lease": lease_id, "detail": detail, "run": run})
-    elif outcome == "done":
-        link.send({"kind": "done", "lease": lease_id})
-    # A cancelled lease ends silently: the scheduler already dropped it.
+    flush_telemetry()
+    if not cancelled:  # a cancelled lease ends silently: already dropped
+        link.send({**terminal, "lease": lease_id})
 
 
 def run_worker(

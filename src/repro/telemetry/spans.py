@@ -10,9 +10,11 @@ Cross-process propagation is deliberately primitive — a
 dataclass the engine pickles into each shard worker's arguments.  The
 worker builds its own tracer under that context, buffers finished
 spans locally, and the engine folds the batches into one
-``trace.jsonl``.  Span ids are ``pid.sequence`` pairs: unique across
-the process tree without consuming randomness (telemetry must never
-touch the campaign's RNG streams).
+``trace.jsonl``.  Span ids are ``pid.sequence`` pairs, the sequence
+shared by every tracer in the process: unique across the process tree
+— also for a ``repro-worker`` that builds one tracer per lease —
+without consuming randomness (telemetry must never touch the
+campaign's RNG streams).
 
 Each finished span is one JSONL dict (``kind: "span"``) readable with
 :func:`repro.util.jsonlog.load_records_tolerant`, with the wall and
@@ -21,6 +23,7 @@ monotonic clocks of :mod:`repro.telemetry.clock`.
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 from collections.abc import Callable
@@ -32,6 +35,10 @@ from repro.telemetry.clock import stamp
 __all__ = ["NOOP_TRACER", "NoopTracer", "Span", "SpanContext", "Tracer"]
 
 SpanSink = Callable[[dict[str, Any]], None]
+
+#: The process-wide span sequence: tracers come and go (one per lease in
+#: a broker worker), span ids must not repeat.
+_SPAN_SEQ = itertools.count(1)
 
 
 @dataclass(frozen=True)
@@ -112,13 +119,12 @@ class Tracer:
         self.trace_id = trace_id or f"{os.getpid():x}-{time.monotonic_ns():x}"
         self._root_parent = parent.span_id if parent is not None else None
         self._stack: list[Span] = []
-        self._seq = 0
 
     def span(self, name: str, **attrs: Any) -> Span:
         """Open a span; close it via the context-manager protocol."""
-        self._seq += 1
         parent_id = self._stack[-1].span_id if self._stack else self._root_parent
-        span = Span(self, name, f"{os.getpid():x}.{self._seq:x}", parent_id, attrs)
+        span_id = f"{os.getpid():x}.{next(_SPAN_SEQ):x}"
+        span = Span(self, name, span_id, parent_id, attrs)
         self._stack.append(span)
         return span
 

@@ -460,6 +460,19 @@ def test_quarantined_records_do_not_depend_on_worker_count(failure, isolation):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+def test_retried_lease_resumes_after_its_delivered_records(workers):
+    """A failed lease is re-leased from its last delivered record, so no
+    run is executed twice: executions equal records, serial and pooled."""
+    tel = Telemetry(TelemetryConfig())
+    result = run_campaign(
+        _chaos("oserror"), workers=workers, shard_size=4, retry=FAST_RETRY, telemetry=tel
+    )
+    assert quarantined_records(result)
+    executions = sum(tel.registry.counter_values()["repro_runs_total"].values())
+    assert executions == len(result.records) == 8
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_subprocess_quarantines_reach_progress_metrics_and_status_line(workers):
     stream = io.StringIO()
     tel = Telemetry(TelemetryConfig(progress_interval_s=3600.0, progress_stream=stream))

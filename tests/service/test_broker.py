@@ -13,12 +13,13 @@ import subprocess
 import sys
 import threading
 import urllib.request
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import RetryPolicy, campaign_fingerprint, run_sharded_campaign
+from repro.carolfi.engine import RetryPolicy, run_sharded_campaign
 from repro.service.broker import BrokerBackend, lease_from_wire, lease_to_wire
 from repro.service.backend import ShardLease
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -30,6 +31,8 @@ CONFIG = CampaignConfig(
     seed=13,
     benchmark_params={"n": 16, "rows_per_step": 4},
 )
+#: The same campaign batched: broker leases run BatchRunner over the lease.
+BATCHED = replace(CONFIG, batch_size=8)
 FAST = RetryPolicy(max_attempts=8, backoff_base_s=0.01, backoff_cap_s=0.05)
 SRC = str(Path(__file__).resolve().parents[2] / "src")
 
@@ -53,11 +56,11 @@ def _spawn_worker(address, name, **env_extra):
     )
 
 
-def _broker_campaign(tmp_path, *, worker_envs, shard_size=None):
+def _broker_campaign(tmp_path, *, worker_envs, shard_size=None, config=CONFIG, telemetry=None):
     serial_log = tmp_path / "serial.jsonl"
-    run_campaign(CONFIG, log_path=serial_log)
+    run_campaign(config, log_path=serial_log)
 
-    broker = BrokerBackend(CONFIG, campaign_fingerprint(CONFIG, shard_size))
+    broker = BrokerBackend(config)
     log = tmp_path / "broker.jsonl"
     flog = tmp_path / "failures.jsonl"
     workers = [
@@ -71,13 +74,14 @@ def _broker_campaign(tmp_path, *, worker_envs, shard_size=None):
         # the kill/steal the test means to observe never happens.
         assert broker.wait_for_workers(len(workers), timeout=30.0)
         result = run_sharded_campaign(
-            CONFIG,
+            config,
             workers=len(workers),
             backend=broker,
             retry=FAST,
             shard_size=shard_size,
             log_path=log,
             failure_log=flog,
+            telemetry=telemetry,
         )
     finally:
         broker.close()
@@ -142,6 +146,40 @@ def test_straggler_lease_is_stolen_and_log_stays_identical(tmp_path):
     assert thief and thief[0]["stop"] == split["stop"]
 
 
+@pytest.mark.parametrize("chaos", [{}, {"REPRO_WORKER_DIE_AFTER": 3}], ids=["clean", "kill"])
+def test_batched_broker_leases_batch_and_stay_identical(tmp_path, chaos):
+    # A worker runs the whole lease through BatchRunner, so batch groups
+    # have several members: fewer groups than vectorized runs.
+    tel = Telemetry(TelemetryConfig())
+    _result, serial_bytes, broker_bytes, events = _broker_campaign(
+        tmp_path, worker_envs=[chaos, {}], shard_size=8, config=BATCHED, telemetry=tel
+    )
+    assert broker_bytes == serial_bytes
+    counters = tel.registry.counter_values()
+    groups = sum(counters["repro_batch_groups_total"].values())
+    vectorized = sum(
+        value
+        for labels, value in counters["repro_batch_runs_total"].items()
+        if "path=vectorized" in labels
+    )
+    assert 0 < groups < vectorized
+    if chaos:
+        kinds = {e["event"] for e in events}
+        assert "worker_death" in kinds and "re_lease" in kinds
+
+
+def test_broker_trace_span_ids_are_unique(tmp_path):
+    # Each worker serves two leases and builds a tracer per lease; span
+    # ids must still not repeat.
+    tel = Telemetry(TelemetryConfig(trace_path=tmp_path / "trace.jsonl"))
+    _broker_campaign(tmp_path, worker_envs=[{}, {}], shard_size=4, telemetry=tel)
+    tel.finalize()
+    spans = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
+    ids = [s["span"] for s in spans]
+    assert {s["name"] for s in spans} >= {"campaign", "lease", "shard", "run"}
+    assert len(ids) == len(set(ids))
+
+
 def test_fleet_trace_and_live_metrics_scrape(tmp_path):
     """The full observability acceptance drill, over real sockets.
 
@@ -162,9 +200,7 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
             metrics_path=tmp_path / "metrics.prom",
         )
     )
-    broker = BrokerBackend(
-        CONFIG, campaign_fingerprint(CONFIG, CONFIG.injections), metrics_port=0
-    )
+    broker = BrokerBackend(CONFIG, metrics_port=0)
     assert broker.metrics_address is not None
     url = "http://{}:{}/metrics".format(*broker.metrics_address)
     log = tmp_path / "broker.jsonl"
@@ -228,9 +264,15 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
     assert leases and all(s["parent"] == campaign_id for s in leases)
     assert len({s["pid"] for s in leases}) >= 2, "spans from two worker processes"
     assert {s["pid"] for s in leases}.isdisjoint({campaigns[0]["pid"]})
-    lease_ids = {s["span"] for s in leases}
+    # Workers nest spans as local lease workers do: lease -> shard -> run.
+    by_id = {s["span"]: s for s in spans}
     runs = [s for s in spans if s["name"] == "run"]
-    assert any(s["parent"] in lease_ids for s in runs), "runs hang off leases"
+    worker_runs = [s for s in runs if s["pid"] != campaigns[0]["pid"]]
+    assert worker_runs
+    for run in worker_runs:
+        shard = by_id[run["parent"]]
+        assert shard["name"] == "shard" and by_id[shard["parent"]]["name"] == "lease"
+    assert not any(by_id[s["parent"]]["name"] == "run" for s in runs)
     # The whole forest is one rooted tree: every non-root parent resolves.
     all_ids = {s["span"] for s in spans}
     assert all(s["parent"] in all_ids for s in spans if s.get("parent") is not None)

@@ -1,10 +1,10 @@
-"""Scheduler semantics through a scripted streaming backend.
+"""Scheduler semantics through a scripted remote backend.
 
 These tests drive ``run_sharded_campaign`` with an in-process fake that
-speaks the streaming backend protocol (``rec`` events, terminal lease
-results) and injects scripted faults: a worker death after N records,
-a poison run that kills every worker that touches it.  They pin down
-the service-layer contracts the broker relies on:
+speaks the lease protocol (``rec`` events, terminal lease results) as a
+remote backend does and injects scripted faults: a worker death after N
+records, a poison run that kills every worker that touches it.  They pin
+down the service-layer contracts the broker relies on:
 
 * a re-leased range resumes *after* the last streamed record;
 * a poison run is quarantined exactly once — with the triggering lease
@@ -19,7 +19,7 @@ import time
 import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import RetryPolicy, ShardSpec, _execute_shard
+from repro.carolfi.engine import RetryPolicy, ShardFailure, ShardSpec, _execute_shard
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.scheduler import StealPolicy, _contiguous_ranges
 
@@ -33,15 +33,26 @@ SHARD_SIZE = 6
 FAST = RetryPolicy(max_attempts=6, backoff_base_s=0.005, backoff_cap_s=0.01)
 
 
+def _row(config, lease, k):
+    """Run ``k`` of ``lease`` through the engine; its record dict."""
+    rows = []
+    _execute_shard(
+        config,
+        ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
+        skip_runs=lease.skip,
+        on_record=lambda _k, row: rows.append(row),
+    )
+    return rows[0]
+
+
 class ScriptedBackend(ShardBackend):
     """Executes leases synchronously, with scripted worker deaths."""
 
     supports_steal = False
-    streams_records = True
+    remote = True
 
-    def __init__(self, config, fingerprint, *, poison=(), die_after=None):
+    def __init__(self, config, *, poison=(), die_after=None):
         self.config = config
-        self.fingerprint = fingerprint
         self.poison = set(poison)  # runs that kill their worker every time
         self.die_after = dict(die_after or {})  # shard -> records before dying once
         self.submitted: list[ShardLease] = []
@@ -71,15 +82,8 @@ class ScriptedBackend(ShardBackend):
                 )
                 return
             self._events.append(BackendEvent("run", lease.lease_id, run=k))
-            _, rows = _execute_shard(
-                self.config,
-                ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
-                None,
-                self.fingerprint,
-                skip_runs=lease.skip,
-            )
             self._events.append(
-                BackendEvent("rec", lease.lease_id, run=k, row=rows[0])
+                BackendEvent("rec", lease.lease_id, run=k, row=_row(self.config, lease, k))
             )
             sent += 1
             if budget is not None and sent >= budget:
@@ -113,11 +117,9 @@ class ScriptedBackend(ShardBackend):
 
 
 def _run_scripted(tmp_path, **script):
-    from repro.carolfi.engine import campaign_fingerprint, run_sharded_campaign
+    from repro.carolfi.engine import run_sharded_campaign
 
-    backend = ScriptedBackend(
-        CONFIG, campaign_fingerprint(CONFIG, SHARD_SIZE), **script
-    )
+    backend = ScriptedBackend(CONFIG, **script)
     events = []
     result = run_sharded_campaign(
         CONFIG,
@@ -205,6 +207,28 @@ def test_lease_lifecycle_events_logged_for_streaming_backend(tmp_path):
     assert all(l["worker"] == "scripted/worker" for l in leases)
 
 
+class FailingBackend(ScriptedBackend):
+    """Every lease fails before it delivers a record."""
+
+    def _execute(self, lease: ShardLease) -> None:
+        self._results.append(
+            LeaseResult(lease.lease_id, "error", detail="scripted failure", worker="w")
+        )
+
+
+def test_failing_leases_get_exactly_max_attempts():
+    # No record ever arrives, so no failure is progress: the shard is
+    # abandoned after max_attempts leases, not one more.
+    from repro.carolfi.engine import run_sharded_campaign
+
+    policy = RetryPolicy(max_attempts=4, backoff_base_s=0.001, backoff_cap_s=0.002)
+    with pytest.raises(ShardFailure) as excinfo:
+        run_sharded_campaign(
+            CONFIG, shard_size=SHARD_SIZE, backend=FailingBackend(CONFIG), retry=policy
+        )
+    assert excinfo.value.attempts == policy.max_attempts
+
+
 def test_contiguous_ranges_groups_runs():
     assert _contiguous_ranges([]) == []
     assert _contiguous_ranges([3]) == [(3, 4)]
@@ -239,11 +263,10 @@ class StealableBackend(ShardBackend):
     """
 
     supports_steal = True
-    streams_records = True
+    remote = True
 
-    def __init__(self, config, fingerprint, *, latency=0.0):
+    def __init__(self, config, *, latency=0.0):
         self.config = config
-        self.fingerprint = fingerprint
         self.latency = latency
         self.slow: dict | None = None  # {"lease":, "next":, "stop":}
         self.fast: ShardLease | None = None
@@ -264,14 +287,7 @@ class StealableBackend(ShardBackend):
         return "fast"
 
     def _row(self, lease: ShardLease, k: int) -> dict:
-        _, rows = _execute_shard(
-            self.config,
-            ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
-            None,
-            self.fingerprint,
-            skip_runs=lease.skip,
-        )
-        return rows[0]
+        return _row(self.config, lease, k)
 
     def heartbeats(self) -> list[BackendEvent]:
         if self.fast is not None:
@@ -324,11 +340,9 @@ class StealableBackend(ShardBackend):
 
 
 def _run_stealable(tmp_path, *, latency, policy):
-    from repro.carolfi.engine import campaign_fingerprint, run_sharded_campaign
+    from repro.carolfi.engine import run_sharded_campaign
 
-    backend = StealableBackend(
-        CONFIG, campaign_fingerprint(CONFIG, CONFIG.injections), latency=latency
-    )
+    backend = StealableBackend(CONFIG, latency=latency)
     result = run_sharded_campaign(
         CONFIG,
         workers=2,
