@@ -2,7 +2,7 @@
 
 Times one hardened injection test and regenerates the validation table:
 unprotected vs hardened outcome shares, detection/correction rates and
-measured protection overhead for every benchmark.
+the KiB the guards verify per step for every benchmark.
 """
 
 from repro.benchmarks.registry import create

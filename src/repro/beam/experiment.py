@@ -20,13 +20,16 @@ the entry of its step, the machine model keeps no per-trial state and
 each trial's RNG is keyed by its trial index, so restoring the deepest
 snapshot at or below the strike step and stepping only the suffix
 yields the record a replay from step 0 would.  The store starts empty
-— the constructor's timed golden run captures nothing — and fills
-lazily from the golden prefixes of occupied trials.
+— the constructor's golden run captures nothing — and fills lazily
+from the golden prefixes of occupied trials.
+
+A trial is a fixed number of steps, so no wall clock decides its
+outcome: hangs are the benchmarks' deterministic loop guards and the
+machine model's scheduler wedge, both recorded as ``timeout`` DUEs.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -135,7 +138,6 @@ class BeamExperiment:
         seed: int,
         sensitivity: DeviceSensitivity = DEFAULT_SENSITIVITY,
         config: PhiConfig = KNC_3120A,
-        watchdog_factor: float = 10.0,
         benchmark_params: dict[str, Any] | None = None,
     ):
         if isinstance(benchmark, str):
@@ -144,13 +146,10 @@ class BeamExperiment:
         self.seed = int(seed)
         self.sensitivity = sensitivity
         self.machine = XeonPhiMachine(config)
-        self.watchdog_factor = float(watchdog_factor)
         self._pristine: Any = None
         state = self._fresh_state()
         self.total_steps = benchmark.num_steps(state)
-        start = time.perf_counter()
         self.golden = benchmark.run(state)
-        self.golden_runtime = max(time.perf_counter() - start, 1e-4)
         self.prefix = PrefixStore(benchmark, self.total_steps)
 
     def _fresh_state(self) -> Any:
@@ -182,7 +181,6 @@ class BeamExperiment:
             )
 
         state, start_step = self.prefix.resume(strike_step, self._fresh_state)
-        deadline = time.perf_counter() + self.watchdog_factor * self.golden_runtime + 1.0
         effect = "unapplied"
         outcome = Outcome.MASKED
         due_kind: DueKind | None = None
@@ -195,8 +193,6 @@ class BeamExperiment:
                     result = self.machine.apply_strike(bench, state, index, resource, rng)
                     effect = result.effect
                 bench.step(state, index)
-                if time.perf_counter() > deadline:
-                    raise BenchmarkHang("beam watchdog expired")
             # Beam comparison is bitwise: "The SDC FIT includes all
             # executions with any bit mismatch" (Section 4.2) — unlike
             # CAROL-FI's printed-output diff.

@@ -26,7 +26,6 @@ them produces wrong regions, crashes, or hangs organically.
 from __future__ import annotations
 
 import abc
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
@@ -43,41 +42,18 @@ __all__ = [
     "SegmentationFault",
     "SimulationAborted",
     "Variable",
-    "arm_deadline",
     "bounded_range",
     "checked_index",
     "clone_state",
-    "deadline_checkpoint",
     "state_nbytes",
     "window_of_step",
 ]
 
 #: Hard iteration cap used by every internal data-dependent loop.  Real
 #: code would spin forever on a corrupted loop variable; we convert that
-#: into a deterministic :class:`BenchmarkHang` the Supervisor's watchdog
+#: into a deterministic :class:`BenchmarkHang`, which every run loop
 #: classifies as a DUE (timeout).
 MAX_LOOP_ITERATIONS = 100_000
-
-
-#: Wall-clock deadline (``time.perf_counter`` value) armed by the
-#: Supervisor for the duration of one injected execution, or ``None``
-#: outside a supervised run.  Workers are single-threaded processes, so
-#: a module global is sufficient (and cheap to consult from hot loops).
-_DEADLINE: float | None = None
-
-
-def arm_deadline(at: float | None) -> None:
-    """Arm (or, with ``None``, disarm) the cooperative run deadline.
-
-    While armed, :func:`deadline_checkpoint` — called by
-    :func:`bounded_range` and available to any long-running step body —
-    raises :class:`BenchmarkHang` once ``time.perf_counter()`` passes
-    ``at``.  This lets the watchdog fire *inside* a slow step instead of
-    only between steps, narrowing the set of hangs that require the
-    isolation sandbox's hard kill.
-    """
-    global _DEADLINE
-    _DEADLINE = None if at is None else float(at)
 
 
 def _count_guard_trip(guard: str) -> None:
@@ -86,13 +62,6 @@ def _count_guard_trip(guard: str) -> None:
         "repro_guard_trips_total",
         help="Hang-guard trips converted into BenchmarkHang, by guard.",
     ).inc(guard=guard)
-
-
-def deadline_checkpoint() -> None:
-    """Raise :class:`BenchmarkHang` if the armed run deadline has passed."""
-    if _DEADLINE is not None and time.perf_counter() > _DEADLINE:
-        _count_guard_trip("deadline")
-        raise BenchmarkHang("cooperative deadline expired mid-step")
 
 
 def window_of_step(step: int, total_steps: int, num_windows: int) -> int:
@@ -255,7 +224,6 @@ def bounded_range(start: int, stop: int, step: int = 1) -> range:
     corrupted ``step`` of zero or an absurd trip count raises
     :class:`BenchmarkHang` instead of spinning.
     """
-    deadline_checkpoint()
     start, stop, step = int(start), int(stop), int(step)
     if step == 0:
         _count_guard_trip("loop_step_zero")

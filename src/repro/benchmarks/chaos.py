@@ -18,8 +18,9 @@ step misbehaves according to the ``failure`` parameter:
   masked/SDC outcome for runs that hit the trigger);
 * ``exit``    — ``os._exit(86)``: an uncatchable process death;
 * ``abort``   — ``os.abort()``: dies with ``SIGABRT``;
-* ``spin``    — a guard-free busy loop (``spin_s`` seconds), invisible
-  to the cooperative watchdog because it never re-enters a guard;
+* ``spin``    — a guard-free busy loop (``spin_s`` seconds) that no
+  deterministic loop guard sees: only the sandbox's hard deadline or
+  the scheduler's liveness reap can stop it;
 * ``alloc``   — allocates and touches memory until ``alloc_cap_mb``,
   then raises ``MemoryError`` (the RSS-ceiling test vector);
 * ``oserror`` — raises ``OSError``, which is *not* in the Supervisor's
@@ -132,8 +133,8 @@ class Chaos(Benchmark):
             faulthandler.disable()
             os.abort()
         if failure == "spin":
-            # No bounded_range, no deadline_checkpoint: only an external
-            # wall-clock kill can stop this loop.
+            # No bounded_range: only an external wall-clock kill can
+            # stop this loop.
             end = time.monotonic() + float(self.params["spin_s"])
             while time.monotonic() < end:
                 pass

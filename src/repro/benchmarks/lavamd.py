@@ -180,6 +180,11 @@ class LavaMD(Benchmark):
             nb_states = len(states)
             kmax = states[0].box_nei.shape[1]
             pmax = states[0].rv.shape[1]
+            # Like ``step``'s casts: widening a signalling NaN is exact
+            # (it quiets it) and must not warn.
+            with np.errstate(invalid="ignore"):
+                wide_rv = np.stack([st.rv for st in states]).astype(np.float64)
+                wide_qv = np.stack([st.qv for st in states]).astype(np.float64)
             carry = {
                 # Matches scalar: a2 is computed through the same
                 # python-float expression per member, so each double is
@@ -187,8 +192,8 @@ class LavaMD(Benchmark):
                 "a2": np.array([2.0 * float(st.alpha[()]) ** 2 for st in states])[
                     :, None, None, None
                 ],
-                "rv": np.stack([st.rv for st in states]).astype(np.float64),
-                "qv": np.stack([st.qv for st in states]).astype(np.float64),
+                "rv": wide_rv,
+                "qv": wide_qv,
                 # Pair-kernel scratch, reused every step: the ufunc tree
                 # writes through ``out=`` so the MB-scale intermediates
                 # are allocated (and page-faulted) once per batch, not

@@ -3,9 +3,9 @@
 The reproduction mirrors CAROL-FI's two-script architecture:
 
 * the **Supervisor** (:mod:`repro.carolfi.supervisor`) launches the
-  benchmark, delivers the interrupt at a random execution point, runs a
-  watchdog, checks the output against the golden copy, and logs the
-  test data;
+  benchmark, delivers the interrupt at a random execution point, runs
+  the rest of the execution, checks the output against the golden copy,
+  and logs the test data;
 * the **Flip-script** (:mod:`repro.carolfi.flipscript`) walks the live
   frames at the interrupt point, selects a variable and element, and
   applies one of the four fault models to its backing store.

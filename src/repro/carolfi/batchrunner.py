@@ -36,27 +36,24 @@ bit-identical outputs, and classification goes through the same
 Batch-path telemetry (all new families; like the other fast-path
 counters they describe *work saved in this process* and may differ
 across execution topologies — fallback decisions can depend on cache
-state and wall-clock deadlines):
+state):
 
 * ``repro_batch_groups_total{benchmark}`` — carrier walks executed;
 * ``repro_batch_runs_total{benchmark, path}`` — runs completed on the
   ``vectorized`` path versus handed back for ``fallback``;
 * ``repro_batch_fallback_total{benchmark, reason}`` — why members left
-  the batch (``unsupported``, ``incoherent``, ``exception``,
-  ``deadline``);
+  the batch (``unsupported``, ``incoherent``, ``exception``);
 * ``repro_batch_occupancy`` — histogram of members per group (higher is
   better amortisation).
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
 
-from repro.benchmarks.base import BenchmarkHang, arm_deadline
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import InjectionRecord
@@ -98,8 +95,8 @@ class BatchRunner:
     Runs it cannot complete on the vectorized path are simply absent
     from the returned mapping, and the caller finishes them through the
     ordinary scalar ``Supervisor.run_one`` — which is what makes every
-    failure mode (divergence, exception, deadline, unsupported
-    benchmark) correct by construction rather than by case analysis.
+    failure mode (divergence, exception, unsupported benchmark) correct
+    by construction rather than by case analysis.
     """
 
     def __init__(self, supervisor: Supervisor, batch_size: int):
@@ -203,15 +200,6 @@ class BatchRunner:
             buckets=OCCUPANCY_BUCKETS,
         ).observe(float(len(members)), benchmark=bench.name)
 
-        # One deadline for the whole walk, scaled by occupancy: the group
-        # does the work of len(members) scalar runs.  Tripping it is not
-        # a DUE — members fall back to run_one, whose own watchdog then
-        # observes any genuine hang scalar-side.
-        deadline = (
-            time.perf_counter()
-            + sup.watchdog_factor * sup.golden_runtime * max(len(members), 1)
-            + 1.0
-        )
         active: list[_Member] = []
         joined = 0
         span = current_tracer().span(
@@ -219,7 +207,6 @@ class BatchRunner:
         )
         with span:
             try:
-                arm_deadline(deadline)
                 # The golden reference at the entry of each step.  When
                 # the snapshot store holds the next step (dense stores:
                 # interval 1 means *every* step), the reference is
@@ -312,8 +299,6 @@ class BatchRunner:
                         try:
                             carry = bench.step_batch(batch_states, index, carry)
                             carry_states = batch_states if carry is not None else []
-                        except BenchmarkHang:
-                            raise
                         except Exception:
                             # A raise with coherent controls should be
                             # impossible; whatever it was, the scalar
@@ -342,8 +327,6 @@ class BatchRunner:
                                     carrier = clone_view()
                                 bench.step(carrier, index)
                                 borrowed, borrowed_snap = None, None
-                    if time.perf_counter() > deadline:
-                        raise BenchmarkHang("batch group deadline expired")
                 if carry is not None:
                     # Classification reads member data: restore full
                     # bit-exact states first.
@@ -362,11 +345,6 @@ class BatchRunner:
                         sdc_metrics=sdc_metrics,
                     )
                     self._mark_vectorized(1)
-            except BenchmarkHang:
-                remaining = len(
-                    [m for m in active + members[joined:] if m.run_index not in records]
-                )
-                self._mark_fallback(remaining, "deadline")
             except Exception:
                 # Carrier-walk or classification failure: golden carriers
                 # never raise, so this is defensive — every unrecorded
@@ -375,5 +353,3 @@ class BatchRunner:
                     [m for m in active + members[joined:] if m.run_index not in records]
                 )
                 self._mark_fallback(remaining, "exception")
-            finally:
-                arm_deadline(None)

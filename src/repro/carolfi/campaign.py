@@ -32,7 +32,6 @@ class CampaignConfig:
     seed: int = 2017
     fault_models: tuple[FaultModel, ...] = FaultModel.all()
     policy: SitePolicy = SitePolicy.WEIGHTED
-    watchdog_factor: float = 10.0
     benchmark_params: dict[str, Any] = field(default_factory=dict)
     snapshots: bool = True
     """Enable the execution-prefix snapshot fast path (see
@@ -103,7 +102,6 @@ class CampaignConfig:
             "seed": self.seed,
             "fault_models": [m.value for m in self.fault_models],
             "policy": self.policy.value,
-            "watchdog_factor": self.watchdog_factor,
             "benchmark_params": dict(self.benchmark_params),
             "snapshots": self.snapshots,
             "batch_size": self.batch_size,
@@ -120,7 +118,6 @@ class CampaignConfig:
             "seed",
             "fault_models",
             "policy",
-            "watchdog_factor",
             "benchmark_params",
             "snapshots",
             "batch_size",
@@ -142,8 +139,6 @@ class CampaignConfig:
         for key in ("injections", "seed", "batch_size"):
             if key in data and data[key] is not None:
                 kwargs[key] = int(data[key])
-        if "watchdog_factor" in data and data["watchdog_factor"] is not None:
-            kwargs["watchdog_factor"] = float(data["watchdog_factor"])
         if "benchmark_params" in data and data["benchmark_params"] is not None:
             kwargs["benchmark_params"] = dict(data["benchmark_params"])
         if "snapshots" in data and data["snapshots"] is not None:
@@ -286,7 +281,6 @@ def run_campaign(
         benchmark,
         seed=config.seed,
         policy=config.policy,
-        watchdog_factor=config.watchdog_factor,
         snapshots=config.snapshots,
         golden_cache=golden_cache,
     )

@@ -107,7 +107,6 @@ def _config_from_parser(
         seed=section.getint("seed", 2017),
         fault_models=fault_models,
         policy=SitePolicy(section.get("policy", "weighted").strip().lower()),
-        watchdog_factor=section.getfloat("watchdog_factor", 10.0),
         benchmark_params=params,
         snapshots=section.getboolean("snapshots", True),
         batch_size=section.getint("batch_size", 1),

@@ -294,7 +294,6 @@ def campaign_fingerprint(config: CampaignConfig, shard_size: int | None = None) 
         "seed": config.seed,
         "fault_models": [m.value for m in config.fault_models],
         "policy": config.policy.value,
-        "watchdog_factor": config.watchdog_factor,
         "benchmark_params": config.benchmark_params,
         "shard_size": shard_size,
     }

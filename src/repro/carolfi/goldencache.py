@@ -1,13 +1,13 @@
 """On-disk golden-run cache keyed by campaign identity.
 
-The golden run (plus its warm-up) is the one piece of work the
-``fork``-based supervisor cache cannot amortise everywhere: spawn-based
-platforms pay it once per worker process, and a resumed campaign pays it
-again even when every shard replays from its checkpoint.  This cache
-persists the quantized golden output, its measured runtime and the step
-count under a key hashing *exactly* the inputs that determine them —
-the same identity :func:`repro.carolfi.isolation.supervisor_key` uses —
-so any process, in any session, can skip straight to injecting.
+The golden walk is the one piece of work the ``fork``-based supervisor
+cache cannot amortise everywhere: spawn-based platforms pay it once per
+worker process, and a resumed campaign pays it again even when every
+shard replays from its checkpoint.  This cache persists the quantized
+golden output and the step count under a key hashing *exactly* the
+inputs that determine them — the same identity
+:func:`repro.carolfi.isolation.supervisor_key` uses — so any process,
+in any session, can skip straight to injecting.
 
 Entries are written atomically (temp file + ``os.replace``) and carry a
 SHA-256 digest of the array bytes; a corrupt, truncated or
@@ -49,7 +49,6 @@ _ENTRY_VERSION = 1
 def golden_cache_key(
     benchmark: str,
     seed: int,
-    watchdog_factor: float,
     benchmark_params: dict[str, Any],
 ) -> str:
     """Stable hash of everything that determines one golden run.
@@ -57,15 +56,11 @@ def golden_cache_key(
     Note what is *absent*: the site policy (it only affects where faults
     land, never the fault-free execution), the snapshot flag, and every
     engine knob.  Two campaigns differing only in those share one entry.
-    ``watchdog_factor`` is included because the stored runtime feeds the
-    watchdog budget — conservatively invalidating on a change keeps the
-    stored-vs-measured runtime question out of the hang classifier.
     """
     payload = {
         "version": _ENTRY_VERSION,
         "benchmark": benchmark,
         "seed": int(seed),
-        "watchdog_factor": float(watchdog_factor),
         "benchmark_params": benchmark_params,
     }
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
@@ -77,7 +72,6 @@ class GoldenEntry:
     """One cached golden run."""
 
     golden: np.ndarray
-    runtime: float
     total_steps: int
 
 
@@ -105,14 +99,13 @@ class GoldenCache:
         if not isinstance(meta, dict) or meta.get("version") != _ENTRY_VERSION:
             return None
         try:
-            runtime = float(meta["runtime"])
             total_steps = int(meta["total_steps"])
             digest = str(meta["digest"])
         except (KeyError, TypeError, ValueError):
             return None
-        if runtime <= 0 or total_steps < 1 or digest != self._digest(golden):
+        if total_steps < 1 or digest != self._digest(golden):
             return None
-        return GoldenEntry(golden=golden, runtime=runtime, total_steps=total_steps)
+        return GoldenEntry(golden=golden, total_steps=total_steps)
 
     def store(self, key: str, entry: GoldenEntry) -> None:
         """Persist ``entry`` atomically; IO failures are swallowed.
@@ -123,7 +116,6 @@ class GoldenCache:
         array_path, meta_path = self._paths(key)
         meta = {
             "version": _ENTRY_VERSION,
-            "runtime": float(entry.runtime),
             "total_steps": int(entry.total_steps),
             "digest": self._digest(entry.golden),
             "dtype": str(entry.golden.dtype),

@@ -104,10 +104,13 @@ class IsolationConfig:
     """How injections are isolated from the campaign engine."""
 
     mode: IsolationMode = IsolationMode.INPROC
-    timeout_s: float | None = None
-    """Hard per-run wall-clock deadline.  ``None`` derives one from the
-    worker's measured golden runtime, comfortably above the cooperative
-    watchdog so guard-detected hangs keep their in-process records."""
+    timeout_s: float = 60.0
+    """Hard per-run wall-clock deadline, a constant like
+    :attr:`~repro.carolfi.engine.RetryPolicy.liveness_timeout_s`.  A run
+    steps at most one golden run's worth of quanta, and the slowest
+    golden run at default sizes takes about 30 ms, so 60 s is reached
+    only by a run that never returns (a guard-free spin), however loaded
+    the host.  Guard-detected hangs keep their in-process records."""
 
     mem_limit_mb: float | None = None
     """RSS ceiling for the worker process; ``None`` disables the check
@@ -121,7 +124,7 @@ class IsolationConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", IsolationMode(self.mode))
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.mem_limit_mb is not None and self.mem_limit_mb <= 0:
             raise ValueError("mem_limit_mb must be positive")
@@ -162,7 +165,6 @@ def supervisor_key(config: "CampaignConfig") -> str:
             "benchmark": config.benchmark,
             "seed": config.seed,
             "policy": config.policy.value,
-            "watchdog_factor": config.watchdog_factor,
             "benchmark_params": config.benchmark_params,
             "snapshots": config.snapshots,
             "shared": config.shared_store,
@@ -186,7 +188,6 @@ def campaign_store_key(config: "CampaignConfig") -> str:
     return shmstore.store_key(
         benchmark.name,
         config.seed,
-        config.watchdog_factor,
         benchmark.params,
         density=None,
         byte_budget=DEFAULT_SNAPSHOT_BUDGET,
@@ -213,7 +214,6 @@ def supervisor_for(
             create(config.benchmark, **config.benchmark_params),
             seed=config.seed,
             policy=config.policy,
-            watchdog_factor=config.watchdog_factor,
             snapshots=config.snapshots,
             golden_cache=golden_cache,
             shared=config.shared_store,
@@ -364,7 +364,6 @@ def _worker_main(
             {
                 "total_steps": supervisor.total_steps,
                 "num_windows": supervisor.benchmark.num_windows,
-                "golden_runtime": supervisor.golden_runtime,
             },
         )
     )
@@ -465,22 +464,6 @@ class InjectionSandbox:
     @property
     def num_windows(self) -> int:
         return int(self._metadata()["num_windows"])
-
-    @property
-    def hard_deadline_s(self) -> float:
-        """Per-run wall-clock budget before the sandbox kills the worker.
-
-        The derived default sits well above the cooperative watchdog
-        (``watchdog_factor * golden_runtime``) so that any hang the
-        guards *can* see is still classified in-process — keeping those
-        records bit-identical to inproc mode — and only truly
-        uncooperative hangs reach the hard kill.
-        """
-        if self.isolation.timeout_s is not None:
-            return float(self.isolation.timeout_s)
-        golden = float(self._metadata()["golden_runtime"])
-        watchdog = self.config.watchdog_factor * golden + 1.0
-        return 3.0 * watchdog + 5.0
 
     # -- events ----------------------------------------------------------------
 
@@ -601,7 +584,7 @@ class InjectionSandbox:
             self._emit("sandbox_death", run_index, detail=detail)
             raise SandboxDeath(detail)
         # Our own deterministic kill — an observed hang/OOM is the run's
-        # outcome, exactly like a watchdog DUE.
+        # outcome, exactly like a guard-detected hang.
         return self._due(run_index, model, kind, f"sandbox: {detail}")
 
     # -- one supervised batch group --------------------------------------------
@@ -642,9 +625,8 @@ class InjectionSandbox:
         """Wait for batch records, or ``None`` if the group aborted."""
         assert self._conn is not None and self._proc is not None
         # The group does the work of up to ``count`` scalar runs, so it
-        # gets the sum of their individual budgets (mirroring the batch
-        # runner's own occupancy-scaled cooperative deadline).
-        budget = self.hard_deadline_s * max(count, 1)
+        # gets the sum of their individual budgets.
+        budget = self.isolation.timeout_s * max(count, 1)
         deadline = time.monotonic() + budget
         limit = self.isolation.mem_limit_mb
         limit_bytes = None if limit is None else int(limit * (1 << 20))
@@ -686,7 +668,7 @@ class InjectionSandbox:
     def _await_verdict(self, run_index: int) -> tuple[str, Any] | tuple[str, DueKind, str]:
         """Wait for a record, a deadline, an RSS overrun, or a death."""
         assert self._conn is not None and self._proc is not None
-        budget = self.hard_deadline_s
+        budget = self.isolation.timeout_s
         deadline = time.monotonic() + budget
         limit = self.isolation.mem_limit_mb
         limit_bytes = None if limit is None else int(limit * (1 << 20))

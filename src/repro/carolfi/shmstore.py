@@ -107,7 +107,6 @@ def shm_dir() -> Path:
 def store_key(
     benchmark: str,
     seed: int,
-    watchdog_factor: float,
     benchmark_params: dict[str, Any],
     *,
     density: int | None = None,
@@ -125,7 +124,6 @@ def store_key(
         "version": _SEGMENT_VERSION,
         "benchmark": benchmark,
         "seed": int(seed),
-        "watchdog_factor": float(watchdog_factor),
         "benchmark_params": benchmark_params,
         "density": density,
         "byte_budget": byte_budget,
@@ -267,10 +265,6 @@ class ShmSegment:
         return int(self.header["interval"])
 
     @property
-    def golden_runtime(self) -> float:
-        return float(self.header["golden_runtime"])
-
-    @property
     def degraded(self) -> bool:
         return bool(self.header.get("degraded", False))
 
@@ -397,7 +391,6 @@ def publish(
     benchmark: str,
     total_steps: int,
     interval: int,
-    golden_runtime: float,
     degraded: bool,
     pristine: Any,
     snapshots: list[tuple[int, Any, int]],
@@ -430,7 +423,6 @@ def publish(
         "benchmark": benchmark,
         "total_steps": int(total_steps),
         "interval": int(interval),
-        "golden_runtime": float(golden_runtime),
         "degraded": bool(degraded),
         "snapshot_steps": [int(step) for step, _, _ in snapshots],
         "snapshot_nbytes": [int(nbytes) for _, _, nbytes in snapshots],

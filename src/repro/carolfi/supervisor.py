@@ -1,11 +1,13 @@
-"""The Supervisor: launch, interrupt, watchdog, check, log.
+"""The Supervisor: launch, interrupt, check, log.
 
 One :meth:`Supervisor.run_one` is one CAROL-FI test: start the
 benchmark, deliver the interrupt at a random step, let the Flip-script
 corrupt a live variable, resume at full speed, and classify the result
 against the golden output.  DUEs are *observed*, never simulated:
-unhandled exceptions out of the resumed execution are crashes, loop
-guards and the wall-clock watchdog are hangs.
+unhandled exceptions out of the resumed execution are crashes, and the
+benchmarks' deterministic loop guards are hangs.  No wall clock enters a
+record: a run is a fixed number of steps, so its record is a pure
+function of the campaign config and the run index.
 
 The campaign generates its input data set once (the paper: datasets
 "will be generated once and used during the whole fault injection
@@ -14,8 +16,8 @@ run replays identical inputs.
 
 **Prefix fast path.**  Every run's execution is bit-identical to the
 golden run up to its interrupt step (the fault models flip bits of
-existing values), so with ``snapshots=True`` (the default) the warm-up
-execution captures periodic state snapshots into a
+existing values), so with ``snapshots=True`` (the default) the golden
+walk captures periodic state snapshots into a
 :class:`~repro.carolfi.prefixcache.PrefixStore` and ``run_one`` restores
 the deepest snapshot at or below the interrupt step instead of
 replaying from step 0.  Records are identical by construction: each
@@ -28,7 +30,6 @@ byte-identical campaign logs).
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from pathlib import Path
 from typing import Any
@@ -36,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from repro.analysis.spatial import classify_mask, max_relative_error, wrong_mask
-from repro.benchmarks.base import Benchmark, BenchmarkHang, arm_deadline
+from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.goldencache import (
     GoldenCache,
@@ -82,8 +83,8 @@ class Supervisor:
     docstring).  ``golden_cache`` — a
     :class:`~repro.carolfi.goldencache.GoldenCache`, a directory path,
     or ``None`` to consult ``REPRO_GOLDEN_CACHE`` — persists the golden
-    output and runtime across processes and sessions, so spawn-based
-    workers and resumed campaigns skip the golden re-run entirely.
+    output and step count across processes and sessions, so spawn-based
+    workers and resumed campaigns skip the golden walk entirely.
 
     ``shared`` additionally publishes (or attaches) the host-wide
     shared-memory snapshot segment (:mod:`repro.carolfi.shmstore`): the
@@ -101,7 +102,6 @@ class Supervisor:
         benchmark: Benchmark,
         seed: int,
         policy: SitePolicy = SitePolicy.WEIGHTED,
-        watchdog_factor: float = 10.0,
         snapshots: bool = True,
         golden_cache: "GoldenCache | str | Path | None" = None,
         snapshot_budget: int = DEFAULT_SNAPSHOT_BUDGET,
@@ -112,7 +112,6 @@ class Supervisor:
         self.benchmark = benchmark
         self.seed = int(seed)
         self.flip = FlipScript(policy)
-        self.watchdog_factor = float(watchdog_factor)
         self._input_path = ("carolfi", benchmark.name, "input")
         self._pristine: Any = None
         self._snapshot_budget = int(snapshot_budget)
@@ -125,7 +124,6 @@ class Supervisor:
             shm_key = shmstore.store_key(
                 benchmark.name,
                 self.seed,
-                self.watchdog_factor,
                 benchmark.params,
                 density=snapshot_density,
                 byte_budget=self._snapshot_budget,
@@ -134,8 +132,8 @@ class Supervisor:
             if segment is not None:
                 # Another process on this host already published the
                 # golden prefix: adopt it wholesale.  No dataset
-                # generation, no warm-up, no golden run, no captures —
-                # and no per-process copies of any of it.
+                # generation, no golden walk, no captures — and no
+                # per-process copies of any of it.
                 self._adopt_segment(segment)
                 self._count("repro_shm_attach_total", result="hit")
                 return
@@ -156,56 +154,31 @@ class Supervisor:
         if self.prefix is not None:
             self.prefix.on_degrade = self._budget_degraded
         cache = resolve_golden_cache(golden_cache)
-        cache_key = golden_cache_key(
-            benchmark.name, self.seed, self.watchdog_factor, benchmark.params
-        )
+        cache_key = golden_cache_key(benchmark.name, self.seed, benchmark.params)
         entry = cache.load(cache_key) if cache is not None else None
-        if entry is not None and entry.total_steps == self.total_steps:
-            # Cache hit: no warm-up, no timed run.  The snapshot store
-            # (if enabled) fills opportunistically during run_one's
-            # pre-injection replays, which execute pure golden prefixes.
-            self.golden = entry.golden
-            self.golden_runtime = entry.runtime
-            self._count("repro_golden_cache_total", result="hit")
-            if want_shared and self.prefix is not None:
-                # A published segment must carry the full snapshot set —
-                # walk the golden trajectory once to capture it (the
-                # walk this host's workers will collectively never pay).
-                warm = self._fresh_state()
+        if entry is not None and entry.total_steps != self.total_steps:
+            entry = None
+        if cache is not None:
+            self._count("repro_golden_cache_total", result="miss" if entry is None else "hit")
+        # One golden walk captures the snapshot store and ends on the
+        # golden output.  A cache hit skips it — the store then fills
+        # during run_one's pre-injection replays, which execute pure
+        # golden prefixes — unless this process publishes the shared
+        # segment, which must carry the full snapshot set.
+        if entry is None or want_shared:
+            with current_tracer().span("golden_run", benchmark=benchmark.name):
                 for index in range(self.total_steps):
-                    if self.prefix.wants(index):
-                        self.prefix.capture(index, warm)
-                    benchmark.step(warm, index)
-            if shm_key is not None:
-                self._publish_shared(shm_key)
-            return
-        if cache is not None:
-            self._count("repro_golden_cache_total", result="miss")
-        # Warm-up run on a throwaway state before the timed baseline:
-        # the first execution pays first-touch allocation and cache
-        # effects, and an inflated golden_runtime would stretch
-        # ``watchdog_factor * golden_time`` enough to mask real hangs.
-        # The warm-up walks the same golden trajectory, so it doubles as
-        # the snapshot-capture pass — capture cost stays out of the
-        # timed baseline.
-        warm = self._fresh_state()
-        for index in range(self.total_steps):
-            if self.prefix is not None and self.prefix.wants(index):
-                self.prefix.capture(index, warm)
-            benchmark.step(warm, index)
-        with current_tracer().span("golden_run", benchmark=benchmark.name):
-            start = time.perf_counter()
-            self.golden = self._quantize(benchmark.run(state))
-            self.golden_runtime = max(time.perf_counter() - start, 1e-4)
-        if cache is not None:
-            cache.store(
-                cache_key,
-                GoldenEntry(
-                    golden=self.golden,
-                    runtime=self.golden_runtime,
-                    total_steps=self.total_steps,
-                ),
-            )
+                    if self.prefix is not None and self.prefix.wants(index):
+                        self.prefix.capture(index, state)
+                    benchmark.step(state, index)
+        if entry is not None:
+            self.golden = entry.golden
+        else:
+            self.golden = self._quantize(benchmark.output(state))
+            if cache is not None:
+                cache.store(
+                    cache_key, GoldenEntry(golden=self.golden, total_steps=self.total_steps)
+                )
         if shm_key is not None:
             self._publish_shared(shm_key)
 
@@ -224,7 +197,6 @@ class Supervisor:
         self._pristine = segment.pristine
         self.prefix = SharedPrefixStore(self.benchmark, segment)
         self.golden = segment.golden
-        self.golden_runtime = segment.golden_runtime
 
     def _publish_shared(self, key: str) -> None:
         """Publish this supervisor's prefix as the host's shared segment."""
@@ -241,7 +213,6 @@ class Supervisor:
             benchmark=self.benchmark.name,
             total_steps=self.total_steps,
             interval=self.prefix.interval,
-            golden_runtime=self.golden_runtime,
             degraded=self.prefix.degraded,
             pristine=self._pristine,
             snapshots=snaps,
@@ -449,7 +420,6 @@ class Supervisor:
             state, start_step = prefix.resume(first_step, self._fresh_state)
         else:
             state, start_step = self._fresh_state(), 0
-        deadline = time.perf_counter() + self.watchdog_factor * self.golden_runtime + 1.0
         site: FaultSite | None = None
         bits: tuple[int, ...] | None = None
         extra: list[dict[str, Any]] = []
@@ -462,10 +432,6 @@ class Supervisor:
 
         with run_span:
             try:
-                # Arm the cooperative deadline so guard loops inside a slow
-                # step (bounded_range, explicit deadline_checkpoint calls)
-                # can convert an in-step hang into a watchdog DUE.
-                arm_deadline(deadline)
                 with tracer.span("execute", interrupt_step=first_step):
                     for index in range(start_step, total):
                         # Fill store gaps left by a disk-cached golden run
@@ -491,8 +457,6 @@ class Supervisor:
                                     }
                                 )
                         bench.step(state, index)
-                        if time.perf_counter() > deadline:
-                            raise BenchmarkHang("supervisor watchdog expired")
                     observed = self._quantize(bench.output(state))
             except BenchmarkHang as exc:
                 outcome = Outcome.DUE
@@ -506,7 +470,6 @@ class Supervisor:
                 with tracer.span("compare"):
                     outcome, sdc_metrics = self.classify_output(observed)
             finally:
-                arm_deadline(None)
                 run_span.set_attr("outcome", outcome.value)
 
         return self.make_record(

@@ -28,6 +28,12 @@ Injection fast path: campaigns run with the execution-prefix snapshot
 cache on by default (``--no-snapshots`` disables it; records are
 bit-identical either way) and ``--golden-cache DIR`` persists golden
 runs on disk so repeated or spawn-based sessions skip them.
+
+The output stream carries only the rendered artifacts, each under a
+``### name`` header: it is a pure function of ``--seed`` and
+``--scale``, byte-identical across worker counts, isolation modes,
+batch sizes, snapshot settings and resumes.  Each experiment's wall
+time goes to stderr.
 """
 
 from __future__ import annotations
@@ -56,7 +62,7 @@ from repro.experiments import (
 )
 from repro.telemetry import Telemetry, TelemetryConfig, summary_table
 
-__all__ = ["EXPERIMENTS", "main", "run_experiments"]
+__all__ = ["EXPERIMENTS", "main", "print_experiments", "run_experiments"]
 
 #: name -> (run, render) pairs, in paper order.
 EXPERIMENTS: dict[str, tuple[Callable, Callable]] = {
@@ -119,14 +125,24 @@ def run_experiments(
         golden_cache=golden_cache,
         target_ci=target_ci,
     )
+    print_experiments(names, shared, stream)
+    return shared
+
+
+def print_experiments(names: Sequence[str], data: data_mod.ExperimentData, stream: Any) -> None:
+    """Render the named experiments of ``data`` to ``stream``.
+
+    Only the artifacts reach ``stream``; each experiment's wall time
+    goes to stderr, so the stream is a pure function of the data's seed
+    and scale.
+    """
     for name in names:
         run, render = EXPERIMENTS[name]
         start = time.perf_counter()
-        result = run(shared)
-        elapsed = time.perf_counter() - start
-        print(f"\n### {name} ({elapsed:.1f}s)\n", file=stream)
+        result = run(data)
+        print(f"### {name} ({time.perf_counter() - start:.1f}s)", file=sys.stderr)
+        print(f"\n### {name}\n", file=stream)
         print(render(result), file=stream)
-    return shared
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -178,7 +194,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         metavar="SECONDS",
         help="hard per-injection wall-clock deadline; a worker over it is "
         "killed and the run recorded as a hang DUE (subprocess isolation "
-        "only; default: derived from the golden runtime)",
+        "only; default: 60, far above the ~30 ms slowest golden run at "
+        "default sizes, so only a run that never returns reaches it)",
     )
     parser.add_argument(
         "--mem-limit",
@@ -266,7 +283,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     ):
         isolation = IsolationConfig(
             mode=IsolationMode.SUBPROCESS,
-            timeout_s=args.timeout,
+            timeout_s=IsolationConfig.timeout_s if args.timeout is None else args.timeout,
             mem_limit_mb=args.mem_limit,
         )
     telemetry = None

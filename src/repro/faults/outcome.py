@@ -5,8 +5,8 @@ A transient fault leads to one of three outcomes (paper Section 2.1):
 * **Masked** — no effect on the program output.
 * **SDC** — Silent Data Corruption: the program completes but its
   output mismatches the golden copy.
-* **DUE** — Detected Unrecoverable Error: crash, hang (watchdog
-  timeout), or machine-check abort.
+* **DUE** — Detected Unrecoverable Error: crash, hang (loop-guard
+  timeout or sandbox kill), or machine-check abort.
 """
 
 from __future__ import annotations
@@ -41,11 +41,14 @@ class DueKind(str, enum.Enum):
     isolation (segfault analogue)."""
 
     TIMEOUT = "timeout"
-    """Supervisor watchdog expired (cooperative hang detection)."""
+    """A deterministic hang guard tripped: a corrupted loop bound or step
+    that would spin forever, or the machine model's wedged scheduler.
+    Never decided by the wall clock."""
 
     HANG = "hang"
     """The isolation sandbox killed the worker at its hard wall-clock
-    deadline — a true observed hang, not a cooperative guard."""
+    deadline, or the scheduler reaped a silent worker — a true observed
+    hang that no loop guard saw."""
 
     OOM = "oom"
     """The isolation sandbox killed the worker for exceeding its RSS

@@ -6,11 +6,12 @@ the scheme's guards, ABFT and checkpoint/restart, and returns a
 :class:`ScenarioRecord` whose canonical JSON is the unit of byte
 comparison for the oracle, the shrinker and artifact replay.
 
-Determinism contract (stricter than the supervisor's): there is **no
-wall-clock watchdog** anywhere in this path.  Runaway re-execution is
-converted to a DUE by a deterministic *step budget* (a fixed multiple
-of the fault-free step count), and data-dependent loop hangs already
-raise :class:`~repro.benchmarks.base.BenchmarkHang` deterministically.
+Determinism contract: as in every run loop, there is **no wall-clock
+watchdog** anywhere in this path.  Runaway re-execution (which only
+checkpoint/restart can cause) is converted to a DUE by a deterministic
+*step budget* (a fixed multiple of the fault-free step count), and
+data-dependent loop hangs already raise
+:class:`~repro.benchmarks.base.BenchmarkHang` deterministically.
 Two executions of the same scenario therefore produce bit-identical
 records on any host, process or worker count.
 

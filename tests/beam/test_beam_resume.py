@@ -11,7 +11,6 @@ lazily filled store grows, never what a trial sees).
 from __future__ import annotations
 
 import random
-import time
 from functools import lru_cache
 from typing import Any
 
@@ -58,9 +57,6 @@ def replay_trial(experiment: BeamExperiment, trial: int) -> BeamRecord:
         )
 
     state = bench.make_state(derive_rng(experiment.seed, "beam", bench.name, "input"))
-    deadline = (
-        time.perf_counter() + experiment.watchdog_factor * experiment.golden_runtime + 1.0
-    )
     effect = "unapplied"
     outcome = Outcome.MASKED
     due_kind: DueKind | None = None
@@ -72,8 +68,6 @@ def replay_trial(experiment: BeamExperiment, trial: int) -> BeamRecord:
                 result = experiment.machine.apply_strike(bench, state, index, resource, rng)
                 effect = result.effect
             bench.step(state, index)
-            if time.perf_counter() > deadline:
-                raise BenchmarkHang("beam watchdog expired")
         observed = bench.output(state)
     except MachineCheckError as exc:
         outcome = Outcome.DUE

@@ -1,5 +1,7 @@
 """LavaMD benchmark: N-body physics and corruption semantics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -105,3 +107,20 @@ def test_far_fault_with_strong_cutoff_is_attenuated(bench, state):
     out = bench.run(state)
     same = np.round(out, 2) == np.round(golden, 2)
     assert same.mean() > 0.5
+
+
+# -- vectorized batch path ----------------------------------------------------
+
+
+def test_step_batch_widens_a_signalling_nan_as_silently_as_step(bench):
+    """A fault can leave a float32 signalling NaN in ``rv``.  Widening it
+    is exact, and ``step`` casts under ``np.errstate``; ``step_batch``
+    must neither warn where ``step`` is silent nor differ in a bit."""
+    members = [bench.make_state(derive_rng(21, "lava-test")) for _ in range(2)]
+    members[1].rv.reshape(-1).view(np.uint32)[5] = 0x7F800001
+    scalar = bench.restore(members[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        bench.step(scalar, 0)
+        bench.step_batch(members, 0)
+    assert np.array_equal(scalar.fv.view(np.uint32), members[1].fv.view(np.uint32))

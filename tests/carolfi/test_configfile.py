@@ -13,7 +13,6 @@ injections = 30
 seed = 5
 fault_models = single, zero
 policy = footprint
-watchdog_factor = 12.5
 log = {log}
 
 [benchmark.params]
@@ -36,7 +35,6 @@ def test_load_config_full(config_path, tmp_path):
     assert config.seed == 5
     assert config.fault_models == (FaultModel.SINGLE, FaultModel.ZERO)
     assert config.policy is SitePolicy.FOOTPRINT
-    assert config.watchdog_factor == 12.5
     assert config.benchmark_params == {"n": 16, "rows_per_step": 4}
     assert log_path == tmp_path / "nw.jsonl"
 

@@ -201,7 +201,6 @@ def test_deadline_and_metadata_survive_worker_death():
     with InjectionSandbox(config) as sandbox:
         steps = sandbox.total_steps
         windows = sandbox.num_windows
-        assert sandbox.hard_deadline_s > 0
         sandbox._teardown()
         assert sandbox.total_steps == steps
         assert sandbox.num_windows == windows

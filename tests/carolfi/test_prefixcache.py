@@ -296,12 +296,11 @@ def test_golden_cache_round_trip_skips_golden_run(tmp_path):
                        golden_cache=tmp_path)
     bench = create("nw", n=16, rows_per_step=4)
     calls = []
-    original_run = bench.run
-    bench.run = lambda state: (calls.append(1), original_run(state))[1]
+    original_step = bench.step
+    bench.step = lambda state, index: (calls.append(index), original_step(state, index))[1]
     second = Supervisor(bench, seed=5, golden_cache=tmp_path)
     assert calls == [], "a cache hit must not re-execute the golden run"
     assert np.array_equal(first.golden, second.golden)
-    assert first.golden_runtime == second.golden_runtime
     assert first.total_steps == second.total_steps
     for run in range(30):
         assert first.run_one(run, FaultModel.SINGLE) == second.run_one(
@@ -311,7 +310,7 @@ def test_golden_cache_round_trip_skips_golden_run(tmp_path):
 
 def test_golden_cache_ignores_corrupt_entries(tmp_path):
     Supervisor(create("nw", n=16, rows_per_step=4), seed=5, golden_cache=tmp_path)
-    key = golden_cache_key("nw", 5, 10.0, create("nw", n=16, rows_per_step=4).params)
+    key = golden_cache_key("nw", 5, create("nw", n=16, rows_per_step=4).params)
     payload = tmp_path / f"{key}.npy"
     assert payload.exists()
     payload.write_bytes(payload.read_bytes()[:-8])  # truncate the array
@@ -324,10 +323,9 @@ def test_golden_cache_ignores_corrupt_entries(tmp_path):
 
 def test_golden_cache_key_separates_configurations():
     params = create("nw", n=16, rows_per_step=4).params
-    base = golden_cache_key("nw", 5, 10.0, params)
-    assert golden_cache_key("nw", 6, 10.0, params) != base
-    assert golden_cache_key("dgemm", 5, 10.0, params) != base
-    assert golden_cache_key("nw", 5, 20.0, params) != base
+    base = golden_cache_key("nw", 5, params)
+    assert golden_cache_key("nw", 6, params) != base
+    assert golden_cache_key("dgemm", 5, params) != base
 
 
 # -- input memoisation and compare fast path ----------------------------------

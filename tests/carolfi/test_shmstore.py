@@ -56,7 +56,7 @@ def shm_tmp(tmp_path, monkeypatch):
 
 def toy_segment(step_scale=1):
     """Publish a small dict-state segment; returns (key, segment)."""
-    key = shmstore.store_key("toy", 7 * step_scale, 10.0, {"n": 4})
+    key = shmstore.store_key("toy", 7 * step_scale, {"n": 4})
     pristine = {"a": np.arange(16, dtype=np.int64), "b": 2.5}
     snap = {"a": np.arange(16, dtype=np.int64) * 3, "b": 4.5}
     segment = shmstore.publish(
@@ -64,7 +64,6 @@ def toy_segment(step_scale=1):
         benchmark="toy",
         total_steps=4,
         interval=2,
-        golden_runtime=0.5,
         degraded=False,
         pristine=pristine,
         snapshots=[(2, snap, snap["a"].nbytes)],
@@ -267,7 +266,7 @@ def test_forked_child_never_reaps_parent_segments(shm_tmp):
 
 
 def test_store_key_sensitivity():
-    base = dict(benchmark="nw", seed=1, watchdog_factor=10.0, benchmark_params={"n": 16})
+    base = dict(benchmark="nw", seed=1, benchmark_params={"n": 16})
     key = shmstore.store_key(**base)
     assert key == shmstore.store_key(**base)
     assert key != shmstore.store_key(**{**base, "seed": 2})

@@ -126,13 +126,13 @@ def test_crash_net_classifies_arithmetic_error_as_due():
     assert "ZeroDivisionError" in record.due_detail
 
 
-def test_golden_baseline_measured_after_warm_up():
-    """The timed golden run must be the second execution: the first pays
-    first-touch costs that would inflate the watchdog budget.  The
-    warm-up is now a manual step loop (it doubles as the snapshot
-    capture pass), so count ``step`` calls rather than ``run`` calls."""
+def test_golden_baseline_measured_after_warm_up(tmp_path):
+    """Set-up on a golden-cache miss makes exactly one golden walk: it
+    captures the snapshots and its final state holds the golden output,
+    so no second, timed ``run`` follows it."""
     bench = create("nw", n=16, rows_per_step=4)
     steps = []
+    runs = []
     original_step = bench.step
 
     def counting_step(state, index):
@@ -140,11 +140,10 @@ def test_golden_baseline_measured_after_warm_up():
         return original_step(state, index)
 
     bench.step = counting_step
-    supervisor = Supervisor(bench, seed=1)
-    assert len(steps) == 2 * supervisor.total_steps, (
-        "expected one warm-up pass plus one timed golden pass"
-    )
-    assert supervisor.golden_runtime > 0
+    bench.run = lambda state: runs.append(1)
+    supervisor = Supervisor(bench, seed=1, golden_cache=tmp_path)
+    assert steps == list(range(supervisor.total_steps)), "expected one golden walk"
+    assert runs == []
 
 
 def test_warm_up_does_not_change_golden():

@@ -1,5 +1,9 @@
 """Experiment harness: every figure module runs and renders."""
 
+import difflib
+import io
+from pathlib import Path
+
 import pytest
 
 from repro.benchmarks.registry import BEAM_BENCHMARKS, INJECTION_BENCHMARKS
@@ -14,7 +18,11 @@ from repro.experiments import (
     mitigation,
 )
 from repro.experiments.data import ExperimentData
+from repro.experiments.runner import EXPERIMENTS, print_experiments
 from repro.faults.outcome import Outcome
+
+#: The stdout of ``repro-experiments --seed 31 --scale 0.04``.
+PINNED = Path(__file__).resolve().parents[1] / "fixtures" / "experiments_seed31_scale0.04.txt"
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +133,28 @@ def test_mitigation(data):
         assert 0.0 <= report.coverage_fraction <= 1.0
         assert report.expected_detections <= report.covered_faults + 1e-9
     assert "ABFT" in mitigation.render(result)
+
+
+def test_all_ten_artifacts_match_the_pin(data):
+    """Every rendered artifact, byte for byte, as committed.
+
+    Regenerate the pin with::
+
+        repro-experiments --seed 31 --scale 0.04 \\
+            > tests/fixtures/experiments_seed31_scale0.04.txt
+
+    and only in a change whose stated purpose is to change records or
+    rendering: any other difference here is a regression.
+    """
+    out = io.StringIO()
+    print_experiments(list(EXPERIMENTS), data, out)
+    rendered = out.getvalue()
+    pinned = PINNED.read_text(encoding="utf-8")
+    if rendered != pinned:
+        diff = difflib.unified_diff(
+            pinned.splitlines(keepends=True),
+            rendered.splitlines(keepends=True),
+            fromfile=str(PINNED.name),
+            tofile="rendered",
+        )
+        pytest.fail("rendered artifacts differ from the pin:\n" + "".join(diff))

@@ -108,8 +108,24 @@ def test_hardened_fault_free_run_is_masked(hardened_dgemm):
 
 
 def test_hardened_overhead_measured(hardened_dgemm):
-    assert hardened_dgemm.time_overhead_factor > 1.0
+    """The protection cost is a work count: the same for every build."""
+    assert hardened_dgemm.verify_kib_per_step > 0
+    twin = HardenedSupervisor(create("dgemm"), seed=44)
+    assert twin.verify_kib_per_step == hardened_dgemm.verify_kib_per_step
     assert hardened_dgemm.guard_bytes > 0
+
+
+def test_hardened_setup_makes_one_golden_and_one_hardened_run():
+    """No run is repeated just to time it: one plain golden run, then one
+    fault-free hardened run."""
+    bench = create("lud", n=16, block=4)
+    steps, runs = [], []
+    original_step, original_run = bench.step, bench.run
+    bench.step = lambda state, index: (steps.append(index), original_step(state, index))[1]
+    bench.run = lambda state: (runs.append(1), original_run(state))[1]
+    supervisor = HardenedSupervisor(bench, seed=3)
+    assert runs == [1]
+    assert steps == 2 * list(range(supervisor.total_steps))
 
 
 def test_guarded_variable_faults_are_detected(hardened_dgemm):
