@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.benchmarks.base import Benchmark, BenchmarkError
+from repro.benchmarks.base import Benchmark
 from repro.carolfi.flipscript import FlipScript, SitePolicy
+from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.models import FaultModel
 from repro.faults.site import FaultSite
 from repro.util.rng import derive_rng
@@ -128,7 +129,7 @@ def propagation_profile(
         benchmark.step(clean, index)
         try:
             benchmark.step(dirty, index)
-        except (BenchmarkError, IndexError, ValueError, KeyError, OverflowError) as exc:
+        except _CRASH_EXCEPTIONS as exc:
             crashed = True
             crash_detail = f"{type(exc).__name__}: {exc}"
             break

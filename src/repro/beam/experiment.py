@@ -39,6 +39,7 @@ from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
 from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity
 from repro.carolfi.prefixcache import PrefixStore
+from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.outcome import DueKind, Outcome
 from repro.phi.config import KNC_3120A, PhiConfig
 from repro.phi.machine import MachineCheckError, SchedulerWedge, XeonPhiMachine
@@ -46,17 +47,6 @@ from repro.util.jsonlog import JsonlLog
 from repro.util.rng import derive_rng
 
 __all__ = ["BeamCampaignResult", "BeamExperiment", "BeamRecord"]
-
-_CRASH_EXCEPTIONS = (
-    IndexError,
-    ValueError,
-    KeyError,
-    OverflowError,
-    ZeroDivisionError,
-    FloatingPointError,
-    RuntimeError,
-)
-
 
 @dataclass(frozen=True)
 class BeamRecord:

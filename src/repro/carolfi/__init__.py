@@ -35,7 +35,6 @@ from repro.carolfi.engine import (
     run_sharded_campaign,
 )
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi.goldencache import GoldenCache, GoldenEntry, golden_cache_key
 from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
@@ -52,8 +51,6 @@ __all__ = [
     "CampaignResult",
     "CheckpointError",
     "FlipScript",
-    "GoldenCache",
-    "GoldenEntry",
     "InjectionSandbox",
     "IsolationConfig",
     "IsolationMode",
@@ -67,7 +64,6 @@ __all__ = [
     "ShardSpec",
     "Snapshot",
     "backoff_delay",
-    "golden_cache_key",
     "load_config",
     "plan_shards",
     "read_failure_log",

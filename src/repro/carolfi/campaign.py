@@ -89,7 +89,7 @@ class CampaignConfig:
 
     def to_wire(self) -> dict[str, Any]:
         """JSON-safe dict for shipping a campaign plan over the service
-        wire (broker leases, ``repro-serve`` submissions).
+        wire (broker lease frames).
 
         Exactly inverted by :meth:`from_wire`; both directions are pure
         value mappings, so a config survives any number of hops intact
@@ -215,7 +215,6 @@ def run_campaign(
     retry: Any | None = None,
     failure_log: str | Path | None = None,
     telemetry: Any | None = None,
-    golden_cache: str | Path | None = None,
     backend: Any | None = None,
     steal: Any | None = None,
 ) -> CampaignResult:
@@ -241,10 +240,6 @@ def run_campaign(
     registry and trace as the campaign runs.  The default (``workers=1``,
     no checkpointing, inproc isolation) keeps the plain in-process
     serial path below.
-
-    ``golden_cache`` points at an on-disk golden-run cache directory
-    (:mod:`repro.carolfi.goldencache`); it is an execution accelerator
-    usable on both paths and never changes records.
     """
     engine_requested = (
         workers != 1
@@ -272,7 +267,6 @@ def run_campaign(
             retry=retry,
             failure_log=failure_log,
             telemetry=telemetry,
-            golden_cache=golden_cache,
             backend=backend,
             steal=steal,
         )
@@ -282,7 +276,6 @@ def run_campaign(
         seed=config.seed,
         policy=config.policy,
         snapshots=config.snapshots,
-        golden_cache=golden_cache,
     )
     log = JsonlLog(log_path) if log_path is not None else None
     records: list[InjectionRecord] = []

@@ -38,7 +38,7 @@ from repro.carolfi.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.carolfi.flipscript import SitePolicy
 from repro.faults.models import FaultModel
 
-__all__ = ["load_config", "main", "parse_config_text", "run_from_config"]
+__all__ = ["load_config", "main", "run_from_config"]
 
 _SECTION = "carol-fi"
 _PARAMS_SECTION = "benchmark.params"
@@ -57,33 +57,12 @@ def _coerce(value: str):
     return text
 
 
-def parse_config_text(text: str) -> tuple[CampaignConfig, Path | None]:
-    """Parse artifact-style INI *text* into a campaign plan + log path.
-
-    The file-less twin of :func:`load_config`, shared with
-    ``repro-serve`` where the config arrives as an HTTP request body
-    rather than a file on this host's disk.
-    """
-    parser = configparser.ConfigParser()
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ValueError(f"unparseable config: {exc}") from exc
-    return _config_from_parser(parser)
-
-
 def load_config(path: str | Path) -> tuple[CampaignConfig, Path | None]:
     """Parse an artifact-style config file into a campaign plan + log path."""
     parser = configparser.ConfigParser()
     read = parser.read(str(path))
     if not read:
         raise FileNotFoundError(f"config file not found: {path}")
-    return _config_from_parser(parser)
-
-
-def _config_from_parser(
-    parser: configparser.ConfigParser,
-) -> tuple[CampaignConfig, Path | None]:
     if _SECTION not in parser:
         raise ValueError(f"config must have a [{_SECTION}] section")
     section = parser[_SECTION]

@@ -379,7 +379,6 @@ def _execute_shard(
     on_run: Callable[[int], None] | None = None,
     on_record: Callable[[int, dict], None] | None = None,
     on_failure: Callable[[dict], None] | None = None,
-    golden_cache: str | None = None,
     stop: Callable[[], int] | None = None,
 ) -> None:
     """Run one shard's range, handing each record to ``on_record(run, row)``.
@@ -422,7 +421,7 @@ def _execute_shard(
         run_fn = sandbox.run_one
         total_steps, num_windows = sandbox.total_steps, sandbox.num_windows
     else:
-        supervisor = supervisor_for(config, golden_cache=golden_cache, on_event=on_failure)
+        supervisor = supervisor_for(config, on_event=on_failure)
         run_fn = supervisor.run_one
         total_steps = supervisor.total_steps
         num_windows = supervisor.benchmark.num_windows
@@ -695,7 +694,6 @@ def run_sharded_campaign(
     retry: RetryPolicy | None = None,
     failure_log: str | Path | None = None,
     telemetry: Telemetry | None = None,
-    golden_cache: str | Path | None = None,
     backend: "ShardBackend | None" = None,
     steal: "StealPolicy | None" = None,
 ) -> CampaignResult:
@@ -731,11 +729,6 @@ def run_sharded_campaign(
     (:data:`repro.telemetry.DISABLED`) makes every instrument a shared
     no-op and never perturbs records.
 
-    ``golden_cache`` names an on-disk golden-run cache directory
-    (:mod:`repro.carolfi.goldencache`); with a ``checkpoint_dir`` it
-    defaults to ``<checkpoint_dir>/golden-cache``, so resumed campaigns
-    and spawn-started workers skip the golden re-run.
-
     Statistical observability: every merged shard streams through a
     :class:`~repro.telemetry.convergence.ConvergenceMonitor`.  With
     ``config.target_ci`` set the campaign **stops early** at the first
@@ -760,9 +753,6 @@ def run_sharded_campaign(
         _validate_checkpoint_dir(ckpt_dir, fingerprint)
     if failure_log is None and ckpt_dir is not None:
         failure_log = ckpt_dir / FAILURE_LOG_NAME
-    if golden_cache is None and ckpt_dir is not None:
-        golden_cache = ckpt_dir / "golden-cache"
-    cache_dir = str(golden_cache) if golden_cache is not None else None
     sink = FailureSink(failure_log, tel)
     reporter = tel.progress_reporter(config.injections, label=config.benchmark)
     replayed_runs = tel.registry.counter(
@@ -838,14 +828,12 @@ def run_sharded_campaign(
                             workers=workers,
                             isolation=iso,
                             telemetry=tel,
-                            golden_cache=cache_dir,
                             on_event=sink,
                         )
                         if workers > 1
                         else InlineBackend(
                             config,
                             isolation=iso,
-                            golden_cache=cache_dir,
                             on_run_done=reporter.tick,
                         )
                     )

@@ -196,16 +196,14 @@ def campaign_store_key(config: "CampaignConfig") -> str:
 
 def supervisor_for(
     config: "CampaignConfig",
-    golden_cache: "str | None" = None,
     on_event: EventCallback | None = None,
 ) -> Supervisor:
     """The (cached) Supervisor for one campaign config.
 
-    ``golden_cache`` (a directory path) and ``on_event`` (structured
-    operational events, e.g. snapshot-budget degradation) only matter on
-    a cache miss — an already-built Supervisor is returned as-is, since
-    both are construction-time concerns, not part of the supervisor's
-    identity.
+    ``on_event`` (structured operational events, e.g. snapshot-budget
+    degradation) only matters on a cache miss — an already-built
+    Supervisor is returned as-is, since it is a construction-time
+    concern, not part of the supervisor's identity.
     """
     key = supervisor_key(config)
     supervisor = _SUPERVISORS.get(key)
@@ -215,7 +213,6 @@ def supervisor_for(
             seed=config.seed,
             policy=config.policy,
             snapshots=config.snapshots,
-            golden_cache=golden_cache,
             shared=config.shared_store,
             on_event=on_event,
         )
@@ -232,7 +229,8 @@ def mp_context() -> Any:
     ``fork`` where available (Linux): children inherit the warmed
     supervisor cache, so respawning a killed sandbox worker costs
     milliseconds instead of a golden re-run.  Elsewhere the platform
-    default is used and every worker pays its own golden run.
+    default is used, and every worker attaches the shared segment or
+    pays its own golden run.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -325,15 +323,15 @@ def _kill(proc: "BaseProcess") -> None:
 def _worker_main(
     config: "CampaignConfig",
     conn: "Connection",
-    golden_cache: "str | None" = None,
     parent_end: "Connection | None" = None,
 ) -> None:
     """Sandbox worker: build a Supervisor, then serve run requests.
 
     Under the fork start method the worker inherits the parent's warmed
     supervisor cache — golden run *and* prefix-snapshot store included —
-    so ``supervisor_for`` is free; under spawn, ``golden_cache`` lets it
-    at least skip the golden re-run.
+    so ``supervisor_for`` is free; under spawn, it attaches the shared
+    segment that the sandbox's owner published, or walks the golden run
+    itself when the campaign shares none.
     """
     if parent_end is not None:
         # Close our inherited copy of the parent's pipe end.  Without
@@ -351,7 +349,7 @@ def _worker_main(
     # into a sink nobody drains.
     deactivate()
     try:
-        supervisor = supervisor_for(config, golden_cache=golden_cache)
+        supervisor = supervisor_for(config)
     except BaseException as exc:  # noqa: BLE001 — reported, then re-raised
         try:
             conn.send(("startup_error", f"{type(exc).__name__}: {exc}"))
@@ -426,19 +424,17 @@ class InjectionSandbox:
         config: "CampaignConfig",
         isolation: IsolationConfig | None = None,
         on_event: EventCallback | None = None,
-        golden_cache: "str | None" = None,
     ):
         self.config = config
         self.isolation = isolation or IsolationConfig(mode=IsolationMode.SUBPROCESS)
         self.on_event = on_event
-        self.golden_cache = golden_cache
         if getattr(config, "shared_store", False):
             # Publish (or attach) the host-wide shared segment from the
             # sandbox's owner before any worker forks: a worker that
             # published would leak its segment when killed — and being
             # killed is a sandbox worker's job description.
             try:
-                supervisor_for(config, golden_cache=golden_cache, on_event=on_event)
+                supervisor_for(config, on_event=on_event)
             except Exception:  # noqa: BLE001 — the worker reports the real failure
                 pass
         self._ctx = mp_context()
@@ -487,7 +483,7 @@ class InjectionSandbox:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(self.config, child_conn, self.golden_cache, parent_conn),
+            args=(self.config, child_conn, parent_conn),
             daemon=True,
             name=f"sandbox-{self.config.benchmark}",
         )

@@ -114,11 +114,11 @@ def store_key(
 ) -> str:
     """Stable hash of everything that determines a segment's content.
 
-    Mirrors :func:`repro.carolfi.goldencache.golden_cache_key` (the
-    golden trajectory identity) plus the snapshot-cadence knobs, which
-    determine *which* prefix states the segment carries.  The site
-    policy and every engine knob are absent for the same reason they
-    are absent from the golden-cache key.
+    The golden trajectory's identity (benchmark, seed and parameters)
+    plus the snapshot-cadence knobs, which determine *which* prefix
+    states the segment carries.  The site policy and every engine knob
+    are absent: they only affect where faults land, never the
+    fault-free execution.
     """
     payload = {
         "version": _SEGMENT_VERSION,

@@ -31,7 +31,6 @@ byte-identical campaign logs).
 from __future__ import annotations
 
 from collections.abc import Sequence
-from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -39,12 +38,6 @@ import numpy as np
 from repro.analysis.spatial import classify_mask, max_relative_error, wrong_mask
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi.goldencache import (
-    GoldenCache,
-    GoldenEntry,
-    golden_cache_key,
-    resolve_golden_cache,
-)
 from repro.carolfi import shmstore
 from repro.carolfi.prefixcache import (
     DEFAULT_SNAPSHOT_BUDGET,
@@ -80,11 +73,8 @@ class Supervisor:
     """Runs individual fault-injection tests for one benchmark.
 
     ``snapshots`` enables the execution-prefix fast path (see the module
-    docstring).  ``golden_cache`` — a
-    :class:`~repro.carolfi.goldencache.GoldenCache`, a directory path,
-    or ``None`` to consult ``REPRO_GOLDEN_CACHE`` — persists the golden
-    output and step count across processes and sessions, so spawn-based
-    workers and resumed campaigns skip the golden walk entirely.
+    docstring).  Set-up is one golden walk, which captures the snapshot
+    store and ends on the golden output.
 
     ``shared`` additionally publishes (or attaches) the host-wide
     shared-memory snapshot segment (:mod:`repro.carolfi.shmstore`): the
@@ -103,7 +93,6 @@ class Supervisor:
         seed: int,
         policy: SitePolicy = SitePolicy.WEIGHTED,
         snapshots: bool = True,
-        golden_cache: "GoldenCache | str | Path | None" = None,
         snapshot_budget: int = DEFAULT_SNAPSHOT_BUDGET,
         snapshot_density: int | None = None,
         shared: bool = False,
@@ -153,32 +142,14 @@ class Supervisor:
         )
         if self.prefix is not None:
             self.prefix.on_degrade = self._budget_degraded
-        cache = resolve_golden_cache(golden_cache)
-        cache_key = golden_cache_key(benchmark.name, self.seed, benchmark.params)
-        entry = cache.load(cache_key) if cache is not None else None
-        if entry is not None and entry.total_steps != self.total_steps:
-            entry = None
-        if cache is not None:
-            self._count("repro_golden_cache_total", result="miss" if entry is None else "hit")
         # One golden walk captures the snapshot store and ends on the
-        # golden output.  A cache hit skips it — the store then fills
-        # during run_one's pre-injection replays, which execute pure
-        # golden prefixes — unless this process publishes the shared
-        # segment, which must carry the full snapshot set.
-        if entry is None or want_shared:
-            with current_tracer().span("golden_run", benchmark=benchmark.name):
-                for index in range(self.total_steps):
-                    if self.prefix is not None and self.prefix.wants(index):
-                        self.prefix.capture(index, state)
-                    benchmark.step(state, index)
-        if entry is not None:
-            self.golden = entry.golden
-        else:
-            self.golden = self._quantize(benchmark.output(state))
-            if cache is not None:
-                cache.store(
-                    cache_key, GoldenEntry(golden=self.golden, total_steps=self.total_steps)
-                )
+        # golden output.
+        with current_tracer().span("golden_run", benchmark=benchmark.name):
+            for index in range(self.total_steps):
+                if self.prefix is not None and self.prefix.wants(index):
+                    self.prefix.capture(index, state)
+                benchmark.step(state, index)
+        self.golden = self._quantize(benchmark.output(state))
         if shm_key is not None:
             self._publish_shared(shm_key)
 
@@ -250,11 +221,10 @@ class Supervisor:
         topologies (a sandbox grandchild's restores are never merged
         back) — consumers comparing serial to parallel registries must
         exclude the ``repro_snapshot_*``/``repro_steps_skipped``/
-        ``repro_compare_fastpath``/``repro_golden_cache``/``repro_shm_*``
-        families (``repro_snapshot_*`` includes
-        ``repro_snapshot_budget_degraded``).  The snapshot restore,
-        capture and skipped-step counters are bumped by the
-        :class:`PrefixStore` itself.
+        ``repro_compare_fastpath``/``repro_shm_*`` families
+        (``repro_snapshot_*`` includes ``repro_snapshot_budget_degraded``).
+        The snapshot restore, capture and skipped-step counters are
+        bumped by the :class:`PrefixStore` itself.
         """
         current_registry().counter(
             name, help="CAROL-FI fast-path cache efficiency counter."
@@ -434,8 +404,9 @@ class Supervisor:
             try:
                 with tracer.span("execute", interrupt_step=first_step):
                     for index in range(start_step, total):
-                        # Fill store gaps left by a disk-cached golden run
-                        # or an exhausted byte budget.
+                        # The resume/fill protocol of every perturbed-run
+                        # loop.  After set-up's full golden walk the store
+                        # wants nothing more, so this captures nothing.
                         if prefix is not None:
                             prefix.fill(index, state, first_step)
                         for fault_model in schedule.get(index, ()):

@@ -47,13 +47,13 @@ class ExperimentData:
     :class:`~repro.telemetry.Telemetry` bundle) is shared by every
     injection campaign, so one exported registry covers the session.
     ``snapshots`` toggles the execution-prefix fast path (on by
-    default; records are identical either way), ``batch_size`` sets the
-    vectorized batched-injection width (1 disables; records are
-    byte-identical at any width) and ``golden_cache`` names an on-disk
-    golden-run cache directory shared by all campaigns.  ``target_ci`` forwards the statistical early-stopping
-    target (CI half-width) to every injection campaign; stopped
-    campaigns keep a byte-identical prefix of the uncapped record
-    stream, so downstream figures stay deterministic.
+    default; records are identical either way) and ``batch_size`` sets
+    the vectorized batched-injection width (1 disables; records are
+    byte-identical at any width).  ``target_ci`` forwards the
+    statistical early-stopping target (CI half-width) to every
+    injection campaign; stopped campaigns keep a byte-identical prefix
+    of the uncapped record stream, so downstream figures stay
+    deterministic.
     """
 
     seed: int = 2017
@@ -63,7 +63,6 @@ class ExperimentData:
     isolation: IsolationConfig | None = None
     snapshots: bool = True
     batch_size: int = 1
-    golden_cache: str | Path | None = None
     target_ci: float | None = None
     telemetry: Telemetry | None = field(default=None, repr=False)
     progress: Callable[[ShardProgress], None] | None = field(default=None, repr=False)
@@ -117,7 +116,6 @@ class ExperimentData:
                 progress=self.progress,
                 isolation=self.isolation,
                 telemetry=self.telemetry,
-                golden_cache=self.golden_cache,
             )
         return self._injection[benchmark]
 

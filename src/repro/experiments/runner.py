@@ -26,8 +26,7 @@ status (runs/s, ETA, outcome mix, retries/quarantines, slowest shard).
 
 Injection fast path: campaigns run with the execution-prefix snapshot
 cache on by default (``--no-snapshots`` disables it; records are
-bit-identical either way) and ``--golden-cache DIR`` persists golden
-runs on disk so repeated or spawn-based sessions skip them.
+bit-identical either way).
 
 The output stream carries only the rendered artifacts, each under a
 ``### name`` header: it is a pure function of ``--seed`` and
@@ -104,7 +103,6 @@ def run_experiments(
     telemetry: Telemetry | None = None,
     snapshots: bool = True,
     batch_size: int = 1,
-    golden_cache: str | None = None,
     target_ci: float | None = None,
 ) -> data_mod.ExperimentData:
     """Run the named experiments, printing each rendered artifact."""
@@ -122,7 +120,6 @@ def run_experiments(
         progress=progress,
         snapshots=snapshots,
         batch_size=batch_size,
-        golden_cache=golden_cache,
         target_ci=target_ci,
     )
     print_experiments(names, shared, stream)
@@ -222,14 +219,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "are byte-identical at any width; in-process isolation only)",
     )
     parser.add_argument(
-        "--golden-cache",
-        metavar="DIR",
-        default=None,
-        help="on-disk golden-run cache directory shared across processes "
-        "and sessions (default: $REPRO_GOLDEN_CACHE if set, else "
-        "<checkpoints>/golden-cache when checkpointing)",
-    )
-    parser.add_argument(
         "--target-ci",
         type=float,
         default=None,
@@ -311,7 +300,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             telemetry=telemetry,
             snapshots=not args.no_snapshots,
             batch_size=args.batch_size,
-            golden_cache=args.golden_cache,
             target_ci=args.target_ci,
         )
     finally:

@@ -154,7 +154,7 @@ class ScenarioExecutor:
     """Replays scenarios against one (benchmark, params) pair.
 
     The golden output is computed once at construction and shared by
-    every execution, like the supervisor's golden cache.  The executor
+    every execution, like the supervisor's golden walk.  The executor
     is deliberately *stateless across executions* beyond that: each
     ``execute`` builds fresh state, guards and snapshots.
     """

@@ -1,4 +1,4 @@
-"""Distributed campaign service: backends, scheduler, broker, HTTP API.
+"""Distributed campaign service: backends, scheduler, broker, workers.
 
 The campaign engine executes shards through a transport-agnostic
 :class:`~repro.service.backend.ShardBackend`:
@@ -14,10 +14,6 @@ The campaign engine executes shards through a transport-agnostic
 All three executors run one lease body and stream each record back as
 it is produced; the scheduler re-leases a failed lease from its last
 delivered record and alone writes shard checkpoints.
-
-:mod:`repro.service.serve` adds ``repro-serve``: an HTTP front door
-that accepts campaign configs, runs them through either backend, and
-serves progress and artifacts.
 
 The package-wide invariant is inherited from the engine: per-run RNG is
 keyed by run index, so the merged ``campaign.jsonl`` is byte-identical

@@ -29,10 +29,9 @@ and the broker registers its fleet-only series (``repro_service_
 worker_up``, per-worker heartbeat-RTT histograms, disconnect and
 per-worker run counters) on the campaign registry.  These series exist
 *only* behind a broker, so a local campaign's registry stays
-counter-for-counter identical to its serial twin.  With
-``metrics_port`` set, a tiny daemon thread answers ``GET /metrics``
-scrapes with the Prometheus text rendering of that continuously merged
-registry.
+counter-for-counter identical to its serial twin.  They leave the
+process with the rest of the registry, in the metrics file the
+campaign's telemetry exports (``repro-inspect service`` reads them).
 
 Fault model: a worker that disconnects (or is reaped) while holding a
 lease yields a ``dead`` :class:`~repro.service.backend.LeaseResult`;
@@ -47,7 +46,6 @@ from __future__ import annotations
 
 import selectors
 import socket
-import threading
 import time
 from typing import TYPE_CHECKING, Any
 
@@ -60,7 +58,6 @@ from repro.service.backend import (
     result_from_frame,
 )
 from repro.service.wire import FrameDecoder, encode_frame
-from repro.telemetry.exporters import prometheus_text
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -130,7 +127,6 @@ class _Agent:
         "pid",
         "ping_seq",
         "ping_sent",
-        "last_frame",
     )
 
     def __init__(self, sock: socket.socket, addr: str = "?"):
@@ -144,7 +140,6 @@ class _Agent:
         self.pid: int | None = None  # set by hello
         self.ping_seq = 0
         self.ping_sent: float | None = None  # monotonic send time of open ping
-        self.last_frame = time.monotonic()
 
 
 class BrokerBackend(ShardBackend):
@@ -159,7 +154,6 @@ class BrokerBackend(ShardBackend):
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        metrics_port: int | None = None,
     ):
         self._config_wire = config.to_wire()
         self._selector = selectors.DefaultSelector()
@@ -181,30 +175,12 @@ class BrokerBackend(ShardBackend):
         self._rtt_hist = NULL_REGISTRY.histogram("repro_service_heartbeat_rtt_seconds")
         self._worker_runs = NULL_REGISTRY.counter("repro_service_worker_runs_total")
         self._disconnects = NULL_REGISTRY.counter("repro_service_disconnects_total")
-        self._worker_idle = NULL_REGISTRY.gauge("repro_service_worker_idle_seconds")
         self._last_ping = 0.0
-        self._metrics_listener: socket.socket | None = None
-        if metrics_port is not None:
-            self._metrics_listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            self._metrics_listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            self._metrics_listener.bind((host, metrics_port))
-            self._metrics_listener.listen(8)
-            threading.Thread(
-                target=self._serve_metrics, name="repro-broker-metrics", daemon=True
-            ).start()
 
     @property
     def address(self) -> tuple[str, int]:
         """The ``(host, port)`` workers should connect to."""
         host, port = self._listener.getsockname()[:2]
-        return str(host), int(port)
-
-    @property
-    def metrics_address(self) -> tuple[str, int] | None:
-        """``(host, port)`` of the ``/metrics`` endpoint, if one is up."""
-        if self._metrics_listener is None:
-            return None
-        host, port = self._metrics_listener.getsockname()[:2]
         return str(host), int(port)
 
     def attach_telemetry(self, telemetry: "Telemetry") -> None:
@@ -233,10 +209,6 @@ class BrokerBackend(ShardBackend):
             self._disconnects = reg.counter(
                 "repro_service_disconnects_total",
                 help="Unexpected worker disconnects observed by the broker.",
-            )
-            self._worker_idle = reg.gauge(
-                "repro_service_worker_idle_seconds",
-                help="Seconds since the broker last heard from each worker.",
             )
             # Workers routinely say hello before the campaign attaches
             # its telemetry (wait_for_workers runs first): backfill the
@@ -341,78 +313,6 @@ class BrokerBackend(ShardBackend):
             pass
         self._listener.close()
         self._selector.close()
-        if self._metrics_listener is not None:
-            try:
-                self._metrics_listener.close()  # unblocks the scrape thread
-            except OSError:  # pragma: no cover
-                pass
-            self._metrics_listener = None
-
-    # -- /metrics scrape endpoint ---------------------------------------------
-
-    def _serve_metrics(self) -> None:
-        """Answer ``GET /metrics`` scrapes (daemon thread, one per broker).
-
-        Renders whatever registry :meth:`attach_telemetry` installed —
-        the campaign registry the scheduler merges worker deltas into —
-        so a mid-campaign scrape sees live fleet counters.  Rendering
-        races the scheduler thread's writes; a registry that grew a new
-        series mid-iteration raises ``RuntimeError`` and the render is
-        simply retried.  Exits when :meth:`close` closes the listener.
-        """
-        listener = self._metrics_listener
-        if listener is None:  # pragma: no cover — defensive
-            return
-        while True:
-            try:
-                conn, _addr = listener.accept()
-            except OSError:
-                return  # listener closed: broker shut down
-            try:
-                conn.settimeout(5.0)
-                request = b""
-                while b"\r\n\r\n" not in request and len(request) < (1 << 16):
-                    chunk = conn.recv(4096)
-                    if not chunk:
-                        break
-                    request += chunk
-                head = request.split(b"\r\n", 1)[0].split(b" ")
-                target = head[1].decode("latin-1", "replace") if len(head) >= 2 else ""
-                conn.sendall(self._metrics_response(target))
-            except OSError:  # pragma: no cover — scraper went away
-                pass
-            finally:
-                try:
-                    conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-
-    def _metrics_response(self, target: str) -> bytes:
-        path = target.split("?", 1)[0].rstrip("/") or "/"
-        if path not in ("/", "/metrics"):
-            body = b"not found\n"
-            status = "404 Not Found"
-            ctype = "text/plain; charset=utf-8"
-        else:
-            registry = self._registry
-            text = ""
-            if registry is not None:
-                for _attempt in range(5):
-                    try:
-                        text = prometheus_text(registry)
-                        break
-                    except RuntimeError:  # racing a writer: retry
-                        continue
-            body = text.encode("utf-8")
-            status = "200 OK"
-            ctype = "text/plain; version=0.0.4; charset=utf-8"
-        head = (
-            f"HTTP/1.1 {status}\r\n"
-            f"Content-Type: {ctype}\r\n"
-            f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n"
-        )
-        return head.encode("latin-1") + body
 
     # -- socket plumbing ------------------------------------------------------
 
@@ -450,7 +350,7 @@ class BrokerBackend(ShardBackend):
             self._ping_cycle()
 
     def _ping_cycle(self) -> None:
-        """Probe heartbeat RTT and refresh per-worker idle gauges.
+        """Probe each connected worker's heartbeat RTT.
 
         One outstanding ping per worker at a time; a lost pong (worker
         died) is simply superseded by the next probe.  Runs only when a
@@ -464,7 +364,6 @@ class BrokerBackend(ShardBackend):
         for agent in self._agents:
             if agent.name is None or agent.closed:
                 continue
-            self._worker_idle.set(round(now - agent.last_frame, 6), worker=agent.name)
             if agent.ping_sent is None:
                 agent.ping_seq += 1
                 agent.ping_sent = now
@@ -496,7 +395,6 @@ class BrokerBackend(ShardBackend):
             if not data:
                 self._drop(agent, announce=True, detail="connection closed")
                 return
-            agent.last_frame = time.monotonic()
             for frame in agent.decoder.feed(data):
                 self._dispatch(agent, frame)
 

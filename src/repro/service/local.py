@@ -70,7 +70,6 @@ Frame = dict[str, Any]
 def _new_sandbox(
     config: "CampaignConfig",
     isolation: IsolationConfig,
-    golden_cache: str | None,
     send: Callable[[Frame], None],
 ) -> InjectionSandbox | None:
     """The executor's own sandbox, or ``None`` for in-process runs."""
@@ -80,7 +79,6 @@ def _new_sandbox(
         config,
         isolation,
         on_event=lambda event: send({"kind": "failure", "event": event}),
-        golden_cache=golden_cache,
     )
 
 
@@ -89,7 +87,6 @@ def _run_lease(
     lease: ShardLease,
     sandbox: InjectionSandbox | None,
     send: Callable[[Frame], None],
-    golden_cache: str | None = None,
     stop: Callable[[], int] | None = None,
 ) -> Frame:
     """The one lease body: run ``[start, stop)``, report it as frames.
@@ -112,7 +109,6 @@ def _run_lease(
             on_run=lambda k: send({"kind": "run", "run": k}),
             on_record=lambda k, row: send({"kind": "rec", "run": k, "row": row}),
             on_failure=lambda event: send({"kind": "failure", "event": event}),
-            golden_cache=golden_cache,
             stop=stop,
         )
     except Exception as exc:  # noqa: BLE001 — the scheduler judges it
@@ -134,7 +130,6 @@ def _lease_worker_main(
     isolation: IsolationConfig,
     shard_tel: ShardTelemetry,
     conn: "Connection",
-    golden_cache: str | None = None,
 ) -> None:
     """Entry point of one disposable lease worker process.
 
@@ -159,10 +154,10 @@ def _lease_worker_main(
         if frame["kind"] == "rec":
             flush_telemetry()
 
-    sandbox = _new_sandbox(config, isolation, golden_cache, send)
+    sandbox = _new_sandbox(config, isolation, send)
     try:
         with worker_tel.activate():
-            terminal = _run_lease(config, lease, sandbox, send, golden_cache)
+            terminal = _run_lease(config, lease, sandbox, send)
         flush_telemetry()  # tail: the shard span
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
@@ -208,7 +203,6 @@ class LocalBackend(ShardBackend):
         workers: int,
         isolation: IsolationConfig | None = None,
         telemetry: Telemetry | None = None,
-        golden_cache: str | None = None,
         on_event: Any = None,
     ):
         if workers < 1:
@@ -217,28 +211,22 @@ class LocalBackend(ShardBackend):
         self._workers = workers
         self._isolation = isolation or IsolationConfig()
         self._telemetry = telemetry
-        self._golden_cache = golden_cache
         self._ctx = mp_context()
         self._live: dict[str, _LeaseProc] = {}
         self._results: list[LeaseResult] = []
-        if (
-            self._ctx.get_start_method() == "fork"
-            or golden_cache is not None
-            or config.shared_store
-        ):
+        if self._ctx.get_start_method() == "fork" or config.shared_store:
             # Warm the per-process supervisor cache so every forked
             # worker (and, under subprocess isolation, every sandbox
             # grandchild) inherits the golden run — prefix-snapshot
-            # store included — instead of recomputing it.  With an
-            # on-disk golden cache the warm-up pays off under *any*
-            # start method: the parent computes and persists the golden
-            # run once and spawn-started workers load it from disk.
-            # With the shared store on, this is also the publication
-            # point of the host-wide shared-memory segment (and
-            # ``on_event`` — the engine's failure sink — receives the
-            # budget-degradation event exactly once per host).
+            # store included — instead of recomputing it.  With the
+            # shared store on, this is also the publication point of
+            # the host-wide shared-memory segment, so the warm-up pays
+            # off under *any* start method: spawn-started workers
+            # attach the segment instead of walking the golden run
+            # (and ``on_event`` — the engine's failure sink — receives
+            # the budget-degradation event exactly once per host).
             try:
-                supervisor_for(config, golden_cache=golden_cache, on_event=on_event)
+                supervisor_for(config, on_event=on_event)
             except Exception:  # noqa: BLE001 — let workers report the real failure
                 pass
 
@@ -259,14 +247,7 @@ class LocalBackend(ShardBackend):
         # sandbox down with it.
         proc = self._ctx.Process(
             target=_lease_worker_main,
-            args=(
-                self._config,
-                lease,
-                self._isolation,
-                shard_tel,
-                conn_w,
-                self._golden_cache,
-            ),
+            args=(self._config, lease, self._isolation, shard_tel, conn_w),
             daemon=False,
             name=f"lease-{lease.lease_id}",
         )
@@ -371,12 +352,10 @@ class InlineBackend(ShardBackend):
         config: "CampaignConfig",
         *,
         isolation: IsolationConfig | None = None,
-        golden_cache: str | None = None,
         on_run_done: Callable[[], Any] | None = None,
     ):
         self._config = config
         self._isolation = isolation or IsolationConfig()
-        self._golden_cache = golden_cache
         self._on_run_done = on_run_done
         self._sandbox: InjectionSandbox | None = None
         self._lease: ShardLease | None = None
@@ -403,12 +382,8 @@ class InlineBackend(ShardBackend):
         if lease is not None:
             self._running = lease.lease_id
             if self._sandbox is None:
-                self._sandbox = _new_sandbox(
-                    self._config, self._isolation, self._golden_cache, self._send
-                )
-            terminal = _run_lease(
-                self._config, lease, self._sandbox, self._send, self._golden_cache
-            )
+                self._sandbox = _new_sandbox(self._config, self._isolation, self._send)
+            terminal = _run_lease(self._config, lease, self._sandbox, self._send)
             self._results.append(result_from_frame(lease.lease_id, terminal, self.WORKER))
         events, self._events = self._events, []
         return events

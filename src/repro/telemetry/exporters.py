@@ -2,7 +2,7 @@
 
 Three consumers, three formats:
 
-* a scrape endpoint or CI assertion wants the **Prometheus text
+* Prometheus tooling or a CI assertion wants the **Prometheus text
   exposition format** (:func:`prometheus_text`, with
   :func:`parse_prometheus_text` as the matching reader so round-trip
   checks need no third-party client);
@@ -206,7 +206,7 @@ def quantile_from_samples(
 ) -> float | None:
     """Estimate a histogram quantile from parsed ``<name>_bucket`` samples.
 
-    The scrape-side twin of :meth:`~repro.telemetry.metrics.Histogram.
+    The reader-side twin of :meth:`~repro.telemetry.metrics.Histogram.
     quantile`: ``samples`` is the output of
     :func:`parse_prometheus_samples`, ``labels`` filters the series
     (e.g. ``worker="w0"``); series differing only in unfiltered labels

@@ -37,7 +37,6 @@ import argparse
 import html
 import math
 import sys
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, IO
@@ -901,7 +900,7 @@ def _sum_by_label(
     name: str,
     label: str,
 ) -> dict[str, float]:
-    """Sum one metric's samples by a label's values (parsed-scrape view)."""
+    """Sum one metric's samples by a label's values (parsed-snapshot view)."""
     out: dict[str, float] = {}
     for (metric, labels), value in samples.items():
         if metric != name:
@@ -1153,139 +1152,6 @@ def _service_main(argv: list[str], out: IO[str]) -> int:
     return status
 
 
-def _normalize_metrics_url(raw: str) -> str:
-    """Accept ``host:port``, a bare URL, or a full ``/metrics`` URL."""
-    url = raw if "://" in raw else f"http://{raw}"
-    scheme, _, rest = url.partition("://")
-    if "/" not in rest:
-        rest += "/metrics"
-    return f"{scheme}://{rest}"
-
-
-def _scrape_metrics(url: str) -> dict[tuple[str, tuple[tuple[str, str], ...]], float]:
-    import urllib.request
-
-    with urllib.request.urlopen(url, timeout=10) as response:  # noqa: S310 — user-given URL
-        text = response.read().decode("utf-8")
-    return parse_prometheus_samples(text)
-
-
-def _live_render(
-    samples: dict[tuple[str, tuple[tuple[str, str], ...]], float],
-    prev_runs: dict[str, float],
-    dt: float | None,
-    out: IO[str],
-) -> dict[str, float]:
-    """One refresh of the fleet view; returns per-worker run totals."""
-    up = _sum_by_label(samples, "repro_service_worker_up", "worker")
-    runs = _sum_by_label(samples, "repro_service_worker_runs_total", "worker")
-    lag = _sum_by_label(samples, "repro_service_worker_idle_seconds", "worker")
-    slowest = _sum_by_label(samples, "repro_service_lease_slowest_seconds", "worker")
-    lease_events = _sum_by_label(samples, "repro_service_leases_total", "event")
-    steals = sum(
-        value
-        for (metric, _labels), value in samples.items()
-        if metric == "repro_service_steals_total"
-    )
-    mixes: dict[str, dict[str, int]] = {}
-    for (metric, labels), value in samples.items():
-        if metric != "repro_service_worker_runs_total":
-            continue
-        label_map = dict(labels)
-        worker = label_map.get("worker")
-        outcome = label_map.get("outcome", "?")
-        if worker is not None:
-            mixes.setdefault(worker, {})[outcome] = int(value)
-
-    rows: list[list[Any]] = []
-    for worker in sorted(set(up) | set(runs)):
-        delta = runs.get(worker, 0.0) - prev_runs.get(worker, 0.0)
-        rate = "-" if not dt or dt <= 0 else f"{max(0.0, delta) / dt:.1f}"
-        rtt = quantile_from_samples(
-            samples, "repro_service_heartbeat_rtt_seconds", 0.5, worker=worker
-        )
-        mix = " ".join(
-            f"{o}:{n}" for o, n in sorted(mixes.get(worker, {}).items())
-        )
-        rows.append(
-            [
-                worker,
-                "up" if up.get(worker, 0.0) >= 1 else "DOWN",
-                int(runs.get(worker, 0.0)),
-                rate,
-                f"{lag.get(worker, 0.0):.2f}",
-                "-" if rtt is None else f"{rtt * 1000:.2f}",
-                f"{slowest.get(worker, 0.0):.3f}" if worker in slowest else "-",
-                mix or "-",
-            ]
-        )
-    total_runs = int(sum(runs.values()))
-    issued = int(lease_events.get("issued", 0.0))
-    done = int(lease_events.get("done", 0.0))
-    print(
-        f"fleet: {total_runs} runs streamed | leases {done}/{issued} done | "
-        f"steals {int(steals)} | workers {sum(1 for v in up.values() if v >= 1)}"
-        f"/{len(up)} up",
-        file=out,
-    )
-    print(
-        format_table(
-            ["worker", "state", "runs", "runs/s", "lag s", "rtt p50 ms", "slowest lease s", "outcomes"],
-            rows or [["(no workers yet)", "-", 0, "-", "-", "-", "-", "-"]],
-            title="fleet workers",
-        ),
-        file=out,
-    )
-    return runs
-
-
-def _live_main(argv: list[str], out: IO[str]) -> int:
-    """``repro-inspect live``: refreshing fleet view from a /metrics URL.
-
-    Scrapes a broker's (``BrokerBackend(metrics_port=...)``) or
-    ``repro-serve``'s ``/metrics`` endpoint and renders a per-worker
-    table — liveness, streamed records, run rate (from scrape deltas),
-    broker-observed lag, heartbeat RTT p50, slowest completed lease and
-    the outcome mix — refreshed every ``--interval`` seconds.
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-inspect live",
-        description="Live per-worker fleet table from a /metrics scrape endpoint.",
-    )
-    parser.add_argument(
-        "url", help="scrape endpoint: host:port or http://host:port/metrics"
-    )
-    parser.add_argument(
-        "--interval", type=float, default=2.0, help="seconds between refreshes"
-    )
-    parser.add_argument(
-        "--count", type=int, default=0, help="refreshes before exiting (0 = forever)"
-    )
-    parser.add_argument(
-        "--once", action="store_true", help="scrape and render once, then exit"
-    )
-    args = parser.parse_args(argv)
-    url = _normalize_metrics_url(args.url)
-    limit = 1 if args.once else args.count
-    prev_runs: dict[str, float] = {}
-    prev_t: float | None = None
-    iteration = 0
-    while True:
-        try:
-            samples = _scrape_metrics(url)
-        except (OSError, ValueError) as exc:
-            print(f"repro-inspect live: scrape failed: {exc}", file=sys.stderr)
-            return 2
-        now = time.monotonic()
-        dt = None if prev_t is None else now - prev_t
-        prev_runs = _live_render(samples, prev_runs, dt, out)
-        prev_t = now
-        iteration += 1
-        if limit and iteration >= limit:
-            return 0
-        time.sleep(args.interval)
-
-
 def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
     """Entry point for the ``repro-inspect`` console script."""
     args_in = list(sys.argv[1:]) if argv is None else list(argv)
@@ -1294,8 +1160,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
         return _fuzz_main(args_in[1:], out_stream)
     if args_in and args_in[0] == "service":
         return _service_main(args_in[1:], out_stream)
-    if args_in and args_in[0] == "live":
-        return _live_main(args_in[1:], out_stream)
     parser = argparse.ArgumentParser(
         prog="repro-inspect",
         description="Join campaign.jsonl, trace.jsonl and metrics into one analytics report.",

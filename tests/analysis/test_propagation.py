@@ -57,6 +57,26 @@ def test_crash_terminates_profile():
     assert crashed.crash_detail
 
 
+def test_corrupted_replica_arithmetic_abort_is_a_crash():
+    bench = create("nw", n=16, rows_per_step=4)
+    original = bench.step
+    stepped = set()
+
+    def step(state, index):
+        # Past the injection the clean replica steps first, so a second
+        # call at the same index is the corrupted replica's.
+        if index in stepped:
+            raise ZeroDivisionError("division by zero")
+        stepped.add(index)
+        return original(state, index)
+
+    bench.step = step
+    profile = propagation_profile(bench, seed=3, interrupt_step=1)
+    assert profile.crashed
+    assert profile.crash_detail.startswith("ZeroDivisionError")
+    assert profile.points == []
+
+
 def test_interrupt_step_validated():
     bench = create("nw", n=16, rows_per_step=4)
     with pytest.raises(ValueError):

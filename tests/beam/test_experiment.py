@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.beam.experiment import BeamExperiment, BeamRecord
-from repro.faults.outcome import Outcome
+from repro.faults.outcome import DueKind, Outcome
 from repro.util.jsonlog import load_records
 
 
@@ -83,3 +83,28 @@ def test_benchmark_params_forwarded():
         "nw" if False else "lud", seed=9, benchmark_params={"n": 16, "block": 4}
     )
     assert experiment.total_steps == 4
+
+
+def test_memory_error_after_strike_is_a_crash_due():
+    """A corrupted size driving an absurd allocation is a crashed
+    process, as in CAROL-FI runs: the trial records a crash DUE instead
+    of letting the exception abort the campaign."""
+    experiment = BeamExperiment("lud", seed=5)
+    trial = next(
+        t
+        for t in range(200)
+        if experiment.run_trial(t).effect not in ("dead_state", "machine_check", "scheduler_wedge")
+    )
+    strike_step = experiment.run_trial(trial).strike_step
+    original = experiment.benchmark.step
+
+    def step(state, index):
+        if index == strike_step:
+            raise MemoryError("absurd allocation")
+        return original(state, index)
+
+    experiment.benchmark.step = step
+    record = experiment.run_trial(trial)
+    assert record.outcome is Outcome.DUE
+    assert record.due_kind is DueKind.CRASH
+    assert record.due_detail.startswith("MemoryError")

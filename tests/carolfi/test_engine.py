@@ -581,7 +581,7 @@ def test_parallel_telemetry_counters_match_serial_twin(serial_result):
     parallel_counters = tel_parallel.registry.counter_values()
     # Sandbox spawn counts depend on worker topology (one sandbox per
     # shard worker, not per run): drop them before comparing.  The
-    # prefix/golden-cache efficiency counters are likewise topology
+    # prefix-cache efficiency counters are likewise topology
     # dependent — each sandbox grandchild builds its own snapshot store
     # and its counters die with it — so they are dropped too.
     cache_families = (
@@ -589,7 +589,6 @@ def test_parallel_telemetry_counters_match_serial_twin(serial_result):
         "repro_snapshot_captures_total",
         "repro_steps_skipped_total",
         "repro_compare_fastpath_total",
-        "repro_golden_cache_total",
         "repro_shm_attach_total",
         "repro_shm_publish_total",
         "repro_snapshot_budget_degraded_total",

@@ -18,7 +18,6 @@ import repro.carolfi.supervisor as supervisor_mod
 from repro.benchmarks.registry import create, names
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
-from repro.carolfi.goldencache import GoldenCache, golden_cache_key
 from repro.carolfi.prefixcache import (
     DEFAULT_SNAPSHOT_BUDGET,
     PrefixStore,
@@ -266,66 +265,6 @@ def test_snapshot_counters_emitted_on_beam_and_hardened_campaigns():
         assert skipped >= restores, campaign
         assert sum(counters["repro_snapshot_captures_total"].values()) > 0, campaign
         assert set(counters["repro_snapshot_restores_total"]) == {"benchmark=dgemm"}
-
-
-def test_cache_hit_supervisor_fills_store_opportunistically(tmp_path):
-    """A disk-cached golden run skips the warm-up pass, so the store
-    starts empty and must fill from run_one's pure golden prefixes."""
-    Supervisor(create("nw", n=16, rows_per_step=4), seed=5, golden_cache=tmp_path)
-    tel = Telemetry(TelemetryConfig())
-    with tel.activate():
-        warmed = Supervisor(
-            create("nw", n=16, rows_per_step=4), seed=5, golden_cache=tmp_path
-        )
-        assert warmed.prefix is not None and len(warmed.prefix) == 0
-        for run in range(20):
-            warmed.run_one(run, FaultModel.SINGLE)
-    assert len(warmed.prefix) > 0
-    counters = tel.registry.counter_values()
-    assert sum(counters["repro_snapshot_captures_total"].values()) == len(
-        warmed.prefix
-    )
-    assert sum(counters["repro_golden_cache_total"].values()) >= 1
-
-
-# -- golden-run disk cache ----------------------------------------------------
-
-
-def test_golden_cache_round_trip_skips_golden_run(tmp_path):
-    first = Supervisor(create("nw", n=16, rows_per_step=4), seed=5,
-                       golden_cache=tmp_path)
-    bench = create("nw", n=16, rows_per_step=4)
-    calls = []
-    original_step = bench.step
-    bench.step = lambda state, index: (calls.append(index), original_step(state, index))[1]
-    second = Supervisor(bench, seed=5, golden_cache=tmp_path)
-    assert calls == [], "a cache hit must not re-execute the golden run"
-    assert np.array_equal(first.golden, second.golden)
-    assert first.total_steps == second.total_steps
-    for run in range(30):
-        assert first.run_one(run, FaultModel.SINGLE) == second.run_one(
-            run, FaultModel.SINGLE
-        )
-
-
-def test_golden_cache_ignores_corrupt_entries(tmp_path):
-    Supervisor(create("nw", n=16, rows_per_step=4), seed=5, golden_cache=tmp_path)
-    key = golden_cache_key("nw", 5, create("nw", n=16, rows_per_step=4).params)
-    payload = tmp_path / f"{key}.npy"
-    assert payload.exists()
-    payload.write_bytes(payload.read_bytes()[:-8])  # truncate the array
-    assert GoldenCache(tmp_path).load(key) is None
-    fresh = Supervisor(
-        create("nw", n=16, rows_per_step=4), seed=5, golden_cache=tmp_path
-    )
-    assert fresh.golden.size > 0  # recomputed, not crashed
-
-
-def test_golden_cache_key_separates_configurations():
-    params = create("nw", n=16, rows_per_step=4).params
-    base = golden_cache_key("nw", 5, params)
-    assert golden_cache_key("nw", 6, params) != base
-    assert golden_cache_key("dgemm", 5, params) != base
 
 
 # -- input memoisation and compare fast path ----------------------------------

@@ -126,10 +126,10 @@ def test_crash_net_classifies_arithmetic_error_as_due():
     assert "ZeroDivisionError" in record.due_detail
 
 
-def test_golden_baseline_measured_after_warm_up(tmp_path):
-    """Set-up on a golden-cache miss makes exactly one golden walk: it
-    captures the snapshots and its final state holds the golden output,
-    so no second, timed ``run`` follows it."""
+def test_golden_baseline_measured_after_warm_up():
+    """Set-up makes exactly one golden walk: it captures the snapshots
+    and its final state holds the golden output, so no second, timed
+    ``run`` follows it."""
     bench = create("nw", n=16, rows_per_step=4)
     steps = []
     runs = []
@@ -141,7 +141,7 @@ def test_golden_baseline_measured_after_warm_up(tmp_path):
 
     bench.step = counting_step
     bench.run = lambda state: runs.append(1)
-    supervisor = Supervisor(bench, seed=1, golden_cache=tmp_path)
+    supervisor = Supervisor(bench, seed=1)
     assert steps == list(range(supervisor.total_steps)), "expected one golden walk"
     assert runs == []
 

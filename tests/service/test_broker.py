@@ -11,8 +11,6 @@ import json
 import os
 import subprocess
 import sys
-import threading
-import urllib.request
 from dataclasses import replace
 from pathlib import Path
 
@@ -180,16 +178,15 @@ def test_broker_trace_span_ids_are_unique(tmp_path):
     assert len(ids) == len(set(ids))
 
 
-def test_fleet_trace_and_live_metrics_scrape(tmp_path):
+def test_fleet_trace_and_metrics_export(tmp_path):
     """The full observability acceptance drill, over real sockets.
 
     A forced-steal broker campaign (one straggler, one healthy worker,
     a single shard) must leave ``campaign.jsonl`` byte-identical to
     serial while producing (a) one merged ``trace.jsonl`` rooted at the
     campaign span with worker-side lease/run spans from two distinct
-    worker processes, and (b) a live ``/metrics`` endpoint whose
-    mid-campaign scrapes parse and whose final scrape reconciles with
-    the campaign log.
+    worker processes, and (b) an exported ``metrics.prom`` whose fleet
+    series reconcile with the campaign log.
     """
     serial_log = tmp_path / "serial.jsonl"
     run_campaign(CONFIG, log_path=serial_log)
@@ -200,32 +197,15 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
             metrics_path=tmp_path / "metrics.prom",
         )
     )
-    broker = BrokerBackend(CONFIG, metrics_port=0)
-    assert broker.metrics_address is not None
-    url = "http://{}:{}/metrics".format(*broker.metrics_address)
+    broker = BrokerBackend(CONFIG)
     log = tmp_path / "broker.jsonl"
     flog = tmp_path / "failures.jsonl"
     workers = [
         _spawn_worker(broker.address, "w0", REPRO_WORKER_SLOW_S=0.2),
         _spawn_worker(broker.address, "w1"),
     ]
-
-    scrapes: list[str] = []
-    stop_scraping = threading.Event()
-
-    def scrape_loop():
-        while not stop_scraping.is_set():
-            try:
-                with urllib.request.urlopen(url, timeout=5) as resp:
-                    scrapes.append(resp.read().decode("utf-8"))
-            except OSError:
-                pass
-            stop_scraping.wait(0.05)
-
-    scraper = threading.Thread(target=scrape_loop, daemon=True)
     try:
         assert broker.wait_for_workers(len(workers), timeout=30.0)
-        scraper.start()
         run_sharded_campaign(
             CONFIG,
             workers=len(workers),
@@ -236,16 +216,12 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
             failure_log=flog,
             telemetry=tel,
         )
-        stop_scraping.set()
-        scraper.join(timeout=10)
-        with urllib.request.urlopen(url, timeout=5) as resp:
-            final_text = resp.read().decode("utf-8")
     finally:
-        stop_scraping.set()
         broker.close()
         for proc in workers:
             proc.wait(timeout=20)
     tel.finalize()
+    events = [json.loads(line) for line in flog.read_text().splitlines()]
 
     # (1) Observability never perturbs records.
     assert log.read_bytes() == serial_log.read_bytes()
@@ -262,7 +238,10 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
     campaign_id = campaigns[0]["span"]
     leases = [s for s in spans if s["name"] == "lease"]
     assert leases and all(s["parent"] == campaign_id for s in leases)
-    assert len({s["pid"] for s in leases}) >= 2, "spans from two worker processes"
+    assert len({s["pid"] for s in leases}) >= 2, (
+        "spans from two worker processes; failures.jsonl events: "
+        f"{[e['event'] for e in events]}"
+    )
     assert {s["pid"] for s in leases}.isdisjoint({campaigns[0]["pid"]})
     # Workers nest spans as local lease workers do: lease -> shard -> run.
     by_id = {s["span"]: s for s in spans}
@@ -277,19 +256,8 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
     all_ids = {s["span"] for s in spans}
     assert all(s["parent"] in all_ids for s in spans if s.get("parent") is not None)
 
-    # (3) Mid-campaign scrapes parse and show fleet membership.
-    live = [s for s in scrapes if "repro_service_worker_up" in s]
-    assert live, "a scrape during the campaign must see the fleet gauge"
-    mid = parse_prometheus_samples(live[-1])
-    up_workers = {
-        dict(labels)["worker"]
-        for (name, labels), value in mid.items()
-        if name == "repro_service_worker_up" and value == 1.0
-    }
-    assert {"w0", "w1"} <= up_workers
-
-    # (4) The final scrape reconciles with the campaign log.
-    final = parse_prometheus_samples(final_text)
+    # (3) The exported metrics reconcile with the campaign log.
+    final = parse_prometheus_samples((tmp_path / "metrics.prom").read_text())
     done = sum(
         value
         for (name, _labels), value in final.items()
@@ -301,9 +269,14 @@ def test_fleet_trace_and_live_metrics_scrape(tmp_path):
         name == "repro_service_heartbeat_rtt_seconds_bucket" for name, _ in final
     ), "heartbeat RTT probes must have landed in the histogram"
     assert any(name == "repro_service_lease_turnaround_seconds_bucket" for name, _ in final)
+    fleet = {
+        dict(labels)["worker"]
+        for (name, labels), _value in final.items()
+        if name == "repro_service_worker_up"
+    }
+    assert {"w0", "w1"} <= fleet
 
-    # (5) The steal decision carries its evidence.
-    events = [json.loads(line) for line in flog.read_text().splitlines()]
+    # (4) The steal decision carries its evidence.
     steals = [e for e in events if e["event"] == "steal"]
     assert steals, "idle capacity plus a straggler must trigger a steal"
     assert {"estimator", "remaining", "threshold_s", "quantile"} <= steals[0].keys()

@@ -120,7 +120,6 @@ def _service_registry():
         rtt.observe(0.004, worker="w1")
     reg.gauge("repro_service_worker_up").set(1, worker="w1")
     reg.gauge("repro_service_worker_up").set(0, worker="w0")
-    reg.gauge("repro_service_worker_idle_seconds").set(0.5, worker="w1")
     reg.gauge("repro_service_lease_slowest_seconds").set(1.25, worker="w0")
     return reg
 
@@ -159,52 +158,3 @@ def test_service_view_attributes_worker_loss_with_addr_and_pid(tmp_path):
     assert "10.0.0.5:51000" in text  # workers table carries the peer addr
     assert "4242" in text
     assert "(10.0.0.5:51000, pid 4242): connection dropped" in text
-
-
-def test_live_view_renders_fleet_table_from_scrape(tmp_path):
-    import threading
-    from http.server import BaseHTTPRequestHandler, HTTPServer
-
-    from repro.telemetry.exporters import prometheus_text
-
-    body = prometheus_text(_service_registry()).encode("utf-8")
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):
-            self.send_response(200)
-            self.send_header("Content-Type", "text/plain; version=0.0.4")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass
-
-    server = HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        out = io.StringIO()
-        host, port = server.server_address[:2]
-        assert main(["live", f"{host}:{port}", "--once"], stream=out) == 0
-        text = out.getvalue()
-        assert "fleet:" in text and "16 runs streamed" in text
-        assert "leases 3/4 done" in text and "steals 1" in text
-        assert "workers 1/2 up" in text
-        assert "w0" in text and "DOWN" in text  # worker_up 0 renders as DOWN
-        assert "w1" in text and "up" in text
-        assert "masked:5 sdc:3" in text  # outcome mix column
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
-
-def test_live_view_scrape_failure_is_exit_2(tmp_path):
-    import socket
-
-    probe = socket.socket()
-    probe.bind(("127.0.0.1", 0))
-    port = probe.getsockname()[1]
-    probe.close()  # nothing listens here now
-    assert main(["live", f"127.0.0.1:{port}", "--once"], stream=io.StringIO()) == 2
