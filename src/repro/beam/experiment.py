@@ -19,9 +19,13 @@ Trials resume from the golden prefix, exactly like CAROL-FI runs
 the entry of its step, the machine model keeps no per-trial state and
 each trial's RNG is keyed by its trial index, so restoring the deepest
 snapshot at or below the strike step and stepping only the suffix
-yields the record a replay from step 0 would.  The store starts empty
-— the constructor's golden run captures nothing — and fills lazily
-from the golden prefixes of occupied trials.
+yields the record a replay from step 0 would.  The constructor's
+golden run records the whole store.  A trial whose state is
+byte-identical to a stored snapshot at or after its strike step has
+rejoined the golden trajectory (most often an ECC-corrected strike that
+changed nothing): it stops there, masked, keeping its strike's
+``effect``, because the rest of the run would recompute the golden
+output bit for bit.
 
 A trial is a fixed number of steps, so no wall clock decides its
 outcome: hangs are the benchmarks' deterministic loop guards and the
@@ -139,8 +143,9 @@ class BeamExperiment:
         self._pristine: Any = None
         state = self._fresh_state()
         self.total_steps = benchmark.num_steps(state)
-        self.golden = benchmark.run(state)
         self.prefix = PrefixStore(benchmark, self.total_steps)
+        self.prefix.record(state)
+        self.golden = benchmark.output(state)
 
     def _fresh_state(self) -> Any:
         """A bit-exact clone of the campaign's input, generated once."""
@@ -177,16 +182,20 @@ class BeamExperiment:
         due_detail = ""
         sdc_metrics: dict[str, Any] = {}
         try:
+            observed = None
             for index in range(start_step, self.total_steps):
-                self.prefix.fill(index, state, strike_step)
                 if index == strike_step:
                     result = self.machine.apply_strike(bench, state, index, resource, rng)
                     effect = result.effect
+                if index >= strike_step and self.prefix.converged(index, state):
+                    observed = self.golden
+                    break
                 bench.step(state, index)
             # Beam comparison is bitwise: "The SDC FIT includes all
             # executions with any bit mismatch" (Section 4.2) — unlike
             # CAROL-FI's printed-output diff.
-            observed = bench.output(state)
+            if observed is None:
+                observed = bench.output(state)
         except MachineCheckError as exc:
             outcome = Outcome.DUE
             due_kind = DueKind.MCA
@@ -238,11 +247,15 @@ class BeamExperiment:
             raise ValueError("trials must be positive")
         log = JsonlLog(log_path) if log_path is not None else None
         records = []
-        for trial in range(trials):
-            record = self.run_trial(trial)
-            records.append(record)
+        try:
+            for trial in range(trials):
+                record = self.run_trial(trial)
+                records.append(record)
+                if log is not None:
+                    log.append(record.to_dict())
+        finally:
             if log is not None:
-                log.append(record.to_dict())
+                log.close()
         return BeamCampaignResult(
             benchmark=self.benchmark.name, trials=records, sensitivity=self.sensitivity
         )

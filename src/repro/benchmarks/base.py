@@ -26,6 +26,7 @@ them produces wrong regions, crashes, or hangs organically.
 from __future__ import annotations
 
 import abc
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Any
@@ -46,6 +47,7 @@ __all__ = [
     "checked_index",
     "clone_state",
     "state_nbytes",
+    "states_equal",
     "window_of_step",
 ]
 
@@ -107,6 +109,49 @@ def clone_state(obj: Any) -> Any:
         return type(obj)(clone_state(value) for value in obj)
     raise TypeError(
         f"cannot snapshot state component of type {type(obj).__name__}; "
+        "give it a clone() method or use arrays/dataclasses/containers"
+    )
+
+
+def states_equal(a: Any, b: Any) -> bool:
+    """Are two benchmark state trees bit-identical?
+
+    The traversal mirrors :func:`clone_state`.  Arrays compare by
+    dtype, shape and raw bytes, so NaN payloads and the sign of zero
+    count; immutable scalars by type and value (floats by their bits);
+    dataclasses, dicts, lists and tuples structurally; ``clone()``-able
+    objects by their attributes.  Read-only views (a shared-memory
+    snapshot) compare like the arrays they mirror.  An unrecognised
+    type raises :class:`TypeError`, as in :func:`clone_state`; so does
+    an object-dtype array, whose bytes are references, not values.
+    """
+    if isinstance(a, np.ndarray):
+        if a.dtype.hasobject:
+            raise TypeError("cannot compare object-dtype arrays by their bytes")
+        return (
+            isinstance(b, np.ndarray)
+            and a.dtype == b.dtype
+            and a.shape == b.shape
+            and a.tobytes() == b.tobytes()
+        )
+    if a is None or isinstance(a, (bool, int, float, complex, str, bytes)):
+        if type(a) is not type(b):
+            return False
+        if isinstance(a, (float, complex)):
+            return struct.pack("<2d", a.real, a.imag) == struct.pack("<2d", b.real, b.imag)
+        return bool(a == b)
+    if type(a) is not type(b):
+        return False
+    if callable(getattr(a, "clone", None)):
+        return states_equal(vars(a), vars(b))
+    if is_dataclass(a) and not isinstance(a, type):
+        return all(states_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(states_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(states_equal(x, y) for x, y in zip(a, b))
+    raise TypeError(
+        f"cannot compare state component of type {type(a).__name__}; "
         "give it a clone() method or use arrays/dataclasses/containers"
     )
 

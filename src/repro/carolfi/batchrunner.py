@@ -31,7 +31,11 @@ scalar path because every ingredient is shared: the per-run RNG is
 keyed by run index (``Supervisor.run_rng``), the injected prefix state
 is a bit-exact clone, the benchmarks' ``step_batch`` contract requires
 bit-identical outputs, and classification goes through the same
-``Supervisor.classify_output``/``make_record`` helpers.
+``Supervisor.classify_output``/``make_record`` helpers.  Group members
+step every suffix to the end: ``run_one`` stops a run whose state is
+golden again (``PrefixStore.converged``), but a member's state is stale
+while a ``step_batch`` carry is live, so checking it would need a
+flush.  Scalar fallbacks go through ``run_one`` and are checked.
 
 Batch-path telemetry (all new families; like the other fast-path
 counters they describe *work saved in this process* and may differ
@@ -213,9 +217,7 @@ class BatchRunner:
                 # *borrowed* read-only straight from the store — zero
                 # copies, zero golden re-stepping.  Only across store
                 # gaps does a mutable carrier materialise and step the
-                # golden trajectory scalar-side (and then it fills the
-                # store's gaps opportunistically, exactly like
-                # run_one's pre-injection replay).
+                # golden trajectory scalar-side.
                 carrier: Any = None  # mutable golden state, ours to step
                 borrowed: Any = None  # read-only golden state, store-owned
                 # step_batch's opaque carry: member bulk data stays
@@ -254,12 +256,6 @@ class BatchRunner:
 
                 for index in range(anchor, total):
                     view = carrier if borrowed is None else borrowed
-                    if (
-                        carrier is not None
-                        and sup.prefix is not None
-                        and sup.prefix.wants(index)
-                    ):
-                        sup.prefix.capture(index, carrier)
                     while (
                         joined < len(members)
                         and members[joined].interrupt_step == index
@@ -309,9 +305,7 @@ class BatchRunner:
                     if index + 1 < total:
                         if joined == len(members):
                             # No joins left: the golden reference has no
-                            # remaining reader, so stop maintaining it
-                            # (dropping it also stops opportunistic
-                            # store fills from a now-stale carrier).
+                            # remaining reader, so stop maintaining it.
                             borrowed, carrier, borrowed_snap = None, None, None
                         else:
                             nxt = (

@@ -9,16 +9,22 @@ thousands of runs is the reproduction's single largest cost (the paper's
 
 :class:`PrefixStore` holds periodic state snapshots of the golden
 execution, keyed by the step they were taken *at the entry of*.
-:meth:`PrefixStore.resume` hands a run the latest snapshot at or below
-its perturbation step, so it replays only the remaining few steps,
-turning ``O(total_steps)`` per-run work into ``O(interval + suffix)``;
-:meth:`PrefixStore.fill` captures missing snapshots from the golden
-prefix a run walks anyway.  Every perturbed-run loop resumes through
-this pair: CAROL-FI's ``Supervisor.run_one``, the beam's
+:meth:`PrefixStore.record` captures them during the one golden walk a
+campaign's set-up makes.  :meth:`PrefixStore.resume` hands a run the
+latest snapshot at or below its perturbation step, so it replays only
+the remaining few steps, turning ``O(total_steps)`` per-run work into
+``O(interval + suffix)``.  :meth:`PrefixStore.converged` ends the
+suffix early: once a run's last perturbation is behind it, a state
+byte-identical to a stored snapshot has rejoined the golden trajectory,
+so the run would finish on the golden output without raising, and it
+stops there, masked.  Every perturbed-run loop resumes and stops
+through this pair: CAROL-FI's ``Supervisor.run_one``, the beam's
 ``BeamExperiment.run_trial`` and the hardened
 ``HardenedSupervisor._execute``.  The same argument covers all three —
 a bit flip or a machine-model strike lands at the entry of its step on
-a state the prefix left bit-exact, so skipping the prefix is invisible.
+a state the prefix left bit-exact, so skipping the prefix is invisible,
+and kernels are deterministic, so a state that is golden again at the
+entry of a step stays golden to the end.
 
 Snapshot cadence is derived from the benchmark's window geometry:
 ``interval = max(1, total_steps // (SNAPSHOT_DENSITY * num_windows))``
@@ -29,8 +35,9 @@ Supervisor's memoised pristine input state already is the step-0
 snapshot.
 
 A byte budget caps memory: once the stored snapshots exceed it, capture
-stops and runs interrupted beyond the last snapshot simply replay a
-longer prefix — graceful degradation, never an error.  The first time
+stops, runs interrupted beyond the last snapshot simply replay a
+longer prefix and runs past it are never checked for convergence —
+graceful degradation, never an error.  The first time
 the budget actually blocks a wanted capture the store fires its
 ``on_degrade`` hook (once), so the campaign can log a single structured
 event instead of silently shortening the fast path.
@@ -49,7 +56,7 @@ import bisect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.benchmarks.base import Benchmark, state_nbytes
+from repro.benchmarks.base import Benchmark, state_nbytes, states_equal
 from repro.telemetry import current_registry
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
@@ -100,11 +107,11 @@ class Snapshot:
 class PrefixStore:
     """Per-window execution snapshots of one benchmark's golden prefix.
 
-    The store never mutates or hands out its states directly: callers
-    capture with :meth:`capture` (which deep-copies via
-    :meth:`~repro.benchmarks.base.Benchmark.snapshot`) and rehydrate
-    with ``benchmark.restore(snap.state)``, so every stored prefix can
-    seed any number of runs.
+    The store never mutates or hands out its states directly: set-up
+    fills it with :meth:`record`, whose captures deep-copy via
+    :meth:`~repro.benchmarks.base.Benchmark.snapshot`, and runs
+    rehydrate with :meth:`resume`, so every stored prefix can seed any
+    number of runs.
     """
 
     def __init__(
@@ -138,8 +145,7 @@ class PrefixStore:
         """Should the caller capture the state at the entry of ``step``?
 
         True only for an uncaptured capture point while the byte budget
-        lasts — callers sprinkle ``if store.wants(i): store.capture(i,
-        state)`` into their step loops at near-zero cost.
+        lasts; :meth:`record` asks at every step of its golden walk.
         """
         wanted = (
             step > 0
@@ -167,6 +173,20 @@ class PrefixStore:
         )
         self.used_bytes += nbytes
         bisect.insort(self._steps_sorted, step)
+        self._count("repro_snapshot_captures_total")
+
+    def record(self, state: Any) -> None:
+        """Walk ``state`` from step 0 to the end, capturing on the way.
+
+        The golden walk of a campaign's set-up: every capture point the
+        store wants (up to its byte budget) is captured at the entry of
+        its step, and ``state`` ends as the golden final state, ready
+        for ``benchmark.output``.
+        """
+        for index in range(self.total_steps):
+            if self.wants(index):
+                self.capture(index, state)
+            self.benchmark.step(state, index)
 
     def latest(self, interrupt_step: int) -> Snapshot | None:
         """The deepest snapshot at or before ``interrupt_step``, if any."""
@@ -193,17 +213,21 @@ class PrefixStore:
         self._count("repro_steps_skipped_total", float(snap.step))
         return state, snap.step
 
-    def fill(self, index: int, state: Any, perturb_step: int) -> None:
-        """Capture ``state`` at the entry of ``index`` if the store wants it.
+    def converged(self, index: int, state: Any) -> bool:
+        """Is ``state`` the golden state at the entry of step ``index``?
 
-        Called at the top of every step of a resumed run: up to (and at
-        the entry of) ``perturb_step`` the run's state is still a golden
-        prefix, so it fills the gaps an empty or budget-capped store
-        left.  Later steps are never captured.
+        True only when the store holds a snapshot at exactly ``index``
+        and ``state`` is byte-identical to it; nothing is copied or
+        captured.  A run may ask only once its last perturbation has
+        been applied: from a golden state the deterministic kernels
+        reach the golden output and never raise, so a True lets the
+        caller classify against the golden output and step no further.
         """
-        if index <= perturb_step and self.wants(index):
-            self.capture(index, state)
-            self._count("repro_snapshot_captures_total")
+        snap = self._snapshots.get(index)
+        if snap is None or not states_equal(snap.state, state):
+            return False
+        self._count("repro_steps_converged_total", float(self.total_steps - index))
+        return True
 
     def _count(self, name: str, amount: float = 1.0) -> None:
         """Bump a prefix-efficiency counter (no-op with telemetry off)."""
@@ -226,9 +250,9 @@ class PrefixStore:
 
         The batch runner groups runs by this value so that one restore
         (or one pristine clone, anchor 0) seeds the whole group.  It is a
-        property of the store's *current* contents: a later capture can
-        split what would have been one group, which only changes how
-        work is batched, never the per-run records.
+        property of the store's contents: a different density or byte
+        budget groups runs differently, which only changes how work is
+        batched, never the per-run records.
         """
         snap = self.latest(interrupt_step)
         return 0 if snap is None else snap.step
@@ -242,8 +266,8 @@ class SharedPrefixStore(PrefixStore):
 
     Built by attaching a segment another process (or this one) already
     published: the snapshot states are zero-copy read-only views of the
-    host-wide mapping, :meth:`wants` is always ``False`` (the segment is
-    complete; nothing is ever captured into an attachment), and
+    host-wide mapping, :meth:`capture` raises (the segment is complete;
+    nothing is ever captured into an attachment), and
     :meth:`materialize` rebuilds writable states over private
     copy-on-write mappings instead of deep-copying.
 
@@ -263,9 +287,6 @@ class SharedPrefixStore(PrefixStore):
                 step=step, state=segment.snapshot_state(step), nbytes=nbytes
             )
             bisect.insort(self._steps_sorted, step)
-
-    def wants(self, step: int) -> bool:
-        return False
 
     def capture(self, step: int, state: Any) -> None:
         raise RuntimeError("SharedPrefixStore is read-only; captures belong to the publisher")

@@ -26,12 +26,18 @@ every guard whose variable is live at ``k`` holds ``resync`` of that
 variable (a pure function of the store) and every other guard is
 detached, and ``verify`` never trips on golden data — so rebuilding
 exactly that state at ``k`` is indistinguishable from walking there.
-The constructor's fault-free hardened run stays a full replay from step
-0: it checks that the guards never trip on golden data, and it counts
-the bytes the guards verify per step — the protection's cost as a
-deterministic work count, never a wall-clock ratio.  No wall clock
-decides an outcome either: hangs are the benchmarks' deterministic loop
-guards, recorded as ``due`` with a ``timeout:`` detail.
+The constructor's golden run records the whole store.  Its fault-free
+hardened run stays a full replay from step 0: it checks that the guards
+never trip on golden data and that ABFT finds the golden output clean,
+and it counts the bytes the guards verify per step — the protection's
+cost as a deterministic work count, never a wall-clock ratio.  Those
+two checks let an injected run stop early: once its state is
+byte-identical to a stored snapshot at or after the interrupt step,
+its guards hold ``sync_guards`` of that golden state, so the rest of
+the run is the fault-free run's suffix — no trip, no detector event, a
+clean output — and the record is ``masked``.  No wall clock decides an
+outcome either: hangs are the benchmarks' deterministic loop guards,
+recorded as ``due`` with a ``timeout:`` detail.
 """
 
 from __future__ import annotations
@@ -133,8 +139,9 @@ class HardenedSupervisor:
 
         state = self._fresh_state()
         self.total_steps = benchmark.num_steps(state)
-        self.golden = self._quantize(benchmark.run(state))
         self.prefix = PrefixStore(benchmark, self.total_steps)
+        self.prefix.record(state)
+        self.golden = self._quantize(benchmark.output(state))
         # ABFT checksums derive from the operands at load time: once,
         # from the pristine input every run starts from.
         self._checksums = (
@@ -142,7 +149,8 @@ class HardenedSupervisor:
         )
 
         # The fault-free hardened run: guards must never trip on golden
-        # data (the prefix resume rests on it).  It also sets
+        # data and ABFT must find the golden output clean (the prefix
+        # resume and the convergence stop rest on it).  It also sets
         # ``verify_kib_per_step``: the KiB the guards verify per step.
         self.verify_kib_per_step = 0.0
         record = self._execute(run_index=-1, model=None, interrupt_step=None)
@@ -189,7 +197,7 @@ class HardenedSupervisor:
         bench = self.benchmark
         rng = derive_rng(self.seed, "hardened", bench.name, "run", str(run_index))
         if model is None:
-            # The fault-free run: a full replay, no captures.
+            # The fault-free run: a full replay, never stopped early.
             state, start_step = self._fresh_state(), 0
         else:
             if interrupt_step is None:
@@ -213,9 +221,17 @@ class HardenedSupervisor:
             sync_guards(guards, bench.variables(state, start_step))
             for index in range(start_step, self.total_steps):
                 if model is not None:
-                    self.prefix.fill(index, state, interrupt_step)
                     if index == interrupt_step:
                         site, _bits = self.flip.inject(bench, state, index, model, rng)
+                    if index >= interrupt_step and self.prefix.converged(index, state):
+                        return HardenedRecord(
+                            bench.name,
+                            run_index,
+                            site,
+                            model.value,
+                            interrupt_step,
+                            "masked",
+                        )
                 arrays = {v.name: v.array for v in bench.variables(state, index)}
                 # Scheduled scrub point: verify every guarded store
                 # before this quantum consumes it.

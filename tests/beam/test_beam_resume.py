@@ -1,11 +1,12 @@
 """Beam trials resumed from the golden prefix equal full replays.
 
 ``BeamExperiment.run_trial`` restores the deepest snapshot at or below
-the strike step and steps only the suffix.  The reference below is the
-loop it replaced: a fresh input, every step from 0, the strike at the
-entry of its step.  Records must match field for field on every
-kernel, whichever order the trials run in (the order decides how the
-lazily filled store grows, never what a trial sees).
+the strike step, steps only the suffix and stops, masked, at the first
+snapshot step after the strike whose bytes it matches.  The reference
+below is the loop it replaced: a fresh input, every step from 0 to the
+end, the strike at the entry of its step.  Records must match field
+for field on every kernel, whichever order the trials run in, and
+every case must include trials that stopped early.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.carolfi.prefixcache import PrefixStore
 from repro.faults.outcome import DueKind, Outcome
 from repro.phi.machine import MachineCheckError, SchedulerWedge
 from repro.phi.resources import ResourceClass
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.rng import derive_rng
 
 from tests.carolfi.test_prefixcache import SMALL_PARAMS
@@ -151,20 +153,26 @@ def ordered(count: int, order: str) -> list[int]:
 def test_resumed_trials_match_full_replay(name, seed, order):
     expected = reference(name, seed)
     experiment = experiment_for(name, seed)
-    got = {t: experiment.run_trial(t).to_dict() for t in ordered(len(expected), order)}
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        got = {t: experiment.run_trial(t).to_dict() for t in ordered(len(expected), order)}
     assert [got[t] for t in range(len(expected))] == list(expected)
     assert len(experiment.prefix) > 0
+    converged = tel.registry.counter_values()["repro_steps_converged_total"]
+    assert sum(converged.values()) > 0, "no trial stopped at golden re-convergence"
 
 
 @pytest.mark.parametrize("name", names())
 def test_resume_between_sparse_snapshots_matches_full_replay(name):
     """One snapshot per window: most trials restore below their strike
-    step and walk a golden gap before it."""
+    step, walk a golden gap before it and can stop only at a window's
+    snapshot."""
     expected = reference(name, 1)
     experiment = experiment_for(name, 1)
     experiment.prefix = PrefixStore(
         experiment.benchmark, experiment.total_steps, density=1
     )
+    experiment.prefix.record(experiment._fresh_state())
     got = {t: experiment.run_trial(t).to_dict() for t in ordered(len(expected), "shuffled")}
     assert [got[t] for t in range(len(expected))] == list(expected)
 
@@ -178,8 +186,9 @@ def test_every_outcome_and_resource_is_exercised():
     assert occupied == {r.value for r in ResourceClass.all()}
 
 
-def test_constructor_captures_nothing_and_trials_fill_lazily():
+def test_constructor_records_every_capture_point():
     experiment = experiment_for("dgemm", 3)
-    assert len(experiment.prefix) == 0
+    points = list(experiment.prefix.capture_points())
+    assert points and experiment.prefix._steps_sorted == points
     experiment.run_campaign(40)
-    assert 0 < len(experiment.prefix) <= len(experiment.prefix.capture_points())
+    assert experiment.prefix._steps_sorted == points, "trials capture nothing"

@@ -588,6 +588,7 @@ def test_parallel_telemetry_counters_match_serial_twin(serial_result):
         "repro_snapshot_restores_total",
         "repro_snapshot_captures_total",
         "repro_steps_skipped_total",
+        "repro_steps_converged_total",
         "repro_compare_fastpath_total",
         "repro_shm_attach_total",
         "repro_shm_publish_total",

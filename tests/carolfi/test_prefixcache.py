@@ -11,22 +11,28 @@ JSONL files byte-for-byte.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
 import repro.carolfi.supervisor as supervisor_mod
+from repro.benchmarks.base import state_nbytes, states_equal
 from repro.benchmarks.registry import create, names
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
+from repro.carolfi import shmstore
 from repro.carolfi.prefixcache import (
     DEFAULT_SNAPSHOT_BUDGET,
     PrefixStore,
+    SharedPrefixStore,
     snapshot_interval,
 )
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import Outcome
 from repro.telemetry import Telemetry, TelemetryConfig
+from repro.util.bits import flip_bit_inplace
 from repro.util.rng import derive_rng
 
 from tests.conftest import SMALL_CLAMR
@@ -94,6 +100,83 @@ def test_snapshot_survives_mutation_of_restored_state(name):
     assert np.array_equal(out_first, bench.run(second), equal_nan=True)
 
 
+# -- states_equal: the convergence comparison ---------------------------------
+
+#: Every registered kernel plus the sandbox benchmark.
+STATE_PARAMS: dict[str, dict] = {**SMALL_PARAMS, "chaos": {"n": 16, "steps": 6}}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_PARAMS))
+def test_states_equal_is_bit_exact(name, shm_tmp):
+    """At several steps a state equals its restored snapshot and the
+    shared-memory view of that snapshot, and one flipped bit in any live
+    variable makes it differ from both."""
+    bench = create(name, **STATE_PARAMS[name])
+    pristine = bench.make_state(derive_rng(7, "states_equal", name))
+    state = bench.restore(pristine)
+    total = bench.num_steps(state)
+    steps = sorted({1, total // 2, total - 1})
+    snaps = []
+    for index in range(total):
+        if index in steps:
+            snap = bench.snapshot(state)
+            snaps.append((index, snap, state_nbytes(snap)))
+        bench.step(state, index)
+    segment = shmstore.publish(
+        shmstore.store_key(name, 7, bench.params),
+        benchmark=name,
+        total_steps=total,
+        interval=1,
+        degraded=False,
+        pristine=pristine,
+        snapshots=snaps,
+        golden=bench.output(state),
+    )
+    assert segment is not None
+    shared = SharedPrefixStore(bench, segment)
+    flipped_any = False
+    for step, snap, _ in snaps:
+        view = shared.latest(step).state
+        live = bench.restore(snap)
+        assert states_equal(live, snap) and states_equal(snap, live)
+        assert states_equal(live, bench.restore(bench.snapshot(live)))
+        assert states_equal(live, view) and states_equal(view, live)
+        for position, var in enumerate(bench.variables(live, step)):
+            if var.size == 0:
+                continue
+            corrupted = bench.restore(snap)
+            target = bench.variables(corrupted, step)[position]
+            assert target.name == var.name
+            flip_bit_inplace(target.array, target.size - 1, 0)
+            assert not states_equal(corrupted, snap), f"{name}: {var.name} at {step}"
+            assert not states_equal(view, corrupted), f"{name}: {var.name} at {step}"
+            flipped_any = True
+    assert flipped_any
+    del shared, view  # the mapping closes only once no view is left
+    segment.close()
+
+
+def test_states_equal_on_scalars_arrays_and_containers():
+    nan = np.array([np.nan, 1.0, -0.0])
+    assert states_equal(nan, nan.copy())
+    other_payload = nan.copy()
+    other_payload.view(np.uint64)[0] ^= 1
+    assert np.isnan(other_payload[0]) and not states_equal(nan, other_payload)
+    assert not states_equal(np.array([0.0]), np.array([-0.0]))
+    assert not states_equal(0.0, -0.0)
+    assert states_equal(float("nan"), float("nan"))
+    assert not states_equal(np.zeros(4), np.zeros(4, dtype=np.float32))
+    assert not states_equal(np.zeros(4), np.zeros((2, 2)))
+    assert not states_equal(1, 1.0) and not states_equal(True, 1)
+    assert states_equal({"a": [1, (2.5, None)]}, {"a": [1, (2.5, None)]})
+    assert not states_equal({"a": [1]}, {"b": [1]})
+    assert not states_equal([1, 2], (1, 2)) and not states_equal([1], [1, 2])
+    with pytest.raises(TypeError):
+        states_equal(object(), object())
+    with pytest.raises(TypeError):
+        states_equal(np.array([None]), np.array([None]))
+
+
 # -- PrefixStore unit behaviour -----------------------------------------------
 
 
@@ -134,35 +217,57 @@ def test_prefix_store_rejects_out_of_range_captures():
         store.capture(10**6, state)
 
 
-def test_prefix_store_resume_and_fill():
-    """``resume`` hands out the deepest snapshot at or below the step, or
-    a pristine clone at step 0; ``fill`` captures only up to the
-    perturbation step, where the state is still a golden prefix."""
-    bench = create("nw", n=16, rows_per_step=4)
+def test_prefix_store_resume_from_recorded_store():
+    """``record`` walks the golden run from step 0, capturing every point
+    the store wants, and ends on the golden final state; ``resume`` then
+    hands out the deepest snapshot at or below the step, or a pristine
+    clone at step 0."""
+    bench = create("nw", n=32, rows_per_step=4)
     pristine = bench.make_state(derive_rng(3, "store"))
     total = bench.num_steps(pristine)
-    store = PrefixStore(bench, total)
-    assert store.interval == 1 and total == 4
+    store = PrefixStore(bench, total, density=1)
+    assert store.interval == 2 and total == 8
 
     def fresh():
         return bench.restore(pristine)
 
-    state, start = store.resume(total - 1, fresh)
-    assert start == 0 and len(store) == 0
-    entry_outputs = []
+    walk = fresh()
+    entry_states = []
     for index in range(total):
-        store.fill(index, state, 2)
-        entry_outputs.append(bench.output(state))
-        bench.step(state, index)
-    assert len(store) == 2 and store.latest(total - 1).step == 2
+        entry_states.append(bench.snapshot(walk))
+        bench.step(walk, index)
 
-    for step, anchor in ((0, 0), (1, 1), (2, 2), (3, 2)):
+    recorded = fresh()
+    store.record(recorded)
+    assert len(store) == len(store.capture_points()) == 3
+    assert states_equal(recorded, walk)
+
+    for step, anchor in ((0, 0), (1, 0), (2, 2), (3, 2), (6, 6), (7, 6)):
         state, start = store.resume(step, fresh)
         assert start == anchor
-        assert np.array_equal(bench.output(state), entry_outputs[anchor])
+        assert states_equal(state, entry_states[anchor])
         bench.step(state, start)  # a private copy: the snapshot is untouched
         again, _ = store.resume(step, fresh)
-        assert np.array_equal(bench.output(again), entry_outputs[anchor])
+        assert states_equal(again, entry_states[anchor])
+
+
+def test_converged_only_at_stored_steps_on_golden_bytes():
+    bench = create("nw", n=32, rows_per_step=4)
+    pristine = bench.make_state(derive_rng(3, "store"))
+    total = bench.num_steps(pristine)
+    store = PrefixStore(bench, total, density=1)
+    store.record(bench.restore(pristine))
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        state, start = store.resume(4, lambda: bench.restore(pristine))
+        assert start == 4
+        assert store.converged(4, state)
+        assert not store.converged(3, state), "no snapshot at step 3"
+        assert len(store) == 3, "converged captures nothing"
+        flip_bit_inplace(bench.variables(state, 4)[0].array, 0, 0)
+        assert not store.converged(4, state)
+    converged = tel.registry.counter_values()["repro_steps_converged_total"]
+    assert converged == {"benchmark=nw": float(total - 4)}
 
 
 def test_prefix_store_byte_budget_caps_captures():
@@ -206,6 +311,24 @@ def test_fastpath_matches_at_interrupt_extremes():
         assert a.interrupt_step == step
 
 
+def test_multi_fault_fastpath_records_match_slowpath():
+    """Plans whose faults fall on different steps: the fast path may stop
+    only after the last one, and its records equal full replays."""
+    models = FaultModel.all()
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        for name in names():
+            fast = Supervisor(small(name), seed=13, snapshots=True)
+            slow = Supervisor(small(name), seed=13, snapshots=False)
+            for run in range(50):
+                count = 2 if run < 40 else 3
+                steps = sorted(random.Random(run).sample(range(fast.total_steps), count))
+                faults = [(step, models[(run + i) % 4]) for i, step in enumerate(steps)]
+                assert fast.run_one(run, faults=faults) == slow.run_one(run, faults=faults)
+    converged = tel.registry.counter_values()["repro_steps_converged_total"]
+    assert sum(converged.values()) > 0, "no multi-fault run stopped early"
+
+
 def test_campaign_jsonl_byte_identical_fast_vs_slow(tmp_path):
     from dataclasses import replace
 
@@ -243,6 +366,7 @@ def test_snapshot_counters_emitted_on_serial_campaign():
     assert restores > 0
     assert skipped >= restores, "every restore skips at least one step"
     assert sum(counters["repro_compare_fastpath_total"].values()) > 0
+    assert sum(counters["repro_steps_converged_total"].values()) > 0
 
 
 def test_snapshot_counters_emitted_on_beam_and_hardened_campaigns():
@@ -264,6 +388,7 @@ def test_snapshot_counters_emitted_on_beam_and_hardened_campaigns():
         assert restores > 0, campaign
         assert skipped >= restores, campaign
         assert sum(counters["repro_snapshot_captures_total"].values()) > 0, campaign
+        assert sum(counters["repro_steps_converged_total"].values()) > 0, campaign
         assert set(counters["repro_snapshot_restores_total"]) == {"benchmark=dgemm"}
 
 

@@ -46,14 +46,6 @@ def segments(tmp_path):
     return sorted(tmp_path.glob("repro-shm-*"))
 
 
-@pytest.fixture()
-def shm_tmp(tmp_path, monkeypatch):
-    monkeypatch.setenv(shmstore.SHM_DIR_ENV, str(tmp_path))
-    monkeypatch.delenv(shmstore.SHM_DISABLE_ENV, raising=False)
-    yield tmp_path
-    shmstore.release_published()
-
-
 def toy_segment(step_scale=1):
     """Publish a small dict-state segment; returns (key, segment)."""
     key = shmstore.store_key("toy", 7 * step_scale, {"n": 4})

@@ -2,10 +2,12 @@
 
 ``HardenedSupervisor._execute`` restores the deepest snapshot at or
 below an injected run's interrupt step, rebuilds the guards there with
-``sync_guards`` and steps only the suffix.  The reference below is the
-loop it replaced: a fresh input, guards attached at step 0 and walked
-through every verify/step/resync of the prefix.  Records must match
-field for field, and so must the guard state itself at every step.
+``sync_guards``, steps only the suffix and stops, masked, at the first
+snapshot step from the interrupt on whose bytes it matches.  The
+reference below is the loop it replaced: a fresh input, guards attached
+at step 0 and walked through every verify/step/resync of the whole run.
+Records must match field for field, every case must include runs that
+stopped early, and the guard state itself must match at every step.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from repro.hardening.guards import (
     sync_guards,
 )
 from repro.hardening.hardened import HardenedRecord, HardenedSupervisor
+from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.rng import derive_rng
 
 from tests.carolfi.test_prefixcache import SMALL_PARAMS
@@ -176,16 +179,23 @@ def resumed(sup: HardenedSupervisor, order: str) -> dict[int, dict]:
 @pytest.mark.parametrize("name", names())
 def test_resumed_runs_match_full_replay(name, seed, order):
     sup = supervisor_for(name, seed)
-    assert resumed(sup, order) == reference(name, seed)
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        got = resumed(sup, order)
+    assert got == reference(name, seed)
     assert len(sup.prefix) > 0
+    converged = tel.registry.counter_values()["repro_steps_converged_total"]
+    assert sum(converged.values()) > 0, "no run stopped at golden re-convergence"
 
 
 @pytest.mark.parametrize("name", names())
 def test_resume_between_sparse_snapshots_matches_full_replay(name):
     """One snapshot per window: most runs restore below their interrupt
-    step and walk a guarded golden gap before it."""
+    step, walk a guarded golden gap before it and can stop only at a
+    window's snapshot."""
     sup = supervisor_for(name, 1)
     sup.prefix = PrefixStore(sup.benchmark, sup.total_steps, density=1)
+    sup.prefix.record(sup._fresh_state())
     assert resumed(sup, "shuffled") == reference(name, 1)
 
 
@@ -219,9 +229,7 @@ def test_detector_events_match_full_replay(name):
 
 def test_fault_free_run_is_a_full_replay():
     sup = supervisor_for("dgemm", 1)
-    assert len(sup.prefix) == 0, "the timed fault-free run must not capture"
     assert sup._execute(-1, None, None) == replay_execute(sup, -1, None, None)
-    assert len(sup.prefix) == 0
 
 
 # -- guard state at the resume step ---------------------------------------------
