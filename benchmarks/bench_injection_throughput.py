@@ -330,7 +330,7 @@ def memory_sweep() -> dict[str, Any]:
                 snapshot_density=density,
                 shared=True,
             )
-            segment = supervisor._shm
+            segment = supervisor.prefix.segment
             if segment is None:
                 return {}
             rss = _attacher_rss(segment.key)

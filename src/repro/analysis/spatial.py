@@ -21,10 +21,11 @@ fill-ratio threshold.
 from __future__ import annotations
 
 import enum
+from typing import Any
 
 import numpy as np
 
-__all__ = ["ErrorPattern", "classify_mask", "classify_outputs", "wrong_mask"]
+__all__ = ["ErrorPattern", "classify_mask", "classify_outputs", "sdc_metrics", "wrong_mask"]
 
 #: Bounding-box fill ratio above which a multi-axis spread counts as a
 #: dense square/cubic region rather than a random scatter.
@@ -139,3 +140,20 @@ def max_relative_error(golden: np.ndarray, observed: np.ndarray) -> float:
         rel = np.where(denom > 0, diff / denom, np.inf)
     rel = np.where(np.isfinite(o[neq]), rel, np.inf)
     return float(rel.max())
+
+
+def sdc_metrics(golden: np.ndarray, observed: np.ndarray, dims: int) -> dict[str, Any]:
+    """An SDC record's metrics, or ``{}`` when no element is wrong.
+
+    ``dims`` is the output's spatial dimensionality, as in
+    :func:`classify_mask`.
+    """
+    mask = wrong_mask(golden, observed)
+    if not mask.any():
+        return {}
+    return {
+        "wrong_elements": int(mask.sum()),
+        "wrong_fraction": float(mask.mean()),
+        "max_rel_err": max_relative_error(golden, observed),
+        "pattern": classify_mask(mask, dims).value,
+    }

@@ -14,18 +14,18 @@ paper tunes its beam for (<1e-4 errors/execution makes double events
 negligible), so campaign outcome frequencies divide directly into FIT
 rates via the cross-section bookkeeping in :mod:`repro.beam.fit`.
 
-Trials resume from the golden prefix, exactly like CAROL-FI runs
-(:class:`~repro.carolfi.prefixcache.PrefixStore`): a strike lands at
-the entry of its step, the machine model keeps no per-trial state and
-each trial's RNG is keyed by its trial index, so restoring the deepest
-snapshot at or below the strike step and stepping only the suffix
-yields the record a replay from step 0 would.  The constructor's
-golden run records the whole store.  A trial whose state is
-byte-identical to a stored snapshot at or after its strike step has
-rejoined the golden trajectory (most often an ECC-corrected strike that
-changed nothing): it stops there, masked, keeping its strike's
-``effect``, because the rest of the run would recompute the golden
-output bit for bit.
+Trials step through the same loop as CAROL-FI runs,
+:meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`,
+over a store the constructor records from the beam input: a strike
+lands at the entry of its step, the machine model keeps no per-trial
+state and each trial's RNG is keyed by its trial index, so restoring
+the deepest snapshot at or below the strike step and stepping only the
+suffix yields the record a replay from step 0 would.  A trial whose
+state is byte-identical to a stored snapshot at or after its strike
+step has rejoined the golden trajectory (most often an ECC-corrected
+strike that changed nothing): it stops there, masked, keeping its
+strike's ``effect``, because the rest of the run would recompute the
+golden output bit for bit.
 
 A trial is a fixed number of steps, so no wall clock decides its
 outcome: hangs are the benchmarks' deterministic loop guards and the
@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.analysis.spatial import classify_mask, max_relative_error, wrong_mask
+from repro.analysis.spatial import sdc_metrics
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
 from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity
@@ -140,20 +140,13 @@ class BeamExperiment:
         self.seed = int(seed)
         self.sensitivity = sensitivity
         self.machine = XeonPhiMachine(config)
-        self._pristine: Any = None
-        state = self._fresh_state()
-        self.total_steps = benchmark.num_steps(state)
-        self.prefix = PrefixStore(benchmark, self.total_steps)
-        self.prefix.record(state)
-        self.golden = benchmark.output(state)
-
-    def _fresh_state(self) -> Any:
-        """A bit-exact clone of the campaign's input, generated once."""
-        if self._pristine is None:
-            self._pristine = self.benchmark.make_state(
-                derive_rng(self.seed, "beam", self.benchmark.name, "input")
-            )
-        return self.benchmark.restore(self._pristine)
+        self.prefix = PrefixStore(
+            benchmark,
+            benchmark.make_state(derive_rng(self.seed, "beam", benchmark.name, "input")),
+        )
+        self.prefix.record()
+        self.total_steps = self.prefix.total_steps
+        self.golden = self.prefix.output
 
     def run_trial(self, trial: int) -> BeamRecord:
         """Simulate one potential strike and classify its outcome."""
@@ -175,27 +168,22 @@ class BeamExperiment:
                 outcome=Outcome.MASKED,
             )
 
-        state, start_step = self.prefix.resume(strike_step, self._fresh_state)
         effect = "unapplied"
         outcome = Outcome.MASKED
         due_kind: DueKind | None = None
         due_detail = ""
-        sdc_metrics: dict[str, Any] = {}
+        metrics: dict[str, Any] = {}
+
+        def strike(state: Any, index: int) -> None:
+            nonlocal effect
+            effect = self.machine.apply_strike(bench, state, index, resource, rng).effect
+
         try:
-            observed = None
-            for index in range(start_step, self.total_steps):
-                if index == strike_step:
-                    result = self.machine.apply_strike(bench, state, index, resource, rng)
-                    effect = result.effect
-                if index >= strike_step and self.prefix.converged(index, state):
-                    observed = self.golden
-                    break
-                bench.step(state, index)
+            final = self.prefix.run((strike_step,), strike)
             # Beam comparison is bitwise: "The SDC FIT includes all
             # executions with any bit mismatch" (Section 4.2) — unlike
             # CAROL-FI's printed-output diff.
-            if observed is None:
-                observed = bench.output(state)
+            observed = self.golden if final is None else bench.output(final)
         except MachineCheckError as exc:
             outcome = Outcome.DUE
             due_kind = DueKind.MCA
@@ -215,16 +203,9 @@ class BeamExperiment:
             due_kind = DueKind.CRASH
             due_detail = f"{type(exc).__name__}: {exc}"
         else:
-            mask = wrong_mask(self.golden, observed)
-            if mask.any():
+            metrics = sdc_metrics(self.golden, observed, bench.output_dims)
+            if metrics:
                 outcome = Outcome.SDC
-                pattern = classify_mask(mask, bench.output_dims)
-                sdc_metrics = {
-                    "wrong_elements": int(mask.sum()),
-                    "wrong_fraction": float(mask.mean()),
-                    "max_rel_err": max_relative_error(self.golden, observed),
-                    "pattern": pattern.value,
-                }
         return BeamRecord(
             benchmark=bench.name,
             trial=trial,
@@ -236,7 +217,7 @@ class BeamExperiment:
             outcome=outcome,
             due_kind=due_kind,
             due_detail=due_detail,
-            sdc_metrics=sdc_metrics,
+            sdc_metrics=metrics,
         )
 
     def run_campaign(

@@ -336,7 +336,7 @@ class Benchmark(abc.ABC):
     #: Decimal places kept when the output file is written (Rodinia's
     #: printf-style output) — golden comparison happens at this
     #: precision, so perturbations below it are masked.  ``None``
-    #: compares exactly (integer outputs).
+    #: compares exactly (integer outputs).  See :meth:`quantize`.
     output_decimals: int | None = 4
 
     #: Fraction of the injectable memory image occupied by stack-side
@@ -400,6 +400,18 @@ class Benchmark(abc.ABC):
         """Live injectable variables just before ``step`` executes."""
 
     # -- shared behaviour ---------------------------------------------------
+
+    def quantize(self, output: np.ndarray) -> np.ndarray:
+        """``output`` rounded to the precision its output file carries.
+
+        The paper's campaigns diff *printed* output files, so an error
+        below the printf precision (:attr:`output_decimals`) never
+        counts as a mismatch.
+        """
+        if self.output_decimals is None:
+            return output
+        with np.errstate(invalid="ignore", over="ignore"):
+            return np.round(output, self.output_decimals)
 
     def run(self, state: Any) -> np.ndarray:
         """Run ``state`` to completion and return the output."""

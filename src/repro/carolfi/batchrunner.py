@@ -31,11 +31,16 @@ scalar path because every ingredient is shared: the per-run RNG is
 keyed by run index (``Supervisor.run_rng``), the injected prefix state
 is a bit-exact clone, the benchmarks' ``step_batch`` contract requires
 bit-identical outputs, and classification goes through the same
-``Supervisor.classify_output``/``make_record`` helpers.  Group members
-step every suffix to the end: ``run_one`` stops a run whose state is
-golden again (``PrefixStore.converged``), but a member's state is stale
-while a ``step_batch`` carry is live, so checking it would need a
-flush.  Scalar fallbacks go through ``run_one`` and are checked.
+``Supervisor.classify_output``/``make_record`` helpers.  The walk
+borrows its golden reference from the supervisor's store — its
+pristine input at anchor 0 (:meth:`PrefixStore.fresh
+<repro.carolfi.prefixcache.PrefixStore.fresh>` clones it), its
+snapshots elsewhere — so a store recorded without captures walks every
+group from step 0.  Group members step every suffix to the end:
+``run_one``'s ``PrefixStore.run`` stops a run whose state is golden
+again (``PrefixStore.converged``), but a member's state is stale while
+a ``step_batch`` carry is live, so checking it would need a flush.
+Scalar fallbacks go through ``run_one`` and are checked.
 
 Batch-path telemetry (all new families; like the other fast-path
 counters they describe *work saved in this process* and may differ
@@ -174,11 +179,7 @@ class BatchRunner:
         members.sort(key=lambda m: (m.interrupt_step, m.run_index))
         for lo in range(0, len(members), self.batch_size):
             chunk = members[lo : lo + self.batch_size]
-            anchor = (
-                sup.prefix.anchor_step(chunk[0].interrupt_step)
-                if sup.prefix is not None
-                else 0
-            )
+            anchor = sup.prefix.anchor_step(chunk[0].interrupt_step)
             self._run_group(anchor, chunk, records)
         return records
 
@@ -193,6 +194,7 @@ class BatchRunner:
         """One carrier walk: restore once, join, gate, batch-step, classify."""
         sup = self.supervisor
         bench = sup.benchmark
+        prefix = sup.prefix
         total = sup.total_steps
         registry = current_registry()
         registry.counter(
@@ -229,29 +231,25 @@ class BatchRunner:
                 carry: Any = None
                 carry_states: list[Any] = []
                 borrowed_snap: Any = None  # the store Snapshot behind `borrowed`
-                if anchor > 0 and sup.prefix is not None:
-                    snap = sup.prefix.latest(anchor)
+                if anchor > 0:
+                    snap = prefix.latest(anchor)
                     if snap is not None and snap.step == anchor:
                         borrowed = snap.state
                         borrowed_snap = snap
                 if borrowed is None:
                     anchor = 0
-                    borrowed = sup._pristine
+                    borrowed = prefix.pristine
 
                 def clone_view() -> Any:
                     # A writable copy of the current golden reference.
                     # Snapshot- and pristine-backed views go through the
-                    # store / supervisor so a shared-memory segment can
-                    # hand out copy-on-write mappings; a stepped carrier
-                    # is plainly deep-copied.  All three are bit-exact.
-                    if (
-                        borrowed_snap is not None
-                        and sup.prefix is not None
-                        and borrowed is borrowed_snap.state
-                    ):
-                        return sup.prefix.materialize(borrowed_snap)
-                    if borrowed is not None and borrowed is sup._pristine:
-                        return sup._fresh_state()
+                    # store so a shared-memory segment can hand out
+                    # copy-on-write mappings; a stepped carrier is
+                    # plainly deep-copied.  All three are bit-exact.
+                    if borrowed_snap is not None and borrowed is borrowed_snap.state:
+                        return prefix.materialize(borrowed_snap)
+                    if borrowed is not None and borrowed is prefix.pristine:
+                        return prefix.fresh()
                     return bench.restore(view)
 
                 for index in range(anchor, total):
@@ -308,11 +306,7 @@ class BatchRunner:
                             # remaining reader, so stop maintaining it.
                             borrowed, carrier, borrowed_snap = None, None, None
                         else:
-                            nxt = (
-                                sup.prefix.latest(index + 1)
-                                if sup.prefix is not None
-                                else None
-                            )
+                            nxt = prefix.latest(index + 1)
                             if nxt is not None and nxt.step == index + 1:
                                 borrowed, carrier = nxt.state, None
                                 borrowed_snap = nxt
@@ -327,7 +321,7 @@ class BatchRunner:
                     bench.batch_flush(carry_states, carry)
                     carry, carry_states = None, []
                 for member in active:
-                    observed = sup._quantize(bench.output(member.state))
+                    observed = bench.quantize(bench.output(member.state))
                     outcome, sdc_metrics = sup.classify_output(observed)
                     records[member.run_index] = sup.make_record(
                         member.run_index,

@@ -65,12 +65,14 @@ from repro.carolfi import shmstore
 from repro.carolfi.batchrunner import BatchRunner
 from repro.carolfi.campaign import CampaignConfig, CampaignResult, model_for
 from repro.carolfi.isolation import (
+    _SUPERVISORS,
     InjectionSandbox,
     IsolationConfig,
     SandboxError,
     campaign_store_key,
     make_due_record,
     supervisor_for,
+    supervisor_key,
 )
 from repro.faults.outcome import DueKind, InjectionRecord
 from repro.telemetry import (
@@ -634,9 +636,11 @@ class _ConvergenceGate:
     those things, so the gate only evaluates convergence at contiguous
     prefix boundaries — shard ``k`` is considered only once shards
     ``0..k`` have all completed, and the monitor sees their records in
-    canonical shard order.  The stop decision is then a pure function
-    of the (deterministic) record contents, and the stopped campaign's
-    records are a bit-identical prefix of the uncapped campaign's.
+    canonical shard order.  It checks at *every* boundary the prefix
+    crosses, also when one completion lets several shards join it at
+    once.  The stop decision is then a pure function of the
+    (deterministic) record contents, and the stopped campaign's records
+    are a bit-identical prefix of the uncapped campaign's.
     """
 
     def __init__(
@@ -664,21 +668,18 @@ class _ConvergenceGate:
         if self.stopped:
             return True
         self._complete.add(shard_index)
-        advanced = False
         while self._fed < self._shard_count and self._fed in self._complete:
             for row in self._get_records(self._fed):
                 self.monitor.observe(row, shard=self._fed)
             self._fed += 1
-            advanced = True
-        if (
-            advanced
-            and self._target is not None
-            and self._fed < self._shard_count  # finishing everything is not "early"
-            and len(self.monitor.cells()) >= self._expected_cells
-            and self.monitor.converged(self._target, min_cell_runs=EARLY_STOP_MIN_CELL_RUNS)
-        ):
-            self.stop_after = self._fed - 1
-            return True
+            if (
+                self._target is not None
+                and self._fed < self._shard_count  # finishing everything is not "early"
+                and len(self.monitor.cells()) >= self._expected_cells
+                and self.monitor.converged(self._target, min_cell_runs=EARLY_STOP_MIN_CELL_RUNS)
+            ):
+                self.stop_after = self._fed - 1
+                return True
         return False
 
 
@@ -923,6 +924,9 @@ def run_sharded_campaign(
         # this campaign's key outright: a worker that published and was
         # then killed (-9, chaos hook) can never reap its own segment.
         shmstore.release_published()
+        # Drop the campaign's golden store: a process keeps none once
+        # its campaign is over.
+        _SUPERVISORS.pop(supervisor_key(config), None)
         if config.shared_store:
             try:
                 shmstore.reap(campaign_store_key(config))

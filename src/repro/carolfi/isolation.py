@@ -147,7 +147,10 @@ class IsolationConfig:
 #: golden run.  Campaign workers are reused across shards and sandbox
 #: workers are respawned after every kill, so the benchmark's input
 #: generation and golden run are paid once per process — or, under the
-#: ``fork`` start method, once per process *tree*.
+#: ``fork`` start method, once per process *tree*.  It holds one
+#: campaign: a new key evicts the old supervisor (its golden store and
+#: shared segment with it), and the engine drops its campaign's entry
+#: at teardown.
 _SUPERVISORS: dict[str, Supervisor] = {}
 
 
@@ -208,6 +211,7 @@ def supervisor_for(
     key = supervisor_key(config)
     supervisor = _SUPERVISORS.get(key)
     if supervisor is None:
+        _SUPERVISORS.clear()
         supervisor = Supervisor(
             create(config.benchmark, **config.benchmark_params),
             seed=config.seed,

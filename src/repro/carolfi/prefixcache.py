@@ -1,38 +1,43 @@
-"""Execution-prefix snapshot store for the CAROL-FI fast path.
+"""The golden run of one campaign input, and the one perturbed-run loop.
 
-Every injected run executes the exact same instruction stream as the
-golden run up to its interrupt step — the fault models flip bits of
-*existing* values, so the pre-injection prefix is bit-identical by
-construction.  Re-executing that prefix for each of the campaign's
-thousands of runs is the reproduction's single largest cost (the paper's
-§6.1 checkpoint-frequency framing: recomputation versus restore).
+Every perturbed run executes the exact same instruction stream as the
+golden run up to its first perturbation step — the fault models flip
+bits of *existing* values, so the pre-perturbation prefix is
+bit-identical by construction.  Re-executing that prefix for each of
+the campaign's thousands of runs is the reproduction's single largest
+cost (the paper's §6.1 checkpoint-frequency framing: recomputation
+versus restore).
 
-:class:`PrefixStore` holds periodic state snapshots of the golden
-execution, keyed by the step they were taken *at the entry of*.
-:meth:`PrefixStore.record` captures them during the one golden walk a
-campaign's set-up makes.  :meth:`PrefixStore.resume` hands a run the
-latest snapshot at or below its perturbation step, so it replays only
-the remaining few steps, turning ``O(total_steps)`` per-run work into
-``O(interval + suffix)``.  :meth:`PrefixStore.converged` ends the
-suffix early: once a run's last perturbation is behind it, a state
-byte-identical to a stored snapshot has rejoined the golden trajectory,
-so the run would finish on the golden output without raising, and it
-stops there, masked.  Every perturbed-run loop resumes and stops
-through this pair: CAROL-FI's ``Supervisor.run_one``, the beam's
+:class:`PrefixStore` owns one campaign input's golden run: the pristine
+step-0 state, periodic snapshots keyed by the step they were taken *at
+the entry of*, and the raw golden output.  :meth:`PrefixStore.record`
+is the one golden walk a campaign's set-up makes.
+:meth:`PrefixStore.run` is the one loop every perturbed run steps
+through — CAROL-FI's ``Supervisor.run_one``, the beam's
 ``BeamExperiment.run_trial`` and the hardened
-``HardenedSupervisor._execute``.  The same argument covers all three —
-a bit flip or a machine-model strike lands at the entry of its step on
-a state the prefix left bit-exact, so skipping the prefix is invisible,
-and kernels are deterministic, so a state that is golden again at the
-entry of a step stays golden to the end.
+``HardenedSupervisor._execute``: it resumes from the deepest snapshot
+at or below the first perturbation step (:meth:`PrefixStore.resume`),
+so a run replays only the remaining few steps, turning
+``O(total_steps)`` per-run work into ``O(interval + suffix)``; it
+applies the run's perturbations at the entry of their steps; and from
+the last one on it ends the suffix early through
+:meth:`PrefixStore.converged`: a state byte-identical to a stored
+snapshot has rejoined the golden trajectory, so the run would finish on
+the golden output without raising, and it stops there, masked.  The
+same argument covers all three callers — a bit flip or a machine-model
+strike lands at the entry of its step on a state the prefix left
+bit-exact, so skipping the prefix is invisible, and kernels are
+deterministic, so a state that is golden again at the entry of a step
+stays golden to the end.  A store recorded without captures
+(``record(snapshots=False)``) resumes every run at step 0 and never
+stops one: the replay-everything reference path.
 
 Snapshot cadence is derived from the benchmark's window geometry:
 ``interval = max(1, total_steps // (SNAPSHOT_DENSITY * num_windows))``
 puts :data:`SNAPSHOT_DENSITY` snapshots in every execution-time window,
 so the expected replay is a small fraction of a window regardless of
 where the interrupt lands.  Step 0 is deliberately *not* stored: the
-Supervisor's memoised pristine input state already is the step-0
-snapshot.
+pristine input already is the step-0 snapshot.
 
 A byte budget caps memory: once the stored snapshots exceed it, capture
 stops, runs interrupted beyond the last snapshot simply replay a
@@ -53,6 +58,7 @@ accounted once per host rather than once per process.
 from __future__ import annotations
 
 import bisect
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -105,26 +111,32 @@ class Snapshot:
 
 
 class PrefixStore:
-    """Per-window execution snapshots of one benchmark's golden prefix.
+    """The golden run of one campaign input: pristine state, per-window
+    snapshots and golden output.
 
     The store never mutates or hands out its states directly: set-up
     fills it with :meth:`record`, whose captures deep-copy via
     :meth:`~repro.benchmarks.base.Benchmark.snapshot`, and runs
-    rehydrate with :meth:`resume`, so every stored prefix can seed any
-    number of runs.
+    rehydrate with :meth:`fresh` and :meth:`resume`, so the pristine
+    input and every stored prefix can seed any number of runs.
     """
+
+    #: The shared-memory segment behind a :class:`SharedPrefixStore`.
+    segment: "ShmSegment | None" = None
 
     def __init__(
         self,
         benchmark: Benchmark,
-        total_steps: int,
+        pristine: Any,
         byte_budget: int = DEFAULT_SNAPSHOT_BUDGET,
         density: int | None = None,
     ):
         if byte_budget < 0:
             raise ValueError("byte_budget must be non-negative")
         self.benchmark = benchmark
-        self.total_steps = int(total_steps)
+        #: The step-0 state; read-only, every run starts from a clone.
+        self.pristine = pristine
+        self.total_steps = benchmark.num_steps(pristine)
         self.interval = snapshot_interval(
             self.total_steps, benchmark.num_windows, density
         )
@@ -134,8 +146,14 @@ class PrefixStore:
         #: capture; ``on_degrade`` (if any) fires at that moment.
         self.degraded = False
         self.on_degrade: Callable[[PrefixStore], None] | None = None
+        #: The raw (unquantized) golden output, set by :meth:`record`.
+        self.output: Any = None
         self._snapshots: dict[int, Snapshot] = {}
         self._steps_sorted: list[int] = []
+
+    def fresh(self) -> Any:
+        """A writable clone of the pristine input, at step 0."""
+        return self.benchmark.restore(self.pristine)
 
     def capture_points(self) -> range:
         """The steps this store wants a snapshot at (step 0 excluded)."""
@@ -175,18 +193,21 @@ class PrefixStore:
         bisect.insort(self._steps_sorted, step)
         self._count("repro_snapshot_captures_total")
 
-    def record(self, state: Any) -> None:
-        """Walk ``state`` from step 0 to the end, capturing on the way.
+    def record(self, snapshots: bool = True) -> None:
+        """Walk a fresh clone from step 0 to the end and keep its output.
 
-        The golden walk of a campaign's set-up: every capture point the
-        store wants (up to its byte budget) is captured at the entry of
-        its step, and ``state`` ends as the golden final state, ready
-        for ``benchmark.output``.
+        The golden walk of a campaign's set-up.  With ``snapshots``,
+        every capture point the store wants (up to its byte budget) is
+        captured at the entry of its step; without, the store stays
+        empty and every :meth:`run` replays from step 0 to the end.
+        Either way :attr:`output` ends as the raw golden output.
         """
+        state = self.fresh()
         for index in range(self.total_steps):
-            if self.wants(index):
+            if snapshots and self.wants(index):
                 self.capture(index, state)
             self.benchmark.step(state, index)
+        self.output = self.benchmark.output(state)
 
     def latest(self, interrupt_step: int) -> Snapshot | None:
         """The deepest snapshot at or before ``interrupt_step``, if any."""
@@ -195,23 +216,67 @@ class PrefixStore:
             return None
         return self._snapshots[self._steps_sorted[pos - 1]]
 
-    def resume(self, step: int, pristine: Callable[[], Any]) -> tuple[Any, int]:
+    def resume(self, step: int) -> tuple[Any, int]:
         """A writable golden state for a run perturbed at ``step``.
 
         Returns the state at the deepest snapshot at or below ``step``
-        plus that snapshot's step or, with no such snapshot, a fresh
-        ``pristine()`` clone of the caller's memoised input and step 0.
-        The caller steps only from there on: the skipped steps are pure
-        golden work, so the perturbation at ``step`` lands on exactly
-        the state a full replay would have reached.
+        plus that snapshot's step or, with no such snapshot, a
+        :meth:`fresh` clone and step 0.  The caller steps only from
+        there on: the skipped steps are pure golden work, so the
+        perturbation at ``step`` lands on exactly the state a full
+        replay would have reached.
         """
         snap = self.latest(step)
         if snap is None:
-            return pristine(), 0
+            return self.fresh(), 0
         state = self.materialize(snap)
         self._count("repro_snapshot_restores_total")
         self._count("repro_steps_skipped_total", float(snap.step))
         return state, snap.step
+
+    def run(
+        self,
+        steps: Sequence[int],
+        perturb: Callable[[Any, int], None],
+        observer: Any = None,
+    ) -> Any:
+        """Run one perturbed execution; its final state, or ``None``.
+
+        ``steps`` are the run's perturbation steps in non-decreasing
+        order.  The run resumes at ``steps[0]`` (:meth:`resume`) and
+        calls ``perturb(state, k)`` at the entry of each distinct step
+        ``k`` in ``steps``.  From ``steps[-1]`` on it asks
+        :meth:`converged` before every step and returns ``None`` on a
+        match: the run is golden again and would end on the golden
+        output.  Otherwise it steps to the end and returns the final
+        state.  Empty ``steps`` is a fault-free full replay from a
+        :meth:`fresh` clone that never stops early.
+
+        ``observer``, if given, sees ``enter(state, k)`` at the resume
+        step and after every step (with ``k + 1``, the last step
+        included), and ``check(state, k)`` just before step ``k``,
+        after its perturbation and convergence check.  Exceptions
+        propagate: each caller classifies them itself.
+        """
+        if steps:
+            state, start = self.resume(steps[0])
+            last = steps[-1]
+        else:
+            state, start = self.fresh(), 0
+            last = self.total_steps
+        if observer is not None:
+            observer.enter(state, start)
+        for index in range(start, self.total_steps):
+            if index in steps:
+                perturb(state, index)
+            if index >= last and self.converged(index, state):
+                return None
+            if observer is not None:
+                observer.check(state, index)
+            self.benchmark.step(state, index)
+            if observer is not None:
+                observer.enter(state, index + 1)
+        return state
 
     def converged(self, index: int, state: Any) -> bool:
         """Is ``state`` the golden state at the entry of step ``index``?
@@ -265,10 +330,11 @@ class SharedPrefixStore(PrefixStore):
     """A read-only :class:`PrefixStore` over a shared-memory segment.
 
     Built by attaching a segment another process (or this one) already
-    published: the snapshot states are zero-copy read-only views of the
-    host-wide mapping, :meth:`capture` raises (the segment is complete;
-    nothing is ever captured into an attachment), and
-    :meth:`materialize` rebuilds writable states over private
+    published: the pristine input, the snapshot states and the golden
+    output are zero-copy read-only views of the host-wide mapping,
+    :meth:`capture` raises (the segment is complete; nothing is ever
+    captured into an attachment), and :meth:`fresh` and
+    :meth:`materialize` rebuild writable states over private
     copy-on-write mappings instead of deep-copying.
 
     ``used_bytes`` reports the *segment* payload size — bytes that exist
@@ -277,16 +343,20 @@ class SharedPrefixStore(PrefixStore):
     """
 
     def __init__(self, benchmark: Benchmark, segment: "ShmSegment"):
-        super().__init__(benchmark, segment.total_steps)
+        super().__init__(benchmark, segment.pristine)
         self.segment = segment
         self.interval = segment.interval
         self.used_bytes = segment.payload_bytes
         self.degraded = segment.degraded
+        self.output = segment.golden
         for step, nbytes in zip(segment.snapshot_steps, segment.snapshot_nbytes):
             self._snapshots[step] = Snapshot(
                 step=step, state=segment.snapshot_state(step), nbytes=nbytes
             )
             bisect.insort(self._steps_sorted, step)
+
+    def fresh(self) -> Any:
+        return self.segment.materialize(None)
 
     def capture(self, step: int, state: Any) -> None:
         raise RuntimeError("SharedPrefixStore is read-only; captures belong to the publisher")

@@ -1,8 +1,8 @@
 """Shared-memory snapshot segments: one golden prefix per host.
 
-The prefix-snapshot store (:mod:`repro.carolfi.prefixcache`) and the
-memoised pristine input dataset are pure functions of the campaign
-identity — every worker process on a host rebuilds (or clones) the
+The prefix store (:mod:`repro.carolfi.prefixcache`) — pristine input,
+snapshots and golden output — is a pure function of the campaign
+identity: every worker process on a host rebuilds (or clones) the
 same bytes.  This module serialises them **once per host** into an
 mmap-backed segment file and gives every other process a zero-copy
 read path:
@@ -54,6 +54,7 @@ import mmap
 import os
 import pickle
 import tempfile
+import weakref
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 from typing import Any
@@ -81,8 +82,9 @@ SHM_DIR_ENV = "REPRO_SHM_DIR"
 #: (records are identical either way; this is purely an accelerator).
 SHM_DISABLE_ENV = "REPRO_SHM"
 
-#: Segment format version (bump on incompatible layout changes).
-_SEGMENT_VERSION = 1
+#: Segment format version (bump on incompatible layout changes).  Since
+#: version 2 the golden output is stored raw, unquantized.
+_SEGMENT_VERSION = 2
 
 _MAGIC = b"RPROSHM1"
 _ALIGN = 64
@@ -231,12 +233,13 @@ class ShmSegment:
     private ``ACCESS_COPY`` mapping, whose pages the OS duplicates only
     on write.  The file object is kept open for the segment's lifetime
     so new private mappings remain possible after the publisher unlinks
-    the path.
+    the path, and closed once the segment is dropped.
     """
 
     def __init__(self, path: Path, fobj: Any, header: dict[str, Any], skeleton: Any):
         self.path = path
         self._file = fobj
+        weakref.finalize(self, fobj.close)
         self.header = header
         self._skeleton = skeleton
         self._payload_base = int(header["payload_offset"])
@@ -255,10 +258,6 @@ class ShmSegment:
     @property
     def benchmark(self) -> str:
         return str(self.header["benchmark"])
-
-    @property
-    def total_steps(self) -> int:
-        return int(self.header["total_steps"])
 
     @property
     def interval(self) -> int:
@@ -293,7 +292,11 @@ class ShmSegment:
 
     @property
     def golden(self) -> np.ndarray:
-        """The quantized golden output as a read-only shared view."""
+        """The raw golden output as a read-only shared view.
+
+        Raw, not quantized: consumers round it to their own precision
+        (:meth:`~repro.benchmarks.base.Benchmark.quantize`).
+        """
         if self._golden is None:
             self._golden = _unpack(
                 self._skeleton["golden"], self._read_map, self._payload_base

@@ -14,28 +14,23 @@ The campaign generates its input data set once (the paper: datasets
 campaign"), so the golden output is computed a single time and every
 run replays identical inputs.
 
-**Prefix fast path.**  Every run's execution is bit-identical to the
-golden run up to its interrupt step (the fault models flip bits of
-existing values), so with ``snapshots=True`` (the default) the golden
-walk captures periodic state snapshots into a
-:class:`~repro.carolfi.prefixcache.PrefixStore` and ``run_one`` restores
-the deepest snapshot at or below the interrupt step instead of
-replaying from step 0.  Records are identical by construction: each
-run's RNG stream is keyed by its run index, never by how many steps
-were actually executed, and a restored prefix is a bit-exact clone of
-the recomputed one.  ``snapshots=False`` keeps the original
-replay-everything path (and the test-suite asserts both paths produce
-byte-identical campaign logs).
-
-**Golden re-convergence.**  Once a run's last fault is in, ``run_one``
-asks the store at every snapshot step whether the run's state is
-byte-identical to the golden state there (``PrefixStore.converged``).
-The kernels are deterministic and the run's RNG serves only its
-faults, so such a run would recompute the golden output without
-raising: it stops at that step and is classified against the golden
-output, with the record a full suffix would have produced.
-``snapshots=False`` has no store, so it steps every suffix to the end
-and stays the reference the equivalence tests compare against.
+**Prefix fast path.**  The supervisor's
+:class:`~repro.carolfi.prefixcache.PrefixStore` owns the campaign's
+golden run — pristine input, snapshots, golden output — and every
+``run_one`` is one :meth:`~repro.carolfi.prefixcache.PrefixStore.run`:
+resume from the deepest snapshot at or below the (first) interrupt
+step, deliver the faults at the entry of their steps, and, once the
+last fault is in, stop at the first snapshot step whose bytes the run
+matches (golden re-convergence: the kernels are deterministic and the
+run's RNG serves only its faults, so such a run would recompute the
+golden output without raising; it is classified against the golden
+output, with the record a full suffix would have produced).  Records
+are identical by construction: each run's RNG stream is keyed by its
+run index, never by how many steps were actually executed, and a
+restored prefix is a bit-exact clone of the recomputed one.
+``snapshots=False`` records the store without captures, so every run
+replays from step 0 to the end — the reference path the test-suite
+asserts produces byte-identical campaign logs.
 """
 
 from __future__ import annotations
@@ -45,7 +40,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.analysis.spatial import classify_mask, max_relative_error, wrong_mask
+from repro.analysis.spatial import sdc_metrics
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi import shmstore
@@ -83,8 +78,8 @@ class Supervisor:
     """Runs individual fault-injection tests for one benchmark.
 
     ``snapshots`` enables the execution-prefix fast path (see the module
-    docstring).  Set-up is one golden walk, which captures the snapshot
-    store and ends on the golden output.
+    docstring).  Either way set-up is one golden walk, which records the
+    store (:attr:`prefix`) and ends on the golden output.
 
     ``shared`` additionally publishes (or attaches) the host-wide
     shared-memory snapshot segment (:mod:`repro.carolfi.shmstore`): the
@@ -111,103 +106,69 @@ class Supervisor:
         self.benchmark = benchmark
         self.seed = int(seed)
         self.flip = FlipScript(policy)
-        self._input_path = ("carolfi", benchmark.name, "input")
-        self._pristine: Any = None
-        self._snapshot_budget = int(snapshot_budget)
-        self._snapshot_density = snapshot_density
         self._on_event = on_event
-        self._shm: "shmstore.ShmSegment | None" = None
-        want_shared = bool(shared) and snapshots and shmstore.shm_enabled()
+        store: PrefixStore | None = None
         shm_key: str | None = None
-        if want_shared:
+        if shared and snapshots and shmstore.shm_enabled():
             shm_key = shmstore.store_key(
                 benchmark.name,
                 self.seed,
                 benchmark.params,
                 density=snapshot_density,
-                byte_budget=self._snapshot_budget,
+                byte_budget=int(snapshot_budget),
             )
             segment = shmstore.attach(shm_key)
+            self._count("repro_shm_attach_total", result="miss" if segment is None else "hit")
             if segment is not None:
                 # Another process on this host already published the
-                # golden prefix: adopt it wholesale.  No dataset
+                # golden run: adopt it wholesale.  No dataset
                 # generation, no golden walk, no captures — and no
                 # per-process copies of any of it.
-                self._adopt_segment(segment)
-                self._count("repro_shm_attach_total", result="hit")
-                return
-            self._count("repro_shm_attach_total", result="miss")
-        # Generate the campaign dataset once and compute the golden copy.
-        state = self._fresh_state()
-        self.total_steps = benchmark.num_steps(state)
-        self.prefix: PrefixStore | None = (
-            PrefixStore(
-                benchmark,
-                self.total_steps,
-                byte_budget=self._snapshot_budget,
-                density=snapshot_density,
+                store = SharedPrefixStore(benchmark, segment)
+        if store is None:
+            # Generate the campaign dataset once; one golden walk
+            # records the snapshot store and ends on the golden output.
+            pristine = benchmark.make_state(
+                derive_rng(self.seed, "carolfi", benchmark.name, "input")
             )
-            if snapshots
-            else None
-        )
-        if self.prefix is not None:
-            self.prefix.on_degrade = self._budget_degraded
-        # One golden walk records the snapshot store and ends on the
-        # golden output.
-        with current_tracer().span("golden_run", benchmark=benchmark.name):
-            if self.prefix is not None:
-                self.prefix.record(state)
-                golden = benchmark.output(state)
-            else:
-                golden = benchmark.run(state)
-        self.golden = self._quantize(golden)
-        if shm_key is not None:
-            self._publish_shared(shm_key)
+            store = PrefixStore(
+                benchmark, pristine, byte_budget=snapshot_budget, density=snapshot_density
+            )
+            store.on_degrade = self._budget_degraded
+            with current_tracer().span("golden_run", benchmark=benchmark.name):
+                store.record(snapshots=snapshots)
+            if shm_key is not None:
+                store = self._publish_shared(shm_key, store)
+        self.prefix = store
+        self.total_steps = store.total_steps
+        self.golden = benchmark.quantize(store.output)
 
     # -- shared-memory segment plumbing ---------------------------------------
 
-    def _adopt_segment(self, segment: "shmstore.ShmSegment") -> None:
-        """Back this supervisor's golden prefix by ``segment``.
+    def _publish_shared(self, key: str, store: PrefixStore) -> PrefixStore:
+        """Publish ``store`` as the host's shared segment.
 
-        After adoption the pristine state, the snapshot store, and the
-        golden output are read-only views over the host-wide mapping,
-        and every restore goes through a private copy-on-write mapping
-        — this process holds no duplicated snapshot bytes.
+        Returns the :class:`SharedPrefixStore` over our own publication
+        — the private copies captured into ``store`` become garbage, so
+        the publisher's RSS is as flat as any attacher's and the attach
+        path is exercised constantly — or ``store`` itself when the
+        segment cannot be published.
         """
-        self._shm = segment
-        self.total_steps = segment.total_steps
-        self._pristine = segment.pristine
-        self.prefix = SharedPrefixStore(self.benchmark, segment)
-        self.golden = segment.golden
-
-    def _publish_shared(self, key: str) -> None:
-        """Publish this supervisor's prefix as the host's shared segment."""
-        if self.prefix is None or self._pristine is None:
-            return
-        snaps = [
-            (snap.step, snap.state, snap.nbytes)
-            for snap in (
-                self.prefix._snapshots[step] for step in self.prefix._steps_sorted
-            )
-        ]
         segment = shmstore.publish(
             key,
             benchmark=self.benchmark.name,
-            total_steps=self.total_steps,
-            interval=self.prefix.interval,
-            degraded=self.prefix.degraded,
-            pristine=self._pristine,
-            snapshots=snaps,
-            golden=self.golden,
+            total_steps=store.total_steps,
+            interval=store.interval,
+            degraded=store.degraded,
+            pristine=store.pristine,
+            snapshots=[
+                (snap.step, snap.state, snap.nbytes)
+                for snap in (store._snapshots[step] for step in store._steps_sorted)
+            ],
+            golden=store.output,
         )
-        if segment is None:
-            self._count("repro_shm_publish_total", result="failed")
-            return
-        self._count("repro_shm_publish_total", result="ok")
-        # Re-attach our own publication: the private copies captured
-        # above become garbage, so the publisher's RSS is as flat as
-        # any attacher's — and the attach path is exercised constantly.
-        self._adopt_segment(segment)
+        self._count("repro_shm_publish_total", result="failed" if segment is None else "ok")
+        return store if segment is None else SharedPrefixStore(self.benchmark, segment)
 
     def _budget_degraded(self, store: PrefixStore) -> None:
         """The byte budget just blocked a wanted capture (fires once)."""
@@ -242,35 +203,6 @@ class Supervisor:
             name, help="CAROL-FI fast-path cache efficiency counter."
         ).inc(benchmark=self.benchmark.name, **labels)
 
-    def _quantize(self, output: np.ndarray) -> np.ndarray:
-        """Round to the precision the benchmark's output file carries.
-
-        The paper's campaigns diff *printed* output files, so an error
-        below the printf precision never counts as a mismatch.
-        """
-        decimals = self.benchmark.output_decimals
-        if decimals is None:
-            return output
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.round(output, decimals)
-
-    def _fresh_state(self) -> Any:
-        """A pristine copy of the campaign's fixed input data set.
-
-        The input arrays are generated once (first call) and memoised;
-        every later call hands out a bit-exact clone instead of
-        re-deriving the RNG dataset — the memo *is* the step-0 snapshot.
-        With a shared segment attached, the clone is a copy-on-write
-        view of the host-wide mapping instead of a deep copy.
-        """
-        if self._shm is not None:
-            return self._shm.materialize(None)
-        if self._pristine is None:
-            self._pristine = self.benchmark.make_state(
-                derive_rng(self.seed, *self._input_path)
-            )
-        return self.benchmark.restore(self._pristine)
-
     # -- shared run machinery -------------------------------------------------
     #
     # run_one and the batched runner (:mod:`repro.carolfi.batchrunner`)
@@ -299,16 +231,8 @@ class Supervisor:
         if np.array_equal(self.golden, observed):
             self._count("repro_compare_fastpath_total")
             return Outcome.MASKED, {}
-        mask = wrong_mask(self.golden, observed)
-        if not mask.any():
-            return Outcome.MASKED, {}
-        pattern = classify_mask(mask, self.benchmark.output_dims)
-        return Outcome.SDC, {
-            "wrong_elements": int(mask.sum()),
-            "wrong_fraction": float(mask.mean()),
-            "max_rel_err": max_relative_error(self.golden, observed),
-            "pattern": pattern.value,
-        }
+        metrics = sdc_metrics(self.golden, observed, self.benchmark.output_dims)
+        return (Outcome.SDC if metrics else Outcome.MASKED), metrics
 
     def make_record(
         self,
@@ -360,12 +284,15 @@ class Supervisor:
         The classic single-fault form passes ``model`` (and optionally a
         forced ``interrupt_step``).  ``faults`` instead takes an explicit
         *ordered* list of ``(step, model)`` injections delivered in
-        sequence during one execution — the multi-fault substrate the
-        scenario fuzzer (:mod:`repro.fuzz`) builds on.  The single-fault
-        path is byte-identical to the original implementation: the
-        per-run RNG draws the interrupt step first (only when it was not
-        forced) and is then consumed by the flips in delivery order, so
-        records written before this extension replay exactly.
+        sequence during one execution: the first becomes the record's
+        site, the others its ``extra_faults``.  ``tests/carolfi/
+        test_multifault.py`` and the fast-vs-slow equivalence tests use
+        it; campaigns never do.  The single-fault path is byte-identical
+        to the original implementation: the per-run RNG draws the
+        interrupt step first (only when it was not forced) and is then
+        consumed by the flips in delivery order, so records written
+        before this extension replay exactly.  The run itself is one
+        :meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`.
         """
         bench = self.benchmark
         rng = self.run_rng(run_index)
@@ -388,66 +315,49 @@ class Supervisor:
             if not 0 <= step < total:
                 raise ValueError(f"interrupt step {step} out of range")
         first_step = plan[0][0]
-        last_step = plan[-1][0]
         primary_model = plan[0][1]
         schedule: dict[int, list[FaultModel]] = {}
         for step, fault_model in plan:
             schedule.setdefault(step, []).append(fault_model)
 
-        # Prefix fast path: resume from the deepest snapshot at or below
-        # the (first) interrupt step; the skipped steps are bit-identical
-        # to the golden execution by construction, so the injected suffix
-        # sees exactly the state a full replay would have produced.
-        prefix = self.prefix
-        if prefix is not None:
-            state, start_step = prefix.resume(first_step, self._fresh_state)
-        else:
-            state, start_step = self._fresh_state(), 0
         site: FaultSite | None = None
         bits: tuple[int, ...] | None = None
         extra: list[dict[str, Any]] = []
         outcome = Outcome.MASKED
         due_kind: DueKind | None = None
         due_detail = ""
-        sdc_metrics: dict[str, Any] = {}
+        metrics: dict[str, Any] = {}
         tracer = current_tracer()
         run_span = tracer.span("run", run=run_index, model=primary_model.value)
+
+        def corrupt(state: Any, index: int) -> None:
+            nonlocal site, bits
+            for fault_model in schedule[index]:
+                with tracer.span("corrupt", step=index):
+                    fault_site, fault_bits = self.flip.inject(
+                        bench, state, index, fault_model, rng
+                    )
+                if site is None:
+                    site, bits = fault_site, fault_bits
+                else:
+                    extra.append(
+                        {
+                            "step": index,
+                            "fault_model": fault_model.value,
+                            "site": fault_site.to_dict(),
+                            "bits": list(fault_bits) if fault_bits is not None else None,
+                        }
+                    )
 
         with run_span:
             try:
                 with tracer.span("execute", interrupt_step=first_step):
-                    observed: np.ndarray | None = None
-                    for index in range(start_step, total):
-                        for fault_model in schedule.get(index, ()):
-                            with tracer.span("corrupt", step=index):
-                                fault_site, fault_bits = self.flip.inject(
-                                    bench, state, index, fault_model, rng
-                                )
-                            if site is None:
-                                site, bits = fault_site, fault_bits
-                            else:
-                                extra.append(
-                                    {
-                                        "step": index,
-                                        "fault_model": fault_model.value,
-                                        "site": fault_site.to_dict(),
-                                        "bits": list(fault_bits)
-                                        if fault_bits is not None
-                                        else None,
-                                    }
-                                )
-                        # Golden again after the last fault: the rest of
-                        # the run would recompute the golden output.
-                        if (
-                            prefix is not None
-                            and index >= last_step
-                            and prefix.converged(index, state)
-                        ):
-                            observed = self.golden
-                            break
-                        bench.step(state, index)
-                    if observed is None:
-                        observed = self._quantize(bench.output(state))
+                    final = self.prefix.run(tuple(schedule), corrupt)
+                    # A run golden again after its last fault would
+                    # recompute the golden output.
+                    observed = (
+                        self.golden if final is None else bench.quantize(bench.output(final))
+                    )
             except BenchmarkHang as exc:
                 outcome = Outcome.DUE
                 due_kind = DueKind.TIMEOUT
@@ -458,7 +368,7 @@ class Supervisor:
                 due_detail = f"{type(exc).__name__}: {exc}"
             else:
                 with tracer.span("compare"):
-                    outcome, sdc_metrics = self.classify_output(observed)
+                    outcome, metrics = self.classify_output(observed)
             finally:
                 run_span.set_attr("outcome", outcome.value)
 
@@ -471,6 +381,6 @@ class Supervisor:
             outcome,
             due_kind=due_kind,
             due_detail=due_detail,
-            sdc_metrics=sdc_metrics,
+            sdc_metrics=metrics,
             extra_faults=tuple(extra),
         )

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.benchmarks.base import Benchmark, BenchmarkError, BenchmarkHang
 from repro.benchmarks.registry import create
+from repro.carolfi.prefixcache import PrefixStore
 from repro.faults.models import FaultModel, apply_fault_model
 from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.hardening.guards import (
@@ -153,32 +154,26 @@ class _RunState:
 class ScenarioExecutor:
     """Replays scenarios against one (benchmark, params) pair.
 
-    The golden output is computed once at construction and shared by
-    every execution, like the supervisor's golden walk.  The executor
-    is deliberately *stateless across executions* beyond that: each
-    ``execute`` builds fresh state, guards and snapshots.
+    The input is generated and the golden output computed once, at
+    construction, by a :class:`~repro.carolfi.prefixcache.PrefixStore`
+    recorded without captures, like the supervisor's golden walk; every
+    execution starts from a bit-exact clone of that input.  The
+    executor is deliberately *stateless across executions* beyond that:
+    each ``execute`` builds fresh state, guards and snapshots.
     """
 
     def __init__(self, benchmark: str, benchmark_params: dict[str, Any] | None = None):
         self.benchmark: Benchmark = create(benchmark, **(benchmark_params or {}))
         self.benchmark_params = dict(benchmark_params or {})
-        state = self._fresh_state()
-        self.total_steps = self.benchmark.num_steps(state)
-        self.golden = self._quantize(self.benchmark.run(state))
+        self.prefix = PrefixStore(
+            self.benchmark,
+            self.benchmark.make_state(derive_rng(2017, "fuzz", self.benchmark.name, "input")),
+        )
+        self.prefix.record(snapshots=False)
+        self.total_steps = self.prefix.total_steps
+        self.golden = self.benchmark.quantize(self.prefix.output)
 
     # -- plumbing -----------------------------------------------------------
-
-    def _fresh_state(self) -> Any:
-        return self.benchmark.make_state(
-            derive_rng(2017, "fuzz", self.benchmark.name, "input")
-        )
-
-    def _quantize(self, output: np.ndarray) -> np.ndarray:
-        decimals = self.benchmark.output_decimals
-        if decimals is None:
-            return output
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.round(output, decimals)
 
     def _digest(self, output: np.ndarray) -> str:
         payload = np.ascontiguousarray(output).tobytes()
@@ -187,7 +182,7 @@ class ScenarioExecutor:
 
     def resource_classes(self) -> tuple[str, ...]:
         """Variable classes live at step 0 — the generator's resource pool."""
-        state = self._fresh_state()
+        state = self.prefix.fresh()
         classes: list[str] = []
         for var in self.benchmark.variables(state, 0):
             if var.var_class not in classes:
@@ -283,7 +278,7 @@ class ScenarioExecutor:
             else:  # resume_checkpoint
                 toggles[min(s.at, total - 1)] = True
 
-        state = self._fresh_state()
+        state = self.prefix.fresh()
         checksums = (
             abft_checksums(state.a_src, state.b_src)
             if scheme.abft and bench.name == "dgemm"
@@ -395,7 +390,7 @@ class ScenarioExecutor:
                         )
                     if verdict.outcome is AbftOutcome.CORRECTED:
                         observed = verdict.matrix
-                        quantized = self._quantize(observed)
+                        quantized = self.benchmark.quantize(observed)
                         if np.array_equal(quantized, self.golden):
                             outcome, detected_by = "corrected", "abft"
                             detail = f"{verdict.corrections} element(s) repaired"
@@ -406,7 +401,7 @@ class ScenarioExecutor:
                         outcome, detected_by = "detected", "abft"
                         detail = "output checksums mismatch (uncorrectable)"
                 if outcome in ("masked", "sdc", "corrected"):
-                    quantized = self._quantize(observed)
+                    quantized = self.benchmark.quantize(observed)
                     digest = self._digest(quantized)
                     if outcome == "masked":
                         wrong_elements = int(np.sum(~self._equal_mask(quantized)))

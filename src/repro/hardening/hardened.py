@@ -19,25 +19,28 @@ Outcomes gain two new categories relative to Figure 4: ``detected``
 can abort/retry instead of silently corrupting) and ``corrected``
 (ABFT repaired the output in place).
 
-Injected runs resume from the golden prefix through the same
-:class:`~repro.carolfi.prefixcache.PrefixStore` path as CAROL-FI.  The
-guards need no replay either: after a fault-free prefix to step ``k``
-every guard whose variable is live at ``k`` holds ``resync`` of that
-variable (a pure function of the store) and every other guard is
-detached, and ``verify`` never trips on golden data — so rebuilding
-exactly that state at ``k`` is indistinguishable from walking there.
-The constructor's golden run records the whole store.  Its fault-free
-hardened run stays a full replay from step 0: it checks that the guards
-never trip on golden data and that ABFT finds the golden output clean,
-and it counts the bytes the guards verify per step — the protection's
-cost as a deterministic work count, never a wall-clock ratio.  Those
-two checks let an injected run stop early: once its state is
-byte-identical to a stored snapshot at or after the interrupt step,
-its guards hold ``sync_guards`` of that golden state, so the rest of
-the run is the fault-free run's suffix — no trip, no detector event, a
-clean output — and the record is ``masked``.  No wall clock decides an
-outcome either: hangs are the benchmarks' deterministic loop guards,
-recorded as ``due`` with a ``timeout:`` detail.
+Every hardened run — the fault-free one included — steps through the
+same loop as CAROL-FI runs, :meth:`PrefixStore.run
+<repro.carolfi.prefixcache.PrefixStore.run>`, over a store the
+constructor records from the CAROL-FI input; the guards ride it as its
+observer: they are synced at the resume step, then verified before and
+re-synced after every step.  The guards need no replay either: after a
+fault-free prefix to step ``k`` every guard whose variable is live at
+``k`` holds ``resync`` of that variable (a pure function of the store)
+and every other guard is detached, and ``verify`` never trips on golden
+data — so rebuilding exactly that state at ``k`` is indistinguishable
+from walking there.  The fault-free hardened run is a full replay from
+step 0 that never stops early: it checks that the guards never trip on
+golden data and that ABFT finds the golden output clean, and it counts
+the bytes the guards verify per step — the protection's cost as a
+deterministic work count, never a wall-clock ratio.  Those two checks
+let an injected run stop early: once its state is byte-identical to a
+stored snapshot at or after the interrupt step, its guards hold
+``sync_guards`` of that golden state, so the rest of the run is the
+fault-free run's suffix — no trip, no detector event, a clean output —
+and the record is ``masked``.  No wall clock decides an outcome either:
+hangs are the benchmarks' deterministic loop guards, recorded as
+``due`` with a ``timeout:`` detail.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.hardening.guards import (
     DetectorEvent,
     FaultDetected,
+    VariableGuard,
     attach_observer,
     build_guards,
     sync_guards,
@@ -116,6 +120,32 @@ class HardenedCampaignResult:
         return shares["sdc"] + shares["due"]
 
 
+class _GuardObserver:
+    """The guards' side of :meth:`PrefixStore.run
+    <repro.carolfi.prefixcache.PrefixStore.run>`.
+
+    ``enter`` re-syncs the guards to the state at the entry of a step —
+    the resume step, then after every step — and ``check`` is the
+    scheduled scrub point: verify every guarded store before the step
+    consumes it, counting the bytes verified.
+    """
+
+    def __init__(self, benchmark: Benchmark, guards: dict[str, VariableGuard]):
+        self.benchmark = benchmark
+        self.guards = guards
+        self.verified = 0
+
+    def enter(self, state: Any, index: int) -> None:
+        sync_guards(self.guards, self.benchmark.variables(state, index))
+
+    def check(self, state: Any, index: int) -> None:
+        arrays = {v.name: v.array for v in self.benchmark.variables(state, index)}
+        for name, guard in self.guards.items():
+            if name in arrays:
+                guard.verify(arrays[name])
+                self.verified += arrays[name].nbytes
+
+
 class HardenedSupervisor:
     """Runs injections against a benchmark wrapped in its guards."""
 
@@ -133,19 +163,20 @@ class HardenedSupervisor:
         #: ABFT output verification applies to the matrix-product code.
         self.abft = benchmark.name == "dgemm" if abft is None else bool(abft)
         #: Optional ``Callable[[DetectorEvent], None]`` wired into every
-        #: guard of every run (the fuzz oracle's detector-state tap).
+        #: guard of every run and fed the ABFT verdicts: a tap on the
+        #: detectors, used by ``test_detector_events_match_full_replay``.
         self.detector_observer = detector_observer
-        self._pristine: Any = None
-
-        state = self._fresh_state()
-        self.total_steps = benchmark.num_steps(state)
-        self.prefix = PrefixStore(benchmark, self.total_steps)
-        self.prefix.record(state)
-        self.golden = self._quantize(benchmark.output(state))
+        pristine = benchmark.make_state(
+            derive_rng(self.seed, "carolfi", benchmark.name, "input")
+        )
+        self.prefix = PrefixStore(benchmark, pristine)
+        self.prefix.record()
+        self.total_steps = self.prefix.total_steps
+        self.golden = benchmark.quantize(self.prefix.output)
         # ABFT checksums derive from the operands at load time: once,
         # from the pristine input every run starts from.
         self._checksums = (
-            abft_checksums(self._pristine.a_src, self._pristine.b_src) if self.abft else None
+            abft_checksums(pristine.a_src, pristine.b_src) if self.abft else None
         )
 
         # The fault-free hardened run: guards must never trip on golden
@@ -160,23 +191,8 @@ class HardenedSupervisor:
 
     # -- plumbing ---------------------------------------------------------------
 
-    def _fresh_state(self) -> Any:
-        """A bit-exact clone of the campaign's input, generated once."""
-        if self._pristine is None:
-            self._pristine = self.benchmark.make_state(
-                derive_rng(self.seed, "carolfi", self.benchmark.name, "input")
-            )
-        return self.benchmark.restore(self._pristine)
-
-    def _quantize(self, output: np.ndarray) -> np.ndarray:
-        decimals = self.benchmark.output_decimals
-        if decimals is None:
-            return output
-        with np.errstate(invalid="ignore", over="ignore"):
-            return np.round(output, decimals)
-
     def _measure_guard_bytes(self) -> int:
-        state = self._fresh_state()
+        state = self.prefix.fresh()
         guards = build_guards(self.benchmark.name)
         arrays = {v.name: v.array for v in self.benchmark.variables(state, 0)}
         total = 0
@@ -194,109 +210,41 @@ class HardenedSupervisor:
         model: FaultModel | None,
         interrupt_step: int | None,
     ) -> HardenedRecord:
+        """One hardened run; ``model=None`` is the fault-free full replay."""
         bench = self.benchmark
         rng = derive_rng(self.seed, "hardened", bench.name, "run", str(run_index))
-        if model is None:
-            # The fault-free run: a full replay, never stopped early.
-            state, start_step = self._fresh_state(), 0
-        else:
+        steps: tuple[int, ...] = ()
+        if model is not None:
             if interrupt_step is None:
                 interrupt_step = int(rng.integers(0, self.total_steps))
             if not 0 <= interrupt_step < self.total_steps:
                 raise ValueError(f"interrupt step {interrupt_step} out of range")
-            state, start_step = self.prefix.resume(interrupt_step, self._fresh_state)
-        checksums = self._checksums
+            steps = (interrupt_step,)
         guards = build_guards(bench.name)
         if self.detector_observer is not None:
             attach_observer(guards, self.detector_observer)
+        observer = _GuardObserver(bench, guards)
         site = FaultSite("none", "none", 0, "none")
-        outcome: HardenedOutcome = "masked"
-        detected_by = ""
-        detail = ""
-        verified = 0
+
+        def inject(state: Any, index: int) -> None:
+            nonlocal site
+            site, _bits = self.flip.inject(bench, state, index, model, rng)
 
         try:
-            # Attach the guards to the state the run starts from, so
-            # corruption at its very first quantum is already covered.
-            sync_guards(guards, bench.variables(state, start_step))
-            for index in range(start_step, self.total_steps):
-                if model is not None:
-                    if index == interrupt_step:
-                        site, _bits = self.flip.inject(bench, state, index, model, rng)
-                    if index >= interrupt_step and self.prefix.converged(index, state):
-                        return HardenedRecord(
-                            bench.name,
-                            run_index,
-                            site,
-                            model.value,
-                            interrupt_step,
-                            "masked",
-                        )
-                arrays = {v.name: v.array for v in bench.variables(state, index)}
-                # Scheduled scrub point: verify every guarded store
-                # before this quantum consumes it.
-                for name, guard in guards.items():
-                    if name in arrays:
-                        guard.verify(arrays[name])
-                        verified += arrays[name].nbytes
-                bench.step(state, index)
-                sync_guards(guards, bench.variables(state, index + 1))
-            if model is None:
-                self.verify_kib_per_step = verified / 1024 / self.total_steps
-            observed = bench.output(state)
-            if checksums is not None:
-                verdict = abft_check(observed, checksums[0], checksums[1])
-                if (
-                    self.detector_observer is not None
-                    and verdict.outcome is not AbftOutcome.CLEAN
-                ):
-                    self.detector_observer(
-                        DetectorEvent("output", "abft", verdict.outcome.value)
-                    )
-                if verdict.outcome is AbftOutcome.CORRECTED:
-                    observed = verdict.matrix
-                    if wrong_mask(self.golden, self._quantize(observed)).any():
-                        outcome = "sdc"  # correction missed residual damage
-                        detail = "abft corrected but output still differs"
-                    else:
-                        outcome = "corrected"
-                        detected_by = "abft"
-                        detail = f"{verdict.corrections} element(s) repaired"
-                    return HardenedRecord(
-                        bench.name,
-                        run_index,
-                        site,
-                        model.value if model else "none",
-                        interrupt_step if interrupt_step is not None else -1,
-                        outcome,
-                        detected_by,
-                        detail,
-                    )
-                if verdict.outcome is AbftOutcome.DETECTED:
-                    return HardenedRecord(
-                        bench.name,
-                        run_index,
-                        site,
-                        model.value if model else "none",
-                        interrupt_step if interrupt_step is not None else -1,
-                        "detected",
-                        "abft",
-                        "output checksums mismatch (uncorrectable pattern)",
-                    )
-            observed = self._quantize(observed)
-            if wrong_mask(self.golden, observed).any():
-                outcome = "sdc"
+            final = self.prefix.run(steps, inject, observer)
+            if final is None:
+                # Golden again: the rest is the fault-free run's suffix.
+                outcome, detected_by, detail = "masked", "", ""
+            else:
+                if model is None:
+                    self.verify_kib_per_step = observer.verified / 1024 / self.total_steps
+                outcome, detected_by, detail = self._classify(bench.output(final))
         except FaultDetected as exc:
-            outcome = "detected"
-            detected_by = f"{exc.kind.value}:{exc.variable}"
-            detail = str(exc)
+            outcome, detected_by, detail = "detected", f"{exc.kind.value}:{exc.variable}", str(exc)
         except BenchmarkHang as exc:
-            outcome = "due"
-            detail = f"timeout: {exc}"
+            outcome, detected_by, detail = "due", "", f"timeout: {exc}"
         except _CRASH_EXCEPTIONS as exc:
-            outcome = "due"
-            detail = f"crash: {type(exc).__name__}: {exc}"
-
+            outcome, detected_by, detail = "due", "", f"crash: {type(exc).__name__}: {exc}"
         return HardenedRecord(
             bench.name,
             run_index,
@@ -307,6 +255,24 @@ class HardenedSupervisor:
             detected_by,
             detail,
         )
+
+    def _classify(self, observed: np.ndarray) -> tuple[HardenedOutcome, str, str]:
+        """``(outcome, detected_by, detail)`` of a finished run's output:
+        ABFT's verdict where it applies, else the quantized compare."""
+        if self._checksums is not None:
+            verdict = abft_check(observed, *self._checksums)
+            if self.detector_observer is not None and verdict.outcome is not AbftOutcome.CLEAN:
+                self.detector_observer(DetectorEvent("output", "abft", verdict.outcome.value))
+            if verdict.outcome is AbftOutcome.CORRECTED:
+                if wrong_mask(self.golden, self.benchmark.quantize(verdict.matrix)).any():
+                    # The correction missed residual damage.
+                    return "sdc", "", "abft corrected but output still differs"
+                return "corrected", "abft", f"{verdict.corrections} element(s) repaired"
+            if verdict.outcome is AbftOutcome.DETECTED:
+                return "detected", "abft", "output checksums mismatch (uncorrectable pattern)"
+        if wrong_mask(self.golden, self.benchmark.quantize(observed)).any():
+            return "sdc", "", ""
+        return "masked", "", ""
 
     def run_one(
         self,

@@ -125,7 +125,7 @@ def reference(name: str, seed: int) -> tuple[dict, ...]:
     occupied trials have struck step 0, every snapshot boundary and the
     last step (with the small parameters, every step is a boundary)."""
     experiment = experiment_for(name, seed)
-    store = PrefixStore(experiment.benchmark, experiment.total_steps)
+    store = PrefixStore(experiment.benchmark, experiment.prefix.pristine)
     wanted = {0, experiment.total_steps - 1, *store.capture_points()}
     records = []
     for trial in range(MAX_TRIALS):
@@ -170,9 +170,9 @@ def test_resume_between_sparse_snapshots_matches_full_replay(name):
     expected = reference(name, 1)
     experiment = experiment_for(name, 1)
     experiment.prefix = PrefixStore(
-        experiment.benchmark, experiment.total_steps, density=1
+        experiment.benchmark, experiment.prefix.pristine, density=1
     )
-    experiment.prefix.record(experiment._fresh_state())
+    experiment.prefix.record()
     got = {t: experiment.run_trial(t).to_dict() for t in ordered(len(expected), "shuffled")}
     assert [got[t] for t in range(len(expected))] == list(expected)
 

@@ -1,6 +1,7 @@
 """Sharded parallel campaign engine: determinism, resume, corruption."""
 
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -20,6 +21,7 @@ from repro.carolfi.engine import (
     RetryPolicy,
     ShardFailure,
     ShardSpec,
+    _ConvergenceGate,
     backoff_delay,
     campaign_fingerprint,
     plan_shards,
@@ -32,6 +34,7 @@ from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, Outcome
 from repro.telemetry import Telemetry, TelemetryConfig
+from repro.telemetry.convergence import ConvergenceMonitor
 from repro.util.jsonlog import load_records_tolerant
 
 #: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards.
@@ -718,6 +721,29 @@ def test_target_ci_stop_point_is_worker_independent():
     parallel = run_sharded_campaign(capped, workers=2, shard_size=SHARD_SIZE)
     assert serial.stopped_early and parallel.stopped_early
     assert dicts(serial) == dicts(parallel)
+
+
+def test_convergence_gate_stop_is_completion_order_independent():
+    """Every order in which the four shards can complete stops the
+    campaign at the boundary the in-order feed stops at, also when one
+    completion lets several shards join the prefix at once."""
+    capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
+    shards = plan_shards(STOP_CONFIG.injections, SHARD_SIZE)
+    rows = dicts(run_sharded_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE))
+
+    def stop_after(order):
+        gate = _ConvergenceGate(
+            capped, shards, ConvergenceMonitor(), lambda i: rows[shards[i].start : shards[i].stop]
+        )
+        for index in order:
+            if gate.mark_complete(index):
+                break
+        return gate.stop_after
+
+    expected = stop_after(range(len(shards)))
+    assert expected is not None and expected < len(shards) - 1
+    for order in itertools.permutations(range(len(shards))):
+        assert stop_after(order) == expected, order
 
 
 def test_target_ci_campaign_log_is_byte_prefix(tmp_path):

@@ -190,7 +190,7 @@ def test_prefix_store_capture_and_latest():
     bench = create("nw", n=16, rows_per_step=4)
     state = bench.make_state(derive_rng(3, "store"))
     total = bench.num_steps(state)
-    store = PrefixStore(bench, total)
+    store = PrefixStore(bench, state)
     points = list(store.capture_points())
     assert points and all(0 < p < total for p in points)
 
@@ -210,7 +210,7 @@ def test_prefix_store_capture_and_latest():
 def test_prefix_store_rejects_out_of_range_captures():
     bench = create("nw", n=16, rows_per_step=4)
     state = bench.make_state(derive_rng(3, "store"))
-    store = PrefixStore(bench, bench.num_steps(state))
+    store = PrefixStore(bench, state)
     with pytest.raises(ValueError):
         store.capture(0, state)
     with pytest.raises(ValueError):
@@ -219,35 +219,31 @@ def test_prefix_store_rejects_out_of_range_captures():
 
 def test_prefix_store_resume_from_recorded_store():
     """``record`` walks the golden run from step 0, capturing every point
-    the store wants, and ends on the golden final state; ``resume`` then
-    hands out the deepest snapshot at or below the step, or a pristine
-    clone at step 0."""
+    the store wants, and keeps the golden output; ``resume`` then hands
+    out the deepest snapshot at or below the step, or a pristine clone
+    at step 0."""
     bench = create("nw", n=32, rows_per_step=4)
     pristine = bench.make_state(derive_rng(3, "store"))
     total = bench.num_steps(pristine)
-    store = PrefixStore(bench, total, density=1)
+    store = PrefixStore(bench, pristine, density=1)
     assert store.interval == 2 and total == 8
 
-    def fresh():
-        return bench.restore(pristine)
-
-    walk = fresh()
+    walk = bench.restore(pristine)
     entry_states = []
     for index in range(total):
         entry_states.append(bench.snapshot(walk))
         bench.step(walk, index)
 
-    recorded = fresh()
-    store.record(recorded)
+    store.record()
     assert len(store) == len(store.capture_points()) == 3
-    assert states_equal(recorded, walk)
+    assert np.array_equal(store.output, bench.output(walk))
 
     for step, anchor in ((0, 0), (1, 0), (2, 2), (3, 2), (6, 6), (7, 6)):
-        state, start = store.resume(step, fresh)
+        state, start = store.resume(step)
         assert start == anchor
         assert states_equal(state, entry_states[anchor])
         bench.step(state, start)  # a private copy: the snapshot is untouched
-        again, _ = store.resume(step, fresh)
+        again, _ = store.resume(step)
         assert states_equal(again, entry_states[anchor])
 
 
@@ -255,11 +251,11 @@ def test_converged_only_at_stored_steps_on_golden_bytes():
     bench = create("nw", n=32, rows_per_step=4)
     pristine = bench.make_state(derive_rng(3, "store"))
     total = bench.num_steps(pristine)
-    store = PrefixStore(bench, total, density=1)
-    store.record(bench.restore(pristine))
+    store = PrefixStore(bench, pristine, density=1)
+    store.record()
     tel = Telemetry(TelemetryConfig())
     with tel.activate():
-        state, start = store.resume(4, lambda: bench.restore(pristine))
+        state, start = store.resume(4)
         assert start == 4
         assert store.converged(4, state)
         assert not store.converged(3, state), "no snapshot at step 3"
@@ -270,18 +266,130 @@ def test_converged_only_at_stored_steps_on_golden_bytes():
     assert converged == {"benchmark=nw": float(total - 4)}
 
 
+# -- PrefixStore.run: the one perturbed-run loop ------------------------------
+
+#: The fast-path efficiency counters a store bumps.
+STORE_COUNTERS = (
+    "repro_snapshot_restores_total",
+    "repro_steps_skipped_total",
+    "repro_steps_converged_total",
+)
+
+
+def recorded_nw(snapshots: bool = True) -> PrefixStore:
+    """An 8-step nw store, snapshots at steps 2, 4 and 6 when recorded."""
+    bench = create("nw", n=32, rows_per_step=4)
+    store = PrefixStore(bench, bench.make_state(derive_rng(3, "store")), density=1)
+    store.record(snapshots=snapshots)
+    return store
+
+
+def noop(state, index):
+    pass
+
+
+class RecordingObserver:
+    def __init__(self):
+        self.events = []
+
+    def enter(self, state, index):
+        self.events.append(("enter", index))
+
+    def check(self, state, index):
+        self.events.append(("check", index))
+
+
+def test_run_stops_at_first_snapshot_from_the_perturbation_on():
+    """A no-op perturbation at step k leaves the run golden: it returns
+    ``None`` at the first snapshot step j >= k, counting total - j
+    converged steps, and steps to the end when no snapshot follows."""
+    store = recorded_nw()
+    total = store.total_steps
+    for k in range(total):
+        following = [j for j in (2, 4, 6) if j >= k]
+        tel = Telemetry(TelemetryConfig())
+        with tel.activate():
+            final = store.run((k,), noop)
+        converged = tel.registry.counter_values().get("repro_steps_converged_total", {})
+        if following:
+            assert final is None, k
+            assert converged == {"benchmark=nw": float(total - following[0])}, k
+        else:
+            assert np.array_equal(store.benchmark.output(final), store.output)
+            assert converged == {}, k
+
+
+def test_store_recorded_without_captures_replays_everything():
+    """The ``snapshots=False`` contract the fast-vs-slow tests lean on:
+    no snapshot, every run resumes at step 0 from a fresh clone and
+    steps to the end, and no fast-path counter moves."""
+    store = recorded_nw(snapshots=False)
+    assert len(store) == 0
+    assert np.array_equal(store.output, recorded_nw().output)
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        for k in range(store.total_steps):
+            state, start = store.resume(k)
+            assert start == 0 and states_equal(state, store.pristine)
+            assert state is not store.pristine
+            final = store.run((k,), noop)
+            assert final is not None
+            assert np.array_equal(store.benchmark.output(final), store.output)
+    counters = tel.registry.counter_values()
+    assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
+
+
+def test_run_calls_observer_around_every_step_and_perturbs_listed_steps():
+    perturbed = []
+
+    def perturb(state, index):
+        perturbed.append(index)
+
+    full = recorded_nw(snapshots=False)
+    observer = RecordingObserver()
+    assert full.run((3, 3, 5), perturb, observer) is not None
+    assert perturbed == [3, 5]
+    expected = [("enter", 0)]
+    for k in range(full.total_steps):
+        expected += [("check", k), ("enter", k + 1)]
+    assert observer.events == expected
+
+    # Resumed at the snapshot below step 3, stopped at step 6 before its
+    # check: golden again after the last perturbation.
+    perturbed.clear()
+    observer = RecordingObserver()
+    assert recorded_nw().run((3, 5), perturb, observer) is None
+    assert perturbed == [3, 5]
+    assert observer.events == [("enter", 2)] + [
+        event for k in range(2, 6) for event in (("check", k), ("enter", k + 1))
+    ]
+
+
+def test_run_without_perturbations_is_a_full_replay():
+    store = recorded_nw()
+    observer = RecordingObserver()
+    tel = Telemetry(TelemetryConfig())
+    with tel.activate():
+        final = store.run((), noop, observer)
+    assert final is not None
+    assert np.array_equal(store.benchmark.output(final), store.output)
+    assert observer.events[0] == ("enter", 0) and len(observer.events) == 2 * store.total_steps + 1
+    counters = tel.registry.counter_values()
+    assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
+
+
 def test_prefix_store_byte_budget_caps_captures():
     bench = create("nw", n=16, rows_per_step=4)
     state = bench.make_state(derive_rng(3, "store"))
     total = bench.num_steps(state)
-    tiny = PrefixStore(bench, total, byte_budget=1)
+    tiny = PrefixStore(bench, state, byte_budget=1)
     captured = 0
     for index in range(total):
         if tiny.wants(index):
             tiny.capture(index, state)
             captured += 1
     assert captured == 1, "budget admits the first snapshot then refuses"
-    roomy = PrefixStore(bench, total, byte_budget=DEFAULT_SNAPSHOT_BUDGET)
+    roomy = PrefixStore(bench, state, byte_budget=DEFAULT_SNAPSHOT_BUDGET)
     assert roomy.used_bytes == 0 and len(roomy) == 0
 
 
@@ -292,8 +400,8 @@ def test_prefix_store_byte_budget_caps_captures():
 def test_fastpath_records_match_slowpath(name):
     fast = Supervisor(small(name), seed=11, snapshots=True)
     slow = Supervisor(small(name), seed=11, snapshots=False)
-    assert fast.prefix is not None and len(fast.prefix) > 0
-    assert slow.prefix is None
+    assert len(fast.prefix) > 0
+    assert len(slow.prefix) == 0
     models = FaultModel.all()
     for run in range(40):
         model = models[run % len(models)]
@@ -415,13 +523,13 @@ def test_wrong_mask_called_only_on_sdc(monkeypatch):
     supervisor = Supervisor(create("dgemm"), seed=123)
     assert not np.isnan(supervisor.golden).any()
     calls = []
-    original = supervisor_mod.wrong_mask
+    original = supervisor_mod.sdc_metrics
 
-    def counting_wrong_mask(golden, observed):
+    def counting_sdc_metrics(golden, observed, dims):
         calls.append(1)
-        return original(golden, observed)
+        return original(golden, observed, dims)
 
-    monkeypatch.setattr(supervisor_mod, "wrong_mask", counting_wrong_mask)
+    monkeypatch.setattr(supervisor_mod, "sdc_metrics", counting_sdc_metrics)
     records = [supervisor.run_one(run, FaultModel.RANDOM) for run in range(30)]
     sdc = sum(1 for r in records if r.outcome is Outcome.SDC)
     # With a NaN-free golden, array_equal is an exact MASKED test: the

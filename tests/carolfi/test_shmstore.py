@@ -13,8 +13,10 @@ The contract under test (DESIGN.md section 14):
   error), degrading to the private clone path.
 """
 
+import gc
 import os
 import signal
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from repro.benchmarks import create
 from repro.carolfi import shmstore
 from repro.carolfi.campaign import CampaignConfig
 from repro.carolfi.engine import run_sharded_campaign
-from repro.carolfi.isolation import IsolationConfig, IsolationMode
+from repro.carolfi.isolation import (
+    _SUPERVISORS,
+    IsolationConfig,
+    IsolationMode,
+    supervisor_key,
+)
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 
@@ -71,7 +78,7 @@ def toy_segment(step_scale=1):
 def test_shared_records_identical_to_private(shm_tmp):
     shared = nw_supervisor(shared=True)
     private = nw_supervisor()
-    assert shared._shm is not None
+    assert shared.prefix.segment is not None
     assert records(shared) == records(private)
     assert segments(shm_tmp)  # the segment exists while the publisher lives
 
@@ -80,22 +87,22 @@ def test_kill_switch_records_identical(shm_tmp, monkeypatch):
     baseline = records(nw_supervisor(shared=True))
     monkeypatch.setenv(shmstore.SHM_DISABLE_ENV, "0")
     disabled = nw_supervisor(shared=True)
-    assert disabled._shm is None
+    assert disabled.prefix.segment is None
     assert records(disabled) == baseline
 
 
 def test_second_supervisor_attaches_same_segment(shm_tmp):
     first = nw_supervisor(shared=True)
-    inode = os.stat(first._shm.path).st_ino
+    inode = os.stat(first.prefix.segment.path).st_ino
     second = nw_supervisor(shared=True)
-    assert second._shm is not None
-    assert second._shm.key == first._shm.key
+    assert second.prefix.segment is not None
+    assert second.prefix.segment.key == first.prefix.segment.key
     # Attach, not re-publish: the directory entry was never replaced.
-    assert os.stat(second._shm.path).st_ino == inode
+    assert os.stat(second.prefix.segment.path).st_ino == inode
     # Budget accounting counts the host-wide segment, not a per-process
     # copy: both supervisors report the same shared payload.
     assert first.prefix.used_bytes == second.prefix.used_bytes
-    assert first.prefix.used_bytes == first._shm.payload_bytes
+    assert first.prefix.used_bytes == first.prefix.segment.payload_bytes
 
 
 # -- copy-on-write semantics --------------------------------------------------
@@ -146,7 +153,7 @@ def test_attach_rejects_corruption(shm_tmp):
 def test_corrupted_segment_degrades_to_identical_records(shm_tmp):
     baseline = records(nw_supervisor())
     publisher = nw_supervisor(shared=True)
-    path = publisher._shm.path
+    path = publisher.prefix.segment.path
     blob = bytearray(path.read_bytes())
     blob[-1] ^= 0xFF
     path.write_bytes(blob)
@@ -161,7 +168,7 @@ def test_unwritable_store_dir_falls_back_private(shm_tmp, monkeypatch):
     blocker.write_bytes(b"")
     monkeypatch.setenv(shmstore.SHM_DIR_ENV, str(blocker))
     supervisor = nw_supervisor(shared=True)
-    assert supervisor._shm is None  # attach and publish both impossible
+    assert supervisor.prefix.segment is None  # attach and publish both impossible
     monkeypatch.setenv(shmstore.SHM_DIR_ENV, str(shm_tmp))
     assert records(supervisor) == records(nw_supervisor())
 
@@ -203,6 +210,31 @@ def test_isolated_campaign_reaps_segments(shm_tmp):
     )
     assert len(result.records) == 8
     assert segments(shm_tmp) == []
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs Linux /proc")
+def test_finished_campaigns_leave_no_store_mapped(shm_tmp):
+    """A process keeps no golden store of a campaign that has returned:
+    its supervisor leaves the cache and its segment's mappings and file
+    descriptors close."""
+    configs = [
+        CampaignConfig(benchmark=name, injections=16, seed=3)
+        for name in ("lud", "nw", "hotspot")
+    ]
+    for config in configs:
+        assert len(run_sharded_campaign(config, workers=2).records) == 16
+    gc.collect()
+    maps = Path("/proc/self/maps").read_text().splitlines()
+    mapped = [line for line in maps if str(shm_tmp) in line]
+    assert mapped == []
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            fds.append(os.readlink(f"/proc/self/fd/{fd}"))
+        except OSError:  # closed since the listing
+            pass
+    assert [target for target in fds if str(shm_tmp) in target] == []
+    assert not any(supervisor_key(config) in _SUPERVISORS for config in configs)
 
 
 def test_release_published_reaps_only_own_segments(shm_tmp):

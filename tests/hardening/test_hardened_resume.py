@@ -105,14 +105,14 @@ def replay_execute(
                 sup.detector_observer(DetectorEvent("output", "abft", verdict.outcome.value))
             if verdict.outcome is AbftOutcome.CORRECTED:
                 observed = verdict.matrix
-                if wrong_mask(sup.golden, sup._quantize(observed)).any():
+                if wrong_mask(sup.golden, sup.benchmark.quantize(observed)).any():
                     return record("sdc", "", "abft corrected but output still differs")
                 return record("corrected", "abft", f"{verdict.corrections} element(s) repaired")
             if verdict.outcome is AbftOutcome.DETECTED:
                 return record(
                     "detected", "abft", "output checksums mismatch (uncorrectable pattern)"
                 )
-        observed = sup._quantize(observed)
+        observed = sup.benchmark.quantize(observed)
         if wrong_mask(sup.golden, observed).any():
             outcome = "sdc"
     except FaultDetected as exc:
@@ -135,7 +135,7 @@ def supervisor_for(name: str, seed: int, **kwargs) -> HardenedSupervisor:
 def plan(sup: HardenedSupervisor) -> list[tuple[int, FaultModel, int | None]]:
     """Every fault model forced at step 0, every snapshot boundary and the
     last step, plus as many runs at their own drawn steps."""
-    store = PrefixStore(sup.benchmark, sup.total_steps)
+    store = PrefixStore(sup.benchmark, sup.prefix.pristine)
     steps = sorted({0, sup.total_steps - 1, *store.capture_points()})
     models = FaultModel.all()
     forced = [(step, model) for step in steps for model in models]
@@ -194,8 +194,8 @@ def test_resume_between_sparse_snapshots_matches_full_replay(name):
     step, walk a guarded golden gap before it and can stop only at a
     window's snapshot."""
     sup = supervisor_for(name, 1)
-    sup.prefix = PrefixStore(sup.benchmark, sup.total_steps, density=1)
-    sup.prefix.record(sup._fresh_state())
+    sup.prefix = PrefixStore(sup.benchmark, sup.prefix.pristine, density=1)
+    sup.prefix.record()
     assert resumed(sup, "shuffled") == reference(name, 1)
 
 
