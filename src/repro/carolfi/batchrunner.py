@@ -341,3 +341,10 @@ class BatchRunner:
                     [m for m in active + members[joined:] if m.run_index not in records]
                 )
                 self._mark_fallback(remaining, "exception")
+            finally:
+                # The group's states have no reader left.  Drop them now,
+                # so a plan holds one group's states (and their private
+                # copy-on-write mappings over a shared segment) at a
+                # time, however many runs it covers.
+                for member in members:
+                    member.state = None

@@ -14,9 +14,14 @@ matter which worker executes it, in what order, or how the campaign is
 sharded.  ``run_campaign(config, workers=4)`` therefore equals
 ``run_campaign(config, workers=1)`` record for record.
 
-Resumability: with a ``checkpoint_dir``, the scheduler writes each
-shard's records to its own JSONL file (header → records → ``done``
-footer) once the shard completes, whichever process executed it.  On
+Shards are the unit of checkpoints, resume, drift detection and early
+stop, not of execution: the scheduler leases each free executor a
+contiguous run range of whole shards (the whole campaign serially, one
+range per worker in a pool), and ``BatchRunner`` makes one plan per
+lease.  Resumability: with a ``checkpoint_dir``, the scheduler writes
+each shard's records to its own JSONL file (header → records → ``done``
+footer) the moment the shard's last record arrives, whichever process
+executed it and whether or not its lease is still running.  On
 restart the engine replays every *complete* shard file from disk and
 re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
@@ -26,12 +31,14 @@ Fault domains: every campaign runs through one control plane, the
 shard scheduler (:func:`repro.service.scheduler.run_shards`), over a
 :class:`~repro.service.backend.ShardBackend` — in the calling process
 for ``workers=1`` (:class:`~repro.service.local.InlineBackend`), one
-disposable, supervised OS process per in-flight shard otherwise
+disposable, supervised OS process per lease otherwise
 (:class:`~repro.service.local.LocalBackend`), or a caller's broker.
 The scheduler alone decides retry and quarantine.  A failed execution
 — an exception that escapes the crash net, a worker death, a reaped
 hang — is retried with deterministic exponential backoff plus jitter;
-a run that fails ``RetryPolicy.max_run_deaths`` times is
+a failed lease is charged to the shard of its first undelivered run
+and re-leased from there; a run that fails
+``RetryPolicy.max_run_deaths`` times is
 **quarantined** (recorded as a DUE with a ``sandbox:`` detail and
 skipped on the next attempt), so a campaign degrades gracefully
 instead of aborting.  Only a shard that keeps failing *without making
@@ -43,7 +50,7 @@ by default).
 With ``isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS, ...)``
 each individual injection additionally runs inside the
 :class:`~repro.carolfi.isolation.InjectionSandbox` owned by the
-executor of the shard, making crashes and hangs *observed process
+executor of the lease, making crashes and hangs *observed process
 deaths* exactly like the paper's GDB-supervised runs.  Serial
 in-process execution (``workers=1``, inproc isolation) stays the
 default, so the test suite remains subprocess-free.
@@ -146,10 +153,7 @@ class ShardRunError(RuntimeError):
     """
 
     def __init__(self, shard_index: int, run_index: int, cause: BaseException):
-        super().__init__(
-            f"run {run_index} (shard {shard_index}) raised "
-            f"{type(cause).__name__}: {cause}"
-        )
+        super().__init__(f"run {run_index} raised {type(cause).__name__}: {cause}")
         self.shard_index = shard_index
         self.run_index = run_index
 
@@ -383,7 +387,11 @@ def _execute_shard(
     on_failure: Callable[[dict], None] | None = None,
     stop: Callable[[], int] | None = None,
 ) -> None:
-    """Run one shard's range, handing each record to ``on_record(run, row)``.
+    """Run one lease's range, handing each record to ``on_record(run, row)``.
+
+    ``spec`` is the lease's run range: it may span several planned
+    shards (``spec.index`` is the first), and with batching on the whole
+    range is one ``BatchRunner`` plan.
 
     ``sandbox`` is the executor's own :class:`InjectionSandbox` to run
     every injection through, or ``None`` to run them in this process.
@@ -402,8 +410,9 @@ def _execute_shard(
     ``current_tracer``): an inline executor runs inside the campaign
     bundle, lease workers activate their local accumulator, and this
     function instruments identically either way — per-outcome run
-    counters, run-duration histogram and a shard span.  With telemetry
-    disabled every instrument is a shared no-op.
+    counters, run-duration histogram and one ``shard`` span around the
+    whole range, batch pass included.  With telemetry disabled every
+    instrument is a shared no-op.
     """
     registry = current_registry()
     tracer = current_tracer()
@@ -427,23 +436,24 @@ def _execute_shard(
         run_fn = supervisor.run_one
         total_steps = supervisor.total_steps
         num_windows = supervisor.benchmark.num_windows
-    batched: dict[int, InjectionRecord] = {}
-    if config.batch_size > 1:
-        # Vectorized fast path, inside the sandbox worker when there is
-        # one.  Runs the batch path completes are looked up below;
-        # everything else — fallbacks, skips, a batch-wide abort — flows
-        # through the unchanged scalar machinery, including its error
-        # attribution.
-        todo = [
-            (run_index, model_for(config, run_index))
-            for run_index in range(spec.start, end())
-            if run_index not in skip
-        ]
-        if sandbox is not None:
-            batched = sandbox.run_batch(todo, config.batch_size)
-        else:
-            batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
     with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
+        batched: dict[int, InjectionRecord] = {}
+        if config.batch_size > 1:
+            # Vectorized fast path over the whole range — one plan per
+            # lease — inside the sandbox worker when there is one.  Runs
+            # the batch path completes are looked up below; everything
+            # else — fallbacks, skips, a batch-wide abort — flows through
+            # the unchanged scalar machinery, including its error
+            # attribution.
+            todo = [
+                (run_index, model_for(config, run_index))
+                for run_index in range(spec.start, end())
+                if run_index not in skip
+            ]
+            if sandbox is not None:
+                batched = sandbox.run_batch(todo, config.batch_size)
+            else:
+                batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
         for run_index in spec.run_indices():
             if run_index >= end():
                 break
@@ -700,14 +710,14 @@ def run_sharded_campaign(
 ) -> CampaignResult:
     """Run a campaign sharded, optionally in parallel and resumable.
 
-    ``workers=1`` executes the shards serially in the calling process;
-    any other count fans shards out over dedicated worker processes
-    (one disposable process per in-flight shard).  Both go through the
-    same shard scheduler, so retries and quarantine are decided alike.
+    ``workers=1`` executes the campaign as one lease in the calling
+    process; any other count cuts it into ``workers`` leases of whole
+    shards, each run by one disposable worker process.  Both go through
+    the same scheduler, so retries and quarantine are decided alike.
     ``workers=None`` resolves via ``REPRO_WORKERS`` then
     ``os.cpu_count()``.
 
-    ``backend`` overrides *where* shards execute: any
+    ``backend`` overrides *where* leases execute: any
     :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
     :class:`~repro.service.broker.BrokerBackend`) is driven by the same
     scheduler with identical retry/quarantine/merge semantics; its

@@ -1,6 +1,7 @@
 """Distributed campaign service: backends, scheduler, broker, workers.
 
-The campaign engine executes shards through a transport-agnostic
+The campaign engine executes run-range leases, cut at shard boundaries
+(one per free executor slot), through a transport-agnostic
 :class:`~repro.service.backend.ShardBackend`:
 
 * :class:`~repro.service.local.InlineBackend` — each lease in the
@@ -8,7 +9,7 @@ The campaign engine executes shards through a transport-agnostic
 * :class:`~repro.service.local.LocalBackend` — one supervised
   ``mp.Process`` per lease on this host (the engine's pooled mode);
 * :class:`~repro.service.broker.BrokerBackend` — a TCP work-queue
-  broker leasing shards to connected ``repro-worker`` agents, with
+  broker leasing run ranges to connected ``repro-worker`` agents, with
   re-lease on worker loss and work stealing.
 
 All three executors run one lease body and stream each record back as

@@ -8,17 +8,19 @@ back.  Three implementations exist:
 * :class:`repro.service.local.InlineBackend` — serial campaigns: each
   lease runs synchronously in the calling process;
 * :class:`repro.service.local.LocalBackend` — the engine's
-  fault-domain pool: one disposable ``mp.Process`` per lease,
-  heartbeats over a pipe;
+  fault-domain pool: one disposable ``mp.Process`` per lease (one
+  lease per worker), heartbeats over a pipe;
 * :class:`repro.service.broker.BrokerBackend` — a TCP work-queue
-  server leasing shards to connected ``repro-worker`` agents, with
+  server leasing run ranges to connected ``repro-worker`` agents, with
   work stealing and re-lease on worker loss.
 
-A **lease** is one attempt to execute one contiguous run range of one
-shard.  A shard may be covered by several leases over its lifetime
-(retries after a worker death, a steal splitting a straggler's
-remaining range); the scheduler owns that bookkeeping, the backend only
-executes leases and reports what happened to them.
+A **lease** is one attempt to execute one contiguous run range, which
+may span several shards: the scheduler cuts one per free executor slot
+(at shard boundaries), and the shard stays the unit of checkpoints.  A
+shard may be covered by several leases over its lifetime (retries
+after a worker death, a steal splitting a straggler's remaining range);
+the scheduler owns that bookkeeping, the backend only executes leases
+and reports what happened to them.
 
 Every executor speaks one lease protocol, whatever carries it (an
 in-process call, a pipe, a socket): it runs
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "BackendEvent",
@@ -55,9 +57,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ShardLease:
-    """One attempt to execute the run range ``[start, stop)`` of a shard.
+    """One attempt to execute the run range ``[start, stop)``.
 
-    ``start`` is the *resume point*, not necessarily the shard's first
+    The range may span several shards; ``shard_index`` is the shard of
+    its first run, and ``lease_id`` is ``s<shard_index>.<attempt>``:
+    the ``attempt``-th lease whose range starts in that shard.
+    ``start`` is the *resume point*, not necessarily a shard's first
     run index: a re-lease after a worker death starts where the dead
     lease's streamed records end, and a lease minted by a steal starts
     at the split point.  ``skip`` maps quarantined run indices to their
@@ -145,6 +150,17 @@ class ShardBackend(abc.ABC):
         so remote executors can continue the campaign trace.  The
         default is a no-op — local backends receive telemetry at
         construction and have nothing host-level to add.
+        """
+
+    def stream_events(self, handler: Callable[[BackendEvent], None] | None) -> None:
+        """Optional hook: hand each event to ``handler`` as it happens.
+
+        Only a backend that runs a whole lease inside :meth:`heartbeats`
+        needs it: without it, a lease's records would reach the
+        scheduler only when the lease ends, so no shard could finish —
+        or be checkpointed — before then.  The scheduler sets the
+        handler before dispatching and clears it (``None``) when it
+        returns.  The default keeps every event for :meth:`heartbeats`.
         """
 
     @abc.abstractmethod

@@ -1,4 +1,4 @@
-"""BrokerBackend: a TCP work-queue leasing shards to repro-worker agents.
+"""BrokerBackend: a TCP work-queue leasing run ranges to repro-worker agents.
 
 The broker is a plain, synchronous, non-blocking stdlib TCP server
 embedded in the scheduler's poll loop — ``heartbeats()`` doubles as the
@@ -143,7 +143,7 @@ class _Agent:
 
 
 class BrokerBackend(ShardBackend):
-    """Lease shards to remote ``repro-worker`` agents over TCP."""
+    """Lease run ranges to remote ``repro-worker`` agents over TCP."""
 
     supports_steal = True
     remote = True
@@ -281,7 +281,9 @@ class BrokerBackend(ShardBackend):
         return out
 
     def results(self) -> list[LeaseResult]:
-        self._pump()
+        # No pump here: a lease's terminal frame must not be judged
+        # before the records and spans that preceded it on the socket,
+        # and those are drained by the heartbeats() call before this.
         out = self._results
         self._results = []
         return out

@@ -7,12 +7,17 @@ of :mod:`repro.service.backend`).  ``repro-worker`` runs it behind the
 broker; the two local executors here differ only in which process runs
 it:
 
-* :class:`InlineBackend` — serial campaigns: each lease runs
-  synchronously in the calling process, inside the campaign's own
-  telemetry scope;
+* :class:`InlineBackend` — serial campaigns: each lease (normally the
+  whole campaign) runs synchronously in the calling process, inside
+  the campaign's own telemetry scope, its events streamed to the
+  scheduler as they happen;
 * :class:`LocalBackend` — pooled campaigns: one disposable,
-  individually supervised OS process per in-flight lease, heartbeating
-  over a pipe.
+  individually supervised OS process per lease (normally one per
+  worker), heartbeating over a pipe.
+
+A lease is a run range over one or more shards; ``_execute_shard``
+runs it as one ``BatchRunner`` plan, and the scheduler checkpoints each
+shard as its last record arrives.
 
 Over the pipe, frames are tagged and checksummed
 (:mod:`repro.service.wire`; ``Connection.send_bytes`` is already
@@ -337,6 +342,9 @@ class InlineBackend(ShardBackend):
     :meth:`submit` only stages the lease; the next :meth:`heartbeats`
     runs it to completion through the shared lease body, in the
     campaign's own telemetry scope, and decodes its frames in place.
+    Each event goes to the scheduler's :meth:`stream_events` handler as
+    it happens, so a shard finishes and checkpoints while the lease
+    (normally the whole campaign) runs on.
     One lease at a time: capacity is 0 while a lease is staged or its
     result is still undrained.  ``on_run_done`` is called after every
     record (the live progress line's tick).  No stealing, no liveness
@@ -361,7 +369,12 @@ class InlineBackend(ShardBackend):
         self._lease: ShardLease | None = None
         self._running = ""
         self._events: list[BackendEvent] = []
+        self._handler: Callable[[BackendEvent], None] | None = None
+        self._handler_error: BaseException | None = None
         self._results: list[LeaseResult] = []
+
+    def stream_events(self, handler: Callable[[BackendEvent], None] | None) -> None:
+        self._handler = handler
 
     def capacity(self) -> int:
         return 0 if self._lease is not None or self._results else 1
@@ -373,7 +386,16 @@ class InlineBackend(ShardBackend):
     def _send(self, frame: Frame) -> None:
         event = event_from_frame(self._running, frame)
         if event is not None:
-            self._events.append(event)
+            if self._handler is None:
+                self._events.append(event)
+            elif self._handler_error is None:
+                # The handler's failure (a checkpoint that cannot be
+                # written) is the scheduler's, not the lease's: keep it
+                # from the lease body's error net and raise it below.
+                try:
+                    self._handler(event)
+                except BaseException as exc:  # noqa: BLE001 — re-raised by heartbeats()
+                    self._handler_error = exc
         if frame["kind"] == "rec" and self._on_run_done is not None:
             self._on_run_done()
 
@@ -383,7 +405,17 @@ class InlineBackend(ShardBackend):
             self._running = lease.lease_id
             if self._sandbox is None:
                 self._sandbox = _new_sandbox(self._config, self._isolation, self._send)
-            terminal = _run_lease(self._config, lease, self._sandbox, self._send)
+            terminal = _run_lease(
+                self._config,
+                lease,
+                self._sandbox,
+                self._send,
+                # A failed handler ends the lease at the next run.
+                stop=lambda: lease.stop if self._handler_error is None else lease.start,
+            )
+            error, self._handler_error = self._handler_error, None
+            if error is not None:
+                raise error
             self._results.append(result_from_frame(lease.lease_id, terminal, self.WORKER))
         events, self._events = self._events, []
         return events

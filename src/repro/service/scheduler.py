@@ -1,4 +1,4 @@
-"""Transport-agnostic shard scheduling: leases, retries, steals, re-leases.
+"""Transport-agnostic campaign scheduling: range leases, retries, steals.
 
 This loop is the campaign engine's one control plane: every CAROL-FI
 campaign — serial, pooled or distributed — runs through it, and it is
@@ -8,34 +8,50 @@ backoff, liveness reaping, poison-run quarantine at
 abandonment).  It talks to a :class:`~repro.service.backend.
 ShardBackend`, so the same scheduler drives the in-process inline
 executor, local worker processes and remote ``repro-worker`` agents
-behind a broker, all through one lease protocol:
+behind a broker, all through one lease protocol.
 
+Two units are kept apart.  The **shard** is the unit of checkpoints,
+resume, drift detection and early stop; its plan depends only on the
+campaign.  The **lease** is the unit of execution: a contiguous run
+range cut from the pending runs at shard boundaries, one per free
+executor slot, so an executor runs (and ``BatchRunner`` plans) as many
+runs at once as it can take.  The inline executor gets the whole
+campaign, a local pool one lease per worker, each idle broker worker
+one lease.  While ``config.target_ci`` is set, leases stay one shard
+wide, so the convergence gate can stop the campaign between shards.
+
+* **lease ids** — ``s<shard>.<n>``: the ``n``-th lease whose range
+  starts in shard ``<shard>`` (five-digit shard index);
 * **record streaming** — every executor sends each record as one
-  ``rec`` event, so a lease that fails mid-range is re-leased from its
-  last delivered record, never from the start of the shard, and the
-  scheduler is the only writer of shard checkpoints (one complete file
-  per shard, written when its last record arrives);
-* **work stealing** — on backends that support it, when every shard is
-  leased and capacity is idle,
-  the straggler lease with the most remaining runs is split at the
-  midpoint of its remaining range (a pure function of its progress, so
-  the split is deterministic given the same state) and the tail half is
-  leased to the idle worker;
+  ``rec`` event, and a shard's checkpoint is written (one complete
+  file, by the scheduler alone) the moment its last record arrives,
+  even while the lease that delivered it is still running;
+* **failure charging** — a failed lease is charged to the shard of its
+  first undelivered run (that shard's no-progress count, backoff and
+  failure events), the run it was executing is charged one failed
+  execution, and its undelivered tail is re-queued, so it is re-leased
+  from its last delivered record, never from the start of its range;
+* **work stealing** — on backends that support it, when nothing is
+  pending and capacity is idle, the straggler lease with the most
+  remaining runs is split at the midpoint of its remaining range (a
+  pure function of its progress, so the split is deterministic given
+  the same state) and the tail half is leased to the idle worker;
 * **quarantine dedup** — a run is quarantined exactly once per
-  campaign, keyed by ``(shard, run)``; every re-lease ships the full
-  quarantine set, so a poison run is never re-executed on another host
-  without its ``sandbox:`` failure event on record (events carry the
-  lease id — the shard attempt — that triggered them).
+  campaign, keyed by ``(shard, run)``; every later lease ships the
+  quarantined runs of its range, so a poison run is never re-executed
+  on another host without its ``sandbox:`` failure event on record
+  (events carry the id of the lease that triggered them).
 
 None of this can change campaign records: per-run RNG is keyed by run
 index, so a stolen, re-leased or duplicated run produces byte-identical
-rows wherever and however often it executes; the scheduler merges by
-run index and keeps the first copy.
+rows wherever and however often it executes, whatever range it was
+leased in; the scheduler merges by run index and keeps the first copy.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -128,25 +144,20 @@ class _Lease:
 
 @dataclass
 class _Shard:
-    """Book-keeping for one shard across all its leases."""
+    """Book-keeping for one shard across every lease that covers it."""
 
     spec: ShardSpec
-    pending: list[tuple[int, int]] = field(default_factory=list)
-    active: dict[str, _Lease] = field(default_factory=dict)
     rows: dict[int, dict[str, Any]] = field(default_factory=dict)
     skip: dict[int, tuple[str, str]] = field(default_factory=dict)
     deaths: dict[int, int] = field(default_factory=dict)
-    attempts: int = 0
-    lease_seq: int = 0
+    leases: int = 0  # leases whose range starts here (the n of their ids)
+    failures: int = 0  # failed leases charged to this shard
     no_progress: int = 0
     progress_mark: int = 0  # records delivered at the last failure
     started: bool = False
     finished: bool = False
     eligible_at: float = 0.0
     dispatched_at: float = 0.0
-
-    def missing_runs(self) -> list[int]:
-        return [k for k in self.spec.run_indices() if k not in self.rows]
 
 
 def _contiguous_ranges(indices: list[int]) -> list[tuple[int, int]]:
@@ -177,8 +188,11 @@ def run_shards(
 ) -> None:
     """Drive ``pending`` shards to completion through ``backend``.
 
-    Raises :class:`ShardFailure` when a shard keeps failing without
-    making progress.  The backend is *not* closed on return — its
+    The pending shards' runs are cut into range leases (see the module
+    docstring); each shard completes, and is checkpointed through
+    ``ckpt_file``, when its last record arrives.  Raises
+    :class:`ShardFailure` when a shard keeps failing without making
+    progress.  The backend is *not* closed on return — its
     lifetime belongs to the caller (a broker outlives the campaigns it
     serves) — but every lease this call opened is cancelled.
     """
@@ -194,7 +208,8 @@ def run_shards(
     )
     shard_seconds = tel.registry.histogram(
         "repro_shard_duration_seconds",
-        help="Wall time of one shard execution (successful attempt).",
+        help="Wall time from the dispatch of the lease that completed a shard "
+        "to the shard's last record.",
     )
     # Service counters exist only for remote backends: a local
     # campaign's registry must stay counter-for-counter identical to its
@@ -240,48 +255,92 @@ def run_shards(
             ):
                 rtt_hist = metric  # registered by the broker's attach hook
 
-    shards = {
-        spec.index: _Shard(spec=spec, pending=[(spec.start, spec.stop)]) for spec in pending
-    }
-    lease_to_shard: dict[str, int] = {}
+    order = sorted(pending, key=lambda spec: spec.start)
+    by_start = [_Shard(spec=spec) for spec in order]
+    starts = [spec.start for spec in order]
+    # Run ranges owed by no lease, each inside one shard, in run order.
+    queued: list[tuple[int, int]] = [(spec.start, spec.stop) for spec in order]
+    active: dict[str, _Lease] = {}
     quarantined: set[tuple[int, int]] = set()
 
-    def dispatch(shard: _Shard, start: int, stop: int, now: float) -> None:
-        shard.attempts += 1
-        shard.lease_seq += 1
-        lease_id = f"s{shard.spec.index:05d}.{shard.lease_seq}"
+    def shard_of(run: int) -> _Shard:
+        return by_start[bisect_right(starts, run) - 1]
+
+    def spanned(start: int, stop: int) -> list[_Shard]:
+        """The shards a run range overlaps, in run order."""
+        lo = bisect_right(starts, start) - 1
+        hi = bisect_left(starts, stop)
+        return by_start[lo:hi]
+
+    def charged(state: _Lease) -> _Shard:
+        """The shard of a lease's first undelivered run (its last run
+        when everything was delivered): the shard its failure is
+        charged to."""
+        return shard_of(min(state.done_through + 1, state.stop - 1))
+
+    def next_lease(now: float) -> tuple[int, int] | None:
+        """Cut the next lease from the queued runs for one free slot.
+
+        The lease starts at the first queued range whose shard is out of
+        backoff and takes the contiguous ready ranges after it, whole
+        shards at a time, until it holds at least its even share of the
+        ready runs among the free slots.  While ``target_ci`` is set a
+        lease never leaves its first shard.
+        """
+        ready = [r for r in queued if shard_of(r[0]).eligible_at <= now]
+        if not ready:
+            return None
+        slots = max(1, backend.capacity())
+        share = -(-sum(stop - start for start, stop in ready) // slots)
+        start, stop = ready[0]
+        taken = 1
+        if config.target_ci is None:
+            for lo, hi in ready[1:]:
+                if lo != stop or stop - start >= share:
+                    break
+                stop = hi
+                taken += 1
+        for r in ready[:taken]:
+            queued.remove(r)
+        return start, stop
+
+    def dispatch(start: int, stop: int, now: float) -> None:
+        covered = spanned(start, stop)
+        first = covered[0]
+        first.leases += 1
+        lease_id = f"s{first.spec.index:05d}.{first.leases}"
         lease = ShardLease(
             lease_id=lease_id,
-            shard_index=shard.spec.index,
+            shard_index=first.spec.index,
             start=start,
             stop=stop,
-            attempt=shard.attempts,
-            skip={k: v for k, v in shard.skip.items() if start <= k < stop},
+            attempt=first.leases,
+            skip={k: v for shard in covered for k, v in shard.skip.items() if start <= k < stop},
         )
         worker = backend.submit(lease)
-        state = _Lease(
+        active[lease_id] = _Lease(
             lease=lease, worker=worker, stop=stop, last_beat=now, dispatched_mono=now
         )
-        shard.active[lease_id] = state
-        shard.dispatched_at = time.perf_counter()
-        lease_to_shard[lease_id] = shard.spec.index
+        mark = time.perf_counter()
         lease_counter.inc(event="issued")
         if remote:
             sink(
                 {
                     "event": "lease",
-                    "shard": shard.spec.index,
+                    "shard": first.spec.index,
                     "lease": lease_id,
                     "worker": worker,
                     "start": start,
                     "stop": stop,
-                    "attempt": shard.attempts,
-                    "resume_from": start if start > shard.spec.start else None,
+                    "attempt": first.leases,
+                    "resume_from": start if start > first.spec.start else None,
                 }
             )
-        if not shard.started:
-            shard.started = True
-            heartbeat.emit("started", shard.spec)
+        for shard in covered:
+            shard.dispatched_at = mark
+            if not shard.started:
+                shard.started = True
+                heartbeat.emit("started", shard.spec)
 
     def finish_shard(shard: _Shard) -> None:
         index = shard.spec.index
@@ -305,7 +364,7 @@ def run_shards(
         Dedupe by ``(shard, run)``: concurrent leases (a victim and its
         thief, or racing re-leases) may both die on the same run, but
         only the first failure past the threshold emits the quarantine
-        event and extends the skip set — a shard re-leased to another
+        event and extends the skip set — a run re-leased to another
         host never silently skips a run without its ``sandbox:`` event
         on record.
         """
@@ -332,29 +391,33 @@ def run_shards(
         return True
 
     def handle_failure(
-        shard: _Shard, state: _Lease, detail: str, event: str, due_kind: DueKind = DueKind.CRASH
+        state: _Lease, detail: str, event: str, due_kind: DueKind = DueKind.CRASH
     ) -> None:
-        """Judge one failed execution: charge its run, then retry or give up.
+        """Judge one failed lease: charge its shard and run, then retry or give up.
 
         ``event`` is ``run_error`` (the executor reported an exception)
         or ``worker_death`` (the executor died, or was reaped as hung —
-        ``due_kind`` ``hang``).  Either way the run it was executing is
-        charged one failed execution.
+        ``due_kind`` ``hang``).  The failure is charged to the shard of
+        the lease's first undelivered run, and the run it was executing
+        is charged one failed execution.
         """
+        shard = charged(state)
         index = shard.spec.index
         lease_id = state.lease.lease_id
         run = state.current_run
         progressed = len(shard.rows) > shard.progress_mark
         shard.progress_mark = len(shard.rows)
+        shard.failures += 1
+        owner = shard if run is None else shard_of(run)
         count = None
         if run is not None:
-            count = shard.deaths[run] = shard.deaths.get(run, 0) + 1
+            count = owner.deaths[run] = owner.deaths.get(run, 0) + 1
         sink(
             {
                 "event": event,
                 "shard": index,
                 "run": run,
-                "attempt": shard.attempts,
+                "attempt": shard.failures,
                 **({} if count is None else {"deaths": count}),
                 "detail": detail,
                 **({"lease": lease_id, "worker": state.worker} if remote else {}),
@@ -362,8 +425,8 @@ def run_shards(
         )
         if (
             run is not None
-            and shard.deaths[run] >= policy.max_run_deaths
-            and quarantine(shard, run, due_kind, detail, lease_id)
+            and owner.deaths[run] >= policy.max_run_deaths
+            and quarantine(owner, run, due_kind, detail, lease_id)
         ):
             progressed = True
         if progressed:
@@ -375,18 +438,18 @@ def run_shards(
                     {
                         "event": "shard_failed",
                         "shard": index,
-                        "attempt": shard.attempts,
+                        "attempt": shard.failures,
                         "detail": detail,
                     }
                 )
                 heartbeat.emit("failed", shard.spec, detail=detail)
-                raise ShardFailure(index, shard.attempts, detail)
-        delay = backoff_delay(config.seed, index, shard.attempts, policy)
+                raise ShardFailure(index, shard.failures, detail)
+        delay = backoff_delay(config.seed, index, shard.failures, policy)
         sink(
             {
                 "event": "retry",
                 "shard": index,
-                "attempt": shard.attempts,
+                "attempt": shard.failures,
                 "delay_s": round(delay, 3),
                 "detail": detail,
             }
@@ -409,33 +472,30 @@ def run_shards(
             )
             lease_counter.inc(event="re_lease")
 
-    def settle(shard: _Shard) -> None:
-        """Queue the runs no lease owes any more; finish a complete shard.
+    def settle() -> None:
+        """Queue the runs no lease owes any more.
 
-        Called whenever a lease leaves the shard (done, failed, reaped).
-        A failed lease's undelivered tail is owed by nobody, so it is
-        queued here; a ``done`` lease's range is covered unless it was
-        narrowed; other live leases (after a steal) and queued ranges
-        still owe their own runs.
+        Called whenever a lease ends (done, failed, reaped).  A failed
+        lease's undelivered tail is owed by nobody, so it is queued
+        here, split at shard boundaries; a ``done`` lease's range is
+        covered unless it was narrowed; other live leases (after a
+        steal) and queued ranges still owe their own runs.
         """
-        owed = {k for st in shard.active.values() for k in range(st.done_through + 1, st.stop)}
-        owed.update(k for start, stop in shard.pending for k in range(start, stop))
-        missing = shard.missing_runs()
-        shard.pending.extend(_contiguous_ranges([k for k in missing if k not in owed]))
-        if not missing and not shard.active:
-            finish_shard(shard)
-
-    def drop_lease(shard: _Shard, lease_id: str) -> _Lease:
-        state = shard.active.pop(lease_id)
-        lease_to_shard.pop(lease_id, None)
-        return state
+        owed = {k for st in active.values() for k in range(st.done_through + 1, st.stop)}
+        owed.update(k for start, stop in queued for k in range(start, stop))
+        for shard in by_start:
+            if shard.finished:
+                continue
+            orphans = [
+                k for k in shard.spec.run_indices() if k not in shard.rows and k not in owed
+            ]
+            queued.extend(_contiguous_ranges(orphans))
+        queued.sort()
 
     def handle_result(result: LeaseResult, now: float) -> None:
-        index = lease_to_shard.get(result.lease_id)
-        if index is None:
+        state = active.pop(result.lease_id, None)
+        if state is None:
             return  # cancelled lease racing its own result: already judged
-        shard = shards[index]
-        state = drop_lease(shard, result.lease_id)
         if result.status == "done":
             lease_counter.inc(event="done")
             turnaround = max(0.0, now - state.dispatched_mono)
@@ -447,7 +507,7 @@ def run_shards(
                 sink(
                     {
                         "event": "lease_done",
-                        "shard": index,
+                        "shard": state.lease.shard_index,
                         "lease": result.lease_id,
                         "worker": state.worker,
                         "runs": state.stop - state.lease.start,
@@ -458,10 +518,10 @@ def run_shards(
             # error names the run, an infrastructure one (a sandbox that
             # cannot start) names none and charges no run.
             state.current_run = result.error_run
-            handle_failure(shard, state, result.detail, "run_error")
+            handle_failure(state, result.detail, "run_error")
         else:  # dead
-            handle_failure(shard, state, result.detail, "worker_death")
-        settle(shard)
+            handle_failure(state, result.detail, "worker_death")
+        settle()
 
     def handle_event(event: BackendEvent, now: float) -> None:
         if event.kind == "metrics":
@@ -475,11 +535,7 @@ def run_shards(
             if remote:
                 sink(dict(event.payload))
             return
-        index = lease_to_shard.get(event.lease_id or "")
-        if index is None:
-            return
-        shard = shards[index]
-        state = shard.active.get(event.lease_id or "")
+        state = active.get(event.lease_id or "")
         if state is None:
             return  # stale event from a lease judged earlier this drain
         state.last_beat = now
@@ -488,10 +544,7 @@ def run_shards(
         elif event.kind == "rec":
             state.current_run = None
             assert event.run is not None and event.row is not None
-            # Keep-first: duplicates (steal overshoot) are byte-identical.
-            shard.rows.setdefault(event.run, event.row)
             state.done_through = max(state.done_through, event.run)
-            shard_done.set(len(shard.rows), shard=index)
             # Record-gap latency: evidence for the adaptive stealer and
             # the per-worker run-latency histogram.
             gap = now - (
@@ -507,8 +560,20 @@ def run_shards(
                     if prev is None
                     else steal.ewma_alpha * gap + (1.0 - steal.ewma_alpha) * prev
                 )
+            shard = shard_of(event.run)
+            if shard.finished:
+                return  # duplicate (steal overshoot) of a checkpointed shard
+            # Keep-first: duplicates (steal overshoot) are byte-identical.
+            shard.rows.setdefault(event.run, event.row)
+            shard_done.set(len(shard.rows), shard=shard.spec.index)
+            if len(shard.rows) == shard.spec.size:
+                finish_shard(shard)
         elif event.kind == "failure":
-            sink({"shard": index, **event.payload})
+            sink({"shard": charged(state).spec.index, **event.payload})
+
+    # A backend that runs leases inside heartbeats() hands each event
+    # over as it happens, so shards finish (and checkpoint) mid-lease.
+    backend.stream_events(lambda event: handle_event(event, time.monotonic()))
 
     def steal_overhead() -> tuple[float, float | None, float | None]:
         """``(overhead_s, fleet_q, rtt_q)`` — the latency bar a steal must beat.
@@ -530,7 +595,7 @@ def run_shards(
     def try_steal(now: float) -> None:
         if not (backend.supports_steal and steal.enabled):
             return
-        if any(s.pending for s in shards.values()) or backend.capacity() < 1:
+        if queued or backend.capacity() < 1:
             return
         overhead, fleet_q, rtt_q = (
             steal_overhead() if steal.adaptive else (0.0, None, None)
@@ -538,33 +603,33 @@ def run_shards(
         # Candidate score: the victim's expected remaining wall time
         # (runs × EWMA latency) when latency evidence exists, else the
         # raw remaining-run count behind the fixed min_remaining floor.
-        best: tuple[float, _Shard, _Lease, int, float | None, str] | None = None
-        for shard in shards.values():
-            for state in shard.active.values():
-                remaining = state.stop - (state.done_through + 1)
-                if remaining < 2:  # victim and thief both keep work
+        best: tuple[float, _Lease, int, float | None, str] | None = None
+        for state in active.values():
+            remaining = state.stop - (state.done_through + 1)
+            if remaining < 2:  # victim and thief both keep work
+                continue
+            latency = worker_ewma.get(state.worker) if steal.adaptive else None
+            if latency is None:
+                if remaining < steal.min_remaining:
                     continue
-                latency = worker_ewma.get(state.worker) if steal.adaptive else None
-                if latency is None:
-                    if remaining < steal.min_remaining:
-                        continue
-                    score, estimator = float(remaining), "fixed"
-                else:
-                    expected = remaining * latency
-                    if expected < overhead:
-                        continue
-                    score, estimator = expected, "ewma"
-                if best is None or score > best[0]:
-                    best = (score, shard, state, remaining, latency, estimator)
+                score, estimator = float(remaining), "fixed"
+            else:
+                expected = remaining * latency
+                if expected < overhead:
+                    continue
+                score, estimator = expected, "ewma"
+            if best is None or score > best[0]:
+                best = (score, state, remaining, latency, estimator)
         if best is None:
             return
-        _score, shard, victim, remaining, latency, estimator = best
+        _score, victim, remaining, latency, estimator = best
         next_undone = victim.done_through + 1
         mid = next_undone + (remaining + 1) // 2  # victim keeps the in-flight half
         if mid >= victim.stop or not backend.shrink(victim.lease.lease_id, mid):
             return
         old_stop = victim.stop
         victim.stop = mid
+        shard = shard_of(mid)
         steal_counter.inc()
         lease_counter.inc(event="steal")
         sink(
@@ -592,10 +657,32 @@ def run_shards(
             shard.spec,
             detail=f"lease {victim.lease.lease_id} split at run {mid} ({estimator})",
         )
-        dispatch(shard, mid, old_stop, now)
+        dispatch(mid, old_stop, now)
+
+    def abandon(owing_only: bool) -> None:
+        """Cancel in-flight leases (with ``owing_only``, just those that
+        still owe records; the others owe only their terminal frame)."""
+        for lease_id, state in list(active.items()):
+            if not owing_only or state.done_through + 1 < state.stop:
+                backend.cancel(lease_id)
+                del active[lease_id]
 
     try:
-        while not gate.stopped and any(not s.finished for s in shards.values()):
+        while True:
+            if gate.stopped:
+                # A converged gate ends the campaign: leases beyond the
+                # stop point are abandoned (shards they had not finished
+                # have no checkpoint and re-run on a later resume).  A
+                # lease that delivered its whole range is still drained,
+                # so the telemetry it sends before its terminal frame is
+                # merged, as when a lease ends before its last shard does.
+                abandon(owing_only=True)
+            if not active and (gate.stopped or all(s.finished for s in by_start)):
+                break
+            if not active and not queued:
+                # Every unfinished shard lacks records that no lease owes
+                # and none is queued: waiting could never end.
+                raise RuntimeError("scheduler stalled: unfinished shards with no work to lease")
             now = time.monotonic()
             reporter.tick()
             for event in backend.heartbeats():
@@ -607,63 +694,49 @@ def run_shards(
             # Liveness: a lease whose executor sent nothing for too long
             # is reaped — cancelled at the backend, its in-flight run
             # charged a death, its remaining range re-queued.
-            for shard in shards.values():
-                for lease_id, state in list(shard.active.items()):
-                    if now - state.last_beat <= policy.liveness_timeout_s:
-                        continue
-                    sink(
-                        {
-                            "event": "reap",
-                            "shard": shard.spec.index,
-                            "run": state.current_run,
-                            "attempt": shard.attempts,
-                            "detail": f"no heartbeat for "
-                            f"{policy.liveness_timeout_s:.0f}s; worker killed",
-                            **({"lease": lease_id, "worker": state.worker} if remote else {}),
-                        }
-                    )
-                    heartbeat.emit(
-                        "reaped",
-                        shard.spec,
-                        detail=f"no heartbeat for {policy.liveness_timeout_s:.0f}s",
-                    )
-                    backend.cancel(lease_id, reap=True)
-                    drop_lease(shard, lease_id)
-                    handle_failure(
-                        shard,
-                        state,
-                        f"hung: no heartbeat for {policy.liveness_timeout_s:.0f}s; "
-                        "worker reaped",
-                        "worker_death",
-                        DueKind.HANG,
-                    )
-                    settle(shard)
-            # Dispatch pending ranges into free capacity, shard order
-            # (none once the gate has stopped the campaign).
-            while not gate.stopped and backend.capacity() > 0:
-                ready = next(
-                    (
-                        s
-                        for s in sorted(shards.values(), key=lambda s: s.spec.index)
-                        if s.pending and s.eligible_at <= now and not s.finished
-                    ),
-                    None,
+            for lease_id, state in list(active.items()):
+                if now - state.last_beat <= policy.liveness_timeout_s:
+                    continue
+                shard = charged(state)
+                sink(
+                    {
+                        "event": "reap",
+                        "shard": shard.spec.index,
+                        "run": state.current_run,
+                        "attempt": shard.failures + 1,
+                        "detail": f"no heartbeat for "
+                        f"{policy.liveness_timeout_s:.0f}s; worker killed",
+                        **({"lease": lease_id, "worker": state.worker} if remote else {}),
+                    }
                 )
-                if ready is None:
+                heartbeat.emit(
+                    "reaped",
+                    shard.spec,
+                    detail=f"no heartbeat for {policy.liveness_timeout_s:.0f}s",
+                )
+                backend.cancel(lease_id, reap=True)
+                del active[lease_id]
+                handle_failure(
+                    state,
+                    f"hung: no heartbeat for {policy.liveness_timeout_s:.0f}s; "
+                    "worker reaped",
+                    "worker_death",
+                    DueKind.HANG,
+                )
+                settle()
+            # Cut queued runs into leases for the free slots, in run
+            # order (none once the gate has stopped the campaign).
+            while not gate.stopped and backend.capacity() > 0:
+                cut = next_lease(now)
+                if cut is None:
                     break
-                start, stop = ready.pending.pop(0)
-                dispatch(ready, start, stop, now)
+                dispatch(*cut, now)
                 busy = True
             try_steal(now)
             # Poll again at once after a pass that moved work: an inline
             # backend has its next result ready, not in _POLL_S.
-            if not busy and any(not s.finished for s in shards.values()) and not gate.stopped:
+            if not busy:
                 time.sleep(_POLL_S)
     finally:
-        # A converged gate (or a raised ShardFailure) ends the campaign:
-        # in-flight leases beyond the stop point are abandoned (their
-        # shards have no checkpoint yet and re-run on a later resume).
-        for shard in shards.values():
-            for lease_id in list(shard.active):
-                backend.cancel(lease_id)
-                drop_lease(shard, lease_id)
+        backend.stream_events(None)
+        abandon(owing_only=False)  # a raised ShardFailure leaves some

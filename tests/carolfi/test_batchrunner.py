@@ -11,6 +11,7 @@ diverges; then at the campaign level byte-for-byte.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -135,6 +136,34 @@ def test_all_diverge_batch_returns_empty(monkeypatch):
             batched_sup.run_one(run, model).to_dict()
             == scalar_sup.run_one(run, model).to_dict()
         )
+
+
+def test_run_many_holds_one_group_of_member_states(monkeypatch):
+    """A finished group drops its members' states: at every batched
+    step of a many-group plan, at most ``batch_size`` member states are
+    alive, so peak memory does not grow with the runs planned at once."""
+    batch_size = 4
+    sup = Supervisor(small("nw"), seed=11, snapshots=True)
+    bench = sup.benchmark
+    states: list[weakref.ref] = []
+    live: list[int] = []
+    inject, step_batch = sup.flip.inject, bench.step_batch
+
+    def tracking_inject(benchmark, state, *args, **kwargs):
+        states.append(weakref.ref(state))
+        return inject(benchmark, state, *args, **kwargs)
+
+    def counting_step_batch(*args, **kwargs):
+        live.append(sum(ref() is not None for ref in states))
+        return step_batch(*args, **kwargs)
+
+    monkeypatch.setattr(sup.flip, "inject", tracking_inject)
+    monkeypatch.setattr(bench, "step_batch", counting_step_batch)
+    runs = runs_for(sup)
+    records = BatchRunner(sup, batch_size).run_many(runs)
+    assert len(records) > 2 * batch_size, "the plan must run several groups"
+    assert len(states) == len(runs)
+    assert live and max(live) <= batch_size
 
 
 # -- campaign-level byte identity ---------------------------------------------

@@ -167,14 +167,25 @@ def test_batched_broker_leases_batch_and_stay_identical(tmp_path, chaos):
 
 
 def test_broker_trace_span_ids_are_unique(tmp_path):
-    # Each worker serves two leases and builds a tracer per lease; span
-    # ids must still not repeat.
+    # A worker that serves several leases builds a tracer per lease;
+    # span ids must still not repeat.  An unreachable CI target keeps
+    # leases one shard wide without stopping early, so the two workers
+    # share four leases.
     tel = Telemetry(TelemetryConfig(trace_path=tmp_path / "trace.jsonl"))
-    _broker_campaign(tmp_path, worker_envs=[{}, {}], shard_size=4, telemetry=tel)
+    config = replace(CONFIG, target_ci=0.001)
+    result, *_ = _broker_campaign(
+        tmp_path, worker_envs=[{}, {}], shard_size=4, config=config, telemetry=tel
+    )
     tel.finalize()
+    assert not result.stopped_early
     spans = [json.loads(line) for line in (tmp_path / "trace.jsonl").read_text().splitlines()]
     ids = [s["span"] for s in spans]
     assert {s["name"] for s in spans} >= {"campaign", "lease", "shard", "run"}
+    leases_by_pid: dict[int, int] = {}
+    for span in spans:
+        if span["name"] == "lease":
+            leases_by_pid[span["pid"]] = leases_by_pid.get(span["pid"], 0) + 1
+    assert sum(leases_by_pid.values()) >= 4 and max(leases_by_pid.values()) >= 2
     assert len(ids) == len(set(ids))
 
 

@@ -143,7 +143,8 @@ def serial_rows():
 def test_streaming_backend_matches_serial(tmp_path, serial_rows):
     result, backend, _events = _run_scripted(tmp_path)
     assert [r.to_dict() for r in result.records] == serial_rows
-    assert len(backend.submitted) == 2  # one lease per shard, no retries
+    # One free slot: one lease over both shards, no retries.
+    assert [(l.start, l.stop) for l in backend.submitted] == [(0, CONFIG.injections)]
 
 
 def test_re_lease_resumes_after_last_streamed_record(tmp_path, serial_rows):
@@ -175,14 +176,15 @@ def test_poison_run_quarantined_once_with_lease_attribution(tmp_path, serial_row
     assert quarantine_events[0]["run"] == poison
     # The triggering lease (shard attempt) is on the record.
     assert quarantine_events[0]["lease"] in {l.lease_id for l in backend.submitted}
-    # Every lease issued after the quarantine ships the skip entry: the
-    # run is never re-leased anywhere without its sandbox event.
+    # Every lease issued after the quarantine whose range covers the run
+    # ships the skip entry: the run is never re-leased anywhere without
+    # its sandbox event.
     seen_quarantine = False
     for lease in backend.submitted:
         if lease.lease_id == quarantine_events[0]["lease"]:
             seen_quarantine = True
             continue
-        if seen_quarantine and lease.shard_index == 1:
+        if seen_quarantine and lease.start <= poison < lease.stop:
             assert poison in lease.skip
     deaths = [e for e in events if e["event"] == "worker_death" and e.get("run") == poison]
     assert len(deaths) == FAST.max_run_deaths
