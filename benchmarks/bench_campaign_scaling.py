@@ -58,7 +58,6 @@ def _broker_rate() -> tuple[float, float | None, float | None]:
     attached, so the fleet RTT histogram fills in — the latency floor
     the adaptive stealer's coordination-cost estimate rests on.
     """
-    from repro.carolfi.engine import run_sharded_campaign
     from repro.service.broker import BrokerBackend
     from repro.telemetry.metrics import Histogram
 
@@ -81,7 +80,7 @@ def _broker_rate() -> tuple[float, float | None, float | None]:
     try:
         assert broker.wait_for_workers(BROKER_WORKERS, timeout=30.0)
         start = time.perf_counter()
-        result = run_sharded_campaign(
+        result = run_campaign(
             SCALING_CONFIG,
             workers=BROKER_WORKERS,
             shard_size=SCALING_SHARD_SIZE,
@@ -166,7 +165,7 @@ def test_campaign_scaling(benchmark):
 
 
 def test_campaign_serial_engine_overhead(benchmark):
-    """The engine's serial path should cost about the same as the legacy loop."""
+    """The serial campaign path: the whole campaign as one inline lease."""
     result = benchmark.pedantic(
         lambda: run_campaign(QUICK_CONFIG, workers=1, shard_size=8),
         rounds=3,

@@ -47,7 +47,7 @@ from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.outcome import DueKind, Outcome
 from repro.phi.config import KNC_3120A, PhiConfig
 from repro.phi.machine import MachineCheckError, SchedulerWedge, XeonPhiMachine
-from repro.util.jsonlog import JsonlLog
+from repro.util.jsonlog import dump_records
 from repro.util.rng import derive_rng
 
 __all__ = ["BeamCampaignResult", "BeamExperiment", "BeamRecord"]
@@ -223,20 +223,16 @@ class BeamExperiment:
     def run_campaign(
         self, trials: int, log_path: str | Path | None = None
     ) -> BeamCampaignResult:
-        """Run ``trials`` strike trials (deterministic per seed)."""
+        """Run ``trials`` strike trials (deterministic per seed).
+
+        ``log_path`` receives the records, written whole once the last
+        trial is in, so a rerun rewrites the log instead of appending.
+        """
         if trials < 1:
             raise ValueError("trials must be positive")
-        log = JsonlLog(log_path) if log_path is not None else None
-        records = []
-        try:
-            for trial in range(trials):
-                record = self.run_trial(trial)
-                records.append(record)
-                if log is not None:
-                    log.append(record.to_dict())
-        finally:
-            if log is not None:
-                log.close()
+        records = [self.run_trial(trial) for trial in range(trials)]
+        if log_path is not None:
+            dump_records(log_path, (record.to_dict() for record in records))
         return BeamCampaignResult(
             benchmark=self.benchmark.name, trials=records, sensitivity=self.sensitivity
         )

@@ -11,8 +11,9 @@ The reproduction mirrors CAROL-FI's two-script architecture:
   applies one of the four fault models to its backing store.
 
 :mod:`repro.carolfi.campaign` drives whole campaigns (the paper injects
->=10,000 faults per benchmark), :mod:`repro.carolfi.engine` shards
-campaigns over worker processes with resumable checkpoints,
+>=10,000 faults per benchmark) through one path, whatever the worker
+count or isolation mode; :mod:`repro.carolfi.engine` holds that path's
+parts (shards, resumable checkpoints, the retry policy),
 :mod:`repro.carolfi.batchrunner` steps groups of runs through the
 benchmarks' vectorized batch kernels, and
 :mod:`repro.carolfi.logparse` re-reads persisted JSONL logs, mirroring
@@ -32,7 +33,6 @@ from repro.carolfi.engine import (
     backoff_delay,
     plan_shards,
     read_failure_log,
-    run_sharded_campaign,
 )
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.isolation import (
@@ -68,7 +68,6 @@ __all__ = [
     "plan_shards",
     "read_failure_log",
     "run_from_config",
-    "run_sharded_campaign",
     "SitePolicy",
     "snapshot_interval",
     "Supervisor",

@@ -4,21 +4,38 @@ The paper injects at least 10,000 faults per benchmark, spread
 uniformly over the four fault models and the whole execution time.
 :func:`run_campaign` reproduces that sampling plan deterministically
 under a single seed, optionally persisting every record to JSONL (the
-public-log analogue).
+public-log analogue).  It is the one CAROL-FI campaign path: every
+campaign, serial or pooled, in process or sandboxed, local or brokered,
+runs through the shard scheduler over the parts in
+:mod:`repro.carolfi.engine`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.benchmarks.registry import create
+from repro.carolfi import shmstore
 from repro.carolfi.flipscript import SitePolicy
-from repro.carolfi.supervisor import Supervisor
+from repro.carolfi.isolation import (
+    _SUPERVISORS,
+    IsolationConfig,
+    IsolationMode,
+    campaign_store_key,
+    supervisor_key,
+)
 from repro.faults.models import FaultModel
 from repro.faults.outcome import InjectionRecord, Outcome
-from repro.util.jsonlog import JsonlLog
+from repro.telemetry import DISABLED, Telemetry
+from repro.telemetry.convergence import ConvergenceMonitor
+from repro.util.jsonlog import dump_records
+
+if TYPE_CHECKING:  # pragma: no cover — the engine imports this module
+    from repro.carolfi.engine import ProgressCallback, RetryPolicy
+    from repro.service.backend import ShardBackend
+    from repro.service.scheduler import StealPolicy
 
 __all__ = ["CampaignConfig", "CampaignResult", "model_for", "run_campaign"]
 
@@ -49,20 +66,11 @@ class CampaignConfig:
     are keyed by run index and divergent runs fall back to the scalar
     path, so records are byte-identical at any batch size — the knob is
     excluded from the checkpoint fingerprint and checkpoints stay
-    resumable across batch-size changes.  Both isolation modes batch:
-    in-process through the engine's shard loop, subprocess by shipping
-    run groups into the sandboxed worker (fallback members return to
-    the parent's scalar sandbox path)."""
-
-    shared_store: bool = True
-    """Map golden prefix snapshots and the pristine input from a
-    host-wide shared-memory segment (:mod:`repro.carolfi.shmstore`)
-    instead of cloning them per worker process; restores become
-    copy-on-write views.  Engine campaigns only (the plain serial path
-    keeps private copies).  Pure execution strategy like ``snapshots``:
-    records are bit-identical either way and the flag is excluded from
-    the checkpoint fingerprint.  ``REPRO_SHM=0`` in the environment
-    overrides it off host-wide."""
+    resumable across batch-size changes.  Every campaign batches the
+    same way: each lease's runs are one ``BatchRunner`` plan, stepped in
+    the executor's process or, under subprocess isolation, inside its
+    sandboxed worker (fallback members return to the parent's scalar
+    sandbox path)."""
 
     target_ci: float | None = None
     """Optional early-stopping precision target: stop the campaign at
@@ -105,7 +113,6 @@ class CampaignConfig:
             "benchmark_params": dict(self.benchmark_params),
             "snapshots": self.snapshots,
             "batch_size": self.batch_size,
-            "shared_store": self.shared_store,
             "target_ci": self.target_ci,
         }
 
@@ -121,7 +128,6 @@ class CampaignConfig:
             "benchmark_params",
             "snapshots",
             "batch_size",
-            "shared_store",
             "target_ci",
         }
         unknown = set(data) - known
@@ -143,8 +149,6 @@ class CampaignConfig:
             kwargs["benchmark_params"] = dict(data["benchmark_params"])
         if "snapshots" in data and data["snapshots"] is not None:
             kwargs["snapshots"] = bool(data["snapshots"])
-        if "shared_store" in data and data["shared_store"] is not None:
-            kwargs["shared_store"] = bool(data["shared_store"])
         if "target_ci" in data and data["target_ci"] is not None:
             kwargs["target_ci"] = float(data["target_ci"])
         return cls(**kwargs)
@@ -210,15 +214,15 @@ def run_campaign(
     workers: int | None = 1,
     checkpoint_dir: str | Path | None = None,
     shard_size: int | None = None,
-    progress: Any | None = None,
-    isolation: Any | None = None,
-    retry: Any | None = None,
+    progress: "ProgressCallback | None" = None,
+    isolation: IsolationConfig | None = None,
+    retry: "RetryPolicy | None" = None,
     failure_log: str | Path | None = None,
-    telemetry: Any | None = None,
-    backend: Any | None = None,
-    steal: Any | None = None,
+    telemetry: Telemetry | None = None,
+    backend: "ShardBackend | None" = None,
+    steal: "StealPolicy | None" = None,
 ) -> CampaignResult:
-    """Run a full injection campaign.
+    """Run a full injection campaign: sharded, resumable, optionally parallel.
 
     Fault models rotate round-robin so every model receives an equal
     share; interrupt times are drawn uniformly per run by the
@@ -227,76 +231,270 @@ def run_campaign(
     is bit-identical for any ``workers`` count, shard layout or
     isolation mode.
 
-    ``workers`` > 1 (or ``None`` for ``REPRO_WORKERS`` / cpu-count
-    auto-detection), ``checkpoint_dir``, ``shard_size``, ``progress``,
-    ``isolation`` (an :class:`~repro.carolfi.isolation.IsolationConfig`
-    selecting subprocess sandboxing), ``retry`` (an
-    :class:`~repro.carolfi.engine.RetryPolicy`) or ``failure_log``
-    route the campaign through the sharded engine
-    (:mod:`repro.carolfi.engine`), which adds parallel execution,
-    resumable per-shard JSONL checkpoints and fault-domain supervision.
-    ``telemetry`` (a :class:`~repro.telemetry.Telemetry` bundle) also
-    routes through the engine, which populates the bundle's metrics
-    registry and trace as the campaign runs.  The default (``workers=1``,
-    no checkpointing, inproc isolation) keeps the plain in-process
-    serial path below.
+    Every campaign goes through the shard scheduler
+    (:func:`repro.service.scheduler.run_shards`), so retries and
+    quarantine are decided alike everywhere.  ``workers=1`` executes
+    the campaign as one lease in the calling process
+    (:class:`~repro.service.local.InlineBackend`); any other count cuts
+    it into ``workers`` leases of whole shards, each run by one
+    disposable worker process (:class:`~repro.service.local.LocalBackend`).
+    ``workers=None`` resolves via ``REPRO_WORKERS`` then
+    ``os.cpu_count()``.
+
+    ``backend`` overrides *where* leases execute: any
+    :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
+    :class:`~repro.service.broker.BrokerBackend`) is driven by the same
+    scheduler with identical retry/quarantine/merge semantics; its
+    lifetime belongs to the caller.  ``steal`` tunes work stealing on
+    backends that support it (ignored by the local pool).
+
+    The executor that owns the runs decides whether their golden store
+    is shared: a serial in-process campaign keeps a private one and
+    maps nothing, while a pool, a subprocess sandbox or a caller's
+    backend publishes (or attaches) the host's shared-memory segment
+    (:mod:`repro.carolfi.shmstore`), which this function sweeps at
+    teardown.
+
+    ``isolation`` selects where each *injection* executes (see
+    :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry``
+    configures the fault-domain policy (backoff, liveness, quarantine)
+    and ``failure_log`` overrides the failure-event JSONL path (default:
+    ``failures.jsonl`` inside the checkpoint directory, or disabled
+    without one).  See :mod:`repro.carolfi.engine` for the determinism,
+    resume and failure-handling contracts.  ``log_path`` receives the
+    final records, written whole once they are merged, so a rerun or a
+    resume rewrites the log instead of appending to it.
+
+    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) adds metrics,
+    phase spans and live progress on top of the ``progress`` heartbeat
+    callback.  Workers accumulate metrics/spans locally and the engine
+    merges their deltas over the heartbeat pipe, so a campaign's
+    counter totals are identical for every worker count; the default
+    (:data:`repro.telemetry.DISABLED`) makes every instrument a shared
+    no-op and never perturbs records.
+
+    Statistical observability: every merged shard streams through a
+    :class:`~repro.telemetry.convergence.ConvergenceMonitor`.  With
+    ``config.target_ci`` set the campaign **stops early** at the first
+    contiguous shard boundary where every ``(benchmark, fault_model)``
+    cell's SDC/DUE CI half-width meets the target — deterministically,
+    so the stopped records are a bit-identical prefix of the uncapped
+    campaign for any worker count.  Independently, the cross-shard
+    drift detector z-tests each shard's outcome rates against the rest
+    of the campaign; statistically incompatible shards (seed bugs,
+    nondeterminism) are flagged into ``failures.jsonl`` and the
+    ``repro_drift_flags_total`` counter.
     """
-    engine_requested = (
-        workers != 1
-        or checkpoint_dir is not None
-        or shard_size is not None
-        or progress
-        or isolation is not None
-        or retry is not None
-        or failure_log is not None
-        or telemetry is not None
-        or config.target_ci is not None
-        or backend is not None
+    # Imported here, not at module top: the engine and the service layer
+    # import this module.
+    from repro.carolfi.engine import (
+        FAILURE_LOG_NAME,
+        FailureSink,
+        RetryPolicy,
+        ShardSpec,
+        _ConvergenceGate,
+        _Heartbeat,
+        _replay_shard,
+        _validate_checkpoint_dir,
+        campaign_fingerprint,
+        plan_shards,
+        resolve_workers,
+        shard_path,
     )
-    if engine_requested:
-        from repro.carolfi.engine import run_sharded_campaign
+    from repro.service.local import InlineBackend, LocalBackend
+    from repro.service.scheduler import run_shards
 
-        return run_sharded_campaign(
-            config,
-            workers=workers,
-            checkpoint_dir=checkpoint_dir,
-            shard_size=shard_size,
-            progress=progress,
-            log_path=log_path,
-            isolation=isolation,
-            retry=retry,
-            failure_log=failure_log,
-            telemetry=telemetry,
-            backend=backend,
-            steal=steal,
-        )
-    benchmark = create(config.benchmark, **config.benchmark_params)
-    supervisor = Supervisor(
-        benchmark,
-        seed=config.seed,
-        policy=config.policy,
-        snapshots=config.snapshots,
+    workers = resolve_workers(workers)
+    iso = isolation or IsolationConfig()
+    policy = retry or RetryPolicy()
+    tel = telemetry or DISABLED
+    # Whether any process maps the host's shared segment for this
+    # campaign: a serial in-process campaign has no second process to
+    # read its golden store, so it publishes nothing and sweeps nothing.
+    shares = backend is not None or workers > 1 or iso.mode is IsolationMode.SUBPROCESS
+    shards = plan_shards(config.injections, shard_size)
+    fingerprint = campaign_fingerprint(config, shard_size)
+    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
+    if ckpt_dir is not None:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+        _validate_checkpoint_dir(ckpt_dir, fingerprint)
+    if failure_log is None and ckpt_dir is not None:
+        failure_log = ckpt_dir / FAILURE_LOG_NAME
+    sink = FailureSink(failure_log, tel)
+    reporter = tel.progress_reporter(config.injections, label=config.benchmark)
+    replayed_runs = tel.registry.counter(
+        "repro_runs_replayed_total",
+        help="Runs restored from shard checkpoints instead of being re-run.",
     )
-    log = JsonlLog(log_path) if log_path is not None else None
-    records: list[InjectionRecord] = []
-    runs = [
-        (run_index, model_for(config, run_index))
-        for run_index in range(config.injections)
-    ]
-    batched: dict[int, InjectionRecord] = {}
-    if config.batch_size > 1:
-        from repro.carolfi.batchrunner import BatchRunner
+    shard_planned = tel.registry.gauge(
+        "repro_shard_runs_planned", help="Planned run count of each shard."
+    )
+    shard_done = tel.registry.gauge(
+        "repro_shard_runs_done", help="Runs completed so far within each shard."
+    )
 
-        batched = BatchRunner(supervisor, config.batch_size).run_many(runs)
+    heartbeat = _Heartbeat(progress, len(shards), config.injections)
+    replayed: dict[int, list[InjectionRecord]] = {}
+    pending: list[ShardSpec] = []
+    executed: dict[int, list[dict]] = {}
+
+    def _shard_rows(index: int) -> Iterable[Any]:
+        return replayed[index] if index in replayed else executed[index]
+
+    monitor = ConvergenceMonitor()
+    gate = _ConvergenceGate(config, shards, monitor, _shard_rows)
     try:
-        for run_index, model in runs:
-            record = batched.get(run_index)
-            if record is None:
-                record = supervisor.run_one(run_index, model)
-            records.append(record)
-            if log is not None:
-                log.append(record.to_dict())
+        with tel.activate(), tel.tracer.span(
+            "campaign",
+            benchmark=config.benchmark,
+            injections=config.injections,
+            workers=workers,
+            shards=len(shards),
+        ) as campaign_span:
+            for spec in shards:
+                shard_planned.set(spec.size, shard=spec.index)
+                # Reset stale per-shard progress left by an earlier
+                # campaign sharing this registry.
+                shard_done.set(0, shard=spec.index)
+            for spec in shards:
+                records = (
+                    _replay_shard(shard_path(ckpt_dir, spec.index), fingerprint, spec)
+                    if ckpt_dir is not None
+                    else None
+                )
+                if records is None:
+                    pending.append(spec)
+                else:
+                    replayed[spec.index] = records
+                    replayed_runs.inc(spec.size)
+                    shard_done.set(spec.size, shard=spec.index)
+                    heartbeat.record_done(spec.size, live=False)
+                    heartbeat.emit("replayed", spec)
+                    gate.mark_complete(spec.index)
+            if gate.stopped:
+                # The replayed prefix alone already meets the target;
+                # every pending shard lies beyond the stop point.
+                pending.clear()
+
+            if pending:
+
+                def ckpt_file(spec: ShardSpec) -> str | None:
+                    return None if ckpt_dir is None else str(shard_path(ckpt_dir, spec.index))
+
+                # A caller's backend (e.g. the broker) stays the caller's;
+                # otherwise the engine owns one for this campaign.
+                owned: ShardBackend | None = None
+                if backend is None:
+                    owned = backend = (
+                        LocalBackend(
+                            config,
+                            workers=workers,
+                            isolation=iso,
+                            telemetry=tel,
+                            on_event=sink,
+                        )
+                        if workers > 1
+                        else InlineBackend(
+                            config,
+                            isolation=iso,
+                            on_run_done=reporter.tick,
+                        )
+                    )
+                try:
+                    run_shards(
+                        config,
+                        pending,
+                        ckpt_file,
+                        fingerprint,
+                        heartbeat,
+                        executed,
+                        backend,
+                        policy,
+                        sink,
+                        tel,
+                        reporter,
+                        gate,
+                        steal=steal,
+                    )
+                finally:
+                    if owned is not None:
+                        owned.close()
+
+            included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
+            expected_runs = included[-1].stop
+            records_out: list[InjectionRecord] = []
+            for spec in included:
+                if spec.index in replayed:
+                    records_out.extend(replayed[spec.index])
+                else:
+                    records_out.extend(
+                        InjectionRecord.from_dict(row) for row in executed[spec.index]
+                    )
+            records_out.sort(key=lambda r: r.run_index)
+            if [r.run_index for r in records_out] != list(range(expected_runs)):
+                raise RuntimeError("engine merge produced a non-canonical record sequence")
+            if gate.stopped:
+                sink(
+                    {
+                        "event": "early_stop",
+                        "target_ci": config.target_ci,
+                        "runs": expected_runs,
+                        "budget": config.injections,
+                        "max_half_width": round(monitor.max_half_width(), 6),
+                        "shards_skipped": len(shards) - len(included),
+                    }
+                )
+                campaign_span.set_attr("early_stop_runs", expected_runs)
+            # Cross-shard drift: under the determinism contract every
+            # shard samples the same outcome distribution, so any shard
+            # that is statistically incompatible with its peers means a
+            # seed bug or nondeterminism — flag it, loudly.
+            drift_flags = monitor.drift_flags()
+            if drift_flags:
+                drift_counter = tel.registry.counter(
+                    "repro_drift_flags_total",
+                    help="Shards whose outcome rates are statistically "
+                    "incompatible with the rest of the campaign.",
+                )
+                for flag in drift_flags:
+                    drift_counter.inc(
+                        benchmark=flag.benchmark,
+                        fault_model=flag.fault_model,
+                        outcome=flag.outcome,
+                    )
+                    sink(flag.to_dict())
+            # Final-record counters are derived from the merged result —
+            # by construction they always equal what lands in the
+            # campaign log, whatever the execution topology did.
+            records_total = tel.registry.counter(
+                "repro_records_total", help="Final merged campaign records, by outcome."
+            )
+            records_due = tel.registry.counter(
+                "repro_records_due_total", help="Final merged DUE records, by due kind."
+            )
+            for record in records_out:
+                records_total.inc(outcome=record.outcome.value)
+                if record.due_kind is not None:
+                    records_due.inc(kind=record.due_kind.value)
+            campaign_span.set_attr("records", len(records_out))
+            reporter.tick(force=True)
     finally:
-        if log is not None:
-            log.close()
-    return CampaignResult(config=config, records=records)
+        sink.close()
+        if shares:
+            # Unlink any shared-memory snapshot segments this process
+            # published (attachers' mappings stay valid; only the
+            # directory entry goes — the /dev/shm leak-check contract)
+            # and drop the campaign's golden store: a process keeps none
+            # once its campaign is over.  Then sweep this campaign's key
+            # outright: a worker that published and was then killed
+            # (-9, chaos hook) can never reap its own segment.
+            shmstore.release_published()
+            _SUPERVISORS.pop(supervisor_key(config), None)
+            try:
+                shmstore.reap(campaign_store_key(config))
+            except Exception:  # noqa: BLE001 — teardown must not mask the result
+                pass
+
+    if log_path is not None:
+        dump_records(log_path, (r.to_dict() for r in records_out))
+    return CampaignResult(config=config, records=records_out, stopped_early=gate.stopped)

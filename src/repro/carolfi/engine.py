@@ -2,10 +2,13 @@
 
 The paper's numbers rest on 10,000+ injections per benchmark; running
 them one after another in one process is the reproduction's single
-biggest bottleneck.  This engine splits a campaign into deterministic
-*shards* (contiguous run-index ranges) and fans the shards out over
-dedicated worker processes, merging the shard records back in canonical
-run-index order.
+biggest bottleneck.  A campaign is split into deterministic *shards*
+(contiguous run-index ranges) whose records are merged back in
+canonical run-index order.  This module holds the parts of that path —
+the shard plan, the lease body's run loop (:func:`_execute_shard`),
+checkpoints, the retry policy, the failure-event log and the
+convergence gate; :func:`repro.carolfi.campaign.run_campaign`, the one
+campaign function, assembles them around the shard scheduler.
 
 Determinism is structural, not incidental: every injection derives its
 random stream from ``(seed, benchmark, run_index)`` via
@@ -22,7 +25,7 @@ lease.  Resumability: with a ``checkpoint_dir``, the scheduler writes
 each shard's records to its own JSONL file (header → records → ``done``
 footer) the moment the shard's last record arrives, whichever process
 executed it and whether or not its lease is still running.  On
-restart the engine replays every *complete* shard file from disk and
+restart the campaign replays every *complete* shard file from disk and
 re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
 :class:`CheckpointError` rather than silently mixing campaigns.
@@ -47,13 +50,15 @@ death, sandbox kill and quarantine is appended to a structured
 failure-event log (``failures.jsonl`` under the checkpoint directory
 by default).
 
-With ``isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS, ...)``
-each individual injection additionally runs inside the
-:class:`~repro.carolfi.isolation.InjectionSandbox` owned by the
-executor of the lease, making crashes and hangs *observed process
-deaths* exactly like the paper's GDB-supervised runs.  Serial
-in-process execution (``workers=1``, inproc isolation) stays the
-default, so the test suite remains subprocess-free.
+Each executor hands :func:`_execute_shard` its own runner: the
+:class:`~repro.carolfi.isolation.InjectionSandbox` it owns, under
+``isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS, ...)``
+(each injection then runs in a disposable worker process, making
+crashes and hangs *observed process deaths* exactly like the paper's
+GDB-supervised runs), or a :class:`~repro.carolfi.supervisor.Supervisor`
+in its own process.  The default serial in-process campaign
+(``workers=1``, inproc isolation) spawns no process and keeps a private
+golden store, so the test suite remains subprocess-free.
 """
 
 from __future__ import annotations
@@ -66,21 +71,11 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
-from repro.carolfi import shmstore
-from repro.carolfi.batchrunner import BatchRunner
-from repro.carolfi.campaign import CampaignConfig, CampaignResult, model_for
-from repro.carolfi.isolation import (
-    _SUPERVISORS,
-    InjectionSandbox,
-    IsolationConfig,
-    SandboxError,
-    campaign_store_key,
-    make_due_record,
-    supervisor_for,
-    supervisor_key,
-)
+from repro.carolfi.campaign import CampaignConfig, model_for
+from repro.carolfi.isolation import InjectionSandbox, SandboxError, make_due_record
+from repro.carolfi.supervisor import Supervisor
 from repro.faults.outcome import DueKind, InjectionRecord
 from repro.telemetry import (
     DISABLED,
@@ -92,10 +87,6 @@ from repro.telemetry import (
 from repro.telemetry.convergence import ConvergenceMonitor
 from repro.util.jsonlog import JsonlLog, dump_records, load_records, load_records_tolerant
 from repro.util.rng import derive_rng
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.service.backend import ShardBackend
-    from repro.service.scheduler import StealPolicy
 
 __all__ = [
     "CheckpointError",
@@ -112,7 +103,6 @@ __all__ = [
     "plan_shards",
     "read_failure_log",
     "resolve_workers",
-    "run_sharded_campaign",
     "shard_path",
     "write_shard_checkpoint",
 ]
@@ -286,8 +276,8 @@ def campaign_fingerprint(config: CampaignConfig, shard_size: int | None = None) 
     Stored in every checkpoint header; a resume with a different
     benchmark, seed, size, fault-model set, policy or shard plan is
     detected before any stale record is trusted.  Isolation mode, retry
-    policy and the ``snapshots``/``batch_size``/``shared_store``
-    fast-path knobs are deliberately *excluded*: they change how runs
+    policy and the ``snapshots``/``batch_size`` fast-path knobs are
+    deliberately *excluded*: they change how runs
     are executed and supervised, never what their records contain, so a
     campaign checkpointed in one mode may resume in another — including resuming
     a scalar checkpoint with batching on or vice versa (the payload
@@ -380,11 +370,10 @@ class FailureSink:
 def _execute_shard(
     config: CampaignConfig,
     spec: ShardSpec,
-    sandbox: InjectionSandbox | None = None,
+    runner: Supervisor | InjectionSandbox,
     skip_runs: dict[int, tuple[str, str]] | None = None,
     on_run: Callable[[int], None] | None = None,
     on_record: Callable[[int, dict], None] | None = None,
-    on_failure: Callable[[dict], None] | None = None,
     stop: Callable[[], int] | None = None,
 ) -> None:
     """Run one lease's range, handing each record to ``on_record(run, row)``.
@@ -393,8 +382,9 @@ def _execute_shard(
     shards (``spec.index`` is the first), and with batching on the whole
     range is one ``BatchRunner`` plan.
 
-    ``sandbox`` is the executor's own :class:`InjectionSandbox` to run
-    every injection through, or ``None`` to run them in this process.
+    ``runner`` is the executor's own: the :class:`InjectionSandbox` it
+    owns, or a :class:`Supervisor` in its process.  Both present
+    ``run_one``, ``run_batch``, ``total_steps`` and ``num_windows``.
     ``skip_runs`` maps quarantined run indices to their ``(due_kind,
     detail)``: those runs are recorded as synthetic DUEs without being
     executed.  ``on_run`` fires before each scalar run (the liveness
@@ -426,16 +416,8 @@ def _execute_shard(
         "repro_run_duration_seconds", help="Wall-clock duration of one injection run."
     )
     end = stop or (lambda: spec.stop)
-    run_fn: Callable[[int, Any], InjectionRecord]
     skip = skip_runs or {}
-    if sandbox is not None:
-        run_fn = sandbox.run_one
-        total_steps, num_windows = sandbox.total_steps, sandbox.num_windows
-    else:
-        supervisor = supervisor_for(config, on_event=on_failure)
-        run_fn = supervisor.run_one
-        total_steps = supervisor.total_steps
-        num_windows = supervisor.benchmark.num_windows
+    total_steps, num_windows = runner.total_steps, runner.num_windows
     with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
         batched: dict[int, InjectionRecord] = {}
         if config.batch_size > 1:
@@ -450,10 +432,7 @@ def _execute_shard(
                 for run_index in range(spec.start, end())
                 if run_index not in skip
             ]
-            if sandbox is not None:
-                batched = sandbox.run_batch(todo, config.batch_size)
-            else:
-                batched = BatchRunner(supervisor, config.batch_size).run_many(todo)
+            batched = runner.run_batch(todo, config.batch_size)
         for run_index in spec.run_indices():
             if run_index >= end():
                 break
@@ -476,7 +455,7 @@ def _execute_shard(
                     on_run(run_index)
                 began = time.perf_counter()
                 try:
-                    record = run_fn(run_index, model)
+                    record = runner.run_one(run_index, model)
                 except SandboxError:
                     raise  # worker infrastructure failure: shard-level, not run-level
                 except Exception as exc:
@@ -691,259 +670,3 @@ class _ConvergenceGate:
                 self.stop_after = self._fed - 1
                 return True
         return False
-
-
-def run_sharded_campaign(
-    config: CampaignConfig,
-    *,
-    workers: int | None = None,
-    checkpoint_dir: str | Path | None = None,
-    shard_size: int | None = None,
-    progress: ProgressCallback | None = None,
-    log_path: str | Path | None = None,
-    isolation: IsolationConfig | None = None,
-    retry: RetryPolicy | None = None,
-    failure_log: str | Path | None = None,
-    telemetry: Telemetry | None = None,
-    backend: "ShardBackend | None" = None,
-    steal: "StealPolicy | None" = None,
-) -> CampaignResult:
-    """Run a campaign sharded, optionally in parallel and resumable.
-
-    ``workers=1`` executes the campaign as one lease in the calling
-    process; any other count cuts it into ``workers`` leases of whole
-    shards, each run by one disposable worker process.  Both go through
-    the same scheduler, so retries and quarantine are decided alike.
-    ``workers=None`` resolves via ``REPRO_WORKERS`` then
-    ``os.cpu_count()``.
-
-    ``backend`` overrides *where* leases execute: any
-    :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
-    :class:`~repro.service.broker.BrokerBackend`) is driven by the same
-    scheduler with identical retry/quarantine/merge semantics; its
-    lifetime belongs to the caller.  ``steal`` tunes work stealing on
-    backends that support it (ignored by the local pool).
-
-    ``isolation`` selects where each *injection* executes (see
-    :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry``
-    configures the fault-domain policy (backoff, liveness, quarantine)
-    and ``failure_log`` overrides the failure-event JSONL path (default:
-    ``failures.jsonl`` inside the checkpoint directory, or disabled
-    without one).  See the module docstring for the determinism, resume
-    and failure-handling contracts.
-
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) adds metrics,
-    phase spans and live progress on top of the heartbeat callback.
-    Workers accumulate metrics/spans locally and the engine merges
-    their deltas over the heartbeat pipe, so a campaign's counter
-    totals are identical for every worker count; the default
-    (:data:`repro.telemetry.DISABLED`) makes every instrument a shared
-    no-op and never perturbs records.
-
-    Statistical observability: every merged shard streams through a
-    :class:`~repro.telemetry.convergence.ConvergenceMonitor`.  With
-    ``config.target_ci`` set the campaign **stops early** at the first
-    contiguous shard boundary where every ``(benchmark, fault_model)``
-    cell's SDC/DUE CI half-width meets the target — deterministically,
-    so the stopped records are a bit-identical prefix of the uncapped
-    campaign for any worker count.  Independently, the cross-shard
-    drift detector z-tests each shard's outcome rates against the rest
-    of the campaign; statistically incompatible shards (seed bugs,
-    nondeterminism) are flagged into ``failures.jsonl`` and the
-    ``repro_drift_flags_total`` counter.
-    """
-    workers = resolve_workers(workers)
-    iso = isolation or IsolationConfig()
-    policy = retry or RetryPolicy()
-    tel = telemetry or DISABLED
-    shards = plan_shards(config.injections, shard_size)
-    fingerprint = campaign_fingerprint(config, shard_size)
-    ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt_dir is not None:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
-        _validate_checkpoint_dir(ckpt_dir, fingerprint)
-    if failure_log is None and ckpt_dir is not None:
-        failure_log = ckpt_dir / FAILURE_LOG_NAME
-    sink = FailureSink(failure_log, tel)
-    reporter = tel.progress_reporter(config.injections, label=config.benchmark)
-    replayed_runs = tel.registry.counter(
-        "repro_runs_replayed_total",
-        help="Runs restored from shard checkpoints instead of being re-run.",
-    )
-    shard_planned = tel.registry.gauge(
-        "repro_shard_runs_planned", help="Planned run count of each shard."
-    )
-    shard_done = tel.registry.gauge(
-        "repro_shard_runs_done", help="Runs completed so far within each shard."
-    )
-
-    heartbeat = _Heartbeat(progress, len(shards), config.injections)
-    replayed: dict[int, list[InjectionRecord]] = {}
-    pending: list[ShardSpec] = []
-    executed: dict[int, list[dict]] = {}
-
-    def _shard_rows(index: int) -> Iterable[Any]:
-        return replayed[index] if index in replayed else executed[index]
-
-    monitor = ConvergenceMonitor()
-    gate = _ConvergenceGate(config, shards, monitor, _shard_rows)
-    try:
-        with tel.activate(), tel.tracer.span(
-            "campaign",
-            benchmark=config.benchmark,
-            injections=config.injections,
-            workers=workers,
-            shards=len(shards),
-        ) as campaign_span:
-            for spec in shards:
-                shard_planned.set(spec.size, shard=spec.index)
-                # Reset stale per-shard progress left by an earlier
-                # campaign sharing this registry.
-                shard_done.set(0, shard=spec.index)
-            for spec in shards:
-                records = (
-                    _replay_shard(shard_path(ckpt_dir, spec.index), fingerprint, spec)
-                    if ckpt_dir is not None
-                    else None
-                )
-                if records is None:
-                    pending.append(spec)
-                else:
-                    replayed[spec.index] = records
-                    replayed_runs.inc(spec.size)
-                    shard_done.set(spec.size, shard=spec.index)
-                    heartbeat.record_done(spec.size, live=False)
-                    heartbeat.emit("replayed", spec)
-                    gate.mark_complete(spec.index)
-            if gate.stopped:
-                # The replayed prefix alone already meets the target;
-                # every pending shard lies beyond the stop point.
-                pending.clear()
-
-            if pending:
-                # Imported here, not at module top: repro.service imports
-                # this module.
-                from repro.service.local import InlineBackend, LocalBackend
-                from repro.service.scheduler import run_shards
-
-                def ckpt_file(spec: ShardSpec) -> str | None:
-                    return None if ckpt_dir is None else str(shard_path(ckpt_dir, spec.index))
-
-                # A caller's backend (e.g. the broker) stays the caller's;
-                # otherwise the engine owns one for this campaign.
-                owned: ShardBackend | None = None
-                if backend is None:
-                    owned = backend = (
-                        LocalBackend(
-                            config,
-                            workers=workers,
-                            isolation=iso,
-                            telemetry=tel,
-                            on_event=sink,
-                        )
-                        if workers > 1
-                        else InlineBackend(
-                            config,
-                            isolation=iso,
-                            on_run_done=reporter.tick,
-                        )
-                    )
-                try:
-                    run_shards(
-                        config,
-                        pending,
-                        ckpt_file,
-                        fingerprint,
-                        heartbeat,
-                        executed,
-                        backend,
-                        policy,
-                        sink,
-                        tel,
-                        reporter,
-                        gate,
-                        steal=steal,
-                    )
-                finally:
-                    if owned is not None:
-                        owned.close()
-
-            included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
-            expected_runs = included[-1].stop
-            records_out: list[InjectionRecord] = []
-            for spec in included:
-                if spec.index in replayed:
-                    records_out.extend(replayed[spec.index])
-                else:
-                    records_out.extend(
-                        InjectionRecord.from_dict(row) for row in executed[spec.index]
-                    )
-            records_out.sort(key=lambda r: r.run_index)
-            if [r.run_index for r in records_out] != list(range(expected_runs)):
-                raise RuntimeError("engine merge produced a non-canonical record sequence")
-            if gate.stopped:
-                sink(
-                    {
-                        "event": "early_stop",
-                        "target_ci": config.target_ci,
-                        "runs": expected_runs,
-                        "budget": config.injections,
-                        "max_half_width": round(monitor.max_half_width(), 6),
-                        "shards_skipped": len(shards) - len(included),
-                    }
-                )
-                campaign_span.set_attr("early_stop_runs", expected_runs)
-            # Cross-shard drift: under the determinism contract every
-            # shard samples the same outcome distribution, so any shard
-            # that is statistically incompatible with its peers means a
-            # seed bug or nondeterminism — flag it, loudly.
-            drift_flags = monitor.drift_flags()
-            if drift_flags:
-                drift_counter = tel.registry.counter(
-                    "repro_drift_flags_total",
-                    help="Shards whose outcome rates are statistically "
-                    "incompatible with the rest of the campaign.",
-                )
-                for flag in drift_flags:
-                    drift_counter.inc(
-                        benchmark=flag.benchmark,
-                        fault_model=flag.fault_model,
-                        outcome=flag.outcome,
-                    )
-                    sink(flag.to_dict())
-            # Final-record counters are derived from the merged result —
-            # by construction they always equal what lands in the
-            # campaign log, whatever the execution topology did.
-            records_total = tel.registry.counter(
-                "repro_records_total", help="Final merged campaign records, by outcome."
-            )
-            records_due = tel.registry.counter(
-                "repro_records_due_total", help="Final merged DUE records, by due kind."
-            )
-            for record in records_out:
-                records_total.inc(outcome=record.outcome.value)
-                if record.due_kind is not None:
-                    records_due.inc(kind=record.due_kind.value)
-            campaign_span.set_attr("records", len(records_out))
-            reporter.tick(force=True)
-    finally:
-        sink.close()
-        # Unlink any shared-memory snapshot segments this process
-        # published (attachers' mappings stay valid; only the directory
-        # entry goes — the /dev/shm leak-check contract).  Then sweep
-        # this campaign's key outright: a worker that published and was
-        # then killed (-9, chaos hook) can never reap its own segment.
-        shmstore.release_published()
-        # Drop the campaign's golden store: a process keeps none once
-        # its campaign is over.
-        _SUPERVISORS.pop(supervisor_key(config), None)
-        if config.shared_store:
-            try:
-                shmstore.reap(campaign_store_key(config))
-            except Exception:  # noqa: BLE001 — teardown must not mask the result
-                pass
-
-    if log_path is not None:
-        with JsonlLog(log_path) as log:
-            log.extend(r.to_dict() for r in records_out)
-    return CampaignResult(config=config, records=records_out, stopped_early=gate.stopped)

@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Any
 from repro.benchmarks.base import window_of_step
 from repro.benchmarks.registry import create
 from repro.carolfi import shmstore
-from repro.carolfi.batchrunner import BatchRunner
 from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
@@ -71,6 +70,7 @@ __all__ = [
     "describe_exitcode",
     "make_due_record",
     "mp_context",
+    "new_supervisor",
     "rss_bytes",
     "supervisor_for",
     "supervisor_key",
@@ -143,25 +143,25 @@ class IsolationConfig:
 
 # -- shared supervisor cache ---------------------------------------------------
 
-#: Per-process Supervisor cache, keyed by everything that determines the
-#: golden run.  Campaign workers are reused across shards and sandbox
-#: workers are respawned after every kill, so the benchmark's input
-#: generation and golden run are paid once per process — or, under the
-#: ``fork`` start method, once per process *tree*.  It holds one
-#: campaign: a new key evicts the old supervisor (its golden store and
-#: shared segment with it), and the engine drops its campaign's entry
-#: at teardown.
+#: Per-process cache of *shared* supervisors — golden stores a second
+#: process reads: a pool's lease workers, a sandbox's workers (respawned
+#: after every kill), a host's ``repro-worker`` agents — keyed by
+#: everything that determines the golden run.  Input generation and the
+#: golden run are paid once per process — under ``fork``, once per
+#: process *tree*.  It holds one campaign: a new key evicts the old
+#: supervisor (its golden store and shared segment with it), and a
+#: sharing campaign drops its entry at teardown.
 _SUPERVISORS: dict[str, Supervisor] = {}
 
 
 def supervisor_key(config: "CampaignConfig") -> str:
-    """Cache key of the Supervisor a config requires.
+    """Cache key of the shared Supervisor a config requires.
 
     ``snapshots`` is part of the key even though it never changes
     records: a snapshots-off campaign must not silently reuse (or be
     reused by) a snapshots-on Supervisor, or the fastpath-vs-slowpath
-    equivalence tests would compare one path to itself.  ``shared``
-    (the shared-memory snapshot store) is keyed for the same reason.
+    equivalence tests would compare one path to itself.  Sharing needs
+    no key: every cached supervisor shares.
     """
     return json.dumps(
         {
@@ -170,7 +170,6 @@ def supervisor_key(config: "CampaignConfig") -> str:
             "policy": config.policy.value,
             "benchmark_params": config.benchmark_params,
             "snapshots": config.snapshots,
-            "shared": config.shared_store,
         },
         sort_keys=True,
     )
@@ -180,8 +179,8 @@ def campaign_store_key(config: "CampaignConfig") -> str:
     """The shared-segment store key a campaign's supervisors use.
 
     Mirrors the :class:`Supervisor` construction in
-    :func:`supervisor_for` (default snapshot budget, default density),
-    so the engine can sweep the campaign's segment at teardown even
+    :func:`new_supervisor` (default snapshot budget, default density),
+    so a sharing campaign can sweep its segment at teardown even
     when the publisher was a worker process that died abruptly.  The
     benchmark is instantiated because the key hashes the *resolved*
     param dict — a campaign passing partial params must map to the
@@ -197,11 +196,35 @@ def campaign_store_key(config: "CampaignConfig") -> str:
     )
 
 
+def new_supervisor(
+    config: "CampaignConfig",
+    *,
+    shared: bool,
+    on_event: EventCallback | None = None,
+) -> Supervisor:
+    """A fresh Supervisor for one campaign config.
+
+    ``shared`` publishes (or attaches) the host's shared-memory segment
+    (:mod:`repro.carolfi.shmstore`); an executor asks for it only when
+    another process reads the golden store, through
+    :func:`supervisor_for`.  ``on_event`` receives structured
+    operational events (snapshot-budget degradation).
+    """
+    return Supervisor(
+        create(config.benchmark, **config.benchmark_params),
+        seed=config.seed,
+        policy=config.policy,
+        snapshots=config.snapshots,
+        shared=shared,
+        on_event=on_event,
+    )
+
+
 def supervisor_for(
     config: "CampaignConfig",
     on_event: EventCallback | None = None,
 ) -> Supervisor:
-    """The (cached) Supervisor for one campaign config.
+    """The (cached) shared Supervisor for one campaign config.
 
     ``on_event`` (structured operational events, e.g. snapshot-budget
     degradation) only matters on a cache miss — an already-built
@@ -212,14 +235,7 @@ def supervisor_for(
     supervisor = _SUPERVISORS.get(key)
     if supervisor is None:
         _SUPERVISORS.clear()
-        supervisor = Supervisor(
-            create(config.benchmark, **config.benchmark_params),
-            seed=config.seed,
-            policy=config.policy,
-            snapshots=config.snapshots,
-            shared=config.shared_store,
-            on_event=on_event,
-        )
+        supervisor = new_supervisor(config, shared=True, on_event=on_event)
         _SUPERVISORS[key] = supervisor
     return supervisor
 
@@ -335,7 +351,7 @@ def _worker_main(
     supervisor cache — golden run *and* prefix-snapshot store included —
     so ``supervisor_for`` is free; under spawn, it attaches the shared
     segment that the sandbox's owner published, or walks the golden run
-    itself when the campaign shares none.
+    itself when the segment is off (``REPRO_SHM=0``) or unpublishable.
     """
     if parent_end is not None:
         # Close our inherited copy of the parent's pipe end.  Without
@@ -365,7 +381,7 @@ def _worker_main(
             "ready",
             {
                 "total_steps": supervisor.total_steps,
-                "num_windows": supervisor.benchmark.num_windows,
+                "num_windows": supervisor.num_windows,
             },
         )
     )
@@ -396,7 +412,7 @@ def _serve(supervisor: Supervisor, conn: "Connection") -> None:
             # identical to unbatched subprocess mode.
             _, run_specs, batch_size = msg
             todo = [(int(idx), FaultModel(value)) for idx, value in run_specs]
-            batched = BatchRunner(supervisor, int(batch_size)).run_many(todo)
+            batched = supervisor.run_batch(todo, int(batch_size))
             conn.send(
                 (
                     "batch_records",
@@ -432,15 +448,14 @@ class InjectionSandbox:
         self.config = config
         self.isolation = isolation or IsolationConfig(mode=IsolationMode.SUBPROCESS)
         self.on_event = on_event
-        if getattr(config, "shared_store", False):
-            # Publish (or attach) the host-wide shared segment from the
-            # sandbox's owner before any worker forks: a worker that
-            # published would leak its segment when killed — and being
-            # killed is a sandbox worker's job description.
-            try:
-                supervisor_for(config, on_event=on_event)
-            except Exception:  # noqa: BLE001 — the worker reports the real failure
-                pass
+        # Publish (or attach) the host-wide shared segment from the
+        # sandbox's owner before any worker forks: a worker that
+        # published would leak its segment when killed — and being
+        # killed is a sandbox worker's job description.
+        try:
+            supervisor_for(config, on_event=on_event)
+        except Exception:  # noqa: BLE001 — the worker reports the real failure
+            pass
         self._ctx = mp_context()
         self._proc: BaseProcess | None = None
         self._conn: Connection | None = None

@@ -143,6 +143,11 @@ class Supervisor:
         self.total_steps = store.total_steps
         self.golden = benchmark.quantize(store.output)
 
+    @property
+    def num_windows(self) -> int:
+        """Time windows of the benchmark's execution (record geometry)."""
+        return self.benchmark.num_windows
+
     # -- shared-memory segment plumbing ---------------------------------------
 
     def _publish_shared(self, key: str, store: PrefixStore) -> PrefixStore:
@@ -384,3 +389,18 @@ class Supervisor:
             sdc_metrics=metrics,
             extra_faults=tuple(extra),
         )
+
+    def run_batch(
+        self, runs: "Sequence[tuple[int, FaultModel]]", batch_size: int
+    ) -> dict[int, InjectionRecord]:
+        """Drive ``runs`` through the vectorized batch path.
+
+        The records of the runs :class:`~repro.carolfi.batchrunner.BatchRunner`
+        completed vectorized; a missing run is finished with
+        :meth:`run_one`.  :meth:`InjectionSandbox.run_batch
+        <repro.carolfi.isolation.InjectionSandbox.run_batch>` is the same
+        contract across the sandbox pipe.
+        """
+        from repro.carolfi.batchrunner import BatchRunner  # it imports this module
+
+        return BatchRunner(self, batch_size).run_many(runs)

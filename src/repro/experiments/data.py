@@ -36,9 +36,10 @@ _INJECTIONS = 1600
 class ExperimentData:
     """Lazily-run, memoised campaigns behind all experiments.
 
-    ``workers`` and ``checkpoint_root`` are forwarded to the sharded
-    campaign engine: ``workers=1`` (the default, used by the test
-    suite) keeps the plain serial path, ``workers=None`` auto-detects
+    ``workers`` and ``checkpoint_root`` are forwarded to
+    :func:`~repro.carolfi.campaign.run_campaign`: ``workers=1`` (the
+    default, used by the test suite) runs each campaign as one lease in
+    this process, ``workers=None`` auto-detects
     from ``REPRO_WORKERS`` / cpu count, and a ``checkpoint_root`` gives
     every benchmark campaign its own resumable checkpoint directory
     under it.  ``isolation`` selects where individual injections run

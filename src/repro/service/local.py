@@ -23,10 +23,11 @@ Over the pipe, frames are tagged and checksummed
 (:mod:`repro.service.wire`; ``Connection.send_bytes`` is already
 message-oriented, so framing adds validation); inline they are decoded
 in place.  No executor writes checkpoints: the scheduler does, from the
-streamed records.  Each executor owns the
-:class:`~repro.carolfi.isolation.InjectionSandbox` its leases run
-through — built on first use, closed when the executor ends — so no
-sandbox outlives its campaign.
+streamed records.  Each executor owns what its leases run through: its
+:class:`~repro.carolfi.isolation.InjectionSandbox` — built on first use,
+closed when the executor ends, so no sandbox outlives its campaign — or
+a supervisor in its own process, private or shared as its topology
+needs.
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
@@ -44,13 +45,16 @@ from typing import TYPE_CHECKING, Any, Callable
 from repro.carolfi import shmstore
 from repro.carolfi.engine import ShardRunError, ShardSpec, _execute_shard
 from repro.carolfi.isolation import (
+    EventCallback,
     InjectionSandbox,
     IsolationConfig,
     IsolationMode,
     describe_exitcode,
     mp_context,
+    new_supervisor,
     supervisor_for,
 )
+from repro.carolfi.supervisor import Supervisor
 from repro.service.backend import (
     BackendEvent,
     LeaseResult,
@@ -91,10 +95,18 @@ def _run_lease(
     config: "CampaignConfig",
     lease: ShardLease,
     sandbox: InjectionSandbox | None,
+    supervisor: Callable[["CampaignConfig", EventCallback], Supervisor],
     send: Callable[[Frame], None],
     stop: Callable[[], int] | None = None,
 ) -> Frame:
     """The one lease body: run ``[start, stop)``, report it as frames.
+
+    The runs go through the executor's ``sandbox``, or without one
+    through the supervisor that ``supervisor(config, on_event)`` returns
+    — the process's shared one (:func:`supervisor_for`) or the
+    executor's private one — built inside the lease's error net: a
+    supervisor that cannot be built fails the lease like a run error,
+    and the scheduler retries it.
 
     Progress goes out through ``send`` as ``run`` / ``rec`` /
     ``failure`` frames, one ``rec`` (run and row) per record; ``stop``
@@ -105,15 +117,18 @@ def _run_lease(
     run to charge.
     """
     spec = ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
+
+    def on_failure(event: dict[str, Any]) -> None:
+        send({"kind": "failure", "event": event})
+
     try:
         _execute_shard(
             config,
             spec,
-            sandbox=sandbox,
+            sandbox if sandbox is not None else supervisor(config, on_failure),
             skip_runs=lease.skip,
             on_run=lambda k: send({"kind": "run", "run": k}),
             on_record=lambda k, row: send({"kind": "rec", "run": k, "row": row}),
-            on_failure=lambda event: send({"kind": "failure", "event": event}),
             stop=stop,
         )
     except Exception as exc:  # noqa: BLE001 — the scheduler judges it
@@ -162,7 +177,9 @@ def _lease_worker_main(
     sandbox = _new_sandbox(config, isolation, send)
     try:
         with worker_tel.activate():
-            terminal = _run_lease(config, lease, sandbox, send)
+            # In process, the backend's warm shared supervisor, inherited
+            # at fork (or attached from the host segment under spawn).
+            terminal = _run_lease(config, lease, sandbox, supervisor_for, send)
         flush_telemetry()  # tail: the shard span
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
@@ -219,21 +236,19 @@ class LocalBackend(ShardBackend):
         self._ctx = mp_context()
         self._live: dict[str, _LeaseProc] = {}
         self._results: list[LeaseResult] = []
-        if self._ctx.get_start_method() == "fork" or config.shared_store:
-            # Warm the per-process supervisor cache so every forked
-            # worker (and, under subprocess isolation, every sandbox
-            # grandchild) inherits the golden run — prefix-snapshot
-            # store included — instead of recomputing it.  With the
-            # shared store on, this is also the publication point of
-            # the host-wide shared-memory segment, so the warm-up pays
-            # off under *any* start method: spawn-started workers
-            # attach the segment instead of walking the golden run
-            # (and ``on_event`` — the engine's failure sink — receives
-            # the budget-degradation event exactly once per host).
-            try:
-                supervisor_for(config, on_event=on_event)
-            except Exception:  # noqa: BLE001 — let workers report the real failure
-                pass
+        # Warm the per-process shared supervisor before any lease worker
+        # forks, so every worker (and, under subprocess isolation, every
+        # sandbox grandchild) inherits the golden run — prefix-snapshot
+        # store included — instead of recomputing it.  The warm-up is
+        # also the publication point of the host-wide shared-memory
+        # segment, so it pays off under *any* start method:
+        # spawn-started workers attach the segment instead of walking
+        # the golden run (and ``on_event`` — the engine's failure sink —
+        # receives the budget-degradation event exactly once per host).
+        try:
+            supervisor_for(config, on_event=on_event)
+        except Exception:  # noqa: BLE001 — let workers report the real failure
+            pass
 
     def capacity(self) -> int:
         return self._workers - len(self._live)
@@ -350,6 +365,11 @@ class InlineBackend(ShardBackend):
     record (the live progress line's tick).  No stealing, no liveness
     to lose: a run that hangs or kills this process takes the campaign
     with it — subprocess isolation exists for exactly that.
+
+    Without a sandbox the runs go through a private supervisor, built
+    by the first lease and dropped by :meth:`close`: no other process
+    reads this golden store, so it maps no shared-memory segment.  A
+    sandbox's owner still publishes, because its workers read it.
     """
 
     #: Worker label of every inline lease.
@@ -366,6 +386,7 @@ class InlineBackend(ShardBackend):
         self._isolation = isolation or IsolationConfig()
         self._on_run_done = on_run_done
         self._sandbox: InjectionSandbox | None = None
+        self._supervisor: Supervisor | None = None
         self._lease: ShardLease | None = None
         self._running = ""
         self._events: list[BackendEvent] = []
@@ -382,6 +403,13 @@ class InlineBackend(ShardBackend):
     def submit(self, lease: ShardLease) -> str:
         self._lease = lease
         return self.WORKER
+
+    def _private_supervisor(
+        self, config: "CampaignConfig", on_event: EventCallback
+    ) -> Supervisor:
+        if self._supervisor is None:
+            self._supervisor = new_supervisor(config, shared=False, on_event=on_event)
+        return self._supervisor
 
     def _send(self, frame: Frame) -> None:
         event = event_from_frame(self._running, frame)
@@ -409,6 +437,7 @@ class InlineBackend(ShardBackend):
                 self._config,
                 lease,
                 self._sandbox,
+                self._private_supervisor,
                 self._send,
                 # A failed handler ends the lease at the next run.
                 stop=lambda: lease.stop if self._handler_error is None else lease.start,
@@ -431,6 +460,7 @@ class InlineBackend(ShardBackend):
 
     def close(self) -> None:
         self._lease = None
+        self._supervisor = None
         if self._sandbox is not None:
             self._sandbox.close()
             self._sandbox = None

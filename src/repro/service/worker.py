@@ -13,7 +13,9 @@ control frames, so a ``shrink`` (work stealing) or ``cancel`` takes
 effect before the next run and a ``ping`` (the broker's heartbeat-RTT
 probe) is answered there.  A worker is therefore silent while its
 lease's batch groups run, as a local lease worker is.  Leases run in
-this process (no sandbox), and the wire carries no checkpoint path or
+this process (no sandbox) through its cached shared supervisor, which
+publishes the host's shared-memory segment or attaches the one another
+agent published, and the wire carries no checkpoint path or
 fingerprint: the broker's scheduler writes the checkpoints.
 
 Observability: when the lease frame carries a span context, the worker
@@ -48,6 +50,7 @@ import time
 from typing import Any, Sequence
 
 from repro.carolfi.campaign import CampaignConfig
+from repro.carolfi.isolation import supervisor_for
 from repro.service.broker import lease_from_wire
 from repro.service.local import _run_lease
 from repro.service.wire import FrameDecoder, encode_frame
@@ -176,7 +179,7 @@ def _execute_lease(
         attempt=lease.attempt,
         worker=worker_name,
     ) as lease_span:
-        terminal = _run_lease(config, lease, None, send, stop=stop)
+        terminal = _run_lease(config, lease, None, supervisor_for, send, stop=stop)
         outcome = "cancelled" if cancelled else terminal["kind"]
         if outcome != "done":
             lease_span.set_attr("outcome", outcome)

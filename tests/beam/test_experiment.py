@@ -78,6 +78,10 @@ def test_campaign_log(tmp_path):
     assert len(raw) == 20
     assert raw[0]["benchmark"] == "lud"
     assert len(result) == 20
+    # A rerun rewrites the log whole instead of appending a second copy.
+    first = (tmp_path / "beam.jsonl").read_bytes()
+    experiment.run_campaign(20, log_path=tmp_path / "beam.jsonl")
+    assert (tmp_path / "beam.jsonl").read_bytes() == first
 
 
 def test_trials_validated():

@@ -27,7 +27,6 @@ from repro.carolfi.engine import (
     plan_shards,
     read_failure_log,
     resolve_workers,
-    run_sharded_campaign,
     shard_path,
 )
 from repro.carolfi.isolation import IsolationConfig, IsolationMode
@@ -117,7 +116,7 @@ def test_sharding_layout_does_not_change_records(serial_result):
 
 
 def test_engine_serial_path_matches_legacy(serial_result):
-    engine = run_sharded_campaign(CONFIG, workers=1, shard_size=SHARD_SIZE)
+    engine = run_campaign(CONFIG, workers=1, shard_size=SHARD_SIZE)
     assert dicts(engine) == dicts(serial_result)
 
 
@@ -127,6 +126,21 @@ def test_engine_writes_campaign_log(tmp_path, serial_result):
     from repro.carolfi.logparse import load_injection_log
 
     assert [r.to_dict() for r in load_injection_log(log_path)] == dicts(serial_result)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_rerun_rewrites_the_campaign_log(tmp_path, workers):
+    """A second run — serial and from scratch, or pooled and a pure
+    replay of its checkpoints with the log inside the checkpoint
+    directory — leaves one line per run, byte for byte the first run's."""
+    ckpt = tmp_path / "ckpt" if workers > 1 else None
+    log_path = tmp_path / "ckpt" / "campaign.jsonl"
+    kwargs = dict(workers=workers, shard_size=SHARD_SIZE, checkpoint_dir=ckpt)
+    run_campaign(CONFIG, log_path, **kwargs)
+    first = log_path.read_bytes()
+    run_campaign(CONFIG, log_path, **kwargs)
+    assert len(first.splitlines()) == CONFIG.injections
+    assert log_path.read_bytes() == first
 
 
 # -- resumable checkpoints (acceptance criterion) -----------------------------
@@ -704,8 +718,8 @@ def test_target_ci_validation():
 
 
 def test_target_ci_stops_early_with_prefix_records():
-    full = run_sharded_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE)
-    capped = run_sharded_campaign(
+    full = run_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE)
+    capped = run_campaign(
         replace(STOP_CONFIG, target_ci=STOP_TARGET), workers=1, shard_size=SHARD_SIZE
     )
     assert capped.stopped_early and not full.stopped_early
@@ -717,8 +731,8 @@ def test_target_ci_stops_early_with_prefix_records():
 
 def test_target_ci_stop_point_is_worker_independent():
     capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
-    serial = run_sharded_campaign(capped, workers=1, shard_size=SHARD_SIZE)
-    parallel = run_sharded_campaign(capped, workers=2, shard_size=SHARD_SIZE)
+    serial = run_campaign(capped, workers=1, shard_size=SHARD_SIZE)
+    parallel = run_campaign(capped, workers=2, shard_size=SHARD_SIZE)
     assert serial.stopped_early and parallel.stopped_early
     assert dicts(serial) == dicts(parallel)
 
@@ -729,7 +743,7 @@ def test_convergence_gate_stop_is_completion_order_independent():
     completion lets several shards join the prefix at once."""
     capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
     shards = plan_shards(STOP_CONFIG.injections, SHARD_SIZE)
-    rows = dicts(run_sharded_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE))
+    rows = dicts(run_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE))
 
     def stop_after(order):
         gate = _ConvergenceGate(
@@ -747,10 +761,10 @@ def test_convergence_gate_stop_is_completion_order_independent():
 
 
 def test_target_ci_campaign_log_is_byte_prefix(tmp_path):
-    run_sharded_campaign(
+    run_campaign(
         STOP_CONFIG, workers=1, shard_size=SHARD_SIZE, log_path=tmp_path / "full.jsonl"
     )
-    run_sharded_campaign(
+    run_campaign(
         replace(STOP_CONFIG, target_ci=STOP_TARGET),
         workers=1,
         shard_size=SHARD_SIZE,
@@ -765,7 +779,7 @@ def test_target_ci_campaign_log_is_byte_prefix(tmp_path):
 def test_target_ci_logs_early_stop_event_and_resumes_clean(tmp_path):
     capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
     tel = Telemetry(TelemetryConfig())
-    stopped = run_sharded_campaign(
+    stopped = run_campaign(
         capped, workers=1, shard_size=SHARD_SIZE, checkpoint_dir=tmp_path, telemetry=tel
     )
     assert stopped.stopped_early
@@ -778,7 +792,7 @@ def test_target_ci_logs_early_stop_event_and_resumes_clean(tmp_path):
     assert stop_event["shards_skipped"] > 0
     # The same checkpoint dir finishes the uncapped campaign: the
     # stopped prefix is replayed, only the skipped shards run live.
-    finished = run_sharded_campaign(
+    finished = run_campaign(
         STOP_CONFIG, workers=1, shard_size=SHARD_SIZE, checkpoint_dir=tmp_path
     )
     assert not finished.stopped_early
@@ -788,7 +802,7 @@ def test_target_ci_logs_early_stop_event_and_resumes_clean(tmp_path):
 
 def test_target_ci_noop_when_target_never_met():
     capped = replace(STOP_CONFIG, target_ci=0.001)
-    result = run_sharded_campaign(capped, workers=1, shard_size=SHARD_SIZE)
+    result = run_campaign(capped, workers=1, shard_size=SHARD_SIZE)
     assert not result.stopped_early
     assert len(result.records) == STOP_CONFIG.injections
 
@@ -807,7 +821,7 @@ DRIFT_CONFIG = CampaignConfig(
 
 def test_healthy_campaign_raises_no_drift_flags(tmp_path):
     tel = Telemetry(TelemetryConfig())
-    run_sharded_campaign(
+    run_campaign(
         DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path / "s", telemetry=tel
     )
     events, _ = read_failure_log(tmp_path / "s" / FAILURE_LOG_NAME)
@@ -816,7 +830,7 @@ def test_healthy_campaign_raises_no_drift_flags(tmp_path):
     # registries, so the drift counter may not exist merely as a zero.
     assert "repro_drift_flags_total" not in tel.registry.snapshot()
     tel_par = Telemetry(TelemetryConfig())
-    run_sharded_campaign(
+    run_campaign(
         DRIFT_CONFIG, workers=2, shard_size=16, checkpoint_dir=tmp_path / "p", telemetry=tel_par
     )
     events_par, _ = read_failure_log(tmp_path / "p" / FAILURE_LOG_NAME)
@@ -832,7 +846,7 @@ def test_drift_flags_doctored_shard_checkpoint(tmp_path):
     catch.  Flipping every masked record of shard 1 to SDC makes its
     SDC rate incompatible with its three peers.
     """
-    run_sharded_campaign(DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path)
+    run_campaign(DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path)
     doctored = shard_path(tmp_path, 1)
     rows = [json.loads(line) for line in doctored.read_text().splitlines()]
     for row in rows:
@@ -841,7 +855,7 @@ def test_drift_flags_doctored_shard_checkpoint(tmp_path):
     doctored.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
     tel = Telemetry(TelemetryConfig())
-    resumed = run_sharded_campaign(
+    resumed = run_campaign(
         DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path, telemetry=tel
     )
     assert len(resumed.records) == DRIFT_CONFIG.injections

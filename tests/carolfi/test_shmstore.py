@@ -23,8 +23,7 @@ import pytest
 
 from repro.benchmarks import create
 from repro.carolfi import shmstore
-from repro.carolfi.campaign import CampaignConfig
-from repro.carolfi.engine import run_sharded_campaign
+from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.isolation import (
     _SUPERVISORS,
     IsolationConfig,
@@ -33,6 +32,8 @@ from repro.carolfi.isolation import (
 )
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.util.jsonlog import load_records
 
 NW_PARAMS = {"n": 16, "rows_per_step": 4}
 MODELS = FaultModel.all()
@@ -51,6 +52,12 @@ def records(supervisor, runs=10):
 
 def segments(tmp_path):
     return sorted(tmp_path.glob("repro-shm-*"))
+
+
+def shm_series(tel):
+    """The ``repro_shm_*`` counter series a campaign's telemetry holds."""
+    counters = tel.registry.counter_values()
+    return {name: values for name, values in counters.items() if name.startswith("repro_shm_")}
 
 
 def toy_segment(step_scale=1):
@@ -185,12 +192,58 @@ def test_unshareable_state_is_refused():
 
 
 def test_campaign_engine_reaps_segments(shm_tmp):
+    # A pool publishes (its lease workers read the golden store), so its
+    # teardown has a segment to reap; a serial in-process campaign has
+    # none (test_serial_in_process_campaign_maps_no_segment).
     config = CampaignConfig(
         benchmark="nw", injections=12, seed=13, benchmark_params=dict(NW_PARAMS)
     )
-    result = run_sharded_campaign(config, workers=1, shard_size=6)
+    result = run_campaign(config, workers=2, shard_size=6)
     assert len(result.records) == 12
     assert segments(shm_tmp) == []
+
+
+def test_serial_in_process_campaign_maps_no_segment(shm_tmp):
+    """No process but the campaign's own reads a serial in-process
+    campaign's golden store: it publishes no segment and attaches none,
+    mid-campaign included."""
+    config = CampaignConfig(
+        benchmark="nw", injections=12, seed=31, benchmark_params=dict(NW_PARAMS)
+    )
+    tel = Telemetry(TelemetryConfig())
+    seen = []
+
+    def progress(event):
+        if event.event == "finished":
+            seen.append((sorted(shm_tmp.iterdir()), shm_series(tel)))
+
+    run_campaign(config, workers=1, shard_size=4, progress=progress, telemetry=tel)
+    assert seen == [([], {})] * 3
+    assert sorted(shm_tmp.iterdir()) == []
+    assert shm_series(tel) == {}
+
+
+@pytest.mark.parametrize(
+    "workers, isolation",
+    [(2, None), (1, IsolationConfig(mode=IsolationMode.SUBPROCESS))],
+    ids=["pool", "sandbox"],
+)
+def test_sharing_campaigns_publish_once(shm_tmp, tmp_path_factory, workers, isolation):
+    """A pool's backend and a sandbox's owner publish the segment once,
+    before forking; lease workers inherit the warm supervisor, so no
+    process attaches it and none walks the golden run again."""
+    config = CampaignConfig(
+        benchmark="nw", injections=16, seed=37, benchmark_params=dict(NW_PARAMS)
+    )
+    trace = tmp_path_factory.mktemp("trace") / "trace.jsonl"
+    tel = Telemetry(TelemetryConfig(trace_path=trace))
+    run_campaign(config, workers=workers, shard_size=4, isolation=isolation, telemetry=tel)
+    tel.finalize()
+    assert shm_series(tel) == {
+        "repro_shm_attach_total": {"benchmark=nw,result=miss": 1.0},
+        "repro_shm_publish_total": {"benchmark=nw,result=ok": 1.0},
+    }
+    assert [span["name"] for span in load_records(trace)].count("golden_run") == 1
 
 
 def test_isolated_campaign_reaps_segments(shm_tmp):
@@ -202,7 +255,7 @@ def test_isolated_campaign_reaps_segments(shm_tmp):
     config = CampaignConfig(
         benchmark="nw", injections=8, seed=29, benchmark_params=dict(NW_PARAMS)
     )
-    result = run_sharded_campaign(
+    result = run_campaign(
         config,
         workers=1,
         shard_size=4,
@@ -222,7 +275,7 @@ def test_finished_campaigns_leave_no_store_mapped(shm_tmp):
         for name in ("lud", "nw", "hotspot")
     ]
     for config in configs:
-        assert len(run_sharded_campaign(config, workers=2).records) == 16
+        assert len(run_campaign(config, workers=2).records) == 16
     gc.collect()
     maps = Path("/proc/self/maps").read_text().splitlines()
     mapped = [line for line in maps if str(shm_tmp) in line]

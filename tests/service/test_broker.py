@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import RetryPolicy, run_sharded_campaign
+from repro.carolfi.campaign import run_campaign
+from repro.carolfi.engine import RetryPolicy
 from repro.service.broker import BrokerBackend, lease_from_wire, lease_to_wire
 from repro.service.backend import ShardLease
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -71,7 +72,7 @@ def _broker_campaign(tmp_path, *, worker_envs, shard_size=None, config=CONFIG, t
         # before the chaos worker's interpreter finishes booting, and
         # the kill/steal the test means to observe never happens.
         assert broker.wait_for_workers(len(workers), timeout=30.0)
-        result = run_sharded_campaign(
+        result = run_campaign(
             config,
             workers=len(workers),
             backend=broker,
@@ -217,7 +218,7 @@ def test_fleet_trace_and_metrics_export(tmp_path):
     ]
     try:
         assert broker.wait_for_workers(len(workers), timeout=30.0)
-        run_sharded_campaign(
+        run_campaign(
             CONFIG,
             workers=len(workers),
             backend=broker,

@@ -1,6 +1,6 @@
 """Scheduler semantics through a scripted remote backend.
 
-These tests drive ``run_sharded_campaign`` with an in-process fake that
+These tests drive ``run_campaign`` with an in-process fake that
 speaks the lease protocol (``rec`` events, terminal lease results) as a
 remote backend does and injects scripted faults: a worker death after N
 records, a poison run that kills every worker that touches it.  They pin
@@ -20,6 +20,7 @@ import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import RetryPolicy, ShardFailure, ShardSpec, _execute_shard
+from repro.carolfi.isolation import supervisor_for
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.service.scheduler import StealPolicy, _contiguous_ranges
 
@@ -39,6 +40,7 @@ def _row(config, lease, k):
     _execute_shard(
         config,
         ShardSpec(index=lease.shard_index, start=k, stop=k + 1),
+        supervisor_for(config),
         skip_runs=lease.skip,
         on_record=lambda _k, row: rows.append(row),
     )
@@ -117,11 +119,9 @@ class ScriptedBackend(ShardBackend):
 
 
 def _run_scripted(tmp_path, **script):
-    from repro.carolfi.engine import run_sharded_campaign
-
     backend = ScriptedBackend(CONFIG, **script)
     events = []
-    result = run_sharded_campaign(
+    result = run_campaign(
         CONFIG,
         workers=2,
         shard_size=SHARD_SIZE,
@@ -221,12 +221,14 @@ class FailingBackend(ScriptedBackend):
 def test_failing_leases_get_exactly_max_attempts():
     # No record ever arrives, so no failure is progress: the shard is
     # abandoned after max_attempts leases, not one more.
-    from repro.carolfi.engine import run_sharded_campaign
-
     policy = RetryPolicy(max_attempts=4, backoff_base_s=0.001, backoff_cap_s=0.002)
     with pytest.raises(ShardFailure) as excinfo:
-        run_sharded_campaign(
-            CONFIG, shard_size=SHARD_SIZE, backend=FailingBackend(CONFIG), retry=policy
+        run_campaign(
+            CONFIG,
+            workers=2,
+            shard_size=SHARD_SIZE,
+            backend=FailingBackend(CONFIG),
+            retry=policy,
         )
     assert excinfo.value.attempts == policy.max_attempts
 
@@ -342,10 +344,8 @@ class StealableBackend(ShardBackend):
 
 
 def _run_stealable(tmp_path, *, latency, policy):
-    from repro.carolfi.engine import run_sharded_campaign
-
     backend = StealableBackend(CONFIG, latency=latency)
-    result = run_sharded_campaign(
+    result = run_campaign(
         CONFIG,
         workers=2,
         shard_size=CONFIG.injections,  # one shard: the slow worker gets it all

@@ -24,7 +24,6 @@ from repro.carolfi.engine import (
     RetryPolicy,
     plan_shards,
     read_failure_log,
-    run_sharded_campaign,
     shard_path,
 )
 from repro.faults.models import FaultModel
@@ -49,7 +48,7 @@ FAST_RETRY = RetryPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
 def traced(tmp_path, config, **kwargs):
     """Run ``config`` with tracing; its result, telemetry and spans."""
     tel = Telemetry(TelemetryConfig(trace_path=tmp_path / "trace.jsonl"))
-    result = run_sharded_campaign(config, telemetry=tel, **kwargs)
+    result = run_campaign(config, telemetry=tel, **kwargs)
     tel.finalize()
     spans = load_records(tmp_path / "trace.jsonl")
     return result, tel, spans
