@@ -179,7 +179,7 @@ class BeamExperiment:
             effect = self.machine.apply_strike(bench, state, index, resource, rng).effect
 
         try:
-            final = self.prefix.run((strike_step,), strike)
+            final = self.prefix.run(strike_step, strike)
             # Beam comparison is bitwise: "The SDC FIT includes all
             # executions with any bit mismatch" (Section 4.2) — unlike
             # CAROL-FI's printed-output diff.

@@ -15,12 +15,12 @@ is the one golden walk a campaign's set-up makes.
 :meth:`PrefixStore.run` is the one loop every perturbed run steps
 through — CAROL-FI's ``Supervisor.run_one``, the beam's
 ``BeamExperiment.run_trial`` and the hardened
-``HardenedSupervisor._execute``: it resumes from the deepest snapshot
-at or below the first perturbation step (:meth:`PrefixStore.resume`),
-so a run replays only the remaining few steps, turning
-``O(total_steps)`` per-run work into ``O(interval + suffix)``; it
-applies the run's perturbations at the entry of their steps; and from
-the last one on it ends the suffix early through
+``HardenedSupervisor._execute``.  Every run has one perturbation step:
+the run resumes from the deepest snapshot at or below it
+(:meth:`PrefixStore.resume`), so it replays only the remaining few
+steps, turning ``O(total_steps)`` per-run work into
+``O(interval + suffix)``; it applies its perturbation at the entry of
+that step; and from there on it ends the suffix early through
 :meth:`PrefixStore.converged`: a state byte-identical to a stored
 snapshot has rejoined the golden trajectory, so the run would finish on
 the golden output without raising, and it stops there, masked.  The
@@ -58,7 +58,6 @@ accounted once per host rather than once per process.
 from __future__ import annotations
 
 import bisect
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -236,21 +235,20 @@ class PrefixStore:
 
     def run(
         self,
-        steps: Sequence[int],
+        step: int | None,
         perturb: Callable[[Any, int], None],
         observer: Any = None,
     ) -> Any:
         """Run one perturbed execution; its final state, or ``None``.
 
-        ``steps`` are the run's perturbation steps in non-decreasing
-        order.  The run resumes at ``steps[0]`` (:meth:`resume`) and
-        calls ``perturb(state, k)`` at the entry of each distinct step
-        ``k`` in ``steps``.  From ``steps[-1]`` on it asks
-        :meth:`converged` before every step and returns ``None`` on a
-        match: the run is golden again and would end on the golden
-        output.  Otherwise it steps to the end and returns the final
-        state.  Empty ``steps`` is a fault-free full replay from a
-        :meth:`fresh` clone that never stops early.
+        ``step`` is the run's one perturbation step.  The run resumes
+        at the deepest snapshot at or below it (:meth:`resume`) and
+        calls ``perturb(state, step)`` at the entry of ``step``.  From
+        ``step`` on it asks :meth:`converged` before every step and
+        returns ``None`` on a match: the run is golden again and would
+        end on the golden output.  Otherwise it steps to the end and
+        returns the final state.  ``None`` is a fault-free full replay
+        from a :meth:`fresh` clone that never stops early.
 
         ``observer``, if given, sees ``enter(state, k)`` at the resume
         step and after every step (with ``k + 1``, the last step
@@ -258,18 +256,18 @@ class PrefixStore:
         after its perturbation and convergence check.  Exceptions
         propagate: each caller classifies them itself.
         """
-        if steps:
-            state, start = self.resume(steps[0])
-            last = steps[-1]
-        else:
+        if step is None:
             state, start = self.fresh(), 0
-            last = self.total_steps
+            check_from = self.total_steps
+        else:
+            state, start = self.resume(step)
+            check_from = step
         if observer is not None:
             observer.enter(state, start)
         for index in range(start, self.total_steps):
-            if index in steps:
+            if index == step:
                 perturb(state, index)
-            if index >= last and self.converged(index, state):
+            if index >= check_from and self.converged(index, state):
                 return None
             if observer is not None:
                 observer.check(state, index)
@@ -283,8 +281,8 @@ class PrefixStore:
 
         True only when the store holds a snapshot at exactly ``index``
         and ``state`` is byte-identical to it; nothing is copied or
-        captured.  A run may ask only once its last perturbation has
-        been applied: from a golden state the deterministic kernels
+        captured.  A run may ask only once its perturbation has been
+        applied: from a golden state the deterministic kernels
         reach the golden output and never raise, so a True lets the
         caller classify against the golden output and step no further.
         """

@@ -18,13 +18,13 @@ run replays identical inputs.
 :class:`~repro.carolfi.prefixcache.PrefixStore` owns the campaign's
 golden run — pristine input, snapshots, golden output — and every
 ``run_one`` is one :meth:`~repro.carolfi.prefixcache.PrefixStore.run`:
-resume from the deepest snapshot at or below the (first) interrupt
-step, deliver the faults at the entry of their steps, and, once the
-last fault is in, stop at the first snapshot step whose bytes the run
-matches (golden re-convergence: the kernels are deterministic and the
-run's RNG serves only its faults, so such a run would recompute the
-golden output without raising; it is classified against the golden
-output, with the record a full suffix would have produced).  Records
+resume from the deepest snapshot at or below the interrupt step,
+deliver the fault at the entry of that step, and from there on stop at
+the first snapshot step whose bytes the run matches (golden
+re-convergence: the kernels are deterministic and the run's RNG serves
+only its fault, so such a run would recompute the golden output
+without raising; it is classified against the golden output, with the
+record a full suffix would have produced).  Records
 are identical by construction: each run's RNG stream is keyed by its
 run index, never by how many steps were actually executed, and a
 restored prefix is a bit-exact clone of the recomputed one.
@@ -250,7 +250,6 @@ class Supervisor:
         due_kind: DueKind | None = None,
         due_detail: str = "",
         sdc_metrics: dict[str, Any] | None = None,
-        extra_faults: tuple[dict[str, Any], ...] = (),
     ) -> InjectionRecord:
         """Assemble the campaign-log record for one classified run."""
         bench = self.benchmark
@@ -272,7 +271,6 @@ class Supervisor:
             due_kind=due_kind,
             due_detail=due_detail,
             sdc_metrics=sdc_metrics or {},
-            extra_faults=extra_faults,
         )
 
     # -- one test -------------------------------------------------------------
@@ -280,86 +278,46 @@ class Supervisor:
     def run_one(
         self,
         run_index: int,
-        model: FaultModel | None = None,
+        model: FaultModel,
         interrupt_step: int | None = None,
-        faults: "Sequence[tuple[int, FaultModel]] | None" = None,
     ) -> InjectionRecord:
         """Execute one injection test and classify its outcome.
 
-        The classic single-fault form passes ``model`` (and optionally a
-        forced ``interrupt_step``).  ``faults`` instead takes an explicit
-        *ordered* list of ``(step, model)`` injections delivered in
-        sequence during one execution: the first becomes the record's
-        site, the others its ``extra_faults``.  ``tests/carolfi/
-        test_multifault.py`` and the fast-vs-slow equivalence tests use
-        it; campaigns never do.  The single-fault path is byte-identical
-        to the original implementation: the per-run RNG draws the
-        interrupt step first (only when it was not forced) and is then
-        consumed by the flips in delivery order, so records written
-        before this extension replay exactly.  The run itself is one
-        :meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`.
+        The per-run RNG draws the interrupt step first (only when it
+        was not forced) and is then consumed by the flip, so a record
+        is a pure function of the campaign config and the run index.
+        The run itself is one :meth:`PrefixStore.run
+        <repro.carolfi.prefixcache.PrefixStore.run>`.
         """
         bench = self.benchmark
         rng = self.run_rng(run_index)
-        total = self.total_steps
-        if faults is None:
-            if model is None:
-                raise ValueError("run_one needs a fault model (or an explicit fault list)")
-            if interrupt_step is None:
-                interrupt_step = int(rng.integers(0, total))
-            plan = [(int(interrupt_step), FaultModel(model))]
-        else:
-            if model is not None or interrupt_step is not None:
-                raise ValueError("faults is mutually exclusive with model/interrupt_step")
-            plan = [(int(step), FaultModel(m)) for step, m in faults]
-            if not plan:
-                raise ValueError("faults must name at least one injection")
-            if any(a[0] > b[0] for a, b in zip(plan, plan[1:])):
-                raise ValueError("faults must be ordered by non-decreasing step")
-        for step, _ in plan:
-            if not 0 <= step < total:
-                raise ValueError(f"interrupt step {step} out of range")
-        first_step = plan[0][0]
-        primary_model = plan[0][1]
-        schedule: dict[int, list[FaultModel]] = {}
-        for step, fault_model in plan:
-            schedule.setdefault(step, []).append(fault_model)
+        model = FaultModel(model)
+        interrupt_step = int(
+            rng.integers(0, self.total_steps) if interrupt_step is None else interrupt_step
+        )
+        if not 0 <= interrupt_step < self.total_steps:
+            raise ValueError(f"interrupt step {interrupt_step} out of range")
 
         site: FaultSite | None = None
         bits: tuple[int, ...] | None = None
-        extra: list[dict[str, Any]] = []
         outcome = Outcome.MASKED
         due_kind: DueKind | None = None
         due_detail = ""
         metrics: dict[str, Any] = {}
         tracer = current_tracer()
-        run_span = tracer.span("run", run=run_index, model=primary_model.value)
+        run_span = tracer.span("run", run=run_index, model=model.value)
 
         def corrupt(state: Any, index: int) -> None:
             nonlocal site, bits
-            for fault_model in schedule[index]:
-                with tracer.span("corrupt", step=index):
-                    fault_site, fault_bits = self.flip.inject(
-                        bench, state, index, fault_model, rng
-                    )
-                if site is None:
-                    site, bits = fault_site, fault_bits
-                else:
-                    extra.append(
-                        {
-                            "step": index,
-                            "fault_model": fault_model.value,
-                            "site": fault_site.to_dict(),
-                            "bits": list(fault_bits) if fault_bits is not None else None,
-                        }
-                    )
+            with tracer.span("corrupt", step=index):
+                site, bits = self.flip.inject(bench, state, index, model, rng)
 
         with run_span:
             try:
-                with tracer.span("execute", interrupt_step=first_step):
-                    final = self.prefix.run(tuple(schedule), corrupt)
-                    # A run golden again after its last fault would
-                    # recompute the golden output.
+                with tracer.span("execute", interrupt_step=interrupt_step):
+                    final = self.prefix.run(interrupt_step, corrupt)
+                    # A run golden again after its fault would recompute
+                    # the golden output.
                     observed = (
                         self.golden if final is None else bench.quantize(bench.output(final))
                     )
@@ -379,15 +337,14 @@ class Supervisor:
 
         return self.make_record(
             run_index,
-            primary_model,
-            first_step,
+            model,
+            interrupt_step,
             site,
             bits,
             outcome,
             due_kind=due_kind,
             due_detail=due_detail,
             sdc_metrics=metrics,
-            extra_faults=tuple(extra),
         )
 
     def run_batch(

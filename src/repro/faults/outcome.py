@@ -76,19 +76,7 @@ class InjectionRecord:
     due_detail: str = ""
     sdc_metrics: dict[str, Any] = field(default_factory=dict)
 
-    extra_faults: tuple[dict[str, Any], ...] = ()
-    """Faults delivered *after* the primary one in a multi-fault run
-    (each a dict with ``step``, ``fault_model``, ``site``, ``bits``).
-    Empty for ordinary single-fault campaigns — and serialized only when
-    non-empty, so single-fault records stay byte-identical to the
-    pre-multi-fault log format."""
-
     def to_dict(self) -> dict:
-        extra = (
-            {"extra_faults": [dict(f) for f in self.extra_faults]}
-            if self.extra_faults
-            else {}
-        )
         return {
             "benchmark": self.benchmark,
             "run_index": self.run_index,
@@ -103,7 +91,6 @@ class InjectionRecord:
             "due_kind": self.due_kind.value if self.due_kind else None,
             "due_detail": self.due_detail,
             "sdc_metrics": dict(self.sdc_metrics),
-            **extra,
         }
 
     @classmethod
@@ -122,5 +109,4 @@ class InjectionRecord:
             due_kind=DueKind(data["due_kind"]) if data.get("due_kind") else None,
             due_detail=data.get("due_detail", ""),
             sdc_metrics=dict(data.get("sdc_metrics", {})),
-            extra_faults=tuple(dict(f) for f in data.get("extra_faults", ())),
         )

@@ -61,18 +61,15 @@ class GuardKind(str, enum.Enum):
 class DetectorEvent:
     """One detector-state transition, reported to an observer.
 
-    The fuzzer's interestingness oracle consumes these: an SDC outcome
-    with *zero* trip events is a hardening escape.  ``action`` is
-    ``"trip"`` when a guard found its store corrupted (a
-    :class:`FaultDetected` follows immediately).
+    ``HardenedSupervisor(detector_observer=...)`` taps these to check
+    that a resumed run trips its detectors exactly as a full replay
+    does.  ``action`` is ``"trip"`` when a guard found its store
+    corrupted (a :class:`FaultDetected` follows immediately).
     """
 
     variable: str
     kind: str
     action: str
-
-    def to_dict(self) -> dict[str, str]:
-        return {"variable": self.variable, "kind": self.kind, "action": self.action}
 
 
 @dataclass

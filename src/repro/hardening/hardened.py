@@ -213,13 +213,11 @@ class HardenedSupervisor:
         """One hardened run; ``model=None`` is the fault-free full replay."""
         bench = self.benchmark
         rng = derive_rng(self.seed, "hardened", bench.name, "run", str(run_index))
-        steps: tuple[int, ...] = ()
         if model is not None:
             if interrupt_step is None:
                 interrupt_step = int(rng.integers(0, self.total_steps))
             if not 0 <= interrupt_step < self.total_steps:
                 raise ValueError(f"interrupt step {interrupt_step} out of range")
-            steps = (interrupt_step,)
         guards = build_guards(bench.name)
         if self.detector_observer is not None:
             attach_observer(guards, self.detector_observer)
@@ -231,7 +229,7 @@ class HardenedSupervisor:
             site, _bits = self.flip.inject(bench, state, index, model, rng)
 
         try:
-            final = self.prefix.run(steps, inject, observer)
+            final = self.prefix.run(interrupt_step, inject, observer)
             if final is None:
                 # Golden again: the rest is the fault-free run's suffix.
                 outcome, detected_by, detail = "masked", "", ""

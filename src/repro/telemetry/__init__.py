@@ -164,7 +164,8 @@ class TelemetryConfig:
     writes Prometheus text.  ``None`` skips the export."""
 
     trace_path: str | Path | None = None
-    """``trace.jsonl`` destination; ``None`` disables span tracing."""
+    """``trace.jsonl`` destination, rewritten by each bundle that traces
+    into it; ``None`` disables span tracing."""
 
     progress_interval_s: float | None = None
     """Status-line period for the live progress reporter; ``None``
@@ -203,6 +204,7 @@ class Telemetry:
         collect = self.enabled and self.config.metrics
         self.registry: MetricsRegistry = MetricsRegistry() if collect else NULL_REGISTRY
         self._trace_log: JsonlLog | None = None
+        self._trace_started = False
         if self.enabled and self.config.trace_path is not None:
             self.tracer: Any = Tracer(
                 self.trace_write, trace_id=f"{os.getpid():x}-{time.monotonic_ns():x}"
@@ -217,11 +219,19 @@ class Telemetry:
         return self.tracer is not NOOP_TRACER
 
     def trace_write(self, record: dict[str, Any]) -> None:
-        """Append one span dict to ``trace.jsonl`` (lazily opened)."""
+        """Append one span dict to ``trace.jsonl`` (lazily opened).
+
+        The bundle's first span starts the file empty, so a rerun into
+        the same directory leaves one trace tree, not one per run; every
+        later span appends, also after :meth:`finalize`.
+        """
         if self.config.trace_path is None:
             return
         if self._trace_log is None:
             self._trace_log = JsonlLog(self.config.trace_path)
+            if not self._trace_started:
+                self._trace_log.path.write_text("", encoding="utf-8")
+                self._trace_started = True
         self._trace_log.append(record)
 
     # -- engine integration ----------------------------------------------------

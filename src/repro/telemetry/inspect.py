@@ -21,21 +21,19 @@ the analytical counterpart of the live progress line:
   ``--strict`` turns a mismatch into a nonzero exit, so CI can use the
   report as an integrity gate;
 * ``--diff``: cell-by-cell two-proportion z-tests between two
-  campaigns (e.g. before/after an engine change).
+  campaigns (e.g. before/after an engine change);
+* ``repro-inspect service``: the lease table, worker timeline and
+  disruption log of a broker campaign's ``failures.jsonl``.
 
 Every JSONL artifact is read with the tolerant reader; skipped corrupt
 lines are *surfaced* (per-file counts in the overview, plus a
 ``repro_corrupt_lines_total`` counter on the analysis registry), never
-silently dropped.  Output is ``util.tables`` text on stdout and,
-with ``--html``, a self-contained static HTML report (inline SVG
-charts, no external assets) suitable for a CI artifact.
+silently dropped.  Output is ``util.tables`` text on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import html
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -58,7 +56,6 @@ __all__ = [
     "convergence_curves",
     "load_campaign",
     "main",
-    "render_html",
     "render_text",
 ]
 
@@ -519,363 +516,7 @@ def render_text(
     return "\n\n".join(sections) + "\n", problems
 
 
-# -- HTML report ---------------------------------------------------------------
-
-# Palette roles (light / dark): chart chrome stays in neutral ink, the
-# single convergence series takes categorical slot 1; a single series
-# needs no legend — the figure caption names it.
-_HTML_STYLE = """
-:root {
-  color-scheme: light;
-  --surface: #fcfcfb; --page: #f9f9f7;
-  --ink: #0b0b0b; --ink-2: #52514e; --muted: #898781;
-  --grid: #e1e0d9; --axis: #c3c2b7; --border: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --bad: #d03b3b; --good: #006300;
-}
-@media (prefers-color-scheme: dark) {
-  :root {
-    color-scheme: dark;
-    --surface: #1a1a19; --page: #0d0d0d;
-    --ink: #ffffff; --ink-2: #c3c2b7; --muted: #898781;
-    --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --bad: #d03b3b; --good: #0ca30c;
-  }
-}
-body { margin: 0; padding: 24px; background: var(--page); color: var(--ink);
-  font: 14px/1.45 system-ui, -apple-system, "Segoe UI", sans-serif; }
-h1 { font-size: 20px; margin: 0 0 4px; }
-h2 { font-size: 16px; margin: 28px 0 8px; }
-h3 { font-size: 13px; font-weight: 600; color: var(--ink-2); margin: 12px 0 4px; }
-.sub { color: var(--ink-2); margin: 0 0 16px; }
-.tiles { display: flex; gap: 12px; flex-wrap: wrap; margin: 12px 0; }
-.tile { background: var(--surface); border: 1px solid var(--border); border-radius: 8px;
-  padding: 10px 14px; min-width: 96px; }
-.tile .v { font-size: 22px; font-weight: 600; }
-.tile .k { font-size: 11px; color: var(--muted); text-transform: uppercase;
-  letter-spacing: 0.04em; }
-table { border-collapse: collapse; background: var(--surface);
-  border: 1px solid var(--border); border-radius: 8px; margin: 8px 0; }
-th, td { padding: 5px 12px; text-align: left; font-variant-numeric: tabular-nums; }
-th { color: var(--muted); font-size: 11px; text-transform: uppercase;
-  letter-spacing: 0.04em; border-bottom: 1px solid var(--grid); }
-td { border-bottom: 1px solid var(--grid); }
-tr:last-child td { border-bottom: none; }
-td.num { text-align: right; }
-td.bad { color: var(--bad); font-weight: 600; }
-td.ok { color: var(--good); }
-.charts { display: flex; gap: 16px; flex-wrap: wrap; }
-figure { margin: 0; background: var(--surface); border: 1px solid var(--border);
-  border-radius: 8px; padding: 10px 12px; }
-figcaption { font-size: 12px; color: var(--ink-2); margin-bottom: 4px; }
-svg .grid { stroke: var(--grid); stroke-width: 1; }
-svg .axis { stroke: var(--axis); stroke-width: 1; }
-svg .series { stroke: var(--series-1); stroke-width: 2; fill: none;
-  stroke-linejoin: round; stroke-linecap: round; }
-svg .pt { fill: var(--series-1); }
-svg .pt:hover { r: 5; }
-svg .target { stroke: var(--muted); stroke-width: 1; stroke-dasharray: 4 3; }
-svg text { fill: var(--muted); font: 10px system-ui, sans-serif;
-  font-variant-numeric: tabular-nums; }
-"""
-
-
-def _esc(value: object) -> str:
-    return html.escape(str(value))
-
-
-def _nice_step(span: float, count: int = 4) -> float:
-    if span <= 0:
-        return 1.0
-    raw = span / count
-    power = 10.0 ** math.floor(math.log10(raw))
-    for mult in (1.0, 2.0, 5.0, 10.0):
-        if raw <= mult * power:
-            return mult * power
-    return 10.0 * power
-
-
-def _svg_curve(
-    xs: list[int],
-    ys: list[float],
-    *,
-    target: float | None = None,
-    width: int = 420,
-    height: int = 190,
-) -> str:
-    """One single-series convergence line chart as inline SVG."""
-    left, right, top, bottom = 46, 12, 10, 30
-    plot_w, plot_h = width - left - right, height - top - bottom
-    x_max = max(xs) if xs else 1
-    y_max = max([*ys, target or 0.0, 1e-9]) * 1.08
-
-    def px(x: float) -> float:
-        return left + plot_w * (x / x_max)
-
-    def py(y: float) -> float:
-        return top + plot_h * (1.0 - y / y_max)
-
-    parts = [
-        f'<svg viewBox="0 0 {width} {height}" width="{width}" height="{height}" role="img">'
-    ]
-    step = _nice_step(y_max)
-    tick = step
-    while tick < y_max:
-        y = py(tick)
-        parts.append(f'<line class="grid" x1="{left}" y1="{y:.1f}" x2="{width - right}" y2="{y:.1f}"/>')
-        parts.append(f'<text x="{left - 5}" y="{y + 3:.1f}" text-anchor="end">{tick:g}</text>')
-        tick += step
-    parts.append(
-        f'<line class="axis" x1="{left}" y1="{top + plot_h}" x2="{width - right}" y2="{top + plot_h}"/>'
-    )
-    for frac in (0.0, 0.5, 1.0):
-        x_val = int(round(x_max * frac))
-        parts.append(
-            f'<text x="{px(x_val):.1f}" y="{height - 10}" text-anchor="middle">{x_val}</text>'
-        )
-    parts.append(
-        f'<text x="{left - 36}" y="{top + plot_h / 2:.1f}" '
-        f'transform="rotate(-90 {left - 36} {top + plot_h / 2:.1f})" '
-        'text-anchor="middle">CI half-width</text>'
-    )
-    parts.append(f'<text x="{left + plot_w / 2:.1f}" y="{height - 1}" text-anchor="middle">runs</text>')
-    if target is not None and target < y_max:
-        y = py(target)
-        parts.append(f'<line class="target" x1="{left}" y1="{y:.1f}" x2="{width - right}" y2="{y:.1f}"/>')
-        parts.append(f'<text x="{width - right}" y="{y - 3:.1f}" text-anchor="end">target {target:g}</text>')
-    if xs:
-        points = " ".join(f"{px(x):.1f},{py(y):.1f}" for x, y in zip(xs, ys))
-        parts.append(f'<polyline class="series" points="{points}"/>')
-        for x, y in zip(xs, ys):
-            parts.append(
-                f'<circle class="pt" cx="{px(x):.1f}" cy="{py(y):.1f}" r="2.5">'
-                f"<title>{x} runs: half-width {y:.4f}</title></circle>"
-            )
-    parts.append("</svg>")
-    return "".join(parts)
-
-
-def _html_table(
-    headers: list[str], rows: list[list[object]], *, numeric_from: int = 0
-) -> str:
-    out = ["<table><thead><tr>"]
-    out.extend(f"<th>{_esc(h)}</th>" for h in headers)
-    out.append("</tr></thead><tbody>")
-    for row in rows:
-        out.append("<tr>")
-        for i, cell in enumerate(row):
-            classes = []
-            if isinstance(cell, bool):
-                classes.append("ok" if cell else "bad")
-                shown = "yes" if cell else "NO"
-            elif isinstance(cell, float):
-                classes.append("num")
-                shown = f"{cell:.4f}"
-            elif isinstance(cell, int):
-                classes.append("num")
-                shown = str(cell)
-            else:
-                shown = str(cell)
-                if numeric_from and i >= numeric_from:
-                    classes.append("num")
-            attr = f' class="{" ".join(classes)}"' if classes else ""
-            out.append(f"<td{attr}>{_esc(shown)}</td>")
-        out.append("</tr>")
-    out.append("</tbody></table>")
-    return "".join(out)
-
-
-def render_html(
-    campaigns: list[CampaignData],
-    *,
-    confidence: float = 0.95,
-    interval: str = "wilson",
-    drift_alpha: float = 0.01,
-    top: int = 5,
-    diff: bool = False,
-    target_ci: float | None = None,
-) -> str:
-    """The self-contained static HTML report (no external assets)."""
-    body: list[str] = [
-        "<h1>repro-inspect report</h1>",
-        f'<p class="sub">{_esc(", ".join(str(c.root) for c in campaigns))} &middot; '
-        f"{_esc(interval)} intervals at {confidence:.0%} confidence</p>",
-    ]
-    monitors: list[ConvergenceMonitor] = []
-    for data in campaigns:
-        monitor = build_monitor(data, confidence, interval)
-        monitors.append(monitor)
-        body.append(f"<h2>{_esc(data.name)}</h2>")
-        tiles = [
-            ("runs", len(data.records)),
-            ("cells", len(monitor.cells())),
-            ("shards", len(set(data.shard_of.values()))),
-            ("failure events", len(data.failures)),
-            ("corrupt lines", data.corrupt_total),
-        ]
-        body.append(
-            '<div class="tiles">'
-            + "".join(
-                f'<div class="tile"><div class="v">{_esc(v)}</div><div class="k">{_esc(k)}</div></div>'
-                for k, v in tiles
-            )
-            + "</div>"
-        )
-        body.append("<h3>Outcome matrix</h3>")
-        body.append(
-            _html_table(
-                ["benchmark", "fault model", "runs", *_OUTCOMES],
-                monitor.summary_rows(),
-                numeric_from=2,
-            )
-        )
-        curves = convergence_curves(data.records, confidence, interval)
-        if curves:
-            body.append("<h3>Convergence — CI half-width vs runs</h3>")
-            body.append('<div class="charts">')
-            for (benchmark, model), (xs, ys) in sorted(curves.items()):
-                body.append(
-                    f"<figure><figcaption>{_esc(benchmark)} &middot; {_esc(model)}</figcaption>"
-                    + _svg_curve(xs, ys, target=target_ci)
-                    + "</figure>"
-                )
-            body.append("</div>")
-        if data.spans:
-            body.append("<h3>Span waterfall</h3>")
-            body.append(
-                _html_table(
-                    ["span", "count", "total s", "mean s", "max s"],
-                    [[n, c, round(t, 3), round(m, 4), round(x, 3)] for n, c, t, m, x in _span_aggregate(data.spans)],
-                )
-            )
-            slow = _slowest_shards(data.spans, top)
-            if slow:
-                body.append("<h3>Slowest shards</h3>")
-                body.append(
-                    _html_table(
-                        ["shard", "runs", "dur s", "runs/s"],
-                        [[s, r, round(d, 3), round(v, 2)] for s, r, d, v in slow],
-                    )
-                )
-        if data.shard_of:
-            flags = monitor.drift_flags(alpha=drift_alpha)
-            body.append("<h3>Cross-shard drift</h3>")
-            if flags:
-                body.append(
-                    _html_table(
-                        ["benchmark", "fault model", "shard", "outcome", "shard rate", "rest rate", "z"],
-                        [
-                            [f.benchmark, f.fault_model, f.shard, f.outcome,
-                             round(f.shard_rate, 4), round(f.rest_rate, 4), round(f.z, 2)]
-                            for f in flags
-                        ],
-                    )
-                )
-            else:
-                body.append(
-                    f'<p class="sub">None detected across {len(set(data.shard_of.values()))} shards '
-                    f"(family alpha={drift_alpha:g}).</p>"
-                )
-        body.append("<h3>Metrics reconciliation</h3>")
-        if data.metrics is None:
-            body.append('<p class="sub">No metrics snapshot found.</p>')
-        else:
-            from_metrics = data.metric_by_label("repro_records_total", "outcome") or {}
-            from_records = data.outcome_counts()
-            rows = [
-                [o, from_records.get(o, 0), int(from_metrics.get(o, 0.0)),
-                 from_records.get(o, 0) == int(from_metrics.get(o, 0.0))]
-                for o in sorted(set(from_metrics) | set(from_records))
-            ]
-            body.append(
-                _html_table(["outcome", "campaign.jsonl", "repro_records_total", "match"], rows)
-            )
-        if data.corrupt:
-            detail = ", ".join(f"{n}: {c}" for n, c in sorted(data.corrupt.items()))
-            body.append(f'<p class="sub">Corrupt lines skipped &mdash; {_esc(detail)}</p>')
-
-    if diff and len(campaigns) == 2:
-        body.append("<h2>Campaign diff</h2>")
-        rows = _diff_rows(monitors[0], monitors[1])
-        if rows:
-            body.append(
-                _html_table(
-                    ["benchmark", "fault model", "outcome",
-                     campaigns[0].name, campaigns[1].name, "z", "p", "differs"],
-                    [[b, m, o, ra, rb, round(z, 2), p, d] for b, m, o, ra, rb, z, p, d in rows],
-                )
-            )
-        else:
-            body.append('<p class="sub">No comparable cells.</p>')
-
-    return (
-        "<!doctype html><html><head><meta charset=\"utf-8\">"
-        "<meta name=\"viewport\" content=\"width=device-width, initial-scale=1\">"
-        "<title>repro-inspect report</title>"
-        f"<style>{_HTML_STYLE}</style></head><body>" + "".join(body) + "</body></html>"
-    )
-
-
 # -- CLI -----------------------------------------------------------------------
-
-
-def _fuzz_main(argv: list[str], out: IO[str]) -> int:
-    """``repro-inspect fuzz``: list fuzz reproducer artifacts."""
-    parser = argparse.ArgumentParser(
-        prog="repro-inspect fuzz",
-        description="Summarize fuzz reproducer artifacts (repro-*.json).",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        help="Reproducer files or directories containing repro-*.json.",
-    )
-    args = parser.parse_args(argv)
-
-    from repro.fuzz.artifact import load_reproducer
-
-    files: list[Path] = []
-    for raw in args.paths:
-        path = Path(raw)
-        if path.is_dir():
-            files.extend(sorted(path.glob("repro-*.json")))
-        else:
-            files.append(path)
-    if not files:
-        print("repro-inspect fuzz: no reproducer artifacts found", file=sys.stderr)
-        return 2
-
-    rows = []
-    for path in files:
-        try:
-            repro = load_reproducer(path)
-        except (OSError, ValueError, KeyError) as exc:
-            print(f"repro-inspect fuzz: skipping {path}: {exc}", file=sys.stderr)
-            continue
-        rows.append(
-            (
-                path.name,
-                repro.scenario.benchmark,
-                repro.flag.kind,
-                f"{repro.original_len}->{repro.shrunk_len}",
-                repro.expected.outcome,
-                len(repro.expected.faults),
-                repro.expected.recoveries,
-            )
-        )
-    if not rows:
-        print("repro-inspect fuzz: no readable reproducer artifacts", file=sys.stderr)
-        return 2
-    header = ("artifact", "benchmark", "flag", "steps", "outcome", "faults", "recoveries")
-    widths = [
-        max(len(str(header[i])), *(len(str(r[i])) for r in rows)) for i in range(len(header))
-    ]
-    print("  ".join(h.ljust(widths[i]) for i, h in enumerate(header)), file=out)
-    for row in rows:
-        print(
-            "  ".join(str(v).ljust(widths[i]) for i, v in enumerate(row)),
-            file=out,
-        )
-    return 0
 
 
 def _lease_fate(
@@ -1156,8 +797,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
     """Entry point for the ``repro-inspect`` console script."""
     args_in = list(sys.argv[1:]) if argv is None else list(argv)
     out_stream = stream if stream is not None else sys.stdout
-    if args_in and args_in[0] == "fuzz":
-        return _fuzz_main(args_in[1:], out_stream)
     if args_in and args_in[0] == "service":
         return _service_main(args_in[1:], out_stream)
     parser = argparse.ArgumentParser(
@@ -1171,7 +810,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
     )
     parser.add_argument("--metrics", help="Explicit metrics snapshot path (single campaign).")
     parser.add_argument("--trace", help="Explicit trace.jsonl path (single campaign).")
-    parser.add_argument("--html", help="Also write a self-contained HTML report here.")
     parser.add_argument("--confidence", type=float, default=0.95, help="CI confidence level.")
     parser.add_argument(
         "--interval",
@@ -1181,12 +819,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
     )
     parser.add_argument(
         "--drift-alpha", type=float, default=0.01, help="Family-wise drift alpha."
-    )
-    parser.add_argument(
-        "--target-ci",
-        type=float,
-        default=None,
-        help="Annotate convergence charts with this half-width target.",
     )
     parser.add_argument("--top", type=int, default=5, help="Slowest shards shown.")
     parser.add_argument(
@@ -1231,20 +863,6 @@ def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
         diff=args.diff,
     )
     print(text, file=out)
-    if args.html:
-        report = render_html(
-            campaigns,
-            confidence=args.confidence,
-            interval=args.interval,
-            drift_alpha=args.drift_alpha,
-            top=args.top,
-            diff=args.diff,
-            target_ci=args.target_ci,
-        )
-        target = Path(args.html)
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(report, encoding="utf-8")
-        print(f"repro-inspect: wrote {target}", file=sys.stderr)
     for problem in problems:
         print(f"repro-inspect: {problem}", file=sys.stderr)
     return 1 if (args.strict and problems) else 0

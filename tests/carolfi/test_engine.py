@@ -110,14 +110,10 @@ def test_parallel_matches_serial_record_for_record(serial_result):
     assert dicts(parallel) == dicts(serial_result)
 
 
-def test_sharding_layout_does_not_change_records(serial_result):
-    odd_shards = run_campaign(CONFIG, workers=1, shard_size=5)
-    assert dicts(odd_shards) == dicts(serial_result)
-
-
-def test_engine_serial_path_matches_legacy(serial_result):
-    engine = run_campaign(CONFIG, workers=1, shard_size=SHARD_SIZE)
-    assert dicts(engine) == dicts(serial_result)
+@pytest.mark.parametrize("shard_size", [5, SHARD_SIZE])
+def test_sharding_layout_does_not_change_records(serial_result, shard_size):
+    sharded = run_campaign(CONFIG, workers=1, shard_size=shard_size)
+    assert dicts(sharded) == dicts(serial_result)
 
 
 def test_engine_writes_campaign_log(tmp_path, serial_result):

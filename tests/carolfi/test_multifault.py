@@ -1,15 +1,9 @@
-"""Multi-fault run_one and the single-fault byte-identity guarantee."""
+"""The single-fault campaign log stays byte-identical to its fixture."""
 
 import filecmp
 from pathlib import Path
 
-import pytest
-
-from repro.benchmarks.registry import create
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.supervisor import Supervisor
-from repro.faults.models import FaultModel
-from repro.faults.outcome import InjectionRecord
 
 FIXTURE = Path(__file__).parent.parent / "fixtures" / "smoke_dgemm_single_fault.jsonl"
 
@@ -19,11 +13,6 @@ FIXTURE_CONFIG = CampaignConfig(
     seed=2017,
     benchmark_params={"n": 24, "n_threads": 6, "k_block": 8, "col_block": 3},
 )
-
-
-def _supervisor(seed=2017):
-    bench = create("dgemm", n=24, n_threads=6, k_block=8, col_block=3)
-    return Supervisor(bench, seed=seed)
 
 
 def test_single_fault_campaign_bytes_unchanged(tmp_path):
@@ -45,59 +34,3 @@ def test_single_fault_campaign_bytes_unchanged_sharded(tmp_path):
     log = tmp_path / "campaign.jsonl"
     run_campaign(FIXTURE_CONFIG, log_path=log, workers=2)
     assert filecmp.cmp(log, FIXTURE, shallow=False)
-
-
-def test_forced_step_equals_single_entry_fault_list():
-    sup = _supervisor()
-    legacy = sup.run_one(0, FaultModel.SINGLE, interrupt_step=4)
-    listed = sup.run_one(0, faults=[(4, FaultModel.SINGLE)])
-    assert legacy.to_dict() == listed.to_dict()
-    assert listed.extra_faults == ()
-
-
-def test_multi_fault_records_extra_faults():
-    sup = _supervisor()
-    record = sup.run_one(
-        1,
-        faults=[(2, FaultModel.SINGLE), (5, FaultModel.DOUBLE), (5, FaultModel.ZERO)],
-    )
-    assert record.interrupt_step == 2
-    assert record.fault_model == "single"
-    assert len(record.extra_faults) == 2
-    assert [f["step"] for f in record.extra_faults] == [5, 5]
-    assert record.extra_faults[0]["fault_model"] == "double"
-    assert record.extra_faults[1]["fault_model"] == "zero"
-
-
-def test_multi_fault_record_roundtrips():
-    sup = _supervisor()
-    record = sup.run_one(3, faults=[(1, FaultModel.SINGLE), (4, FaultModel.RANDOM)])
-    data = record.to_dict()
-    assert "extra_faults" in data
-    assert InjectionRecord.from_dict(data).to_dict() == data
-
-
-def test_single_fault_serialization_omits_extra_faults():
-    sup = _supervisor()
-    record = sup.run_one(0, FaultModel.SINGLE)
-    assert "extra_faults" not in record.to_dict()
-
-
-def test_multi_fault_is_deterministic():
-    a = _supervisor().run_one(7, faults=[(1, FaultModel.DOUBLE), (3, FaultModel.ZERO)])
-    b = _supervisor().run_one(7, faults=[(1, FaultModel.DOUBLE), (3, FaultModel.ZERO)])
-    assert a.to_dict() == b.to_dict()
-
-
-def test_fault_list_validation():
-    sup = _supervisor()
-    with pytest.raises(ValueError):
-        sup.run_one(0, faults=[])
-    with pytest.raises(ValueError):
-        sup.run_one(0, faults=[(5, FaultModel.SINGLE), (2, FaultModel.SINGLE)])
-    with pytest.raises(ValueError):
-        sup.run_one(0, faults=[(10_000, FaultModel.SINGLE)])
-    with pytest.raises(ValueError):
-        sup.run_one(0, FaultModel.SINGLE, faults=[(2, FaultModel.SINGLE)])
-    with pytest.raises(ValueError):
-        sup.run_one(0)

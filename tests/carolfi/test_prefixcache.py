@@ -11,8 +11,6 @@ JSONL files byte-for-byte.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 import pytest
 
@@ -309,7 +307,7 @@ def test_run_stops_at_first_snapshot_from_the_perturbation_on():
         following = [j for j in (2, 4, 6) if j >= k]
         tel = Telemetry(TelemetryConfig())
         with tel.activate():
-            final = store.run((k,), noop)
+            final = store.run(k, noop)
         converged = tel.registry.counter_values().get("repro_steps_converged_total", {})
         if following:
             assert final is None, k
@@ -332,14 +330,14 @@ def test_store_recorded_without_captures_replays_everything():
             state, start = store.resume(k)
             assert start == 0 and states_equal(state, store.pristine)
             assert state is not store.pristine
-            final = store.run((k,), noop)
+            final = store.run(k, noop)
             assert final is not None
             assert np.array_equal(store.benchmark.output(final), store.output)
     counters = tel.registry.counter_values()
     assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
 
 
-def test_run_calls_observer_around_every_step_and_perturbs_listed_steps():
+def test_run_calls_observer_around_every_step_and_perturbs_its_step():
     perturbed = []
 
     def perturb(state, index):
@@ -347,21 +345,21 @@ def test_run_calls_observer_around_every_step_and_perturbs_listed_steps():
 
     full = recorded_nw(snapshots=False)
     observer = RecordingObserver()
-    assert full.run((3, 3, 5), perturb, observer) is not None
-    assert perturbed == [3, 5]
+    assert full.run(3, perturb, observer) is not None
+    assert perturbed == [3]
     expected = [("enter", 0)]
     for k in range(full.total_steps):
         expected += [("check", k), ("enter", k + 1)]
     assert observer.events == expected
 
-    # Resumed at the snapshot below step 3, stopped at step 6 before its
-    # check: golden again after the last perturbation.
+    # Resumed at the snapshot below step 3, stopped at step 4 before its
+    # check: golden again after the perturbation.
     perturbed.clear()
     observer = RecordingObserver()
-    assert recorded_nw().run((3, 5), perturb, observer) is None
-    assert perturbed == [3, 5]
+    assert recorded_nw().run(3, perturb, observer) is None
+    assert perturbed == [3]
     assert observer.events == [("enter", 2)] + [
-        event for k in range(2, 6) for event in (("check", k), ("enter", k + 1))
+        event for k in range(2, 4) for event in (("check", k), ("enter", k + 1))
     ]
 
 
@@ -370,7 +368,7 @@ def test_run_without_perturbations_is_a_full_replay():
     observer = RecordingObserver()
     tel = Telemetry(TelemetryConfig())
     with tel.activate():
-        final = store.run((), noop, observer)
+        final = store.run(None, noop, observer)
     assert final is not None
     assert np.array_equal(store.benchmark.output(final), store.output)
     assert observer.events[0] == ("enter", 0) and len(observer.events) == 2 * store.total_steps + 1
@@ -417,24 +415,6 @@ def test_fastpath_matches_at_interrupt_extremes():
         b = slow.run_one(0, FaultModel.RANDOM, interrupt_step=step)
         assert a == b
         assert a.interrupt_step == step
-
-
-def test_multi_fault_fastpath_records_match_slowpath():
-    """Plans whose faults fall on different steps: the fast path may stop
-    only after the last one, and its records equal full replays."""
-    models = FaultModel.all()
-    tel = Telemetry(TelemetryConfig())
-    with tel.activate():
-        for name in names():
-            fast = Supervisor(small(name), seed=13, snapshots=True)
-            slow = Supervisor(small(name), seed=13, snapshots=False)
-            for run in range(50):
-                count = 2 if run < 40 else 3
-                steps = sorted(random.Random(run).sample(range(fast.total_steps), count))
-                faults = [(step, models[(run + i) % 4]) for i, step in enumerate(steps)]
-                assert fast.run_one(run, faults=faults) == slow.run_one(run, faults=faults)
-    converged = tel.registry.counter_values()["repro_steps_converged_total"]
-    assert sum(converged.values()) > 0, "no multi-fault run stopped early"
 
 
 def test_campaign_jsonl_byte_identical_fast_vs_slow(tmp_path):

@@ -1,6 +1,6 @@
 """Shared-memory snapshot store: identity, copy-on-write, lifecycle.
 
-The contract under test (DESIGN.md section 14):
+The contract under test (DESIGN.md section 13):
 
 * records are byte-identical with the shared store on, off, corrupted,
   or unpublishable — the segment is purely an accelerator;

@@ -81,8 +81,9 @@ def test_forced_interrupt_step(supervisor):
 
 
 def test_interrupt_step_validated(supervisor):
-    with pytest.raises(ValueError):
-        supervisor.run_one(0, FaultModel.SINGLE, interrupt_step=999)
+    for step in (999, -1):
+        with pytest.raises(ValueError):
+            supervisor.run_one(0, FaultModel.SINGLE, interrupt_step=step)
 
 
 def test_integer_benchmark_compares_exactly():

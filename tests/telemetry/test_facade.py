@@ -76,6 +76,24 @@ def test_bundle_metrics_off_trace_on(tmp_path):
     assert skipped == 0 and [r["name"] for r in records] == ["phase"]
 
 
+def test_bundle_starts_its_trace_file_once(tmp_path):
+    """Two bundles in turn on one path leave one trace: a bundle empties
+    the file at its first span, and its later spans, also those after
+    ``finalize``, append."""
+    path = tmp_path / "t.jsonl"
+    for _ in range(2):
+        tel = Telemetry(TelemetryConfig(trace_path=path))
+        with tel.tracer.span("campaign"):
+            pass
+        tel.finalize()
+    with tel.tracer.span("late"):
+        pass
+    tel.finalize()
+    records, skipped = load_records_tolerant(path)
+    assert skipped == 0 and [r["name"] for r in records] == ["campaign", "late"]
+    assert len({r["trace"] for r in records}) == 1
+
+
 def test_bundle_context_manager_finalizes(tmp_path):
     path = tmp_path / "m.prom"
     with Telemetry(TelemetryConfig(metrics_path=path)) as tel:

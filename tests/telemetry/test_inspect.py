@@ -1,4 +1,4 @@
-"""repro-inspect: artifact loading, report sections, strict mode, HTML."""
+"""repro-inspect: artifact loading, report sections, strict mode."""
 
 import io
 import json
@@ -10,7 +10,6 @@ from repro.telemetry.inspect import (
     convergence_curves,
     load_campaign,
     main,
-    render_html,
     render_text,
 )
 from repro.telemetry.metrics import MetricsRegistry
@@ -143,7 +142,7 @@ def test_convergence_curves_monotone_tail():
     assert convergence_curves([]) == {}
 
 
-# -- text + html reports -------------------------------------------------------
+# -- text report ---------------------------------------------------------------
 
 
 def test_render_text_sections(tmp_path):
@@ -173,41 +172,15 @@ def test_render_text_flags_reconciliation_mismatch(tmp_path):
     assert "no" in text.splitlines()[-2] or "no" in text
 
 
-def test_render_html_is_self_contained(tmp_path):
-    write_campaign_dir(tmp_path / "ck")
-    html_text = render_html([load_campaign(tmp_path / "ck")], target_ci=0.05)
-    assert html_text.startswith("<!doctype html>")
-    assert "<svg" in html_text and "polyline" in html_text
-    assert "prefers-color-scheme" in html_text
-    assert "http://" not in html_text and "https://" not in html_text
-    assert "target 0.05" in html_text
-
-
-def test_render_html_escapes_names(tmp_path):
-    root = tmp_path / "ck"
-    write_campaign_dir(root, runs=8, shard_size=8)
-    rows = [json.loads(line) for line in (root / "campaign.jsonl").open()]
-    for row in rows:
-        row["benchmark"] = "<script>alert(1)</script>"
-    with (root / "campaign.jsonl").open("w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
-    html_text = render_html([load_campaign(root / "campaign.jsonl")])
-    assert "<script>alert" not in html_text
-    assert "&lt;script&gt;" in html_text
-
-
 # -- CLI -----------------------------------------------------------------------
 
 
-def test_main_writes_report_and_html(tmp_path, capsys):
+def test_main_writes_report(tmp_path, capsys):
     write_campaign_dir(tmp_path / "ck")
-    html_path = tmp_path / "report.html"
     out = io.StringIO()
-    code = main([str(tmp_path / "ck"), "--html", str(html_path), "--strict"], stream=out)
+    code = main([str(tmp_path / "ck"), "--strict"], stream=out)
     assert code == 0
     assert "outcome matrix" in out.getvalue()
-    assert html_path.exists() and "<svg" in html_path.read_text()
 
 
 def test_main_strict_fails_on_mismatch(tmp_path):
