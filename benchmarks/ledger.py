@@ -7,8 +7,11 @@ on one tree from their saved standard output (the ``stamp`` line and
 the final JSON result line):
 
 * ``label`` (e.g. ``parent``, ``change``) and ``commit`` — the
-  stamp's git commit unless ``--commit`` names one; ``null`` for an
-  uncommitted tree, which the stamp's ``source_sha256`` still pins;
+  ``--commit`` given, else the stamp's git commit when that commit's
+  ``src/**/*.py`` hashes to the stamp's ``source_sha256``; otherwise
+  ``null``: a run of an uncommitted or modified tree, which the
+  stamp's ``source_sha256`` still pins (the stamp names the checked-out
+  commit even when ``src/`` differs from it);
 * ``stamp``: the stamp fields every run shares (source hash, host
   CPUs, Python and NumPy versions, workers, runs per kernel, host
   speed reference) and the median host-speed probe;
@@ -25,16 +28,18 @@ Usage::
     python benchmarks/ledger.py --workload beam --label parent \\
         [--commit SHA] RUN_OUTPUT...
 
-Standard library only.
+Standard library and ``git`` only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
+import subprocess
 import sys
-from pathlib import Path
+from pathlib import Path, PurePosixPath
 from typing import Any
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -57,6 +62,48 @@ def parse_run(text: str) -> tuple[dict[str, Any], dict[str, Any]]:
     return stamp, result
 
 
+def committed_source_sha256(commit: str, repo: Path) -> str | None:
+    """``src/**/*.py`` at ``commit``, hashed as ``perfbench/run.py``'s stamp hashes a tree.
+
+    Files go in ``Path`` order (part by part, so ``a/b.py`` sorts
+    before ``a.py``), each adding its repository-relative path, a NUL
+    byte and its contents.  None when ``git`` cannot read the commit.
+    """
+    try:
+        listing = subprocess.run(
+            ["git", "ls-tree", "-r", "-z", commit, "--", "src"],
+            cwd=repo,
+            capture_output=True,
+            check=True,
+        ).stdout
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    blobs = {}
+    for item in filter(None, listing.split(b"\0")):
+        meta, _, name = item.partition(b"\t")
+        kind, blob = meta.split()[1:]
+        path = PurePosixPath(name.decode())
+        if kind == b"blob" and path.name.endswith(".py"):
+            blobs[path] = blob
+    paths = sorted(blobs)
+    batch = subprocess.run(
+        ["git", "cat-file", "--batch"],
+        cwd=repo,
+        capture_output=True,
+        check=True,
+        input=b"".join(blobs[path] + b"\n" for path in paths),
+    ).stdout
+    sha = hashlib.sha256()
+    pos = 0
+    for path in paths:
+        header_end = batch.index(b"\n", pos)
+        size = int(batch[pos:header_end].split()[2])
+        body = batch[header_end + 1 : header_end + 1 + size]
+        sha.update(str(path).encode() + b"\0" + body)
+        pos = header_end + 1 + size + 1
+    return sha.hexdigest()
+
+
 def summarise(values: list[float]) -> dict[str, Any]:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "values": values}
@@ -72,7 +119,9 @@ def entry(label: str, commit: str | None, runs: list[str]) -> dict[str, Any]:
             if stamp.get(key) != value:
                 raise ValueError(f"runs disagree on stamp field {key!r}")
     if commit is None:
-        commit = stamps[0].get("commit")
+        stamped = stamps[0].get("commit")
+        if stamped and committed_source_sha256(stamped, ROOT) == shared["source_sha256"]:
+            commit = stamped
     metrics: dict[str, Any] = {}
     for name, metric in parsed[0][1]["metrics"].items():
         values = [result["metrics"][name]["value"] for _, result in parsed]

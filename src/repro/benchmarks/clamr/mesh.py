@@ -7,6 +7,15 @@ and conserved shallow-water state (height ``h`` and momenta ``hu``,
 ``ncells`` entries — the layout a C mini-app would malloc once — so the
 injector corrupts real backing stores and out-of-capacity refinement is
 a hard error, not a silent realloc.
+
+Refinement, coarsening and painting are array operations over all
+cells at once.  Refinement and painting keep their per-cell loops for
+inputs only corruption produces: a repeated, out-of-range or
+negative-level refine target, too little room or too few parent ids
+for the whole list, and a non-finite or huge cell centre.  There a
+refine raises at the first failing cell, after writing the cells
+before it, and a paint raises where ``int(round(...))`` does or clamps
+integers beyond int64, none of which a one-shot write reproduces.
 """
 
 from __future__ import annotations
@@ -16,6 +25,14 @@ import numpy as np
 from repro.benchmarks.base import SimulationAborted, checked_index
 
 __all__ = ["AmrMesh"]
+
+#: Child centre offsets in quarters of the parent's edge, by slot.
+_CHILD_DX = np.array([[-1.0], [1.0], [-1.0], [1.0]])
+_CHILD_DY = np.array([[-1.0], [-1.0], [1.0], [1.0]])
+
+#: Scaled paint corners below this magnitude round to integers that
+#: int64 holds exactly; larger ones are painted cell by cell.
+_EXACT = 2.0**52
 
 
 class AmrMesh:
@@ -106,11 +123,65 @@ class AmrMesh:
         Each victim cell is replaced in place by its first child; the
         other three children are appended.  Refinement past capacity
         aborts the simulation (the mini-app's malloc'd arrays are full).
+
+        Cells at ``max_level`` are skipped.  When every target is a
+        distinct live index at a non-negative level, the appended
+        children fit and the parent ids stay in int64 range, all
+        children are written at once.  Otherwise the cells are refined
+        one by one, so a corrupted target raises at its turn with the
+        cells before it refined, and a repeated target's second
+        refinement reads its first child.
         """
         n = self.live()
         cells = np.asarray(cells, dtype=np.int64)
         if cells.size == 0:
             return 0
+        todo = self._refinable(cells, n)
+        if todo is None:
+            return self._refine_each(cells, n)
+        k = todo.size
+        lev = self.lev[todo]
+        quarter = self.cell_size(lev) / 4.0
+        pid = int(self.next_parent[()])
+        self.next_parent[...] = pid + k
+        # Row s holds every refined cell's slot-s child: slot 0 replaces
+        # the cell, slots 1-3 are appended three per cell, in order.
+        appended = n + 3 * np.arange(k)
+        targets = np.stack((todo, appended, appended + 1, appended + 2))
+        self.x[targets] = self.x[todo] + _CHILD_DX * quarter
+        self.y[targets] = self.y[todo] + _CHILD_DY * quarter
+        self.lev[targets] = lev + 1
+        for arr in (self.h, self.hu, self.hv):
+            arr[targets] = arr[todo]
+        self.parent[targets] = pid + np.arange(k)
+        self.slot[targets] = np.arange(4)[:, None]
+        self.ncells[...] = n + 3 * k
+        return 3 * k
+
+    def _refinable(self, cells: np.ndarray, n: int) -> np.ndarray | None:
+        """The cells a one-shot refine would split, or None if it may not.
+
+        A one-shot refine is exact when no per-cell check can fail:
+        every target is a distinct live index at a non-negative level
+        (those at or past ``max_level`` are skipped either way), and
+        there is room, and parent ids, for all the refined cells.
+        """
+        if cells.min() < 0 or cells.max() >= n:
+            return None
+        if np.unique(cells).size != cells.size:
+            return None
+        lev = self.lev[cells]
+        if lev.min() < 0:
+            return None
+        todo = cells[lev < self.max_level]
+        if n + 3 * todo.size > self.capacity:
+            return None
+        if int(self.next_parent[()]) + todo.size > np.iinfo(np.int64).max:
+            return None
+        return todo
+
+    def _refine_each(self, cells: np.ndarray, n: int) -> int:
+        """Refine ``cells`` one at a time, checking each as it comes."""
         created = 0
         for raw in cells:
             i = checked_index(int(raw), n, "refine target")
@@ -203,12 +274,45 @@ class AmrMesh:
         Coarse cells cover a block of pixels; the paint order (coarse
         first) makes the finest data win, so outputs from runs with
         different refinement histories stay comparable.
+
+        Each pixel takes the height of its last painter in the stable
+        coarse-first order, which is what painting the cells one by one
+        in that order leaves.  Block corners round half to even, as
+        Python's ``round`` does.  When a corner is NaN, infinite or at
+        least 2**52 in magnitude (a corrupted centre), the cells are
+        painted one by one: there ``int(round(...))`` raises, or clamps
+        an integer that int64 arithmetic could not hold.
         """
         n = self.live()
         res = self.base * 2**self.max_level
-        out = np.zeros((res, res))
         sizes = self.cell_size(self.lev[:n])
         order = np.argsort(self.lev[:n], kind="stable")
+        with np.errstate(over="ignore", invalid="ignore"):
+            corners = (np.stack((self.x[:n], self.y[:n])) - sizes / 2.0) * res
+            exact = bool(np.all(np.abs(corners) < _EXACT))
+        if not exact:
+            return self._paint_each(order, sizes, res)
+        px0, py0 = np.clip(np.rint(corners[:, order]).astype(np.int64), 0, res - 1)
+        extent = np.maximum(1, np.rint(sizes[order] * res).astype(np.int64))
+        # Paint rank of each pixel's last painter; -1 where none paints.
+        owner = np.full(res * res, -1, dtype=np.intp)
+        for width in np.unique(extent).tolist():
+            rank = np.flatnonzero(extent == width)
+            # A block past the grid edge covers the edge row or column,
+            # so clamping its indices there paints what a clipped slice
+            # paints, some pixels twice.
+            rows = np.minimum(px0[rank, None] + np.arange(width), res - 1)
+            cols = np.minimum(py0[rank, None] + np.arange(width), res - 1)
+            pixel = rows[:, :, None] * res + cols[:, None, :]
+            np.maximum.at(owner, pixel.ravel(), np.repeat(rank, width * width))
+        out = np.zeros(res * res)
+        painted = owner >= 0
+        out[painted] = self.h[:n][order][owner[painted]]
+        return out.reshape(res, res)
+
+    def _paint_each(self, order: np.ndarray, sizes: np.ndarray, res: int) -> np.ndarray:
+        """Paint the cells one by one in ``order``."""
+        out = np.zeros((res, res))
         for i in order:
             s = float(sizes[i])
             px0 = int(round((float(self.x[i]) - s / 2.0) * res))

@@ -7,6 +7,8 @@ from repro.benchmarks.base import SimulationAborted
 from repro.benchmarks.clamr.mesh import AmrMesh
 from repro.util.rng import derive_rng
 
+from tests.benchmarks.test_clamr_kdtree import _outcome
+
 
 def _mesh(base=4, max_level=2, capacity=400) -> AmrMesh:
     mesh = AmrMesh(base, max_level, capacity)
@@ -331,3 +333,215 @@ def test_coarsen_skips_level_zero_quartet_like_reference():
     assert _assert_coarsen_matches_reference(mesh, np.ones(n, dtype=bool)) == 0
     mesh.lev[children] = -1
     assert _assert_coarsen_matches_reference(mesh, np.ones(n, dtype=bool)) == 0
+
+
+# -- differential: one-shot refine and paint against the per-cell loops -------
+
+
+def _reference_refine(mesh, cells):
+    """``refine`` before its one-shot path: the per-cell loop it keeps."""
+    n = mesh.live()
+    cells = np.asarray(cells, dtype=np.int64)
+    if cells.size == 0:
+        return 0
+    return mesh._refine_each(cells, n)
+
+
+def _reference_sample_grid(mesh):
+    """``sample_grid`` before its one-shot paint: the per-cell loop it keeps."""
+    n = mesh.live()
+    res = mesh.base * 2**mesh.max_level
+    sizes = mesh.cell_size(mesh.lev[:n])
+    order = np.argsort(mesh.lev[:n], kind="stable")
+    return mesh._paint_each(order, sizes, res)
+
+
+def _assert_same_arrays(mesh, twin):
+    for name in _MESH_ARRAYS:
+        assert getattr(mesh, name).tobytes() == getattr(twin, name).tobytes(), name
+
+
+def _assert_refine_matches_reference(mesh, cells):
+    twin = mesh.clone()
+    want = _outcome(lambda: _reference_refine(twin, cells))
+    got = _outcome(lambda: mesh.refine(cells))
+    assert type(got) is type(want)
+    assert got == want
+    _assert_same_arrays(mesh, twin)
+    return want
+
+
+def _assert_paint_matches_reference(mesh):
+    before = mesh.clone()
+    want = _outcome(lambda: _reference_sample_grid(mesh))
+    got = _outcome(lambda: mesh.sample_grid())
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+    else:
+        assert got == want
+    _assert_same_arrays(mesh, before)
+    return want
+
+
+def _kind(outcome):
+    if isinstance(outcome, tuple):
+        return outcome[1].split(" ")[0] if outcome[0] is IndexError else outcome[0].__name__
+    return "ok"
+
+
+def _refine_targets(rng, mesh):
+    """Refine targets: a distinct live subset, with one kind of corruption at times."""
+    n = mesh.live()
+    cells = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+    kind = int(rng.integers(6))
+    if kind == 1 and cells.size:
+        # Duplicates: the second refinement reads the first's child.
+        cells = np.insert(cells, int(rng.integers(cells.size + 1)), rng.choice(cells))
+    elif kind == 2:
+        bad = rng.choice([-1, -(2**40), n, n + 1, 2**40])
+        cells = np.insert(cells, int(rng.integers(cells.size + 1)), bad)
+    elif kind == 3 and cells.size > 1:
+        # A negative level after valid cells.
+        mesh.lev[cells[int(rng.integers(1, cells.size))]] = rng.choice([-1, -7])
+    elif kind == 4 and cells.size:
+        mesh.lev[rng.choice(cells)] = mesh.max_level + int(rng.integers(1, 3))
+    elif kind == 5:
+        mesh.next_parent[...] = np.iinfo(np.int64).max - int(rng.integers(0, 4))
+    return cells
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block", range(4))
+def test_refine_matches_reference(block):
+    kinds = set()
+    for seed in range(block * 500, block * 500 + 500):
+        rng = derive_rng(seed, "refine-differential")
+        mesh = _random_mesh(rng)
+        if rng.random() < 0.3:
+            _corrupt_mesh(rng, mesh)
+        if rng.random() < 0.3:
+            # Room for only some of the refinements.
+            mesh.capacity = mesh.live() + 3 * int(rng.integers(0, 6))
+        kinds.add(_kind(_assert_refine_matches_reference(mesh, _refine_targets(rng, mesh))))
+    assert {"ok", "refine", "corrupted", "SimulationAborted"} <= kinds
+
+
+@pytest.mark.filterwarnings("error")
+def test_refine_capacity_runs_out_mid_list_like_reference():
+    mesh = _mesh(capacity=16 + 3 * 2)
+    outcome = _assert_refine_matches_reference(mesh, np.array([3, 9, 12]))
+    assert outcome == (SimulationAborted, "mesh capacity exhausted during refine")
+    assert mesh.live() == 16  # the counter is written only at the end
+    assert int(mesh.next_parent[()]) == 2  # two cells were split first
+
+
+@pytest.mark.filterwarnings("error")
+def test_refine_negative_level_after_valid_cells_like_reference():
+    mesh = _mesh()
+    mesh.lev[9] = -1
+    outcome = _assert_refine_matches_reference(mesh, np.array([2, 5, 9, 11]))
+    assert outcome == (IndexError, "corrupted refinement level in [-1]")
+
+
+@pytest.mark.filterwarnings("error")
+def test_refine_duplicate_and_out_of_range_targets_like_reference():
+    assert _assert_refine_matches_reference(_mesh(), np.array([4, 7, 4])) == 9
+    outcome = _assert_refine_matches_reference(_mesh(), np.array([1, 16, 2]))
+    assert outcome == (IndexError, "refine target 16 out of bounds for size 16")
+    outcome = _assert_refine_matches_reference(_mesh(), np.array([1, -1]))
+    assert outcome == (IndexError, "refine target -1 out of bounds for size 16")
+
+
+@pytest.mark.filterwarnings("error")
+def test_refine_skips_cells_at_max_level_like_reference():
+    mesh = _mesh(max_level=1)
+    assert _assert_refine_matches_reference(mesh, np.array([0, 5])) == 6
+    children = np.flatnonzero(mesh.parent[: mesh.live()] >= 0)
+    assert _assert_refine_matches_reference(mesh, np.append(children, 7)) == 3
+    assert _assert_refine_matches_reference(mesh, children) == 0
+
+
+def _paint_corruption(rng, mesh):
+    """Corrupted centres: specials, exact halves, the 2**52 edge, or overlaps."""
+    n = mesh.live()
+    res = mesh.base * 2**mesh.max_level
+    arr = mesh.x if rng.random() < 0.5 else mesh.y
+    i = int(rng.integers(n))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        arr[i] = rng.choice([np.nan, np.inf, -np.inf, 1e300, -1e300, 1.7976931348623157e308, -0.0])
+    elif kind == 1:
+        # A centre whose scaled corner is a multiple of 2**52, or just inside.
+        half = float(mesh.cell_size(mesh.lev[i])) / 2.0
+        edge = rng.choice([-1.0, 1.0]) * 2.0**52 * rng.choice([1.0, 0.5, 2.0])
+        arr[i] = np.nextafter(edge / res + half, rng.choice([-np.inf, np.inf, 0.0]))
+    elif kind == 2:
+        # Scaled corners exactly at a half, rounding to even.
+        half = float(mesh.cell_size(mesh.lev[i])) / 2.0
+        arr[i] = (int(rng.integers(-3, res + 3)) + 0.5) / res + half
+    elif kind == 3:
+        # Same-level cells stacked on one centre: the last painter wins.
+        same = np.flatnonzero(mesh.lev[:n] == mesh.lev[i])
+        for j in rng.choice(same, size=min(3, same.size), replace=False):
+            mesh.x[j], mesh.y[j] = mesh.x[i], mesh.y[i]
+            mesh.h[j] = rng.normal()
+    else:
+        raw = arr[i : i + 1].view(np.uint8)
+        raw[int(rng.integers(raw.size))] ^= np.uint8(1 << int(rng.integers(8)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("block", range(4))
+def test_sample_grid_matches_reference(block):
+    kinds = set()
+    for seed in range(block * 500, block * 500 + 500):
+        rng = derive_rng(seed, "paint-differential")
+        mesh = _random_mesh(rng)
+        for _ in range(int(rng.integers(0, 4))):
+            _paint_corruption(rng, mesh)
+        if rng.random() < 0.2:
+            _corrupt_mesh(rng, mesh)
+        kinds.add(_kind(_assert_paint_matches_reference(mesh)))
+    assert {"ok", "ValueError", "OverflowError", "corrupted"} <= kinds
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "value", [np.nan, np.inf, -np.inf, 1e300, -1e300, 2.0**52, -(2.0**52), 2.0**52 - 1]
+)
+def test_sample_grid_special_centres_match_reference(value):
+    mesh = _mesh(base=4, max_level=2)
+    mesh.refine(np.array([0, 6]))
+    for arr in (mesh.x, mesh.y):
+        twin = mesh.clone()
+        getattr(twin, "x" if arr is mesh.x else "y")[5] = value
+        _assert_paint_matches_reference(twin)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_grid_half_pixel_corners_round_to_even_like_reference():
+    mesh = _mesh(base=4, max_level=2)
+    n = mesh.live()
+    half = float(mesh.cell_size(0)) / 2.0
+    mesh.h[:n] = np.arange(n, dtype=float)
+    # Every scaled corner is k + 0.5 pixels (res 16, all exact in binary).
+    mesh.x[:n] = (np.arange(n) + 0.5) / 16 + half
+    mesh.y[:n] = (np.arange(n)[::-1] + 0.5) / 16 + half
+    mesh.x[n - 1], mesh.y[n - 1] = 2.5 / 16 + half, 4.5 / 16 + half
+    grid = _assert_paint_matches_reference(mesh)
+    # The last painter's corner (2.5, 4.5) rounds to (2, 4), not (3, 5).
+    assert np.all(grid[2:6, 4:8] == n - 1)
+    assert grid[6, 8] != n - 1
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_grid_last_painter_of_a_level_wins_like_reference():
+    mesh = _mesh(base=4, max_level=1)
+    n = mesh.live()
+    mesh.x[[3, 8, 12]] = mesh.x[0]
+    mesh.y[[3, 8, 12]] = mesh.y[0]
+    mesh.h[:n] = np.arange(n, dtype=float)
+    grid = _assert_paint_matches_reference(mesh)
+    assert grid[0, 0] == 12.0
