@@ -17,7 +17,7 @@ machine model:
   errors/execution criterion).
 """
 
-from repro.beam.experiment import BeamCampaignResult, BeamExperiment, BeamRecord
+from repro.beam.experiment import BeamCampaignResult, BeamConfig, BeamExperiment, BeamRecord
 from repro.beam.facility import BeamSession, SessionStats
 from repro.beam.fit import FitEstimate, FitReport, estimate_fit, fit_by_resource
 from repro.beam.flux import (
@@ -32,6 +32,7 @@ from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity, Resou
 
 __all__ = [
     "BeamCampaignResult",
+    "BeamConfig",
     "BeamExperiment",
     "BeamRecord",
     "BeamPlan",

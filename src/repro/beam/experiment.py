@@ -16,7 +16,8 @@ rates via the cross-section bookkeeping in :mod:`repro.beam.fit`.
 
 Trials step through the same loop as CAROL-FI runs,
 :meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`,
-over a store the constructor records from the beam input: a strike
+over the golden store the constructor gets from
+:func:`~repro.carolfi.prefixcache.golden_store` for the beam input: a strike
 lands at the entry of its step, the machine model keeps no per-trial
 state and each trial's RNG is keyed by its trial index, so restoring
 the deepest snapshot at or below the strike step and stepping only the
@@ -30,27 +31,36 @@ golden output bit for bit.
 A trial is a fixed number of steps, so no wall clock decides its
 outcome: hangs are the benchmarks' deterministic loop guards and the
 machine model's scheduler wedge, both recorded as ``timeout`` DUEs.
+
+A beam campaign is one kind of campaign (:class:`BeamConfig`): it runs
+through :func:`~repro.carolfi.campaign.run_campaign` like CAROL-FI's,
+so workers, shard checkpoints, subprocess isolation and the broker
+apply to it unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, ClassVar
+
+import numpy as np
 
 from repro.analysis.spatial import sdc_metrics
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
 from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity
-from repro.carolfi.prefixcache import PrefixStore
+from repro.carolfi.campaign import CampaignKind, run_campaign
+from repro.carolfi.isolation import EventCallback
+from repro.carolfi.prefixcache import golden_store
 from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.outcome import DueKind, Outcome
 from repro.phi.config import KNC_3120A, PhiConfig
 from repro.phi.machine import MachineCheckError, SchedulerWedge, XeonPhiMachine
-from repro.util.jsonlog import dump_records
+from repro.phi.resources import ResourceClass
 from repro.util.rng import derive_rng
 
-__all__ = ["BeamCampaignResult", "BeamExperiment", "BeamRecord"]
+__all__ = ["BeamCampaignResult", "BeamConfig", "BeamExperiment", "BeamRecord"]
 
 @dataclass(frozen=True)
 class BeamRecord:
@@ -123,8 +133,63 @@ class BeamCampaignResult:
         return self.count(outcome) / len(self.trials)
 
 
+@dataclass(frozen=True)
+class BeamConfig(CampaignKind[BeamCampaignResult]):
+    """One benchmark's beam campaign plan: the beam kind.
+
+    Carries only what determines the records of a
+    :class:`BeamExperiment` built from it; an experiment built with a
+    custom sensitivity table or machine model runs its campaign in
+    process, through :meth:`BeamExperiment.run_campaign`.
+    """
+
+    kind: ClassVar[str] = "beam"
+    input_label: ClassVar[str] = "beam"
+    record_type: ClassVar[type] = BeamRecord
+    row_key: ClassVar[str] = "trial"
+
+    benchmark: str
+    trials: int = 1000
+    seed: int = 2017
+    benchmark_params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.trials < 1:
+            raise ValueError("trials must be positive")
+
+    @property
+    def runs(self) -> int:
+        return self.trials
+
+    def build_runner(
+        self, *, shared: bool, on_event: EventCallback | None = None
+    ) -> "BeamExperiment":
+        return BeamExperiment(
+            self.benchmark,
+            seed=self.seed,
+            benchmark_params=self.benchmark_params,
+            shared=shared,
+            on_event=on_event,
+        )
+
+    @staticmethod
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
+        """Beam cells are struck resources; a trial has no time window."""
+        return str(row["benchmark"]), str(row["resource"]), str(row["outcome"]), 0
+
+    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> BeamCampaignResult:
+        sensitivity = DEFAULT_SENSITIVITY if runner is None else runner.sensitivity
+        return BeamCampaignResult(benchmark=self.benchmark, trials=records, sensitivity=sensitivity)
+
+
 class BeamExperiment:
-    """Runs strike trials for one benchmark on the machine model."""
+    """Runs strike trials for one benchmark on the machine model.
+
+    The beam kind's runner: :meth:`run_one`, :meth:`due_record`,
+    ``total_steps`` and ``num_windows`` are the campaign surface every
+    runner presents.  ``shared`` and ``on_event`` go to
+    :func:`~repro.carolfi.prefixcache.golden_store`.
+    """
 
     def __init__(
         self,
@@ -133,6 +198,8 @@ class BeamExperiment:
         sensitivity: DeviceSensitivity = DEFAULT_SENSITIVITY,
         config: PhiConfig = KNC_3120A,
         benchmark_params: dict[str, Any] | None = None,
+        shared: bool = False,
+        on_event: EventCallback | None = None,
     ):
         if isinstance(benchmark, str):
             benchmark = create(benchmark, **(benchmark_params or {}))
@@ -140,21 +207,52 @@ class BeamExperiment:
         self.seed = int(seed)
         self.sensitivity = sensitivity
         self.machine = XeonPhiMachine(config)
-        self.prefix = PrefixStore(
-            benchmark,
-            benchmark.make_state(derive_rng(self.seed, "beam", benchmark.name, "input")),
-        )
-        self.prefix.record()
+        self.prefix = golden_store(benchmark, self.seed, "beam", shared=shared, on_event=on_event)
         self.total_steps = self.prefix.total_steps
         self.golden = self.prefix.output
+
+    @property
+    def num_windows(self) -> int:
+        return self.benchmark.num_windows
+
+    def _draw(self, trial: int) -> tuple[np.random.Generator, int, ResourceClass, bool]:
+        """A trial's stream and its first draws: strike step, struck
+        resource, and whether that resource held live state."""
+        rng = derive_rng(self.seed, "beam", self.benchmark.name, "trial", str(trial))
+        strike_step = int(rng.integers(0, self.total_steps))
+        resource = self.sensitivity.sample_resource(rng)
+        occupied = bool(rng.random() < self.sensitivity.occupancy_of(resource))
+        return rng, strike_step, resource, occupied
+
+    def run_one(self, trial: int) -> BeamRecord:
+        """One campaign run: :meth:`run_trial`."""
+        return self.run_trial(trial)
+
+    def due_record(self, trial: int, *, kind: DueKind, detail: str) -> BeamRecord:
+        """A DUE record for a trial whose executor never reported back.
+
+        Strike step, resource and occupancy are re-derived in
+        :meth:`run_trial`'s draw order; the strike's effect is unknown
+        (it died with the executor).
+        """
+        _, strike_step, resource, occupied = self._draw(trial)
+        return BeamRecord(
+            benchmark=self.benchmark.name,
+            trial=trial,
+            resource=resource.value,
+            effect="unknown",
+            strike_step=strike_step,
+            total_steps=self.total_steps,
+            occupied=occupied,
+            outcome=Outcome.DUE,
+            due_kind=kind,
+            due_detail=detail,
+        )
 
     def run_trial(self, trial: int) -> BeamRecord:
         """Simulate one potential strike and classify its outcome."""
         bench = self.benchmark
-        rng = derive_rng(self.seed, "beam", bench.name, "trial", str(trial))
-        strike_step = int(rng.integers(0, self.total_steps))
-        resource = self.sensitivity.sample_resource(rng)
-        occupied = rng.random() < self.sensitivity.occupancy_of(resource)
+        rng, strike_step, resource, occupied = self._draw(trial)
 
         if not occupied:
             return BeamRecord(
@@ -223,16 +321,19 @@ class BeamExperiment:
     def run_campaign(
         self, trials: int, log_path: str | Path | None = None
     ) -> BeamCampaignResult:
-        """Run ``trials`` strike trials (deterministic per seed).
+        """Run ``trials`` strike trials on this experiment (deterministic per seed).
 
-        ``log_path`` receives the records, written whole once the last
-        trial is in, so a rerun rewrites the log instead of appending.
+        A serial in-process :func:`~repro.carolfi.campaign.run_campaign`
+        of the matching :class:`BeamConfig`, run on this experiment, so
+        its sensitivity table and machine model apply; for workers,
+        checkpoints or isolation, run the config itself.  ``log_path``
+        receives the records, written whole once the last trial is in,
+        so a rerun rewrites the log instead of appending.
         """
-        if trials < 1:
-            raise ValueError("trials must be positive")
-        records = [self.run_trial(trial) for trial in range(trials)]
-        if log_path is not None:
-            dump_records(log_path, (record.to_dict() for record in records))
-        return BeamCampaignResult(
-            benchmark=self.benchmark.name, trials=records, sensitivity=self.sensitivity
+        config = BeamConfig(
+            benchmark=self.benchmark.name,
+            trials=trials,
+            seed=self.seed,
+            benchmark_params=dict(self.benchmark.params),
         )
+        return run_campaign(config, log_path, runner=self)

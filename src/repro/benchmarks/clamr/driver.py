@@ -160,16 +160,16 @@ class Clamr(Benchmark):
         refine_hi = float(state.consts[2])
         coarsen_lo = float(state.consts[3])
         h = mesh.h[:n]
-        indicator = np.zeros(n)
+        nbrs = state.nbrs
+        if np.any(nbrs >= n):
+            raise IndexError("corrupted neighbour index beyond live cells")
+        # All four faces at once: the (4, n) steepness table, then its
+        # maximum over faces from zero (NaN propagates, as it must).
+        boundary = nbrs < 0
         with np.errstate(invalid="ignore", over="ignore"):
-            for face in range(4):
-                nbr = state.nbrs[face]
-                if np.any(nbr >= n):
-                    raise IndexError("corrupted neighbour index beyond live cells")
-                boundary = nbr < 0
-                hj = h.take(np.where(boundary, 0, nbr), mode="raise")
-                diff = np.where(boundary, 0.0, np.abs(hj - h))
-                indicator = np.maximum(indicator, diff)
+            hj = h.take(np.where(boundary, 0, nbrs), mode="raise")
+            diff = np.where(boundary, 0.0, np.abs(hj - h))
+            indicator = diff.max(axis=0, initial=0.0)
         refine_mask = (indicator > refine_hi) & (mesh.lev[:n] < mesh.max_level)
         created = mesh.refine(np.flatnonzero(refine_mask))
         quiet = np.concatenate(

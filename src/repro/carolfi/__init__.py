@@ -10,9 +10,9 @@ The reproduction mirrors CAROL-FI's two-script architecture:
   frames at the interrupt point, selects a variable and element, and
   applies one of the four fault models to its backing store.
 
-:mod:`repro.carolfi.campaign` drives whole campaigns (the paper injects
->=10,000 faults per benchmark) through one path, whatever the worker
-count or isolation mode; :mod:`repro.carolfi.engine` holds that path's
+:mod:`repro.carolfi.campaign` drives whole campaigns of every kind (the
+paper injects >=10,000 faults per benchmark) through one path, whatever
+the worker count or isolation mode; :mod:`repro.carolfi.engine` holds that path's
 parts (shards, resumable checkpoints, the retry policy),
 :mod:`repro.carolfi.batchrunner` steps groups of runs through the
 benchmarks' vectorized batch kernels, and
@@ -21,7 +21,7 @@ the paper's parser scripts.
 """
 
 from repro.carolfi.batchrunner import BatchRunner
-from repro.carolfi.campaign import CampaignConfig, CampaignResult, run_campaign
+from repro.carolfi.campaign import CampaignConfig, CampaignKind, CampaignResult, run_campaign
 from repro.carolfi.configfile import load_config, run_from_config
 from repro.carolfi.engine import (
     CheckpointError,
@@ -48,6 +48,7 @@ from repro.carolfi.supervisor import Supervisor
 __all__ = [
     "BatchRunner",
     "CampaignConfig",
+    "CampaignKind",
     "CampaignResult",
     "CheckpointError",
     "FlipScript",

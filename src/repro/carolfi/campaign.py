@@ -1,31 +1,42 @@
-"""Campaign driver: thousands of injections per benchmark.
+"""Campaign driver: thousands of single-perturbation runs per benchmark.
 
 The paper injects at least 10,000 faults per benchmark, spread
-uniformly over the four fault models and the whole execution time.
-:func:`run_campaign` reproduces that sampling plan deterministically
-under a single seed, optionally persisting every record to JSONL (the
-public-log analogue).  It is the one CAROL-FI campaign path: every
-campaign, serial or pooled, in process or sandboxed, local or brokered,
-runs through the shard scheduler over the parts in
-:mod:`repro.carolfi.engine`.
+uniformly over the four fault models and the whole execution time, and
+its beam (§4) and hardened-code (§7) studies have the same unit of
+work.  :func:`run_campaign` is the one campaign function for all
+three: every campaign, serial or pooled, in process or sandboxed, local
+or brokered, runs through the shard scheduler over the parts in
+:mod:`repro.carolfi.engine`, deterministically under a single seed,
+optionally persisting every record to JSONL (the public-log analogue).
+
+A campaign's *kind* is its config class (:class:`CampaignKind`):
+:class:`CampaignConfig` here for CAROL-FI, ``BeamConfig`` in
+:mod:`repro.beam.experiment` and ``HardenedConfig`` in
+:mod:`repro.hardening.hardened`.  No other layer names a kind's types.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, field
+import enum
+import importlib
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, ClassVar, Generic, TypeVar
 
+from repro.benchmarks.registry import create
 from repro.carolfi import shmstore
 from repro.carolfi.flipscript import SitePolicy
 from repro.carolfi.isolation import (
     _SUPERVISORS,
+    EventCallback,
     IsolationConfig,
     IsolationMode,
     campaign_store_key,
+    supervisor_for,
     supervisor_key,
 )
+from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import InjectionRecord, Outcome
 from repro.telemetry import DISABLED, Telemetry
@@ -37,12 +48,139 @@ if TYPE_CHECKING:  # pragma: no cover — the engine imports this module
     from repro.service.backend import ShardBackend
     from repro.service.scheduler import StealPolicy
 
-__all__ = ["CampaignConfig", "CampaignResult", "model_for", "run_campaign"]
+__all__ = [
+    "CampaignConfig",
+    "CampaignKind",
+    "CampaignResult",
+    "KINDS",
+    "kind_class",
+    "model_for",
+    "run_campaign",
+]
+
+ResultT = TypeVar("ResultT")
+
+#: Every campaign kind's config class, by kind name.
+KINDS: dict[str, str] = {
+    "carolfi": "repro.carolfi.campaign:CampaignConfig",
+    "beam": "repro.beam.experiment:BeamConfig",
+    "hardened": "repro.hardening.hardened:HardenedConfig",
+}
+
+
+def kind_class(name: str | None) -> "type[CampaignKind[Any]]":
+    """The config class of kind ``name``; ``None`` (markers and logs
+    written before there were other kinds) is CAROL-FI's."""
+    if name is not None and name not in KINDS:
+        raise ValueError(f"unknown campaign kind {name!r}")
+    module, _, attr = KINDS[name or "carolfi"].partition(":")
+    return getattr(importlib.import_module(module), attr)
+
+
+def _to_wire(value: Any) -> Any:
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, (tuple, list)):
+        return [_to_wire(item) for item in value]
+    return dict(value) if isinstance(value, dict) else value
+
+
+class CampaignKind(Generic[ResultT]):
+    """What one kind of campaign supplies to :func:`run_campaign`.
+
+    Subclasses are frozen dataclasses whose fields — ``benchmark``,
+    ``seed`` and ``benchmark_params`` among them — are everything that
+    determines their records; ``__post_init__`` validates them and
+    coerces enum fields from their values.  The runner a kind builds
+    presents one surface: ``run_one(run, *run_args(run))`` returns a
+    record, ``due_record(run, *run_args(run), kind=, detail=)``
+    re-derives the record of a run whose executor never reported back,
+    and ``total_steps`` and ``num_windows`` give the run geometry.
+    """
+
+    kind: ClassVar[str]
+    #: The RNG stream the campaign input is drawn from.
+    input_label: ClassVar[str]
+    #: Records round-trip through its ``to_dict``/``from_dict``; every
+    #: row carries ``outcome`` and, where the kind has one, ``due_kind``.
+    record_type: ClassVar[Any]
+    #: The row field that holds the run index.
+    row_key: ClassVar[str] = "run_index"
+    #: Wire fields left out of the checkpoint fingerprint.
+    fingerprint_excludes: ClassVar[frozenset[str]] = frozenset()
+
+    benchmark: str
+    seed: int
+    benchmark_params: dict[str, Any]
+
+    @property
+    def runs(self) -> int:
+        """The campaign's run budget."""
+        raise NotImplementedError
+
+    def build_runner(self, *, shared: bool, on_event: EventCallback | None = None) -> Any:
+        """A fresh runner (``shared``: see :func:`~repro.carolfi.prefixcache.golden_store`)."""
+        raise NotImplementedError
+
+    def run_args(self, run_index: int) -> tuple[Any, ...]:
+        return ()
+
+    def run_batch(self, runner: Any, run_indices: Sequence[int]) -> dict[int, Any]:
+        """Records a batched path completed; none without one."""
+        return {}
+
+    def stop_target(self) -> tuple[float, int] | None:
+        """``(CI half-width, cells)`` of an early stop, or ``None``."""
+        return None
+
+    @staticmethod
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
+        """``(benchmark, cell, outcome, time_window)`` of a row, as the
+        drift monitor and early stop count it."""
+        raise NotImplementedError
+
+    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> ResultT:
+        """The result; ``runner`` is this process's for the campaign, or ``None``."""
+        raise NotImplementedError
+
+    def to_wire(self) -> dict[str, Any]:
+        """The kind-tagged, JSON-safe form :meth:`from_wire` inverts
+        exactly, so a config (with the seed inside, which keys every
+        run's RNG stream) survives any number of service hops intact."""
+        wire: dict[str, Any] = {"kind": self.kind}
+        for item in fields(self):  # type: ignore[arg-type]
+            wire[item.name] = _to_wire(getattr(self, item.name))
+        return wire
+
+    @classmethod
+    def from_wire(cls, data: dict[str, Any]) -> "CampaignKind[Any]":
+        """Rebuild a config of the kind ``data`` names, refusing unknown
+        fields; a missing or ``None`` field takes its default."""
+        values = dict(data)
+        target: Any = kind_class(values.pop("kind", None))
+        if not issubclass(target, cls):
+            raise ValueError(f"a {target.kind} config is not a {cls.__name__}")
+        unknown = set(values) - {item.name for item in fields(target)}
+        if unknown:
+            raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
+        try:
+            return target(**{name: value for name, value in values.items() if value is not None})
+        except TypeError as exc:  # a required field is missing
+            raise ValueError(f"incomplete campaign config: {exc}") from None
 
 
 @dataclass(frozen=True)
-class CampaignConfig:
-    """One benchmark's injection campaign plan."""
+class CampaignConfig(CampaignKind["CampaignResult"]):
+    """One benchmark's injection campaign plan: the CAROL-FI kind."""
+
+    kind: ClassVar[str] = "carolfi"
+    input_label: ClassVar[str] = "carolfi"
+    record_type: ClassVar[type] = InjectionRecord
+    #: Execution strategy, not record content — and fingerprints that
+    #: predate kinds name none, so CAROL-FI's stay as they were.
+    fingerprint_excludes: ClassVar[frozenset[str]] = frozenset(
+        {"kind", "snapshots", "batch_size", "target_ci"}
+    )
 
     benchmark: str
     injections: int = 1000
@@ -62,30 +200,26 @@ class CampaignConfig:
     :mod:`repro.carolfi.batchrunner`).  ``1`` disables batching; larger
     values group runs sharing a prefix-snapshot anchor and step their
     corrupted states together through the benchmarks' batched kernels.
-    Like ``snapshots``, a pure execution strategy: per-run RNG streams
-    are keyed by run index and divergent runs fall back to the scalar
-    path, so records are byte-identical at any batch size — the knob is
-    excluded from the checkpoint fingerprint and checkpoints stay
-    resumable across batch-size changes.  Every campaign batches the
-    same way: each lease's runs are one ``BatchRunner`` plan, stepped in
-    the executor's process or, under subprocess isolation, inside its
-    sandboxed worker (fallback members return to the parent's scalar
-    sandbox path)."""
+    Like ``snapshots``, a pure execution strategy excluded from the
+    checkpoint fingerprint: per-run RNG streams are keyed by run index
+    and divergent runs fall back to the scalar path, so records are
+    byte-identical at any batch size.  Each lease's runs are one
+    ``BatchRunner`` plan, stepped in the executor's process or inside
+    its sandboxed worker."""
 
     target_ci: float | None = None
     """Optional early-stopping precision target: stop the campaign at
     the first shard-merge boundary where every ``(benchmark,
     fault_model)`` cell's SDC and DUE confidence-interval half-width is
-    at or below this value (see
-    :class:`repro.telemetry.convergence.ConvergenceMonitor`).
-    ``injections`` remains the run-budget cap.  Deliberately excluded
-    from the checkpoint fingerprint: the target changes *where the
-    campaign stops*, never what any record contains, so a checkpointed
-    campaign may resume with a different target (or none) and the
-    records stay bit-identical — a stopped campaign is always a prefix
-    of the uncapped one."""
+    at or below this value; ``injections`` remains the run-budget cap.
+    Excluded from the checkpoint fingerprint: the target changes *where
+    the campaign stops*, never what any record contains, so a stopped
+    campaign is always a prefix of the uncapped one and may resume with
+    a different target (or none)."""
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "fault_models", tuple(map(FaultModel, self.fault_models)))
+        object.__setattr__(self, "policy", SitePolicy(self.policy))
         if self.injections < 1:
             raise ValueError("injections must be positive")
         if not self.fault_models:
@@ -95,63 +229,44 @@ class CampaignConfig:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
-    def to_wire(self) -> dict[str, Any]:
-        """JSON-safe dict for shipping a campaign plan over the service
-        wire (broker lease frames).
+    @property
+    def runs(self) -> int:
+        return self.injections
 
-        Exactly inverted by :meth:`from_wire`; both directions are pure
-        value mappings, so a config survives any number of hops intact
-        — which the determinism contract requires, because the config
-        (with the seed inside) is what keys every run's RNG stream.
-        """
-        return {
-            "benchmark": self.benchmark,
-            "injections": self.injections,
-            "seed": self.seed,
-            "fault_models": [m.value for m in self.fault_models],
-            "policy": self.policy.value,
-            "benchmark_params": dict(self.benchmark_params),
-            "snapshots": self.snapshots,
-            "batch_size": self.batch_size,
-            "target_ci": self.target_ci,
-        }
+    def build_runner(self, *, shared: bool, on_event: EventCallback | None = None) -> Supervisor:
+        return Supervisor(
+            create(self.benchmark, **self.benchmark_params),
+            seed=self.seed,
+            policy=self.policy,
+            snapshots=self.snapshots,
+            shared=shared,
+            on_event=on_event,
+        )
 
-    @classmethod
-    def from_wire(cls, data: dict[str, Any]) -> "CampaignConfig":
-        """Rebuild a config from :meth:`to_wire` output (validating)."""
-        known = {
-            "benchmark",
-            "injections",
-            "seed",
-            "fault_models",
-            "policy",
-            "benchmark_params",
-            "snapshots",
-            "batch_size",
-            "target_ci",
-        }
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
-        if "benchmark" not in data:
-            raise ValueError("campaign config needs a benchmark")
-        kwargs: dict[str, Any] = {"benchmark": str(data["benchmark"])}
-        if "fault_models" in data:
-            kwargs["fault_models"] = tuple(
-                FaultModel(m) for m in data["fault_models"]
-            )
-        if "policy" in data:
-            kwargs["policy"] = SitePolicy(data["policy"])
-        for key in ("injections", "seed", "batch_size"):
-            if key in data and data[key] is not None:
-                kwargs[key] = int(data[key])
-        if "benchmark_params" in data and data["benchmark_params"] is not None:
-            kwargs["benchmark_params"] = dict(data["benchmark_params"])
-        if "snapshots" in data and data["snapshots"] is not None:
-            kwargs["snapshots"] = bool(data["snapshots"])
-        if "target_ci" in data and data["target_ci"] is not None:
-            kwargs["target_ci"] = float(data["target_ci"])
-        return cls(**kwargs)
+    def run_args(self, run_index: int) -> tuple[FaultModel]:
+        return (model_for(self, run_index),)
+
+    def run_batch(self, runner: Any, run_indices: Sequence[int]) -> dict[int, Any]:
+        """One ``BatchRunner`` plan over the runs, with ``batch_size`` > 1."""
+        if self.batch_size == 1:
+            return {}
+        runs = [(index, model_for(self, index)) for index in run_indices]
+        return dict(runner.run_batch(runs, self.batch_size))
+
+    def stop_target(self) -> tuple[float, int] | None:
+        return None if self.target_ci is None else (self.target_ci, len(self.fault_models))
+
+    @staticmethod
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
+        return (
+            str(row["benchmark"]),
+            str(row["fault_model"]),
+            str(row["outcome"]),
+            int(row["time_window"]),
+        )
+
+    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> "CampaignResult":
+        return CampaignResult(config=self, records=records, stopped_early=stopped_early)
 
 
 @dataclass
@@ -200,15 +315,15 @@ class CampaignResult:
 def model_for(config: CampaignConfig, run_index: int) -> FaultModel:
     """Fault model of one run under the round-robin sampling plan.
 
-    The single source of the rotation rule: the serial driver, the
-    sharded engine and the batch runner all derive a run's model here,
-    so the plan can never drift between execution topologies.
+    The single source of the rotation rule: the campaign kind and the
+    batch runner derive a run's model here, so the plan can never drift
+    between execution topologies.
     """
     return config.fault_models[run_index % len(config.fault_models)]
 
 
 def run_campaign(
-    config: CampaignConfig,
+    config: CampaignKind[ResultT],
     log_path: str | Path | None = None,
     *,
     workers: int | None = 1,
@@ -221,69 +336,61 @@ def run_campaign(
     telemetry: Telemetry | None = None,
     backend: "ShardBackend | None" = None,
     steal: "StealPolicy | None" = None,
-) -> CampaignResult:
-    """Run a full injection campaign: sharded, resumable, optionally parallel.
+    runner: Any = None,
+) -> ResultT:
+    """Run a campaign of any kind: sharded, resumable, optionally parallel.
 
-    Fault models rotate round-robin so every model receives an equal
-    share; interrupt times are drawn uniformly per run by the
-    Supervisor.  Deterministic for a given config: every run's random
-    stream is keyed by ``(seed, benchmark, run_index)``, so the result
-    is bit-identical for any ``workers`` count, shard layout or
-    isolation mode.
-
-    Every campaign goes through the shard scheduler
+    Returns the kind's result (a :class:`CampaignResult` for a
+    :class:`CampaignConfig`).  Every run's random stream is keyed by the
+    seed, the benchmark and the run index, so the result is
+    bit-identical for any ``workers`` count, shard layout or isolation
+    mode.  Every campaign goes through the shard scheduler
     (:func:`repro.service.scheduler.run_shards`), so retries and
-    quarantine are decided alike everywhere.  ``workers=1`` executes
-    the campaign as one lease in the calling process
-    (:class:`~repro.service.local.InlineBackend`); any other count cuts
-    it into ``workers`` leases of whole shards, each run by one
-    disposable worker process (:class:`~repro.service.local.LocalBackend`).
+    quarantine are decided alike everywhere: ``workers=1`` runs it as
+    one lease in the calling process
+    (:class:`~repro.service.local.InlineBackend`), any other count as
+    ``workers`` leases of whole shards, each in a disposable worker
+    process (:class:`~repro.service.local.LocalBackend`);
     ``workers=None`` resolves via ``REPRO_WORKERS`` then
-    ``os.cpu_count()``.
+    ``os.cpu_count()``.  ``backend`` overrides *where* leases execute
+    (e.g. the distributed :class:`~repro.service.broker.BrokerBackend`,
+    whose lifetime stays the caller's); ``steal`` tunes work stealing
+    on backends that support it.
 
-    ``backend`` overrides *where* leases execute: any
-    :class:`~repro.service.backend.ShardBackend` (e.g. the distributed
-    :class:`~repro.service.broker.BrokerBackend`) is driven by the same
-    scheduler with identical retry/quarantine/merge semantics; its
-    lifetime belongs to the caller.  ``steal`` tunes work stealing on
-    backends that support it (ignored by the local pool).
+    A serial in-process campaign keeps a private golden store; a pool
+    or a subprocess sandbox warms the host's shared-memory segment
+    (:mod:`repro.carolfi.shmstore`) from this process before any worker
+    forks, broker workers publish or attach it, and this function
+    sweeps it at teardown.  ``runner`` is one the caller built for
+    ``config``, possibly with more than the config carries (a benchmark
+    instance, a sensitivity table, a machine model): the serial
+    in-process campaign runs on it, and any other topology refuses it,
+    because only a config's own fields may reach another process.
 
-    The executor that owns the runs decides whether their golden store
-    is shared: a serial in-process campaign keeps a private one and
-    maps nothing, while a pool, a subprocess sandbox or a caller's
-    backend publishes (or attaches) the host's shared-memory segment
-    (:mod:`repro.carolfi.shmstore`), which this function sweeps at
-    teardown.
+    ``isolation`` selects where each run executes (see
+    :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry`` the
+    fault-domain policy (backoff, liveness, quarantine), and
+    ``failure_log`` the failure-event JSONL path (default:
+    ``failures.jsonl`` in the checkpoint directory, or none without
+    one); :mod:`repro.carolfi.engine` has the determinism, resume and
+    failure-handling contracts.  ``log_path`` receives the final
+    records, written whole once merged, so a rerun or a resume rewrites
+    it.  ``telemetry`` adds metrics, phase spans and live progress on
+    top of the ``progress`` heartbeat callback; workers ship their
+    deltas over the heartbeat pipe, so counter totals are identical for
+    every worker count, and the default
+    (:data:`repro.telemetry.DISABLED`) never perturbs records.
 
-    ``isolation`` selects where each *injection* executes (see
-    :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry``
-    configures the fault-domain policy (backoff, liveness, quarantine)
-    and ``failure_log`` overrides the failure-event JSONL path (default:
-    ``failures.jsonl`` inside the checkpoint directory, or disabled
-    without one).  See :mod:`repro.carolfi.engine` for the determinism,
-    resume and failure-handling contracts.  ``log_path`` receives the
-    final records, written whole once they are merged, so a rerun or a
-    resume rewrites the log instead of appending to it.
-
-    ``telemetry`` (a :class:`repro.telemetry.Telemetry`) adds metrics,
-    phase spans and live progress on top of the ``progress`` heartbeat
-    callback.  Workers accumulate metrics/spans locally and the engine
-    merges their deltas over the heartbeat pipe, so a campaign's
-    counter totals are identical for every worker count; the default
-    (:data:`repro.telemetry.DISABLED`) makes every instrument a shared
-    no-op and never perturbs records.
-
-    Statistical observability: every merged shard streams through a
-    :class:`~repro.telemetry.convergence.ConvergenceMonitor`.  With
-    ``config.target_ci`` set the campaign **stops early** at the first
-    contiguous shard boundary where every ``(benchmark, fault_model)``
-    cell's SDC/DUE CI half-width meets the target — deterministically,
-    so the stopped records are a bit-identical prefix of the uncapped
-    campaign for any worker count.  Independently, the cross-shard
-    drift detector z-tests each shard's outcome rates against the rest
-    of the campaign; statistically incompatible shards (seed bugs,
-    nondeterminism) are flagged into ``failures.jsonl`` and the
-    ``repro_drift_flags_total`` counter.
+    Every merged shard streams through a
+    :class:`~repro.telemetry.convergence.ConvergenceMonitor`, fed the
+    kind's :meth:`CampaignKind.row_cell`.  With a CAROL-FI
+    ``config.target_ci`` the campaign **stops early** at the first
+    contiguous shard boundary where every cell's SDC/DUE CI half-width
+    meets the target, so the stopped records are a bit-identical prefix
+    of the uncapped campaign for any worker count.  The cross-shard
+    drift detector z-tests each shard's outcome rates against the rest;
+    incompatible shards (seed bugs, nondeterminism) are flagged into
+    ``failures.jsonl`` and the ``repro_drift_flags_total`` counter.
     """
     # Imported here, not at module top: the engine and the service layer
     # import this module.
@@ -312,16 +419,31 @@ def run_campaign(
     # campaign: a serial in-process campaign has no second process to
     # read its golden store, so it publishes nothing and sweeps nothing.
     shares = backend is not None or workers > 1 or iso.mode is IsolationMode.SUBPROCESS
-    shards = plan_shards(config.injections, shard_size)
+    if runner is not None and shares:
+        raise ValueError("a caller's runner runs only in this process")
+
+    def local_runner(on_event: EventCallback | None = None) -> Any:
+        """This process's runner for the campaign, built at most once."""
+        nonlocal runner
+        if runner is None:
+            runner = (
+                supervisor_for(config, on_event)
+                if shares
+                else config.build_runner(shared=False, on_event=on_event)
+            )
+        return runner
+
+    shards = plan_shards(config.runs, shard_size)
     fingerprint = campaign_fingerprint(config, shard_size)
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     if ckpt_dir is not None:
         ckpt_dir.mkdir(parents=True, exist_ok=True)
-        _validate_checkpoint_dir(ckpt_dir, fingerprint)
+        marker_kind = None if "kind" in config.fingerprint_excludes else config.kind
+        _validate_checkpoint_dir(ckpt_dir, fingerprint, marker_kind)
     if failure_log is None and ckpt_dir is not None:
         failure_log = ckpt_dir / FAILURE_LOG_NAME
     sink = FailureSink(failure_log, tel)
-    reporter = tel.progress_reporter(config.injections, label=config.benchmark)
+    reporter = tel.progress_reporter(config.runs, label=config.benchmark)
     replayed_runs = tel.registry.counter(
         "repro_runs_replayed_total",
         help="Runs restored from shard checkpoints instead of being re-run.",
@@ -333,21 +455,21 @@ def run_campaign(
         "repro_shard_runs_done", help="Runs completed so far within each shard."
     )
 
-    heartbeat = _Heartbeat(progress, len(shards), config.injections)
-    replayed: dict[int, list[InjectionRecord]] = {}
+    heartbeat = _Heartbeat(progress, len(shards), config.runs)
+    rows_by_shard: dict[int, list[dict[str, Any]]] = {}
     pending: list[ShardSpec] = []
-    executed: dict[int, list[dict]] = {}
 
-    def _shard_rows(index: int) -> Iterable[Any]:
-        return replayed[index] if index in replayed else executed[index]
+    def _shard_rows(index: int) -> Iterable[dict[str, Any]]:
+        return rows_by_shard[index]
 
-    monitor = ConvergenceMonitor()
+    monitor = ConvergenceMonitor(fields=config.row_cell)
     gate = _ConvergenceGate(config, shards, monitor, _shard_rows)
     try:
         with tel.activate(), tel.tracer.span(
             "campaign",
+            kind=config.kind,
             benchmark=config.benchmark,
-            injections=config.injections,
+            injections=config.runs,
             workers=workers,
             shards=len(shards),
         ) as campaign_span:
@@ -357,15 +479,17 @@ def run_campaign(
                 # campaign sharing this registry.
                 shard_done.set(0, shard=spec.index)
             for spec in shards:
-                records = (
-                    _replay_shard(shard_path(ckpt_dir, spec.index), fingerprint, spec)
+                rows = (
+                    _replay_shard(
+                        shard_path(ckpt_dir, spec.index), fingerprint, spec, config.record_type
+                    )
                     if ckpt_dir is not None
                     else None
                 )
-                if records is None:
+                if rows is None:
                     pending.append(spec)
                 else:
-                    replayed[spec.index] = records
+                    rows_by_shard[spec.index] = rows
                     replayed_runs.inc(spec.size)
                     shard_done.set(spec.size, shard=spec.index)
                     heartbeat.record_done(spec.size, live=False)
@@ -385,17 +509,26 @@ def run_campaign(
                 # otherwise the engine owns one for this campaign.
                 owned: ShardBackend | None = None
                 if backend is None:
+                    if shares:
+                        # Warm this process's shared runner before any
+                        # worker forks: each inherits the golden run (and
+                        # the shared segment it published), and ``sink``
+                        # gets a budget degradation once per host.
+                        try:
+                            local_runner(sink)
+                        except Exception:  # noqa: BLE001 — the workers report the real failure
+                            pass
                     owned = backend = (
                         LocalBackend(
                             config,
                             workers=workers,
                             isolation=iso,
                             telemetry=tel,
-                            on_event=sink,
                         )
                         if workers > 1
                         else InlineBackend(
                             config,
+                            runner=local_runner,
                             isolation=iso,
                             on_run_done=reporter.tick,
                         )
@@ -407,7 +540,7 @@ def run_campaign(
                         ckpt_file,
                         fingerprint,
                         heartbeat,
-                        executed,
+                        rows_by_shard,
                         backend,
                         policy,
                         sink,
@@ -422,24 +555,18 @@ def run_campaign(
 
             included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
             expected_runs = included[-1].stop
-            records_out: list[InjectionRecord] = []
-            for spec in included:
-                if spec.index in replayed:
-                    records_out.extend(replayed[spec.index])
-                else:
-                    records_out.extend(
-                        InjectionRecord.from_dict(row) for row in executed[spec.index]
-                    )
-            records_out.sort(key=lambda r: r.run_index)
-            if [r.run_index for r in records_out] != list(range(expected_runs)):
+            rows_out = [row for spec in included for row in rows_by_shard[spec.index]]
+            rows_out.sort(key=lambda row: int(row[config.row_key]))
+            if [int(row[config.row_key]) for row in rows_out] != list(range(expected_runs)):
                 raise RuntimeError("engine merge produced a non-canonical record sequence")
+            records_out = [config.record_type.from_dict(row) for row in rows_out]
             if gate.stopped:
                 sink(
                     {
                         "event": "early_stop",
-                        "target_ci": config.target_ci,
+                        "target_ci": gate.target,
                         "runs": expected_runs,
-                        "budget": config.injections,
+                        "budget": config.runs,
                         "max_half_width": round(monitor.max_half_width(), 6),
                         "shards_skipped": len(shards) - len(included),
                     }
@@ -472,10 +599,10 @@ def run_campaign(
             records_due = tel.registry.counter(
                 "repro_records_due_total", help="Final merged DUE records, by due kind."
             )
-            for record in records_out:
-                records_total.inc(outcome=record.outcome.value)
-                if record.due_kind is not None:
-                    records_due.inc(kind=record.due_kind.value)
+            for row in rows_out:
+                records_total.inc(outcome=row["outcome"])
+                if row.get("due_kind") is not None:
+                    records_due.inc(kind=row["due_kind"])
             campaign_span.set_attr("records", len(records_out))
             reporter.tick(force=True)
     finally:
@@ -497,4 +624,4 @@ def run_campaign(
 
     if log_path is not None:
         dump_records(log_path, (r.to_dict() for r in records_out))
-    return CampaignResult(config=config, records=records_out, stopped_early=gate.stopped)
+    return config.result(records_out, gate.stopped, runner)

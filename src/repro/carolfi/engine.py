@@ -1,17 +1,19 @@
 """Sharded, parallel, resumable, fault-tolerant campaign execution.
 
-The paper's numbers rest on 10,000+ injections per benchmark; running
-them one after another in one process is the reproduction's single
-biggest bottleneck.  A campaign is split into deterministic *shards*
+The paper's numbers rest on 10,000+ runs per benchmark, in the beam,
+CAROL-FI and hardened-code studies alike; running them one after
+another in one process is the reproduction's single biggest
+bottleneck.  A campaign is split into deterministic *shards*
 (contiguous run-index ranges) whose records are merged back in
 canonical run-index order.  This module holds the parts of that path —
 the shard plan, the lease body's run loop (:func:`_execute_shard`),
 checkpoints, the retry policy, the failure-event log and the
 convergence gate; :func:`repro.carolfi.campaign.run_campaign`, the one
-campaign function, assembles them around the shard scheduler.
+campaign function, assembles them around the shard scheduler.  None of
+it knows a campaign's kind (:class:`~repro.carolfi.campaign.CampaignKind`).
 
-Determinism is structural, not incidental: every injection derives its
-random stream from ``(seed, benchmark, run_index)`` via
+Determinism is structural, not incidental: every run derives its
+random stream from the seed, the benchmark and the run index via
 :func:`repro.util.rng.derive_rng`, so a record is bit-identical no
 matter which worker executes it, in what order, or how the campaign is
 sharded.  ``run_campaign(config, workers=4)`` therefore equals
@@ -30,35 +32,21 @@ re-runs only the rest.  A checkpoint is trusted only if its stored
 config fingerprint matches the requested campaign; a mismatch raises
 :class:`CheckpointError` rather than silently mixing campaigns.
 
-Fault domains: every campaign runs through one control plane, the
-shard scheduler (:func:`repro.service.scheduler.run_shards`), over a
-:class:`~repro.service.backend.ShardBackend` — in the calling process
-for ``workers=1`` (:class:`~repro.service.local.InlineBackend`), one
-disposable, supervised OS process per lease otherwise
-(:class:`~repro.service.local.LocalBackend`), or a caller's broker.
-The scheduler alone decides retry and quarantine.  A failed execution
-— an exception that escapes the crash net, a worker death, a reaped
-hang — is retried with deterministic exponential backoff plus jitter;
-a failed lease is charged to the shard of its first undelivered run
-and re-leased from there; a run that fails
-``RetryPolicy.max_run_deaths`` times is
-**quarantined** (recorded as a DUE with a ``sandbox:`` detail and
-skipped on the next attempt), so a campaign degrades gracefully
-instead of aborting.  Only a shard that keeps failing *without making
-progress* raises :class:`ShardFailure`.  Every retry, reap, worker
-death, sandbox kill and quarantine is appended to a structured
-failure-event log (``failures.jsonl`` under the checkpoint directory
-by default).
+Fault domains: the shard scheduler (:func:`repro.service.scheduler.run_shards`)
+alone decides retry and quarantine, with one :class:`RetryPolicy` for
+every executor.  A failed execution is retried with deterministic
+exponential backoff plus jitter, a run that fails
+``RetryPolicy.max_run_deaths`` times is **quarantined** (recorded as its
+kind's DUE record with a ``sandbox:`` detail, never run again), and only
+a shard that keeps failing *without making progress* raises
+:class:`ShardFailure`; every event lands in ``failures.jsonl``.
 
 Each executor hands :func:`_execute_shard` its own runner: the
-:class:`~repro.carolfi.isolation.InjectionSandbox` it owns, under
-``isolation=IsolationConfig(mode=IsolationMode.SUBPROCESS, ...)``
-(each injection then runs in a disposable worker process, making
-crashes and hangs *observed process deaths* exactly like the paper's
-GDB-supervised runs), or a :class:`~repro.carolfi.supervisor.Supervisor`
-in its own process.  The default serial in-process campaign
-(``workers=1``, inproc isolation) spawns no process and keeps a private
-golden store, so the test suite remains subprocess-free.
+:class:`~repro.carolfi.isolation.InjectionSandbox` it owns under
+subprocess isolation (crashes and hangs become *observed process
+deaths*, like the paper's GDB-supervised runs), or the kind's runner in
+its own process.  The default serial in-process campaign spawns no
+process, so the test suite remains subprocess-free.
 """
 
 from __future__ import annotations
@@ -71,12 +59,10 @@ import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.carolfi.campaign import CampaignConfig, model_for
-from repro.carolfi.isolation import InjectionSandbox, SandboxError, make_due_record
-from repro.carolfi.supervisor import Supervisor
-from repro.faults.outcome import DueKind, InjectionRecord
+from repro.carolfi.isolation import SandboxError
+from repro.faults.outcome import DueKind
 from repro.telemetry import (
     DISABLED,
     Telemetry,
@@ -87,6 +73,9 @@ from repro.telemetry import (
 from repro.telemetry.convergence import ConvergenceMonitor
 from repro.util.jsonlog import JsonlLog, dump_records, load_records, load_records_tolerant
 from repro.util.rng import derive_rng
+
+if TYPE_CHECKING:  # pragma: no cover — the campaign module imports the engine lazily
+    from repro.carolfi.campaign import CampaignKind
 
 __all__ = [
     "CheckpointError",
@@ -270,29 +259,24 @@ def plan_shards(injections: int, shard_size: int | None = None) -> tuple[ShardSp
     )
 
 
-def campaign_fingerprint(config: CampaignConfig, shard_size: int | None = None) -> str:
+def campaign_fingerprint(config: "CampaignKind[Any]", shard_size: int | None = None) -> str:
     """Stable hash of everything that determines a campaign's records.
 
-    Stored in every checkpoint header; a resume with a different
+    Stored in every checkpoint header; a resume with a different kind,
     benchmark, seed, size, fault-model set, policy or shard plan is
-    detected before any stale record is trusted.  Isolation mode, retry
-    policy and the ``snapshots``/``batch_size`` fast-path knobs are
-    deliberately *excluded*: they change how runs
-    are executed and supervised, never what their records contain, so a
-    campaign checkpointed in one mode may resume in another — including resuming
-    a scalar checkpoint with batching on or vice versa (the payload
-    lists fields explicitly for exactly this reason).
+    detected before any stale record is trusted.  The payload is the
+    config's wire form minus its kind's ``fingerprint_excludes``, plus
+    the shard plan: isolation mode, retry policy and CAROL-FI's
+    ``snapshots``/``batch_size``/``target_ci`` knobs are deliberately
+    *excluded* — they change how runs are executed and supervised,
+    never what their records contain, so a campaign checkpointed in one
+    mode may resume in another, including resuming a scalar checkpoint
+    with batching on or vice versa.  Beam and hardened payloads name
+    their kind, so no kind resumes another's checkpoints.
     """
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "benchmark": config.benchmark,
-        "injections": config.injections,
-        "seed": config.seed,
-        "fault_models": [m.value for m in config.fault_models],
-        "policy": config.policy.value,
-        "benchmark_params": config.benchmark_params,
-        "shard_size": shard_size,
-    }
+    wire = config.to_wire()
+    payload = {name: wire[name] for name in wire if name not in config.fingerprint_excludes}
+    payload.update(version=CHECKPOINT_VERSION, shard_size=shard_size)
     blob = json.dumps(payload, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
@@ -313,15 +297,10 @@ def shard_path(checkpoint_dir: str | Path, shard_index: int) -> Path:
     return Path(checkpoint_dir) / f"shard-{shard_index:05d}.jsonl"
 
 
-def read_failure_log(path: str | Path) -> tuple[list[dict], int]:
-    """Load failure events plus a count of skipped corrupt lines.
-
-    Failure logs are written across worker deaths and hard kills, so a
-    damaged interior line is a fact to report, not an error to die on:
-    the reader returns every parseable event and *how many* lines it
-    had to skip, instead of silently dropping them.
-    """
-    return load_records_tolerant(path)
+#: Load failure events plus a count of skipped corrupt lines.  Failure
+#: logs are written across worker deaths and hard kills, so a damaged
+#: interior line is a fact to report, not an error to die on.
+read_failure_log = load_records_tolerant
 
 
 # -- failure-event log ---------------------------------------------------------
@@ -368,9 +347,9 @@ class FailureSink:
 
 
 def _execute_shard(
-    config: CampaignConfig,
+    config: "CampaignKind[Any]",
     spec: ShardSpec,
-    runner: Supervisor | InjectionSandbox,
+    runner: Any,
     skip_runs: dict[int, tuple[str, str]] | None = None,
     on_run: Callable[[int], None] | None = None,
     on_record: Callable[[int, dict], None] | None = None,
@@ -379,30 +358,26 @@ def _execute_shard(
     """Run one lease's range, handing each record to ``on_record(run, row)``.
 
     ``spec`` is the lease's run range: it may span several planned
-    shards (``spec.index`` is the first), and with batching on the whole
-    range is one ``BatchRunner`` plan.
-
-    ``runner`` is the executor's own: the :class:`InjectionSandbox` it
-    owns, or a :class:`Supervisor` in its process.  Both present
-    ``run_one``, ``run_batch``, ``total_steps`` and ``num_windows``.
-    ``skip_runs`` maps quarantined run indices to their ``(due_kind,
-    detail)``: those runs are recorded as synthetic DUEs without being
-    executed.  ``on_run`` fires before each scalar run (the liveness
-    beat the scheduler attributes deaths with).  ``stop`` is read
-    before every run and returns the range's current end, so an
-    executor can narrow (steal) or empty (cancel) the range at a run
-    boundary; without it the range is ``spec``'s.  An exception a run
-    lets escape — a sandbox worker's death included — is raised as
-    :class:`ShardRunError` naming that run.  Checkpoints are not this
-    function's business: the scheduler writes them from the records.
+    shards (``spec.index`` is the first), and a kind's batched path
+    (:meth:`~repro.carolfi.campaign.CampaignKind.run_batch`) plans the
+    whole range at once.  ``runner`` is the executor's own — the
+    :class:`~repro.carolfi.isolation.InjectionSandbox` it owns, or the
+    kind's runner in its process; both take ``run_one`` and
+    ``due_record`` calls with the run index and the kind's ``run_args``.
+    ``skip_runs`` maps quarantined runs to their ``(due_kind, detail)``:
+    they are recorded as the runner's DUE records, not executed.
+    ``on_run`` fires before each scalar run (the liveness beat the
+    scheduler attributes deaths with).  ``stop`` is read before every
+    run and returns the range's current end, so an executor can narrow
+    (steal) or empty (cancel) the range at a run boundary.  An exception
+    a run lets escape — a sandbox worker's death included — is raised
+    as :class:`ShardRunError` naming that run.  Checkpoints are the
+    scheduler's business, written from the records.
 
     Telemetry is ambient (:func:`repro.telemetry.current_registry` /
-    ``current_tracer``): an inline executor runs inside the campaign
-    bundle, lease workers activate their local accumulator, and this
-    function instruments identically either way — per-outcome run
-    counters, run-duration histogram and one ``shard`` span around the
-    whole range, batch pass included.  With telemetry disabled every
-    instrument is a shared no-op.
+    ``current_tracer``), so inline and worker executors instrument
+    identically: per-outcome run counters, a run-duration histogram and
+    one ``shard`` span around the whole range, batch pass included.
     """
     registry = current_registry()
     tracer = current_tracer()
@@ -417,37 +392,20 @@ def _execute_shard(
     )
     end = stop or (lambda: spec.stop)
     skip = skip_runs or {}
-    total_steps, num_windows = runner.total_steps, runner.num_windows
     with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
-        batched: dict[int, InjectionRecord] = {}
-        if config.batch_size > 1:
-            # Vectorized fast path over the whole range — one plan per
-            # lease — inside the sandbox worker when there is one.  Runs
-            # the batch path completes are looked up below; everything
-            # else — fallbacks, skips, a batch-wide abort — flows through
-            # the unchanged scalar machinery, including its error
-            # attribution.
-            todo = [
-                (run_index, model_for(config, run_index))
-                for run_index in range(spec.start, end())
-                if run_index not in skip
-            ]
-            batched = runner.run_batch(todo, config.batch_size)
+        # The batched path, if the kind has one, runs first — inside the
+        # sandbox worker when there is one.  Runs it completes are
+        # looked up below; everything else — fallbacks, skips, a
+        # batch-wide abort — flows through the scalar machinery,
+        # including its error attribution.
+        batched = config.run_batch(runner, [k for k in range(spec.start, end()) if k not in skip])
         for run_index in spec.run_indices():
             if run_index >= end():
                 break
-            model = model_for(config, run_index)
+            args = config.run_args(run_index)
             if run_index in skip:
                 kind, detail = skip[run_index]
-                record = make_due_record(
-                    config,
-                    run_index,
-                    model,
-                    total_steps,
-                    num_windows,
-                    DueKind(kind),
-                    detail,
-                )
+                record = runner.due_record(run_index, *args, kind=DueKind(kind), detail=detail)
             elif run_index in batched:
                 record = batched[run_index]
             else:
@@ -455,29 +413,33 @@ def _execute_shard(
                     on_run(run_index)
                 began = time.perf_counter()
                 try:
-                    record = runner.run_one(run_index, model)
+                    record = runner.run_one(run_index, *args)
                 except SandboxError:
                     raise  # worker infrastructure failure: shard-level, not run-level
                 except Exception as exc:
                     raise ShardRunError(spec.index, run_index, exc) from exc
                 if registry.enabled:
                     run_seconds.observe(time.perf_counter() - began)
-            runs_total.inc(outcome=record.outcome.value)
-            if record.due_kind is not None:
-                dues_total.inc(kind=record.due_kind.value)
+            row = record.to_dict()
+            runs_total.inc(outcome=row["outcome"])
+            if row.get("due_kind") is not None:
+                dues_total.inc(kind=row["due_kind"])
             if on_record is not None:
-                on_record(run_index, record.to_dict())
+                on_record(run_index, row)
 
 
 # -- checkpoint replay --------------------------------------------------------
 
 
-def _replay_shard(path: Path, fingerprint: str, spec: ShardSpec) -> list[InjectionRecord] | None:
-    """Load one shard's records from its checkpoint file.
+def _replay_shard(
+    path: Path, fingerprint: str, spec: ShardSpec, record_type: Any
+) -> list[dict[str, Any]] | None:
+    """Load one shard's record rows from its checkpoint file.
 
-    Returns ``None`` when the shard must be (re-)run: missing file,
-    partial write (no ``done`` footer, short record count, truncated
-    trailing line) or structural damage.  Raises :class:`CheckpointError`
+    Every row must decode as a ``record_type``.  Returns ``None`` when
+    the shard must be (re-)run: missing file, partial write (no
+    ``done`` footer, short record count, truncated trailing line) or
+    structural damage.  Raises :class:`CheckpointError`
     when the file belongs to a *different* campaign — that is never
     silently repaired.
     """
@@ -515,9 +477,12 @@ def _replay_shard(path: Path, fingerprint: str, spec: ShardSpec) -> list[Injecti
     if footer.get("count") != len(body) or len(body) != spec.size:
         return None
     try:
-        return [InjectionRecord.from_dict(row["data"]) for row in body]
+        rows = [row["data"] for row in body]
+        for row in rows:
+            record_type.from_dict(row)
     except (KeyError, TypeError, ValueError):
         return None
+    return rows
 
 
 def write_shard_checkpoint(
@@ -541,8 +506,13 @@ def write_shard_checkpoint(
     dump_records(path, [header, *records, {"kind": "done", "count": len(records)}])
 
 
-def _validate_checkpoint_dir(checkpoint_dir: Path, fingerprint: str) -> None:
-    """Create/validate the directory-level ``campaign.json`` marker."""
+def _validate_checkpoint_dir(checkpoint_dir: Path, fingerprint: str, kind: str | None) -> None:
+    """Create/validate the directory-level ``campaign.json`` marker.
+
+    A new marker names the campaign's ``kind`` when its fingerprint does
+    (``None``: CAROL-FI's, whose markers predate kinds), so
+    ``repro-inspect`` can read its records.
+    """
     marker = checkpoint_dir / "campaign.json"
     if marker.exists():
         try:
@@ -556,11 +526,10 @@ def _validate_checkpoint_dir(checkpoint_dir: Path, fingerprint: str) -> None:
                 f"expected {fingerprint!r})"
             )
         return
-    marker.write_text(
-        json.dumps({"config_hash": fingerprint, "version": CHECKPOINT_VERSION}, sort_keys=True)
-        + "\n",
-        encoding="utf-8",
-    )
+    stored = {"config_hash": fingerprint, "version": CHECKPOINT_VERSION}
+    if kind is not None:
+        stored["kind"] = kind
+    marker.write_text(json.dumps(stored, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # -- the engine ---------------------------------------------------------------
@@ -634,7 +603,7 @@ class _ConvergenceGate:
 
     def __init__(
         self,
-        config: CampaignConfig,
+        config: "CampaignKind[Any]",
         shards: tuple[ShardSpec, ...],
         monitor: ConvergenceMonitor,
         get_records: Callable[[int], Iterable[Any]],
@@ -642,8 +611,10 @@ class _ConvergenceGate:
         self.monitor = monitor
         self._get_records = get_records
         self._shard_count = len(shards)
-        self._target = config.target_ci
-        self._expected_cells = len(config.fault_models)
+        target = config.stop_target()
+        #: The CI half-width an early stop needs, or ``None``: no early stop.
+        self.target: float | None = None if target is None else target[0]
+        self._expected_cells = 0 if target is None else target[1]
         self._complete: set[int] = set()
         self._fed = 0
         self.stop_after: int | None = None
@@ -662,10 +633,10 @@ class _ConvergenceGate:
                 self.monitor.observe(row, shard=self._fed)
             self._fed += 1
             if (
-                self._target is not None
+                self.target is not None
                 and self._fed < self._shard_count  # finishing everything is not "early"
                 and len(self.monitor.cells()) >= self._expected_cells
-                and self.monitor.converged(self._target, min_cell_runs=EARLY_STOP_MIN_CELL_RUNS)
+                and self.monitor.converged(self.target, min_cell_runs=EARLY_STOP_MIN_CELL_RUNS)
             ):
                 self.stop_after = self._fed - 1
                 return True

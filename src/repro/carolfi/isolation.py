@@ -1,10 +1,12 @@
-"""Process-isolated injection sandbox.
+"""Process-isolated run sandbox.
 
 CAROL-FI runs every injected execution as a separate OS process under
 GDB, so crashes and hangs are *observed* process deaths, never simulated
-exceptions.  This module brings the reproduction to that standard: a
-:class:`InjectionSandbox` executes injections in a disposable worker
-subprocess and maps what it observes onto the DUE taxonomy:
+exceptions.  This module brings the reproduction to that standard for
+every campaign kind — CAROL-FI injections, beam trials and hardened
+injections alike: an :class:`InjectionSandbox` executes runs in a
+disposable worker subprocess, through the runner the kind's config
+builds there, and maps what it observes onto the DUE taxonomy:
 
 ========================  =============================  ==============
 observation               meaning                        classification
@@ -29,6 +31,7 @@ policy for every execution mode.
 The sandbox prefers the ``fork`` start method where available: a parent
 that has already warmed :func:`supervisor_for`'s cache hands each worker
 the golden run for free, making worker respawn after a death cheap.
+Nothing here knows a campaign kind: runs go through its runner's surface.
 """
 
 from __future__ import annotations
@@ -43,22 +46,17 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.benchmarks.base import window_of_step
 from repro.benchmarks.registry import create
 from repro.carolfi import shmstore
 from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET
-from repro.carolfi.supervisor import Supervisor
-from repro.faults.models import FaultModel
-from repro.faults.outcome import DueKind, InjectionRecord, Outcome
-from repro.faults.site import FaultSite
+from repro.faults.outcome import DueKind
 from repro.telemetry import current_registry, deactivate
-from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle: campaign imports us
     from multiprocessing.connection import Connection
     from multiprocessing.process import BaseProcess
 
-    from repro.carolfi.campaign import CampaignConfig
+    from repro.carolfi.campaign import CampaignKind
 
 __all__ = [
     "EventCallback",
@@ -68,9 +66,7 @@ __all__ = [
     "SandboxDeath",
     "SandboxError",
     "describe_exitcode",
-    "make_due_record",
     "mp_context",
-    "new_supervisor",
     "rss_bytes",
     "supervisor_for",
     "supervisor_key",
@@ -141,103 +137,73 @@ class IsolationConfig:
         }
 
 
-# -- shared supervisor cache ---------------------------------------------------
+# -- shared runner cache ------------------------------------------------------
 
-#: Per-process cache of *shared* supervisors — golden stores a second
+#: Per-process cache of *shared* runners — golden stores a second
 #: process reads: a pool's lease workers, a sandbox's workers (respawned
 #: after every kill), a host's ``repro-worker`` agents — keyed by
-#: everything that determines the golden run.  Input generation and the
-#: golden run are paid once per process — under ``fork``, once per
-#: process *tree*.  It holds one campaign: a new key evicts the old
-#: supervisor (its golden store and shared segment with it), and a
-#: sharing campaign drops its entry at teardown.
-_SUPERVISORS: dict[str, Supervisor] = {}
+#: the campaign config.  Input generation and the golden run are paid
+#: once per process — under ``fork``, once per process *tree*.  It
+#: holds one campaign: a new key evicts the old runner (its golden store
+#: and shared segment with it), and a sharing campaign drops its entry
+#: at teardown.
+_SUPERVISORS: dict[str, Any] = {}
 
 
-def supervisor_key(config: "CampaignConfig") -> str:
-    """Cache key of the shared Supervisor a config requires.
+def supervisor_key(config: "CampaignKind[Any]") -> str:
+    """Cache key of the shared runner a config requires: its wire form.
 
-    ``snapshots`` is part of the key even though it never changes
-    records: a snapshots-off campaign must not silently reuse (or be
-    reused by) a snapshots-on Supervisor, or the fastpath-vs-slowpath
-    equivalence tests would compare one path to itself.  Sharing needs
-    no key: every cached supervisor shares.
+    Every field is in it, so a CAROL-FI campaign with snapshots off
+    never reuses (or is reused by) a snapshots-on runner — the
+    fastpath-vs-slowpath equivalence tests would otherwise compare one
+    path to itself.  Sharing needs no key: every cached runner shares.
     """
-    return json.dumps(
-        {
-            "benchmark": config.benchmark,
-            "seed": config.seed,
-            "policy": config.policy.value,
-            "benchmark_params": config.benchmark_params,
-            "snapshots": config.snapshots,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(config.to_wire(), sort_keys=True)
 
 
-def campaign_store_key(config: "CampaignConfig") -> str:
-    """The shared-segment store key a campaign's supervisors use.
+def campaign_store_key(config: "CampaignKind[Any]") -> str:
+    """The shared-segment store key a campaign's runners use.
 
-    Mirrors the :class:`Supervisor` construction in
-    :func:`new_supervisor` (default snapshot budget, default density),
-    so a sharing campaign can sweep its segment at teardown even
-    when the publisher was a worker process that died abruptly.  The
-    benchmark is instantiated because the key hashes the *resolved*
-    param dict — a campaign passing partial params must map to the
-    same segment its supervisors used.
+    Mirrors the store every kind's runner builds through
+    :func:`~repro.carolfi.prefixcache.golden_store` (the config's input
+    label, default snapshot budget, default density), so a sharing
+    campaign can sweep its segment at teardown even when the publisher
+    was a worker process that died abruptly.  The benchmark is
+    instantiated because the key hashes the *resolved* param dict — a
+    campaign passing partial params must map to the same segment its
+    runners used.
     """
     benchmark = create(config.benchmark, **config.benchmark_params)
     return shmstore.store_key(
         benchmark.name,
         config.seed,
         benchmark.params,
+        label=config.input_label,
         density=None,
         byte_budget=DEFAULT_SNAPSHOT_BUDGET,
     )
 
 
-def new_supervisor(
-    config: "CampaignConfig",
-    *,
-    shared: bool,
-    on_event: EventCallback | None = None,
-) -> Supervisor:
-    """A fresh Supervisor for one campaign config.
-
-    ``shared`` publishes (or attaches) the host's shared-memory segment
-    (:mod:`repro.carolfi.shmstore`); an executor asks for it only when
-    another process reads the golden store, through
-    :func:`supervisor_for`.  ``on_event`` receives structured
-    operational events (snapshot-budget degradation).
-    """
-    return Supervisor(
-        create(config.benchmark, **config.benchmark_params),
-        seed=config.seed,
-        policy=config.policy,
-        snapshots=config.snapshots,
-        shared=shared,
-        on_event=on_event,
-    )
-
-
 def supervisor_for(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     on_event: EventCallback | None = None,
-) -> Supervisor:
-    """The (cached) shared Supervisor for one campaign config.
+) -> Any:
+    """The (cached) shared runner for one campaign config.
 
-    ``on_event`` (structured operational events, e.g. snapshot-budget
-    degradation) only matters on a cache miss — an already-built
-    Supervisor is returned as-is, since it is a construction-time
-    concern, not part of the supervisor's identity.
+    Built by ``config.build_runner(shared=True)``, which publishes (or
+    attaches) the host's shared-memory segment.  ``on_event``
+    (structured operational events, e.g. snapshot-budget degradation)
+    only matters on a cache miss — an already-built runner is returned
+    as-is, since it is a construction-time concern, not part of the
+    runner's identity.
     """
     key = supervisor_key(config)
-    supervisor = _SUPERVISORS.get(key)
-    if supervisor is None:
+    runner = _SUPERVISORS.get(key)
+    if runner is None:
         _SUPERVISORS.clear()
-        supervisor = new_supervisor(config, shared=True, on_event=on_event)
-        _SUPERVISORS[key] = supervisor
-    return supervisor
+        runner = config.build_runner(shared=True, on_event=on_event)
+        _SUPERVISORS[key] = runner
+    return runner
 
 
 def mp_context() -> Any:
@@ -255,49 +221,6 @@ def mp_context() -> Any:
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
-
-
-# -- synthetic DUE records -----------------------------------------------------
-
-
-def make_due_record(
-    config: "CampaignConfig",
-    run_index: int,
-    model: FaultModel,
-    total_steps: int,
-    num_windows: int,
-    kind: DueKind,
-    detail: str,
-) -> InjectionRecord:
-    """A DUE record for a run whose worker process never reported back.
-
-    The interrupt step is re-derived from the run's own random stream
-    exactly as :meth:`Supervisor.run_one` would have drawn it, so the
-    record lands in the correct time window; the fault site is unknown
-    (it died with the worker).
-    """
-    rng = derive_rng(config.seed, "carolfi", config.benchmark, "run", run_index)
-    interrupt_step = int(rng.integers(0, total_steps))
-    return InjectionRecord(
-        benchmark=config.benchmark,
-        run_index=run_index,
-        site=FaultSite(
-            frame="unknown",
-            variable="unknown",
-            flat_index=0,
-            dtype="unknown",
-            var_class="unknown",
-        ),
-        fault_model=FaultModel(model).value,
-        bits=None,
-        interrupt_step=interrupt_step,
-        total_steps=total_steps,
-        time_window=window_of_step(interrupt_step, total_steps, num_windows),
-        num_windows=num_windows,
-        outcome=Outcome.DUE,
-        due_kind=kind,
-        due_detail=detail,
-    )
 
 
 # -- process observation helpers ----------------------------------------------
@@ -341,14 +264,14 @@ def _kill(proc: "BaseProcess") -> None:
 
 
 def _worker_main(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     conn: "Connection",
     parent_end: "Connection | None" = None,
 ) -> None:
-    """Sandbox worker: build a Supervisor, then serve run requests.
+    """Sandbox worker: build the config's runner, then serve run requests.
 
     Under the fork start method the worker inherits the parent's warmed
-    supervisor cache — golden run *and* prefix-snapshot store included —
+    runner cache — golden run *and* prefix-snapshot store included —
     so ``supervisor_for`` is free; under spawn, it attaches the shared
     segment that the sandbox's owner published, or walks the golden run
     itself when the segment is off (``REPRO_SHM=0``) or unpublishable.
@@ -369,24 +292,16 @@ def _worker_main(
     # into a sink nobody drains.
     deactivate()
     try:
-        supervisor = supervisor_for(config)
+        runner = supervisor_for(config)
     except BaseException as exc:  # noqa: BLE001 — reported, then re-raised
         try:
             conn.send(("startup_error", f"{type(exc).__name__}: {exc}"))
         except OSError:  # pragma: no cover — parent already gone
             pass
         raise
-    conn.send(
-        (
-            "ready",
-            {
-                "total_steps": supervisor.total_steps,
-                "num_windows": supervisor.num_windows,
-            },
-        )
-    )
+    conn.send(("ready",))
     try:
-        _serve(supervisor, conn)
+        _serve(runner, conn)
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
         # reap any segment *this* process published — normally none:
@@ -395,7 +310,7 @@ def _worker_main(
         shmstore.release_published()
 
 
-def _serve(supervisor: Supervisor, conn: "Connection") -> None:
+def _serve(runner: Any, conn: "Connection") -> None:
     while True:
         try:
             msg = conn.recv()
@@ -410,9 +325,8 @@ def _serve(supervisor: Supervisor, conn: "Connection") -> None:
             # the parent finishes them through the scalar sandbox path,
             # keeping per-run death attribution (and therefore records)
             # identical to unbatched subprocess mode.
-            _, run_specs, batch_size = msg
-            todo = [(int(idx), FaultModel(value)) for idx, value in run_specs]
-            batched = supervisor.run_batch(todo, int(batch_size))
+            _, runs, batch_size = msg
+            batched = runner.run_batch(runs, batch_size)
             conn.send(
                 (
                     "batch_records",
@@ -420,28 +334,29 @@ def _serve(supervisor: Supervisor, conn: "Connection") -> None:
                 )
             )
             continue
-        _, run_index, model_value = msg
-        record = supervisor.run_one(run_index, FaultModel(model_value))
-        conn.send(("record", record.to_dict()))
+        _, run_index, args = msg
+        conn.send(("record", runner.run_one(run_index, *args).to_dict()))
 
 
 # -- the parent side -----------------------------------------------------------
 
 
 class InjectionSandbox:
-    """Runs injections in a supervised, disposable worker subprocess.
+    """Runs a campaign's runs in a supervised, disposable worker subprocess.
 
-    Presents the same ``run_one(run_index, model) -> InjectionRecord``
-    surface as :class:`Supervisor`, but every call is executed in the
-    worker and supervised with a hard wall-clock deadline and an
-    optional RSS ceiling.  Failure events (spawns, deaths, kills) are
-    delivered to ``on_event`` as dicts — the executor that owns the
-    sandbox forwards them into the campaign's ``failures.jsonl``.
+    Presents the runner surface of the config's kind —
+    ``run_one(run_index, *args)``, ``due_record``, ``total_steps`` and
+    ``num_windows``, plus ``run_batch`` for a kind with a batched path —
+    but every run is executed in the worker and supervised with a hard
+    wall-clock deadline and an optional RSS ceiling.  Failure events
+    (spawns, deaths, kills) are delivered to ``on_event`` as dicts — the
+    executor that owns the sandbox forwards them into the campaign's
+    ``failures.jsonl``.
     """
 
     def __init__(
         self,
-        config: "CampaignConfig",
+        config: "CampaignKind[Any]",
         isolation: IsolationConfig | None = None,
         on_event: EventCallback | None = None,
     ):
@@ -452,33 +367,36 @@ class InjectionSandbox:
         # sandbox's owner before any worker forks: a worker that
         # published would leak its segment when killed — and being
         # killed is a sandbox worker's job description.
+        self._runner: Any = None
         try:
-            supervisor_for(config, on_event=on_event)
+            self._runner = supervisor_for(config, on_event=on_event)
         except Exception:  # noqa: BLE001 — the worker reports the real failure
             pass
         self._ctx = mp_context()
         self._proc: BaseProcess | None = None
         self._conn: Connection | None = None
-        self._meta: dict[str, Any] | None = None
         self._mem_warned = False
 
-    # -- metadata (cached from the most recent worker handshake) ---------------
+    # -- geometry and DUE records: the owner's runner, never a worker ----------
 
-    def _metadata(self) -> dict[str, Any]:
-        # Survives worker deaths: classification of a killed run needs
-        # the step/window geometry without respawning a worker for it.
-        if self._meta is None:
-            self._ensure_worker()
-        assert self._meta is not None
-        return self._meta
+    def _owner_runner(self) -> Any:
+        # Survives worker deaths: classifying a killed run needs no
+        # respawn.  Built here only if the warm-up failed.
+        if self._runner is None:
+            self._runner = supervisor_for(self.config, on_event=self.on_event)
+        return self._runner
 
     @property
     def total_steps(self) -> int:
-        return int(self._metadata()["total_steps"])
+        return int(self._owner_runner().total_steps)
 
     @property
     def num_windows(self) -> int:
-        return int(self._metadata()["num_windows"])
+        return int(self._owner_runner().num_windows)
+
+    def due_record(self, run_index: int, *args: Any, kind: DueKind, detail: str) -> Any:
+        """The DUE record of a run no worker reported back."""
+        return self._owner_runner().due_record(run_index, *args, kind=kind, detail=detail)
 
     # -- events ----------------------------------------------------------------
 
@@ -517,7 +435,7 @@ class InjectionSandbox:
                 except (EOFError, OSError):
                     break
                 if msg[0] == "ready":
-                    self._proc, self._conn, self._meta = proc, parent_conn, msg[1]
+                    self._proc, self._conn = proc, parent_conn
                     current_registry().counter(
                         "repro_sandbox_spawns_total",
                         help="Sandbox worker processes spawned, by benchmark.",
@@ -569,8 +487,8 @@ class InjectionSandbox:
 
     # -- one supervised injection ---------------------------------------------
 
-    def run_one(self, run_index: int, model: FaultModel) -> InjectionRecord:
-        """Execute one injection in the sandbox and classify the result.
+    def run_one(self, run_index: int, *args: Any) -> Any:
+        """Execute one run in the sandbox and classify the result.
 
         Completed runs return the worker's own record, and deadline and
         RSS kills return an immediate ``hang``/``oom`` DUE: both are run
@@ -580,33 +498,31 @@ class InjectionSandbox:
         count.  A worker that cannot even *start* raises
         :class:`SandboxError`.
         """
-        model = FaultModel(model)
         while True:
             self._ensure_worker()
             assert self._conn is not None and self._proc is not None
             try:
-                self._conn.send(("run", run_index, model.value))
+                self._conn.send(("run", run_index, args))
                 break
             except (OSError, ValueError):
                 # Died between runs: infrastructure, not this run's doing.
                 self._emit("sandbox_death", run_index=None, detail="died while idle")
                 self._teardown()
-        verdict = self._await_verdict(run_index)
-        if verdict[0] == "record":
-            return InjectionRecord.from_dict(verdict[1])
-        _, kind, detail = verdict
+        kind, payload = self._await("record", self.isolation.timeout_s, run_index)
+        if kind is None:
+            return self.config.record_type.from_dict(payload)
         if kind is DueKind.CRASH:
-            self._emit("sandbox_death", run_index, detail=detail)
-            raise SandboxDeath(detail)
+            self._emit("sandbox_death", run_index, detail=payload)
+            raise SandboxDeath(payload)
         # Our own deterministic kill — an observed hang/OOM is the run's
         # outcome, exactly like a guard-detected hang.
-        return self._due(run_index, model, kind, f"sandbox: {detail}")
+        event = "sandbox_oom_kill" if kind is DueKind.OOM else "sandbox_timeout_kill"
+        self._emit(event, run_index, detail=payload)
+        return self.due_record(run_index, *args, kind=kind, detail=f"sandbox: {payload}")
 
     # -- one supervised batch group --------------------------------------------
 
-    def run_batch(
-        self, runs: "Sequence[tuple[int, FaultModel]]", batch_size: int
-    ) -> dict[int, InjectionRecord]:
+    def run_batch(self, runs: Sequence[tuple[Any, ...]], batch_size: int) -> dict[int, Any]:
         """Drive a group of runs through the worker's vectorized path.
 
         :meth:`BatchRunner.run_many`'s contract lifted over the pipe:
@@ -616,32 +532,37 @@ class InjectionSandbox:
         per-run death attribution, and therefore byte-identical records.
         A worker death, RSS overrun or deadline *during* the batch aborts
         the whole group (returns ``{}``): nothing is ever classified from
-        a batch-wide failure, every member simply retries scalar.
+        a batch-wide failure, every member simply retries scalar.  The
+        group does the work of up to ``len(runs)`` scalar runs, so it
+        gets the sum of their deadlines.
         """
         if not runs:
             return {}
         self._ensure_worker()
         assert self._conn is not None and self._proc is not None
-        payload = [(int(idx), FaultModel(model).value) for idx, model in runs]
         try:
-            self._conn.send(("run_batch", payload, int(batch_size)))
+            self._conn.send(("run_batch", list(runs), int(batch_size)))
         except (OSError, ValueError):
             self._emit("sandbox_death", run_index=None, detail="died while idle")
             self._teardown()
             return {}
-        rows = self._await_batch(len(runs))
-        if rows is None:
+        kind, payload = self._await("batch_records", self.isolation.timeout_s * len(runs))
+        if kind is not None:
+            self._emit("sandbox_batch_abort", detail=payload, runs=len(runs))
             return {}
-        return {
-            int(idx): InjectionRecord.from_dict(row) for idx, row in rows.items()
-        }
+        return {int(idx): self.config.record_type.from_dict(row) for idx, row in payload.items()}
 
-    def _await_batch(self, count: int) -> dict[Any, Any] | None:
-        """Wait for batch records, or ``None`` if the group aborted."""
+    def _await(
+        self, expect: str, budget: float, run_index: int | None = None
+    ) -> tuple[DueKind | None, Any]:
+        """Wait ``budget`` seconds for the worker's ``expect`` message.
+
+        ``(None, payload)`` when it arrives; otherwise the worker is gone
+        and the result names why: ``CRASH`` (it died on its own), or
+        ``OOM``/``HANG`` (the sandbox killed it over the RSS ceiling or
+        the deadline), with the detail.
+        """
         assert self._conn is not None and self._proc is not None
-        # The group does the work of up to ``count`` scalar runs, so it
-        # gets the sum of their individual budgets.
-        budget = self.isolation.timeout_s * max(count, 1)
         deadline = time.monotonic() + budget
         limit = self.isolation.mem_limit_mb
         limit_bytes = None if limit is None else int(limit * (1 << 20))
@@ -649,8 +570,8 @@ class InjectionSandbox:
             try:
                 if self._conn.poll(self.isolation.poll_interval_s):
                     msg = self._conn.recv()
-                    if msg[0] == "batch_records":
-                        return msg[1]
+                    if msg[0] == expect:
+                        return None, msg[1]
                     continue  # pragma: no cover — unexpected chatter
             except (EOFError, OSError):
                 pass  # fall through to the death check
@@ -658,84 +579,26 @@ class InjectionSandbox:
                 self._proc.join(timeout=5.0)
                 detail = describe_exitcode(self._proc.exitcode)
                 self._teardown()
-                self._emit("sandbox_batch_abort", detail=detail, runs=count)
-                return None
+                return DueKind.CRASH, detail
             if limit_bytes is not None:
                 rss = rss_bytes(self._proc.pid)  # type: ignore[arg-type]
                 if rss is None:
-                    limit_bytes = None  # unreadable: scalar path warns
+                    limit_bytes = None
+                    if not self._mem_warned:
+                        self._mem_warned = True
+                        self._emit(
+                            "sandbox_mem_limit_unenforceable",
+                            run_index,
+                            detail="cannot read worker RSS on this platform",
+                        )
                 elif rss > limit_bytes:
                     _kill(self._proc)
                     self._teardown()
-                    detail = (
-                        f"rss {rss / (1 << 20):.0f} MiB exceeded the "
-                        f"{limit:.0f} MiB ceiling during a batch; worker killed"
-                    )
-                    self._emit("sandbox_batch_abort", detail=detail, runs=count)
-                    return None
-            if time.monotonic() > deadline:
-                _kill(self._proc)
-                self._teardown()
-                detail = f"batch wall-clock budget {budget:.1f}s exceeded; worker killed"
-                self._emit("sandbox_batch_abort", detail=detail, runs=count)
-                return None
-
-    def _await_verdict(self, run_index: int) -> tuple[str, Any] | tuple[str, DueKind, str]:
-        """Wait for a record, a deadline, an RSS overrun, or a death."""
-        assert self._conn is not None and self._proc is not None
-        budget = self.isolation.timeout_s
-        deadline = time.monotonic() + budget
-        limit = self.isolation.mem_limit_mb
-        limit_bytes = None if limit is None else int(limit * (1 << 20))
-        while True:
-            try:
-                if self._conn.poll(self.isolation.poll_interval_s):
-                    msg = self._conn.recv()
-                    if msg[0] == "record":
-                        return ("record", msg[1])
-                    continue  # pragma: no cover — unexpected chatter
-            except (EOFError, OSError):
-                pass  # fall through to the death check
-            if not self._proc.is_alive():
-                self._proc.join(timeout=5.0)
-                detail = describe_exitcode(self._proc.exitcode)
-                self._teardown()
-                return ("death", DueKind.CRASH, detail)
-            if limit_bytes is not None:
-                rss = rss_bytes(self._proc.pid)  # type: ignore[arg-type]
-                if rss is None and not self._mem_warned:
-                    self._mem_warned = True
-                    self._emit(
-                        "sandbox_mem_limit_unenforceable",
-                        run_index,
-                        detail="cannot read worker RSS on this platform",
-                    )
-                    limit_bytes = None
-                elif rss is not None and rss > limit_bytes:
-                    _kill(self._proc)
-                    self._teardown()
-                    detail = (
+                    return DueKind.OOM, (
                         f"rss {rss / (1 << 20):.0f} MiB exceeded the "
                         f"{limit:.0f} MiB ceiling; worker killed"
                     )
-                    self._emit("sandbox_oom_kill", run_index, detail=detail)
-                    return ("death", DueKind.OOM, detail)
             if time.monotonic() > deadline:
                 _kill(self._proc)
                 self._teardown()
-                detail = f"wall-clock deadline {budget:.1f}s exceeded; worker killed"
-                self._emit("sandbox_timeout_kill", run_index, detail=detail)
-                return ("death", DueKind.HANG, detail)
-
-    def _due(
-        self, run_index: int, model: FaultModel, kind: DueKind, detail: str
-    ) -> InjectionRecord:
-        return make_due_record(
-            self.config,
-            run_index,
-            model,
-            self.total_steps,
-            self.num_windows,
-            kind,
-            detail,
-        )
+                return DueKind.HANG, f"wall-clock deadline {budget:.1f}s exceeded; worker killed"

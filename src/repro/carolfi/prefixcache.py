@@ -39,13 +39,15 @@ so the expected replay is a small fraction of a window regardless of
 where the interrupt lands.  Step 0 is deliberately *not* stored: the
 pristine input already is the step-0 snapshot.
 
+:func:`golden_store` is how every runner gets its store: the input,
+the golden walk and, when another process reads it, the host's segment.
+
 A byte budget caps memory: once the stored snapshots exceed it, capture
 stops, runs interrupted beyond the last snapshot simply replay a
 longer prefix and runs past it are never checked for convergence —
-graceful degradation, never an error.  The first time
-the budget actually blocks a wanted capture the store fires its
-``on_degrade`` hook (once), so the campaign can log a single structured
-event instead of silently shortening the fast path.
+graceful degradation, never an error.  A store whose budget blocked a
+wanted capture is marked ``degraded``, so the campaign can log a single
+structured event instead of silently shortening the fast path.
 
 :class:`SharedPrefixStore` is the zero-copy flavour: a read-only view
 over a published shared-memory segment (:mod:`repro.carolfi.shmstore`).
@@ -62,7 +64,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.benchmarks.base import Benchmark, state_nbytes, states_equal
-from repro.telemetry import current_registry
+from repro.carolfi import shmstore
+from repro.telemetry import current_registry, current_tracer
+from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
     from repro.carolfi.shmstore import ShmSegment
@@ -72,6 +76,7 @@ __all__ = [
     "PrefixStore",
     "SharedPrefixStore",
     "Snapshot",
+    "golden_store",
     "snapshot_interval",
 ]
 
@@ -141,10 +146,8 @@ class PrefixStore:
         )
         self.byte_budget = int(byte_budget)
         self.used_bytes = 0
-        #: Set once, the first time the byte budget blocks a wanted
-        #: capture; ``on_degrade`` (if any) fires at that moment.
+        #: Set once the byte budget has blocked a wanted capture.
         self.degraded = False
-        self.on_degrade: Callable[[PrefixStore], None] | None = None
         #: The raw (unquantized) golden output, set by :meth:`record`.
         self.output: Any = None
         self._snapshots: dict[int, Snapshot] = {}
@@ -171,10 +174,7 @@ class PrefixStore:
             and step not in self._snapshots
         )
         if wanted and self.used_bytes >= self.byte_budget:
-            if not self.degraded:
-                self.degraded = True
-                if self.on_degrade is not None:
-                    self.on_degrade(self)
+            self.degraded = True
             return False
         return wanted
 
@@ -361,3 +361,88 @@ class SharedPrefixStore(PrefixStore):
 
     def materialize(self, snap: Snapshot) -> Any:
         return self.segment.materialize(snap.step)
+
+
+def golden_store(
+    benchmark: Benchmark,
+    seed: int,
+    label: str,
+    *,
+    snapshots: bool = True,
+    shared: bool = False,
+    byte_budget: int = DEFAULT_SNAPSHOT_BUDGET,
+    density: int | None = None,
+    on_event: Callable[[dict[str, Any]], None] | None = None,
+) -> PrefixStore:
+    """The golden store of one campaign input: how every runner gets one.
+
+    The input is drawn from the ``(seed, label, benchmark, "input")``
+    stream and one golden walk records it (capturing only with
+    ``snapshots``).  ``shared`` (with snapshots on and the segment
+    enabled) attaches the host's segment for this input if another
+    process published it — no input, no walk, no private copies — else
+    publishes the recorded store and returns the view over it (the
+    private store if it cannot be published).  Records are
+    bit-identical either way.  ``on_event`` gets one
+    ``snapshot_budget_degraded`` event if the byte budget ever blocks a
+    wanted capture.
+    """
+    key: str | None = None
+    if shared and snapshots and shmstore.shm_enabled():
+        key = shmstore.store_key(
+            benchmark.name,
+            seed,
+            benchmark.params,
+            label=label,
+            density=density,
+            byte_budget=int(byte_budget),
+        )
+        segment = shmstore.attach(key)
+        _count_shared(benchmark, "repro_shm_attach_total", "miss" if segment is None else "hit")
+        if segment is not None:
+            return SharedPrefixStore(benchmark, segment)
+    pristine = benchmark.make_state(derive_rng(seed, label, benchmark.name, "input"))
+    store = PrefixStore(benchmark, pristine, byte_budget=byte_budget, density=density)
+    with current_tracer().span("golden_run", benchmark=benchmark.name):
+        store.record(snapshots=snapshots)
+    if store.degraded:
+        # Nothing is captured once the budget blocks a capture, so the
+        # store's figures are those of that moment.
+        store._count("repro_snapshot_budget_degraded_total")
+        if on_event is not None:
+            on_event(
+                {
+                    "event": "snapshot_budget_degraded",
+                    "benchmark": benchmark.name,
+                    "byte_budget": store.byte_budget,
+                    "used_bytes": store.used_bytes,
+                    "snapshots": len(store),
+                    "interval": store.interval,
+                }
+            )
+    if key is None:
+        return store
+    # Run on the view over our own publication: the private copies
+    # become garbage, so the publisher's RSS is as flat as an attacher's.
+    segment = shmstore.publish(
+        key,
+        benchmark=benchmark.name,
+        total_steps=store.total_steps,
+        interval=store.interval,
+        degraded=store.degraded,
+        pristine=store.pristine,
+        snapshots=[
+            (snap.step, snap.state, snap.nbytes)
+            for snap in (store._snapshots[step] for step in store._steps_sorted)
+        ],
+        golden=store.output,
+    )
+    _count_shared(benchmark, "repro_shm_publish_total", "failed" if segment is None else "ok")
+    return store if segment is None else SharedPrefixStore(benchmark, segment)
+
+
+def _count_shared(benchmark: Benchmark, name: str, result: str) -> None:
+    """Bump a shared-segment counter (no-op with telemetry off)."""
+    current_registry().counter(
+        name, help="Prefix fast-path cache efficiency counter."
+    ).inc(benchmark=benchmark.name, result=result)

@@ -111,21 +111,24 @@ def store_key(
     seed: int,
     benchmark_params: dict[str, Any],
     *,
+    label: str = "carolfi",
     density: int | None = None,
     byte_budget: int | None = None,
 ) -> str:
     """Stable hash of everything that determines a segment's content.
 
-    The golden trajectory's identity (benchmark, seed and parameters)
-    plus the snapshot-cadence knobs, which determine *which* prefix
-    states the segment carries.  The site policy and every engine knob
-    are absent: they only affect where faults land, never the
-    fault-free execution.
+    The golden trajectory's identity (benchmark, seed, parameters and
+    ``label``, the input's RNG stream: ``"beam"`` or ``"carolfi"``)
+    plus the snapshot-cadence knobs, which determine
+    *which* prefix states the segment carries.  The site policy and
+    every engine knob are absent: they only affect where faults land,
+    never the fault-free execution.
     """
     payload = {
         "version": _SEGMENT_VERSION,
         "benchmark": benchmark,
         "seed": int(seed),
+        "label": label,
         "benchmark_params": benchmark_params,
         "density": density,
         "byte_budget": byte_budget,
@@ -399,7 +402,7 @@ def publish(
     snapshots: list[tuple[int, Any, int]],
     golden: np.ndarray,
 ) -> ShmSegment | None:
-    """Serialise one supervisor's golden prefix into a host segment.
+    """Serialise one runner's golden prefix into a host segment.
 
     ``snapshots`` is ``[(step, state, nbytes), ...]``.  Returns an
     attached :class:`ShmSegment` over the freshly written file, or

@@ -43,12 +43,7 @@ import numpy as np
 from repro.analysis.spatial import sdc_metrics
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi import shmstore
-from repro.carolfi.prefixcache import (
-    DEFAULT_SNAPSHOT_BUDGET,
-    PrefixStore,
-    SharedPrefixStore,
-)
+from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET, golden_store
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, InjectionRecord, Outcome
 from repro.faults.site import FaultSite
@@ -82,14 +77,21 @@ class Supervisor:
     store (:attr:`prefix`) and ends on the golden output.
 
     ``shared`` additionally publishes (or attaches) the host-wide
-    shared-memory snapshot segment (:mod:`repro.carolfi.shmstore`): the
-    pristine input, the snapshot store, and the golden output are then
-    zero-copy read-only views that every worker process on the host
-    maps once, and restores are copy-on-write materialisations.  The
-    records are bit-identical with sharing on or off; only the memory
-    mechanics change.  ``on_event`` receives structured operational
-    events (currently ``snapshot_budget_degraded``) destined for the
-    campaign's ``failures.jsonl``.
+    shared-memory snapshot segment (:func:`~repro.carolfi.prefixcache.
+    golden_store`): the pristine input, the snapshot store, and the
+    golden output are then zero-copy read-only views that every worker
+    process on the host maps once, and restores are copy-on-write
+    materialisations.  The records are bit-identical with sharing on or
+    off; only the memory mechanics change.  ``on_event`` receives
+    structured operational events (currently
+    ``snapshot_budget_degraded``) destined for the campaign's
+    ``failures.jsonl``.
+
+    Its campaign surface — :meth:`run_one`, :meth:`due_record`,
+    ``total_steps`` and ``num_windows`` — is the one
+    ``BeamExperiment`` and ``HardenedSupervisor`` present too; the
+    CAROL-FI campaign kind (:class:`~repro.carolfi.campaign.
+    CampaignConfig`) builds it and hands each run its fault model.
     """
 
     def __init__(
@@ -106,89 +108,23 @@ class Supervisor:
         self.benchmark = benchmark
         self.seed = int(seed)
         self.flip = FlipScript(policy)
-        self._on_event = on_event
-        store: PrefixStore | None = None
-        shm_key: str | None = None
-        if shared and snapshots and shmstore.shm_enabled():
-            shm_key = shmstore.store_key(
-                benchmark.name,
-                self.seed,
-                benchmark.params,
-                density=snapshot_density,
-                byte_budget=int(snapshot_budget),
-            )
-            segment = shmstore.attach(shm_key)
-            self._count("repro_shm_attach_total", result="miss" if segment is None else "hit")
-            if segment is not None:
-                # Another process on this host already published the
-                # golden run: adopt it wholesale.  No dataset
-                # generation, no golden walk, no captures — and no
-                # per-process copies of any of it.
-                store = SharedPrefixStore(benchmark, segment)
-        if store is None:
-            # Generate the campaign dataset once; one golden walk
-            # records the snapshot store and ends on the golden output.
-            pristine = benchmark.make_state(
-                derive_rng(self.seed, "carolfi", benchmark.name, "input")
-            )
-            store = PrefixStore(
-                benchmark, pristine, byte_budget=snapshot_budget, density=snapshot_density
-            )
-            store.on_degrade = self._budget_degraded
-            with current_tracer().span("golden_run", benchmark=benchmark.name):
-                store.record(snapshots=snapshots)
-            if shm_key is not None:
-                store = self._publish_shared(shm_key, store)
-        self.prefix = store
-        self.total_steps = store.total_steps
-        self.golden = benchmark.quantize(store.output)
+        self.prefix = golden_store(
+            benchmark,
+            self.seed,
+            "carolfi",
+            snapshots=snapshots,
+            shared=shared,
+            byte_budget=snapshot_budget,
+            density=snapshot_density,
+            on_event=on_event,
+        )
+        self.total_steps = self.prefix.total_steps
+        self.golden = benchmark.quantize(self.prefix.output)
 
     @property
     def num_windows(self) -> int:
         """Time windows of the benchmark's execution (record geometry)."""
         return self.benchmark.num_windows
-
-    # -- shared-memory segment plumbing ---------------------------------------
-
-    def _publish_shared(self, key: str, store: PrefixStore) -> PrefixStore:
-        """Publish ``store`` as the host's shared segment.
-
-        Returns the :class:`SharedPrefixStore` over our own publication
-        — the private copies captured into ``store`` become garbage, so
-        the publisher's RSS is as flat as any attacher's and the attach
-        path is exercised constantly — or ``store`` itself when the
-        segment cannot be published.
-        """
-        segment = shmstore.publish(
-            key,
-            benchmark=self.benchmark.name,
-            total_steps=store.total_steps,
-            interval=store.interval,
-            degraded=store.degraded,
-            pristine=store.pristine,
-            snapshots=[
-                (snap.step, snap.state, snap.nbytes)
-                for snap in (store._snapshots[step] for step in store._steps_sorted)
-            ],
-            golden=store.output,
-        )
-        self._count("repro_shm_publish_total", result="failed" if segment is None else "ok")
-        return store if segment is None else SharedPrefixStore(self.benchmark, segment)
-
-    def _budget_degraded(self, store: PrefixStore) -> None:
-        """The byte budget just blocked a wanted capture (fires once)."""
-        self._count("repro_snapshot_budget_degraded_total")
-        if self._on_event is not None:
-            self._on_event(
-                {
-                    "event": "snapshot_budget_degraded",
-                    "benchmark": self.benchmark.name,
-                    "byte_budget": store.byte_budget,
-                    "used_bytes": store.used_bytes,
-                    "snapshots": len(store),
-                    "interval": store.interval,
-                }
-            )
 
     def _count(self, name: str, **labels: Any) -> None:
         """Bump a cache-efficiency counter (no-op with telemetry off).
@@ -202,7 +138,9 @@ class Supervisor:
         ``repro_shm_*`` families (``repro_snapshot_*`` includes
         ``repro_snapshot_budget_degraded``).  The snapshot restore,
         capture, skipped-step and converged-step counters are bumped by
-        the :class:`PrefixStore` itself.
+        the :class:`~repro.carolfi.prefixcache.PrefixStore` itself, and
+        the ``repro_shm_*`` ones by
+        :func:`~repro.carolfi.prefixcache.golden_store`.
         """
         current_registry().counter(
             name, help="CAROL-FI fast-path cache efficiency counter."
@@ -345,6 +283,18 @@ class Supervisor:
             due_kind=due_kind,
             due_detail=due_detail,
             sdc_metrics=metrics,
+        )
+
+    def due_record(
+        self, run_index: int, model: FaultModel, *, kind: DueKind, detail: str
+    ) -> InjectionRecord:
+        """A DUE record for a run whose executor never reported back: the
+        interrupt step re-derived from the run's stream as :meth:`run_one`
+        draws it, the fault site unknown (it died with the executor)."""
+        interrupt_step = int(self.run_rng(run_index).integers(0, self.total_steps))
+        site = FaultSite("unknown", "unknown", 0, "unknown", "unknown")
+        return self.make_record(
+            run_index, model, interrupt_step, site, None, Outcome.DUE, kind, detail
         )
 
     def run_batch(

@@ -2,10 +2,13 @@
 
 Figures 2 and 3 consume the same beam campaigns; Figures 4-6, the
 criticality tables and the mitigation analysis consume the same
-injection campaigns.  ``ExperimentData`` runs each campaign at most
-once per (benchmark, size, seed) and hands the cached result to every
+injection campaigns; the future-work table consumes the hardened
+campaigns.  ``ExperimentData`` runs each campaign at most once per
+(benchmark, size, seed) and hands the cached result to every
 experiment, so regenerating the whole paper costs one campaign per
-benchmark per injector.
+benchmark per kind.  Every campaign — beam, CAROL-FI and hardened —
+runs through :func:`~repro.carolfi.campaign.run_campaign` with the
+same workers, checkpoints, isolation, progress and telemetry.
 
 Campaign sizes scale with the ``scale`` parameter: 1.0 reproduces
 statistically solid counts; 0.1 is a quick smoke configuration used by
@@ -17,12 +20,14 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TypeVar
 
-from repro.beam.experiment import BeamCampaignResult, BeamExperiment
+from repro.beam.experiment import BeamCampaignResult, BeamConfig
 from repro.benchmarks.registry import BEAM_BENCHMARKS, INJECTION_BENCHMARKS
-from repro.carolfi.campaign import CampaignConfig, CampaignResult, run_campaign
+from repro.carolfi.campaign import CampaignConfig, CampaignKind, CampaignResult, run_campaign
 from repro.carolfi.engine import ShardProgress
 from repro.carolfi.isolation import IsolationConfig
+from repro.hardening.hardened import HardenedCampaignResult, HardenedConfig
 from repro.telemetry import Telemetry
 
 __all__ = ["ExperimentData"]
@@ -31,30 +36,34 @@ __all__ = ["ExperimentData"]
 _BEAM_TRIALS = 1500
 _INJECTIONS = 1600
 
+ResultT = TypeVar("ResultT")
+
 
 @dataclass
 class ExperimentData:
     """Lazily-run, memoised campaigns behind all experiments.
 
     ``workers`` and ``checkpoint_root`` are forwarded to
-    :func:`~repro.carolfi.campaign.run_campaign`: ``workers=1`` (the
-    default, used by the test suite) runs each campaign as one lease in
-    this process, ``workers=None`` auto-detects
+    :func:`~repro.carolfi.campaign.run_campaign` for every campaign:
+    ``workers=1`` (the default, used by the test suite) runs each
+    campaign as one lease in this process, ``workers=None`` auto-detects
     from ``REPRO_WORKERS`` / cpu count, and a ``checkpoint_root`` gives
-    every benchmark campaign its own resumable checkpoint directory
-    under it.  ``isolation`` selects where individual injections run
-    (an :class:`~repro.carolfi.isolation.IsolationConfig`; ``None``
-    keeps the fast in-process default).  ``telemetry`` (a
+    every campaign its own resumable checkpoint directory under it:
+    ``<benchmark>-seed<seed>-n<injections>`` for CAROL-FI,
+    ``beam-<benchmark>-seed<seed>-n<trials>`` and
+    ``hardened-<benchmark>-seed<seed>-n<injections>``.  ``isolation``
+    selects where individual runs execute (an
+    :class:`~repro.carolfi.isolation.IsolationConfig`; ``None`` keeps
+    the fast in-process default).  ``telemetry`` (a
     :class:`~repro.telemetry.Telemetry` bundle) is shared by every
-    injection campaign, so one exported registry covers the session.
-    ``snapshots`` toggles the execution-prefix fast path (on by
+    campaign, so one exported registry covers the session.
+    ``snapshots`` toggles CAROL-FI's execution-prefix fast path (on by
     default; records are identical either way) and ``batch_size`` sets
-    the vectorized batched-injection width (1 disables; records are
+    its vectorized batched-injection width (1 disables; records are
     byte-identical at any width).  ``target_ci`` forwards the
-    statistical early-stopping target (CI half-width) to every
-    injection campaign; stopped campaigns keep a byte-identical prefix
-    of the uncapped record stream, so downstream figures stay
-    deterministic.
+    statistical early-stopping target (CI half-width) to every CAROL-FI
+    campaign; stopped campaigns keep a byte-identical prefix of the
+    uncapped record stream, so downstream figures stay deterministic.
     """
 
     seed: int = 2017
@@ -69,6 +78,7 @@ class ExperimentData:
     progress: Callable[[ShardProgress], None] | None = field(default=None, repr=False)
     _beam: dict[str, BeamCampaignResult] = field(default_factory=dict, repr=False)
     _injection: dict[str, CampaignResult] = field(default_factory=dict, repr=False)
+    _hardened: dict[str, HardenedCampaignResult] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         if self.scale <= 0:
@@ -82,13 +92,29 @@ class ExperimentData:
     def injections(self) -> int:
         return max(50, int(_INJECTIONS * self.scale))
 
+    def _run(self, config: CampaignKind[ResultT], directory: str) -> ResultT:
+        """One campaign with this session's execution settings."""
+        checkpoint_dir = None
+        if self.checkpoint_root is not None:
+            checkpoint_dir = Path(self.checkpoint_root) / directory
+        return run_campaign(
+            config,
+            workers=self.workers,
+            checkpoint_dir=checkpoint_dir,
+            progress=self.progress,
+            isolation=self.isolation,
+            telemetry=self.telemetry,
+        )
+
     def beam(self, benchmark: str) -> BeamCampaignResult:
         """The (cached) beam campaign of one benchmark."""
         if benchmark not in BEAM_BENCHMARKS:
             raise KeyError(f"{benchmark!r} was not irradiated in the paper")
         if benchmark not in self._beam:
-            experiment = BeamExperiment(benchmark, seed=self.seed)
-            self._beam[benchmark] = experiment.run_campaign(self.beam_trials)
+            config = BeamConfig(benchmark=benchmark, trials=self.beam_trials, seed=self.seed)
+            self._beam[benchmark] = self._run(
+                config, f"beam-{benchmark}-seed{self.seed}-n{self.beam_trials}"
+            )
         return self._beam[benchmark]
 
     def injection(self, benchmark: str) -> CampaignResult:
@@ -104,21 +130,21 @@ class ExperimentData:
                 batch_size=self.batch_size,
                 target_ci=self.target_ci,
             )
-            checkpoint_dir = None
-            if self.checkpoint_root is not None:
-                checkpoint_dir = (
-                    Path(self.checkpoint_root)
-                    / f"{benchmark}-seed{self.seed}-n{self.injections}"
-                )
-            self._injection[benchmark] = run_campaign(
-                config,
-                workers=self.workers,
-                checkpoint_dir=checkpoint_dir,
-                progress=self.progress,
-                isolation=self.isolation,
-                telemetry=self.telemetry,
+            self._injection[benchmark] = self._run(
+                config, f"{benchmark}-seed{self.seed}-n{self.injections}"
             )
         return self._injection[benchmark]
+
+    def hardened(self, benchmark: str) -> HardenedCampaignResult:
+        """The (cached) hardened campaign of one benchmark."""
+        if benchmark not in INJECTION_BENCHMARKS:
+            raise KeyError(f"{benchmark!r} is not in the injection study")
+        if benchmark not in self._hardened:
+            config = HardenedConfig(benchmark=benchmark, injections=self.injections, seed=self.seed)
+            self._hardened[benchmark] = self._run(
+                config, f"hardened-{benchmark}-seed{self.seed}-n{self.injections}"
+            )
+        return self._hardened[benchmark]
 
     def all_beam(self) -> dict[str, BeamCampaignResult]:
         return {name: self.beam(name) for name in BEAM_BENCHMARKS}

@@ -8,9 +8,13 @@ For each benchmark, rerun the CAROL-FI campaign against its hardened
 variant (Section 6.1's recommended guards, plus ABFT output
 verification for DGEMM) and compare outcome shares with the
 unprotected Figure 4 baseline: how much SDC/DUE turns into detections
-and corrections, and what the protection costs.  The cost column is a
+and corrections, and what the protection costs.  The hardened
+campaigns come from :meth:`ExperimentData.hardened
+<repro.experiments.data.ExperimentData.hardened>`, so they run with the
+session's workers, checkpoints and isolation.  The cost column is a
 deterministic work count, the KiB the guards verify per step of the
-fault-free run; the measured time cost lives in perfbench's traced
+fault-free run, which the campaign reads from the runner its process
+already holds; the measured time cost lives in perfbench's traced
 ``hardened`` workload (``hardening.verify_s``, ``hardening.resync_s``).
 """
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 from repro.analysis.pvf import outcome_shares
 from repro.benchmarks.registry import INJECTION_BENCHMARKS
 from repro.experiments.data import ExperimentData
-from repro.hardening.hardened import HardenedCampaignResult, run_hardened_campaign
+from repro.hardening.hardened import HardenedCampaignResult
 from repro.util.tables import format_table
 
 __all__ = ["FutureWorkResult", "render", "run"]
@@ -49,9 +53,7 @@ def run(data: ExperimentData) -> FutureWorkResult:
     hardened = {}
     for name in INJECTION_BENCHMARKS:
         baseline[name] = outcome_shares(data.injection(name).records)
-        hardened[name] = run_hardened_campaign(
-            name, injections=data.injections, seed=data.seed
-        )
+        hardened[name] = data.hardened(name)
     return FutureWorkResult(baseline=baseline, hardened=hardened)
 
 

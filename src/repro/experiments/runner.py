@@ -11,11 +11,15 @@ Usage (installed as ``repro-experiments``)::
 
 Campaigns are shared across experiments within one invocation (Figures
 2/3 reuse one beam campaign per benchmark; Figures 4-6, criticality and
-mitigation reuse one injection campaign per benchmark).  Injection
-campaigns run on the sharded parallel engine: ``--workers`` (or the
-``REPRO_WORKERS`` environment variable) sets the process count, and
-``--checkpoints DIR`` makes campaigns resumable — re-invoking with the
-same directory replays finished shards instead of re-running them.
+mitigation reuse one injection campaign per benchmark; futurework runs
+one hardened campaign per benchmark).  Every campaign — beam, CAROL-FI
+and hardened — runs on the sharded parallel engine: ``--workers`` (or
+the ``REPRO_WORKERS`` environment variable) sets the process count,
+``--isolation`` where each run executes, and ``--checkpoints DIR``
+makes campaigns resumable — re-invoking with the same directory
+replays finished shards instead of re-running them.  ``--batch-size``,
+``--no-snapshots`` and ``--target-ci`` apply to CAROL-FI campaigns
+only.
 
 Observability (:mod:`repro.telemetry`): ``--metrics-out PATH`` exports
 campaign metrics on exit (Prometheus text, or a JSONL snapshot for a
@@ -167,7 +171,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         "--workers",
         type=int,
         default=None,
-        help="injection campaign worker processes "
+        help="worker processes of every campaign (beam, injection, hardened) "
         "(default: $REPRO_WORKERS, else all cpu cores; 1 = serial in-process)",
     )
     parser.add_argument(

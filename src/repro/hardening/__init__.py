@@ -22,6 +22,7 @@ from repro.hardening.checkpoint import CheckpointRun, run_with_checkpoints
 from repro.hardening.guards import FaultDetected, GuardKind, VariableGuard, build_guards
 from repro.hardening.hardened import (
     HardenedCampaignResult,
+    HardenedConfig,
     HardenedRecord,
     HardenedSupervisor,
     run_hardened_campaign,
@@ -57,6 +58,7 @@ __all__ = [
     "FaultDetected",
     "GuardKind",
     "HardenedCampaignResult",
+    "HardenedConfig",
     "HardenedRecord",
     "HardenedSupervisor",
     "VariableGuard",

@@ -21,8 +21,10 @@ can abort/retry instead of silently corrupting) and ``corrected``
 
 Every hardened run — the fault-free one included — steps through the
 same loop as CAROL-FI runs, :meth:`PrefixStore.run
-<repro.carolfi.prefixcache.PrefixStore.run>`, over a store the
-constructor records from the CAROL-FI input; the guards ride it as its
+<repro.carolfi.prefixcache.PrefixStore.run>`, over the golden store the
+constructor gets from :func:`~repro.carolfi.prefixcache.golden_store`
+for the CAROL-FI input (so a shared one is the CAROL-FI campaign's
+segment); the guards ride it as its
 observer: they are synced at the resume step, then verified before and
 re-synced after every step.  The guards need no replay either: after a
 fault-free prefix to step ``k`` every guard whose variable is live at
@@ -41,22 +43,30 @@ fault-free run's suffix — no trip, no detector event, a clean output —
 and the record is ``masked``.  No wall clock decides an outcome either:
 hangs are the benchmarks' deterministic loop guards, recorded as
 ``due`` with a ``timeout:`` detail.
+
+A hardened campaign is one kind of campaign (:class:`HardenedConfig`):
+it runs through :func:`~repro.carolfi.campaign.run_campaign` like
+CAROL-FI's, so workers, shard checkpoints, subprocess isolation and the
+broker apply to it unchanged.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, field
+from typing import Any, ClassVar
 
 import numpy as np
 
 from repro.analysis.spatial import wrong_mask
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
+from repro.carolfi.campaign import CampaignKind, run_campaign
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi.prefixcache import PrefixStore
+from repro.carolfi.isolation import EventCallback
+from repro.carolfi.prefixcache import golden_store
 from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.models import FaultModel
+from repro.faults.outcome import DueKind
 from repro.faults.site import FaultSite
 from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.hardening.guards import (
@@ -71,6 +81,7 @@ from repro.util.rng import derive_rng
 
 __all__ = [
     "HardenedCampaignResult",
+    "HardenedConfig",
     "HardenedOutcome",
     "HardenedRecord",
     "HardenedSupervisor",
@@ -94,6 +105,23 @@ class HardenedRecord:
     outcome: HardenedOutcome
     detected_by: str = ""
     detail: str = ""
+
+    def to_dict(self) -> dict[str, Any]:
+        """The record's fields as plain data (:func:`dataclasses.asdict`)."""
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict[str, Any]) -> "HardenedRecord":
+        return cls(
+            benchmark=data["benchmark"],
+            run_index=int(data["run_index"]),
+            site=FaultSite.from_dict(data["site"]),
+            fault_model=data["fault_model"],
+            interrupt_step=int(data["interrupt_step"]),
+            outcome=data["outcome"],
+            detected_by=data.get("detected_by", ""),
+            detail=data.get("detail", ""),
+        )
 
 
 @dataclass
@@ -147,7 +175,13 @@ class _GuardObserver:
 
 
 class HardenedSupervisor:
-    """Runs injections against a benchmark wrapped in its guards."""
+    """Runs injections against a benchmark wrapped in its guards.
+
+    The hardened kind's runner: :meth:`run_one`, :meth:`due_record`,
+    ``total_steps`` and ``num_windows`` are the campaign surface every
+    runner presents.  ``shared`` and ``on_event`` go to
+    :func:`~repro.carolfi.prefixcache.golden_store`.
+    """
 
     def __init__(
         self,
@@ -156,6 +190,8 @@ class HardenedSupervisor:
         policy: SitePolicy = SitePolicy.WEIGHTED,
         abft: bool | None = None,
         detector_observer: Any | None = None,
+        shared: bool = False,
+        on_event: EventCallback | None = None,
     ):
         self.benchmark = benchmark
         self.seed = int(seed)
@@ -166,15 +202,14 @@ class HardenedSupervisor:
         #: guard of every run and fed the ABFT verdicts: a tap on the
         #: detectors, used by ``test_detector_events_match_full_replay``.
         self.detector_observer = detector_observer
-        pristine = benchmark.make_state(
-            derive_rng(self.seed, "carolfi", benchmark.name, "input")
+        self.prefix = golden_store(
+            benchmark, self.seed, "carolfi", shared=shared, on_event=on_event
         )
-        self.prefix = PrefixStore(benchmark, pristine)
-        self.prefix.record()
         self.total_steps = self.prefix.total_steps
         self.golden = benchmark.quantize(self.prefix.output)
         # ABFT checksums derive from the operands at load time: once,
         # from the pristine input every run starts from.
+        pristine = self.prefix.pristine
         self._checksums = (
             abft_checksums(pristine.a_src, pristine.b_src) if self.abft else None
         )
@@ -188,6 +223,10 @@ class HardenedSupervisor:
         if record.outcome != "masked":  # pragma: no cover - sanity
             raise RuntimeError(f"hardened fault-free run misbehaved: {record}")
         self.guard_bytes = self._measure_guard_bytes()
+
+    @property
+    def num_windows(self) -> int:
+        return self.benchmark.num_windows
 
     # -- plumbing ---------------------------------------------------------------
 
@@ -204,6 +243,9 @@ class HardenedSupervisor:
 
     # -- the hardened run -----------------------------------------------------------
 
+    def _run_rng(self, run_index: int) -> np.random.Generator:
+        return derive_rng(self.seed, "hardened", self.benchmark.name, "run", str(run_index))
+
     def _execute(
         self,
         run_index: int,
@@ -212,7 +254,7 @@ class HardenedSupervisor:
     ) -> HardenedRecord:
         """One hardened run; ``model=None`` is the fault-free full replay."""
         bench = self.benchmark
-        rng = derive_rng(self.seed, "hardened", bench.name, "run", str(run_index))
+        rng = self._run_rng(run_index)
         if model is not None:
             if interrupt_step is None:
                 interrupt_step = int(rng.integers(0, self.total_steps))
@@ -281,6 +323,91 @@ class HardenedSupervisor:
         """One injection against the hardened benchmark."""
         return self._execute(run_index, FaultModel(model), interrupt_step)
 
+    def due_record(
+        self, run_index: int, model: FaultModel, *, kind: DueKind, detail: str
+    ) -> HardenedRecord:
+        """A ``due`` record for a run whose executor never reported back.
+
+        The interrupt step is re-derived from the run's ``"hardened"``
+        stream as :meth:`run_one` draws it; the fault site is unknown
+        (it died with the executor).
+        """
+        interrupt_step = int(self._run_rng(run_index).integers(0, self.total_steps))
+        return HardenedRecord(
+            self.benchmark.name,
+            run_index,
+            FaultSite("unknown", "unknown", 0, "unknown", "unknown"),
+            FaultModel(model).value,
+            interrupt_step,
+            "due",
+            "",
+            f"{kind.value}: {detail}",
+        )
+
+
+@dataclass(frozen=True)
+class HardenedConfig(CampaignKind[HardenedCampaignResult]):
+    """One benchmark's hardened injection campaign plan: the hardened kind.
+
+    Its runs rotate over ``fault_models`` like CAROL-FI's and draw
+    their input from the CAROL-FI stream, so a shared golden store is
+    the CAROL-FI campaign's segment.
+    """
+
+    kind: ClassVar[str] = "hardened"
+    input_label: ClassVar[str] = "carolfi"
+    record_type: ClassVar[type] = HardenedRecord
+
+    benchmark: str
+    injections: int = 1000
+    seed: int = 2017
+    fault_models: tuple[FaultModel, ...] = FaultModel.all()
+    benchmark_params: dict[str, Any] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "fault_models", tuple(map(FaultModel, self.fault_models)))
+        if self.injections < 1:
+            raise ValueError("injections must be positive")
+        if not self.fault_models:
+            raise ValueError("at least one fault model is required")
+
+    @property
+    def runs(self) -> int:
+        return self.injections
+
+    def build_runner(
+        self, *, shared: bool, on_event: EventCallback | None = None
+    ) -> HardenedSupervisor:
+        return HardenedSupervisor(
+            create(self.benchmark, **self.benchmark_params),
+            seed=self.seed,
+            shared=shared,
+            on_event=on_event,
+        )
+
+    def run_args(self, run_index: int) -> tuple[FaultModel]:
+        return (self.fault_models[run_index % len(self.fault_models)],)
+
+    @staticmethod
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
+        """Hardened cells are fault models; a record has no time window."""
+        return str(row["benchmark"]), str(row["fault_model"]), str(row["outcome"]), 0
+
+    def result(
+        self, records: list[Any], stopped_early: bool, runner: Any
+    ) -> HardenedCampaignResult:
+        """The records plus the protection's cost, which the hardened
+        fault-free run measures: from ``runner``, else from a runner
+        built for it (a campaign replayed whole from checkpoints)."""
+        if runner is None:
+            runner = self.build_runner(shared=False)
+        return HardenedCampaignResult(
+            benchmark=self.benchmark,
+            records=records,
+            verify_kib_per_step=runner.verify_kib_per_step,
+            guard_bytes=runner.guard_bytes,
+        )
+
 
 def run_hardened_campaign(
     benchmark: str,
@@ -289,21 +416,18 @@ def run_hardened_campaign(
     fault_models: tuple[FaultModel, ...] = FaultModel.all(),
     benchmark_params: dict[str, Any] | None = None,
 ) -> HardenedCampaignResult:
-    """A full injection campaign against the hardened benchmark."""
-    if injections < 1:
-        raise ValueError("injections must be positive")
-    if not fault_models:
-        raise ValueError("at least one fault model is required")
-    supervisor = HardenedSupervisor(
-        create(benchmark, **(benchmark_params or {})), seed=seed
-    )
-    records = [
-        supervisor.run_one(index, fault_models[index % len(fault_models)])
-        for index in range(injections)
-    ]
-    return HardenedCampaignResult(
-        benchmark=benchmark,
-        records=records,
-        verify_kib_per_step=supervisor.verify_kib_per_step,
-        guard_bytes=supervisor.guard_bytes,
+    """A full injection campaign against the hardened benchmark.
+
+    A serial in-process :func:`~repro.carolfi.campaign.run_campaign` of
+    the matching :class:`HardenedConfig`; for workers, checkpoints or
+    isolation, run the config itself.
+    """
+    return run_campaign(
+        HardenedConfig(
+            benchmark=benchmark,
+            injections=injections,
+            seed=seed,
+            fault_models=tuple(fault_models),
+            benchmark_params=dict(benchmark_params or {}),
+        )
     )

@@ -61,7 +61,7 @@ from repro.service.wire import FrameDecoder, encode_frame
 from repro.telemetry.metrics import NULL_REGISTRY, MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.carolfi.campaign import CampaignConfig
+    from repro.carolfi.campaign import CampaignKind
     from repro.telemetry import Telemetry
     from repro.telemetry.spans import SpanContext
 
@@ -150,7 +150,7 @@ class BrokerBackend(ShardBackend):
 
     def __init__(
         self,
-        config: "CampaignConfig",
+        config: "CampaignKind[Any]",
         *,
         host: str = "127.0.0.1",
         port: int = 0,

@@ -26,20 +26,21 @@ in place.  No executor writes checkpoints: the scheduler does, from the
 streamed records.  Each executor owns what its leases run through: its
 :class:`~repro.carolfi.isolation.InjectionSandbox` — built on first use,
 closed when the executor ends, so no sandbox outlives its campaign — or
-a supervisor in its own process, private or shared as its topology
-needs.
+the runner the campaign kind builds in its own process, private or
+shared as its topology needs.
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
 observed through its exit code, a final ``done``/``error`` frame still
 sitting in the pipe is drained before the death is judged, and the
-fork-method supervisor warm-up keeps golden runs amortised across
-workers.
+campaign's fork-method runner warm-up keeps golden runs amortised
+across workers.
 """
 
 from __future__ import annotations
 
 import os
+from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.carolfi import shmstore
@@ -51,10 +52,8 @@ from repro.carolfi.isolation import (
     IsolationMode,
     describe_exitcode,
     mp_context,
-    new_supervisor,
     supervisor_for,
 )
-from repro.carolfi.supervisor import Supervisor
 from repro.service.backend import (
     BackendEvent,
     LeaseResult,
@@ -69,7 +68,7 @@ from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
 if TYPE_CHECKING:  # pragma: no cover
     from multiprocessing.connection import Connection
 
-    from repro.carolfi.campaign import CampaignConfig
+    from repro.carolfi.campaign import CampaignKind
 
 __all__ = ["InlineBackend", "LocalBackend"]
 
@@ -77,7 +76,7 @@ Frame = dict[str, Any]
 
 
 def _new_sandbox(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     isolation: IsolationConfig,
     send: Callable[[Frame], None],
 ) -> InjectionSandbox | None:
@@ -92,21 +91,21 @@ def _new_sandbox(
 
 
 def _run_lease(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     lease: ShardLease,
     sandbox: InjectionSandbox | None,
-    supervisor: Callable[["CampaignConfig", EventCallback], Supervisor],
+    runner: Callable[[EventCallback], Any],
     send: Callable[[Frame], None],
     stop: Callable[[], int] | None = None,
 ) -> Frame:
     """The one lease body: run ``[start, stop)``, report it as frames.
 
     The runs go through the executor's ``sandbox``, or without one
-    through the supervisor that ``supervisor(config, on_event)`` returns
-    — the process's shared one (:func:`supervisor_for`) or the
-    executor's private one — built inside the lease's error net: a
-    supervisor that cannot be built fails the lease like a run error,
-    and the scheduler retries it.
+    through the runner that ``runner(on_event)`` returns — the
+    process's shared one (:func:`supervisor_for`) or the campaign's own
+    in the calling process — built inside the lease's error net: a
+    runner that cannot be built fails the lease like a run error, and
+    the scheduler retries it.
 
     Progress goes out through ``send`` as ``run`` / ``rec`` /
     ``failure`` frames, one ``rec`` (run and row) per record; ``stop``
@@ -125,7 +124,7 @@ def _run_lease(
         _execute_shard(
             config,
             spec,
-            sandbox if sandbox is not None else supervisor(config, on_failure),
+            sandbox if sandbox is not None else runner(on_failure),
             skip_runs=lease.skip,
             on_run=lambda k: send({"kind": "run", "run": k}),
             on_record=lambda k, row: send({"kind": "rec", "run": k, "row": row}),
@@ -145,7 +144,7 @@ def _send(conn: "Connection", frame: Frame) -> None:
 
 
 def _lease_worker_main(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     lease: ShardLease,
     isolation: IsolationConfig,
     shard_tel: ShardTelemetry,
@@ -176,11 +175,21 @@ def _lease_worker_main(
 
     sandbox = _new_sandbox(config, isolation, send)
     try:
-        with worker_tel.activate():
-            # In process, the backend's warm shared supervisor, inherited
-            # at fork (or attached from the host segment under spawn).
-            terminal = _run_lease(config, lease, sandbox, supervisor_for, send)
-        flush_telemetry()  # tail: the shard span
+        # A ``lease`` span around the lease body, as ``repro-worker``
+        # opens one: local and remote leases trace alike.
+        with worker_tel.activate(), worker_tel.tracer.span(
+            "lease",
+            lease=lease.lease_id,
+            shard=lease.shard_index,
+            start=lease.start,
+            stop=lease.stop,
+            attempt=lease.attempt,
+            worker=f"local/pid{os.getpid()}",
+        ):
+            # In process, the campaign's warm shared runner, inherited at
+            # fork (or attached from the host segment under spawn).
+            terminal = _run_lease(config, lease, sandbox, partial(supervisor_for, config), send)
+        flush_telemetry()  # tail: the shard and lease spans
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
         # nothing here is released unless we do it — and before the
@@ -215,17 +224,19 @@ class LocalBackend(ShardBackend):
     Unlike a shared process pool, each in-flight lease owns its worker:
     the backend observes that worker's exit code directly, the
     scheduler reaps it when its heartbeat stalls, and one pathological
-    run can never poison a neighbouring shard's executor.
+    run can never poison a neighbouring shard's executor.  The campaign
+    warms its shared runner before building the backend, so workers
+    and their sandboxes inherit the golden run (or, spawn-started,
+    attach the segment the warm-up published).
     """
 
     def __init__(
         self,
-        config: "CampaignConfig",
+        config: "CampaignKind[Any]",
         *,
         workers: int,
         isolation: IsolationConfig | None = None,
         telemetry: Telemetry | None = None,
-        on_event: Any = None,
     ):
         if workers < 1:
             raise ValueError("workers must be positive")
@@ -236,19 +247,6 @@ class LocalBackend(ShardBackend):
         self._ctx = mp_context()
         self._live: dict[str, _LeaseProc] = {}
         self._results: list[LeaseResult] = []
-        # Warm the per-process shared supervisor before any lease worker
-        # forks, so every worker (and, under subprocess isolation, every
-        # sandbox grandchild) inherits the golden run — prefix-snapshot
-        # store included — instead of recomputing it.  The warm-up is
-        # also the publication point of the host-wide shared-memory
-        # segment, so it pays off under *any* start method:
-        # spawn-started workers attach the segment instead of walking
-        # the golden run (and ``on_event`` — the engine's failure sink —
-        # receives the budget-degradation event exactly once per host).
-        try:
-            supervisor_for(config, on_event=on_event)
-        except Exception:  # noqa: BLE001 — let workers report the real failure
-            pass
 
     def capacity(self) -> int:
         return self._workers - len(self._live)
@@ -366,10 +364,10 @@ class InlineBackend(ShardBackend):
     to lose: a run that hangs or kills this process takes the campaign
     with it — subprocess isolation exists for exactly that.
 
-    Without a sandbox the runs go through a private supervisor, built
-    by the first lease and dropped by :meth:`close`: no other process
-    reads this golden store, so it maps no shared-memory segment.  A
-    sandbox's owner still publishes, because its workers read it.
+    Without a sandbox the runs go through ``runner(on_event)``, the
+    campaign's runner in this process, whose golden store maps no
+    shared-memory segment: no other process reads it.  A sandbox's
+    owner still publishes, because its workers read it.
     """
 
     #: Worker label of every inline lease.
@@ -377,16 +375,17 @@ class InlineBackend(ShardBackend):
 
     def __init__(
         self,
-        config: "CampaignConfig",
+        config: "CampaignKind[Any]",
         *,
+        runner: Callable[[EventCallback], Any],
         isolation: IsolationConfig | None = None,
         on_run_done: Callable[[], Any] | None = None,
     ):
         self._config = config
+        self._runner = runner
         self._isolation = isolation or IsolationConfig()
         self._on_run_done = on_run_done
         self._sandbox: InjectionSandbox | None = None
-        self._supervisor: Supervisor | None = None
         self._lease: ShardLease | None = None
         self._running = ""
         self._events: list[BackendEvent] = []
@@ -403,13 +402,6 @@ class InlineBackend(ShardBackend):
     def submit(self, lease: ShardLease) -> str:
         self._lease = lease
         return self.WORKER
-
-    def _private_supervisor(
-        self, config: "CampaignConfig", on_event: EventCallback
-    ) -> Supervisor:
-        if self._supervisor is None:
-            self._supervisor = new_supervisor(config, shared=False, on_event=on_event)
-        return self._supervisor
 
     def _send(self, frame: Frame) -> None:
         event = event_from_frame(self._running, frame)
@@ -437,7 +429,7 @@ class InlineBackend(ShardBackend):
                 self._config,
                 lease,
                 self._sandbox,
-                self._private_supervisor,
+                self._runner,
                 self._send,
                 # A failed handler ends the lease at the next run.
                 stop=lambda: lease.stop if self._handler_error is None else lease.start,
@@ -460,7 +452,6 @@ class InlineBackend(ShardBackend):
 
     def close(self) -> None:
         self._lease = None
-        self._supervisor = None
         if self._sandbox is not None:
             self._sandbox.close()
             self._sandbox = None

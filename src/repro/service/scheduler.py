@@ -1,8 +1,8 @@
 """Transport-agnostic campaign scheduling: range leases, retries, steals.
 
-This loop is the campaign engine's one control plane: every CAROL-FI
-campaign — serial, pooled or distributed — runs through it, and it is
-the only place that decides retries and quarantine (deterministic
+This loop is the campaign engine's one control plane: every campaign
+of every kind — serial, pooled or distributed — runs through it, and
+it is the only place that decides retries and quarantine (deterministic
 backoff, liveness reaping, poison-run quarantine at
 ``RetryPolicy.max_run_deaths`` failed executions, no-progress
 abandonment).  It talks to a :class:`~repro.service.backend.
@@ -17,8 +17,8 @@ range cut from the pending runs at shard boundaries, one per free
 executor slot, so an executor runs (and ``BatchRunner`` plans) as many
 runs at once as it can take.  The inline executor gets the whole
 campaign, a local pool one lease per worker, each idle broker worker
-one lease.  While ``config.target_ci`` is set, leases stay one shard
-wide, so the convergence gate can stop the campaign between shards.
+one lease.  While the convergence gate has an early-stop target,
+leases stay one shard wide, so it can stop the campaign between shards.
 
 * **lease ids** — ``s<shard>.<n>``: the ``n``-th lease whose range
   starts in shard ``<shard>`` (five-digit shard index);
@@ -68,7 +68,7 @@ from repro.telemetry import Telemetry
 from repro.telemetry.metrics import NULL_REGISTRY, Histogram
 
 if TYPE_CHECKING:  # pragma: no cover
-    from repro.carolfi.campaign import CampaignConfig
+    from repro.carolfi.campaign import CampaignKind
     from repro.carolfi.engine import FailureSink, _ConvergenceGate, _Heartbeat
 
 __all__ = ["StealPolicy", "run_shards"]
@@ -172,7 +172,7 @@ def _contiguous_ranges(indices: list[int]) -> list[tuple[int, int]]:
 
 
 def run_shards(
-    config: "CampaignConfig",
+    config: "CampaignKind[Any]",
     pending: list[ShardSpec],
     ckpt_file: Callable[[ShardSpec], str | None],
     fingerprint: str,
@@ -284,8 +284,8 @@ def run_shards(
         The lease starts at the first queued range whose shard is out of
         backoff and takes the contiguous ready ranges after it, whole
         shards at a time, until it holds at least its even share of the
-        ready runs among the free slots.  While ``target_ci`` is set a
-        lease never leaves its first shard.
+        ready runs among the free slots.  While the gate has an
+        early-stop target a lease never leaves its first shard.
         """
         ready = [r for r in queued if shard_of(r[0]).eligible_at <= now]
         if not ready:
@@ -294,7 +294,7 @@ def run_shards(
         share = -(-sum(stop - start for start, stop in ready) // slots)
         start, stop = ready[0]
         taken = 1
-        if config.target_ci is None:
+        if gate.target is None:
             for lo, hi in ready[1:]:
                 if lo != stop or stop - start >= share:
                     break

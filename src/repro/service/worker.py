@@ -12,11 +12,12 @@ lease id, and the lease body's run-boundary ``stop`` hook polls for
 control frames, so a ``shrink`` (work stealing) or ``cancel`` takes
 effect before the next run and a ``ping`` (the broker's heartbeat-RTT
 probe) is answered there.  A worker is therefore silent while its
-lease's batch groups run, as a local lease worker is.  Leases run in
-this process (no sandbox) through its cached shared supervisor, which
-publishes the host's shared-memory segment or attaches the one another
-agent published, and the wire carries no checkpoint path or
-fingerprint: the broker's scheduler writes the checkpoints.
+lease's batch groups run, as a local lease worker is.  Leases (of any
+campaign kind: the config on the wire names it) run in this process
+(no sandbox) through its cached shared runner, which publishes the
+host's shared-memory segment or attaches the one another agent
+published, and the wire carries no checkpoint path or fingerprint:
+the broker's scheduler writes the checkpoints.
 
 Observability: when the lease frame carries a span context, the worker
 continues the broker's campaign trace — a ``lease`` span around the
@@ -47,9 +48,10 @@ import os
 import socket
 import sys
 import time
+from functools import partial
 from typing import Any, Sequence
 
-from repro.carolfi.campaign import CampaignConfig
+from repro.carolfi.campaign import CampaignKind
 from repro.carolfi.isolation import supervisor_for
 from repro.service.broker import lease_from_wire
 from repro.service.local import _run_lease
@@ -115,7 +117,7 @@ def _execute_lease(
 ) -> None:
     """Run one lease through the lease body; returns when the lease ends."""
     lease = lease_from_wire(frame["lease"])
-    config = CampaignConfig.from_wire(frame["config"])
+    config = CampaignKind.from_wire(frame["config"])
     lease_id = lease.lease_id
     end = lease.stop
     cancelled = False
@@ -179,7 +181,7 @@ def _execute_lease(
         attempt=lease.attempt,
         worker=worker_name,
     ) as lease_span:
-        terminal = _run_lease(config, lease, None, supervisor_for, send, stop=stop)
+        terminal = _run_lease(config, lease, None, partial(supervisor_for, config), send, stop=stop)
         outcome = "cancelled" if cancelled else terminal["kind"]
         if outcome != "done":
             lease_span.set_attr("outcome", outcome)

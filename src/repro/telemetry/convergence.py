@@ -35,7 +35,7 @@ so feeding it cannot perturb a single campaign record.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -68,9 +68,11 @@ _INTERVALS = {"wilson": wilson_ci, "anytime": anytime_proportion_ci}
 def _record_fields(record: Any) -> tuple[str, str, str, int]:
     """``(benchmark, fault_model, outcome, time_window)`` from a record.
 
-    Accepts :class:`~repro.faults.outcome.InjectionRecord` instances and
-    the plain dicts found in ``campaign.jsonl`` / shard checkpoints, so
-    live engines and post-hoc log readers feed one code path.
+    The monitor's default reader, for CAROL-FI records: accepts
+    :class:`~repro.faults.outcome.InjectionRecord` instances and the
+    plain dicts found in ``campaign.jsonl`` / shard checkpoints.  The
+    engine and ``repro-inspect`` pass each campaign kind's own row
+    reader instead (:meth:`~repro.carolfi.campaign.CampaignKind.row_cell`).
     """
     if isinstance(record, Mapping):
         outcome = record["outcome"]
@@ -152,9 +154,19 @@ class ConvergenceMonitor:
     checks convergence only at shard-merge boundaries, bounding the
     number of peeks by the shard count; see DESIGN §10 for why that
     keeps the Wilson default honest and when to prefer ``"anytime"``.
+
+    ``fields`` reads ``(benchmark, cell, outcome, time_window)`` from
+    one record: a campaign kind's row reader, CAROL-FI's by default
+    (``None``).
+    The cell is the ``fault_model`` slot of every read and report.
     """
 
-    def __init__(self, confidence: float = 0.95, interval: str = "wilson"):
+    def __init__(
+        self,
+        confidence: float = 0.95,
+        interval: str = "wilson",
+        fields: Callable[[Any], tuple[str, str, str, int]] | None = None,
+    ):
         if interval not in _INTERVALS:
             raise ValueError(f"interval must be one of {sorted(_INTERVALS)}, not {interval!r}")
         if not 0 < confidence < 1:
@@ -162,6 +174,7 @@ class ConvergenceMonitor:
         self.confidence = confidence
         self.interval = interval
         self._ci = _INTERVALS[interval]
+        self._fields = fields or _record_fields
         self._cells: dict[CellKey, CellStats] = {}
         self.runs = 0
 
@@ -169,7 +182,7 @@ class ConvergenceMonitor:
 
     def observe(self, record: Any, shard: int | None = None) -> None:
         """Fold one injection record (object or dict) into the counts."""
-        benchmark, model, outcome, window = _record_fields(record)
+        benchmark, model, outcome, window = self._fields(record)
         cell = self._cells.setdefault((benchmark, model), CellStats())
         cell.add(outcome, window, shard)
         self.runs += 1

@@ -9,7 +9,10 @@ the analytical counterpart of the live progress line:
 * an **outcome matrix** per ``(benchmark, fault_model)`` cell with
   Wilson or anytime-valid confidence intervals
   (:class:`~repro.telemetry.convergence.ConvergenceMonitor` replayed
-  over the log);
+  over the log, reading rows through the campaign kind's
+  :meth:`~repro.carolfi.campaign.CampaignKind.row_cell`, which the
+  checkpoint marker names: a beam campaign's cells are its struck
+  resources);
 * **convergence curves** — CI half-width versus runs — showing whether
   the campaign earned its precision or wasted injections past it;
 * a **span waterfall**: per-phase time aggregates and the slowest
@@ -34,6 +37,7 @@ silently dropped.  Output is ``util.tables`` text on stdout.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -75,6 +79,9 @@ class CampaignData:
 
     name: str
     root: Path
+    #: The campaign kind's config class (CAROL-FI's unless the
+    #: checkpoint marker names another).
+    kind: Any = None
     records: list[dict[str, Any]] = field(default_factory=list)
     shard_of: dict[int, int] = field(default_factory=dict)
     spans: list[dict[str, Any]] = field(default_factory=list)
@@ -145,10 +152,12 @@ def load_campaign(
 
     ``root`` may be a checkpoint directory (``shard-*.jsonl`` plus
     optional ``campaign.jsonl``/``trace.jsonl``/``failures.jsonl``/
-    metrics snapshot) or a single ``campaign.jsonl`` file.  Records are
-    returned in canonical ``run_index`` order; when checkpoint files
-    are present the run→shard mapping is recovered so drift tests can
-    be recomputed post-hoc.  Corrupt lines in any artifact are counted
+    metrics snapshot) or a single ``campaign.jsonl`` file.  The kind
+    comes from the directory's ``campaign.json`` marker.  Records are
+    returned in canonical run order (the kind's
+    :attr:`~repro.carolfi.campaign.CampaignKind.row_key`); when
+    checkpoint files are present the run→shard mapping is recovered so
+    drift tests can be recomputed post-hoc.  Corrupt lines in any artifact are counted
     per file and into ``repro_corrupt_lines_total`` on ``registry``.
     """
     registry = registry if registry is not None else MetricsRegistry()
@@ -165,6 +174,8 @@ def load_campaign(
             corrupt_counter.inc(skipped, file=path.name)
         return rows
 
+    from repro.carolfi.campaign import kind_class  # the CLI's only link to the engine
+
     if data.root.is_file():
         base = data.root.parent
         data.records = read(data.root)
@@ -173,6 +184,16 @@ def load_campaign(
         campaign_log = base / "campaign.jsonl"
         if campaign_log.exists():
             data.records = read(campaign_log)
+    marker = base / "campaign.json"
+    kind = None
+    if not data.root.is_file() and marker.exists():
+        try:
+            kind = json.loads(marker.read_text(encoding="utf-8")).get("kind")
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            data.corrupt[marker.name] = data.corrupt.get(marker.name, 0) + 1
+            corrupt_counter.inc(file=marker.name)
+    data.kind = kind_class(kind)
+    key = data.kind.row_key
 
     shard_records: list[dict[str, Any]] = []
     for path in sorted(base.glob("shard-*.jsonl")):
@@ -183,11 +204,11 @@ def load_campaign(
             if row.get("kind") != "record":
                 continue
             payload = row.get("data")
-            if isinstance(payload, dict) and "run_index" in payload:
-                data.shard_of[int(payload["run_index"])] = index
+            if isinstance(payload, dict) and key in payload:
+                data.shard_of[int(payload[key])] = index
                 shard_records.append(payload)
     if not data.records and shard_records:
-        data.records = sorted(shard_records, key=lambda r: int(r["run_index"]))
+        data.records = sorted(shard_records, key=lambda r: int(r[key]))
 
     trace = Path(trace_path) if trace_path is not None else base / "trace.jsonl"
     if trace.exists():
@@ -225,9 +246,10 @@ def build_monitor(
     data: CampaignData, confidence: float = 0.95, interval: str = "wilson"
 ) -> ConvergenceMonitor:
     """Replay a campaign log into a fresh :class:`ConvergenceMonitor`."""
-    monitor = ConvergenceMonitor(confidence=confidence, interval=interval)
+    monitor = ConvergenceMonitor(confidence, interval, fields=data.kind.row_cell)
+    key = data.kind.row_key
     for record in data.records:
-        shard = data.shard_of.get(int(record["run_index"])) if "run_index" in record else None
+        shard = data.shard_of.get(int(record[key])) if key in record else None
         monitor.observe(record, shard=shard)
     return monitor
 
@@ -237,6 +259,7 @@ def convergence_curves(
     confidence: float = 0.95,
     interval: str = "wilson",
     points: int = 12,
+    fields: Any = None,
 ) -> dict[CellKey, tuple[list[int], list[float]]]:
     """Per-cell ``(runs, worst CI half-width)`` series at ~``points`` marks.
 
@@ -248,7 +271,7 @@ def convergence_curves(
     if total == 0:
         return {}
     marks = sorted({max(1, (total * i) // points) for i in range(1, points + 1)})
-    monitor = ConvergenceMonitor(confidence=confidence, interval=interval)
+    monitor = ConvergenceMonitor(confidence=confidence, interval=interval, fields=fields)
     curves: dict[CellKey, tuple[list[int], list[float]]] = {}
     mark_set = set(marks)
     for seen, record in enumerate(records, start=1):
@@ -353,7 +376,7 @@ def _overview_table(campaigns: list[CampaignData]) -> str:
             [
                 data.name,
                 len(data.records),
-                len({(str(r.get("benchmark")), str(r.get("fault_model"))) for r in data.records}),
+                len({data.kind.row_cell(r)[:2] for r in data.records}),
                 len(set(data.shard_of.values())),
                 len(data.spans),
                 len(data.failures),
@@ -417,7 +440,7 @@ def render_text(
             )
         )
 
-        curves = convergence_curves(data.records, confidence, interval)
+        curves = convergence_curves(data.records, confidence, interval, fields=data.kind.row_cell)
         if curves:
             lines = [f"[{data.name}] convergence (runs, worst CI half-width)"]
             for (benchmark, model), (xs, ys) in sorted(curves.items()):

@@ -20,7 +20,6 @@ from repro.carolfi.isolation import (
     IsolationConfig,
     IsolationMode,
     SandboxError,
-    make_due_record,
     rss_bytes,
 )
 from repro.faults.models import FaultModel
@@ -80,17 +79,14 @@ def test_isolation_config_round_trips_to_dict():
 # -- synthetic DUE records -----------------------------------------------------
 
 
-def test_make_due_record_re_derives_interrupt_step(clean_twin):
-    config = chaos_config("none")
+def test_due_record_re_derives_interrupt_step(clean_twin):
+    supervisor = chaos_config("none").build_runner(shared=False)
     for twin in clean_twin.records[:4]:
-        record = make_due_record(
-            config,
+        record = supervisor.due_record(
             twin.run_index,
             FaultModel(twin.fault_model),
-            twin.total_steps,
-            twin.num_windows,
-            DueKind.HANG,
-            "sandbox: test",
+            kind=DueKind.HANG,
+            detail="sandbox: test",
         )
         # Same run stream => same interrupt step and time window as the
         # run would have drawn had it survived to report them.

@@ -465,7 +465,12 @@ def test_snapshot_counters_emitted_on_beam_and_hardened_campaigns():
         tel = Telemetry(TelemetryConfig())
         with tel.activate():
             if campaign == "beam":
-                BeamExperiment(small("dgemm"), seed=8).run_campaign(60)
+                # Runs on a runner of its own: a campaign through the
+                # engine takes its telemetry as an argument, not from
+                # the ambient scope.
+                experiment = BeamExperiment(small("dgemm"), seed=8)
+                for trial in range(60):
+                    experiment.run_trial(trial)
             else:
                 supervisor = HardenedSupervisor(small("dgemm"), seed=8)
                 for run in range(40):

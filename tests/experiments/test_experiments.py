@@ -45,6 +45,31 @@ def test_data_caches_campaigns(data):
     assert first is second
 
 
+def test_data_caches_hardened_campaigns(data):
+    assert data.hardened("lud") is data.hardened("lud")
+    with pytest.raises(KeyError):
+        data.hardened("linpack")
+
+
+def test_data_checkpoints_and_replays_every_kind(tmp_path):
+    """Beam and hardened campaigns get checkpoint directories of their own."""
+    first = ExperimentData(seed=31, scale=0.04, checkpoint_root=tmp_path)
+    beam, injection, hardened = first.beam("lud"), first.injection("lud"), first.hardened("lud")
+    names = {p.name for p in tmp_path.iterdir()}
+    assert names == {"beam-lud-seed31-n60", "lud-seed31-n64", "hardened-lud-seed31-n64"}
+    events = []
+    again = ExperimentData(seed=31, scale=0.04, checkpoint_root=tmp_path, progress=events.append)
+    assert again.beam("lud").trials == beam.trials
+    assert again.injection("lud").records == injection.records
+    replayed = again.hardened("lud")
+    assert replayed.records == hardened.records
+    assert (replayed.verify_kib_per_step, replayed.guard_bytes) == (
+        hardened.verify_kib_per_step,
+        hardened.guard_bytes,
+    )
+    assert events and {e.event for e in events} == {"replayed"}
+
+
 def test_data_rejects_wrong_subsets(data):
     with pytest.raises(KeyError):
         data.beam("nw")  # NW was never irradiated

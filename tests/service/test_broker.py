@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+from repro.beam.experiment import BeamConfig
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.campaign import run_campaign
 from repro.carolfi.engine import RetryPolicy
+from repro.hardening.hardened import HardenedConfig
 from repro.service.broker import BrokerBackend, lease_from_wire, lease_to_wire
 from repro.service.backend import ShardLease
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -97,6 +98,25 @@ def test_two_workers_merge_byte_identical(tmp_path):
     assert broker_bytes == serial_bytes  # the cmp invariant, over real sockets
     kinds = {e["event"] for e in events}
     assert "lease" in kinds and "lease_done" in kinds and "worker_connected" in kinds
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        BeamConfig(benchmark="lud", trials=24, seed=5, benchmark_params={"n": 16, "block": 4}),
+        HardenedConfig(
+            benchmark="nw", injections=24, seed=5, benchmark_params={"n": 16, "rows_per_step": 4}
+        ),
+    ],
+    ids=["beam", "hardened"],
+)
+def test_beam_and_hardened_campaigns_through_the_broker_merge_byte_identical(tmp_path, config):
+    """Workers decode any kind from the lease frame's config."""
+    _result, serial_bytes, broker_bytes, events = _broker_campaign(
+        tmp_path, worker_envs=[{}, {}], shard_size=6, config=config
+    )
+    assert broker_bytes == serial_bytes
+    assert {"lease", "lease_done"} <= {e["event"] for e in events}
 
 
 def test_killed_worker_is_re_leased_and_log_stays_identical(tmp_path):

@@ -183,6 +183,31 @@ def test_main_writes_report(tmp_path, capsys):
     assert "outcome matrix" in out.getvalue()
 
 
+def test_main_reports_beam_and_hardened_checkpoint_dirs(tmp_path):
+    """Their rows have no fault model or time window; the kind reads them."""
+    from repro.beam.experiment import BeamConfig
+    from repro.carolfi.campaign import run_campaign
+    from repro.hardening.hardened import HardenedConfig
+
+    small = {"n": 16, "block": 4}
+    run_campaign(
+        BeamConfig(benchmark="lud", trials=24, seed=3, benchmark_params=small),
+        checkpoint_dir=tmp_path / "beam",
+    )
+    run_campaign(
+        HardenedConfig(benchmark="lud", injections=24, seed=3, benchmark_params=small),
+        checkpoint_dir=tmp_path / "hardened",
+    )
+    out = io.StringIO()
+    code = main([str(tmp_path / "beam"), str(tmp_path / "hardened"), "--strict"], stream=out)
+    report = out.getvalue()
+    assert code == 0
+    assert "[beam] outcome matrix" in report and "[hardened] outcome matrix" in report
+    beam = load_campaign(tmp_path / "beam")
+    assert len(beam.records) == 24 and len(set(beam.shard_of.values())) == 12
+    assert build_monitor(beam).runs == 24
+
+
 def test_main_strict_fails_on_mismatch(tmp_path):
     write_campaign_dir(tmp_path / "ck")
     registry = MetricsRegistry()

@@ -17,7 +17,7 @@ from repro.beam.experiment import BeamExperiment
 from repro.benchmarks.registry import create
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.faults.models import FaultModel
-from repro.hardening.hardened import HardenedSupervisor
+from repro.hardening.hardened import HardenedConfig, HardenedSupervisor
 
 
 def under_stalling_clock(monkeypatch, call):
@@ -37,7 +37,8 @@ def test_carolfi_records_ignore_the_clock(monkeypatch, batch_size):
 
 
 def test_beam_records_ignore_the_clock(monkeypatch):
-    expected = BeamExperiment("lud", seed=5).run_campaign(24).trials
+    reference = BeamExperiment("lud", seed=5)
+    expected = [reference.run_trial(trial) for trial in range(24)]
     experiment = BeamExperiment("lud", seed=5)
     stalled = under_stalling_clock(monkeypatch, lambda: experiment.run_campaign(24))
     assert [t.to_dict() for t in stalled.trials] == [t.to_dict() for t in expected]
@@ -45,10 +46,8 @@ def test_beam_records_ignore_the_clock(monkeypatch):
 
 def test_hardened_records_ignore_the_clock(monkeypatch):
     models = FaultModel.all()
-
-    def campaign(supervisor):
-        return [supervisor.run_one(i, models[i % len(models)]) for i in range(12)]
-
-    expected = campaign(HardenedSupervisor(create("lud"), seed=5))
     supervisor = HardenedSupervisor(create("lud"), seed=5)
-    assert under_stalling_clock(monkeypatch, lambda: campaign(supervisor)) == expected
+    expected = [supervisor.run_one(i, models[i % len(models)]) for i in range(12)]
+    config = HardenedConfig(benchmark="lud", injections=12, seed=5)
+    stalled = under_stalling_clock(monkeypatch, lambda: run_campaign(config))
+    assert stalled.records == expected
