@@ -33,9 +33,9 @@ median over ``REPS`` so a loaded runner inflates no side: CPU time
 ignores scheduling gaps, interleaving exposes every path to the same
 frequency-boost phases, and the median discards the odd perturbed rep.
 The numbers land in
-``benchmarks/out/BENCH_injection_throughput.json`` via
-``register_artifact_json`` so CI can chart the fast paths across
-commits.
+``benchmarks/out/BENCH_injection_throughput.json`` (and the rendered
+table in ``benchmarks/out/injection_throughput.txt``) so CI can chart
+the fast paths across commits.
 
 Run as a script to enforce the floors from CI::
 
@@ -45,6 +45,7 @@ The process exits nonzero when any aggregate lands below its floor.
 """
 
 import argparse
+import json
 import os
 import statistics
 import subprocess
@@ -52,6 +53,7 @@ import sys
 import time
 from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -65,7 +67,8 @@ from repro.faults.models import FaultModel
 from repro.telemetry import NOOP_TRACER, activate
 from repro.telemetry.metrics import MetricsRegistry
 
-from _artifacts import register_artifact, register_artifact_json
+#: Where the rendered table and its JSON companion are written.
+OUT_DIR = Path(__file__).parent / "out"
 
 #: Injections timed per (benchmark, mode) in the scalar cache sweep.
 #: Heavy kernels (clamr) run ~10ms/injection on the slow path, so the
@@ -407,22 +410,23 @@ def _publish(
     text = _render(
         scalar, scalar_aggregate, batched, batched_aggregate, full_aggregate, memory
     )
-    register_artifact("injection_throughput", text)
-    register_artifact_json(
-        "injection_throughput",
-        {
-            "runs_per_mode": RUNS_PER_MODE,
-            "batched_runs": BATCHED_RUNS,
-            "batch_size": BATCH_SIZE,
-            "reps": REPS,
-            "seed": SEED,
-            "per_benchmark": scalar,
-            "aggregate_speedup": scalar_aggregate,
-            "batched_per_benchmark": batched,
-            "batched_aggregate_speedup": batched_aggregate,
-            "full_aggregate_speedup": full_aggregate,
-            "memory": memory,
-        },
+    payload = {
+        "runs_per_mode": RUNS_PER_MODE,
+        "batched_runs": BATCHED_RUNS,
+        "batch_size": BATCH_SIZE,
+        "reps": REPS,
+        "seed": SEED,
+        "per_benchmark": scalar,
+        "aggregate_speedup": scalar_aggregate,
+        "batched_per_benchmark": batched,
+        "batched_aggregate_speedup": batched_aggregate,
+        "full_aggregate_speedup": full_aggregate,
+        "memory": memory,
+    }
+    OUT_DIR.mkdir(exist_ok=True)
+    (OUT_DIR / "injection_throughput.txt").write_text(text + "\n", encoding="utf-8")
+    (OUT_DIR / "BENCH_injection_throughput.json").write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return text
 

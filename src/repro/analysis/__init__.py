@@ -35,12 +35,6 @@ from repro.analysis.relative_error import (
     mantissa_bits_within,
     surviving_fraction,
 )
-from repro.analysis.severity import (
-    SeverityClass,
-    SeverityThresholds,
-    classify_severity,
-    severity_census,
-)
 from repro.analysis.spatial import (
     ErrorPattern,
     classify_mask,
@@ -55,11 +49,8 @@ __all__ = [
     "MachineProjection",
     "PAPER_TOLERANCES",
     "PortionReport",
-    "SeverityClass",
-    "SeverityThresholds",
     "TRINITY_BOARDS",
     "classify_mask",
-    "classify_severity",
     "classify_outputs",
     "criticality_by_portion",
     "fit_reduction_curve",
@@ -71,7 +62,6 @@ __all__ = [
     "pvf",
     "pvf_by_fault_model",
     "pvf_by_window",
-    "severity_census",
     "surviving_fraction",
     "wrong_mask",
 ]

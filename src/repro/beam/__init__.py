@@ -19,7 +19,7 @@ machine model:
 
 from repro.beam.experiment import BeamCampaignResult, BeamConfig, BeamExperiment, BeamRecord
 from repro.beam.facility import BeamSession, SessionStats
-from repro.beam.fit import FitEstimate, FitReport, estimate_fit, fit_by_resource
+from repro.beam.fit import FitEstimate, FitReport, estimate_fit
 from repro.beam.flux import (
     LANL_ALTITUDE_M,
     LANSCE_FLUX_MAX,
@@ -27,7 +27,6 @@ from repro.beam.flux import (
     LanceBeam,
     natural_flux_at_altitude,
 )
-from repro.beam.planner import BeamPlan, PlanEntry, plan_campaign
 from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity, ResourceSensitivity
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "BeamConfig",
     "BeamExperiment",
     "BeamRecord",
-    "BeamPlan",
     "BeamSession",
     "DEFAULT_SENSITIVITY",
     "DeviceSensitivity",
@@ -47,9 +45,6 @@ __all__ = [
     "LanceBeam",
     "ResourceSensitivity",
     "SessionStats",
-    "PlanEntry",
     "estimate_fit",
-    "fit_by_resource",
     "natural_flux_at_altitude",
-    "plan_campaign",
 ]

@@ -24,7 +24,7 @@ from repro.faults.outcome import Outcome
 from repro.util.stats import poisson_ci
 from repro.util.units import FIT_HOURS, SEA_LEVEL_FLUX_N_CM2_H, natural_hours_covered
 
-__all__ = ["FitEstimate", "FitReport", "estimate_fit", "fit_by_resource"]
+__all__ = ["FitEstimate", "FitReport", "estimate_fit"]
 
 
 @dataclass(frozen=True)
@@ -81,34 +81,6 @@ def _estimate(
         upper=ci.upper * scale,
         events=events,
     )
-
-
-def fit_by_resource(
-    result: BeamCampaignResult,
-    outcome: Outcome,
-    natural_flux_n_cm2_h: float = SEA_LEVEL_FLUX_N_CM2_H,
-) -> dict[str, FitEstimate]:
-    """FIT contribution of each struck resource class.
-
-    Attributes every counted outcome to the resource its strike landed
-    in — the die-level view behind the paper's Section 6.1 argument
-    that the unprotected queues/logic/registers, not the ECC-covered
-    SRAMs, carry the FIT.
-    """
-    trials = len(result.trials)
-    if trials == 0:
-        raise ValueError("empty campaign")
-    sigma = result.sensitivity.total_cross_section_cm2
-    by_resource: dict[str, int] = {}
-    for record in result.trials:
-        if record.outcome is outcome:
-            by_resource[record.resource] = by_resource.get(record.resource, 0) + 1
-    return {
-        resource: _estimate(events, trials, sigma, natural_flux_n_cm2_h)
-        for resource, events in sorted(
-            by_resource.items(), key=lambda kv: kv[1], reverse=True
-        )
-    }
 
 
 def estimate_fit(

@@ -13,11 +13,9 @@ The reproduction mirrors CAROL-FI's two-script architecture:
 :mod:`repro.carolfi.campaign` drives whole campaigns of every kind (the
 paper injects >=10,000 faults per benchmark) through one path, whatever
 the worker count or isolation mode; :mod:`repro.carolfi.engine` holds that path's
-parts (shards, resumable checkpoints, the retry policy),
+parts (shards, resumable checkpoints, the retry policy), and
 :mod:`repro.carolfi.batchrunner` steps groups of runs through the
-benchmarks' vectorized batch kernels, and
-:mod:`repro.carolfi.logparse` re-reads persisted JSONL logs, mirroring
-the paper's parser scripts.
+benchmarks' vectorized batch kernels.
 """
 
 from repro.carolfi.batchrunner import BatchRunner
@@ -32,7 +30,6 @@ from repro.carolfi.engine import (
     ShardSpec,
     backoff_delay,
     plan_shards,
-    read_failure_log,
 )
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.isolation import (
@@ -67,7 +64,6 @@ __all__ = [
     "backoff_delay",
     "load_config",
     "plan_shards",
-    "read_failure_log",
     "run_from_config",
     "SitePolicy",
     "snapshot_interval",

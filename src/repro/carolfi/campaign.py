@@ -46,7 +46,6 @@ from repro.util.jsonlog import dump_records
 if TYPE_CHECKING:  # pragma: no cover — the engine imports this module
     from repro.carolfi.engine import ProgressCallback, RetryPolicy
     from repro.service.backend import ShardBackend
-    from repro.service.scheduler import StealPolicy
 
 __all__ = [
     "CampaignConfig",
@@ -335,7 +334,6 @@ def run_campaign(
     failure_log: str | Path | None = None,
     telemetry: Telemetry | None = None,
     backend: "ShardBackend | None" = None,
-    steal: "StealPolicy | None" = None,
     runner: Any = None,
 ) -> ResultT:
     """Run a campaign of any kind: sharded, resumable, optionally parallel.
@@ -354,8 +352,7 @@ def run_campaign(
     ``workers=None`` resolves via ``REPRO_WORKERS`` then
     ``os.cpu_count()``.  ``backend`` overrides *where* leases execute
     (e.g. the distributed :class:`~repro.service.broker.BrokerBackend`,
-    whose lifetime stays the caller's); ``steal`` tunes work stealing
-    on backends that support it.
+    whose lifetime stays the caller's).
 
     A serial in-process campaign keeps a private golden store; a pool
     or a subprocess sandbox warms the host's shared-memory segment
@@ -547,7 +544,6 @@ def run_campaign(
                         tel,
                         reporter,
                         gate,
-                        steal=steal,
                     )
                 finally:
                     if owned is not None:

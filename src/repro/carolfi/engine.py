@@ -71,7 +71,7 @@ from repro.telemetry import (
     stamp,
 )
 from repro.telemetry.convergence import ConvergenceMonitor
-from repro.util.jsonlog import JsonlLog, dump_records, load_records, load_records_tolerant
+from repro.util.jsonlog import JsonlLog, dump_records, load_records
 from repro.util.rng import derive_rng
 
 if TYPE_CHECKING:  # pragma: no cover — the campaign module imports the engine lazily
@@ -90,7 +90,6 @@ __all__ = [
     "backoff_delay",
     "campaign_fingerprint",
     "plan_shards",
-    "read_failure_log",
     "resolve_workers",
     "shard_path",
     "write_shard_checkpoint",
@@ -295,12 +294,6 @@ def resolve_workers(workers: int | None = None) -> int:
 def shard_path(checkpoint_dir: str | Path, shard_index: int) -> Path:
     """Checkpoint file of one shard."""
     return Path(checkpoint_dir) / f"shard-{shard_index:05d}.jsonl"
-
-
-#: Load failure events plus a count of skipped corrupt lines.  Failure
-#: logs are written across worker deaths and hard kills, so a damaged
-#: interior line is a fact to report, not an error to die on.
-read_failure_log = load_records_tolerant
 
 
 # -- failure-event log ---------------------------------------------------------

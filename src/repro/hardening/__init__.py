@@ -18,7 +18,6 @@ recorded campaigns:
   injection and beam campaigns.
 """
 
-from repro.hardening.checkpoint import CheckpointRun, run_with_checkpoints
 from repro.hardening.guards import FaultDetected, GuardKind, VariableGuard, build_guards
 from repro.hardening.hardened import (
     HardenedCampaignResult,
@@ -54,7 +53,6 @@ from repro.hardening.selective import (
 
 __all__ = [
     "ABFT_CORRECTABLE_PATTERNS",
-    "CheckpointRun",
     "FaultDetected",
     "GuardKind",
     "HardenedCampaignResult",
@@ -64,7 +62,6 @@ __all__ = [
     "VariableGuard",
     "build_guards",
     "run_hardened_campaign",
-    "run_with_checkpoints",
     "AbftOutcome",
     "AbftResult",
     "CoverageReport",

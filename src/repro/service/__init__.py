@@ -23,7 +23,6 @@ kills.
 """
 
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
-from repro.service.scheduler import StealPolicy
 from repro.service.wire import FrameDecoder, FrameError, decode_frame, encode_frame
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "LeaseResult",
     "ShardBackend",
     "ShardLease",
-    "StealPolicy",
     "decode_frame",
     "encode_frame",
 ]

@@ -71,58 +71,35 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.carolfi.campaign import CampaignKind
     from repro.carolfi.engine import FailureSink, _ConvergenceGate, _Heartbeat
 
-__all__ = ["StealPolicy", "run_shards"]
+__all__ = ["run_shards"]
 
 #: Scheduler poll period while leases are in flight.
 _POLL_S = 0.005
 
 
-@dataclass(frozen=True)
-class StealPolicy:
-    """When to split a straggler lease's remaining range.
+# When to split a straggler lease's remaining range.  The threshold is
+# an estimate from the observed latency distribution: the scheduler
+# keeps a per-worker EWMA of record inter-arrival gaps plus a fleet-wide
+# latency histogram, and a lease is only split when the victim's
+# expected remaining wall time (remaining × EWMA) exceeds the larger of
+# STEAL_MIN_BENEFIT_S, the fleet's STEAL_QUANTILE latency and four
+# heartbeat round trips (the coordination cost of the split).
 
-    With ``adaptive`` (the default) the straggler threshold is not a
-    fixed run count but an estimate from the observed latency
-    distribution: the scheduler keeps a per-worker EWMA of record
-    inter-arrival gaps plus a fleet-wide latency histogram, and a lease
-    is only split when the victim's expected remaining wall time
-    (``remaining × ewma``) exceeds the larger of ``min_benefit_s``, the
-    fleet's ``quantile`` latency, and four heartbeat round trips (the
-    coordination cost of the split).  Workers with no latency evidence
-    yet fall back to the fixed ``min_remaining`` floor.
-    """
+#: Evidence-free fallback: a worker that has not streamed a record yet
+#: is only split when at least this many runs remain; below that the
+#: steal costs more coordination than it saves.
+STEAL_MIN_REMAINING = 4
 
-    enabled: bool = True
+#: Fleet latency / heartbeat-RTT quantile used as the overhead estimate
+#: a steal must beat.
+STEAL_QUANTILE = 0.95
 
-    min_remaining: int = 4
-    """Evidence-free fallback: a worker that has not streamed a record
-    yet is only split when at least this many runs remain; below that
-    the steal costs more coordination than it saves."""
+#: Smoothing factor of the per-worker record-gap EWMA (1 = only the
+#: latest observation counts).
+STEAL_EWMA_ALPHA = 0.25
 
-    adaptive: bool = True
-    """Estimate the straggler threshold from observed latency instead
-    of treating ``min_remaining`` alone as the bar."""
-
-    quantile: float = 0.95
-    """Fleet latency / heartbeat-RTT quantile used as the overhead
-    estimate a steal must beat."""
-
-    ewma_alpha: float = 0.25
-    """Smoothing factor for the per-worker record-gap EWMA (1 = only
-    the latest observation counts)."""
-
-    min_benefit_s: float = 0.05
-    """Absolute floor on the expected tail time worth stealing."""
-
-    def __post_init__(self) -> None:
-        if self.min_remaining < 2:
-            raise ValueError("min_remaining must be >= 2 (victim and thief both keep work)")
-        if not 0.0 < self.quantile <= 1.0:
-            raise ValueError("quantile must be in (0, 1]")
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
-        if self.min_benefit_s < 0:
-            raise ValueError("min_benefit_s must be >= 0")
+#: Absolute floor on the expected tail time worth stealing.
+STEAL_MIN_BENEFIT_S = 0.05
 
 
 @dataclass
@@ -184,7 +161,6 @@ def run_shards(
     tel: Telemetry,
     reporter: Any,
     gate: "_ConvergenceGate",
-    steal: StealPolicy | None = None,
 ) -> None:
     """Drive ``pending`` shards to completion through ``backend``.
 
@@ -196,7 +172,6 @@ def run_shards(
     lifetime belongs to the caller (a broker outlives the campaigns it
     serves) — but every lease this call opened is cancelled.
     """
-    steal = steal or StealPolicy()
     remote = backend.remote  # lease lifecycle events only exist off-host
     # Hand the backend the campaign's telemetry bundle before anything
     # is dispatched: a broker registers its fleet-only series here and
@@ -558,7 +533,7 @@ def run_shards(
                 worker_ewma[state.worker] = (
                     gap
                     if prev is None
-                    else steal.ewma_alpha * gap + (1.0 - steal.ewma_alpha) * prev
+                    else STEAL_EWMA_ALPHA * gap + (1.0 - STEAL_EWMA_ALPHA) * prev
                 )
             shard = shard_of(event.run)
             if shard.finished:
@@ -578,14 +553,15 @@ def run_shards(
     def steal_overhead() -> tuple[float, float | None, float | None]:
         """``(overhead_s, fleet_q, rtt_q)`` — the latency bar a steal must beat.
 
-        The overhead estimate is the largest of the policy's absolute
-        floor, the fleet's ``quantile`` record latency (a healthy worker
-        would clear that much tail itself almost immediately) and four
-        heartbeat round trips (shrink + re-lease coordination cost).
+        The overhead estimate is the largest of the absolute floor
+        (``STEAL_MIN_BENEFIT_S``), the fleet's ``STEAL_QUANTILE`` record
+        latency (a healthy worker would clear that much tail itself
+        almost immediately) and four heartbeat round trips (shrink +
+        re-lease coordination cost).
         """
-        fleet_q = fleet_latency.quantile(steal.quantile)
-        rtt_q = rtt_hist.quantile(steal.quantile) if rtt_hist is not None else None
-        overhead = steal.min_benefit_s
+        fleet_q = fleet_latency.quantile(STEAL_QUANTILE)
+        rtt_q = rtt_hist.quantile(STEAL_QUANTILE) if rtt_hist is not None else None
+        overhead = STEAL_MIN_BENEFIT_S
         if fleet_q is not None:
             overhead = max(overhead, fleet_q)
         if rtt_q is not None:
@@ -593,24 +569,22 @@ def run_shards(
         return overhead, fleet_q, rtt_q
 
     def try_steal(now: float) -> None:
-        if not (backend.supports_steal and steal.enabled):
+        if not backend.supports_steal:
             return
         if queued or backend.capacity() < 1:
             return
-        overhead, fleet_q, rtt_q = (
-            steal_overhead() if steal.adaptive else (0.0, None, None)
-        )
+        overhead, fleet_q, rtt_q = steal_overhead()
         # Candidate score: the victim's expected remaining wall time
         # (runs × EWMA latency) when latency evidence exists, else the
-        # raw remaining-run count behind the fixed min_remaining floor.
+        # raw remaining-run count behind the fixed STEAL_MIN_REMAINING floor.
         best: tuple[float, _Lease, int, float | None, str] | None = None
         for state in active.values():
             remaining = state.stop - (state.done_through + 1)
             if remaining < 2:  # victim and thief both keep work
                 continue
-            latency = worker_ewma.get(state.worker) if steal.adaptive else None
+            latency = worker_ewma.get(state.worker)
             if latency is None:
-                if remaining < steal.min_remaining:
+                if remaining < STEAL_MIN_REMAINING:
                     continue
                 score, estimator = float(remaining), "fixed"
             else:
@@ -646,10 +620,10 @@ def run_shards(
                 "remaining": remaining,
                 "observed_latency_s": None if latency is None else round(latency, 6),
                 "expected_tail_s": None if latency is None else round(remaining * latency, 6),
-                "threshold_s": round(overhead, 6) if steal.adaptive else None,
+                "threshold_s": round(overhead, 6),
                 "fleet_latency_q": None if fleet_q is None else round(fleet_q, 6),
                 "heartbeat_rtt_q": None if rtt_q is None else round(rtt_q, 6),
-                "quantile": steal.quantile if steal.adaptive else None,
+                "quantile": STEAL_QUANTILE,
             }
         )
         heartbeat.emit(

@@ -12,8 +12,9 @@ more.
 (as the engine merges shard results, or post-hoc from a campaign log)
 and maintains, per ``(benchmark, fault_model)`` cell:
 
-* streaming outcome counts (Masked/SDC/DUE) and per-execution-window
-  counts — enough to recompute every PVF slice of the paper;
+* streaming outcome counts (Masked/SDC/DUE, and any other outcome the
+  records hold) and per-execution-window counts — enough to recompute
+  every PVF slice of the paper;
 * Wilson or anytime-valid confidence intervals for the SDC and DUE
   rates (:func:`repro.util.stats.wilson_ci` /
   :func:`repro.util.stats.anytime_proportion_ci`), exposed through the
@@ -60,6 +61,11 @@ CellKey = tuple[str, str]
 #: The outcome rates a convergence target applies to.  Masked is the
 #: complement of these two, so its interval is never the binding one.
 PVF_OUTCOMES: tuple[str, ...] = ("sdc", "due")
+
+#: The outcomes every report shows first, in this order.  Any other
+#: outcome the records hold (a hardened campaign's ``detected`` and
+#: ``corrected``) follows them: see :meth:`ConvergenceMonitor.outcomes`.
+_REPORT_OUTCOMES: tuple[str, ...] = ("masked", "sdc", "due")
 
 #: Supported interval constructions (see DESIGN §10 for the trade-off).
 _INTERVALS = {"wilson": wilson_ci, "anytime": anytime_proportion_ci}
@@ -199,10 +205,15 @@ class ConvergenceMonitor:
     def cell(self, benchmark: str, fault_model: str) -> CellStats:
         return self._cells[(benchmark, fault_model)]
 
+    def outcomes(self) -> tuple[str, ...]:
+        """Masked, SDC and DUE, then every other outcome observed, sorted."""
+        seen = {o for stats in self._cells.values() for o in stats.outcomes}
+        return _REPORT_OUTCOMES + tuple(sorted(seen - set(_REPORT_OUTCOMES)))
+
     def counts(self, benchmark: str, fault_model: str) -> dict[str, int]:
-        """Outcome counts of one cell (missing outcomes read as 0)."""
+        """Counts of one cell for every :meth:`outcomes` entry (missing read as 0)."""
         stats = self._cells[(benchmark, fault_model)]
-        return {o: stats.outcomes.get(o, 0) for o in ("masked", "sdc", "due")}
+        return {o: stats.outcomes.get(o, 0) for o in self.outcomes()}
 
     def ci(self, benchmark: str, fault_model: str, outcome: str) -> CountEstimate:
         """The cell's streaming CI for ``P(outcome | fault)``."""
@@ -320,12 +331,14 @@ class ConvergenceMonitor:
     # -- reporting -------------------------------------------------------------
 
     def summary_rows(self) -> list[list[object]]:
-        """``util.tables`` rows: one per cell, rates ± CI half-widths."""
+        """``util.tables`` rows: one per cell, rates ± CI half-widths of
+        every :meth:`outcomes` entry."""
+        outcomes = self.outcomes()
         rows: list[list[object]] = []
         for benchmark, model in self.cells():
             stats = self._cells[(benchmark, model)]
             cells: list[object] = [benchmark, model, stats.total]
-            for outcome in ("masked", "sdc", "due"):
+            for outcome in outcomes:
                 estimate = self.ci(benchmark, model, outcome)
                 half = (estimate.upper - estimate.lower) / 2.0
                 cells.append(f"{estimate.value:.4f} ±{half:.4f}")

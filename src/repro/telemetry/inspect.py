@@ -66,9 +66,6 @@ __all__ = [
 #: Metric files probed (in order) inside a campaign directory.
 _METRIC_CANDIDATES = ("metrics.prom", "metrics.txt", "metrics.json", "metrics.jsonl")
 
-#: Outcome columns of the matrix, in reporting order.
-_OUTCOMES = ("masked", "sdc", "due")
-
 
 # -- artifact loading ----------------------------------------------------------
 
@@ -432,10 +429,11 @@ def render_text(
         monitor = build_monitor(data, confidence, interval)
         monitors.append(monitor)
         title = f"[{data.name}] outcome matrix ({interval}, {confidence:.0%} CI)"
+        outcomes = monitor.outcomes()
         sections.append(
             format_table(
-                ["benchmark", "fault model", "runs", *_OUTCOMES],
-                monitor.summary_rows() or [["(no records)", "-", 0, "-", "-", "-"]],
+                ["benchmark", "fault model", "runs", *outcomes],
+                monitor.summary_rows() or [["(no records)", "-", 0, *("-" for _ in outcomes)]],
                 title=title,
             )
         )

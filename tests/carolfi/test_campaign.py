@@ -3,9 +3,9 @@
 import pytest
 
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.logparse import load_injection_log, merge_logs
 from repro.faults.models import FaultModel
-from repro.faults.outcome import Outcome
+from repro.faults.outcome import InjectionRecord, Outcome
+from repro.util.jsonlog import load_records
 
 
 def test_config_validation():
@@ -61,16 +61,8 @@ def test_campaign_seed_changes_results():
 def test_campaign_log_roundtrip(tmp_path):
     config = CampaignConfig(benchmark="lud", injections=25, seed=3)
     result = run_campaign(config, log_path=tmp_path / "lud.jsonl")
-    loaded = load_injection_log(tmp_path / "lud.jsonl")
+    loaded = [InjectionRecord.from_dict(raw) for raw in load_records(tmp_path / "lud.jsonl")]
     assert [r.to_dict() for r in loaded] == [r.to_dict() for r in result.records]
-
-
-def test_merge_logs(tmp_path):
-    run_campaign(CampaignConfig(benchmark="lud", injections=10, seed=1), tmp_path / "a.jsonl")
-    run_campaign(CampaignConfig(benchmark="nw", injections=10, seed=2), tmp_path / "b.jsonl")
-    merged = merge_logs(tmp_path / "a.jsonl", tmp_path / "b.jsonl")
-    assert len(merged) == 20
-    assert {r.benchmark for r in merged} == {"lud", "nw"}
 
 
 def test_benchmark_params_forwarded():

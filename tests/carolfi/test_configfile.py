@@ -5,6 +5,8 @@ import pytest
 from repro.carolfi.configfile import load_config, main, run_from_config
 from repro.carolfi.flipscript import SitePolicy
 from repro.faults.models import FaultModel
+from repro.faults.outcome import InjectionRecord
+from repro.util.jsonlog import load_records
 
 _CONFIG = """
 [carol-fi]
@@ -73,9 +75,8 @@ def test_run_from_config_writes_log(config_path, tmp_path):
     assert len(result) == 12
     assert result.config.benchmark_params["n"] == 16
     assert (tmp_path / "nw.jsonl").exists()
-    from repro.carolfi.logparse import load_injection_log
-
-    assert len(load_injection_log(tmp_path / "nw.jsonl")) == 12
+    records = [InjectionRecord.from_dict(raw) for raw in load_records(tmp_path / "nw.jsonl")]
+    assert len(records) == 12
 
 
 def test_repetitions_validated(config_path):

@@ -25,16 +25,15 @@ from repro.carolfi.engine import (
     backoff_delay,
     campaign_fingerprint,
     plan_shards,
-    read_failure_log,
     resolve_workers,
     shard_path,
 )
 from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.faults.models import FaultModel
-from repro.faults.outcome import DueKind, Outcome
+from repro.faults.outcome import DueKind, InjectionRecord, Outcome
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.telemetry.convergence import ConvergenceMonitor
-from repro.util.jsonlog import load_records_tolerant
+from repro.util.jsonlog import load_records, load_records_tolerant
 
 #: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards.
 CONFIG = CampaignConfig(
@@ -119,9 +118,8 @@ def test_sharding_layout_does_not_change_records(serial_result, shard_size):
 def test_engine_writes_campaign_log(tmp_path, serial_result):
     log_path = tmp_path / "campaign.jsonl"
     run_campaign(CONFIG, log_path, workers=2, shard_size=SHARD_SIZE)
-    from repro.carolfi.logparse import load_injection_log
-
-    assert [r.to_dict() for r in load_injection_log(log_path)] == dicts(serial_result)
+    loaded = [InjectionRecord.from_dict(raw) for raw in load_records(log_path)]
+    assert [r.to_dict() for r in loaded] == dicts(serial_result)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -362,11 +360,11 @@ def test_checkpoint_dir_gets_failure_log_eagerly(tmp_path):
     run_campaign(CONFIG, workers=1, checkpoint_dir=ckpt, shard_size=SHARD_SIZE)
     log = ckpt / FAILURE_LOG_NAME
     assert log.exists(), "failure log must exist even for a clean campaign"
-    events, skipped = read_failure_log(log)
+    events, skipped = load_records_tolerant(log)
     assert events == [] and skipped == 0
 
 
-def test_read_failure_log_counts_corrupt_lines(tmp_path):
+def test_failure_log_reader_counts_corrupt_lines(tmp_path):
     log = tmp_path / "failures.jsonl"
     log.write_text(
         '{"event": "retry", "shard": 0}\n'
@@ -375,10 +373,10 @@ def test_read_failure_log_counts_corrupt_lines(tmp_path):
         "also not json\n",
         encoding="utf-8",
     )
-    events, skipped = read_failure_log(log)
+    events, skipped = load_records_tolerant(log)
     assert [e["event"] for e in events] == ["retry", "quarantine"]
     assert skipped == 2
-    assert read_failure_log(tmp_path / "missing.jsonl") == ([], 0)
+    assert load_records_tolerant(tmp_path / "missing.jsonl") == ([], 0)
 
 
 # -- fault domains: quarantine and reaping ------------------------------------
@@ -414,7 +412,7 @@ def test_serial_escaped_exception_quarantined(tmp_path):
     assert dues and all(r.due_kind is DueKind.CRASH for r in dues)
     assert all("quarantined" in r.due_detail for r in dues)
     assert "quarantined" in {e.event for e in events}
-    kinds = [e["event"] for e in read_failure_log(log)[0]]
+    kinds = [e["event"] for e in load_records_tolerant(log)[0]]
     assert "run_error" in kinds and "retry" in kinds and "quarantine" in kinds
 
 
@@ -443,7 +441,7 @@ def test_pool_reaps_hung_worker_and_quarantines_run(tmp_path):
     assert dues and all(r.due_kind is DueKind.HANG for r in dues)
     kinds = {e.event for e in events}
     assert "reaped" in kinds and "quarantined" in kinds
-    log_kinds = [e["event"] for e in read_failure_log(log)[0]]
+    log_kinds = [e["event"] for e in load_records_tolerant(log)[0]]
     assert "reap" in log_kinds and "quarantine" in log_kinds
 
 
@@ -527,7 +525,7 @@ def test_subprocess_campaigns_leave_no_sandbox_alive(tmp_path):
         )
         children = [p.name for p in multiprocessing.active_children()]
         assert not [name for name in children if name.startswith("sandbox-")], children
-        spawned = [e["pid"] for e in read_failure_log(log)[0] if e["event"] == "sandbox_spawn"]
+        spawned = [e["pid"] for e in load_records_tolerant(log)[0] if e["event"] == "sandbox_spawn"]
         assert spawned, "the campaign never ran a sandbox; test is vacuous"
         assert not [pid for pid in spawned if _running(pid)]
 
@@ -779,7 +777,7 @@ def test_target_ci_logs_early_stop_event_and_resumes_clean(tmp_path):
         capped, workers=1, shard_size=SHARD_SIZE, checkpoint_dir=tmp_path, telemetry=tel
     )
     assert stopped.stopped_early
-    events, corrupt = read_failure_log(tmp_path / FAILURE_LOG_NAME)
+    events, corrupt = load_records_tolerant(tmp_path / FAILURE_LOG_NAME)
     assert corrupt == 0
     (stop_event,) = [e for e in events if e.get("event") == "early_stop"]
     assert stop_event["runs"] == len(stopped.records)
@@ -820,7 +818,7 @@ def test_healthy_campaign_raises_no_drift_flags(tmp_path):
     run_campaign(
         DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path / "s", telemetry=tel
     )
-    events, _ = read_failure_log(tmp_path / "s" / FAILURE_LOG_NAME)
+    events, _ = load_records_tolerant(tmp_path / "s" / FAILURE_LOG_NAME)
     assert [e for e in events if e.get("event") == "drift"] == []
     # Healthy serial and parallel twins must also export identical
     # registries, so the drift counter may not exist merely as a zero.
@@ -829,7 +827,7 @@ def test_healthy_campaign_raises_no_drift_flags(tmp_path):
     run_campaign(
         DRIFT_CONFIG, workers=2, shard_size=16, checkpoint_dir=tmp_path / "p", telemetry=tel_par
     )
-    events_par, _ = read_failure_log(tmp_path / "p" / FAILURE_LOG_NAME)
+    events_par, _ = load_records_tolerant(tmp_path / "p" / FAILURE_LOG_NAME)
     assert [e for e in events_par if e.get("event") == "drift"] == []
 
 
@@ -855,7 +853,7 @@ def test_drift_flags_doctored_shard_checkpoint(tmp_path):
         DRIFT_CONFIG, workers=1, shard_size=16, checkpoint_dir=tmp_path, telemetry=tel
     )
     assert len(resumed.records) == DRIFT_CONFIG.injections
-    events, _ = read_failure_log(tmp_path / FAILURE_LOG_NAME)
+    events, _ = load_records_tolerant(tmp_path / FAILURE_LOG_NAME)
     drift = [e for e in events if e.get("event") == "drift"]
     assert drift, "tampered shard must be flagged"
     assert {e["shard"] for e in drift} == {1}

@@ -14,7 +14,7 @@ import pytest
 
 from repro.benchmarks.base import window_of_step
 from repro.carolfi.campaign import CampaignConfig, run_campaign
-from repro.carolfi.engine import RetryPolicy, read_failure_log
+from repro.carolfi.engine import RetryPolicy
 from repro.carolfi.isolation import (
     InjectionSandbox,
     IsolationConfig,
@@ -24,6 +24,7 @@ from repro.carolfi.isolation import (
 )
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, Outcome
+from repro.util.jsonlog import load_records_tolerant
 
 SUBPROC = IsolationConfig(mode=IsolationMode.SUBPROCESS)
 
@@ -131,7 +132,7 @@ def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
     dues = assert_matches_twin_except_sandbox_dues(result, clean_twin)
     assert any("quarantined" in r.due_detail for r in dues)
     assert all(r.due_kind is DueKind.CRASH for r in dues if "exit code 86" in r.due_detail)
-    events, skipped = read_failure_log(log)
+    events, skipped = load_records_tolerant(log)
     assert skipped == 0
     kinds = [e["event"] for e in events]
     assert "sandbox_death" in kinds and "quarantine" in kinds

@@ -22,7 +22,8 @@ from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import RetryPolicy, ShardFailure, ShardSpec, _execute_shard
 from repro.carolfi.isolation import supervisor_for
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
-from repro.service.scheduler import StealPolicy, _contiguous_ranges
+from repro.service import scheduler
+from repro.service.scheduler import _contiguous_ranges
 
 CONFIG = CampaignConfig(
     benchmark="nw",
@@ -239,22 +240,6 @@ def test_contiguous_ranges_groups_runs():
     assert _contiguous_ranges([1, 2, 3, 7, 9, 10]) == [(1, 4), (7, 8), (9, 11)]
 
 
-def test_steal_policy_validation():
-    with pytest.raises(ValueError):
-        StealPolicy(min_remaining=1)
-    with pytest.raises(ValueError):
-        StealPolicy(quantile=0.0)
-    with pytest.raises(ValueError):
-        StealPolicy(quantile=1.5)
-    with pytest.raises(ValueError):
-        StealPolicy(ewma_alpha=0.0)
-    with pytest.raises(ValueError):
-        StealPolicy(ewma_alpha=1.1)
-    with pytest.raises(ValueError):
-        StealPolicy(min_benefit_s=-0.1)
-    assert StealPolicy().enabled and StealPolicy().adaptive
-
-
 class StealableBackend(ShardBackend):
     """Two-slot streaming backend with one deliberately slow worker.
 
@@ -343,7 +328,7 @@ class StealableBackend(ShardBackend):
         self.slow = self.fast = None
 
 
-def _run_stealable(tmp_path, *, latency, policy):
+def _run_stealable(tmp_path, *, latency):
     backend = StealableBackend(CONFIG, latency=latency)
     result = run_campaign(
         CONFIG,
@@ -351,7 +336,6 @@ def _run_stealable(tmp_path, *, latency, policy):
         shard_size=CONFIG.injections,  # one shard: the slow worker gets it all
         backend=backend,
         retry=FAST,
-        steal=policy,
         failure_log=tmp_path / "failures.jsonl",
         checkpoint_dir=tmp_path / "ckpt",
     )
@@ -362,12 +346,13 @@ def _run_stealable(tmp_path, *, latency, policy):
     return result, backend, events
 
 
-def test_adaptive_steal_fires_on_latency_evidence(tmp_path, serial_rows):
-    # min_remaining=100 blocks the evidence-free fallback entirely: the
+def test_adaptive_steal_fires_on_latency_evidence(tmp_path, serial_rows, monkeypatch):
+    # A floor of 100 runs blocks the evidence-free fallback entirely: the
     # only way this campaign can steal is the EWMA estimator judging the
     # slow worker's expected tail against the observed-latency bar.
-    policy = StealPolicy(min_remaining=100, min_benefit_s=0.01)
-    result, backend, events = _run_stealable(tmp_path, latency=0.05, policy=policy)
+    monkeypatch.setattr(scheduler, "STEAL_MIN_REMAINING", 100)
+    monkeypatch.setattr(scheduler, "STEAL_MIN_BENEFIT_S", 0.01)
+    result, backend, events = _run_stealable(tmp_path, latency=0.05)
     assert [r.to_dict() for r in result.records] == serial_rows
     steals = [e for e in events if e["event"] == "steal"]
     assert steals, "latency evidence must trigger an adaptive steal"
@@ -378,18 +363,19 @@ def test_adaptive_steal_fires_on_latency_evidence(tmp_path, serial_rows):
     assert first["threshold_s"] > 0
     assert first["expected_tail_s"] >= first["threshold_s"]
     assert first["remaining"] >= 2
-    assert first["quantile"] == policy.quantile
+    assert first["quantile"] == scheduler.STEAL_QUANTILE
     # The stolen tail landed on the fast slot as a real lease.
     stolen = [l for l in backend.submitted if l.start == first["split"]]
     assert stolen and stolen[0].stop == first["stop"]
 
 
-def test_adaptive_steal_suppressed_below_benefit_floor(tmp_path, serial_rows):
+def test_adaptive_steal_suppressed_below_benefit_floor(tmp_path, serial_rows, monkeypatch):
     # Same topology, same idle capacity — but the expected tail of a
     # near-instant worker never clears a 5 s benefit floor, so the
     # latency-driven policy leaves the lease alone instead of splitting
     # on raw run counts the way the old fixed threshold did.
-    policy = StealPolicy(min_remaining=100, min_benefit_s=5.0)
-    result, _backend, events = _run_stealable(tmp_path, latency=0.0, policy=policy)
+    monkeypatch.setattr(scheduler, "STEAL_MIN_REMAINING", 100)
+    monkeypatch.setattr(scheduler, "STEAL_MIN_BENEFIT_S", 5.0)
+    result, _backend, events = _run_stealable(tmp_path, latency=0.0)
     assert [r.to_dict() for r in result.records] == serial_rows
     assert [e for e in events if e["event"] == "steal"] == []

@@ -23,13 +23,12 @@ from repro.carolfi.engine import (
     FAILURE_LOG_NAME,
     RetryPolicy,
     plan_shards,
-    read_failure_log,
     shard_path,
 )
 from repro.faults.models import FaultModel
 from repro.service import scheduler
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.util.jsonlog import load_records
+from repro.util.jsonlog import load_records, load_records_tolerant
 
 #: 32 runs over the default 16-shard plan: two runs per shard.
 CONFIG = CampaignConfig(
@@ -120,7 +119,7 @@ def test_lease_failing_past_a_shard_boundary(tmp_path):
     quarantined = {r.run_index for r in result.records if r.due_detail.startswith("sandbox:")}
     assert quarantined == {1, 26, 28}
 
-    events = read_failure_log(ckpt / FAILURE_LOG_NAME)[0]
+    events = load_records_tolerant(ckpt / FAILURE_LOG_NAME)[0]
     errors = sorted((e["run"], e["shard"]) for e in events if e["event"] == "run_error")
     assert errors == [(1, 0), (1, 0), (26, 6), (26, 6), (28, 7), (28, 7)]
     # The lease that died at run 26 started at shard 1 and spanned past it.

@@ -208,6 +208,34 @@ def test_main_reports_beam_and_hardened_checkpoint_dirs(tmp_path):
     assert build_monitor(beam).runs == 24
 
 
+def test_hardened_matrix_rows_sum_to_one(tmp_path):
+    """Detected and corrected runs get columns after masked, sdc and due."""
+    from repro.carolfi.campaign import run_campaign
+    from repro.hardening.hardened import HardenedConfig
+
+    run_campaign(
+        HardenedConfig(
+            benchmark="nw", injections=40, seed=5, benchmark_params={"n": 16, "rows_per_step": 4}
+        ),
+        checkpoint_dir=tmp_path / "hardened",
+    )
+    monitor = build_monitor(load_campaign(tmp_path / "hardened"))
+    rows = monitor.summary_rows()
+    assert rows
+    for row in rows:
+        shares = [float(str(cell).split()[0]) for cell in row[3:]]
+        assert sum(shares) == pytest.approx(1.0, abs=1e-3), row
+    outcomes = monitor.outcomes()
+    assert outcomes[:3] == ("masked", "sdc", "due") and "detected" in outcomes
+    out = io.StringIO()
+    assert main([str(tmp_path / "hardened")], stream=out) == 0
+    header = next(line for line in out.getvalue().splitlines() if line.startswith("benchmark"))
+    assert header.split()[-len(outcomes) :] == list(outcomes)
+    # A CAROL-FI matrix keeps its three columns.
+    write_campaign_dir(tmp_path / "ck")
+    assert build_monitor(load_campaign(tmp_path / "ck")).outcomes() == ("masked", "sdc", "due")
+
+
 def test_main_strict_fails_on_mismatch(tmp_path):
     write_campaign_dir(tmp_path / "ck")
     registry = MetricsRegistry()

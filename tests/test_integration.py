@@ -14,7 +14,7 @@ from repro.analysis.criticality import criticality_by_portion, portion_of_record
 from repro.analysis.pvf import outcome_shares
 from repro.analysis.relative_error import surviving_fraction
 from repro.beam.experiment import BeamExperiment
-from repro.beam.fit import estimate_fit, fit_by_resource
+from repro.beam.fit import estimate_fit
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.faults.outcome import Outcome
 from repro.hardening.evaluate import abft_beam_coverage, evaluate_plan
@@ -39,13 +39,6 @@ def test_pattern_partition_sums_to_sdc_fit(lud_beam):
     report = estimate_fit(lud_beam)
     partition = sum(e.fit for e in report.sdc_by_pattern.values())
     assert partition == pytest.approx(report.sdc.fit)
-
-
-def test_resource_partition_sums_to_outcome_fit(lud_beam):
-    report = estimate_fit(lud_beam)
-    for outcome, total in ((Outcome.SDC, report.sdc.fit), (Outcome.DUE, report.due.fit)):
-        attributed = sum(e.fit for e in fit_by_resource(lud_beam, outcome).values())
-        assert attributed == pytest.approx(total)
 
 
 def test_tolerance_zero_keeps_every_sdc(lud_beam):
