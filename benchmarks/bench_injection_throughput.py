@@ -431,46 +431,6 @@ def _publish(
     return text
 
 
-def test_injection_throughput(benchmark):
-    scalar, scalar_aggregate = scalar_sweep()
-    batched, batched_aggregate, full_aggregate = batched_sweep()
-    memory = memory_sweep()
-    _publish(scalar, scalar_aggregate, batched, batched_aggregate, full_aggregate, memory)
-
-    for name, row in scalar.items():
-        benchmark.extra_info[f"speedup_{name}"] = row["speedup"]
-    for name, row in batched.items():
-        benchmark.extra_info[f"batched_speedup_{name}"] = row["speedup"]
-        benchmark.extra_info[f"full_speedup_{name}"] = row["full_speedup"]
-    benchmark.extra_info["aggregate_speedup"] = scalar_aggregate
-    benchmark.extra_info["batched_aggregate_speedup"] = batched_aggregate
-    benchmark.extra_info["full_aggregate_speedup"] = full_aggregate
-    if memory:
-        benchmark.extra_info["rss_ratio"] = memory["rss_ratio"]
-
-    assert scalar_aggregate >= MIN_SCALAR_SPEEDUP, (
-        f"prefix cache speedup {scalar_aggregate:.2f}x below the "
-        f"{MIN_SCALAR_SPEEDUP}x floor — fast path regressed"
-    )
-    assert batched_aggregate >= MIN_BATCHED_SPEEDUP, (
-        f"batched speedup {batched_aggregate:.2f}x below the "
-        f"{MIN_BATCHED_SPEEDUP}x floor — vectorized path regressed"
-    )
-    assert full_aggregate >= MIN_FULL_SPEEDUP, (
-        f"full fast path {full_aggregate:.2f}x below the "
-        f"{MIN_FULL_SPEEDUP}x floor — cache/shared-store/batching regressed"
-    )
-    if memory:
-        assert memory["rss_ratio"] <= MAX_RSS_RATIO, (
-            f"attacher RSS grew {memory['rss_ratio']:.3f}x between sparse and "
-            f"dense stores — per-worker memory is scaling with the snapshot set"
-        )
-
-    # Time one cache-on injection sweep as the tracked number.
-    supervisor = Supervisor(create("dgemm"), seed=SEED, snapshots=True)
-    benchmark.pedantic(lambda: _rate(supervisor), rounds=3, iterations=1)
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(

@@ -237,7 +237,7 @@ class PrefixStore:
         self,
         step: int | None,
         perturb: Callable[[Any, int], None],
-        observer: Any = None,
+        before_step: Callable[[Any, int], None] | None = None,
     ) -> Any:
         """Run one perturbed execution; its final state, or ``None``.
 
@@ -250,11 +250,10 @@ class PrefixStore:
         returns the final state.  ``None`` is a fault-free full replay
         from a :meth:`fresh` clone that never stops early.
 
-        ``observer``, if given, sees ``enter(state, k)`` at the resume
-        step and after every step (with ``k + 1``, the last step
-        included), and ``check(state, k)`` just before step ``k``,
-        after its perturbation and convergence check.  Exceptions
-        propagate: each caller classifies them itself.
+        ``before_step``, if given, is called as ``before_step(state, k)``
+        just before step ``k``, after its perturbation and convergence
+        check.  Exceptions propagate: each caller classifies them
+        itself.
         """
         if step is None:
             state, start = self.fresh(), 0
@@ -262,18 +261,14 @@ class PrefixStore:
         else:
             state, start = self.resume(step)
             check_from = step
-        if observer is not None:
-            observer.enter(state, start)
         for index in range(start, self.total_steps):
             if index == step:
                 perturb(state, index)
             if index >= check_from and self.converged(index, state):
                 return None
-            if observer is not None:
-                observer.check(state, index)
+            if before_step is not None:
+                before_step(state, index)
             self.benchmark.step(state, index)
-            if observer is not None:
-                observer.enter(state, index + 1)
         return state
 
     def converged(self, index: int, state: Any) -> bool:

@@ -6,10 +6,9 @@ them with fault injection campaigns."  This module does exactly that:
 it re-runs CAROL-FI campaigns against benchmarks protected by the
 Section 6.1 recommendations —
 
-* variable guards (:mod:`repro.hardening.guards`) checked between
-  scheduling quanta and re-synced after every clean step, so a fault
-  injected into protected state is *detected* before the program
-  consumes it;
+* variable guards (:mod:`repro.hardening.guards`) verified before every
+  step and re-synced after it, so a fault injected into protected state
+  is *detected* before the program consumes it;
 * for DGEMM, Huang-Abraham ABFT on the output: checksums derived from
   the operands at load time verify (and where the pattern allows,
   *correct*) the product before it is accepted.
@@ -24,22 +23,25 @@ same loop as CAROL-FI runs, :meth:`PrefixStore.run
 <repro.carolfi.prefixcache.PrefixStore.run>`, over the golden store the
 constructor gets from :func:`~repro.carolfi.prefixcache.golden_store`
 for the CAROL-FI input (so a shared one is the CAROL-FI campaign's
-segment); the guards ride it as its
-observer: they are synced at the resume step, then verified before and
-re-synced after every step.  The guards need no replay either: after a
-fault-free prefix to step ``k`` every guard whose variable is live at
-``k`` holds ``resync`` of that variable (a pure function of the store)
-and every other guard is detached, and ``verify`` never trips on golden
-data — so rebuilding exactly that state at ``k`` is indistinguishable
-from walking there.  The fault-free hardened run is a full replay from
-step 0 that never stops early: it checks that the guards never trip on
-golden data and that ABFT finds the golden output clean, and it counts
-the bytes the guards verify per step — the protection's cost as a
-deterministic work count, never a wall-clock ratio.  Those two checks
-let an injected run stop early: once its state is byte-identical to a
-stored snapshot at or after the interrupt step, its guards hold
-``sync_guards`` of that golden state, so the rest of the run is the
-fault-free run's suffix — no trip, no detector event, a clean output —
+segment).  Of all the guard checks a guarded execution makes, only the
+one at the interrupt step ``k``, after the flip, can trip: every other
+check reads exactly the bytes the resync just before it captured, and
+``verify`` is a pure function of those bytes.  So an injected run makes
+that one check and no other, inside its perturbation.  After a
+fault-free prefix to ``k`` every guard whose variable is live at ``k``
+holds ``resync`` of that variable and every other guard is detached, so
+``sync_guards`` on the golden state at ``k`` rebuilds that guard state
+without walking there; then the flip lands, and each live guarded
+variable is verified once, in guard order, raising the same
+:class:`~repro.hardening.guards.FaultDetected` a full guarded walk
+would.  The fault-free hardened run is a full replay from
+step 0 that never stops early: ABFT must find its golden output clean,
+and before every step it sums the bytes of the guarded live variables —
+the bytes a guarded execution verifies per step, the protection's cost
+as a deterministic work count, never a wall-clock ratio.  An injected
+run may stop early: once its state is byte-identical to a stored
+snapshot at or after ``k``, the rest of the run is the fault-free run's
+suffix — no check there can trip, no detector event, a clean output —
 and the record is ``masked``.  No wall clock decides an outcome either:
 hangs are the benchmarks' deterministic loop guards, recorded as
 ``due`` with a ``timeout:`` detail.
@@ -72,7 +74,6 @@ from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.hardening.guards import (
     DetectorEvent,
     FaultDetected,
-    VariableGuard,
     attach_observer,
     build_guards,
     sync_guards,
@@ -148,32 +149,6 @@ class HardenedCampaignResult:
         return shares["sdc"] + shares["due"]
 
 
-class _GuardObserver:
-    """The guards' side of :meth:`PrefixStore.run
-    <repro.carolfi.prefixcache.PrefixStore.run>`.
-
-    ``enter`` re-syncs the guards to the state at the entry of a step —
-    the resume step, then after every step — and ``check`` is the
-    scheduled scrub point: verify every guarded store before the step
-    consumes it, counting the bytes verified.
-    """
-
-    def __init__(self, benchmark: Benchmark, guards: dict[str, VariableGuard]):
-        self.benchmark = benchmark
-        self.guards = guards
-        self.verified = 0
-
-    def enter(self, state: Any, index: int) -> None:
-        sync_guards(self.guards, self.benchmark.variables(state, index))
-
-    def check(self, state: Any, index: int) -> None:
-        arrays = {v.name: v.array for v in self.benchmark.variables(state, index)}
-        for name, guard in self.guards.items():
-            if name in arrays:
-                guard.verify(arrays[name])
-                self.verified += arrays[name].nbytes
-
-
 class HardenedSupervisor:
     """Runs injections against a benchmark wrapped in its guards.
 
@@ -214,9 +189,8 @@ class HardenedSupervisor:
             abft_checksums(pristine.a_src, pristine.b_src) if self.abft else None
         )
 
-        # The fault-free hardened run: guards must never trip on golden
-        # data and ABFT must find the golden output clean (the prefix
-        # resume and the convergence stop rest on it).  It also sets
+        # The fault-free hardened run: ABFT must find the golden output
+        # clean (the convergence stop rests on it).  It also sets
         # ``verify_kib_per_step``: the KiB the guards verify per step.
         self.verify_kib_per_step = 0.0
         record = self._execute(run_index=-1, model=None, interrupt_step=None)
@@ -263,21 +237,35 @@ class HardenedSupervisor:
         guards = build_guards(bench.name)
         if self.detector_observer is not None:
             attach_observer(guards, self.detector_observer)
-        observer = _GuardObserver(bench, guards)
         site = FaultSite("none", "none", 0, "none")
+        verified = 0
 
         def inject(state: Any, index: int) -> None:
+            # The golden prefix leaves the guards synced to this state,
+            # and this is the one check that can trip (module docstring).
             nonlocal site
+            sync_guards(guards, bench.variables(state, index))
             site, _bits = self.flip.inject(bench, state, index, model, rng)
+            arrays = {v.name: v.array for v in bench.variables(state, index)}
+            for name, guard in guards.items():
+                if name in arrays:
+                    guard.verify(arrays[name])
+
+        def count_verified(state: Any, index: int) -> None:
+            nonlocal verified
+            arrays = {v.name: v.array for v in bench.variables(state, index)}
+            verified += sum(arrays[name].nbytes for name in guards if name in arrays)
 
         try:
-            final = self.prefix.run(interrupt_step, inject, observer)
+            final = self.prefix.run(
+                interrupt_step, inject, count_verified if model is None else None
+            )
             if final is None:
                 # Golden again: the rest is the fault-free run's suffix.
                 outcome, detected_by, detail = "masked", "", ""
             else:
                 if model is None:
-                    self.verify_kib_per_step = observer.verified / 1024 / self.total_steps
+                    self.verify_kib_per_step = verified / 1024 / self.total_steps
                 outcome, detected_by, detail = self._classify(bench.output(final))
         except FaultDetected as exc:
             outcome, detected_by, detail = "detected", f"{exc.kind.value}:{exc.variable}", str(exc)

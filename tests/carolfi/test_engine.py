@@ -364,21 +364,6 @@ def test_checkpoint_dir_gets_failure_log_eagerly(tmp_path):
     assert events == [] and skipped == 0
 
 
-def test_failure_log_reader_counts_corrupt_lines(tmp_path):
-    log = tmp_path / "failures.jsonl"
-    log.write_text(
-        '{"event": "retry", "shard": 0}\n'
-        "}}corrupt{{\n"
-        '{"event": "quarantine", "shard": 0}\n'
-        "also not json\n",
-        encoding="utf-8",
-    )
-    events, skipped = load_records_tolerant(log)
-    assert [e["event"] for e in events] == ["retry", "quarantine"]
-    assert skipped == 2
-    assert load_records_tolerant(tmp_path / "missing.jsonl") == ([], 0)
-
-
 # -- fault domains: quarantine and reaping ------------------------------------
 
 

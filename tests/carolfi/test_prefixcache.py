@@ -286,17 +286,6 @@ def noop(state, index):
     pass
 
 
-class RecordingObserver:
-    def __init__(self):
-        self.events = []
-
-    def enter(self, state, index):
-        self.events.append(("enter", index))
-
-    def check(self, state, index):
-        self.events.append(("check", index))
-
-
 def test_run_stops_at_first_snapshot_from_the_perturbation_on():
     """A no-op perturbation at step k leaves the run golden: it returns
     ``None`` at the first snapshot step j >= k, counting total - j
@@ -337,41 +326,59 @@ def test_store_recorded_without_captures_replays_everything():
     assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
 
 
-def test_run_calls_observer_around_every_step_and_perturbs_its_step():
-    perturbed = []
+def traced_run(store, step, monkeypatch):
+    """``store.run(step, ...)``'s result and its perturbation, per-step
+    callable and benchmark steps, in call order."""
+    events = []
+    original_step = store.benchmark.step
 
-    def perturb(state, index):
-        perturbed.append(index)
+    def benchmark_step(state, index):
+        events.append(("step", index))
+        original_step(state, index)
 
+    monkeypatch.setattr(store.benchmark, "step", benchmark_step)
+    final = store.run(
+        step,
+        lambda state, index: events.append(("perturb", index)),
+        lambda state, index: events.append(("before", index)),
+    )
+    return final, events
+
+
+def test_run_calls_before_step_ahead_of_every_step_and_perturbs_its_step(monkeypatch):
     full = recorded_nw(snapshots=False)
-    observer = RecordingObserver()
-    assert full.run(3, perturb, observer) is not None
-    assert perturbed == [3]
-    expected = [("enter", 0)]
+    final, events = traced_run(full, 3, monkeypatch)
+    assert final is not None
+    expected = []
     for k in range(full.total_steps):
-        expected += [("check", k), ("enter", k + 1)]
-    assert observer.events == expected
+        if k == 3:
+            expected.append(("perturb", k))
+        expected += [("before", k), ("step", k)]
+    assert events == expected
 
     # Resumed at the snapshot below step 3, stopped at step 4 before its
-    # check: golden again after the perturbation.
-    perturbed.clear()
-    observer = RecordingObserver()
-    assert recorded_nw().run(3, perturb, observer) is None
-    assert perturbed == [3]
-    assert observer.events == [("enter", 2)] + [
-        event for k in range(2, 4) for event in (("check", k), ("enter", k + 1))
+    # call: golden again after the perturbation.
+    final, events = traced_run(recorded_nw(), 3, monkeypatch)
+    assert final is None
+    assert events == [
+        ("before", 2),
+        ("step", 2),
+        ("perturb", 3),
+        ("before", 3),
+        ("step", 3),
     ]
 
 
-def test_run_without_perturbations_is_a_full_replay():
+def test_run_without_perturbations_is_a_full_replay(monkeypatch):
     store = recorded_nw()
-    observer = RecordingObserver()
     tel = Telemetry(TelemetryConfig())
     with tel.activate():
-        final = store.run(None, noop, observer)
+        final, events = traced_run(store, None, monkeypatch)
     assert final is not None
     assert np.array_equal(store.benchmark.output(final), store.output)
-    assert observer.events[0] == ("enter", 0) and len(observer.events) == 2 * store.total_steps + 1
+    assert events == [
+        event for k in range(store.total_steps) for event in (("before", k), ("step", k))
+    ]
     counters = tel.registry.counter_values()
     assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
 

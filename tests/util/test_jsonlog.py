@@ -121,6 +121,14 @@ def test_tolerant_reader_counts_corrupt_interior_lines(tmp_path):
     assert skipped == 2  # one unparseable line, one non-dict record
 
 
+def test_tolerant_reader_counts_a_corrupt_last_line(tmp_path):
+    """Unlike the strict reader, a damaged final line is counted, not
+    dropped silently as a partial write."""
+    path = tmp_path / "log.jsonl"
+    path.write_text('{"a": 1}\n{"b": 2}\nalso not json\n', encoding="utf-8")
+    assert load_records_tolerant(path) == ([{"a": 1}, {"b": 2}], 1)
+
+
 def test_tolerant_reader_missing_file(tmp_path):
     assert load_records_tolerant(tmp_path / "absent.jsonl") == ([], 0)
 
