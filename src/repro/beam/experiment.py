@@ -34,8 +34,8 @@ machine model's scheduler wedge, both recorded as ``timeout`` DUEs.
 
 A beam campaign is one kind of campaign (:class:`BeamConfig`): it runs
 through :func:`~repro.carolfi.campaign.run_campaign` like CAROL-FI's,
-so workers, shard checkpoints, subprocess isolation and the broker
-apply to it unchanged.
+so workers, shard checkpoints and subprocess isolation apply to it
+unchanged.
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@ The paper injects at least 10,000 faults per benchmark, spread
 uniformly over the four fault models and the whole execution time, and
 its beam (§4) and hardened-code (§7) studies have the same unit of
 work.  :func:`run_campaign` is the one campaign function for all
-three: every campaign, serial or pooled, in process or sandboxed, local
-or brokered, runs through the shard scheduler over the parts in
+three: every campaign, serial or pooled, in process or sandboxed, runs
+through the shard scheduler over the parts in
 :mod:`repro.carolfi.engine`, deterministically under a single seed,
 optionally persisting every record to JSONL (the public-log analogue).
 
@@ -143,29 +143,13 @@ class CampaignKind(Generic[ResultT]):
         raise NotImplementedError
 
     def to_wire(self) -> dict[str, Any]:
-        """The kind-tagged, JSON-safe form :meth:`from_wire` inverts
-        exactly, so a config (with the seed inside, which keys every
-        run's RNG stream) survives any number of service hops intact."""
+        """The kind-tagged, JSON-safe form of every field: what the
+        checkpoint fingerprint and the shared-runner cache key hash, so
+        two configs with equal wire forms run equal campaigns."""
         wire: dict[str, Any] = {"kind": self.kind}
         for item in fields(self):  # type: ignore[arg-type]
             wire[item.name] = _to_wire(getattr(self, item.name))
         return wire
-
-    @classmethod
-    def from_wire(cls, data: dict[str, Any]) -> "CampaignKind[Any]":
-        """Rebuild a config of the kind ``data`` names, refusing unknown
-        fields; a missing or ``None`` field takes its default."""
-        values = dict(data)
-        target: Any = kind_class(values.pop("kind", None))
-        if not issubclass(target, cls):
-            raise ValueError(f"a {target.kind} config is not a {cls.__name__}")
-        unknown = set(values) - {item.name for item in fields(target)}
-        if unknown:
-            raise ValueError(f"unknown campaign config fields: {sorted(unknown)}")
-        try:
-            return target(**{name: value for name, value in values.items() if value is not None})
-        except TypeError as exc:  # a required field is missing
-            raise ValueError(f"incomplete campaign config: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -351,18 +335,18 @@ def run_campaign(
     process (:class:`~repro.service.local.LocalBackend`);
     ``workers=None`` resolves via ``REPRO_WORKERS`` then
     ``os.cpu_count()``.  ``backend`` overrides *where* leases execute
-    (e.g. the distributed :class:`~repro.service.broker.BrokerBackend`,
-    whose lifetime stays the caller's).
+    (a test seam: a scripted backend, whose lifetime stays the
+    caller's).
 
     A serial in-process campaign keeps a private golden store; a pool
     or a subprocess sandbox warms the host's shared-memory segment
     (:mod:`repro.carolfi.shmstore`) from this process before any worker
-    forks, broker workers publish or attach it, and this function
-    sweeps it at teardown.  ``runner`` is one the caller built for
-    ``config``, possibly with more than the config carries (a benchmark
-    instance, a sensitivity table, a machine model): the serial
-    in-process campaign runs on it, and any other topology refuses it,
-    because only a config's own fields may reach another process.
+    forks, and this function sweeps it at teardown.  ``runner`` is one
+    the caller built for ``config``, possibly with more than the config
+    carries (a benchmark instance, a sensitivity table, a machine
+    model): the serial in-process campaign runs on it, and any other
+    topology refuses it, because only a config's own fields may reach
+    another process.
 
     ``isolation`` selects where each run executes (see
     :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry`` the
@@ -502,8 +486,8 @@ def run_campaign(
                 def ckpt_file(spec: ShardSpec) -> str | None:
                     return None if ckpt_dir is None else str(shard_path(ckpt_dir, spec.index))
 
-                # A caller's backend (e.g. the broker) stays the caller's;
-                # otherwise the engine owns one for this campaign.
+                # A caller's backend stays the caller's; otherwise the
+                # engine owns one for this campaign.
                 owned: ShardBackend | None = None
                 if backend is None:
                     if shares:

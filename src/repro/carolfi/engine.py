@@ -361,8 +361,9 @@ def _execute_shard(
     they are recorded as the runner's DUE records, not executed.
     ``on_run`` fires before each scalar run (the liveness beat the
     scheduler attributes deaths with).  ``stop`` is read before every
-    run and returns the range's current end, so an executor can narrow
-    (steal) or empty (cancel) the range at a run boundary.  An exception
+    run and returns the range's current end, so an executor can end
+    the lease at a run boundary (the inline executor does when a
+    checkpoint cannot be written).  An exception
     a run lets escape — a sandbox worker's death included — is raised
     as :class:`ShardRunError` naming that run.  Checkpoints are the
     scheduler's business, written from the records.

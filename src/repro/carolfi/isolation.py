@@ -74,6 +74,12 @@ __all__ = [
 
 EventCallback = Callable[[dict[str, Any]], None]
 
+#: Deadline for a fresh sandbox worker to finish its golden run.
+STARTUP_TIMEOUT_S = 300.0
+
+#: Supervision tick: pipe poll / liveness / RSS check cadence.
+POLL_INTERVAL_S = 0.01
+
 
 class IsolationMode(str, enum.Enum):
     """Where an injected execution runs."""
@@ -112,38 +118,21 @@ class IsolationConfig:
     """RSS ceiling for the worker process; ``None`` disables the check
     (it also degrades to disabled where ``/proc`` is unavailable)."""
 
-    startup_timeout_s: float = 300.0
-    """Deadline for a fresh worker to finish its golden run."""
-
-    poll_interval_s: float = 0.01
-    """Supervision tick: pipe poll / liveness / RSS check cadence."""
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "mode", IsolationMode(self.mode))
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.mem_limit_mb is not None and self.mem_limit_mb <= 0:
             raise ValueError("mem_limit_mb must be positive")
-        if self.startup_timeout_s <= 0 or self.poll_interval_s <= 0:
-            raise ValueError("timeouts must be positive")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "mode": self.mode.value,
-            "timeout_s": self.timeout_s,
-            "mem_limit_mb": self.mem_limit_mb,
-            "startup_timeout_s": self.startup_timeout_s,
-            "poll_interval_s": self.poll_interval_s,
-        }
 
 
 # -- shared runner cache ------------------------------------------------------
 
 #: Per-process cache of *shared* runners — golden stores a second
 #: process reads: a pool's lease workers, a sandbox's workers (respawned
-#: after every kill), a host's ``repro-worker`` agents — keyed by
-#: the campaign config.  Input generation and the golden run are paid
-#: once per process — under ``fork``, once per process *tree*.  It
+#: after every kill) — keyed by the campaign config.  Input generation
+#: and the golden run are paid once per process — under ``fork``, once
+#: per process *tree*.  It
 #: holds one campaign: a new key evicts the old runner (its golden store
 #: and shared segment with it), and a sharing campaign drops its entry
 #: at teardown.
@@ -426,10 +415,10 @@ class InjectionSandbox:
         )
         proc.start()
         child_conn.close()
-        deadline = time.monotonic() + self.isolation.startup_timeout_s
+        deadline = time.monotonic() + STARTUP_TIMEOUT_S
         startup_error = None
         while True:
-            if parent_conn.poll(self.isolation.poll_interval_s):
+            if parent_conn.poll(POLL_INTERVAL_S):
                 try:
                     msg = parent_conn.recv()
                 except (EOFError, OSError):
@@ -448,9 +437,7 @@ class InjectionSandbox:
             if not proc.is_alive() and not parent_conn.poll():
                 break
             if time.monotonic() > deadline:
-                startup_error = (
-                    f"worker did not come up within {self.isolation.startup_timeout_s}s"
-                )
+                startup_error = f"worker did not come up within {STARTUP_TIMEOUT_S}s"
                 break
         _kill(proc)
         cause = startup_error or describe_exitcode(proc.exitcode)
@@ -568,7 +555,7 @@ class InjectionSandbox:
         limit_bytes = None if limit is None else int(limit * (1 << 20))
         while True:
             try:
-                if self._conn.poll(self.isolation.poll_interval_s):
+                if self._conn.poll(POLL_INTERVAL_S):
                     msg = self._conn.recv()
                     if msg[0] == expect:
                         return None, msg[1]

@@ -48,8 +48,8 @@ hangs are the benchmarks' deterministic loop guards, recorded as
 
 A hardened campaign is one kind of campaign (:class:`HardenedConfig`):
 it runs through :func:`~repro.carolfi.campaign.run_campaign` like
-CAROL-FI's, so workers, shard checkpoints, subprocess isolation and the
-broker apply to it unchanged.
+CAROL-FI's, so workers, shard checkpoints and subprocess isolation
+apply to it unchanged.
 """
 
 from __future__ import annotations

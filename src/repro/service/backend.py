@@ -1,29 +1,25 @@
-"""The transport-agnostic shard backend protocol.
+"""The shard backend protocol.
 
 The campaign scheduler (:mod:`repro.service.scheduler`) never talks to
-processes, pipes or sockets directly: it leases contiguous run ranges
-to a :class:`ShardBackend` and reacts to the events the backend drains
-back.  Three implementations exist:
+processes or pipes directly: it leases contiguous run ranges to a
+:class:`ShardBackend` and reacts to the events the backend drains
+back.  Two implementations exist:
 
 * :class:`repro.service.local.InlineBackend` — serial campaigns: each
   lease runs synchronously in the calling process;
 * :class:`repro.service.local.LocalBackend` — the engine's
   fault-domain pool: one disposable ``mp.Process`` per lease (one
-  lease per worker), heartbeats over a pipe;
-* :class:`repro.service.broker.BrokerBackend` — a TCP work-queue
-  server leasing run ranges to connected ``repro-worker`` agents, with
-  work stealing and re-lease on worker loss.
+  lease per worker), heartbeats over a pipe.
 
 A **lease** is one attempt to execute one contiguous run range, which
 may span several shards: the scheduler cuts one per free executor slot
 (at shard boundaries), and the shard stays the unit of checkpoints.  A
 shard may be covered by several leases over its lifetime (retries
-after a worker death, a steal splitting a straggler's remaining range);
-the scheduler owns that bookkeeping, the backend only executes leases
-and reports what happened to them.
+after a worker death); the scheduler owns that bookkeeping, the
+backend only executes leases and reports what happened to them.
 
 Every executor speaks one lease protocol, whatever carries it (an
-in-process call, a pipe, a socket): it runs
+in-process call or a pipe): it runs
 :func:`repro.service.local._run_lease` and sends one frame per event::
 
     {"kind": "run", "run": k}                  # liveness beat
@@ -64,11 +60,9 @@ class ShardLease:
     the ``attempt``-th lease whose range starts in that shard.
     ``start`` is the *resume point*, not necessarily a shard's first
     run index: a re-lease after a worker death starts where the dead
-    lease's streamed records end, and a lease minted by a steal starts
-    at the split point.  ``skip`` maps quarantined run indices to their
-    ``(due_kind, detail)`` — the executing worker records them as
-    synthetic DUEs without running them, on whatever host the lease
-    lands.
+    lease's streamed records end.  ``skip`` maps quarantined run
+    indices to their ``(due_kind, detail)`` — the executing worker
+    records them as synthetic DUEs without running them.
     """
 
     lease_id: str
@@ -97,13 +91,11 @@ class BackendEvent:
     * ``"rec"`` — run ``run`` completed and ``row`` is its record dict;
     * ``"metrics"`` / ``"spans"`` — a telemetry delta / span batch in
       ``payload``;
-    * ``"failure"`` — a worker-side failure event dict in ``payload``;
-    * ``"worker"`` — worker membership changed (connected/lost);
-      ``payload`` is the event dict, ``lease_id`` is ``None``.
+    * ``"failure"`` — a worker-side failure event dict in ``payload``.
     """
 
     kind: str
-    lease_id: str | None = None
+    lease_id: str
     run: int | None = None
     row: dict[str, Any] | None = None
     payload: Any = None
@@ -116,41 +108,17 @@ class LeaseResult:
     ``status`` is ``"done"`` (range fully executed, every record already
     streamed), ``"error"`` (one run raised an exception that escaped the
     crash net; ``error_run`` attributes it) or ``"dead"`` (the executor
-    vanished — process exit, connection loss — without reporting).
+    process exited without reporting).
     """
 
     lease_id: str
     status: str
     detail: str = ""
     error_run: int | None = None
-    worker: str = ""
 
 
 class ShardBackend(abc.ABC):
     """Executes shard leases somewhere; the scheduler does not care where."""
-
-    #: Whether :meth:`shrink` can split a running lease's remaining
-    #: range (work stealing).  Backends whose executors cannot be
-    #: re-scoped mid-flight leave this False.
-    supports_steal: bool = False
-
-    #: Whether executors run off-host.  Only remote backends get the
-    #: lease-lifecycle events and the ``repro_service_*`` series: a
-    #: local campaign's registry must equal its serial twin's.
-    remote: bool = False
-
-    def attach_telemetry(self, telemetry: Any) -> None:
-        """Optional hook: the scheduler hands over the campaign's
-        :class:`~repro.telemetry.Telemetry` bundle before dispatching.
-
-        Backends that observe fleet state the scheduler cannot see
-        (worker membership, heartbeat round trips) register their
-        fleet-only series on the campaign registry here, and backends
-        that ship work to other hosts capture the current span context
-        so remote executors can continue the campaign trace.  The
-        default is a no-op — local backends receive telemetry at
-        construction and have nothing host-level to add.
-        """
 
     def stream_events(self, handler: Callable[[BackendEvent], None] | None) -> None:
         """Optional hook: hand each event to ``handler`` as it happens.
@@ -168,8 +136,8 @@ class ShardBackend(abc.ABC):
         """Free executor slots right now (0 = submit would have to wait)."""
 
     @abc.abstractmethod
-    def submit(self, lease: ShardLease) -> str:
-        """Dispatch a lease to an executor; returns a worker label."""
+    def submit(self, lease: ShardLease) -> None:
+        """Dispatch a lease to an executor."""
 
     @abc.abstractmethod
     def heartbeats(self) -> list[BackendEvent]:
@@ -180,19 +148,9 @@ class ShardBackend(abc.ABC):
         """Drain terminal lease outcomes (done / error / dead)."""
 
     @abc.abstractmethod
-    def cancel(self, lease_id: str, *, reap: bool = False) -> None:
-        """Abandon a lease.  ``reap`` kills an unresponsive executor
-        outright (the liveness path); a cancelled lease emits no
-        further events and no result."""
-
-    def shrink(self, lease_id: str, new_stop: int) -> bool:
-        """Narrow a running lease to ``[start, new_stop)`` (steal prep).
-
-        Best-effort: the executor may already be past ``new_stop``; any
-        overshoot produces byte-identical duplicate records the
-        scheduler deduplicates.  Returns False when unsupported.
-        """
-        return False
+    def cancel(self, lease_id: str) -> None:
+        """Abandon a lease, killing its executor if it still runs; a
+        cancelled lease emits no further events and no result."""
 
     @abc.abstractmethod
     def close(self) -> None:
@@ -209,7 +167,7 @@ class ShardBackend(abc.ABC):
 _PAYLOADS = {"metrics": "delta", "spans": "batch", "failure": "event"}
 
 
-def event_from_frame(lease_id: str | None, frame: dict[str, Any]) -> BackendEvent | None:
+def event_from_frame(lease_id: str, frame: dict[str, Any]) -> BackendEvent | None:
     """The backend event a non-terminal frame stands for (``None``: unknown)."""
     kind = frame.get("kind")
     if kind == "run":
@@ -221,15 +179,14 @@ def event_from_frame(lease_id: str | None, frame: dict[str, Any]) -> BackendEven
     return None
 
 
-def result_from_frame(lease_id: str, frame: dict[str, Any], worker: str) -> LeaseResult:
+def result_from_frame(lease_id: str, frame: dict[str, Any]) -> LeaseResult:
     """The lease result a terminal ``done``/``error`` frame stands for."""
     if frame["kind"] == "done":
-        return LeaseResult(lease_id, "done", worker=worker)
+        return LeaseResult(lease_id, "done")
     run = frame.get("run")
     return LeaseResult(
         lease_id,
         "error",
         detail=str(frame.get("detail", "worker error")),
         error_run=None if run is None else int(run),
-        worker=worker,
     )

@@ -3,9 +3,8 @@
 :func:`_run_lease` is the one lease body of every executor:
 ``_execute_shard`` over the lease range, each record streamed as a
 ``rec`` frame, ending in a bare ``done`` or an ``error`` (the protocol
-of :mod:`repro.service.backend`).  ``repro-worker`` runs it behind the
-broker; the two local executors here differ only in which process runs
-it:
+of :mod:`repro.service.backend`).  The two executors differ only in
+which process runs it:
 
 * :class:`InlineBackend` — serial campaigns: each lease (normally the
   whole campaign) runs synchronously in the calling process, inside
@@ -158,8 +157,15 @@ def _lease_worker_main(
     every record (``metrics`` / ``spans`` frames).  Draining before the
     final ``done`` keeps merging at-most-once: a killed worker loses
     only its undrained tail, never double-counts.
+
+    With ``REPRO_WORKER_DIE_AFTER=N`` set, the process exits with code
+    7 — no terminal frame, no clean-up — right after streaming its
+    ``N``-th record: a worker dying mid-lease, which the scheduler must
+    re-lease from the next run.
     """
     worker_tel = WorkerTelemetry(shard_tel)
+    die_after = int(os.environ.get("REPRO_WORKER_DIE_AFTER", "0") or 0)
+    records = 0
 
     def flush_telemetry() -> None:
         delta, spans = worker_tel.drain()
@@ -169,14 +175,17 @@ def _lease_worker_main(
             _send(conn, {"kind": "spans", "batch": spans})
 
     def send(frame: Frame) -> None:
+        nonlocal records
         _send(conn, frame)
         if frame["kind"] == "rec":
             flush_telemetry()
+            records += 1
+            if records == die_after:
+                os._exit(7)
 
     sandbox = _new_sandbox(config, isolation, send)
     try:
-        # A ``lease`` span around the lease body, as ``repro-worker``
-        # opens one: local and remote leases trace alike.
+        # A ``lease`` span around the lease body, under the campaign span.
         with worker_tel.activate(), worker_tel.tracer.span(
             "lease",
             lease=lease.lease_id,
@@ -208,13 +217,12 @@ def _lease_worker_main(
 class _LeaseProc:
     """One live lease: its process, pipe, and staged terminal frame."""
 
-    __slots__ = ("lease", "proc", "conn", "terminal", "worker")
+    __slots__ = ("lease", "proc", "conn", "terminal")
 
-    def __init__(self, lease: ShardLease, proc: Any, conn: Any, worker: str):
+    def __init__(self, lease: ShardLease, proc: Any, conn: Any):
         self.lease = lease
         self.proc = proc
         self.conn = conn
-        self.worker = worker
         self.terminal: Frame | None = None
 
 
@@ -251,7 +259,7 @@ class LocalBackend(ShardBackend):
     def capacity(self) -> int:
         return self._workers - len(self._live)
 
-    def submit(self, lease: ShardLease) -> str:
+    def submit(self, lease: ShardLease) -> None:
         conn_r, conn_w = self._ctx.Pipe(duplex=False)
         shard_tel = (
             self._telemetry.shard_telemetry()
@@ -271,9 +279,7 @@ class LocalBackend(ShardBackend):
         )
         proc.start()
         conn_w.close()
-        worker = f"local/pid{proc.pid}"
-        self._live[lease.lease_id] = _LeaseProc(lease, proc, conn_r, worker)
-        return worker
+        self._live[lease.lease_id] = _LeaseProc(lease, proc, conn_r)
 
     def _drain_conn(self, live: _LeaseProc, events: list[BackendEvent]) -> None:
         while live.conn is not None:
@@ -312,10 +318,10 @@ class LocalBackend(ShardBackend):
             self._drain_conn(live, events)
         lease_id = live.lease.lease_id
         if live.terminal is not None:
-            result = result_from_frame(lease_id, live.terminal, live.worker)
+            result = result_from_frame(lease_id, live.terminal)
         else:
             detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
-            result = LeaseResult(lease_id, "dead", detail=detail, worker=live.worker)
+            result = LeaseResult(lease_id, "dead", detail=detail)
         self._retire(live)
         self._results.append(result)
         del self._live[lease_id]
@@ -336,7 +342,7 @@ class LocalBackend(ShardBackend):
             live.proc.kill()
             live.proc.join(timeout=5.0)
 
-    def cancel(self, lease_id: str, *, reap: bool = False) -> None:
+    def cancel(self, lease_id: str) -> None:
         live = self._live.pop(lease_id, None)
         if live is not None:
             self._retire(live)
@@ -360,18 +366,15 @@ class InlineBackend(ShardBackend):
     (normally the whole campaign) runs on.
     One lease at a time: capacity is 0 while a lease is staged or its
     result is still undrained.  ``on_run_done`` is called after every
-    record (the live progress line's tick).  No stealing, no liveness
-    to lose: a run that hangs or kills this process takes the campaign
-    with it — subprocess isolation exists for exactly that.
+    record (the live progress line's tick).  No liveness to lose: a run
+    that hangs or kills this process takes the campaign with it —
+    subprocess isolation exists for exactly that.
 
     Without a sandbox the runs go through ``runner(on_event)``, the
     campaign's runner in this process, whose golden store maps no
     shared-memory segment: no other process reads it.  A sandbox's
     owner still publishes, because its workers read it.
     """
-
-    #: Worker label of every inline lease.
-    WORKER = "inline"
 
     def __init__(
         self,
@@ -399,9 +402,8 @@ class InlineBackend(ShardBackend):
     def capacity(self) -> int:
         return 0 if self._lease is not None or self._results else 1
 
-    def submit(self, lease: ShardLease) -> str:
+    def submit(self, lease: ShardLease) -> None:
         self._lease = lease
-        return self.WORKER
 
     def _send(self, frame: Frame) -> None:
         event = event_from_frame(self._running, frame)
@@ -437,7 +439,7 @@ class InlineBackend(ShardBackend):
             error, self._handler_error = self._handler_error, None
             if error is not None:
                 raise error
-            self._results.append(result_from_frame(lease.lease_id, terminal, self.WORKER))
+            self._results.append(result_from_frame(lease.lease_id, terminal))
         events, self._events = self._events, []
         return events
 
@@ -445,7 +447,7 @@ class InlineBackend(ShardBackend):
         results, self._results = self._results, []
         return results
 
-    def cancel(self, lease_id: str, *, reap: bool = False) -> None:
+    def cancel(self, lease_id: str) -> None:
         if self._lease is not None and self._lease.lease_id == lease_id:
             self._lease = None
         self._results = [r for r in self._results if r.lease_id != lease_id]

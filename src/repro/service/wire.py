@@ -1,27 +1,20 @@
-"""Tagged JSONL wire frames shared by the heartbeat pipe and the broker socket.
+"""Tagged wire frames for the lease workers' heartbeat pipe.
 
-The campaign engine's worker protocol has always been "small JSON-able
-dicts over a byte channel" — heartbeats, metric deltas, span batches,
-failure events, record rows.  This module gives those dicts one framed
-wire format usable on *any* transport:
+A lease worker reports to the scheduler in small JSON-able dicts —
+heartbeats, metric deltas, span batches, failure events, record rows.
+This module gives those dicts one framed wire format:
 
 * a frame is one line: ``<length>:<crc32>:<payload-json>\\n``, where
   ``length`` is the byte length of the payload and ``crc32`` its
   zlib CRC-32 in 8 hex digits;
 * a corrupted, truncated or interleaved frame is **detectable** (the
   tag no longer matches the payload) instead of silently parsing into
-  the wrong record — plain JSONL can only ever detect a damaged
-  *trailing* line;
-* frames are self-delimiting on stream transports: the
-  :class:`FrameDecoder` reassembles frames from arbitrary byte chunks,
-  tolerates a partial trailing frame (the writer may still be mid-
-  ``write``), and counts every frame it had to skip.
+  the wrong record.
 
-Used by the local engine's heartbeat pipe
-(:mod:`repro.service.local`; ``Connection.send_bytes`` is message-
-oriented, so only the tag validation matters there) and by the broker's
-TCP socket (:mod:`repro.service.broker`; stream-oriented, so the
-decoder does the reassembly too).
+The pipe (:mod:`repro.service.local`; ``Connection.send_bytes`` is
+message-oriented) delimits frames itself, so only the tag validation
+matters there: a torn frame from a dying worker is skipped, never
+half-parsed into the log.
 """
 
 from __future__ import annotations
@@ -32,7 +25,6 @@ from typing import Any
 
 __all__ = [
     "FrameError",
-    "FrameDecoder",
     "MAX_FRAME_BYTES",
     "decode_frame",
     "encode_frame",
@@ -86,46 +78,3 @@ def decode_frame(data: bytes) -> dict[str, Any]:
         raise FrameError(f"frame payload must be a dict, got {type(obj).__name__}")
     return obj
 
-
-class FrameDecoder:
-    """Reassembles tagged frames from an arbitrary byte stream.
-
-    Feed it whatever the transport hands you; it returns every complete,
-    valid frame and keeps the (possibly partial) tail buffered.  Damage
-    is contained to the damaged line: a frame that fails validation is
-    skipped and counted (:attr:`skipped`), and decoding resynchronises
-    at the next newline — the property plain JSONL lacks for anything
-    but the final line.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self.skipped = 0
-
-    @property
-    def pending(self) -> int:
-        """Bytes buffered waiting for the rest of a frame."""
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> list[dict[str, Any]]:
-        """Absorb ``data``; return every complete valid frame it closed."""
-        self._buffer.extend(data)
-        frames: list[dict[str, Any]] = []
-        while True:
-            newline = self._buffer.find(b"\n")
-            if newline < 0:
-                # An impossible tag in the partial tail will never become
-                # a valid frame: drop it now so the buffer cannot grow
-                # without bound on a hostile or desynchronised stream.
-                if len(self._buffer) > MAX_FRAME_BYTES:
-                    self._buffer.clear()
-                    self.skipped += 1
-                return frames
-            line = bytes(self._buffer[:newline])
-            del self._buffer[: newline + 1]
-            if not line:
-                continue
-            try:
-                frames.append(decode_frame(line))
-            except FrameError:
-                self.skipped += 1

@@ -30,7 +30,6 @@ __all__ = [
     "parse_prometheus_series",
     "parse_prometheus_text",
     "prometheus_text",
-    "quantile_from_samples",
     "snapshot_record",
     "summary_table",
     "write_metrics_file",
@@ -196,58 +195,6 @@ def parse_prometheus_samples(
         name, labels = parse_prometheus_series(series)
         out[(name, tuple(sorted(labels.items())))] = value
     return out
-
-
-def quantile_from_samples(
-    samples: dict[tuple[str, tuple[tuple[str, str], ...]], float],
-    name: str,
-    q: float,
-    **labels: str,
-) -> float | None:
-    """Estimate a histogram quantile from parsed ``<name>_bucket`` samples.
-
-    The reader-side twin of :meth:`~repro.telemetry.metrics.Histogram.
-    quantile`: ``samples`` is the output of
-    :func:`parse_prometheus_samples`, ``labels`` filters the series
-    (e.g. ``worker="w0"``); series differing only in unfiltered labels
-    are aggregated.  Returns ``None`` when no matching bucket sample
-    exists or the histogram is empty.
-    """
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("quantile must be in [0, 1]")
-    cumulative_by_bound: dict[float, float] = {}
-    for (metric, label_items), value in samples.items():
-        if metric != f"{name}_bucket":
-            continue
-        label_map = dict(label_items)
-        le = label_map.pop("le", None)
-        if le is None:
-            continue
-        if any(label_map.get(k) != str(v) for k, v in labels.items()):
-            continue
-        bound = math.inf if le == "+Inf" else float(le)
-        cumulative_by_bound[bound] = cumulative_by_bound.get(bound, 0.0) + value
-    if not cumulative_by_bound:
-        return None
-    bounds = sorted(cumulative_by_bound)
-    total = cumulative_by_bound[bounds[-1]]
-    if total <= 0:
-        return None
-    rank = q * total
-    lower = 0.0
-    before = 0.0
-    largest_finite = max((b for b in bounds if math.isfinite(b)), default=0.0)
-    for bound in bounds:
-        cumulative = cumulative_by_bound[bound]
-        in_bucket = cumulative - before
-        if cumulative >= rank and in_bucket > 0:
-            if not math.isfinite(bound):
-                return largest_finite
-            fraction = (rank - before) / in_bucket
-            return lower + (bound - lower) * min(1.0, max(0.0, fraction))
-        before = cumulative
-        lower = bound if math.isfinite(bound) else lower
-    return largest_finite
 
 
 def snapshot_record(registry: MetricsRegistry, **extra: Any) -> dict[str, Any]:

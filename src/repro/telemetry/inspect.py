@@ -24,9 +24,7 @@ the analytical counterpart of the live progress line:
   ``--strict`` turns a mismatch into a nonzero exit, so CI can use the
   report as an integrity gate;
 * ``--diff``: cell-by-cell two-proportion z-tests between two
-  campaigns (e.g. before/after an engine change);
-* ``repro-inspect service``: the lease table, worker timeline and
-  disruption log of a broker campaign's ``failures.jsonl``.
+  campaigns (e.g. before/after an engine change).
 
 Every JSONL artifact is read with the tolerant reader; skipped corrupt
 lines are *surfaced* (per-file counts in the overview, plus a
@@ -44,11 +42,7 @@ from pathlib import Path
 from typing import Any, IO
 
 from repro.telemetry.convergence import CellKey, ConvergenceMonitor, PVF_OUTCOMES
-from repro.telemetry.exporters import (
-    parse_prometheus_samples,
-    prometheus_text,
-    quantile_from_samples,
-)
+from repro.telemetry.exporters import parse_prometheus_samples, prometheus_text
 from repro.telemetry.metrics import MetricsRegistry
 from repro.util.jsonlog import load_records_tolerant
 from repro.util.stats import two_proportion_z
@@ -540,286 +534,8 @@ def render_text(
 # -- CLI -----------------------------------------------------------------------
 
 
-def _lease_fate(
-    lease_id: str,
-    done: set[str],
-    re_leased: dict[str, int],
-    stolen: dict[str, int],
-) -> str:
-    """A lease's fate, compressed to one cell."""
-    parts: list[str] = []
-    if lease_id in stolen:
-        parts.append(f"stolen@{stolen[lease_id]}")
-    if lease_id in re_leased:
-        parts.append(f"re-leased@{re_leased[lease_id]}")
-    if lease_id in done:
-        parts.append("done")
-    return ", ".join(parts) or "lost"
-
-
-def _sum_by_label(
-    samples: dict[tuple[str, tuple[tuple[str, str], ...]], float],
-    name: str,
-    label: str,
-) -> dict[str, float]:
-    """Sum one metric's samples by a label's values (parsed-snapshot view)."""
-    out: dict[str, float] = {}
-    for (metric, labels), value in samples.items():
-        if metric != name:
-            continue
-        for key, val in labels:
-            if key == label:
-                out[val] = out.get(val, 0.0) + value
-    return out
-
-
-def _campaign_samples(
-    base: Path,
-) -> dict[tuple[str, tuple[tuple[str, str], ...]], float] | None:
-    """Parsed samples from a campaign dir's metrics snapshot, if any."""
-    for candidate in _METRIC_CANDIDATES:
-        metric_file = base / candidate
-        if metric_file.exists():
-            try:
-                samples, _skipped = _load_metric_samples(metric_file)
-            except (OSError, ValueError):
-                return None
-            return samples
-    return None
-
-
-def _service_main(argv: list[str], out: IO[str]) -> int:
-    """``repro-inspect service``: lease table and worker timeline.
-
-    Joins the scheduler's ``failures.jsonl`` events from a distributed
-    (broker-mode) campaign into four views: every lease with its range
-    and fate, a per-worker summary (joined with the broker's per-worker
-    metrics when a snapshot sits next to the log), the campaign's
-    service counters, and the chronological disruption log (steals,
-    re-leases, deaths, quarantines, reaps).
-    """
-    parser = argparse.ArgumentParser(
-        prog="repro-inspect service",
-        description="Lease table, per-worker timeline and disruption log "
-        "from a distributed campaign's failures.jsonl.",
-    )
-    parser.add_argument(
-        "paths",
-        nargs="+",
-        help="failures.jsonl files or campaign directories containing one.",
-    )
-    args = parser.parse_args(argv)
-
-    files: list[Path] = []
-    for raw in args.paths:
-        path = Path(raw)
-        files.append(path / "failures.jsonl" if path.is_dir() else path)
-    missing = [str(p) for p in files if not p.exists()]
-    if missing:
-        print(
-            f"repro-inspect service: not found: {', '.join(missing)}", file=sys.stderr
-        )
-        return 2
-
-    status = 0
-    for path in files:
-        events, skipped = load_records_tolerant(path)
-        if skipped:
-            print(
-                f"repro-inspect service: {path}: skipped {skipped} corrupt line(s)",
-                file=sys.stderr,
-            )
-        leases = [e for e in events if e.get("event") == "lease" and "lease" in e]
-        if not leases:
-            print(
-                f"repro-inspect service: {path}: no lease events — "
-                "not a distributed campaign log?",
-                file=sys.stderr,
-            )
-            status = 2
-            continue
-
-        done = {str(e["lease"]) for e in events if e.get("event") == "lease_done"}
-        re_leased = {
-            str(e["lease"]): int(e["resume_from"])
-            for e in events
-            if e.get("event") == "re_lease"
-        }
-        stolen = {
-            str(e["victim"]): int(e["split"])
-            for e in events
-            if e.get("event") == "steal"
-        }
-
-        rows = [
-            [
-                str(e["lease"]),
-                int(e["shard"]),
-                f"[{e['start']}, {e['stop']})",
-                int(e.get("attempt", 0)),
-                str(e.get("worker", "?")),
-                _lease_fate(str(e["lease"]), done, re_leased, stolen),
-            ]
-            for e in leases
-        ]
-        print(
-            format_table(
-                ["lease", "shard", "runs", "attempt", "worker", "fate"],
-                rows,
-                title=f"[{path.parent.name or path.name}] lease table",
-            ),
-            file=out,
-        )
-
-        workers: dict[str, dict[str, Any]] = {}
-
-        def slot(name: str) -> dict[str, Any]:
-            return workers.setdefault(
-                name,
-                {
-                    "leases": 0,
-                    "runs": 0,
-                    "shards": set(),
-                    "deaths": 0,
-                    "lost": 0,
-                    "addr": "-",
-                    "pid": "-",
-                },
-            )
-
-        for e in events:
-            kind = e.get("event")
-            if kind in ("worker_connected", "worker_lost") and "worker" in e:
-                w = slot(str(e["worker"]))
-                if e.get("addr"):
-                    w["addr"] = str(e["addr"])
-                if e.get("pid") is not None:
-                    w["pid"] = str(e["pid"])
-                if kind == "worker_lost":
-                    w["lost"] += 1
-            elif kind == "lease" and "worker" in e:
-                w = slot(str(e["worker"]))
-                w["leases"] += 1
-                w["runs"] += int(e["stop"]) - int(e["start"])
-                w["shards"].add(int(e["shard"]))
-            elif kind == "worker_death" and "worker" in e:
-                slot(str(e["worker"]))["deaths"] += 1
-
-        # Join the broker's per-worker series when a metrics snapshot
-        # sits in the campaign directory (records streamed, heartbeat
-        # RTT, disconnects) — the fleet view the event log alone lacks.
-        samples = _campaign_samples(path.parent)
-        headers = ["worker", "addr", "pid", "leases", "runs leased", "shards", "deaths", "lost"]
-        if samples is not None:
-            headers += ["recs", "rtt p50 ms"]
-            recs = _sum_by_label(samples, "repro_service_worker_runs_total", "worker")
-        rows = []
-        for name, w in sorted(workers.items()):
-            row: list[Any] = [
-                name, w["addr"], w["pid"], w["leases"], w["runs"],
-                len(w["shards"]), w["deaths"], w["lost"],
-            ]
-            if samples is not None:
-                rtt = quantile_from_samples(
-                    samples, "repro_service_heartbeat_rtt_seconds", 0.5, worker=name
-                )
-                row += [
-                    int(recs.get(name, 0.0)),
-                    "-" if rtt is None else f"{rtt * 1000:.2f}",
-                ]
-            rows.append(row)
-        print(
-            format_table(
-                headers, rows, title=f"[{path.parent.name or path.name}] workers"
-            ),
-            file=out,
-        )
-
-        if samples is not None:
-            lease_events = _sum_by_label(samples, "repro_service_leases_total", "event")
-            steals = sum(
-                value
-                for (metric, _labels), value in samples.items()
-                if metric == "repro_service_steals_total"
-            )
-            disconnects = sum(
-                _sum_by_label(samples, "repro_service_disconnects_total", "worker").values()
-            )
-            counter_rows: list[list[Any]] = [
-                [f"leases {event}", int(value)]
-                for event, value in sorted(lease_events.items())
-            ]
-            counter_rows.append(["steals", int(steals)])
-            counter_rows.append(["worker disconnects", int(disconnects)])
-            print(
-                format_table(
-                    ["counter", "value"],
-                    counter_rows,
-                    title=f"[{path.parent.name or path.name}] service counters",
-                ),
-                file=out,
-            )
-
-        disruptions = []
-        for i, e in enumerate(events):
-            kind = str(e.get("event", ""))
-            if kind == "steal":
-                what = (
-                    f"split {e['victim']} at run {e['split']} "
-                    f"(was stop {e['stop']}, victim {e.get('victim_worker', '?')})"
-                )
-            elif kind == "re_lease":
-                what = f"{e['lease']} resumes at run {e['resume_from']}: {e.get('detail', '')}"
-            elif kind in ("worker_death", "run_error"):
-                run = e.get("run")
-                where = f"run {run}" if run is not None else "between runs"
-                verb = "died" if kind == "worker_death" else "raised"
-                what = (
-                    f"{e.get('worker', e.get('lease', '?'))} {verb} at {where}: "
-                    f"{e.get('detail', '')}"
-                )
-            elif kind == "quarantine":
-                what = f"run {e['run']} quarantined: {e.get('detail', '')}"
-            elif kind == "worker_lost":
-                origin = ", ".join(
-                    part
-                    for part in (
-                        str(e["addr"]) if e.get("addr") else "",
-                        f"pid {e['pid']}" if e.get("pid") is not None else "",
-                    )
-                    if part
-                )
-                who = str(e.get("worker", "?")) + (f" ({origin})" if origin else "")
-                what = f"{who}: {e.get('detail', '')}"
-            elif kind in ("reap", "shard_failed"):
-                what = str(e.get("detail", ""))
-            else:
-                continue
-            disruptions.append([i, kind, e.get("shard", "-"), what])
-        if disruptions:
-            print(
-                format_table(
-                    ["#", "event", "shard", "what"],
-                    disruptions,
-                    title=f"[{path.parent.name or path.name}] disruptions",
-                ),
-                file=out,
-            )
-        else:
-            print(
-                f"[{path.parent.name or path.name}] disruptions: none — "
-                "every lease ran to completion undisturbed",
-                file=out,
-            )
-    return status
-
-
 def main(argv: list[str] | None = None, stream: IO[str] | None = None) -> int:
     """Entry point for the ``repro-inspect`` console script."""
-    args_in = list(sys.argv[1:]) if argv is None else list(argv)
-    out_stream = stream if stream is not None else sys.stdout
-    if args_in and args_in[0] == "service":
-        return _service_main(args_in[1:], out_stream)
     parser = argparse.ArgumentParser(
         prog="repro-inspect",
         description="Join campaign.jsonl, trace.jsonl and metrics into one analytics report.",

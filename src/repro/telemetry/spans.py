@@ -12,7 +12,6 @@ worker builds its own tracer under that context, buffers finished
 spans locally, and the engine folds the batches into one
 ``trace.jsonl``.  Span ids are ``pid.sequence`` pairs, the sequence
 shared by every tracer in the process: unique across the process tree
-— also for a ``repro-worker`` that builds one tracer per lease —
 without consuming randomness (telemetry must never touch the
 campaign's RNG streams).
 
@@ -36,29 +35,17 @@ __all__ = ["NOOP_TRACER", "NoopTracer", "Span", "SpanContext", "Tracer"]
 
 SpanSink = Callable[[dict[str, Any]], None]
 
-#: The process-wide span sequence: tracers come and go (one per lease in
-#: a broker worker), span ids must not repeat.
+#: The process-wide span sequence: tracers come and go (one per
+#: campaign a process runs), span ids must not repeat.
 _SPAN_SEQ = itertools.count(1)
 
 
 @dataclass(frozen=True)
 class SpanContext:
-    """The picklable coordinates a child process continues a trace from.
-
-    Also JSON-serialisable (:meth:`to_wire` / :meth:`from_wire`) so the
-    broker can attach it to lease frames and a ``repro-worker`` on
-    another host can continue the campaign trace.
-    """
+    """The picklable coordinates a child process continues a trace from."""
 
     trace_id: str
     span_id: str
-
-    def to_wire(self) -> dict[str, str]:
-        return {"trace_id": self.trace_id, "span_id": self.span_id}
-
-    @classmethod
-    def from_wire(cls, data: dict[str, Any]) -> "SpanContext":
-        return cls(trace_id=str(data["trace_id"]), span_id=str(data["span_id"]))
 
 
 class Span:

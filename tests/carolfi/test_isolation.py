@@ -69,14 +69,6 @@ def test_isolation_config_validation():
         IsolationConfig(mode="gdb")
 
 
-def test_isolation_config_round_trips_to_dict():
-    cfg = IsolationConfig(mode="subprocess", timeout_s=9.0, mem_limit_mb=128)
-    d = cfg.to_dict()
-    assert d["mode"] == "subprocess"
-    assert d["timeout_s"] == 9.0
-    assert IsolationConfig(**d) == cfg
-
-
 # -- synthetic DUE records -----------------------------------------------------
 
 

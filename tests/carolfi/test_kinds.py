@@ -199,21 +199,17 @@ def test_each_kind_refuses_every_other_kinds_checkpoints(tmp_path):
 
 
 def test_configs_round_trip_the_wire_with_their_kind():
+    # The wire form keys the fingerprint and the shared-runner cache: it
+    # is JSON, names the kind, and holds every field, so the kind's
+    # constructor rebuilds an equal config from it.
     for config in (
         CampaignConfig(benchmark="nw", injections=8, seed=7, batch_size=4, target_ci=0.2),
         beam_config("lud"),
         hardened_config("dgemm"),
     ):
-        wire = config.to_wire()
-        assert wire["kind"] == config.kind
-        assert CampaignKind.from_wire(wire) == config
-        assert type(config).from_wire(wire) == config
-    with pytest.raises(ValueError, match="not a CampaignConfig"):
-        CampaignConfig.from_wire(beam_config("lud").to_wire())
-    with pytest.raises(ValueError, match="unknown campaign config fields"):
-        CampaignKind.from_wire({**beam_config("lud").to_wire(), "batch_size": 8})
-    with pytest.raises(ValueError, match="trials must be positive"):
-        CampaignKind.from_wire({**beam_config("lud").to_wire(), "trials": 0})
+        wire = json.loads(json.dumps(config.to_wire()))
+        assert wire.pop("kind") == config.kind
+        assert type(config)(**wire) == config
 
 
 # -- quarantine -----------------------------------------------------------------

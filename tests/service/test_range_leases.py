@@ -5,10 +5,11 @@ one lease per free executor slot, while every shard still checkpoints,
 resumes, feeds the convergence gate and is charged failures on its own.
 These tests pin that split through real executors (inline and the local
 pool): how many leases a campaign dispatches, what a lease that fails
-past a shard boundary leaves behind, that checkpoint bytes equal a set
-written when every shard was its own lease, that early stopping still
-stops between shards, and that a shard checkpoint that cannot be
-written mid-lease still ends the campaign.
+past a shard boundary leaves behind, that a pool's lease worker killed
+mid-lease is re-leased without changing a record, that checkpoint bytes
+equal a set written when every shard was its own lease, that early
+stopping still stops between shards, and that a shard checkpoint that
+cannot be written mid-lease still ends the campaign.
 """
 
 import filecmp
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.beam.experiment import BeamConfig
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import (
     FAILURE_LOG_NAME,
@@ -26,6 +28,7 @@ from repro.carolfi.engine import (
     shard_path,
 )
 from repro.faults.models import FaultModel
+from repro.hardening.hardened import HardenedConfig
 from repro.service import scheduler
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.jsonlog import load_records, load_records_tolerant
@@ -136,6 +139,40 @@ def test_lease_failing_past_a_shard_boundary(tmp_path):
     executions = sum(tel.registry.counter_values()["repro_runs_total"].values())
     assert executions == len(result.records) == config.injections
     assert all(is_complete(shard_path(ckpt, i)) for i in range(shard_count))
+
+
+#: Small campaigns of every kind, CAROL-FI batched and scalar.
+KILL_CONFIGS = {
+    "carolfi": replace(CONFIG, seed=2017),
+    "carolfi-batch8": replace(CONFIG, seed=2017, batch_size=8),
+    "hardened": HardenedConfig(
+        benchmark="nw", injections=32, seed=2017, benchmark_params=CONFIG.benchmark_params
+    ),
+    "beam": BeamConfig(
+        benchmark="lud", trials=32, seed=2017, benchmark_params={"n": 16, "block": 4}
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KILL_CONFIGS))
+def test_lease_worker_killed_mid_lease_is_re_leased(tmp_path, monkeypatch, name):
+    """Every lease worker of a two-worker pool exits abruptly after its
+    fifth record; each death is re-leased from the next run, so the
+    merged log equals the serial one byte for byte and nothing is
+    quarantined."""
+    config = KILL_CONFIGS[name]
+    run_campaign(config, log_path=tmp_path / "serial.jsonl")
+    monkeypatch.setenv("REPRO_WORKER_DIE_AFTER", "5")
+    run_campaign(
+        config,
+        workers=2,
+        retry=FAST_RETRY,
+        log_path=tmp_path / "pooled.jsonl",
+        failure_log=tmp_path / FAILURE_LOG_NAME,
+    )
+    assert (tmp_path / "pooled.jsonl").read_bytes() == (tmp_path / "serial.jsonl").read_bytes()
+    events = {e["event"] for e in load_records_tolerant(tmp_path / FAILURE_LOG_NAME)[0]}
+    assert "worker_death" in events and "quarantine" not in events
 
 
 def _assert_matches_fixture(directory):

@@ -5,13 +5,7 @@ import zlib
 
 import pytest
 
-from repro.service.wire import (
-    MAX_FRAME_BYTES,
-    FrameDecoder,
-    FrameError,
-    decode_frame,
-    encode_frame,
-)
+from repro.service.wire import MAX_FRAME_BYTES, FrameError, decode_frame, encode_frame
 
 
 def test_round_trip():
@@ -70,84 +64,3 @@ def test_non_dict_payload_rejected():
     line = b"%d:%08x:%s\n" % (len(payload), zlib.crc32(payload), payload)
     with pytest.raises(FrameError):
         decode_frame(line)
-
-
-def test_decoder_reassembles_byte_chunks():
-    frames = [{"kind": "run", "run": k} for k in range(20)]
-    stream = b"".join(encode_frame(f) for f in frames)
-    for chunk_size in (1, 3, 7, len(stream)):
-        decoder = FrameDecoder()
-        out = []
-        for i in range(0, len(stream), chunk_size):
-            out.extend(decoder.feed(stream[i : i + chunk_size]))
-        assert out == frames
-        assert decoder.skipped == 0
-        assert decoder.pending == 0
-
-
-def test_decoder_skips_damaged_line_and_resyncs():
-    good1 = encode_frame({"n": 1})
-    good2 = encode_frame({"n": 2})
-    damaged = bytearray(encode_frame({"n": 99}))
-    damaged[-4] ^= 0xFF
-    decoder = FrameDecoder()
-    out = decoder.feed(good1 + bytes(damaged) + good2)
-    assert out == [{"n": 1}, {"n": 2}]
-    assert decoder.skipped == 1
-
-
-def test_decoder_tolerates_partial_tail_then_completes():
-    frame = encode_frame({"kind": "rec", "run": 3})
-    decoder = FrameDecoder()
-    assert decoder.feed(frame[:-4]) == []
-    assert decoder.pending > 0
-    assert decoder.feed(frame[-4:]) == [{"kind": "rec", "run": 3}]
-
-
-def test_decoder_drops_unbounded_garbage():
-    decoder = FrameDecoder()
-    # A newline-free flood larger than any legal frame must not buffer forever.
-    assert decoder.feed(b"x" * (MAX_FRAME_BYTES + 2)) == []
-    assert decoder.pending == 0
-    assert decoder.skipped == 1
-
-
-def test_decoder_ignores_blank_lines():
-    decoder = FrameDecoder()
-    assert decoder.feed(b"\n\n" + encode_frame({"a": 1}) + b"\n") == [{"a": 1}]
-    assert decoder.skipped == 0
-
-
-def test_decoder_skips_oversized_line_and_resyncs():
-    # A newline-terminated line longer than any legal frame is dropped
-    # as one skip, and the decoder locks back on at the next frame.
-    oversized = b"z" * (MAX_FRAME_BYTES + 10) + b"\n"
-    good = encode_frame({"after": True})
-    decoder = FrameDecoder()
-    assert decoder.feed(oversized + good) == [{"after": True}]
-    assert decoder.skipped == 1
-    assert decoder.pending == 0
-
-
-def test_decoder_crc_corrupt_frame_then_valid_frame():
-    corrupt = bytearray(encode_frame({"kind": "rec", "run": 1, "row": {"v": 1}}))
-    corrupt[-6] ^= 0x40  # payload no longer matches the CRC tag
-    follow = encode_frame({"kind": "done", "lease": "s00001.1"})
-    decoder = FrameDecoder()
-    out = decoder.feed(bytes(corrupt) + follow)
-    assert out == [{"kind": "done", "lease": "s00001.1"}]
-    assert decoder.skipped == 1
-
-
-def test_decoder_frame_split_across_many_chunks():
-    frames = [{"kind": "rec", "run": k, "row": {"blob": "y" * 200}} for k in range(3)]
-    stream = b"".join(encode_frame(f) for f in frames)
-    # Five chunks per frame on average: every frame spans > 2 feeds.
-    chunk = max(1, len(stream) // 15)
-    decoder = FrameDecoder()
-    out = []
-    for i in range(0, len(stream), chunk):
-        out.extend(decoder.feed(stream[i : i + chunk]))
-    assert out == frames
-    assert decoder.skipped == 0
-    assert decoder.pending == 0

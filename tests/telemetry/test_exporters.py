@@ -186,34 +186,3 @@ def test_parse_prometheus_samples_unescapes_while_text_keys_do_not():
     text = prometheus_text(reg)
     assert 'c{path="a\\"b"}' in parse_prometheus_text(text)
     assert (("c", (("path", 'a"b'),))) in parse_prometheus_samples(text)
-
-
-def test_quantile_from_samples_matches_registry_quantile():
-    from repro.telemetry.exporters import quantile_from_samples
-
-    reg = MetricsRegistry()
-    h = reg.histogram("rtt", buckets=(0.001, 0.01, 0.1, 1.0))
-    for v in (0.002, 0.004, 0.02, 0.05, 0.3):
-        h.observe(v, worker="w0")
-    h.observe(0.5, worker="w1")
-    samples = parse_prometheus_samples(prometheus_text(reg))
-    for q in (0.5, 0.9, 0.99):
-        assert quantile_from_samples(samples, "rtt", q) == pytest.approx(
-            h.quantile(q)
-        )
-        assert quantile_from_samples(samples, "rtt", q, worker="w0") == pytest.approx(
-            h.quantile(q, worker="w0")
-        )
-    assert quantile_from_samples(samples, "rtt", 0.5, worker="ghost") is None
-    assert quantile_from_samples(samples, "absent", 0.5) is None
-    with pytest.raises(ValueError):
-        quantile_from_samples(samples, "rtt", 2.0)
-
-
-def test_quantile_from_samples_overflow_clamps_to_finite_bound():
-    from repro.telemetry.exporters import quantile_from_samples
-
-    reg = MetricsRegistry()
-    reg.histogram("h", buckets=(0.5, 2.0)).observe(50.0)
-    samples = parse_prometheus_samples(prometheus_text(reg))
-    assert quantile_from_samples(samples, "h", 0.9) == pytest.approx(2.0)
