@@ -1,4 +1,4 @@
-"""Injection fast paths — prefix-cache, batching, and shared-store throughput.
+"""Injection fast paths — prefix-cache and batching throughput, and worker memory.
 
 Three gated speedups and one gated memory check share this module:
 
@@ -11,17 +11,23 @@ Three gated speedups and one gated memory check share this module:
   same runs, both sides with the prefix cache on, so the ratio isolates
   the batching win.  Floor: ``MIN_BATCHED_SPEEDUP`` aggregate.
 * **Full fast path** — the configuration a campaign actually runs
-  (prefix cache + shared-memory store + vectorized batching) against
-  the no-fast-path baseline (snapshots off, scalar ``run_one``), all
-  three sides interleaved and measured on the same run plan.  Floor:
+  (prefix cache + vectorized batching) against the no-fast-path
+  baseline (snapshots off, scalar ``run_one``), all three sides
+  interleaved and measured on the same run plan.  Floor:
   ``MIN_FULL_SPEEDUP`` aggregate.
-* **Per-worker RSS flatness** — a shared segment is published at a
-  sparse and a dense snapshot cadence and a fresh attacher process maps
-  each, restores a prefix, and reports its resident set.  Because
-  restores are copy-on-write views, the attacher's RSS must not scale
-  with the snapshot-set size: the dense/sparse ratio is capped at
-  ``MAX_RSS_RATIO`` even though the dense store holds several times the
-  payload bytes.
+* **Per-worker memory flatness** — this process records the probe
+  benchmark's golden store at a sparse and a dense snapshot cadence and
+  forks a worker from each, as a campaign forks its lease and sandbox
+  workers.  The worker restores the pristine input and a mid-run
+  snapshot and touches their pages; the probe then reads the worker's
+  private pages (``Private_Clean + Private_Dirty`` in
+  ``/proc/<pid>/smaps_rollup``).  The store's pages stay shared with the
+  parent, so the worker holds no private copy of the snapshot set: the
+  dense/sparse ratio is capped at ``MAX_PRIVATE_RATIO`` even though the
+  dense store holds several times the snapshot bytes.  RSS would not
+  show this, because a forked worker's RSS also counts the parent's
+  pages it shares.  The check is skipped where ``smaps_rollup`` cannot
+  be read.
 
 The batched sweep runs under a live metrics registry and the artifact
 reports each benchmark's fallback fraction derived from the
@@ -48,7 +54,6 @@ import argparse
 import json
 import os
 import statistics
-import subprocess
 import sys
 import time
 from collections.abc import Sequence
@@ -59,9 +64,9 @@ from typing import Any
 import numpy as np
 
 from repro.benchmarks.registry import INJECTION_BENCHMARKS, create
-from repro.carolfi import shmstore
 from repro.carolfi.batchrunner import BatchRunner
-from repro.carolfi.isolation import rss_bytes
+from repro.carolfi.isolation import mp_context
+from repro.carolfi.prefixcache import PrefixStore
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.telemetry import NOOP_TRACER, activate
@@ -101,20 +106,21 @@ MIN_SCALAR_SPEEDUP = 1.2
 #: more on a quiet machine.
 MIN_BATCHED_SPEEDUP = 2.5
 
-#: Aggregate floor for the full fast path (cache + shared store +
-#: batching) over the no-fast-path baseline.  Locally the sweep
+#: Aggregate floor for the full fast path (cache + batching) over the
+#: no-fast-path baseline.  Locally the sweep
 #: measures ~7.5-8x; the CI gate runs at 6.0 so a genuine regression
 #: in either layer trips it while runner noise does not.
 MIN_FULL_SPEEDUP = 6.0
 
-#: Cap on attacher-RSS growth between the sparse and the dense shared
-#: store.  The dense store holds several times the snapshot payload;
-#: copy-on-write restores keep the worker's resident set flat.
-MAX_RSS_RATIO = 1.10
+#: Cap on the growth of a forked worker's private memory between the
+#: sparse and the dense store.  The dense store holds several times the
+#: snapshot bytes; a worker that only reads the store it inherited
+#: keeps them shared with its parent.
+MAX_PRIVATE_RATIO = 1.10
 
-#: Snapshot cadences for the RSS-flatness probe, and the probe's
-#: benchmark geometry (big enough that the dense store's extra payload
-#: dwarfs the RSS noise floor, small enough to publish in seconds).
+#: Snapshot cadences for the memory-flatness probe, and the probe's
+#: benchmark geometry (big enough that the dense store's extra bytes
+#: dwarf the memory noise floor, small enough to record in seconds).
 PROBE_DENSITIES = {"sparse": 2, "dense": 12}
 PROBE_BENCHMARK = "hotspot"
 PROBE_PARAMS = {"rows": 256, "cols": 256, "iterations": 120}
@@ -213,10 +219,9 @@ def batched_sweep() -> tuple[dict[str, dict[str, float]], float, float]:
             bench = create(name)
             if not bench.supports_batching:
                 continue
-            # The fast side is the real campaign configuration: prefix
-            # cache plus the host-wide shared-memory store (restores are
-            # copy-on-write mappings of the published segment).
-            supervisor = Supervisor(bench, seed=SEED, snapshots=True, shared=True)
+            # The fast side is the real campaign configuration: the
+            # prefix cache, under batching.
+            supervisor = Supervisor(bench, seed=SEED, snapshots=True)
             nocache = Supervisor(create(name), seed=SEED, snapshots=False)
             # Warm the snapshot store the way a campaign's golden pass would.
             for run, model in _batched_runs()[:4]:
@@ -249,7 +254,6 @@ def batched_sweep() -> tuple[dict[str, dict[str, float]], float, float]:
                 "fallback_runs": float(fallbacks),
                 "runs": float(BATCHED_RUNS),
             }
-    shmstore.release_published()
     for name, fraction in _fallback_fractions(registry).items():
         if name in per_bench:
             per_bench[name]["fallback_fraction"] = fraction
@@ -274,79 +278,86 @@ def _touch(node: Any) -> int:
     return 0
 
 
-def _attach_probe_main(key: str) -> int:
-    """Child side of the RSS probe: attach, restore, report RSS.
+def _private_bytes(pid: int) -> int | None:
+    """Private memory of ``pid`` in bytes, or ``None`` if unreadable.
 
-    Mimics one worker's steady state — map the host segment, restore
-    the pristine input and one mid-trajectory snapshot as copy-on-write
-    views, touch every page a restore hands out — then print the
-    resident set in bytes.  Exits nonzero if the segment is missing.
+    ``Private_Clean + Private_Dirty`` of ``/proc/<pid>/smaps_rollup``:
+    the pages no other process maps.
     """
-    segment = shmstore.attach(key)
-    if segment is None:
-        return 2
-    steps = segment.snapshot_steps
-    sink = _touch(segment.materialize(None))
-    if steps:
-        sink += _touch(segment.materialize(steps[len(steps) // 2]))
-    rss = rss_bytes(os.getpid())
-    if rss is None or sink < 0:
-        return 3
-    print(rss)
-    return 0
+    try:
+        rollup = Path(f"/proc/{pid}/smaps_rollup").read_text(encoding="ascii")
+    except OSError:
+        return None
+    total = 0
+    for line in rollup.splitlines():
+        field, _, rest = line.partition(":")
+        if field in ("Private_Clean", "Private_Dirty"):
+            total += int(rest.split()[0]) * 1024
+    return total
 
 
-def _attacher_rss(key: str) -> float | None:
-    """Median RSS of fresh attacher processes mapped to ``key``."""
+def _probe_worker(store: PrefixStore, conn: Any) -> None:
+    """Forked side of the memory probe: one worker's steady state.
+
+    Restores the pristine input and a mid-run snapshot from the store
+    it inherited, touches every page the restores hand out, and keeps
+    them alive until the parent has read its private pages.
+    """
+    fresh = store.fresh()
+    mid, _ = store.resume(store.total_steps // 2)
+    conn.send(_touch(fresh) + _touch(mid))
+    conn.recv()
+
+
+def _worker_private_bytes(store: PrefixStore) -> float:
+    """Median private memory of workers forked while this process holds
+    ``store``."""
+    ctx = mp_context()
     samples: list[float] = []
     for _ in range(3):
-        proc = subprocess.run(
-            [sys.executable, os.path.abspath(__file__), "--attach-probe", key],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        if proc.returncode != 0:
-            return None
-        samples.append(float(proc.stdout.split()[0]))
+        parent_conn, child_conn = ctx.Pipe()
+        proc = ctx.Process(target=_probe_worker, args=(store, child_conn), daemon=True)
+        proc.start()
+        child_conn.close()  # a worker that dies early ends recv with EOFError
+        try:
+            parent_conn.recv()
+            private = _private_bytes(proc.pid)
+            parent_conn.send("done")
+        finally:
+            parent_conn.close()
+            proc.join(timeout=30)
+        if private is None or proc.exitcode != 0:
+            raise RuntimeError(f"memory probe worker failed (exit code {proc.exitcode})")
+        samples.append(float(private))
     return statistics.median(samples)
 
 
 def memory_sweep() -> dict[str, Any]:
-    """Attacher RSS at a sparse vs a dense snapshot cadence.
+    """Forked-worker private memory at a sparse vs a dense cadence.
 
-    Publishes the probe benchmark's golden prefix at both densities
-    (distinct store keys), has fresh processes attach and restore from
-    each, and reports payload sizes and worker RSS.  Returns an empty
-    dict when shared memory is unavailable (``REPRO_SHM=0`` or no
-    writable segment directory) — the floors then skip the check.
+    Records the probe benchmark's golden store at both densities, forks
+    workers from this process while it holds each, and reports the
+    store sizes and the workers' private memory.  Returns an empty dict
+    where ``smaps_rollup`` cannot be read — the floors then skip the
+    check.
     """
-    if not shmstore.shm_enabled():
+    if _private_bytes(os.getpid()) is None:
         return {}
     out: dict[str, Any] = {}
-    try:
-        for label, density in PROBE_DENSITIES.items():
-            supervisor = Supervisor(
-                create(PROBE_BENCHMARK, **PROBE_PARAMS),
-                seed=SEED,
-                snapshots=True,
-                snapshot_density=density,
-                shared=True,
-            )
-            segment = supervisor.prefix.segment
-            if segment is None:
-                return {}
-            rss = _attacher_rss(segment.key)
-            if rss is None:
-                return {}
-            out[label] = {
-                "snapshots": float(len(segment.snapshot_steps)),
-                "payload_mb": segment.payload_bytes / (1 << 20),
-                "worker_rss_mb": rss / (1 << 20),
-            }
-    finally:
-        shmstore.release_published()
-    out["rss_ratio"] = out["dense"]["worker_rss_mb"] / out["sparse"]["worker_rss_mb"]
+    for label, density in PROBE_DENSITIES.items():
+        supervisor = Supervisor(
+            create(PROBE_BENCHMARK, **PROBE_PARAMS),
+            seed=SEED,
+            snapshots=True,
+            snapshot_density=density,
+        )
+        private = _worker_private_bytes(supervisor.prefix)
+        out[label] = {
+            "snapshots": float(len(supervisor.prefix)),
+            "store_mb": supervisor.prefix.used_bytes / (1 << 20),
+            "worker_private_mb": private / (1 << 20),
+        }
+    out["private_ratio"] = out["dense"]["worker_private_mb"] / out["sparse"]["worker_private_mb"]
     return out
 
 
@@ -379,22 +390,19 @@ def _render(
         f"aggregate batched speedup (batch {BATCH_SIZE}, median of {REPS}): "
         f"{batched_aggregate:.2f}x"
     )
-    lines.append(
-        f"aggregate full fast path (cache + shared store + batching): "
-        f"{full_aggregate:.2f}x"
-    )
+    lines.append(f"aggregate full fast path (cache + batching): {full_aggregate:.2f}x")
     if memory:
         lines.append("")
-        lines.append("store    snapshots  payload MB  worker RSS MB")
+        lines.append("store    snapshots  store MB  worker private MB")
         for label in ("sparse", "dense"):
             row = memory[label]
             lines.append(
-                f"{label:>6}  {int(row['snapshots']):>9}  {row['payload_mb']:>10.1f}  "
-                f"{row['worker_rss_mb']:>13.1f}"
+                f"{label:>6}  {int(row['snapshots']):>9}  {row['store_mb']:>8.1f}  "
+                f"{row['worker_private_mb']:>17.1f}"
             )
         lines.append(
-            f"attacher RSS ratio (dense/sparse): {memory['rss_ratio']:.3f} "
-            f"(cap {MAX_RSS_RATIO})"
+            f"forked-worker private memory ratio (dense/sparse): "
+            f"{memory['private_ratio']:.3f} (cap {MAX_PRIVATE_RATIO})"
         )
     return "\n".join(lines)
 
@@ -454,18 +462,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--rss-cap",
         type=float,
-        default=MAX_RSS_RATIO,
-        help="maximum dense/sparse attacher RSS ratio (default %(default)s)",
-    )
-    parser.add_argument(
-        "--attach-probe",
-        metavar="KEY",
-        default=None,
-        help=argparse.SUPPRESS,  # internal: child side of the RSS probe
+        default=MAX_PRIVATE_RATIO,
+        help="maximum dense/sparse forked-worker private-memory ratio (default %(default)s)",
     )
     args = parser.parse_args(argv)
-    if args.attach_probe is not None:
-        return _attach_probe_main(args.attach_probe)
 
     scalar, scalar_aggregate = scalar_sweep()
     batched, batched_aggregate, full_aggregate = batched_sweep()
@@ -495,10 +495,10 @@ def main(argv: Sequence[str] | None = None) -> int:
             f"below the {args.floor}x floor"
         )
         status = 1
-    if memory and memory["rss_ratio"] > args.rss_cap:
+    if memory and memory["private_ratio"] > args.rss_cap:
         print(
-            f"FAIL: attacher RSS ratio {memory['rss_ratio']:.3f} exceeds the "
-            f"{args.rss_cap} cap — worker memory scales with the snapshot set"
+            f"FAIL: worker private memory ratio {memory['private_ratio']:.3f} exceeds "
+            f"the {args.rss_cap} cap — worker memory scales with the snapshot set"
         )
         status = 1
     return status

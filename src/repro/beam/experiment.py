@@ -161,14 +161,11 @@ class BeamConfig(CampaignKind[BeamCampaignResult]):
     def runs(self) -> int:
         return self.trials
 
-    def build_runner(
-        self, *, shared: bool, on_event: EventCallback | None = None
-    ) -> "BeamExperiment":
+    def build_runner(self, *, on_event: EventCallback | None = None) -> "BeamExperiment":
         return BeamExperiment(
             self.benchmark,
             seed=self.seed,
             benchmark_params=self.benchmark_params,
-            shared=shared,
             on_event=on_event,
         )
 
@@ -187,7 +184,7 @@ class BeamExperiment:
 
     The beam kind's runner: :meth:`run_one`, :meth:`due_record`,
     ``total_steps`` and ``num_windows`` are the campaign surface every
-    runner presents.  ``shared`` and ``on_event`` go to
+    runner presents.  ``on_event`` goes to
     :func:`~repro.carolfi.prefixcache.golden_store`.
     """
 
@@ -198,7 +195,6 @@ class BeamExperiment:
         sensitivity: DeviceSensitivity = DEFAULT_SENSITIVITY,
         config: PhiConfig = KNC_3120A,
         benchmark_params: dict[str, Any] | None = None,
-        shared: bool = False,
         on_event: EventCallback | None = None,
     ):
         if isinstance(benchmark, str):
@@ -207,7 +203,7 @@ class BeamExperiment:
         self.seed = int(seed)
         self.sensitivity = sensitivity
         self.machine = XeonPhiMachine(config)
-        self.prefix = golden_store(benchmark, self.seed, "beam", shared=shared, on_event=on_event)
+        self.prefix = golden_store(benchmark, self.seed, "beam", on_event=on_event)
         self.total_steps = self.prefix.total_steps
         self.golden = self.prefix.output
 

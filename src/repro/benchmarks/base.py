@@ -120,8 +120,8 @@ def states_equal(a: Any, b: Any) -> bool:
     dtype, shape and raw bytes, so NaN payloads and the sign of zero
     count; immutable scalars by type and value (floats by their bits);
     dataclasses, dicts, lists and tuples structurally; ``clone()``-able
-    objects by their attributes.  Read-only views (a shared-memory
-    snapshot) compare like the arrays they mirror.  An unrecognised
+    objects by their attributes.  Read-only views compare like the
+    arrays they mirror.  An unrecognised
     type raises :class:`TypeError`, as in :func:`clone_state`; so does
     an object-dtype array, whose bytes are references, not values.
     """

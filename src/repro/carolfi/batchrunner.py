@@ -33,10 +33,10 @@ is a bit-exact clone, the benchmarks' ``step_batch`` contract requires
 bit-identical outputs, and classification goes through the same
 ``Supervisor.classify_output``/``make_record`` helpers.  The walk
 borrows its golden reference from the supervisor's store — its
-pristine input at anchor 0 (:meth:`PrefixStore.fresh
-<repro.carolfi.prefixcache.PrefixStore.fresh>` clones it), its
-snapshots elsewhere — so a store recorded without captures walks every
-group from step 0.  Group members step every suffix to the end:
+pristine input at anchor 0, its snapshots elsewhere — and reads it in
+place: every member and carrier is a deep-copied clone, so no run
+writes the store.  A store recorded without captures walks every group
+from step 0.  Group members step every suffix to the end:
 ``run_one``'s ``PrefixStore.run`` stops a run whose state is golden
 again (``PrefixStore.converged``), but a member's state is stale while
 a ``step_batch`` carry is live, so checking it would need a flush.
@@ -242,10 +242,11 @@ class BatchRunner:
 
                 def clone_view() -> Any:
                     # A writable copy of the current golden reference.
-                    # Snapshot- and pristine-backed views go through the
-                    # store so a shared-memory segment can hand out
-                    # copy-on-write mappings; a stepped carrier is
-                    # plainly deep-copied.  All three are bit-exact.
+                    # Snapshot- and pristine-backed views are restored
+                    # by the store (``materialize``, ``fresh``), as the
+                    # scalar path's ``resume`` restores them; a stepped
+                    # carrier is plainly deep-copied.  All three are
+                    # bit-exact copies, so no run writes the store.
                     if borrowed_snap is not None and borrowed is borrowed_snap.state:
                         return prefix.materialize(borrowed_snap)
                     if borrowed is not None and borrowed is prefix.pristine:
@@ -343,8 +344,7 @@ class BatchRunner:
                 self._mark_fallback(remaining, "exception")
             finally:
                 # The group's states have no reader left.  Drop them now,
-                # so a plan holds one group's states (and their private
-                # copy-on-write mappings over a shared segment) at a
-                # time, however many runs it covers.
+                # so a plan holds one group's states at a time, however
+                # many runs it covers.
                 for member in members:
                     member.state = None

@@ -25,14 +25,12 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, ClassVar, Generic, TypeVar
 
 from repro.benchmarks.registry import create
-from repro.carolfi import shmstore
 from repro.carolfi.flipscript import SitePolicy
 from repro.carolfi.isolation import (
     _SUPERVISORS,
     EventCallback,
     IsolationConfig,
     IsolationMode,
-    campaign_store_key,
     supervisor_for,
     supervisor_key,
 )
@@ -117,8 +115,8 @@ class CampaignKind(Generic[ResultT]):
         """The campaign's run budget."""
         raise NotImplementedError
 
-    def build_runner(self, *, shared: bool, on_event: EventCallback | None = None) -> Any:
-        """A fresh runner (``shared``: see :func:`~repro.carolfi.prefixcache.golden_store`)."""
+    def build_runner(self, *, on_event: EventCallback | None = None) -> Any:
+        """A fresh runner; ``on_event`` gets its set-up's events."""
         raise NotImplementedError
 
     def run_args(self, run_index: int) -> tuple[Any, ...]:
@@ -144,7 +142,7 @@ class CampaignKind(Generic[ResultT]):
 
     def to_wire(self) -> dict[str, Any]:
         """The kind-tagged, JSON-safe form of every field: what the
-        checkpoint fingerprint and the shared-runner cache key hash, so
+        checkpoint fingerprint and the runner cache key hash, so
         two configs with equal wire forms run equal campaigns."""
         wire: dict[str, Any] = {"kind": self.kind}
         for item in fields(self):  # type: ignore[arg-type]
@@ -216,13 +214,12 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
     def runs(self) -> int:
         return self.injections
 
-    def build_runner(self, *, shared: bool, on_event: EventCallback | None = None) -> Supervisor:
+    def build_runner(self, *, on_event: EventCallback | None = None) -> Supervisor:
         return Supervisor(
             create(self.benchmark, **self.benchmark_params),
             seed=self.seed,
             policy=self.policy,
             snapshots=self.snapshots,
-            shared=shared,
             on_event=on_event,
         )
 
@@ -338,15 +335,15 @@ def run_campaign(
     (a test seam: a scripted backend, whose lifetime stays the
     caller's).
 
-    A serial in-process campaign keeps a private golden store; a pool
-    or a subprocess sandbox warms the host's shared-memory segment
-    (:mod:`repro.carolfi.shmstore`) from this process before any worker
-    forks, and this function sweeps it at teardown.  ``runner`` is one
-    the caller built for ``config``, possibly with more than the config
-    carries (a benchmark instance, a sensitivity table, a machine
-    model): the serial in-process campaign runs on it, and any other
-    topology refuses it, because only a config's own fields may reach
-    another process.
+    A serial in-process campaign builds its own runner; a pool or a
+    subprocess sandbox warms this process's cached runner
+    (:func:`~repro.carolfi.isolation.supervisor_for`) before any worker
+    forks, so every worker inherits its golden store, and this function
+    drops it at teardown.  ``runner`` is one the caller built for
+    ``config``, possibly with more than the config carries (a benchmark
+    instance, a sensitivity table, a machine model): the serial
+    in-process campaign runs on it, and any other topology refuses it,
+    because only a config's own fields may reach another process.
 
     ``isolation`` selects where each run executes (see
     :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry`` the
@@ -396,11 +393,11 @@ def run_campaign(
     iso = isolation or IsolationConfig()
     policy = retry or RetryPolicy()
     tel = telemetry or DISABLED
-    # Whether any process maps the host's shared segment for this
-    # campaign: a serial in-process campaign has no second process to
-    # read its golden store, so it publishes nothing and sweeps nothing.
-    shares = backend is not None or workers > 1 or iso.mode is IsolationMode.SUBPROCESS
-    if runner is not None and shares:
+    # Whether workers fork from this process: they inherit the runner
+    # cached here.  A serial in-process campaign forks none, so it
+    # builds its own runner and caches nothing.
+    forks = backend is not None or workers > 1 or iso.mode is IsolationMode.SUBPROCESS
+    if runner is not None and forks:
         raise ValueError("a caller's runner runs only in this process")
 
     def local_runner(on_event: EventCallback | None = None) -> Any:
@@ -409,8 +406,8 @@ def run_campaign(
         if runner is None:
             runner = (
                 supervisor_for(config, on_event)
-                if shares
-                else config.build_runner(shared=False, on_event=on_event)
+                if forks
+                else config.build_runner(on_event=on_event)
             )
         return runner
 
@@ -490,11 +487,10 @@ def run_campaign(
                 # engine owns one for this campaign.
                 owned: ShardBackend | None = None
                 if backend is None:
-                    if shares:
-                        # Warm this process's shared runner before any
-                        # worker forks: each inherits the golden run (and
-                        # the shared segment it published), and ``sink``
-                        # gets a budget degradation once per host.
+                    if forks:
+                        # Warm this process's runner before any worker
+                        # forks: each inherits the golden run, and
+                        # ``sink`` gets a budget degradation once.
                         try:
                             local_runner(sink)
                         except Exception:  # noqa: BLE001 — the workers report the real failure
@@ -587,20 +583,10 @@ def run_campaign(
             reporter.tick(force=True)
     finally:
         sink.close()
-        if shares:
-            # Unlink any shared-memory snapshot segments this process
-            # published (attachers' mappings stay valid; only the
-            # directory entry goes — the /dev/shm leak-check contract)
-            # and drop the campaign's golden store: a process keeps none
-            # once its campaign is over.  Then sweep this campaign's key
-            # outright: a worker that published and was then killed
-            # (-9, chaos hook) can never reap its own segment.
-            shmstore.release_published()
+        if forks:
+            # Drop the campaign's golden store: a process keeps none
+            # once its campaign is over.
             _SUPERVISORS.pop(supervisor_key(config), None)
-            try:
-                shmstore.reap(campaign_store_key(config))
-            except Exception:  # noqa: BLE001 — teardown must not mask the result
-                pass
 
     if log_path is not None:
         dump_records(log_path, (r.to_dict() for r in records_out))

@@ -46,9 +46,6 @@ from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.benchmarks.registry import create
-from repro.carolfi import shmstore
-from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET
 from repro.faults.outcome import DueKind
 from repro.telemetry import current_registry, deactivate
 
@@ -126,71 +123,48 @@ class IsolationConfig:
             raise ValueError("mem_limit_mb must be positive")
 
 
-# -- shared runner cache ------------------------------------------------------
+# -- per-process runner cache -------------------------------------------------
 
-#: Per-process cache of *shared* runners — golden stores a second
-#: process reads: a pool's lease workers, a sandbox's workers (respawned
-#: after every kill) — keyed by the campaign config.  Input generation
-#: and the golden run are paid once per process — under ``fork``, once
-#: per process *tree*.  It
-#: holds one campaign: a new key evicts the old runner (its golden store
-#: and shared segment with it), and a sharing campaign drops its entry
-#: at teardown.
+#: Per-process cache of the runners that forked workers inherit — a
+#: pool's lease workers, a sandbox's workers (respawned after every
+#: kill) — keyed by the campaign config.  Input generation and the
+#: golden run are paid once per process — under ``fork``, once per
+#: process *tree*.  It holds one campaign: a new key evicts the old
+#: runner (its golden store with it), and a campaign that forks
+#: workers drops its entry at teardown.
 _SUPERVISORS: dict[str, Any] = {}
 
 
 def supervisor_key(config: "CampaignKind[Any]") -> str:
-    """Cache key of the shared runner a config requires: its wire form.
+    """Cache key of the runner a config requires: its wire form.
 
     Every field is in it, so a CAROL-FI campaign with snapshots off
     never reuses (or is reused by) a snapshots-on runner — the
     fastpath-vs-slowpath equivalence tests would otherwise compare one
-    path to itself.  Sharing needs no key: every cached runner shares.
+    path to itself.
     """
     return json.dumps(config.to_wire(), sort_keys=True)
-
-
-def campaign_store_key(config: "CampaignKind[Any]") -> str:
-    """The shared-segment store key a campaign's runners use.
-
-    Mirrors the store every kind's runner builds through
-    :func:`~repro.carolfi.prefixcache.golden_store` (the config's input
-    label, default snapshot budget, default density), so a sharing
-    campaign can sweep its segment at teardown even when the publisher
-    was a worker process that died abruptly.  The benchmark is
-    instantiated because the key hashes the *resolved* param dict — a
-    campaign passing partial params must map to the same segment its
-    runners used.
-    """
-    benchmark = create(config.benchmark, **config.benchmark_params)
-    return shmstore.store_key(
-        benchmark.name,
-        config.seed,
-        benchmark.params,
-        label=config.input_label,
-        density=None,
-        byte_budget=DEFAULT_SNAPSHOT_BUDGET,
-    )
 
 
 def supervisor_for(
     config: "CampaignKind[Any]",
     on_event: EventCallback | None = None,
 ) -> Any:
-    """The (cached) shared runner for one campaign config.
+    """The (cached) runner for one campaign config in this process.
 
-    Built by ``config.build_runner(shared=True)``, which publishes (or
-    attaches) the host's shared-memory segment.  ``on_event``
-    (structured operational events, e.g. snapshot-budget degradation)
-    only matters on a cache miss — an already-built runner is returned
-    as-is, since it is a construction-time concern, not part of the
-    runner's identity.
+    Built by ``config.build_runner()`` on a cache miss.  A process
+    warms it before it forks workers, so each worker inherits the
+    runner, golden store included, and returns it from here without a
+    golden walk of its own.  ``on_event`` (structured operational
+    events, e.g. snapshot-budget degradation) only matters on a cache
+    miss — an already-built runner is returned as-is, since it is a
+    construction-time concern, not part of the runner's identity.
     """
     key = supervisor_key(config)
     runner = _SUPERVISORS.get(key)
     if runner is None:
         _SUPERVISORS.clear()
-        runner = config.build_runner(shared=True, on_event=on_event)
+        runner = config.build_runner(on_event=on_event)
         _SUPERVISORS[key] = runner
     return runner
 
@@ -204,8 +178,7 @@ def mp_context() -> Any:
     ``fork`` where available (Linux): children inherit the warmed
     supervisor cache, so respawning a killed sandbox worker costs
     milliseconds instead of a golden re-run.  Elsewhere the platform
-    default is used, and every worker attaches the shared segment or
-    pays its own golden run.
+    default is used, and every worker pays its own golden run.
     """
     if "fork" in multiprocessing.get_all_start_methods():
         return multiprocessing.get_context("fork")
@@ -261,9 +234,8 @@ def _worker_main(
 
     Under the fork start method the worker inherits the parent's warmed
     runner cache — golden run *and* prefix-snapshot store included —
-    so ``supervisor_for`` is free; under spawn, it attaches the shared
-    segment that the sandbox's owner published, or walks the golden run
-    itself when the segment is off (``REPRO_SHM=0``) or unpublishable.
+    so ``supervisor_for`` is free; under spawn, it walks the golden run
+    itself.
     """
     if parent_end is not None:
         # Close our inherited copy of the parent's pipe end.  Without
@@ -289,14 +261,7 @@ def _worker_main(
             pass
         raise
     conn.send(("ready",))
-    try:
-        _serve(runner, conn)
-    finally:
-        # Multiprocessing children skip regular atexit (os._exit), so
-        # reap any segment *this* process published — normally none:
-        # the engine publishes before the sandbox forks, and the pid
-        # guard keeps this from touching the parent's segments.
-        shmstore.release_published()
+    _serve(runner, conn)
 
 
 def _serve(runner: Any, conn: "Connection") -> None:
@@ -352,10 +317,9 @@ class InjectionSandbox:
         self.config = config
         self.isolation = isolation or IsolationConfig(mode=IsolationMode.SUBPROCESS)
         self.on_event = on_event
-        # Publish (or attach) the host-wide shared segment from the
-        # sandbox's owner before any worker forks: a worker that
-        # published would leak its segment when killed — and being
-        # killed is a sandbox worker's job description.
+        # Warm the owner's runner before any worker forks: each worker
+        # inherits it, so a respawn after a kill — and being killed is
+        # a sandbox worker's job description — walks no golden run.
         self._runner: Any = None
         try:
             self._runner = supervisor_for(config, on_event=on_event)

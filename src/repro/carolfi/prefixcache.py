@@ -39,8 +39,12 @@ so the expected replay is a small fraction of a window regardless of
 where the interrupt lands.  Step 0 is deliberately *not* stored: the
 pristine input already is the step-0 snapshot.
 
-:func:`golden_store` is how every runner gets its store: the input,
-the golden walk and, when another process reads it, the host's segment.
+:func:`golden_store` is how every runner gets its store: the input and
+the golden walk.  A worker process inherits its runner's store by fork
+from the process that built it
+(:func:`~repro.carolfi.isolation.supervisor_for`), so no worker walks
+the golden run again; where only spawn exists, each worker records its
+own.
 
 A byte budget caps memory: once the stored snapshots exceed it, capture
 stops, runs interrupted beyond the last snapshot simply replay a
@@ -48,33 +52,21 @@ longer prefix and runs past it are never checked for convergence —
 graceful degradation, never an error.  A store whose budget blocked a
 wanted capture is marked ``degraded``, so the campaign can log a single
 structured event instead of silently shortening the fast path.
-
-:class:`SharedPrefixStore` is the zero-copy flavour: a read-only view
-over a published shared-memory segment (:mod:`repro.carolfi.shmstore`).
-It never captures — the segment was filled once, by the host's
-publisher — and its restores are copy-on-write materialisations, so a
-worker's RSS does not scale with the snapshot set and the budget is
-accounted once per host rather than once per process.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 from repro.benchmarks.base import Benchmark, state_nbytes, states_equal
-from repro.carolfi import shmstore
 from repro.telemetry import current_registry, current_tracer
 from repro.util.rng import derive_rng
-
-if TYPE_CHECKING:  # pragma: no cover — import cycle guard (typing only)
-    from repro.carolfi.shmstore import ShmSegment
 
 __all__ = [
     "DEFAULT_SNAPSHOT_BUDGET",
     "PrefixStore",
-    "SharedPrefixStore",
     "Snapshot",
     "golden_store",
     "snapshot_interval",
@@ -111,22 +103,20 @@ class Snapshot:
 
     step: int
     state: Any
-    nbytes: int
 
 
 class PrefixStore:
     """The golden run of one campaign input: pristine state, per-window
     snapshots and golden output.
 
-    The store never mutates or hands out its states directly: set-up
-    fills it with :meth:`record`, whose captures deep-copy via
+    The store never mutates its states: set-up fills it with
+    :meth:`record`, whose captures deep-copy via
     :meth:`~repro.benchmarks.base.Benchmark.snapshot`, and runs
-    rehydrate with :meth:`fresh` and :meth:`resume`, so the pristine
-    input and every stored prefix can seed any number of runs.
+    rehydrate writable clones with :meth:`fresh` and :meth:`resume`, so
+    the pristine input and every stored prefix can seed any number of
+    runs.  The batch runner reads :attr:`pristine` and the snapshot
+    states in place, as its golden reference, and never writes them.
     """
-
-    #: The shared-memory segment behind a :class:`SharedPrefixStore`.
-    segment: "ShmSegment | None" = None
 
     def __init__(
         self,
@@ -184,11 +174,8 @@ class PrefixStore:
             raise ValueError(f"capture step {step} out of range")
         if step in self._snapshots:
             return
-        nbytes = state_nbytes(state)
-        self._snapshots[step] = Snapshot(
-            step=step, state=self.benchmark.snapshot(state), nbytes=nbytes
-        )
-        self.used_bytes += nbytes
+        self._snapshots[step] = Snapshot(step=step, state=self.benchmark.snapshot(state))
+        self.used_bytes += state_nbytes(state)
         bisect.insort(self._steps_sorted, step)
         self._count("repro_snapshot_captures_total")
 
@@ -294,13 +281,9 @@ class PrefixStore:
         ).inc(amount, benchmark=self.benchmark.name)
 
     def materialize(self, snap: Snapshot) -> Any:
-        """A writable state rehydrated from ``snap``.
-
-        The base store deep-copies via the benchmark's ``restore``;
-        :class:`SharedPrefixStore` overrides this with a copy-on-write
-        mapping of the shared segment.  Both produce bit-identical
-        states — only the memory mechanics differ.
-        """
+        """A writable state rehydrated from ``snap``: a deep copy via the
+        benchmark's ``restore``, so the stored snapshot stays as the
+        golden walk captured it."""
         return self.benchmark.restore(snap.state)
 
     def anchor_step(self, interrupt_step: int) -> int:
@@ -319,52 +302,12 @@ class PrefixStore:
         return len(self._snapshots)
 
 
-class SharedPrefixStore(PrefixStore):
-    """A read-only :class:`PrefixStore` over a shared-memory segment.
-
-    Built by attaching a segment another process (or this one) already
-    published: the pristine input, the snapshot states and the golden
-    output are zero-copy read-only views of the host-wide mapping,
-    :meth:`capture` raises (the segment is complete; nothing is ever
-    captured into an attachment), and :meth:`fresh` and
-    :meth:`materialize` rebuild writable states over private
-    copy-on-write mappings instead of deep-copying.
-
-    ``used_bytes`` reports the *segment* payload size — bytes that exist
-    once per host — so budget accounting across a worker fleet counts
-    shared snapshots once, not once per process.
-    """
-
-    def __init__(self, benchmark: Benchmark, segment: "ShmSegment"):
-        super().__init__(benchmark, segment.pristine)
-        self.segment = segment
-        self.interval = segment.interval
-        self.used_bytes = segment.payload_bytes
-        self.degraded = segment.degraded
-        self.output = segment.golden
-        for step, nbytes in zip(segment.snapshot_steps, segment.snapshot_nbytes):
-            self._snapshots[step] = Snapshot(
-                step=step, state=segment.snapshot_state(step), nbytes=nbytes
-            )
-            bisect.insort(self._steps_sorted, step)
-
-    def fresh(self) -> Any:
-        return self.segment.materialize(None)
-
-    def capture(self, step: int, state: Any) -> None:
-        raise RuntimeError("SharedPrefixStore is read-only; captures belong to the publisher")
-
-    def materialize(self, snap: Snapshot) -> Any:
-        return self.segment.materialize(snap.step)
-
-
 def golden_store(
     benchmark: Benchmark,
     seed: int,
     label: str,
     *,
     snapshots: bool = True,
-    shared: bool = False,
     byte_budget: int = DEFAULT_SNAPSHOT_BUDGET,
     density: int | None = None,
     on_event: Callable[[dict[str, Any]], None] | None = None,
@@ -373,29 +316,9 @@ def golden_store(
 
     The input is drawn from the ``(seed, label, benchmark, "input")``
     stream and one golden walk records it (capturing only with
-    ``snapshots``).  ``shared`` (with snapshots on and the segment
-    enabled) attaches the host's segment for this input if another
-    process published it — no input, no walk, no private copies — else
-    publishes the recorded store and returns the view over it (the
-    private store if it cannot be published).  Records are
-    bit-identical either way.  ``on_event`` gets one
-    ``snapshot_budget_degraded`` event if the byte budget ever blocks a
-    wanted capture.
+    ``snapshots``).  ``on_event`` gets one ``snapshot_budget_degraded``
+    event if the byte budget ever blocks a wanted capture.
     """
-    key: str | None = None
-    if shared and snapshots and shmstore.shm_enabled():
-        key = shmstore.store_key(
-            benchmark.name,
-            seed,
-            benchmark.params,
-            label=label,
-            density=density,
-            byte_budget=int(byte_budget),
-        )
-        segment = shmstore.attach(key)
-        _count_shared(benchmark, "repro_shm_attach_total", "miss" if segment is None else "hit")
-        if segment is not None:
-            return SharedPrefixStore(benchmark, segment)
     pristine = benchmark.make_state(derive_rng(seed, label, benchmark.name, "input"))
     store = PrefixStore(benchmark, pristine, byte_budget=byte_budget, density=density)
     with current_tracer().span("golden_run", benchmark=benchmark.name):
@@ -415,29 +338,4 @@ def golden_store(
                     "interval": store.interval,
                 }
             )
-    if key is None:
-        return store
-    # Run on the view over our own publication: the private copies
-    # become garbage, so the publisher's RSS is as flat as an attacher's.
-    segment = shmstore.publish(
-        key,
-        benchmark=benchmark.name,
-        total_steps=store.total_steps,
-        interval=store.interval,
-        degraded=store.degraded,
-        pristine=store.pristine,
-        snapshots=[
-            (snap.step, snap.state, snap.nbytes)
-            for snap in (store._snapshots[step] for step in store._steps_sorted)
-        ],
-        golden=store.output,
-    )
-    _count_shared(benchmark, "repro_shm_publish_total", "failed" if segment is None else "ok")
-    return store if segment is None else SharedPrefixStore(benchmark, segment)
-
-
-def _count_shared(benchmark: Benchmark, name: str, result: str) -> None:
-    """Bump a shared-segment counter (no-op with telemetry off)."""
-    current_registry().counter(
-        name, help="Prefix fast-path cache efficiency counter."
-    ).inc(benchmark=benchmark.name, result=result)
+    return store

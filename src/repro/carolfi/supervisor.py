@@ -75,15 +75,7 @@ class Supervisor:
     ``snapshots`` enables the execution-prefix fast path (see the module
     docstring).  Either way set-up is one golden walk, which records the
     store (:attr:`prefix`) and ends on the golden output.
-
-    ``shared`` additionally publishes (or attaches) the host-wide
-    shared-memory snapshot segment (:func:`~repro.carolfi.prefixcache.
-    golden_store`): the pristine input, the snapshot store, and the
-    golden output are then zero-copy read-only views that every worker
-    process on the host maps once, and restores are copy-on-write
-    materialisations.  The records are bit-identical with sharing on or
-    off; only the memory mechanics change.  ``on_event`` receives
-    structured operational events (currently
+    ``on_event`` receives structured operational events (currently
     ``snapshot_budget_degraded``) destined for the campaign's
     ``failures.jsonl``.
 
@@ -102,7 +94,6 @@ class Supervisor:
         snapshots: bool = True,
         snapshot_budget: int = DEFAULT_SNAPSHOT_BUDGET,
         snapshot_density: int | None = None,
-        shared: bool = False,
         on_event: "Any | None" = None,
     ):
         self.benchmark = benchmark
@@ -113,7 +104,6 @@ class Supervisor:
             self.seed,
             "carolfi",
             snapshots=snapshots,
-            shared=shared,
             byte_budget=snapshot_budget,
             density=snapshot_density,
             on_event=on_event,
@@ -134,13 +124,11 @@ class Supervisor:
         topologies (a sandbox grandchild's restores are never merged
         back) — consumers comparing serial to parallel registries must
         exclude the ``repro_snapshot_*``/``repro_steps_skipped``/
-        ``repro_steps_converged``/``repro_compare_fastpath``/
-        ``repro_shm_*`` families (``repro_snapshot_*`` includes
-        ``repro_snapshot_budget_degraded``).  The snapshot restore,
-        capture, skipped-step and converged-step counters are bumped by
-        the :class:`~repro.carolfi.prefixcache.PrefixStore` itself, and
-        the ``repro_shm_*`` ones by
-        :func:`~repro.carolfi.prefixcache.golden_store`.
+        ``repro_steps_converged``/``repro_compare_fastpath`` families
+        (``repro_snapshot_*`` includes ``repro_snapshot_budget_degraded``).
+        The snapshot restore, capture, skipped-step and converged-step
+        counters are bumped by the
+        :class:`~repro.carolfi.prefixcache.PrefixStore` itself.
         """
         current_registry().counter(
             name, help="CAROL-FI fast-path cache efficiency counter."

@@ -22,11 +22,11 @@ Every hardened run — the fault-free one included — steps through the
 same loop as CAROL-FI runs, :meth:`PrefixStore.run
 <repro.carolfi.prefixcache.PrefixStore.run>`, over the golden store the
 constructor gets from :func:`~repro.carolfi.prefixcache.golden_store`
-for the CAROL-FI input (so a shared one is the CAROL-FI campaign's
-segment).  Of all the guard checks a guarded execution makes, only the
-one at the interrupt step ``k``, after the flip, can trip: every other
-check reads exactly the bytes the resync just before it captured, and
-``verify`` is a pure function of those bytes.  So an injected run makes
+for the CAROL-FI input (so it equals the CAROL-FI campaign's store).
+Of all the guard checks a guarded execution makes, only the one at the
+interrupt step ``k``, after the flip, can trip: every other check reads
+exactly the bytes the resync just before it captured, and ``verify`` is
+a pure function of those bytes.  So an injected run makes
 that one check and no other, inside its perturbation.  After a
 fault-free prefix to ``k`` every guard whose variable is live at ``k``
 holds ``resync`` of that variable and every other guard is detached, so
@@ -154,7 +154,7 @@ class HardenedSupervisor:
 
     The hardened kind's runner: :meth:`run_one`, :meth:`due_record`,
     ``total_steps`` and ``num_windows`` are the campaign surface every
-    runner presents.  ``shared`` and ``on_event`` go to
+    runner presents.  ``on_event`` goes to
     :func:`~repro.carolfi.prefixcache.golden_store`.
     """
 
@@ -165,7 +165,6 @@ class HardenedSupervisor:
         policy: SitePolicy = SitePolicy.WEIGHTED,
         abft: bool | None = None,
         detector_observer: Any | None = None,
-        shared: bool = False,
         on_event: EventCallback | None = None,
     ):
         self.benchmark = benchmark
@@ -177,9 +176,7 @@ class HardenedSupervisor:
         #: guard of every run and fed the ABFT verdicts: a tap on the
         #: detectors, used by ``test_detector_events_match_full_replay``.
         self.detector_observer = detector_observer
-        self.prefix = golden_store(
-            benchmark, self.seed, "carolfi", shared=shared, on_event=on_event
-        )
+        self.prefix = golden_store(benchmark, self.seed, "carolfi", on_event=on_event)
         self.total_steps = self.prefix.total_steps
         self.golden = benchmark.quantize(self.prefix.output)
         # ABFT checksums derive from the operands at load time: once,
@@ -338,8 +335,8 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
     """One benchmark's hardened injection campaign plan: the hardened kind.
 
     Its runs rotate over ``fault_models`` like CAROL-FI's and draw
-    their input from the CAROL-FI stream, so a shared golden store is
-    the CAROL-FI campaign's segment.
+    their input from the CAROL-FI stream, so their golden store equals
+    the CAROL-FI campaign's.
     """
 
     kind: ClassVar[str] = "hardened"
@@ -363,13 +360,10 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
     def runs(self) -> int:
         return self.injections
 
-    def build_runner(
-        self, *, shared: bool, on_event: EventCallback | None = None
-    ) -> HardenedSupervisor:
+    def build_runner(self, *, on_event: EventCallback | None = None) -> HardenedSupervisor:
         return HardenedSupervisor(
             create(self.benchmark, **self.benchmark_params),
             seed=self.seed,
-            shared=shared,
             on_event=on_event,
         )
 
@@ -388,7 +382,7 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
         fault-free run measures: from ``runner``, else from a runner
         built for it (a campaign replayed whole from checkpoints)."""
         if runner is None:
-            runner = self.build_runner(shared=False)
+            runner = self.build_runner()
         return HardenedCampaignResult(
             benchmark=self.benchmark,
             records=records,

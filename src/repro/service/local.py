@@ -25,8 +25,8 @@ in place.  No executor writes checkpoints: the scheduler does, from the
 streamed records.  Each executor owns what its leases run through: its
 :class:`~repro.carolfi.isolation.InjectionSandbox` — built on first use,
 closed when the executor ends, so no sandbox outlives its campaign — or
-the runner the campaign kind builds in its own process, private or
-shared as its topology needs.
+the campaign's runner: its own in the calling process, or, in a lease
+worker, the one the worker inherited at fork.
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
@@ -42,7 +42,6 @@ import os
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.carolfi import shmstore
 from repro.carolfi.engine import ShardRunError, ShardSpec, _execute_shard
 from repro.carolfi.isolation import (
     EventCallback,
@@ -101,7 +100,7 @@ def _run_lease(
 
     The runs go through the executor's ``sandbox``, or without one
     through the runner that ``runner(on_event)`` returns — the
-    process's shared one (:func:`supervisor_for`) or the campaign's own
+    process's cached one (:func:`supervisor_for`) or the campaign's own
     in the calling process — built inside the lease's error net: a
     runner that cannot be built fails the lease like a run error, and
     the scheduler retries it.
@@ -195,21 +194,18 @@ def _lease_worker_main(
             attempt=lease.attempt,
             worker=f"local/pid{os.getpid()}",
         ):
-            # In process, the campaign's warm shared runner, inherited at
-            # fork (or attached from the host segment under spawn).
+            # In process, the campaign's warm runner, inherited at fork
+            # (or built here, golden walk and all, under spawn).
             terminal = _run_lease(config, lease, sandbox, partial(supervisor_for, config), send)
         flush_telemetry()  # tail: the shard and lease spans
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
         # nothing here is released unless we do it — and before the
         # terminal frame, since the backend kills a worker once it has
-        # reported.  Close our sandbox (an orphaned one would only die
-        # on EOF) and reap any segment *this* process published
-        # (normally none: the backend publishes before forking; the pid
-        # guard protects the parent's segments from us).
+        # reported.  Close our sandbox: an orphaned one would only die
+        # on EOF.
         if sandbox is not None:
             sandbox.close()
-        shmstore.release_published()
     _send(conn, terminal)
     conn.close()
 
@@ -233,9 +229,9 @@ class LocalBackend(ShardBackend):
     the backend observes that worker's exit code directly, the
     scheduler reaps it when its heartbeat stalls, and one pathological
     run can never poison a neighbouring shard's executor.  The campaign
-    warms its shared runner before building the backend, so workers
-    and their sandboxes inherit the golden run (or, spawn-started,
-    attach the segment the warm-up published).
+    warms its runner before building the backend, so workers and their
+    sandboxes inherit the golden run (spawn-started, each walks its
+    own).
     """
 
     def __init__(
@@ -371,9 +367,8 @@ class InlineBackend(ShardBackend):
     subprocess isolation exists for exactly that.
 
     Without a sandbox the runs go through ``runner(on_event)``, the
-    campaign's runner in this process, whose golden store maps no
-    shared-memory segment: no other process reads it.  A sandbox's
-    owner still publishes, because its workers read it.
+    campaign's runner in this process.  With one, the sandbox's owner
+    warms the cached runner its workers fork from.
     """
 
     def __init__(

@@ -224,18 +224,6 @@ class ConvergenceMonitor:
         estimate = self.ci(benchmark, fault_model, outcome)
         return (estimate.upper - estimate.lower) / 2.0
 
-    def window_pvf(
-        self, benchmark: str, fault_model: str, outcome: str = "sdc"
-    ) -> dict[int, CountEstimate]:
-        """Per-execution-window outcome estimate of one cell (Figure 6's slices)."""
-        stats = self._cells[(benchmark, fault_model)]
-        out: dict[int, CountEstimate] = {}
-        for window in sorted(stats.windows):
-            per_window = stats.windows[window]
-            trials = sum(per_window.values())
-            out[window] = self._ci(per_window.get(outcome, 0), trials, self.confidence)
-        return out
-
     # -- convergence -----------------------------------------------------------
 
     def max_half_width(self, outcomes: tuple[str, ...] = PVF_OUTCOMES) -> float:

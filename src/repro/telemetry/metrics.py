@@ -200,44 +200,6 @@ class Histogram(Metric):
         payload["buckets"] = list(self.buckets)
         return payload
 
-    def quantile(self, q: float, **labels: Any) -> float | None:
-        """Estimate the ``q``-quantile from bucket counts.
-
-        Linear interpolation within the winning bucket, the same
-        estimate ``histogram_quantile`` computes server-side in
-        Prometheus.  With ``labels`` only that series is read; without,
-        every label set is aggregated (the fleet view).  Observations in
-        the ``+Inf`` overflow bucket clamp to the largest finite bound.
-        Returns ``None`` when no observation matched.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("quantile must be in [0, 1]")
-        if labels:
-            slots = [self._values.get(_label_key(labels))]
-        else:
-            slots = list(self._values.values())
-        counts = [0] * (len(self.buckets) + 1)
-        total = 0
-        for slot in slots:
-            if slot is None:
-                continue
-            for i, n in enumerate(slot["buckets"]):
-                counts[i] += int(n)
-            total += int(slot["count"])
-        if total == 0:
-            return None
-        rank = q * total
-        cumulative = 0
-        lower = 0.0
-        for i, bound in enumerate(self.buckets):
-            before = cumulative
-            cumulative += counts[i]
-            if cumulative >= rank and counts[i] > 0:
-                fraction = (rank - before) / counts[i]
-                return lower + (bound - lower) * min(1.0, max(0.0, fraction))
-            lower = bound
-        return self.buckets[-1]
-
     def merge_wire(self, values: Sequence[Sequence[Any]]) -> None:
         for pairs, incoming in values:
             slot = self._slot(_key_from_wire(pairs), self._values)
@@ -358,9 +320,6 @@ class _NullInstrument:
 
     def value(self, **labels: Any) -> float:
         return 0.0
-
-    def quantile(self, q: float, **labels: Any) -> float | None:
-        return None
 
     def items(self) -> Iterator[tuple[dict[str, str], Any]]:
         return iter(())

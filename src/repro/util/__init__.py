@@ -13,7 +13,7 @@ from repro.util.bits import (
     randomize_element_inplace,
     zero_element_inplace,
 )
-from repro.util.rng import derive_rng, spawn_rngs
+from repro.util.rng import derive_rng
 from repro.util.stats import (
     poisson_ci,
     proportion_ci,
@@ -45,7 +45,6 @@ __all__ = [
     "proportion_ci",
     "randomize_element_inplace",
     "required_events_for_relative_ci",
-    "spawn_rngs",
     "wilson_ci",
     "zero_element_inplace",
 ]

@@ -13,7 +13,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_rng", "spawn_rngs"]
+__all__ = ["derive_rng"]
 
 
 def _name_entropy(name: str | int) -> int:
@@ -37,11 +37,3 @@ def derive_rng(seed: int, *names: str | int) -> np.random.Generator:
     entropy = [int(seed)] + [_name_entropy(n) for n in names]
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
-
-def spawn_rngs(seed: int, count: int, *names: str | int) -> list[np.random.Generator]:
-    """Return ``count`` independent generators under one named path."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    entropy = [int(seed)] + [_name_entropy(n) for n in names]
-    children = np.random.SeedSequence(entropy).spawn(count)
-    return [np.random.default_rng(child) for child in children]

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import stats as sps
 
 __all__ = [
@@ -175,12 +174,3 @@ def required_events_for_relative_ci(
     z = float(sps.norm.ppf(0.5 + confidence / 2.0))
     return int(math.ceil((z / relative_half_width) ** 2))
 
-
-def mean_and_sem(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of the mean of a 1-D sample."""
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0:
-        raise ValueError("empty sample")
-    if arr.size == 1:
-        return float(arr[0]), 0.0
-    return float(arr.mean()), float(arr.std(ddof=1) / math.sqrt(arr.size))

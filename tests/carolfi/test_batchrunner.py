@@ -16,11 +16,13 @@ from dataclasses import replace
 
 import pytest
 
+from repro.benchmarks.base import states_equal
 from repro.benchmarks.registry import INJECTION_BENCHMARKS, create
 from repro.carolfi.batchrunner import BatchRunner
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
 from repro.carolfi.engine import campaign_fingerprint
+from repro.carolfi.prefixcache import golden_store
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import Outcome
@@ -39,6 +41,8 @@ SMALL_PARAMS: dict[str, dict] = {
 }
 
 RUNS = 48
+
+BATCHABLE = [name for name in sorted(INJECTION_BENCHMARKS) if create(name).supports_batching]
 
 
 def small(name: str):
@@ -167,6 +171,39 @@ def test_run_many_holds_one_group_of_member_states(monkeypatch):
 
 
 # -- campaign-level byte identity ---------------------------------------------
+
+
+@pytest.mark.parametrize("name", BATCHABLE)
+def test_no_run_writes_the_golden_store(name):
+    """Scalar runs restore clones, and the batch walk reads the pristine
+    input and the snapshots in place: after a campaign at batch 1 and at
+    batch 8, the store still holds exactly what its golden walk
+    recorded.  Density 1 leaves gaps between dgemm's and hotspot's
+    snapshots, so their walks also step golden carriers across them."""
+    reference = golden_store(small(name), 7, "carolfi", density=1)
+    assert len(reference) > 0
+    for batch_size in (1, 8):
+        supervisor = Supervisor(small(name), seed=7, snapshot_density=1)
+        config = CampaignConfig(
+            benchmark=name,
+            injections=RUNS,
+            seed=7,
+            benchmark_params=SMALL_PARAMS[name],
+            batch_size=batch_size,
+        )
+        tel = Telemetry(TelemetryConfig())
+        run_campaign(config, runner=supervisor, telemetry=tel)
+        batch_runs = tel.registry.counter_values().get("repro_batch_runs_total", {})
+        vectorized = batch_runs.get(f"benchmark={name},path=vectorized", 0)
+        assert (vectorized > 0) == (batch_size > 1)  # the batch walk ran
+        store = supervisor.prefix
+        assert states_equal(store.pristine, reference.pristine)
+        assert states_equal(store.output, reference.output)
+        assert len(store) == len(reference)
+        for step in reference.capture_points():
+            snap, golden = store.latest(step), reference.latest(step)
+            assert snap.step == golden.step
+            assert states_equal(snap.state, golden.state), f"batch {batch_size}, step {step}"
 
 
 def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):

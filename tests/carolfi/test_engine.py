@@ -586,8 +586,6 @@ def test_parallel_telemetry_counters_match_serial_twin(serial_result):
         "repro_steps_skipped_total",
         "repro_steps_converged_total",
         "repro_compare_fastpath_total",
-        "repro_shm_attach_total",
-        "repro_shm_publish_total",
         "repro_snapshot_budget_degraded_total",
     )
     for counters in (serial_counters, parallel_counters):

@@ -6,6 +6,9 @@ twin* (``failure="none"``) with bit-identical records for all other
 runs.  The acceptance bar: a campaign whose benchmark raises genuinely
 uncatchable conditions completes, with the offending runs recorded as
 DUEs carrying a ``sandbox:`` detail and everything else untouched.
+
+Workers get their runner by fork from the per-process cache
+(``supervisor_for``), so the last tests pin that cache's lifetime.
 """
 
 import os
@@ -16,15 +19,18 @@ from repro.benchmarks.base import window_of_step
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import RetryPolicy
 from repro.carolfi.isolation import (
+    _SUPERVISORS,
     InjectionSandbox,
     IsolationConfig,
     IsolationMode,
     SandboxError,
     rss_bytes,
+    supervisor_key,
 )
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, Outcome
-from repro.util.jsonlog import load_records_tolerant
+from repro.telemetry import Telemetry, TelemetryConfig
+from repro.util.jsonlog import load_records, load_records_tolerant
 
 SUBPROC = IsolationConfig(mode=IsolationMode.SUBPROCESS)
 
@@ -73,7 +79,7 @@ def test_isolation_config_validation():
 
 
 def test_due_record_re_derives_interrupt_step(clean_twin):
-    supervisor = chaos_config("none").build_runner(shared=False)
+    supervisor = chaos_config("none").build_runner()
     for twin in clean_twin.records[:4]:
         record = supervisor.due_record(
             twin.run_index,
@@ -193,3 +199,51 @@ def test_deadline_and_metadata_survive_worker_death():
         sandbox._teardown()
         assert sandbox.total_steps == steps
         assert sandbox.num_windows == windows
+
+
+# -- the runner cache forked workers inherit -----------------------------------
+
+NW_PARAMS = {"n": 16, "rows_per_step": 4}
+
+
+@pytest.mark.parametrize("workers, isolation", [(2, None), (1, SUBPROC)], ids=["pool", "sandbox"])
+def test_forking_campaigns_walk_the_golden_run_once(tmp_path, workers, isolation):
+    """A pool's and a sandbox's owner warm the runner before forking;
+    lease workers inherit it, so no process walks the golden run again."""
+    config = CampaignConfig(
+        benchmark="nw", injections=16, seed=37, benchmark_params=dict(NW_PARAMS)
+    )
+    trace = tmp_path / "trace.jsonl"
+    tel = Telemetry(TelemetryConfig(trace_path=trace))
+    run_campaign(config, workers=workers, shard_size=4, isolation=isolation, telemetry=tel)
+    tel.finalize()
+    assert [span["name"] for span in load_records(trace)].count("golden_run") == 1
+
+
+def test_finished_pooled_campaigns_leave_no_cached_runner():
+    """A process keeps no golden store of a campaign that has returned:
+    its runner leaves the cache."""
+    configs = [
+        CampaignConfig(benchmark=name, injections=16, seed=3) for name in ("lud", "nw", "hotspot")
+    ]
+    for config in configs:
+        assert len(run_campaign(config, workers=2).records) == 16
+    assert not any(supervisor_key(config) in _SUPERVISORS for config in configs)
+
+
+def test_serial_in_process_campaign_caches_no_runner():
+    """No worker forks from a serial in-process campaign, so it caches no
+    runner, mid-campaign included."""
+    _SUPERVISORS.clear()
+    config = CampaignConfig(
+        benchmark="nw", injections=12, seed=31, benchmark_params=dict(NW_PARAMS)
+    )
+    seen = []
+
+    def progress(event):
+        if event.event == "finished":
+            seen.append(dict(_SUPERVISORS))
+
+    run_campaign(config, workers=1, shard_size=4, progress=progress)
+    assert seen == [{}] * 3
+    assert _SUPERVISORS == {}

@@ -15,15 +15,13 @@ import numpy as np
 import pytest
 
 import repro.carolfi.supervisor as supervisor_mod
-from repro.benchmarks.base import state_nbytes, states_equal
+from repro.benchmarks.base import states_equal
 from repro.benchmarks.registry import create, names
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
-from repro.carolfi import shmstore
 from repro.carolfi.prefixcache import (
     DEFAULT_SNAPSHOT_BUDGET,
     PrefixStore,
-    SharedPrefixStore,
     snapshot_interval,
 )
 from repro.carolfi.supervisor import Supervisor
@@ -105,40 +103,23 @@ STATE_PARAMS: dict[str, dict] = {**SMALL_PARAMS, "chaos": {"n": 16, "steps": 6}}
 
 
 @pytest.mark.parametrize("name", sorted(STATE_PARAMS))
-def test_states_equal_is_bit_exact(name, shm_tmp):
-    """At several steps a state equals its restored snapshot and the
-    shared-memory view of that snapshot, and one flipped bit in any live
-    variable makes it differ from both."""
+def test_states_equal_is_bit_exact(name):
+    """At several steps a state equals its restored snapshot, and one
+    flipped bit in any live variable makes it differ."""
     bench = create(name, **STATE_PARAMS[name])
-    pristine = bench.make_state(derive_rng(7, "states_equal", name))
-    state = bench.restore(pristine)
+    state = bench.make_state(derive_rng(7, "states_equal", name))
     total = bench.num_steps(state)
     steps = sorted({1, total // 2, total - 1})
     snaps = []
     for index in range(total):
         if index in steps:
-            snap = bench.snapshot(state)
-            snaps.append((index, snap, state_nbytes(snap)))
+            snaps.append((index, bench.snapshot(state)))
         bench.step(state, index)
-    segment = shmstore.publish(
-        shmstore.store_key(name, 7, bench.params),
-        benchmark=name,
-        total_steps=total,
-        interval=1,
-        degraded=False,
-        pristine=pristine,
-        snapshots=snaps,
-        golden=bench.output(state),
-    )
-    assert segment is not None
-    shared = SharedPrefixStore(bench, segment)
     flipped_any = False
-    for step, snap, _ in snaps:
-        view = shared.latest(step).state
+    for step, snap in snaps:
         live = bench.restore(snap)
         assert states_equal(live, snap) and states_equal(snap, live)
         assert states_equal(live, bench.restore(bench.snapshot(live)))
-        assert states_equal(live, view) and states_equal(view, live)
         for position, var in enumerate(bench.variables(live, step)):
             if var.size == 0:
                 continue
@@ -147,11 +128,9 @@ def test_states_equal_is_bit_exact(name, shm_tmp):
             assert target.name == var.name
             flip_bit_inplace(target.array, target.size - 1, 0)
             assert not states_equal(corrupted, snap), f"{name}: {var.name} at {step}"
-            assert not states_equal(view, corrupted), f"{name}: {var.name} at {step}"
+            assert not states_equal(snap, corrupted), f"{name}: {var.name} at {step}"
             flipped_any = True
     assert flipped_any
-    del shared, view  # the mapping closes only once no view is left
-    segment.close()
 
 
 def test_states_equal_on_scalars_arrays_and_containers():

@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.carolfi import shmstore
 from repro.carolfi.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.beam.experiment import BeamCampaignResult, BeamExperiment
 from repro.util.rng import derive_rng
@@ -31,15 +30,6 @@ SMALL_DGEMM = {"n": 24, "n_threads": 8, "k_block": 8}
 @pytest.fixture
 def rng() -> np.random.Generator:
     return derive_rng(1234, "tests")
-
-
-@pytest.fixture()
-def shm_tmp(tmp_path, monkeypatch):
-    """Shared-memory segments go to a private directory, reaped after."""
-    monkeypatch.setenv(shmstore.SHM_DIR_ENV, str(tmp_path))
-    monkeypatch.delenv(shmstore.SHM_DISABLE_ENV, raising=False)
-    yield tmp_path
-    shmstore.release_published()
 
 
 @pytest.fixture(scope="session")

@@ -85,15 +85,6 @@ def test_accepts_record_objects():
     assert 2 in monitor.cell("nw", "single").windows
 
 
-def test_window_pvf_slices():
-    monitor = ConvergenceMonitor()
-    for window, outcome in ((0, "sdc"), (0, "masked"), (1, "masked"), (1, "masked")):
-        monitor.observe(record(outcome, window=window))
-    per_window = monitor.window_pvf("nw", "single")
-    assert per_window[0].value == pytest.approx(0.5)
-    assert per_window[1].value == pytest.approx(0.0)
-
-
 def test_summary_rows_shape():
     monitor = ConvergenceMonitor()
     feed(monitor, ["masked"] * 5 + ["sdc"] * 3)

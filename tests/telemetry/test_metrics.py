@@ -166,41 +166,3 @@ def test_counter_values_shape():
         "labelled": {"kind=crash,shard=0": 1.0},
     }
     assert isinstance(reg.counter("plain"), Counter)
-
-
-def test_histogram_quantile_interpolates_within_bucket():
-    reg = MetricsRegistry()
-    h = reg.histogram("h", buckets=(1.0, 2.0, 4.0))
-    for v in (0.5, 1.5, 1.5, 3.0):  # buckets: [1, 2, 1, +Inf 0]
-        h.observe(v)
-    # Median rank 2.0 is halfway through the (1, 2] bucket.
-    assert h.quantile(0.5) == pytest.approx(1.5)
-    assert h.quantile(0.75) == pytest.approx(2.0)
-    assert h.quantile(1.0) == pytest.approx(4.0)
-    assert h.quantile(0.0) == pytest.approx(0.0)
-
-
-def test_histogram_quantile_labels_and_fleet_aggregate():
-    reg = MetricsRegistry()
-    h = reg.histogram("h", buckets=(1.0, 10.0))
-    for _ in range(10):
-        h.observe(0.5, worker="fast")
-    for _ in range(10):
-        h.observe(5.0, worker="slow")
-    assert h.quantile(0.5, worker="fast") <= 1.0
-    assert h.quantile(0.5, worker="slow") > 1.0
-    # Without labels the fleet view aggregates every series.
-    fleet = h.quantile(0.95)
-    assert 1.0 < fleet <= 10.0
-    assert h.quantile(0.5, worker="nobody") is None
-
-
-def test_histogram_quantile_overflow_clamps_and_empty_is_none():
-    reg = MetricsRegistry()
-    h = reg.histogram("h", buckets=(0.5, 2.0))
-    assert h.quantile(0.9) is None
-    h.observe(100.0)  # +Inf overflow bucket
-    assert h.quantile(0.9) == pytest.approx(2.0)  # clamps to largest bound
-    with pytest.raises(ValueError):
-        h.quantile(1.5)
-    assert NULL_REGISTRY.histogram("h").quantile(0.9) is None

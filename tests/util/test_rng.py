@@ -1,9 +1,8 @@
 """Deterministic named random streams."""
 
 import numpy as np
-import pytest
 
-from repro.util.rng import derive_rng, spawn_rngs
+from repro.util.rng import derive_rng
 
 
 def test_same_path_same_stream():
@@ -34,27 +33,3 @@ def test_nested_path_differs_from_flat():
     a = derive_rng(7, "ab").random(4)
     b = derive_rng(7, "a", "b").random(4)
     assert not np.array_equal(a, b)
-
-
-def test_spawn_count_and_independence():
-    streams = spawn_rngs(3, 5, "workers")
-    assert len(streams) == 5
-    draws = [s.random(4) for s in streams]
-    for i in range(5):
-        for j in range(i + 1, 5):
-            assert not np.array_equal(draws[i], draws[j])
-
-
-def test_spawn_deterministic():
-    a = spawn_rngs(3, 2, "w")[1].random(4)
-    b = spawn_rngs(3, 2, "w")[1].random(4)
-    assert np.array_equal(a, b)
-
-
-def test_spawn_zero_is_empty():
-    assert spawn_rngs(3, 0, "w") == []
-
-
-def test_spawn_negative_raises():
-    with pytest.raises(ValueError):
-        spawn_rngs(3, -1, "w")

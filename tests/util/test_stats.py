@@ -1,8 +1,5 @@
 """Statistical estimators behind the paper's error bars."""
 
-import math
-
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +7,6 @@ from hypothesis import strategies as st
 from repro.util.stats import (
     anytime_proportion_ci,
     half_width_for_proportion,
-    mean_and_sem,
     poisson_ci,
     proportion_ci,
     required_events_for_relative_ci,
@@ -99,23 +95,6 @@ def test_required_events_tighter_needs_more():
 def test_required_events_validates():
     with pytest.raises(ValueError):
         required_events_for_relative_ci(0.0)
-
-
-def test_mean_and_sem():
-    mean, sem = mean_and_sem(np.array([1.0, 2.0, 3.0]))
-    assert mean == pytest.approx(2.0)
-    assert sem == pytest.approx(1.0 / math.sqrt(3))
-
-
-def test_mean_and_sem_single_value():
-    mean, sem = mean_and_sem(np.array([4.2]))
-    assert mean == pytest.approx(4.2)
-    assert sem == 0.0
-
-
-def test_mean_and_sem_empty_raises():
-    with pytest.raises(ValueError):
-        mean_and_sem(np.array([]))
 
 
 @settings(max_examples=50, deadline=None)
