@@ -170,11 +170,11 @@ class BeamConfig(CampaignKind[BeamCampaignResult]):
         )
 
     @staticmethod
-    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
-        """Beam cells are struck resources; a trial has no time window."""
-        return str(row["benchmark"]), str(row["resource"]), str(row["outcome"]), 0
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
+        """Beam cells are struck resources."""
+        return str(row["benchmark"]), str(row["resource"]), str(row["outcome"])
 
-    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> BeamCampaignResult:
+    def result(self, records: list[Any], runner: Any) -> BeamCampaignResult:
         sensitivity = DEFAULT_SENSITIVITY if runner is None else runner.sensitivity
         return BeamCampaignResult(benchmark=self.benchmark, trials=records, sensitivity=sensitivity)
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import enum
 import importlib
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, ClassVar, Generic, TypeVar
@@ -126,17 +126,13 @@ class CampaignKind(Generic[ResultT]):
         """Records a batched path completed; none without one."""
         return {}
 
-    def stop_target(self) -> tuple[float, int] | None:
-        """``(CI half-width, cells)`` of an early stop, or ``None``."""
-        return None
-
     @staticmethod
-    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
-        """``(benchmark, cell, outcome, time_window)`` of a row, as the
-        drift monitor and early stop count it."""
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
+        """``(benchmark, cell, outcome)`` of a row, as the drift monitor
+        counts it."""
         raise NotImplementedError
 
-    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> ResultT:
+    def result(self, records: list[Any], runner: Any) -> ResultT:
         """The result; ``runner`` is this process's for the campaign, or ``None``."""
         raise NotImplementedError
 
@@ -160,7 +156,7 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
     #: Execution strategy, not record content — and fingerprints that
     #: predate kinds name none, so CAROL-FI's stay as they were.
     fingerprint_excludes: ClassVar[frozenset[str]] = frozenset(
-        {"kind", "snapshots", "batch_size", "target_ci"}
+        {"kind", "snapshots", "batch_size"}
     )
 
     benchmark: str
@@ -188,16 +184,6 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
     ``BatchRunner`` plan, stepped in the executor's process or inside
     its sandboxed worker."""
 
-    target_ci: float | None = None
-    """Optional early-stopping precision target: stop the campaign at
-    the first shard-merge boundary where every ``(benchmark,
-    fault_model)`` cell's SDC and DUE confidence-interval half-width is
-    at or below this value; ``injections`` remains the run-budget cap.
-    Excluded from the checkpoint fingerprint: the target changes *where
-    the campaign stops*, never what any record contains, so a stopped
-    campaign is always a prefix of the uncapped one and may resume with
-    a different target (or none)."""
-
     def __post_init__(self) -> None:
         object.__setattr__(self, "fault_models", tuple(map(FaultModel, self.fault_models)))
         object.__setattr__(self, "policy", SitePolicy(self.policy))
@@ -205,8 +191,6 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
             raise ValueError("injections must be positive")
         if not self.fault_models:
             raise ValueError("at least one fault model is required")
-        if self.target_ci is not None and not 0 < self.target_ci < 1:
-            raise ValueError("target_ci must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
 
@@ -233,20 +217,12 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
         runs = [(index, model_for(self, index)) for index in run_indices]
         return dict(runner.run_batch(runs, self.batch_size))
 
-    def stop_target(self) -> tuple[float, int] | None:
-        return None if self.target_ci is None else (self.target_ci, len(self.fault_models))
-
     @staticmethod
-    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
-        return (
-            str(row["benchmark"]),
-            str(row["fault_model"]),
-            str(row["outcome"]),
-            int(row["time_window"]),
-        )
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
+        return str(row["benchmark"]), str(row["fault_model"]), str(row["outcome"])
 
-    def result(self, records: list[Any], stopped_early: bool, runner: Any) -> "CampaignResult":
-        return CampaignResult(config=self, records=records, stopped_early=stopped_early)
+    def result(self, records: list[Any], runner: Any) -> "CampaignResult":
+        return CampaignResult(config=self, records=records)
 
 
 @dataclass
@@ -255,10 +231,6 @@ class CampaignResult:
 
     config: CampaignConfig
     records: list[InjectionRecord]
-    stopped_early: bool = False
-    """True when a ``target_ci`` convergence target stopped the
-    campaign before exhausting ``config.injections``; the records are
-    then a bit-identical prefix of the uncapped campaign's."""
 
     def __len__(self) -> int:
         return len(self.records)
@@ -359,14 +331,11 @@ def run_campaign(
     every worker count, and the default
     (:data:`repro.telemetry.DISABLED`) never perturbs records.
 
-    Every merged shard streams through a
-    :class:`~repro.telemetry.convergence.ConvergenceMonitor`, fed the
-    kind's :meth:`CampaignKind.row_cell`.  With a CAROL-FI
-    ``config.target_ci`` the campaign **stops early** at the first
-    contiguous shard boundary where every cell's SDC/DUE CI half-width
-    meets the target, so the stopped records are a bit-identical prefix
-    of the uncapped campaign for any worker count.  The cross-shard
-    drift detector z-tests each shard's outcome rates against the rest;
+    A campaign always runs its whole run budget.  Once merged, every
+    shard's rows go through a
+    :class:`~repro.telemetry.convergence.ConvergenceMonitor`, read by the
+    kind's :meth:`CampaignKind.row_cell`, whose cross-shard drift
+    detector z-tests each shard's outcome rates against the rest;
     incompatible shards (seed bugs, nondeterminism) are flagged into
     ``failures.jsonl`` and the ``repro_drift_flags_total`` counter.
     """
@@ -377,7 +346,6 @@ def run_campaign(
         FailureSink,
         RetryPolicy,
         ShardSpec,
-        _ConvergenceGate,
         _Heartbeat,
         _replay_shard,
         _validate_checkpoint_dir,
@@ -436,12 +404,6 @@ def run_campaign(
     heartbeat = _Heartbeat(progress, len(shards), config.runs)
     rows_by_shard: dict[int, list[dict[str, Any]]] = {}
     pending: list[ShardSpec] = []
-
-    def _shard_rows(index: int) -> Iterable[dict[str, Any]]:
-        return rows_by_shard[index]
-
-    monitor = ConvergenceMonitor(fields=config.row_cell)
-    gate = _ConvergenceGate(config, shards, monitor, _shard_rows)
     try:
         with tel.activate(), tel.tracer.span(
             "campaign",
@@ -472,11 +434,6 @@ def run_campaign(
                     shard_done.set(spec.size, shard=spec.index)
                     heartbeat.record_done(spec.size, live=False)
                     heartbeat.emit("replayed", spec)
-                    gate.mark_complete(spec.index)
-            if gate.stopped:
-                # The replayed prefix alone already meets the target;
-                # every pending shard lies beyond the stop point.
-                pending.clear()
 
             if pending:
 
@@ -523,35 +480,23 @@ def run_campaign(
                         sink,
                         tel,
                         reporter,
-                        gate,
                     )
                 finally:
                     if owned is not None:
                         owned.close()
 
-            included = shards if gate.stop_after is None else shards[: gate.stop_after + 1]
-            expected_runs = included[-1].stop
-            rows_out = [row for spec in included for row in rows_by_shard[spec.index]]
+            rows_out = [row for spec in shards for row in rows_by_shard[spec.index]]
             rows_out.sort(key=lambda row: int(row[config.row_key]))
-            if [int(row[config.row_key]) for row in rows_out] != list(range(expected_runs)):
+            if [int(row[config.row_key]) for row in rows_out] != list(range(config.runs)):
                 raise RuntimeError("engine merge produced a non-canonical record sequence")
             records_out = [config.record_type.from_dict(row) for row in rows_out]
-            if gate.stopped:
-                sink(
-                    {
-                        "event": "early_stop",
-                        "target_ci": gate.target,
-                        "runs": expected_runs,
-                        "budget": config.runs,
-                        "max_half_width": round(monitor.max_half_width(), 6),
-                        "shards_skipped": len(shards) - len(included),
-                    }
-                )
-                campaign_span.set_attr("early_stop_runs", expected_runs)
             # Cross-shard drift: under the determinism contract every
             # shard samples the same outcome distribution, so any shard
             # that is statistically incompatible with its peers means a
             # seed bug or nondeterminism — flag it, loudly.
+            monitor = ConvergenceMonitor(fields=config.row_cell)
+            for spec in shards:
+                monitor.observe_all(rows_by_shard[spec.index], shard=spec.index)
             drift_flags = monitor.drift_flags()
             if drift_flags:
                 drift_counter = tel.registry.counter(
@@ -590,4 +535,4 @@ def run_campaign(
 
     if log_path is not None:
         dump_records(log_path, (r.to_dict() for r in records_out))
-    return config.result(records_out, gate.stopped, runner)
+    return config.result(records_out, runner)

@@ -89,7 +89,6 @@ def load_config(path: str | Path) -> tuple[CampaignConfig, Path | None]:
         benchmark_params=params,
         snapshots=section.getboolean("snapshots", True),
         batch_size=section.getint("batch_size", 1),
-        target_ci=section.getfloat("target_ci", fallback=None),
     )
     log_value = section.get("log", "").strip()
     return config, (Path(log_value) if log_value else None)

@@ -7,10 +7,10 @@ bottleneck.  A campaign is split into deterministic *shards*
 (contiguous run-index ranges) whose records are merged back in
 canonical run-index order.  This module holds the parts of that path —
 the shard plan, the lease body's run loop (:func:`_execute_shard`),
-checkpoints, the retry policy, the failure-event log and the
-convergence gate; :func:`repro.carolfi.campaign.run_campaign`, the one
-campaign function, assembles them around the shard scheduler.  None of
-it knows a campaign's kind (:class:`~repro.carolfi.campaign.CampaignKind`).
+checkpoints, the retry policy and the failure-event log;
+:func:`repro.carolfi.campaign.run_campaign`, the one campaign function,
+assembles them around the shard scheduler.  None of it knows a
+campaign's kind (:class:`~repro.carolfi.campaign.CampaignKind`).
 
 Determinism is structural, not incidental: every run derives its
 random stream from the seed, the benchmark and the run index via
@@ -19,12 +19,12 @@ matter which worker executes it, in what order, or how the campaign is
 sharded.  ``run_campaign(config, workers=4)`` therefore equals
 ``run_campaign(config, workers=1)`` record for record.
 
-Shards are the unit of checkpoints, resume, drift detection and early
-stop, not of execution: the scheduler leases each free executor a
-contiguous run range of whole shards (the whole campaign serially, one
-range per worker in a pool), and ``BatchRunner`` makes one plan per
-lease.  Resumability: with a ``checkpoint_dir``, the scheduler writes
-each shard's records to its own JSONL file (header → records → ``done``
+Shards are the unit of checkpoints, resume and drift detection, not of
+execution: the scheduler leases each free executor a contiguous run
+range of whole shards (the whole campaign serially, one range per
+worker in a pool), and ``BatchRunner`` makes one plan per lease.
+Resumability: with a ``checkpoint_dir``, the scheduler writes each
+shard's records to its own JSONL file (header → records → ``done``
 footer) the moment the shard's last record arrives, whichever process
 executed it and whether or not its lease is still running.  On
 restart the campaign replays every *complete* shard file from disk and
@@ -70,7 +70,6 @@ from repro.telemetry import (
     current_tracer,
     stamp,
 )
-from repro.telemetry.convergence import ConvergenceMonitor
 from repro.util.jsonlog import JsonlLog, dump_records, load_records
 from repro.util.rng import derive_rng
 
@@ -79,7 +78,6 @@ if TYPE_CHECKING:  # pragma: no cover — the campaign module imports the engine
 
 __all__ = [
     "CheckpointError",
-    "EARLY_STOP_MIN_CELL_RUNS",
     "FAILURE_LOG_NAME",
     "FailureSink",
     "RetryPolicy",
@@ -266,7 +264,7 @@ def campaign_fingerprint(config: "CampaignKind[Any]", shard_size: int | None = N
     detected before any stale record is trusted.  The payload is the
     config's wire form minus its kind's ``fingerprint_excludes``, plus
     the shard plan: isolation mode, retry policy and CAROL-FI's
-    ``snapshots``/``batch_size``/``target_ci`` knobs are deliberately
+    ``snapshots``/``batch_size`` knobs are deliberately
     *excluded* — they change how runs are executed and supervised,
     never what their records contain, so a campaign checkpointed in one
     mode may resume in another, including resuming a scalar checkpoint
@@ -571,67 +569,3 @@ class _Heartbeat:
                 detail=detail,
             )
         )
-
-
-#: Minimum records per (benchmark, fault_model) cell before an early
-#: stop is even considered — guards the first merges, where a
-#: degenerate all-one-outcome cell can have a deceptively narrow CI.
-EARLY_STOP_MIN_CELL_RUNS = 10
-
-
-class _ConvergenceGate:
-    """Feeds merged shards to a :class:`ConvergenceMonitor` in order.
-
-    Early stopping must be **topology-independent**: the same campaign
-    must stop at the same record whether it ran serial, on 8 workers,
-    or resumed from checkpoints.  Shard *completion* order is none of
-    those things, so the gate only evaluates convergence at contiguous
-    prefix boundaries — shard ``k`` is considered only once shards
-    ``0..k`` have all completed, and the monitor sees their records in
-    canonical shard order.  It checks at *every* boundary the prefix
-    crosses, also when one completion lets several shards join it at
-    once.  The stop decision is then a pure function of the
-    (deterministic) record contents, and the stopped campaign's records
-    are a bit-identical prefix of the uncapped campaign's.
-    """
-
-    def __init__(
-        self,
-        config: "CampaignKind[Any]",
-        shards: tuple[ShardSpec, ...],
-        monitor: ConvergenceMonitor,
-        get_records: Callable[[int], Iterable[Any]],
-    ):
-        self.monitor = monitor
-        self._get_records = get_records
-        self._shard_count = len(shards)
-        target = config.stop_target()
-        #: The CI half-width an early stop needs, or ``None``: no early stop.
-        self.target: float | None = None if target is None else target[0]
-        self._expected_cells = 0 if target is None else target[1]
-        self._complete: set[int] = set()
-        self._fed = 0
-        self.stop_after: int | None = None
-
-    @property
-    def stopped(self) -> bool:
-        return self.stop_after is not None
-
-    def mark_complete(self, shard_index: int) -> bool:
-        """Record one finished shard; True once the campaign may stop."""
-        if self.stopped:
-            return True
-        self._complete.add(shard_index)
-        while self._fed < self._shard_count and self._fed in self._complete:
-            for row in self._get_records(self._fed):
-                self.monitor.observe(row, shard=self._fed)
-            self._fed += 1
-            if (
-                self.target is not None
-                and self._fed < self._shard_count  # finishing everything is not "early"
-                and len(self.monitor.cells()) >= self._expected_cells
-                and self.monitor.converged(self.target, min_cell_runs=EARLY_STOP_MIN_CELL_RUNS)
-            ):
-                self.stop_after = self._fed - 1
-                return True
-        return False

@@ -280,16 +280,10 @@ def _serve(runner: Any, conn: "Connection") -> None:
             # keeping per-run death attribution (and therefore records)
             # identical to unbatched subprocess mode.
             _, runs, batch_size = msg
-            batched = runner.run_batch(runs, batch_size)
-            conn.send(
-                (
-                    "batch_records",
-                    {idx: record.to_dict() for idx, record in batched.items()},
-                )
-            )
+            conn.send(("batch_records", runner.run_batch(runs, batch_size)))
             continue
         _, run_index, args = msg
-        conn.send(("record", runner.run_one(run_index, *args).to_dict()))
+        conn.send(("record", runner.run_one(run_index, *args)))
 
 
 # -- the parent side -----------------------------------------------------------
@@ -461,7 +455,7 @@ class InjectionSandbox:
                 self._teardown()
         kind, payload = self._await("record", self.isolation.timeout_s, run_index)
         if kind is None:
-            return self.config.record_type.from_dict(payload)
+            return payload
         if kind is DueKind.CRASH:
             self._emit("sandbox_death", run_index, detail=payload)
             raise SandboxDeath(payload)
@@ -501,7 +495,7 @@ class InjectionSandbox:
         if kind is not None:
             self._emit("sandbox_batch_abort", detail=payload, runs=len(runs))
             return {}
-        return {int(idx): self.config.record_type.from_dict(row) for idx, row in payload.items()}
+        return payload
 
     def _await(
         self, expect: str, budget: float, run_index: int | None = None

@@ -60,10 +60,7 @@ class ExperimentData:
     ``snapshots`` toggles CAROL-FI's execution-prefix fast path (on by
     default; records are identical either way) and ``batch_size`` sets
     its vectorized batched-injection width (1 disables; records are
-    byte-identical at any width).  ``target_ci`` forwards the
-    statistical early-stopping target (CI half-width) to every CAROL-FI
-    campaign; stopped campaigns keep a byte-identical prefix of the
-    uncapped record stream, so downstream figures stay deterministic.
+    byte-identical at any width).
     """
 
     seed: int = 2017
@@ -73,7 +70,6 @@ class ExperimentData:
     isolation: IsolationConfig | None = None
     snapshots: bool = True
     batch_size: int = 1
-    target_ci: float | None = None
     telemetry: Telemetry | None = field(default=None, repr=False)
     progress: Callable[[ShardProgress], None] | None = field(default=None, repr=False)
     _beam: dict[str, BeamCampaignResult] = field(default_factory=dict, repr=False)
@@ -128,7 +124,6 @@ class ExperimentData:
                 seed=self.seed,
                 snapshots=self.snapshots,
                 batch_size=self.batch_size,
-                target_ci=self.target_ci,
             )
             self._injection[benchmark] = self._run(
                 config, f"{benchmark}-seed{self.seed}-n{self.injections}"

@@ -17,9 +17,8 @@ and hardened — runs on the sharded parallel engine: ``--workers`` (or
 the ``REPRO_WORKERS`` environment variable) sets the process count,
 ``--isolation`` where each run executes, and ``--checkpoints DIR``
 makes campaigns resumable — re-invoking with the same directory
-replays finished shards instead of re-running them.  ``--batch-size``,
-``--no-snapshots`` and ``--target-ci`` apply to CAROL-FI campaigns
-only.
+replays finished shards instead of re-running them.  ``--batch-size``
+and ``--no-snapshots`` apply to CAROL-FI campaigns only.
 
 Observability (:mod:`repro.telemetry`): ``--metrics-out PATH`` exports
 campaign metrics on exit (Prometheus text, or a JSONL snapshot for a
@@ -107,7 +106,6 @@ def run_experiments(
     telemetry: Telemetry | None = None,
     snapshots: bool = True,
     batch_size: int = 1,
-    target_ci: float | None = None,
 ) -> data_mod.ExperimentData:
     """Run the named experiments, printing each rendered artifact."""
     stream = stream or sys.stdout
@@ -124,7 +122,6 @@ def run_experiments(
         progress=progress,
         snapshots=snapshots,
         batch_size=batch_size,
-        target_ci=target_ci,
     )
     print_experiments(names, shared, stream)
     return shared
@@ -223,17 +220,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "are byte-identical at any width; in-process isolation only)",
     )
     parser.add_argument(
-        "--target-ci",
-        type=float,
-        default=None,
-        metavar="HALFWIDTH",
-        help="stop each injection campaign at the first shard-merge "
-        "boundary where every (benchmark, fault model) cell's SDC and "
-        "DUE confidence intervals are at most this half-width; stopped "
-        "records are a byte-identical prefix of the uncapped campaign "
-        "(excluded from the checkpoint fingerprint, so resumes stay valid)",
-    )
-    parser.add_argument(
         "--progress",
         action="store_true",
         help="print per-shard heartbeats (injections/sec, ETA) to stderr",
@@ -304,7 +290,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             telemetry=telemetry,
             snapshots=not args.no_snapshots,
             batch_size=args.batch_size,
-            target_ci=args.target_ci,
         )
     finally:
         if telemetry is not None:

@@ -371,13 +371,11 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
         return (self.fault_models[run_index % len(self.fault_models)],)
 
     @staticmethod
-    def row_cell(row: dict[str, Any]) -> tuple[str, str, str, int]:
-        """Hardened cells are fault models; a record has no time window."""
-        return str(row["benchmark"]), str(row["fault_model"]), str(row["outcome"]), 0
+    def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
+        """Hardened cells are fault models."""
+        return str(row["benchmark"]), str(row["fault_model"]), str(row["outcome"])
 
-    def result(
-        self, records: list[Any], stopped_early: bool, runner: Any
-    ) -> HardenedCampaignResult:
+    def result(self, records: list[Any], runner: Any) -> HardenedCampaignResult:
         """The records plus the protection's cost, which the hardened
         fault-free run measures: from ``runner``, else from a runner
         built for it (a campaign replayed whole from checkpoints)."""

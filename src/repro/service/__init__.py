@@ -19,14 +19,5 @@ at any worker count — including after re-leases and worker kills.
 """
 
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
-from repro.service.wire import FrameError, decode_frame, encode_frame
 
-__all__ = [
-    "BackendEvent",
-    "FrameError",
-    "LeaseResult",
-    "ShardBackend",
-    "ShardLease",
-    "decode_frame",
-    "encode_frame",
-]
+__all__ = ["BackendEvent", "LeaseResult", "ShardBackend", "ShardLease"]

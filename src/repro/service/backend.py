@@ -20,19 +20,12 @@ backend only executes leases and reports what happened to them.
 
 Every executor speaks one lease protocol, whatever carries it (an
 in-process call or a pipe): it runs
-:func:`repro.service.local._run_lease` and sends one frame per event::
-
-    {"kind": "run", "run": k}                  # liveness beat
-    {"kind": "rec", "run": k, "row": {...}}    # run k's record
-    {"kind": "metrics", "delta": {...}} / {"kind": "spans", "batch": [...]}
-    {"kind": "failure", "event": {...}}
-    {"kind": "done"} / {"kind": "error", "detail": s, "run": k | None}
-
-:func:`event_from_frame` and :func:`result_from_frame` turn those frames
-into the :class:`BackendEvent` / :class:`LeaseResult` the scheduler
-drains.  Records reach the scheduler only as ``rec`` frames, so it can
-re-lease a failed lease from its last delivered record and is the only
-writer of shard checkpoints.
+:func:`repro.service.local._run_lease`, which sends one
+:class:`BackendEvent` per run beat, record, telemetry batch and failure
+event, and ends the lease with one :class:`LeaseResult`.  A pipe
+carries both as plain pickled objects.  Records reach the scheduler
+only as ``rec`` events, so it can re-lease a failed lease from its last
+delivered record and is the only writer of shard checkpoints.
 """
 
 from __future__ import annotations
@@ -46,8 +39,6 @@ __all__ = [
     "LeaseResult",
     "ShardBackend",
     "ShardLease",
-    "event_from_frame",
-    "result_from_frame",
 ]
 
 
@@ -161,32 +152,3 @@ class ShardBackend(abc.ABC):
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-
-#: Payload field of each non-terminal frame kind that carries one.
-_PAYLOADS = {"metrics": "delta", "spans": "batch", "failure": "event"}
-
-
-def event_from_frame(lease_id: str, frame: dict[str, Any]) -> BackendEvent | None:
-    """The backend event a non-terminal frame stands for (``None``: unknown)."""
-    kind = frame.get("kind")
-    if kind == "run":
-        return BackendEvent(kind, lease_id, run=int(frame["run"]))
-    if kind == "rec":
-        return BackendEvent(kind, lease_id, run=int(frame["run"]), row=frame["row"])
-    if kind in _PAYLOADS:
-        return BackendEvent(kind, lease_id, payload=frame[_PAYLOADS[kind]])
-    return None
-
-
-def result_from_frame(lease_id: str, frame: dict[str, Any]) -> LeaseResult:
-    """The lease result a terminal ``done``/``error`` frame stands for."""
-    if frame["kind"] == "done":
-        return LeaseResult(lease_id, "done")
-    run = frame.get("run")
-    return LeaseResult(
-        lease_id,
-        "error",
-        detail=str(frame.get("detail", "worker error")),
-        error_run=None if run is None else int(run),
-    )

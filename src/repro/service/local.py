@@ -2,9 +2,9 @@
 
 :func:`_run_lease` is the one lease body of every executor:
 ``_execute_shard`` over the lease range, each record streamed as a
-``rec`` frame, ending in a bare ``done`` or an ``error`` (the protocol
-of :mod:`repro.service.backend`).  The two executors differ only in
-which process runs it:
+``rec`` event, ending in a ``done`` or ``error`` lease result (the
+protocol of :mod:`repro.service.backend`).  The two executors differ
+only in which process runs it:
 
 * :class:`InlineBackend` — serial campaigns: each lease (normally the
   whole campaign) runs synchronously in the calling process, inside
@@ -18,11 +18,11 @@ A lease is a run range over one or more shards; ``_execute_shard``
 runs it as one ``BatchRunner`` plan, and the scheduler checkpoints each
 shard as its last record arrives.
 
-Over the pipe, frames are tagged and checksummed
-(:mod:`repro.service.wire`; ``Connection.send_bytes`` is already
-message-oriented, so framing adds validation); inline they are decoded
-in place.  No executor writes checkpoints: the scheduler does, from the
-streamed records.  Each executor owns what its leases run through: its
+Over the pipe, each event and the lease result travel as one pickled
+object (``Connection.send``, which length-prefixes every message);
+inline they reach the scheduler as they are.  No executor writes
+checkpoints: the scheduler does, from the streamed records.  Each
+executor owns what its leases run through: its
 :class:`~repro.carolfi.isolation.InjectionSandbox` — built on first use,
 closed when the executor ends, so no sandbox outlives its campaign — or
 the campaign's runner: its own in the calling process, or, in a lease
@@ -30,15 +30,15 @@ worker, the one the worker inherited at fork.
 
 Semantics preserved from the original pool: workers are not daemons
 (they must be able to spawn sandbox children), a dying worker is
-observed through its exit code, a final ``done``/``error`` frame still
-sitting in the pipe is drained before the death is judged, and the
-campaign's fork-method runner warm-up keeps golden runs amortised
-across workers.
+observed through its exit code, a lease result still sitting in the
+pipe is drained before the death is judged, and the campaign's
+fork-method runner warm-up keeps golden runs amortised across workers.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -52,15 +52,7 @@ from repro.carolfi.isolation import (
     mp_context,
     supervisor_for,
 )
-from repro.service.backend import (
-    BackendEvent,
-    LeaseResult,
-    ShardBackend,
-    ShardLease,
-    event_from_frame,
-    result_from_frame,
-)
-from repro.service.wire import FrameError, decode_frame, encode_frame
+from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -70,22 +62,14 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["InlineBackend", "LocalBackend"]
 
-Frame = dict[str, Any]
-
 
 def _new_sandbox(
-    config: "CampaignKind[Any]",
-    isolation: IsolationConfig,
-    send: Callable[[Frame], None],
+    config: "CampaignKind[Any]", isolation: IsolationConfig, on_event: EventCallback
 ) -> InjectionSandbox | None:
     """The executor's own sandbox, or ``None`` for in-process runs."""
     if isolation.mode is not IsolationMode.SUBPROCESS:
         return None
-    return InjectionSandbox(
-        config,
-        isolation,
-        on_event=lambda event: send({"kind": "failure", "event": event}),
-    )
+    return InjectionSandbox(config, isolation, on_event=on_event)
 
 
 def _run_lease(
@@ -93,10 +77,10 @@ def _run_lease(
     lease: ShardLease,
     sandbox: InjectionSandbox | None,
     runner: Callable[[EventCallback], Any],
-    send: Callable[[Frame], None],
+    send: Callable[[BackendEvent], None],
     stop: Callable[[], int] | None = None,
-) -> Frame:
-    """The one lease body: run ``[start, stop)``, report it as frames.
+) -> LeaseResult:
+    """The one lease body: run ``[start, stop)``, report it as events.
 
     The runs go through the executor's ``sandbox``, or without one
     through the runner that ``runner(on_event)`` returns — the
@@ -106,17 +90,18 @@ def _run_lease(
     the scheduler retries it.
 
     Progress goes out through ``send`` as ``run`` / ``rec`` /
-    ``failure`` frames, one ``rec`` (run and row) per record; ``stop``
-    is ``_execute_shard``'s run-boundary hook.  The terminal frame is
+    ``failure`` events, one ``rec`` (run and row) per record; ``stop``
+    is ``_execute_shard``'s run-boundary hook.  The lease result is
     *returned*, so the executor can release what it holds before the
-    scheduler learns the lease is over.  It is a bare ``done``, or
-    ``error`` with the detail and — for a :class:`ShardRunError` — the
-    run to charge.
+    scheduler learns the lease is over.  It is ``done``, or ``error``
+    with the detail and — for a :class:`ShardRunError` — the run to
+    charge.
     """
     spec = ShardSpec(index=lease.shard_index, start=lease.start, stop=lease.stop)
+    lease_id = lease.lease_id
 
     def on_failure(event: dict[str, Any]) -> None:
-        send({"kind": "failure", "event": event})
+        send(BackendEvent("failure", lease_id, payload=event))
 
     try:
         _execute_shard(
@@ -124,19 +109,20 @@ def _run_lease(
             spec,
             sandbox if sandbox is not None else runner(on_failure),
             skip_runs=lease.skip,
-            on_run=lambda k: send({"kind": "run", "run": k}),
-            on_record=lambda k, row: send({"kind": "rec", "run": k, "row": row}),
+            on_run=lambda k: send(BackendEvent("run", lease_id, run=k)),
+            on_record=lambda k, row: send(BackendEvent("rec", lease_id, run=k, row=row)),
             stop=stop,
         )
     except Exception as exc:  # noqa: BLE001 — the scheduler judges it
         run = exc.run_index if isinstance(exc, ShardRunError) else None
-        return {"kind": "error", "detail": f"{type(exc).__name__}: {exc}", "run": run}
-    return {"kind": "done"}
+        detail = f"{type(exc).__name__}: {exc}"
+        return LeaseResult(lease_id, "error", detail=detail, error_run=run)
+    return LeaseResult(lease_id, "done")
 
 
-def _send(conn: "Connection", frame: Frame) -> None:
+def _send(conn: "Connection", message: BackendEvent | LeaseResult) -> None:
     try:
-        conn.send_bytes(encode_frame(frame))
+        conn.send(message)
     except (OSError, ValueError):  # pragma: no cover — parent already gone
         pass
 
@@ -153,12 +139,12 @@ def _lease_worker_main(
     Telemetry is rebuilt locally from the picklable ``shard_tel``
     coordinates: metrics accumulate in a worker-private registry and
     spans buffer in memory, and both are drained over the pipe after
-    every record (``metrics`` / ``spans`` frames).  Draining before the
-    final ``done`` keeps merging at-most-once: a killed worker loses
-    only its undrained tail, never double-counts.
+    every record (``metrics`` / ``spans`` events).  Draining before the
+    lease result keeps merging at-most-once: a killed worker loses only
+    its undrained tail, never double-counts.
 
     With ``REPRO_WORKER_DIE_AFTER=N`` set, the process exits with code
-    7 — no terminal frame, no clean-up — right after streaming its
+    7 — no lease result, no clean-up — right after streaming its
     ``N``-th record: a worker dying mid-lease, which the scheduler must
     re-lease from the next run.
     """
@@ -169,20 +155,24 @@ def _lease_worker_main(
     def flush_telemetry() -> None:
         delta, spans = worker_tel.drain()
         if delta:
-            _send(conn, {"kind": "metrics", "delta": delta})
+            _send(conn, BackendEvent("metrics", lease.lease_id, payload=delta))
         if spans:
-            _send(conn, {"kind": "spans", "batch": spans})
+            _send(conn, BackendEvent("spans", lease.lease_id, payload=spans))
 
-    def send(frame: Frame) -> None:
+    def send(event: BackendEvent) -> None:
         nonlocal records
-        _send(conn, frame)
-        if frame["kind"] == "rec":
+        _send(conn, event)
+        if event.kind == "rec":
             flush_telemetry()
             records += 1
             if records == die_after:
                 os._exit(7)
 
-    sandbox = _new_sandbox(config, isolation, send)
+    sandbox = _new_sandbox(
+        config,
+        isolation,
+        lambda event: send(BackendEvent("failure", lease.lease_id, payload=event)),
+    )
     try:
         # A ``lease`` span around the lease body, under the campaign span.
         with worker_tel.activate(), worker_tel.tracer.span(
@@ -196,30 +186,30 @@ def _lease_worker_main(
         ):
             # In process, the campaign's warm runner, inherited at fork
             # (or built here, golden walk and all, under spawn).
-            terminal = _run_lease(config, lease, sandbox, partial(supervisor_for, config), send)
+            result = _run_lease(config, lease, sandbox, partial(supervisor_for, config), send)
         flush_telemetry()  # tail: the shard and lease spans
     finally:
         # Multiprocessing children skip regular atexit (os._exit), so
         # nothing here is released unless we do it — and before the
-        # terminal frame, since the backend kills a worker once it has
+        # lease result, since the backend kills a worker once it has
         # reported.  Close our sandbox: an orphaned one would only die
         # on EOF.
         if sandbox is not None:
             sandbox.close()
-    _send(conn, terminal)
+    _send(conn, result)
     conn.close()
 
 
 class _LeaseProc:
-    """One live lease: its process, pipe, and staged terminal frame."""
+    """One live lease: its process, pipe, and staged lease result."""
 
-    __slots__ = ("lease", "proc", "conn", "terminal")
+    __slots__ = ("lease", "proc", "conn", "result")
 
     def __init__(self, lease: ShardLease, proc: Any, conn: Any):
         self.lease = lease
         self.proc = proc
         self.conn = conn
-        self.terminal: Frame | None = None
+        self.result: LeaseResult | None = None
 
 
 class LocalBackend(ShardBackend):
@@ -282,19 +272,15 @@ class LocalBackend(ShardBackend):
             try:
                 if not live.conn.poll(0):
                     return
-                raw = live.conn.recv_bytes()
+                message = live.conn.recv()
             except (EOFError, OSError):
-                return
-            try:
-                frame = decode_frame(raw)
-            except FrameError:
-                continue  # torn frame from a dying worker: skip, judge by exit code
-            if frame.get("kind") in ("done", "error"):
-                live.terminal = frame
-                continue
-            event = event_from_frame(live.lease.lease_id, frame)
-            if event is not None:
-                events.append(event)
+                return  # closed, or a message torn by a dying worker
+            except pickle.UnpicklingError:
+                continue  # skip it; the lease is judged by its exit code
+            if isinstance(message, LeaseResult):
+                live.result = message
+            else:
+                events.append(message)
 
     def heartbeats(self) -> list[BackendEvent]:
         events: list[BackendEvent] = []
@@ -305,17 +291,16 @@ class LocalBackend(ShardBackend):
 
     def _judge(self, live: _LeaseProc, events: list[BackendEvent]) -> None:
         """Stage a terminal result once the lease's fate is knowable."""
-        if live.terminal is None:
+        if live.result is None:
             if live.proc is None or live.proc.is_alive():
                 return
             live.proc.join(timeout=5.0)
-            # A final done/error frame may still sit in the pipe: drain
-            # once more before judging the death.
+            # A lease result may still sit in the pipe: drain once more
+            # before judging the death.
             self._drain_conn(live, events)
         lease_id = live.lease.lease_id
-        if live.terminal is not None:
-            result = result_from_frame(lease_id, live.terminal)
-        else:
+        result = live.result
+        if result is None:
             detail = f"shard worker {describe_exitcode(live.proc.exitcode)}"
             result = LeaseResult(lease_id, "dead", detail=detail)
         self._retire(live)
@@ -356,11 +341,10 @@ class InlineBackend(ShardBackend):
 
     :meth:`submit` only stages the lease; the next :meth:`heartbeats`
     runs it to completion through the shared lease body, in the
-    campaign's own telemetry scope, and decodes its frames in place.
-    Each event goes to the scheduler's :meth:`stream_events` handler as
-    it happens, so a shard finishes and checkpoints while the lease
-    (normally the whole campaign) runs on.
-    One lease at a time: capacity is 0 while a lease is staged or its
+    campaign's own telemetry scope.  Each event goes to the scheduler's
+    :meth:`stream_events` handler as it happens, so a shard finishes
+    and checkpoints while the lease (normally the whole campaign) runs
+    on.  One lease at a time: capacity is 0 while a lease is staged or its
     result is still undrained.  ``on_run_done`` is called after every
     record (the live progress line's tick).  No liveness to lose: a run
     that hangs or kills this process takes the campaign with it —
@@ -400,20 +384,18 @@ class InlineBackend(ShardBackend):
     def submit(self, lease: ShardLease) -> None:
         self._lease = lease
 
-    def _send(self, frame: Frame) -> None:
-        event = event_from_frame(self._running, frame)
-        if event is not None:
-            if self._handler is None:
-                self._events.append(event)
-            elif self._handler_error is None:
-                # The handler's failure (a checkpoint that cannot be
-                # written) is the scheduler's, not the lease's: keep it
-                # from the lease body's error net and raise it below.
-                try:
-                    self._handler(event)
-                except BaseException as exc:  # noqa: BLE001 — re-raised by heartbeats()
-                    self._handler_error = exc
-        if frame["kind"] == "rec" and self._on_run_done is not None:
+    def _send(self, event: BackendEvent) -> None:
+        if self._handler is None:
+            self._events.append(event)
+        elif self._handler_error is None:
+            # The handler's failure (a checkpoint that cannot be
+            # written) is the scheduler's, not the lease's: keep it
+            # from the lease body's error net and raise it below.
+            try:
+                self._handler(event)
+            except BaseException as exc:  # noqa: BLE001 — re-raised by heartbeats()
+                self._handler_error = exc
+        if event.kind == "rec" and self._on_run_done is not None:
             self._on_run_done()
 
     def heartbeats(self) -> list[BackendEvent]:
@@ -421,8 +403,12 @@ class InlineBackend(ShardBackend):
         if lease is not None:
             self._running = lease.lease_id
             if self._sandbox is None:
-                self._sandbox = _new_sandbox(self._config, self._isolation, self._send)
-            terminal = _run_lease(
+                self._sandbox = _new_sandbox(
+                    self._config,
+                    self._isolation,
+                    lambda event: self._send(BackendEvent("failure", self._running, payload=event)),
+                )
+            result = _run_lease(
                 self._config,
                 lease,
                 self._sandbox,
@@ -434,7 +420,7 @@ class InlineBackend(ShardBackend):
             error, self._handler_error = self._handler_error, None
             if error is not None:
                 raise error
-            self._results.append(result_from_frame(lease.lease_id, terminal))
+            self._results.append(result)
         events, self._events = self._events, []
         return events
 

@@ -11,14 +11,12 @@ executor and the local pool's lease worker processes through one lease
 protocol.
 
 Two units are kept apart.  The **shard** is the unit of checkpoints,
-resume, drift detection and early stop; its plan depends only on the
-campaign.  The **lease** is the unit of execution: a contiguous run
-range cut from the pending runs at shard boundaries, one per free
-executor slot, so an executor runs (and ``BatchRunner`` plans) as many
-runs at once as it can take.  The inline executor gets the whole
-campaign, a local pool one lease per worker.  While the convergence
-gate has an early-stop target, leases stay one shard wide, so it can
-stop the campaign between shards.
+resume and drift detection; its plan depends only on the campaign.
+The **lease** is the unit of execution: a contiguous run range cut
+from the pending runs at shard boundaries, one per free executor slot,
+so an executor runs (and ``BatchRunner`` plans) as many runs at once
+as it can take.  The inline executor gets the whole campaign, a local
+pool one lease per worker.
 
 * **lease ids** — ``s<shard>.<n>``: the ``n``-th lease whose range
   starts in shard ``<shard>`` (five-digit shard index);
@@ -62,7 +60,7 @@ from repro.telemetry import Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.carolfi.campaign import CampaignKind
-    from repro.carolfi.engine import FailureSink, _ConvergenceGate, _Heartbeat
+    from repro.carolfi.engine import FailureSink, _Heartbeat
 
 __all__ = ["run_shards"]
 
@@ -124,7 +122,6 @@ def run_shards(
     sink: "FailureSink",
     tel: Telemetry,
     reporter: Any,
-    gate: "_ConvergenceGate",
 ) -> None:
     """Drive ``pending`` shards to completion through ``backend``.
 
@@ -173,8 +170,7 @@ def run_shards(
         The lease starts at the first queued range whose shard is out of
         backoff and takes the contiguous ready ranges after it, whole
         shards at a time, until it holds at least its even share of the
-        ready runs among the free slots.  While the gate has an
-        early-stop target a lease never leaves its first shard.
+        ready runs among the free slots.
         """
         ready = [r for r in queued if shard_of(r[0]).eligible_at <= now]
         if not ready:
@@ -183,12 +179,11 @@ def run_shards(
         share = -(-sum(stop - start for start, stop in ready) // slots)
         start, stop = ready[0]
         taken = 1
-        if gate.target is None:
-            for lo, hi in ready[1:]:
-                if lo != stop or stop - start >= share:
-                    break
-                stop = hi
-                taken += 1
+        for lo, hi in ready[1:]:
+            if lo != stop or stop - start >= share:
+                break
+            stop = hi
+            taken += 1
         for r in ready[:taken]:
             queued.remove(r)
         return start, stop
@@ -229,7 +224,6 @@ def run_shards(
         shard_done.set(shard.spec.size, shard=index)
         if tel.registry.enabled:
             shard_seconds.observe(time.perf_counter() - shard.dispatched_at)
-        gate.mark_complete(index)
 
     def quarantine(shard: _Shard, run: int, due_kind: DueKind, detail: str) -> bool:
         """Record one poison run exactly once; True if newly quarantined.
@@ -391,25 +385,9 @@ def run_shards(
     # over as it happens, so shards finish (and checkpoint) mid-lease.
     backend.stream_events(lambda event: handle_event(event, time.monotonic()))
 
-    def abandon(owing_only: bool) -> None:
-        """Cancel in-flight leases (with ``owing_only``, just those that
-        still owe records; the others owe only their terminal frame)."""
-        for lease_id, state in list(active.items()):
-            if not owing_only or state.done_through + 1 < state.lease.stop:
-                backend.cancel(lease_id)
-                del active[lease_id]
-
     try:
         while True:
-            if gate.stopped:
-                # A converged gate ends the campaign: leases beyond the
-                # stop point are abandoned (shards they had not finished
-                # have no checkpoint and re-run on a later resume).  A
-                # lease that delivered its whole range is still drained,
-                # so the telemetry it sends before its terminal frame is
-                # merged, as when a lease ends before its last shard does.
-                abandon(owing_only=True)
-            if not active and (gate.stopped or all(s.finished for s in by_start)):
+            if not active and all(s.finished for s in by_start):
                 break
             if not active and not queued:
                 # Every unfinished shard lacks records that no lease owes
@@ -455,9 +433,8 @@ def run_shards(
                     DueKind.HANG,
                 )
                 settle()
-            # Cut queued runs into leases for the free slots, in run
-            # order (none once the gate has stopped the campaign).
-            while not gate.stopped and backend.capacity() > 0:
+            # Cut queued runs into leases for the free slots, in run order.
+            while backend.capacity() > 0:
                 cut = next_lease(now)
                 if cut is None:
                     break
@@ -469,4 +446,5 @@ def run_shards(
                 time.sleep(_POLL_S)
     finally:
         backend.stream_events(None)
-        abandon(owing_only=False)  # a raised ShardFailure leaves some
+        for lease_id in active:  # a raised ShardFailure leaves leases in flight
+            backend.cancel(lease_id)

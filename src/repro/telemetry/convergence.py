@@ -1,25 +1,21 @@
 """Streaming statistical convergence monitoring for injection campaigns.
 
-The engine's telemetry (PR 3) answers "how fast is the campaign
-running"; this module answers the question the paper's conclusions
-actually rest on — "has the *science* converged?".  Every PVF,
-outcome-rate and FIT figure is a binomial proportion whose confidence
-interval narrows as injections accumulate, so a campaign should run
-exactly as many injections as the target precision requires and no
-more.
+The engine's telemetry answers "how fast is the campaign running";
+this module answers the question the paper's conclusions actually rest
+on — "how precise are the numbers, and can they be trusted?".  Every
+PVF, outcome-rate and FIT figure is a binomial proportion whose
+confidence interval narrows as injections accumulate.
 
 :class:`ConvergenceMonitor` consumes injection records incrementally
-(as the engine merges shard results, or post-hoc from a campaign log)
-and maintains, per ``(benchmark, fault_model)`` cell:
+(as the engine merges a campaign's shards, or post-hoc from a campaign
+log) and maintains, per ``(benchmark, fault_model)`` cell:
 
 * streaming outcome counts (Masked/SDC/DUE, and any other outcome the
-  records hold) and per-execution-window counts — enough to recompute
-  every PVF slice of the paper;
-* Wilson or anytime-valid confidence intervals for the SDC and DUE
-  rates (:func:`repro.util.stats.wilson_ci` /
-  :func:`repro.util.stats.anytime_proportion_ci`), exposed through the
-  :meth:`ConvergenceMonitor.converged` predicate the engine uses for
-  optional early stopping (``--target-ci``);
+  records hold);
+* Wilson or anytime-valid confidence intervals for every outcome rate
+  (:func:`repro.util.stats.wilson_ci` /
+  :func:`repro.util.stats.anytime_proportion_ci`), which
+  ``repro-inspect`` reports, convergence curves included;
 * per-shard outcome counts feeding a **cross-shard drift detector**
   (pooled two-proportion z-test of each shard against the rest of the
   campaign, Bonferroni-corrected) that catches seed bugs and
@@ -35,7 +31,6 @@ so feeding it cannot perturb a single campaign record.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass, field
 from typing import Any
@@ -58,8 +53,8 @@ __all__ = [
 #: One statistical cell: ``(benchmark, fault_model)``.
 CellKey = tuple[str, str]
 
-#: The outcome rates a convergence target applies to.  Masked is the
-#: complement of these two, so its interval is never the binding one.
+#: The outcome rates convergence curves and drift tests watch.  Masked
+#: is the complement of these two, so its interval is never the widest.
 PVF_OUTCOMES: tuple[str, ...] = ("sdc", "due")
 
 #: The outcomes every report shows first, in this order.  Any other
@@ -71,8 +66,8 @@ _REPORT_OUTCOMES: tuple[str, ...] = ("masked", "sdc", "due")
 _INTERVALS = {"wilson": wilson_ci, "anytime": anytime_proportion_ci}
 
 
-def _record_fields(record: Any) -> tuple[str, str, str, int]:
-    """``(benchmark, fault_model, outcome, time_window)`` from a record.
+def _record_fields(record: Any) -> tuple[str, str, str]:
+    """``(benchmark, fault_model, outcome)`` from a record.
 
     The monitor's default reader, for CAROL-FI records: accepts
     :class:`~repro.faults.outcome.InjectionRecord` instances and the
@@ -86,14 +81,8 @@ def _record_fields(record: Any) -> tuple[str, str, str, int]:
             str(record["benchmark"]),
             str(record["fault_model"]),
             str(getattr(outcome, "value", outcome)),
-            int(record["time_window"]),
         )
-    return (
-        record.benchmark,
-        record.fault_model,
-        record.outcome.value,
-        int(record.time_window),
-    )
+    return record.benchmark, record.fault_model, record.outcome.value
 
 
 @dataclass
@@ -102,15 +91,12 @@ class CellStats:
 
     total: int = 0
     outcomes: dict[str, int] = field(default_factory=dict)
-    windows: dict[int, dict[str, int]] = field(default_factory=dict)
     shards: dict[int, dict[str, int]] = field(default_factory=dict)
     shard_totals: dict[int, int] = field(default_factory=dict)
 
-    def add(self, outcome: str, window: int, shard: int | None) -> None:
+    def add(self, outcome: str, shard: int | None) -> None:
         self.total += 1
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
-        per_window = self.windows.setdefault(window, {})
-        per_window[outcome] = per_window.get(outcome, 0) + 1
         if shard is not None:
             per_shard = self.shards.setdefault(shard, {})
             per_shard[outcome] = per_shard.get(outcome, 0) + 1
@@ -156,14 +142,11 @@ class ConvergenceMonitor:
 
     ``interval`` selects the CI construction: ``"wilson"`` (fixed-n,
     the paper's reporting interval) or ``"anytime"`` (valid under
-    continuous monitoring; conservative, never optimistic).  The engine
-    checks convergence only at shard-merge boundaries, bounding the
-    number of peeks by the shard count; see DESIGN §10 for why that
-    keeps the Wilson default honest and when to prefer ``"anytime"``.
+    continuous monitoring; conservative, never optimistic); see DESIGN
+    §10 for when to prefer which.
 
-    ``fields`` reads ``(benchmark, cell, outcome, time_window)`` from
-    one record: a campaign kind's row reader, CAROL-FI's by default
-    (``None``).
+    ``fields`` reads ``(benchmark, cell, outcome)`` from one record: a
+    campaign kind's row reader, CAROL-FI's by default (``None``).
     The cell is the ``fault_model`` slot of every read and report.
     """
 
@@ -171,7 +154,7 @@ class ConvergenceMonitor:
         self,
         confidence: float = 0.95,
         interval: str = "wilson",
-        fields: Callable[[Any], tuple[str, str, str, int]] | None = None,
+        fields: Callable[[Any], tuple[str, str, str]] | None = None,
     ):
         if interval not in _INTERVALS:
             raise ValueError(f"interval must be one of {sorted(_INTERVALS)}, not {interval!r}")
@@ -188,9 +171,9 @@ class ConvergenceMonitor:
 
     def observe(self, record: Any, shard: int | None = None) -> None:
         """Fold one injection record (object or dict) into the counts."""
-        benchmark, model, outcome, window = self._fields(record)
+        benchmark, model, outcome = self._fields(record)
         cell = self._cells.setdefault((benchmark, model), CellStats())
-        cell.add(outcome, window, shard)
+        cell.add(outcome, shard)
         self.runs += 1
 
     def observe_all(self, records: Iterable[Any], shard: int | None = None) -> None:
@@ -223,42 +206,6 @@ class ConvergenceMonitor:
     def half_width(self, benchmark: str, fault_model: str, outcome: str) -> float:
         estimate = self.ci(benchmark, fault_model, outcome)
         return (estimate.upper - estimate.lower) / 2.0
-
-    # -- convergence -----------------------------------------------------------
-
-    def max_half_width(self, outcomes: tuple[str, ...] = PVF_OUTCOMES) -> float:
-        """Widest CI half-width across every cell and target outcome.
-
-        ``inf`` while no records have been observed — an empty campaign
-        has not converged on anything.
-        """
-        if not self._cells:
-            return math.inf
-        widest = 0.0
-        for benchmark, model in self._cells:
-            for outcome in outcomes:
-                widest = max(widest, self.half_width(benchmark, model, outcome))
-        return widest
-
-    def converged(
-        self,
-        target_halfwidth: float,
-        outcomes: tuple[str, ...] = PVF_OUTCOMES,
-        min_cell_runs: int = 1,
-    ) -> bool:
-        """True when every cell's CI half-width is at or below target.
-
-        ``min_cell_runs`` guards the first few merges: a cell that has
-        not yet reached it keeps the campaign unconverged no matter how
-        narrow its (degenerate) interval is.
-        """
-        if target_halfwidth <= 0:
-            raise ValueError("target_halfwidth must be positive")
-        if not self._cells:
-            return False
-        if any(stats.total < min_cell_runs for stats in self._cells.values()):
-            return False
-        return self.max_half_width(outcomes) <= target_halfwidth
 
     # -- cross-shard drift -----------------------------------------------------
 

@@ -255,8 +255,8 @@ def convergence_curves(
     """Per-cell ``(runs, worst CI half-width)`` series at ~``points`` marks.
 
     One streaming pass: the monitor is replayed in canonical order and
-    sampled at evenly spaced run counts, so the curve shows exactly
-    what an early-stopping engine would have seen at each boundary.
+    sampled at evenly spaced run counts, so the curve shows how each
+    cell's interval narrowed as the campaign's runs accumulated.
     """
     total = len(records)
     if total == 0:

@@ -99,8 +99,8 @@ def anytime_proportion_ci(
     """Anytime-valid confidence interval for a binomial proportion.
 
     A Wilson interval is only valid at a *pre-registered* sample size;
-    checking it after every merged shard (as the campaign convergence
-    monitor does) inflates the error rate.  This interval uses the
+    checking it at many sample sizes (as ``repro-inspect``'s
+    convergence curves do) inflates the error rate.  This interval uses the
     law-of-the-iterated-logarithm "stitched" boundary for bounded
     variables (Howard et al., 2021, eq. (11) specialised to the [0, 1]
     case), which holds *simultaneously at every sample size*: a

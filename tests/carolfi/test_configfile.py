@@ -95,18 +95,3 @@ def test_repetitions_preserve_other_settings(config_path):
     result = run_from_config(config_path, repetitions=8)
     assert result.config.seed == 5
     assert result.config.fault_models == (FaultModel.SINGLE, FaultModel.ZERO)
-
-
-def test_target_ci_option(tmp_path):
-    path = tmp_path / "nw.conf"
-    path.write_text(
-        "[carol-fi]\nbenchmark = nw\ninjections = 30\ntarget_ci = 0.05\n"
-        "\n[benchmark.params]\nn = 16\nrows_per_step = 4\n"
-    )
-    config, _ = load_config(path)
-    assert config.target_ci == 0.05
-
-
-def test_target_ci_defaults_to_none(config_path):
-    config, _ = load_config(config_path)
-    assert config.target_ci is None

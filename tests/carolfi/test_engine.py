@@ -1,7 +1,6 @@
 """Sharded parallel campaign engine: determinism, resume, corruption."""
 
 import io
-import itertools
 import json
 import multiprocessing
 import os
@@ -10,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -21,7 +19,6 @@ from repro.carolfi.engine import (
     RetryPolicy,
     ShardFailure,
     ShardSpec,
-    _ConvergenceGate,
     backoff_delay,
     campaign_fingerprint,
     plan_shards,
@@ -32,7 +29,6 @@ from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, InjectionRecord, Outcome
 from repro.telemetry import Telemetry, TelemetryConfig
-from repro.telemetry.convergence import ConvergenceMonitor
 from repro.util.jsonlog import load_records, load_records_tolerant
 
 #: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards.
@@ -664,124 +660,6 @@ def test_failure_events_counted_by_kind(tmp_path):
     events = tel.registry.counter_values()["repro_failure_events_total"]
     assert events.get("event=retry", 0.0) > 0
     assert events.get("event=quarantine", 0.0) > 0
-
-
-# -- statistical early stopping (config.target_ci) ----------------------------
-
-#: Single-model twin of CONFIG: one statistical cell, so a loose CI
-#: target is reachable inside 24 injections.
-STOP_CONFIG = CampaignConfig(
-    benchmark="nw",
-    injections=24,
-    seed=13,
-    fault_models=(FaultModel.SINGLE,),
-    benchmark_params={"n": 16, "rows_per_step": 4},
-)
-STOP_TARGET = 0.45
-
-
-def test_target_ci_excluded_from_fingerprint():
-    capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
-    assert campaign_fingerprint(capped, SHARD_SIZE) == campaign_fingerprint(
-        STOP_CONFIG, SHARD_SIZE
-    )
-
-
-def test_target_ci_validation():
-    with pytest.raises(ValueError):
-        CampaignConfig(benchmark="nw", injections=8, target_ci=0.0)
-    with pytest.raises(ValueError):
-        CampaignConfig(benchmark="nw", injections=8, target_ci=1.5)
-
-
-def test_target_ci_stops_early_with_prefix_records():
-    full = run_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE)
-    capped = run_campaign(
-        replace(STOP_CONFIG, target_ci=STOP_TARGET), workers=1, shard_size=SHARD_SIZE
-    )
-    assert capped.stopped_early and not full.stopped_early
-    stopped = len(capped.records)
-    assert 0 < stopped < len(full.records)
-    assert stopped % SHARD_SIZE == 0  # stops only at shard boundaries
-    assert dicts(capped) == dicts(full)[:stopped]
-
-
-def test_target_ci_stop_point_is_worker_independent():
-    capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
-    serial = run_campaign(capped, workers=1, shard_size=SHARD_SIZE)
-    parallel = run_campaign(capped, workers=2, shard_size=SHARD_SIZE)
-    assert serial.stopped_early and parallel.stopped_early
-    assert dicts(serial) == dicts(parallel)
-
-
-def test_convergence_gate_stop_is_completion_order_independent():
-    """Every order in which the four shards can complete stops the
-    campaign at the boundary the in-order feed stops at, also when one
-    completion lets several shards join the prefix at once."""
-    capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
-    shards = plan_shards(STOP_CONFIG.injections, SHARD_SIZE)
-    rows = dicts(run_campaign(STOP_CONFIG, workers=1, shard_size=SHARD_SIZE))
-
-    def stop_after(order):
-        gate = _ConvergenceGate(
-            capped, shards, ConvergenceMonitor(), lambda i: rows[shards[i].start : shards[i].stop]
-        )
-        for index in order:
-            if gate.mark_complete(index):
-                break
-        return gate.stop_after
-
-    expected = stop_after(range(len(shards)))
-    assert expected is not None and expected < len(shards) - 1
-    for order in itertools.permutations(range(len(shards))):
-        assert stop_after(order) == expected, order
-
-
-def test_target_ci_campaign_log_is_byte_prefix(tmp_path):
-    run_campaign(
-        STOP_CONFIG, workers=1, shard_size=SHARD_SIZE, log_path=tmp_path / "full.jsonl"
-    )
-    run_campaign(
-        replace(STOP_CONFIG, target_ci=STOP_TARGET),
-        workers=1,
-        shard_size=SHARD_SIZE,
-        log_path=tmp_path / "capped.jsonl",
-    )
-    full_bytes = (tmp_path / "full.jsonl").read_bytes()
-    capped_bytes = (tmp_path / "capped.jsonl").read_bytes()
-    assert 0 < len(capped_bytes) < len(full_bytes)
-    assert full_bytes.startswith(capped_bytes)
-
-
-def test_target_ci_logs_early_stop_event_and_resumes_clean(tmp_path):
-    capped = replace(STOP_CONFIG, target_ci=STOP_TARGET)
-    tel = Telemetry(TelemetryConfig())
-    stopped = run_campaign(
-        capped, workers=1, shard_size=SHARD_SIZE, checkpoint_dir=tmp_path, telemetry=tel
-    )
-    assert stopped.stopped_early
-    events, corrupt = load_records_tolerant(tmp_path / FAILURE_LOG_NAME)
-    assert corrupt == 0
-    (stop_event,) = [e for e in events if e.get("event") == "early_stop"]
-    assert stop_event["runs"] == len(stopped.records)
-    assert stop_event["target_ci"] == STOP_TARGET
-    assert stop_event["max_half_width"] <= STOP_TARGET
-    assert stop_event["shards_skipped"] > 0
-    # The same checkpoint dir finishes the uncapped campaign: the
-    # stopped prefix is replayed, only the skipped shards run live.
-    finished = run_campaign(
-        STOP_CONFIG, workers=1, shard_size=SHARD_SIZE, checkpoint_dir=tmp_path
-    )
-    assert not finished.stopped_early
-    assert len(finished.records) == STOP_CONFIG.injections
-    assert dicts(finished)[: len(stopped.records)] == dicts(stopped)
-
-
-def test_target_ci_noop_when_target_never_met():
-    capped = replace(STOP_CONFIG, target_ci=0.001)
-    result = run_campaign(capped, workers=1, shard_size=SHARD_SIZE)
-    assert not result.stopped_early
-    assert len(result.records) == STOP_CONFIG.injections
 
 
 # -- cross-shard drift detection ----------------------------------------------

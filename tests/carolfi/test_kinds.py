@@ -201,7 +201,7 @@ def test_configs_round_trip_the_wire_with_their_kind():
     # is JSON, names the kind, and holds every field, so the kind's
     # constructor rebuilds an equal config from it.
     for config in (
-        CampaignConfig(benchmark="nw", injections=8, seed=7, batch_size=4, target_ci=0.2),
+        CampaignConfig(benchmark="nw", injections=8, seed=7, batch_size=4),
         beam_config("lud"),
         hardened_config("dgemm"),
     ):

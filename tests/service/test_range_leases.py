@@ -2,13 +2,12 @@
 
 The scheduler cuts a campaign's pending runs, at shard boundaries, into
 one lease per free executor slot, while every shard still checkpoints,
-resumes, feeds the convergence gate and is charged failures on its own.
-These tests pin that split through real executors (inline and the local
-pool): how many leases a campaign dispatches, what a lease that fails
-past a shard boundary leaves behind, that a pool's lease worker killed
-mid-lease is re-leased without changing a record, that checkpoint bytes
-equal a set written when every shard was its own lease, that early
-stopping still stops between shards, and that a shard checkpoint that
+resumes and is charged failures on its own.  These tests pin that split
+through real executors (inline and the local pool): how many leases a
+campaign dispatches, what a lease that fails past a shard boundary
+leaves behind, that a pool's lease worker killed mid-lease is re-leased
+without changing a record, that checkpoint bytes equal a set written
+when every shard was its own lease, and that a shard checkpoint that
 cannot be written mid-lease still ends the campaign.
 """
 
@@ -27,7 +26,6 @@ from repro.carolfi.engine import (
     plan_shards,
     shard_path,
 )
-from repro.faults.models import FaultModel
 from repro.hardening.hardened import HardenedConfig
 from repro.service import scheduler
 from repro.telemetry import Telemetry, TelemetryConfig
@@ -210,35 +208,6 @@ def test_fixture_checkpoint_directory_resumes(tmp_path):
     assert {e.shard_index for e in events if e.event == "finished"} == {3, 4, 11}
     assert len([e for e in events if e.event == "replayed"]) == 13
     _assert_matches_fixture(ckpt)
-
-
-#: One statistical cell so the loose target converges inside 24 runs.
-STOP_CONFIG = CampaignConfig(
-    benchmark="nw",
-    injections=24,
-    seed=13,
-    fault_models=(FaultModel.SINGLE,),
-    benchmark_params={"n": 16, "rows_per_step": 4},
-    target_ci=0.45,
-)
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_target_ci_keeps_leases_one_shard_wide(tmp_path, workers):
-    shard_size = 6
-    result, tel, spans = traced(tmp_path, STOP_CONFIG, workers=workers, shard_size=shard_size)
-    assert result.stopped_early and len(result.records) == 2 * shard_size
-    for span in executor_spans(spans):
-        start, stop = span["attrs"]["start"], span["attrs"]["stop"]
-        assert start % shard_size == 0 and stop - start == shard_size
-    executions = sum(tel.registry.counter_values()["repro_runs_total"].values())
-    if workers == 1:
-        # Serially nothing runs past the stop point.
-        assert executions == len(result.records)
-    else:
-        # A pool may have started the next shard; the lease that
-        # completed the stop shard is drained, never cut short.
-        assert executions >= len(result.records)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
