@@ -1,4 +1,4 @@
-"""Vectorized batched injection for the CAROL-FI supervisor.
+"""Vectorized batched execution for any campaign runner.
 
 The prefix cache (PR 4) removed pre-injection replay; what remains is
 the post-injection *suffix*, executed one run at a time through Python
@@ -11,36 +11,49 @@ vectorized batch protocol
 (:meth:`~repro.benchmarks.base.Benchmark.step_batch`), turning N Python
 step loops into one loop over batched NumPy kernels.
 
+**The runner protocol.**  :class:`BatchRunner` names no runner class.
+It drives any runner that presents ``benchmark``, ``prefix`` (its
+:class:`~repro.carolfi.prefixcache.PrefixStore`), ``total_steps``,
+``run_rng(run)``, ``perturb(state, step, model, rng) -> token`` and
+``finish(run, model, step, token, final) -> record``: CAROL-FI's
+``Supervisor`` and the hardened ``HardenedSupervisor``.  A runner's
+scalar ``run_one`` is the same two calls around ``PrefixStore.run``,
+so both paths build every record with the same lines.
+
 **The golden carrier.**  Each group walks one scalar "carrier" state
 along the pure golden trajectory from the anchor to the end.  Members
 join the walk at their interrupt step — the carrier is cloned (that
 clone *is* the bit-exact golden prefix the scalar path would have
-produced) and corrupted with the member's own RNG.  Before every
-batched step, each member's control state is compared against the
-carrier (:meth:`~repro.benchmarks.base.Benchmark.batch_coherent`); any
+produced) and perturbed with the member's own RNG.  A ``perturb`` that
+raises (a hardened guard's ``FaultDetected``) sends that member alone
+to the **scalar fallback**; the rest of its group walks on.  Each
+joined member's control state is compared against the carrier
+(:meth:`~repro.benchmarks.base.Benchmark.batch_coherent`); any
 divergence — a corrupted pointer, dimension, cursor, or out-of-range
 residue, i.e. exactly the faults whose scalar execution would branch
-differently or crash — routes the member to the **scalar fallback**:
-the caller simply re-runs it through ``Supervisor.run_one``, which
-re-derives the per-run RNG from scratch and is therefore byte-identical
-by construction.  The coherence contract is one-sided (a false negative
-only costs a fallback), so implementations are strict, never clever.
+differently or crash — routes the member to the scalar fallback too:
+the caller simply re-runs it through the runner's ``run_one``, which
+re-derives the per-run RNG from its run index and is therefore
+byte-identical by construction.  The coherence contract is one-sided
+(a false negative only costs a fallback), so implementations are
+strict, never clever.
 
 Records produced on the vectorized path are byte-identical to the
 scalar path because every ingredient is shared: the per-run RNG is
-keyed by run index (``Supervisor.run_rng``), the injected prefix state
-is a bit-exact clone, the benchmarks' ``step_batch`` contract requires
-bit-identical outputs, and classification goes through the same
-``Supervisor.classify_output``/``make_record`` helpers.  The walk
-borrows its golden reference from the supervisor's store — its
-pristine input at anchor 0, its snapshots elsewhere — and reads it in
-place: every member and carrier is a deep-copied clone, so no run
-writes the store.  A store recorded without captures walks every group
-from step 0.  Group members step every suffix to the end:
+keyed by run index (``run_rng``), the perturbed prefix state is a
+bit-exact clone, the benchmarks' ``step_batch`` contract requires
+bit-identical outputs, and the record is the runner's ``finish`` of the
+final state.  The walk borrows its golden reference from the runner's
+store — its pristine input at anchor 0, its snapshots elsewhere — and
+reads it in place: every member and carrier is a deep-copied clone, so
+no run writes the store.  A store recorded without captures walks every
+group from step 0.  Group members step every suffix to the end:
 ``run_one``'s ``PrefixStore.run`` stops a run whose state is golden
 again (``PrefixStore.converged``), but a member's state is stale while
-a ``step_batch`` carry is live, so checking it would need a flush.
-Scalar fallbacks go through ``run_one`` and are checked.
+a ``step_batch`` carry is live, so checking it would need a flush; a
+member golden again ends on the golden output, which ``finish``
+classifies as the stop would.  Scalar fallbacks go through ``run_one``
+and are checked.
 
 Batch-path telemetry (all new families; like the other fast-path
 counters they describe *work saved in this process* and may differ
@@ -51,7 +64,8 @@ state):
 * ``repro_batch_runs_total{benchmark, path}`` — runs completed on the
   ``vectorized`` path versus handed back for ``fallback``;
 * ``repro_batch_fallback_total{benchmark, reason}`` — why members left
-  the batch (``unsupported``, ``incoherent``, ``exception``);
+  the batch (``unsupported``, ``perturb``: its ``perturb`` raised,
+  ``incoherent``, ``exception``: ``step_batch`` raised);
 * ``repro_batch_occupancy`` — histogram of members per group (higher is
   better amortisation).
 """
@@ -63,13 +77,14 @@ from typing import Any
 
 import numpy as np
 
-from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
-from repro.faults.outcome import InjectionRecord
-from repro.faults.site import FaultSite
 from repro.telemetry import current_registry, current_tracer
 
-__all__ = ["BatchRunner", "OCCUPANCY_BUCKETS"]
+__all__ = ["BatchRunner", "DEFAULT_BATCH_SIZE", "OCCUPANCY_BUCKETS", "run_batch"]
+
+#: The vectorized batch width every batchable campaign kind defaults
+#: to; ``1`` runs every run through the scalar ``run_one``.
+DEFAULT_BATCH_SIZE = 8
 
 #: Histogram buckets for members-per-group occupancy (powers of two up
 #: to the largest batch size the tests exercise).
@@ -79,7 +94,7 @@ OCCUPANCY_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 class _Member:
     """One run riding a batch group: planner output plus live state."""
 
-    __slots__ = ("run_index", "model", "interrupt_step", "rng", "state", "site", "bits")
+    __slots__ = ("run_index", "model", "interrupt_step", "rng", "state", "token")
 
     def __init__(
         self,
@@ -93,25 +108,25 @@ class _Member:
         self.interrupt_step = interrupt_step
         self.rng = rng
         self.state: Any = None
-        self.site: FaultSite | None = None
-        self.bits: tuple[int, ...] | None = None
+        self.token: Any = None
 
 
 class BatchRunner:
-    """Plans and executes vectorized batch groups for one supervisor.
+    """Plans and executes vectorized batch groups for one runner.
 
+    ``runner`` presents the protocol in the module docstring.
     ``run_many`` is *total*: it never raises for any per-run condition.
     Runs it cannot complete on the vectorized path are simply absent
     from the returned mapping, and the caller finishes them through the
-    ordinary scalar ``Supervisor.run_one`` — which is what makes every
+    runner's ordinary scalar ``run_one`` — which is what makes every
     failure mode (divergence, exception, unsupported benchmark) correct
     by construction rather than by case analysis.
     """
 
-    def __init__(self, supervisor: Supervisor, batch_size: int):
+    def __init__(self, runner: Any, batch_size: int):
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        self.supervisor = supervisor
+        self.runner = runner
         self.batch_size = int(batch_size)
 
     # -- telemetry ------------------------------------------------------------
@@ -119,7 +134,7 @@ class BatchRunner:
     def _mark_fallback(self, count: int, reason: str) -> None:
         if count <= 0:
             return
-        name = self.supervisor.benchmark.name
+        name = self.runner.benchmark.name
         registry = current_registry()
         registry.counter(
             "repro_batch_fallback_total", help="Batch members routed to scalar fallback."
@@ -133,7 +148,7 @@ class BatchRunner:
             return
         current_registry().counter(
             "repro_batch_runs_total", help="Runs finished per execution path."
-        ).inc(float(count), benchmark=self.supervisor.benchmark.name, path="vectorized")
+        ).inc(float(count), benchmark=self.runner.benchmark.name, path="vectorized")
 
     # -- planning -------------------------------------------------------------
 
@@ -141,7 +156,7 @@ class BatchRunner:
         self,
         runs: Sequence[tuple[int, FaultModel]],
         interrupt_steps: Mapping[int, int] | None = None,
-    ) -> dict[int, InjectionRecord]:
+    ) -> dict[int, Any]:
         """Execute as many of ``runs`` as possible on the batch path.
 
         Returns records keyed by run index for every run completed
@@ -150,18 +165,18 @@ class BatchRunner:
         runs' interrupt steps (mirroring ``run_one``'s parameter: the
         pinned run skips its RNG interrupt draw).
         """
-        sup = self.supervisor
-        records: dict[int, InjectionRecord] = {}
+        runner = self.runner
+        records: dict[int, Any] = {}
         if not runs:
             return records
-        if not sup.benchmark.supports_batching:
+        if not runner.benchmark.supports_batching:
             self._mark_fallback(len(runs), "unsupported")
             return records
 
-        total = sup.total_steps
+        total = runner.total_steps
         members: list[_Member] = []
         for run_index, model in runs:
-            rng = sup.run_rng(run_index)
+            rng = runner.run_rng(run_index)
             if interrupt_steps is not None and run_index in interrupt_steps:
                 step = int(interrupt_steps[run_index])
             else:
@@ -179,7 +194,7 @@ class BatchRunner:
         members.sort(key=lambda m: (m.interrupt_step, m.run_index))
         for lo in range(0, len(members), self.batch_size):
             chunk = members[lo : lo + self.batch_size]
-            anchor = sup.prefix.anchor_step(chunk[0].interrupt_step)
+            anchor = runner.prefix.anchor_step(chunk[0].interrupt_step)
             self._run_group(anchor, chunk, records)
         return records
 
@@ -189,13 +204,13 @@ class BatchRunner:
         self,
         anchor: int,
         members: list[_Member],
-        records: dict[int, InjectionRecord],
+        records: dict[int, Any],
     ) -> None:
-        """One carrier walk: restore once, join, gate, batch-step, classify."""
-        sup = self.supervisor
-        bench = sup.benchmark
-        prefix = sup.prefix
-        total = sup.total_steps
+        """One carrier walk: restore once, join, gate, batch-step, finish."""
+        runner = self.runner
+        bench = runner.benchmark
+        prefix = runner.prefix
+        total = runner.total_steps
         registry = current_registry()
         registry.counter(
             "repro_batch_groups_total", help="Vectorized batch groups executed."
@@ -266,9 +281,17 @@ class BatchRunner:
                         # indistinguishable from the scalar path's own
                         # restore-and-replay.
                         member.state = clone_view()
-                        member.site, member.bits = sup.flip.inject(
-                            bench, member.state, index, member.model, member.rng
-                        )
+                        try:
+                            member.token = runner.perturb(
+                                member.state, index, member.model, member.rng
+                            )
+                        except Exception:
+                            # A guard that trips, say: the scalar
+                            # fallback re-runs and classifies it, and
+                            # the rest of the group walks on.
+                            self._mark_fallback(1, "perturb")
+                            member.state = None
+                            continue
                         # Coherence is gated once, at injection: the
                         # batch contract forbids ``step_batch`` from
                         # deriving control state from member data, so a
@@ -322,22 +345,18 @@ class BatchRunner:
                     bench.batch_flush(carry_states, carry)
                     carry, carry_states = None, []
                 for member in active:
-                    observed = bench.quantize(bench.output(member.state))
-                    outcome, sdc_metrics = sup.classify_output(observed)
-                    records[member.run_index] = sup.make_record(
+                    records[member.run_index] = runner.finish(
                         member.run_index,
                         member.model,
                         member.interrupt_step,
-                        member.site,
-                        member.bits,
-                        outcome,
-                        sdc_metrics=sdc_metrics,
+                        member.token,
+                        member.state,
                     )
                     self._mark_vectorized(1)
             except Exception:
-                # Carrier-walk or classification failure: golden carriers
-                # never raise, so this is defensive — every unrecorded
-                # member finishes scalar.
+                # Carrier-walk or finish failure: golden carriers never
+                # raise, so this is defensive — every unrecorded member
+                # finishes scalar.
                 remaining = len(
                     [m for m in active + members[joined:] if m.run_index not in records]
                 )
@@ -348,3 +367,18 @@ class BatchRunner:
                 # many runs it covers.
                 for member in members:
                     member.state = None
+
+
+def run_batch(
+    runner: Any, runs: Sequence[tuple[int, FaultModel]], batch_size: int
+) -> dict[int, Any]:
+    """Drive ``runs`` through the vectorized batch path.
+
+    The ``run_batch`` method of every batchable runner: the records of
+    the runs :class:`BatchRunner` completed vectorized; a missing run is
+    finished with the runner's ``run_one``.
+    :meth:`InjectionSandbox.run_batch
+    <repro.carolfi.isolation.InjectionSandbox.run_batch>` is the same
+    contract across the sandbox pipe.
+    """
+    return BatchRunner(runner, batch_size).run_many(runs)

@@ -25,6 +25,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, ClassVar, Generic, TypeVar
 
 from repro.benchmarks.registry import create
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE
 from repro.carolfi.flipscript import SitePolicy
 from repro.carolfi.isolation import (
     _SUPERVISORS,
@@ -123,8 +124,17 @@ class CampaignKind(Generic[ResultT]):
         return ()
 
     def run_batch(self, runner: Any, run_indices: Sequence[int]) -> dict[int, Any]:
-        """Records a batched path completed; none without one."""
-        return {}
+        """The records of the runs one ``BatchRunner`` plan over
+        ``run_indices`` completed vectorized, by run index.
+
+        None for a kind without a ``batch_size`` field, or at width 1;
+        the caller runs the rest through ``run_one``.
+        """
+        width = getattr(self, "batch_size", 1)
+        if width == 1:
+            return {}
+        runs = [(index, *self.run_args(index)) for index in run_indices]
+        return dict(runner.run_batch(runs, width))
 
     @staticmethod
     def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
@@ -172,11 +182,12 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
     checkpoint fingerprint — a campaign checkpointed with snapshots on
     may resume with them off, and vice versa."""
 
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     """Vectorized batch width for the batched-injection fast path (see
-    :mod:`repro.carolfi.batchrunner`).  ``1`` disables batching; larger
-    values group runs sharing a prefix-snapshot anchor and step their
-    corrupted states together through the benchmarks' batched kernels.
+    :mod:`repro.carolfi.batchrunner`).  ``1`` disables batching, the
+    scalar reference; larger values group runs by interrupt step and
+    step their corrupted states together through the benchmarks'
+    batched kernels (a benchmark without them runs scalar).
     Like ``snapshots``, a pure execution strategy excluded from the
     checkpoint fingerprint: per-run RNG streams are keyed by run index
     and divergent runs fall back to the scalar path, so records are
@@ -209,13 +220,6 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
 
     def run_args(self, run_index: int) -> tuple[FaultModel]:
         return (model_for(self, run_index),)
-
-    def run_batch(self, runner: Any, run_indices: Sequence[int]) -> dict[int, Any]:
-        """One ``BatchRunner`` plan over the runs, with ``batch_size`` > 1."""
-        if self.batch_size == 1:
-            return {}
-        runs = [(index, model_for(self, index)) for index in run_indices]
-        return dict(runner.run_batch(runs, self.batch_size))
 
     @staticmethod
     def row_cell(row: dict[str, Any]) -> tuple[str, str, str]:
@@ -267,9 +271,10 @@ class CampaignResult:
 def model_for(config: CampaignConfig, run_index: int) -> FaultModel:
     """Fault model of one run under the round-robin sampling plan.
 
-    The single source of the rotation rule: the campaign kind and the
-    batch runner derive a run's model here, so the plan can never drift
-    between execution topologies.
+    The single source of the rotation rule: the campaign kind's
+    ``run_args`` derives a run's model here for the scalar and the
+    batched path alike, so the plan can never drift between execution
+    topologies.
     """
     return config.fault_models[run_index % len(config.fault_models)]
 

@@ -34,6 +34,7 @@ from pathlib import Path
 
 from repro.analysis.pvf import outcome_shares
 from repro.benchmarks.registry import BENCHMARKS
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE
 from repro.carolfi.campaign import CampaignConfig, CampaignResult, run_campaign
 from repro.carolfi.flipscript import SitePolicy
 from repro.faults.models import FaultModel
@@ -88,7 +89,7 @@ def load_config(path: str | Path) -> tuple[CampaignConfig, Path | None]:
         policy=SitePolicy(section.get("policy", "weighted").strip().lower()),
         benchmark_params=params,
         snapshots=section.getboolean("snapshots", True),
-        batch_size=section.getint("batch_size", 1),
+        batch_size=section.getint("batch_size", DEFAULT_BATCH_SIZE),
     )
     log_value = section.get("log", "").strip()
     return config, (Path(log_value) if log_value else None)

@@ -263,9 +263,10 @@ def campaign_fingerprint(config: "CampaignKind[Any]", shard_size: int | None = N
     benchmark, seed, size, fault-model set, policy or shard plan is
     detected before any stale record is trusted.  The payload is the
     config's wire form minus its kind's ``fingerprint_excludes``, plus
-    the shard plan: isolation mode, retry policy and CAROL-FI's
-    ``snapshots``/``batch_size`` knobs are deliberately
-    *excluded* — they change how runs are executed and supervised,
+    the shard plan: isolation mode, retry policy, CAROL-FI's
+    ``snapshots`` and the ``batch_size`` of CAROL-FI and hardened
+    configs are deliberately *excluded* — they change how runs are
+    executed and supervised,
     never what their records contain, so a campaign checkpointed in one
     mode may resume in another, including resuming a scalar checkpoint
     with batching on or vice versa.  Beam and hardened payloads name

@@ -15,7 +15,7 @@ is the one golden walk a campaign's set-up makes.
 :meth:`PrefixStore.run` is the one loop every perturbed run steps
 through — CAROL-FI's ``Supervisor.run_one``, the beam's
 ``BeamExperiment.run_trial`` and the hardened
-``HardenedSupervisor._execute``.  Every run has one perturbation step:
+``HardenedSupervisor.run_one``.  Every run has one perturbation step:
 the run resumes from the deepest snapshot at or below it
 (:meth:`PrefixStore.resume`), so it replays only the remaining few
 steps, turning ``O(total_steps)`` per-run work into
@@ -179,7 +179,11 @@ class PrefixStore:
         bisect.insort(self._steps_sorted, step)
         self._count("repro_snapshot_captures_total")
 
-    def record(self, snapshots: bool = True) -> None:
+    def record(
+        self,
+        snapshots: bool = True,
+        before_step: Callable[[Any, int], None] | None = None,
+    ) -> None:
         """Walk a fresh clone from step 0 to the end and keep its output.
 
         The golden walk of a campaign's set-up.  With ``snapshots``,
@@ -187,11 +191,19 @@ class PrefixStore:
         captured at the entry of its step; without, the store stays
         empty and every :meth:`run` replays from step 0 to the end.
         Either way :attr:`output` ends as the raw golden output.
+
+        ``before_step``, if given, is called as ``before_step(state, k)``
+        just before step ``k``, after its capture: a set-up that reads
+        the golden run step by step (the hardened guard cost) reads it
+        in this walk instead of walking again.  It must not write the
+        state.
         """
         state = self.fresh()
         for index in range(self.total_steps):
             if snapshots and self.wants(index):
                 self.capture(index, state)
+            if before_step is not None:
+                before_step(state, index)
             self.benchmark.step(state, index)
         self.output = self.benchmark.output(state)
 
@@ -220,12 +232,7 @@ class PrefixStore:
         self._count("repro_steps_skipped_total", float(snap.step))
         return state, snap.step
 
-    def run(
-        self,
-        step: int | None,
-        perturb: Callable[[Any, int], None],
-        before_step: Callable[[Any, int], None] | None = None,
-    ) -> Any:
+    def run(self, step: int, perturb: Callable[[Any, int], None]) -> Any:
         """Run one perturbed execution; its final state, or ``None``.
 
         ``step`` is the run's one perturbation step.  The run resumes
@@ -234,27 +241,15 @@ class PrefixStore:
         ``step`` on it asks :meth:`converged` before every step and
         returns ``None`` on a match: the run is golden again and would
         end on the golden output.  Otherwise it steps to the end and
-        returns the final state.  ``None`` is a fault-free full replay
-        from a :meth:`fresh` clone that never stops early.
-
-        ``before_step``, if given, is called as ``before_step(state, k)``
-        just before step ``k``, after its perturbation and convergence
-        check.  Exceptions propagate: each caller classifies them
-        itself.
+        returns the final state.  Exceptions propagate: each caller
+        classifies them itself.
         """
-        if step is None:
-            state, start = self.fresh(), 0
-            check_from = self.total_steps
-        else:
-            state, start = self.resume(step)
-            check_from = step
+        state, start = self.resume(step)
         for index in range(start, self.total_steps):
             if index == step:
                 perturb(state, index)
-            if index >= check_from and self.converged(index, state):
+            if index >= step and self.converged(index, state):
                 return None
-            if before_step is not None:
-                before_step(state, index)
             self.benchmark.step(state, index)
         return state
 
@@ -311,18 +306,20 @@ def golden_store(
     byte_budget: int = DEFAULT_SNAPSHOT_BUDGET,
     density: int | None = None,
     on_event: Callable[[dict[str, Any]], None] | None = None,
+    before_step: Callable[[Any, int], None] | None = None,
 ) -> PrefixStore:
     """The golden store of one campaign input: how every runner gets one.
 
     The input is drawn from the ``(seed, label, benchmark, "input")``
     stream and one golden walk records it (capturing only with
-    ``snapshots``).  ``on_event`` gets one ``snapshot_budget_degraded``
-    event if the byte budget ever blocks a wanted capture.
+    ``snapshots``, calling ``before_step`` as :meth:`PrefixStore.record`
+    does).  ``on_event`` gets one ``snapshot_budget_degraded`` event if
+    the byte budget ever blocks a wanted capture.
     """
     pristine = benchmark.make_state(derive_rng(seed, label, benchmark.name, "input"))
     store = PrefixStore(benchmark, pristine, byte_budget=byte_budget, density=density)
     with current_tracer().span("golden_run", benchmark=benchmark.name):
-        store.record(snapshots=snapshots)
+        store.record(snapshots=snapshots, before_step=before_step)
     if store.degraded:
         # Nothing is captured once the budget blocks a capture, so the
         # store's figures are those of that moment.

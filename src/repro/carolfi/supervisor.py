@@ -17,7 +17,9 @@ run replays identical inputs.
 **Prefix fast path.**  The supervisor's
 :class:`~repro.carolfi.prefixcache.PrefixStore` owns the campaign's
 golden run — pristine input, snapshots, golden output — and every
-``run_one`` is one :meth:`~repro.carolfi.prefixcache.PrefixStore.run`:
+``run_one`` is :meth:`Supervisor.perturb` inside one
+:meth:`~repro.carolfi.prefixcache.PrefixStore.run`, then
+:meth:`Supervisor.finish`:
 resume from the deepest snapshot at or below the interrupt step,
 deliver the fault at the entry of that step, and from there on stop at
 the first snapshot step whose bytes the run matches (golden
@@ -30,18 +32,20 @@ run index, never by how many steps were actually executed, and a
 restored prefix is a bit-exact clone of the recomputed one.
 ``snapshots=False`` records the store without captures, so every run
 replays from step 0 to the end — the reference path the test-suite
-asserts produces byte-identical campaign logs.
+asserts produces byte-identical campaign logs.  The batch runner
+(:mod:`repro.carolfi.batchrunner`) makes the same two calls around its
+vectorized walk, so both paths build records alike.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from typing import Any
 
 import numpy as np
 
 from repro.analysis.spatial import sdc_metrics
 from repro.benchmarks.base import Benchmark, BenchmarkHang
+from repro.carolfi.batchrunner import run_batch
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET, golden_store
 from repro.faults.models import FaultModel
@@ -84,6 +88,9 @@ class Supervisor:
     ``BeamExperiment`` and ``HardenedSupervisor`` present too; the
     CAROL-FI campaign kind (:class:`~repro.carolfi.campaign.
     CampaignConfig`) builds it and hands each run its fault model.
+    :meth:`run_rng`, :meth:`perturb`, :meth:`finish` and
+    :meth:`run_batch` are the batch runner's protocol, which
+    ``HardenedSupervisor`` presents too.
     """
 
     def __init__(
@@ -137,8 +144,8 @@ class Supervisor:
     # -- shared run machinery -------------------------------------------------
     #
     # run_one and the batched runner (:mod:`repro.carolfi.batchrunner`)
-    # must classify and record identically, so the pieces both need live
-    # in these helpers rather than inline in run_one.
+    # must perturb, classify and record identically, so the pieces both
+    # need live in these methods rather than inline in run_one.
 
     def run_rng(self, run_index: int) -> np.random.Generator:
         """The per-run RNG stream.
@@ -199,6 +206,64 @@ class Supervisor:
             sdc_metrics=sdc_metrics or {},
         )
 
+    def perturb(
+        self, state: Any, step: int, model: FaultModel, rng: np.random.Generator
+    ) -> tuple[FaultSite, tuple[int, ...]]:
+        """Flip one live variable of ``state`` at the entry of ``step``.
+
+        Returns the run's token for :meth:`finish`: the fault site and
+        the flipped bits.
+        """
+        return self.flip.inject(self.benchmark, state, step, model, rng)
+
+    def finish(
+        self,
+        run_index: int,
+        model: FaultModel,
+        step: int,
+        token: tuple[FaultSite, tuple[int, ...]] | None,
+        final: Any,
+    ) -> InjectionRecord:
+        """The record of a run perturbed at ``step``.
+
+        ``token`` is what :meth:`perturb` returned (``None`` if it
+        raised); ``final`` is the run's final state, ``None`` for a run
+        golden again after its fault (it would recompute the golden
+        output), or the exception the run raised.  Reading a corrupted
+        state's output can abort like a step.  :meth:`run_one` and the
+        batch runner both end here, so they build records alike.
+        """
+        bench = self.benchmark
+        site, bits = token if token is not None else (None, None)
+        observed = self.golden
+        if final is not None and not isinstance(final, BaseException):
+            try:
+                observed = bench.quantize(bench.output(final))
+            except _CRASH_EXCEPTIONS as exc:
+                final = exc.with_traceback(None)
+        due_kind: DueKind | None = None
+        due_detail = ""
+        metrics: dict[str, Any] = {}
+        if isinstance(final, BenchmarkHang):
+            outcome, due_kind, due_detail = Outcome.DUE, DueKind.TIMEOUT, str(final)
+        elif isinstance(final, BaseException):
+            outcome, due_kind = Outcome.DUE, DueKind.CRASH
+            due_detail = f"{type(final).__name__}: {final}"
+        else:
+            with current_tracer().span("compare"):
+                outcome, metrics = self.classify_output(observed)
+        return self.make_record(
+            run_index,
+            model,
+            step,
+            site,
+            bits,
+            outcome,
+            due_kind=due_kind,
+            due_detail=due_detail,
+            sdc_metrics=metrics,
+        )
+
     # -- one test -------------------------------------------------------------
 
     def run_one(
@@ -212,10 +277,10 @@ class Supervisor:
         The per-run RNG draws the interrupt step first (only when it
         was not forced) and is then consumed by the flip, so a record
         is a pure function of the campaign config and the run index.
-        The run itself is one :meth:`PrefixStore.run
-        <repro.carolfi.prefixcache.PrefixStore.run>`.
+        The run itself is :meth:`perturb` inside one
+        :meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`,
+        then :meth:`finish`.
         """
-        bench = self.benchmark
         rng = self.run_rng(run_index)
         model = FaultModel(model)
         interrupt_step = int(
@@ -224,54 +289,26 @@ class Supervisor:
         if not 0 <= interrupt_step < self.total_steps:
             raise ValueError(f"interrupt step {interrupt_step} out of range")
 
-        site: FaultSite | None = None
-        bits: tuple[int, ...] | None = None
-        outcome = Outcome.MASKED
-        due_kind: DueKind | None = None
-        due_detail = ""
-        metrics: dict[str, Any] = {}
+        token: tuple[FaultSite, tuple[int, ...]] | None = None
         tracer = current_tracer()
-        run_span = tracer.span("run", run=run_index, model=model.value)
 
         def corrupt(state: Any, index: int) -> None:
-            nonlocal site, bits
+            nonlocal token
             with tracer.span("corrupt", step=index):
-                site, bits = self.flip.inject(bench, state, index, model, rng)
+                token = self.perturb(state, index, model, rng)
 
-        with run_span:
+        with tracer.span("run", run=run_index, model=model.value) as run_span:
             try:
                 with tracer.span("execute", interrupt_step=interrupt_step):
                     final = self.prefix.run(interrupt_step, corrupt)
-                    # A run golden again after its fault would recompute
-                    # the golden output.
-                    observed = (
-                        self.golden if final is None else bench.quantize(bench.output(final))
-                    )
-            except BenchmarkHang as exc:
-                outcome = Outcome.DUE
-                due_kind = DueKind.TIMEOUT
-                due_detail = str(exc)
             except _CRASH_EXCEPTIONS as exc:
-                outcome = Outcome.DUE
-                due_kind = DueKind.CRASH
-                due_detail = f"{type(exc).__name__}: {exc}"
-            else:
-                with tracer.span("compare"):
-                    outcome, metrics = self.classify_output(observed)
-            finally:
-                run_span.set_attr("outcome", outcome.value)
-
-        return self.make_record(
-            run_index,
-            model,
-            interrupt_step,
-            site,
-            bits,
-            outcome,
-            due_kind=due_kind,
-            due_detail=due_detail,
-            sdc_metrics=metrics,
-        )
+                # Without its traceback: that holds this frame, whose
+                # ``final`` would hold the exception, a cycle keeping the
+                # run's state alive until the cyclic collector runs.
+                final = exc.with_traceback(None)
+            record = self.finish(run_index, model, interrupt_step, token, final)
+            run_span.set_attr("outcome", record.outcome.value)
+        return record
 
     def due_record(
         self, run_index: int, model: FaultModel, *, kind: DueKind, detail: str
@@ -285,17 +322,4 @@ class Supervisor:
             run_index, model, interrupt_step, site, None, Outcome.DUE, kind, detail
         )
 
-    def run_batch(
-        self, runs: "Sequence[tuple[int, FaultModel]]", batch_size: int
-    ) -> dict[int, InjectionRecord]:
-        """Drive ``runs`` through the vectorized batch path.
-
-        The records of the runs :class:`~repro.carolfi.batchrunner.BatchRunner`
-        completed vectorized; a missing run is finished with
-        :meth:`run_one`.  :meth:`InjectionSandbox.run_batch
-        <repro.carolfi.isolation.InjectionSandbox.run_batch>` is the same
-        contract across the sandbox pipe.
-        """
-        from repro.carolfi.batchrunner import BatchRunner  # it imports this module
-
-        return BatchRunner(self, batch_size).run_many(runs)
+    run_batch = run_batch

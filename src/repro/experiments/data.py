@@ -24,6 +24,7 @@ from typing import TypeVar
 
 from repro.beam.experiment import BeamCampaignResult, BeamConfig
 from repro.benchmarks.registry import BEAM_BENCHMARKS, INJECTION_BENCHMARKS
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE
 from repro.carolfi.campaign import CampaignConfig, CampaignKind, CampaignResult, run_campaign
 from repro.carolfi.engine import ShardProgress
 from repro.carolfi.isolation import IsolationConfig
@@ -59,8 +60,8 @@ class ExperimentData:
     campaign, so one exported registry covers the session.
     ``snapshots`` toggles CAROL-FI's execution-prefix fast path (on by
     default; records are identical either way) and ``batch_size`` sets
-    its vectorized batched-injection width (1 disables; records are
-    byte-identical at any width).
+    the vectorized batch width of the CAROL-FI and hardened campaigns
+    (1 runs every run scalar; records are byte-identical at any width).
     """
 
     seed: int = 2017
@@ -69,7 +70,7 @@ class ExperimentData:
     checkpoint_root: str | Path | None = None
     isolation: IsolationConfig | None = None
     snapshots: bool = True
-    batch_size: int = 1
+    batch_size: int = DEFAULT_BATCH_SIZE
     telemetry: Telemetry | None = field(default=None, repr=False)
     progress: Callable[[ShardProgress], None] | None = field(default=None, repr=False)
     _beam: dict[str, BeamCampaignResult] = field(default_factory=dict, repr=False)
@@ -135,7 +136,12 @@ class ExperimentData:
         if benchmark not in INJECTION_BENCHMARKS:
             raise KeyError(f"{benchmark!r} is not in the injection study")
         if benchmark not in self._hardened:
-            config = HardenedConfig(benchmark=benchmark, injections=self.injections, seed=self.seed)
+            config = HardenedConfig(
+                benchmark=benchmark,
+                injections=self.injections,
+                seed=self.seed,
+                batch_size=self.batch_size,
+            )
             self._hardened[benchmark] = self._run(
                 config, f"hardened-{benchmark}-seed{self.seed}-n{self.injections}"
             )

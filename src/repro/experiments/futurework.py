@@ -13,8 +13,8 @@ campaigns come from :meth:`ExperimentData.hardened
 <repro.experiments.data.ExperimentData.hardened>`, so they run with the
 session's workers, checkpoints and isolation.  The cost column is a
 deterministic work count, the KiB the guards verify per step, counted
-on the fault-free run, which the campaign reads from the runner its
-process already holds.  No wall clock measures it: a hardened run
+on the runner's golden walk, which the campaign reads from the runner
+its process already holds.  No wall clock measures it: a hardened run
 makes only the one guard check that can trip, at its injected step,
 so no run pays the per-step cost the column describes.
 """

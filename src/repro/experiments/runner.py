@@ -18,7 +18,8 @@ the ``REPRO_WORKERS`` environment variable) sets the process count,
 ``--isolation`` where each run executes, and ``--checkpoints DIR``
 makes campaigns resumable — re-invoking with the same directory
 replays finished shards instead of re-running them.  ``--batch-size``
-and ``--no-snapshots`` apply to CAROL-FI campaigns only.
+applies to CAROL-FI and hardened campaigns (beam trials run scalar),
+``--no-snapshots`` to CAROL-FI campaigns only.
 
 Observability (:mod:`repro.telemetry`): ``--metrics-out PATH`` exports
 campaign metrics on exit (Prometheus text, or a JSONL snapshot for a
@@ -47,6 +48,7 @@ import time
 from collections.abc import Callable, Sequence
 from typing import Any
 
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE
 from repro.carolfi.engine import ShardProgress
 from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.experiments import (
@@ -105,7 +107,7 @@ def run_experiments(
     progress: Callable[[ShardProgress], None] | None = None,
     telemetry: Telemetry | None = None,
     snapshots: bool = True,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ) -> data_mod.ExperimentData:
     """Run the named experiments, printing each rendered artifact."""
     stream = stream or sys.stdout
@@ -212,12 +214,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser.add_argument(
         "--batch-size",
         type=int,
-        default=1,
+        default=DEFAULT_BATCH_SIZE,
         metavar="N",
-        help="vectorized batched-injection width: group runs sharing a "
-        "prefix-snapshot anchor and step their corrupted states together "
-        "through the benchmarks' batched kernels (1 = disabled; records "
-        "are byte-identical at any width; in-process isolation only)",
+        help="vectorized batch width of the CAROL-FI and hardened campaigns: "
+        "step groups of corrupted states together through the benchmarks' "
+        f"batched kernels (default {DEFAULT_BATCH_SIZE}; 1 runs every run "
+        "scalar; records are byte-identical at any width)",
     )
     parser.add_argument(
         "--progress",

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.benchmarks.base import Variable
+from repro.faults.site import FaultSite
 from repro.hardening.parity import word_parity
 
 __all__ = [
@@ -47,6 +48,9 @@ class FaultDetected(RuntimeError):
         super().__init__(f"{kind.value} guard tripped on {variable!r}")
         self.variable = variable
         self.kind = kind
+        #: The injected fault's site, which the hardened run that
+        #: tripped the guard records.
+        self.site: FaultSite | None = None
 
 
 class GuardKind(str, enum.Enum):

@@ -6,9 +6,9 @@ them with fault injection campaigns."  This module does exactly that:
 it re-runs CAROL-FI campaigns against benchmarks protected by the
 Section 6.1 recommendations —
 
-* variable guards (:mod:`repro.hardening.guards`) verified before every
-  step and re-synced after it, so a fault injected into protected state
-  is *detected* before the program consumes it;
+* variable guards (:mod:`repro.hardening.guards`) over the live
+  variables, so a fault injected into protected state is *detected*
+  before the program consumes it;
 * for DGEMM, Huang-Abraham ABFT on the output: checksums derived from
   the operands at load time verify (and where the pattern allows,
   *correct*) the product before it is accepted.
@@ -18,38 +18,45 @@ Outcomes gain two new categories relative to Figure 4: ``detected``
 can abort/retry instead of silently corrupting) and ``corrected``
 (ABFT repaired the output in place).
 
-Every hardened run — the fault-free one included — steps through the
-same loop as CAROL-FI runs, :meth:`PrefixStore.run
-<repro.carolfi.prefixcache.PrefixStore.run>`, over the golden store the
-constructor gets from :func:`~repro.carolfi.prefixcache.golden_store`
-for the CAROL-FI input (so it equals the CAROL-FI campaign's store).
-Of all the guard checks a guarded execution makes, only the one at the
-interrupt step ``k``, after the flip, can trip: every other check reads
-exactly the bytes the resync just before it captured, and ``verify`` is
-a pure function of those bytes.  So an injected run makes
-that one check and no other, inside its perturbation.  After a
-fault-free prefix to ``k`` every guard whose variable is live at ``k``
-holds ``resync`` of that variable and every other guard is detached, so
+Every hardened run steps through the same loop as CAROL-FI runs,
+:meth:`PrefixStore.run <repro.carolfi.prefixcache.PrefixStore.run>`,
+over the golden store the constructor gets from
+:func:`~repro.carolfi.prefixcache.golden_store` for the CAROL-FI input
+(so it equals the CAROL-FI campaign's store).  A guarded execution
+would verify every guard before each step and re-sync it after; of all
+those checks only the one at the interrupt step ``k``, after the flip,
+can trip: every other check reads exactly the bytes the resync just
+before it captured, and ``verify`` is a pure function of those bytes.
+So an injected run makes that one check and no other, inside its
+perturbation (:meth:`HardenedSupervisor.perturb`).  After a fault-free
+prefix to ``k`` every guard whose variable is live at ``k`` holds
+``resync`` of that variable and every other guard is detached, so
 ``sync_guards`` on the golden state at ``k`` rebuilds that guard state
 without walking there; then the flip lands, and each live guarded
 variable is verified once, in guard order, raising the same
 :class:`~repro.hardening.guards.FaultDetected` a full guarded walk
-would.  The fault-free hardened run is a full replay from
-step 0 that never stops early: ABFT must find its golden output clean,
-and before every step it sums the bytes of the guarded live variables —
-the bytes a guarded execution verifies per step, the protection's cost
-as a deterministic work count, never a wall-clock ratio.  An injected
-run may stop early: once its state is byte-identical to a stored
-snapshot at or after ``k``, the rest of the run is the fault-free run's
-suffix — no check there can trip, no detector event, a clean output —
-and the record is ``masked``.  No wall clock decides an outcome either:
-hangs are the benchmarks' deterministic loop guards, recorded as
-``due`` with a ``timeout:`` detail.
+would.  An injected run may stop early: once its state is
+byte-identical to a stored snapshot at or after ``k``, the rest of the
+run is the fault-free suffix — no check there can trip, no detector
+event, a clean output — and the record is ``masked``.  No wall clock
+decides an outcome either: hangs are the benchmarks' deterministic loop
+guards, recorded as ``due`` with a ``timeout:`` detail.
+
+Set-up walks the golden run once.  Before every step of that walk it
+sums the bytes of the guarded live variables — the bytes a guarded
+execution verifies per step, the protection's cost as a deterministic
+work count, never a wall-clock ratio — and ABFT must then find the
+golden output clean, which the convergence stop rests on.
+
+Since every guard check happens inside the perturbation, a hardened
+run batches like a CAROL-FI one (:mod:`repro.carolfi.batchrunner`): a
+member joins the golden walk, is perturbed there, and
+:meth:`HardenedSupervisor.finish` classifies its flushed output.
 
 A hardened campaign is one kind of campaign (:class:`HardenedConfig`):
 it runs through :func:`~repro.carolfi.campaign.run_campaign` like
-CAROL-FI's, so workers, shard checkpoints and subprocess isolation
-apply to it unchanged.
+CAROL-FI's, so workers, shard checkpoints, subprocess isolation and
+batching apply to it unchanged.
 """
 
 from __future__ import annotations
@@ -62,6 +69,7 @@ import numpy as np
 from repro.analysis.spatial import wrong_mask
 from repro.benchmarks.base import Benchmark, BenchmarkHang
 from repro.benchmarks.registry import create
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE, run_batch
 from repro.carolfi.campaign import CampaignKind, run_campaign
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.isolation import EventCallback
@@ -154,7 +162,9 @@ class HardenedSupervisor:
 
     The hardened kind's runner: :meth:`run_one`, :meth:`due_record`,
     ``total_steps`` and ``num_windows`` are the campaign surface every
-    runner presents.  ``on_event`` goes to
+    runner presents, and :meth:`run_rng`, :meth:`perturb`,
+    :meth:`finish` and :meth:`run_batch` the batch runner's protocol
+    (:mod:`repro.carolfi.batchrunner`).  ``on_event`` goes to
     :func:`~repro.carolfi.prefixcache.golden_store`.
     """
 
@@ -175,9 +185,27 @@ class HardenedSupervisor:
         #: Optional ``Callable[[DetectorEvent], None]`` wired into every
         #: guard of every run and fed the ABFT verdicts: a tap on the
         #: detectors, used by ``test_detector_events_match_full_replay``.
+        #: A batched run reports its join-time events, and a member a
+        #: guard detects at join reports them again from its scalar
+        #: fallback.
         self.detector_observer = detector_observer
-        self.prefix = golden_store(benchmark, self.seed, "carolfi", on_event=on_event)
+
+        # The golden walk also sets ``verify_kib_per_step``: the KiB of
+        # guarded live variables a guarded execution verifies per step,
+        # the protection's cost as a deterministic work count.
+        guarded = build_guards(benchmark.name).keys()
+        verified = 0
+
+        def count_verified(state: Any, index: int) -> None:
+            nonlocal verified
+            arrays = {v.name: v.array for v in benchmark.variables(state, index)}
+            verified += sum(arrays[name].nbytes for name in guarded if name in arrays)
+
+        self.prefix = golden_store(
+            benchmark, self.seed, "carolfi", on_event=on_event, before_step=count_verified
+        )
         self.total_steps = self.prefix.total_steps
+        self.verify_kib_per_step = verified / 1024 / self.total_steps
         self.golden = benchmark.quantize(self.prefix.output)
         # ABFT checksums derive from the operands at load time: once,
         # from the pristine input every run starts from.
@@ -185,14 +213,10 @@ class HardenedSupervisor:
         self._checksums = (
             abft_checksums(pristine.a_src, pristine.b_src) if self.abft else None
         )
-
-        # The fault-free hardened run: ABFT must find the golden output
-        # clean (the convergence stop rests on it).  It also sets
-        # ``verify_kib_per_step``: the KiB the guards verify per step.
-        self.verify_kib_per_step = 0.0
-        record = self._execute(run_index=-1, model=None, interrupt_step=None)
-        if record.outcome != "masked":  # pragma: no cover - sanity
-            raise RuntimeError(f"hardened fault-free run misbehaved: {record}")
+        # ABFT must find the golden output clean: the convergence stop
+        # and the batch path's golden-again members rest on it.
+        if self._classify(self.prefix.output)[0] != "masked":  # pragma: no cover - sanity
+            raise RuntimeError("hardened checks flag the golden output")
         self.guard_bytes = self._measure_guard_bytes()
 
     @property
@@ -214,71 +238,71 @@ class HardenedSupervisor:
 
     # -- the hardened run -----------------------------------------------------------
 
-    def _run_rng(self, run_index: int) -> np.random.Generator:
+    def run_rng(self, run_index: int) -> np.random.Generator:
+        """The per-run RNG stream, keyed by run index alone."""
         return derive_rng(self.seed, "hardened", self.benchmark.name, "run", str(run_index))
 
-    def _execute(
-        self,
-        run_index: int,
-        model: FaultModel | None,
-        interrupt_step: int | None,
-    ) -> HardenedRecord:
-        """One hardened run; ``model=None`` is the fault-free full replay."""
+    def perturb(
+        self, state: Any, step: int, model: FaultModel, rng: np.random.Generator
+    ) -> FaultSite:
+        """Flip ``state`` at the entry of ``step`` behind its guards.
+
+        The golden prefix leaves the guards synced to ``state``, so they
+        are synced on it; then the flip lands, and each live guard is
+        verified once — the one check that can trip (module docstring).
+        Returns the fault site, :meth:`finish`'s token; a tripped guard
+        raises :class:`~repro.hardening.guards.FaultDetected` carrying
+        the site instead.
+        """
         bench = self.benchmark
-        rng = self._run_rng(run_index)
-        if model is not None:
-            if interrupt_step is None:
-                interrupt_step = int(rng.integers(0, self.total_steps))
-            if not 0 <= interrupt_step < self.total_steps:
-                raise ValueError(f"interrupt step {interrupt_step} out of range")
         guards = build_guards(bench.name)
         if self.detector_observer is not None:
             attach_observer(guards, self.detector_observer)
-        site = FaultSite("none", "none", 0, "none")
-        verified = 0
-
-        def inject(state: Any, index: int) -> None:
-            # The golden prefix leaves the guards synced to this state,
-            # and this is the one check that can trip (module docstring).
-            nonlocal site
-            sync_guards(guards, bench.variables(state, index))
-            site, _bits = self.flip.inject(bench, state, index, model, rng)
-            arrays = {v.name: v.array for v in bench.variables(state, index)}
+        sync_guards(guards, bench.variables(state, step))
+        site, _bits = self.flip.inject(bench, state, step, model, rng)
+        arrays = {v.name: v.array for v in bench.variables(state, step)}
+        try:
             for name, guard in guards.items():
                 if name in arrays:
                     guard.verify(arrays[name])
-
-        def count_verified(state: Any, index: int) -> None:
-            nonlocal verified
-            arrays = {v.name: v.array for v in bench.variables(state, index)}
-            verified += sum(arrays[name].nbytes for name in guards if name in arrays)
-
-        try:
-            final = self.prefix.run(
-                interrupt_step, inject, count_verified if model is None else None
-            )
-            if final is None:
-                # Golden again: the rest is the fault-free run's suffix.
-                outcome, detected_by, detail = "masked", "", ""
-            else:
-                if model is None:
-                    self.verify_kib_per_step = verified / 1024 / self.total_steps
-                outcome, detected_by, detail = self._classify(bench.output(final))
         except FaultDetected as exc:
-            outcome, detected_by, detail = "detected", f"{exc.kind.value}:{exc.variable}", str(exc)
-        except BenchmarkHang as exc:
-            outcome, detected_by, detail = "due", "", f"timeout: {exc}"
-        except _CRASH_EXCEPTIONS as exc:
-            outcome, detected_by, detail = "due", "", f"crash: {type(exc).__name__}: {exc}"
+            exc.site = site
+            raise
+        return site
+
+    def finish(
+        self,
+        run_index: int,
+        model: FaultModel,
+        step: int,
+        token: FaultSite | None,
+        final: Any,
+    ) -> HardenedRecord:
+        """The record of a run perturbed at ``step``.
+
+        ``token`` is the site :meth:`perturb` returned (``None`` if it
+        raised); ``final`` is the run's final state, ``None`` for a run
+        golden again (the rest is the fault-free suffix: no check can
+        trip and the output is clean, so it is masked), or the
+        exception the run raised.  :meth:`run_one` and the batch runner
+        both end here.
+        """
+        site = token if token is not None else FaultSite("none", "none", 0, "none")
+        verdict: tuple[HardenedOutcome, str, str] = ("masked", "", "")
+        if final is not None and not isinstance(final, BaseException):
+            try:
+                verdict = self._classify(self.benchmark.output(final))
+            except _CRASH_EXCEPTIONS as exc:
+                final = exc.with_traceback(None)
+        if isinstance(final, FaultDetected):
+            site = final.site
+            verdict = ("detected", f"{final.kind.value}:{final.variable}", str(final))
+        elif isinstance(final, BenchmarkHang):
+            verdict = ("due", "", f"timeout: {final}")
+        elif isinstance(final, BaseException):
+            verdict = ("due", "", f"crash: {type(final).__name__}: {final}")
         return HardenedRecord(
-            bench.name,
-            run_index,
-            site,
-            model.value if model else "none",
-            interrupt_step if interrupt_step is not None else -1,
-            outcome,
-            detected_by,
-            detail,
+            self.benchmark.name, run_index, site, FaultModel(model).value, step, *verdict
         )
 
     def _classify(self, observed: np.ndarray) -> tuple[HardenedOutcome, str, str]:
@@ -305,8 +329,28 @@ class HardenedSupervisor:
         model: FaultModel,
         interrupt_step: int | None = None,
     ) -> HardenedRecord:
-        """One injection against the hardened benchmark."""
-        return self._execute(run_index, FaultModel(model), interrupt_step)
+        """One injection against the hardened benchmark: :meth:`perturb`
+        inside one :meth:`PrefixStore.run
+        <repro.carolfi.prefixcache.PrefixStore.run>`, then :meth:`finish`."""
+        rng = self.run_rng(run_index)
+        model = FaultModel(model)
+        if interrupt_step is None:
+            interrupt_step = int(rng.integers(0, self.total_steps))
+        if not 0 <= interrupt_step < self.total_steps:
+            raise ValueError(f"interrupt step {interrupt_step} out of range")
+        token: FaultSite | None = None
+
+        def perturb(state: Any, index: int) -> None:
+            nonlocal token
+            token = self.perturb(state, index, model, rng)
+
+        try:
+            final = self.prefix.run(interrupt_step, perturb)
+        except _CRASH_EXCEPTIONS as exc:
+            # Without the traceback, which would hold this frame in a
+            # cycle (``Supervisor.run_one``).
+            final = exc.with_traceback(None)
+        return self.finish(run_index, model, interrupt_step, token, final)
 
     def due_record(
         self, run_index: int, model: FaultModel, *, kind: DueKind, detail: str
@@ -317,7 +361,7 @@ class HardenedSupervisor:
         stream as :meth:`run_one` draws it; the fault site is unknown
         (it died with the executor).
         """
-        interrupt_step = int(self._run_rng(run_index).integers(0, self.total_steps))
+        interrupt_step = int(self.run_rng(run_index).integers(0, self.total_steps))
         return HardenedRecord(
             self.benchmark.name,
             run_index,
@@ -328,6 +372,8 @@ class HardenedSupervisor:
             "",
             f"{kind.value}: {detail}",
         )
+
+    run_batch = run_batch
 
 
 @dataclass(frozen=True)
@@ -342,12 +388,19 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
     kind: ClassVar[str] = "hardened"
     input_label: ClassVar[str] = "carolfi"
     record_type: ClassVar[type] = HardenedRecord
+    #: Execution strategy, not record content: checkpoints resume at
+    #: any width.
+    fingerprint_excludes: ClassVar[frozenset[str]] = frozenset({"batch_size"})
 
     benchmark: str
     injections: int = 1000
     seed: int = 2017
     fault_models: tuple[FaultModel, ...] = FaultModel.all()
     benchmark_params: dict[str, Any] = field(default_factory=dict)
+    batch_size: int = DEFAULT_BATCH_SIZE
+    """Vectorized batch width, as :attr:`CampaignConfig.batch_size
+    <repro.carolfi.campaign.CampaignConfig.batch_size>`: ``1`` runs
+    every run scalar, and records are byte-identical at any width."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fault_models", tuple(map(FaultModel, self.fault_models)))
@@ -355,6 +408,8 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
             raise ValueError("injections must be positive")
         if not self.fault_models:
             raise ValueError("at least one fault model is required")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
 
     @property
     def runs(self) -> int:
@@ -376,9 +431,9 @@ class HardenedConfig(CampaignKind[HardenedCampaignResult]):
         return str(row["benchmark"]), str(row["fault_model"]), str(row["outcome"])
 
     def result(self, records: list[Any], runner: Any) -> HardenedCampaignResult:
-        """The records plus the protection's cost, which the hardened
-        fault-free run measures: from ``runner``, else from a runner
-        built for it (a campaign replayed whole from checkpoints)."""
+        """The records plus the protection's cost, which a runner's
+        golden walk measures: ``runner``'s, else a runner built for it
+        (a campaign replayed whole from checkpoints)."""
         if runner is None:
             runner = self.build_runner()
         return HardenedCampaignResult(

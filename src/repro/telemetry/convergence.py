@@ -165,7 +165,6 @@ class ConvergenceMonitor:
         self._ci = _INTERVALS[interval]
         self._fields = fields or _record_fields
         self._cells: dict[CellKey, CellStats] = {}
-        self.runs = 0
 
     # -- ingestion -------------------------------------------------------------
 
@@ -174,7 +173,6 @@ class ConvergenceMonitor:
         benchmark, model, outcome = self._fields(record)
         cell = self._cells.setdefault((benchmark, model), CellStats())
         cell.add(outcome, shard)
-        self.runs += 1
 
     def observe_all(self, records: Iterable[Any], shard: int | None = None) -> None:
         for record in records:

@@ -11,6 +11,7 @@ diverges; then at the campaign level byte-for-byte.
 
 from __future__ import annotations
 
+import itertools
 import weakref
 from dataclasses import replace
 
@@ -18,7 +19,7 @@ import pytest
 
 from repro.benchmarks.base import states_equal
 from repro.benchmarks.registry import INJECTION_BENCHMARKS, create
-from repro.carolfi.batchrunner import BatchRunner
+from repro.carolfi.batchrunner import DEFAULT_BATCH_SIZE, BatchRunner
 from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.configfile import load_config
 from repro.carolfi.engine import campaign_fingerprint
@@ -26,6 +27,7 @@ from repro.carolfi.prefixcache import golden_store
 from repro.carolfi.supervisor import Supervisor
 from repro.faults.models import FaultModel
 from repro.faults.outcome import Outcome
+from repro.hardening.hardened import HardenedConfig, HardenedSupervisor
 from repro.telemetry import Telemetry, TelemetryConfig
 
 from tests.conftest import SMALL_CLAMR
@@ -178,32 +180,46 @@ def test_no_run_writes_the_golden_store(name):
     """Scalar runs restore clones, and the batch walk reads the pristine
     input and the snapshots in place: after a campaign at batch 1 and at
     batch 8, the store still holds exactly what its golden walk
-    recorded.  Density 1 leaves gaps between dgemm's and hotspot's
-    snapshots, so their walks also step golden carriers across them."""
-    reference = golden_store(small(name), 7, "carolfi", density=1)
-    assert len(reference) > 0
-    for batch_size in (1, 8):
-        supervisor = Supervisor(small(name), seed=7, snapshot_density=1)
-        config = CampaignConfig(
-            benchmark=name,
-            injections=RUNS,
-            seed=7,
-            benchmark_params=SMALL_PARAMS[name],
-            batch_size=batch_size,
-        )
+    recorded.  For CAROL-FI, density 1 leaves gaps between dgemm's and
+    hotspot's snapshots, so their walks also step golden carriers across
+    them; the hardened runner's store, recorded while its set-up counts
+    the guarded bytes, must equal a plain golden walk's."""
+    params = SMALL_PARAMS[name]
+    for kind, batch_size in itertools.product(("carolfi", "hardened"), (1, 8)):
+        if kind == "carolfi":
+            reference = golden_store(small(name), 7, "carolfi", density=1)
+            runner = Supervisor(small(name), seed=7, snapshot_density=1)
+            config = CampaignConfig(
+                benchmark=name,
+                injections=RUNS,
+                seed=7,
+                benchmark_params=params,
+                batch_size=batch_size,
+            )
+        else:
+            reference = golden_store(small(name), 7, "carolfi")
+            runner = HardenedSupervisor(small(name), seed=7)
+            config = HardenedConfig(
+                benchmark=name,
+                injections=RUNS,
+                seed=7,
+                benchmark_params=params,
+                batch_size=batch_size,
+            )
+        assert len(reference) > 0
         tel = Telemetry(TelemetryConfig())
-        run_campaign(config, runner=supervisor, telemetry=tel)
+        run_campaign(config, runner=runner, telemetry=tel)
         batch_runs = tel.registry.counter_values().get("repro_batch_runs_total", {})
         vectorized = batch_runs.get(f"benchmark={name},path=vectorized", 0)
-        assert (vectorized > 0) == (batch_size > 1)  # the batch walk ran
-        store = supervisor.prefix
+        assert (vectorized > 0) == (batch_size > 1), kind  # the batch walk ran
+        store = runner.prefix
         assert states_equal(store.pristine, reference.pristine)
         assert states_equal(store.output, reference.output)
         assert len(store) == len(reference)
         for step in reference.capture_points():
             snap, golden = store.latest(step), reference.latest(step)
             assert snap.step == golden.step
-            assert states_equal(snap.state, golden.state), f"batch {batch_size}, step {step}"
+            assert states_equal(snap.state, golden.state), (kind, batch_size, step)
 
 
 def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):
@@ -212,6 +228,7 @@ def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):
         injections=60,
         seed=31,
         benchmark_params={"n": 16, "rows_per_step": 4},
+        batch_size=1,
     )
     run_campaign(config, log_path=tmp_path / "scalar.jsonl")
     run_campaign(replace(config, batch_size=8), log_path=tmp_path / "batched.jsonl")
@@ -229,7 +246,7 @@ def test_campaign_jsonl_byte_identical_batched_vs_scalar(tmp_path):
 def test_fingerprint_ignores_batch_size():
     """batch_size is an execution knob, not an experiment parameter:
     checkpoints from a scalar campaign must resume under batching."""
-    config = CampaignConfig(benchmark="nw", injections=60, seed=31)
+    config = CampaignConfig(benchmark="nw", injections=60, seed=31, batch_size=1)
     assert campaign_fingerprint(config) == campaign_fingerprint(
         replace(config, batch_size=8)
     )
@@ -240,12 +257,12 @@ def test_fingerprint_ignores_batch_size():
 
 def test_configfile_parses_batch_size(tmp_path):
     ini = tmp_path / "campaign.ini"
-    ini.write_text("[carol-fi]\nbenchmark = nw\ninjections = 10\nbatch_size = 8\n")
-    config, _ = load_config(ini)
-    assert config.batch_size == 8
-    ini.write_text("[carol-fi]\nbenchmark = nw\ninjections = 10\n")
+    ini.write_text("[carol-fi]\nbenchmark = nw\ninjections = 10\nbatch_size = 1\n")
     config, _ = load_config(ini)
     assert config.batch_size == 1
+    ini.write_text("[carol-fi]\nbenchmark = nw\ninjections = 10\n")
+    config, _ = load_config(ini)
+    assert config.batch_size == DEFAULT_BATCH_SIZE == 8
 
 
 def test_invalid_batch_size_rejected():

@@ -31,12 +31,14 @@ from repro.faults.outcome import DueKind, InjectionRecord, Outcome
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.jsonlog import load_records, load_records_tolerant
 
-#: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards.
+#: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards,
+#: every run scalar (the batch counters are per-process, DESIGN §11.4).
 CONFIG = CampaignConfig(
     benchmark="nw",
     injections=24,
     seed=13,
     benchmark_params={"n": 16, "rows_per_step": 4},
+    batch_size=1,
 )
 SHARD_SIZE = 6
 

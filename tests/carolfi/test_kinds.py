@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from functools import lru_cache
 
 import pytest
@@ -28,6 +29,7 @@ from repro.faults.models import FaultModel
 from repro.faults.outcome import DueKind, Outcome
 from repro.hardening.hardened import HardenedConfig, HardenedSupervisor
 from repro.phi.machine import XeonPhiMachine
+from repro.telemetry import Telemetry, TelemetryConfig
 
 from tests.carolfi.test_prefixcache import SMALL_PARAMS
 from tests.conftest import SMALL_DGEMM
@@ -93,6 +95,24 @@ def test_hardened_campaign_matches_run_one_loop_in_every_mode(name, mode):
         twin.verify_kib_per_step,
         twin.guard_bytes,
     )
+
+
+@pytest.mark.parametrize("name", INJECTION_BENCHMARKS)
+def test_hardened_campaign_logs_are_equal_at_batch_1_and_8(tmp_path, name):
+    """The hardened kind batches by default; its scalar reference width
+    writes the same campaign log byte for byte."""
+    logs = []
+    for batch_size in (1, 8):
+        log = tmp_path / f"batch{batch_size}.jsonl"
+        tel = Telemetry(TelemetryConfig())
+        config = replace(hardened_config(name, 24), batch_size=batch_size)
+        run_campaign(config, log_path=log, telemetry=tel)
+        logs.append(log.read_bytes())
+        paths = tel.registry.counter_values().get("repro_batch_runs_total", {})
+        vectorized = paths.get(f"benchmark={name},path=vectorized", 0)
+        assert (vectorized > 0) == (batch_size > 1 and name != "clamr")
+    assert logs[0] == logs[1]
+    assert logs[0].count(b"\n") == 24
 
 
 def test_beam_shortcut_runs_on_the_callers_experiment(monkeypatch):

@@ -305,59 +305,59 @@ def test_store_recorded_without_captures_replays_everything():
     assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
 
 
-def traced_run(store, step, monkeypatch):
-    """``store.run(step, ...)``'s result and its perturbation, per-step
-    callable and benchmark steps, in call order."""
-    events = []
-    original_step = store.benchmark.step
+def test_record_calls_before_step_after_each_capture_ahead_of_every_step(monkeypatch):
+    """``record(before_step=)`` calls the hook at the entry of every
+    step, after that step's capture and before the step itself, with
+    or without captures."""
+    for snapshots in (True, False):
+        bench = create("nw", n=32, rows_per_step=4)
+        store = PrefixStore(bench, bench.make_state(derive_rng(3, "store")), density=1)
+        events = []
+        original_step, original_capture = bench.step, store.capture
 
-    def benchmark_step(state, index):
-        events.append(("step", index))
-        original_step(state, index)
+        def benchmark_step(state, index):
+            events.append(("step", index))
+            original_step(state, index)
 
-    monkeypatch.setattr(store.benchmark, "step", benchmark_step)
-    final = store.run(
-        step,
-        lambda state, index: events.append(("perturb", index)),
-        lambda state, index: events.append(("before", index)),
-    )
-    return final, events
+        def capture(step, state):
+            events.append(("capture", step))
+            original_capture(step, state)
 
-
-def test_run_calls_before_step_ahead_of_every_step_and_perturbs_its_step(monkeypatch):
-    full = recorded_nw(snapshots=False)
-    final, events = traced_run(full, 3, monkeypatch)
-    assert final is not None
-    expected = []
-    for k in range(full.total_steps):
-        if k == 3:
-            expected.append(("perturb", k))
-        expected += [("before", k), ("step", k)]
-    assert events == expected
-
-    # Resumed at the snapshot below step 3, stopped at step 4 before its
-    # call: golden again after the perturbation.
-    final, events = traced_run(recorded_nw(), 3, monkeypatch)
-    assert final is None
-    assert events == [
-        ("before", 2),
-        ("step", 2),
-        ("perturb", 3),
-        ("before", 3),
-        ("step", 3),
-    ]
+        monkeypatch.setattr(bench, "step", benchmark_step)
+        monkeypatch.setattr(store, "capture", capture)
+        store.record(
+            snapshots=snapshots,
+            before_step=lambda state, index: events.append(("before", index)),
+        )
+        expected = []
+        for k in range(store.total_steps):
+            if snapshots and k in (2, 4, 6):
+                expected.append(("capture", k))
+            expected += [("before", k), ("step", k)]
+        assert events == expected, snapshots
 
 
-def test_run_without_perturbations_is_a_full_replay(monkeypatch):
-    store = recorded_nw()
+def test_record_hands_before_step_the_golden_state_of_every_step():
+    """The hook reads the golden walk itself: at every step the state it
+    gets holds the stored snapshot's bytes where the store keeps one,
+    and the walk records the store a walk without the hook records,
+    with no restore, skip or convergence counter moving."""
+    plain = recorded_nw()
+    store = PrefixStore(plain.benchmark, plain.pristine, density=1)
+    seen = []
+
+    def before_step(state, index):
+        snap = plain.latest(index)
+        if snap is not None and snap.step == index:
+            assert states_equal(state, snap.state), index
+            seen.append(index)
+
     tel = Telemetry(TelemetryConfig())
     with tel.activate():
-        final, events = traced_run(store, None, monkeypatch)
-    assert final is not None
-    assert np.array_equal(store.benchmark.output(final), store.output)
-    assert events == [
-        event for k in range(store.total_steps) for event in (("before", k), ("step", k))
-    ]
+        store.record(before_step=before_step)
+    assert seen == [2, 4, 6]
+    assert len(store) == len(plain)
+    assert np.array_equal(store.output, plain.output)
     counters = tel.registry.counter_values()
     assert all(sum(counters.get(name, {}).values()) == 0 for name in STORE_COUNTERS)
 

@@ -1,11 +1,11 @@
-"""An injected hardened run checks its guards once; the fault-free run
-counts the bytes a guarded execution verifies.
+"""An injected hardened run checks its guards once; set-up counts the
+bytes a guarded execution verifies.
 
 Only the guard check at a run's interrupt step can trip, so an injected
 run syncs its guards on the golden state there, flips, and verifies
-each live guard once.  The fault-free run verifies nothing: it sums
+each live guard once.  Set-up verifies nothing: its golden walk sums
 the bytes of the guarded live variables before every step, which must
-equal what the from-step-0 reference verifies.
+equal what the fault-free from-step-0 reference verifies.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ def test_injected_run_verifies_and_resyncs_each_guard_at_most_once(name, monkeyp
 
 @pytest.mark.parametrize("name", names())
 def test_fault_free_run_is_a_full_replay_on_every_kernel(name, monkeypatch):
+    """The fault-free guarded replay is masked, and verifies exactly the
+    bytes the set-up's golden walk counted."""
     sup = supervisor_for(name, 1)
-    record = sup._execute(-1, None, None)
     nbytes: list[int] = []
     count_calls(monkeypatch, "verify", lambda _guard, array: nbytes.append(array.nbytes))
-    assert record == replay_execute(sup, -1, None, None)
+    assert replay_execute(sup, -1, None, None).outcome == "masked"
     assert sup.verify_kib_per_step > 0
     assert sup.verify_kib_per_step == sum(nbytes) / 1024 / sup.total_steps

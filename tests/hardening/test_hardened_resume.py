@@ -1,6 +1,6 @@
 """Hardened runs resumed from the golden prefix equal full replays.
 
-``HardenedSupervisor._execute`` restores the deepest snapshot at or
+``HardenedSupervisor.run_one`` restores the deepest snapshot at or
 below an injected run's interrupt step, rebuilds the guards there with
 ``sync_guards``, steps only the suffix and stops, masked, at the first
 snapshot step from the interrupt on whose bytes it matches.  The
@@ -225,11 +225,6 @@ def test_detector_events_match_full_replay(name):
         )
     assert got == expected
     assert any(event.action == "trip" for event in got)
-
-
-def test_fault_free_run_is_a_full_replay():
-    sup = supervisor_for("dgemm", 1)
-    assert sup._execute(-1, None, None) == replay_execute(sup, -1, None, None)
 
 
 # -- guard state at the resume step ---------------------------------------------

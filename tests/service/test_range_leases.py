@@ -31,12 +31,13 @@ from repro.service import scheduler
 from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.jsonlog import load_records, load_records_tolerant
 
-#: 32 runs over the default 16-shard plan: two runs per shard.
+#: 32 runs over the default 16-shard plan: two runs per shard, scalar.
 CONFIG = CampaignConfig(
     benchmark="nw",
     injections=32,
     seed=13,
     benchmark_params={"n": 16, "rows_per_step": 4},
+    batch_size=1,
 )
 #: ``CONFIG``'s checkpoint directory and campaign log, written by the
 #: engine when every shard was leased on its own (16 leases).
@@ -139,11 +140,18 @@ def test_lease_failing_past_a_shard_boundary(tmp_path):
     assert all(is_complete(shard_path(ckpt, i)) for i in range(shard_count))
 
 
-#: Small campaigns of every kind, CAROL-FI batched and scalar.
+#: Small campaigns of every kind, CAROL-FI and hardened batched and scalar.
 KILL_CONFIGS = {
     "carolfi": replace(CONFIG, seed=2017),
     "carolfi-batch8": replace(CONFIG, seed=2017, batch_size=8),
     "hardened": HardenedConfig(
+        benchmark="nw",
+        injections=32,
+        seed=2017,
+        benchmark_params=CONFIG.benchmark_params,
+        batch_size=1,
+    ),
+    "hardened-batch8": HardenedConfig(
         benchmark="nw", injections=32, seed=2017, benchmark_params=CONFIG.benchmark_params
     ),
     "beam": BeamConfig(
