@@ -17,8 +17,7 @@ Three gated speedups and one gated memory check share this module:
   ``MIN_FULL_SPEEDUP`` aggregate.
 * **Per-worker memory flatness** — this process records the probe
   benchmark's golden store at a sparse and a dense snapshot cadence and
-  forks a worker from each, as a campaign forks its lease and sandbox
-  workers.  The worker restores the pristine input and a mid-run
+  forks a worker from each, as a campaign forks its lease workers.  The worker restores the pristine input and a mid-run
   snapshot and touches their pages; the probe then reads the worker's
   private pages (``Private_Clean + Private_Dirty`` in
   ``/proc/<pid>/smaps_rollup``).  The store's pages stay shared with the

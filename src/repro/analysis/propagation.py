@@ -21,8 +21,8 @@ import numpy as np
 
 from repro.benchmarks.base import Benchmark
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.models import FaultModel
+from repro.faults.outcome import _CRASH_EXCEPTIONS
 from repro.faults.site import FaultSite
 from repro.util.rng import derive_rng
 

@@ -53,8 +53,7 @@ from repro.beam.sensitivity import DEFAULT_SENSITIVITY, DeviceSensitivity
 from repro.carolfi.campaign import CampaignKind, run_campaign
 from repro.carolfi.isolation import EventCallback
 from repro.carolfi.prefixcache import golden_store
-from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
-from repro.faults.outcome import DueKind, Outcome
+from repro.faults.outcome import _CRASH_EXCEPTIONS, DueKind, Outcome
 from repro.phi.config import KNC_3120A, PhiConfig
 from repro.phi.machine import MachineCheckError, SchedulerWedge, XeonPhiMachine
 from repro.phi.resources import ResourceClass

@@ -70,8 +70,8 @@ def window_of_step(step: int, total_steps: int, num_windows: int) -> int:
     """Execution-time window (0-based) a step falls into.
 
     Module-level so code that only knows a benchmark's metadata (e.g.
-    the isolation sandbox synthesising a DUE record for a run whose
-    worker process died) windows steps identically to the live
+    a DUE record synthesised for a run whose worker process was
+    killed) windows steps identically to the live
     :meth:`Benchmark.window_of_step`.
     """
     if total_steps <= 0:

@@ -1,12 +1,13 @@
-"""Chaos — a sandbox-validation benchmark with escapable failure modes.
+"""Chaos — an isolation-validation benchmark with escapable failure modes.
 
 Every real benchmark in the suite converts corrupted state into tidy
 Python exceptions (``IndexError``, :class:`BenchmarkHang`, ...) that the
-in-process Supervisor can classify.  The isolation layer exists for the
-faults that *escape* that net: a runaway loop the guards miss, an
+in-process Supervisor can classify.  Subprocess isolation exists for
+the faults that *escape* that net: a runaway loop the guards miss, an
 unbounded allocation, a hard ``exit()``/``abort()`` out of a C
-extension.  FINJ and ZOFI validate their subprocess supervision with
-dedicated misbehaving fault programs; ``chaos`` is ours.
+extension.  Each kills or is killed with the lease worker that runs it.
+FINJ and ZOFI validate their subprocess supervision with dedicated
+misbehaving fault programs; ``chaos`` is ours.
 
 The benchmark itself is a trivial vectorised recurrence.  Its state
 carries a ``trigger`` control word (initially zero) that every step
@@ -19,12 +20,12 @@ step misbehaves according to the ``failure`` parameter:
 * ``exit``    — ``os._exit(86)``: an uncatchable process death;
 * ``abort``   — ``os.abort()``: dies with ``SIGABRT``;
 * ``spin``    — a guard-free busy loop (``spin_s`` seconds) that no
-  deterministic loop guard sees: only the sandbox's hard deadline or
-  the scheduler's liveness reap can stop it;
+  deterministic loop guard sees: only the local backend's hard
+  deadline or the scheduler's liveness reap can stop it;
 * ``alloc``   — allocates and touches memory until ``alloc_cap_mb``,
   then raises ``MemoryError`` (the RSS-ceiling test vector);
 * ``oserror`` — raises ``OSError``, which is *not* in the Supervisor's
-  crash net and therefore kills the campaign worker (the
+  crash net and therefore fails the lease that runs it (the
   shard-killer-exception test vector).
 
 ``chaos`` is registered so worker subprocesses can instantiate it by

@@ -38,7 +38,7 @@ BENCHMARKS: dict[str, type[Benchmark]] = {
 #: Auxiliary benchmarks that are instantiable by name (campaign worker
 #: subprocesses create benchmarks by name, so they must be registered)
 #: but are *not* part of the paper's study: ``chaos`` exists to validate
-#: the isolation sandbox with failure modes that escape the in-process
+#: subprocess isolation with failure modes that escape the in-process
 #: Supervisor (hard exits, guard-free spins, unbounded allocation).
 AUX_BENCHMARKS: dict[str, type[Benchmark]] = {Chaos.name: Chaos}
 

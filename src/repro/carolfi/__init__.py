@@ -32,13 +32,7 @@ from repro.carolfi.engine import (
     plan_shards,
 )
 from repro.carolfi.flipscript import FlipScript, SitePolicy
-from repro.carolfi.isolation import (
-    InjectionSandbox,
-    IsolationConfig,
-    IsolationMode,
-    SandboxDeath,
-    SandboxError,
-)
+from repro.carolfi.isolation import IsolationConfig, IsolationMode
 from repro.carolfi.prefixcache import PrefixStore, Snapshot, snapshot_interval
 from repro.carolfi.supervisor import Supervisor
 
@@ -49,13 +43,10 @@ __all__ = [
     "CampaignResult",
     "CheckpointError",
     "FlipScript",
-    "InjectionSandbox",
     "IsolationConfig",
     "IsolationMode",
     "PrefixStore",
     "RetryPolicy",
-    "SandboxDeath",
-    "SandboxError",
     "ShardFailure",
     "ShardProgress",
     "ShardRunError",

@@ -25,8 +25,11 @@ along the pure golden trajectory from the anchor to the end.  Members
 join the walk at their interrupt step — the carrier is cloned (that
 clone *is* the bit-exact golden prefix the scalar path would have
 produced) and perturbed with the member's own RNG.  A ``perturb`` that
-raises (a hardened guard's ``FaultDetected``) sends that member alone
-to the **scalar fallback**; the rest of its group walks on.  Each
+raises a crash-net exception (a hardened guard's ``FaultDetected``)
+ends that member at join: ``finish`` records it as ``run_one`` would,
+from the exception.  Any other raise sends the member alone to the
+**scalar fallback**, which raises it again with its run attributed.
+Either way the rest of its group walks on.  Each
 joined member's control state is compared against the carrier
 (:meth:`~repro.benchmarks.base.Benchmark.batch_coherent`); any
 divergence — a corrupted pointer, dimension, cursor, or out-of-range
@@ -56,16 +59,16 @@ classifies as the stop would.  Scalar fallbacks go through ``run_one``
 and are checked.
 
 Batch-path telemetry (all new families; like the other fast-path
-counters they describe *work saved in this process* and may differ
-across execution topologies — fallback decisions can depend on cache
-state):
+counters they describe *work saved*, and a lease's runs group by its
+range, so they may differ across worker counts):
 
 * ``repro_batch_groups_total{benchmark}`` — carrier walks executed;
 * ``repro_batch_runs_total{benchmark, path}`` — runs completed on the
   ``vectorized`` path versus handed back for ``fallback``;
 * ``repro_batch_fallback_total{benchmark, reason}`` — why members left
-  the batch (``unsupported``, ``perturb``: its ``perturb`` raised,
-  ``incoherent``, ``exception``: ``step_batch`` raised);
+  the batch (``unsupported``, ``perturb``: its ``perturb`` raised
+  outside the crash net, ``incoherent``, ``exception``: ``step_batch``
+  raised);
 * ``repro_batch_occupancy`` — histogram of members per group (higher is
   better amortisation).
 """
@@ -78,6 +81,7 @@ from typing import Any
 import numpy as np
 
 from repro.faults.models import FaultModel
+from repro.faults.outcome import _CRASH_EXCEPTIONS
 from repro.telemetry import current_registry, current_tracer
 
 __all__ = ["BatchRunner", "DEFAULT_BATCH_SIZE", "OCCUPANCY_BUCKETS", "run_batch"]
@@ -285,10 +289,23 @@ class BatchRunner:
                             member.token = runner.perturb(
                                 member.state, index, member.model, member.rng
                             )
+                        except _CRASH_EXCEPTIONS as exc:
+                            # A guard that trips, say: recorded here as
+                            # ``run_one`` records it, and the rest of
+                            # the group walks on.
+                            records[member.run_index] = runner.finish(
+                                member.run_index,
+                                member.model,
+                                index,
+                                None,
+                                exc.with_traceback(None),
+                            )
+                            self._mark_vectorized(1)
+                            member.state = None
+                            continue
                         except Exception:
-                            # A guard that trips, say: the scalar
-                            # fallback re-runs and classifies it, and
-                            # the rest of the group walks on.
+                            # Outside the crash net: the scalar fallback
+                            # raises it again, with its run attributed.
                             self._mark_fallback(1, "perturb")
                             member.state = None
                             continue
@@ -376,9 +393,8 @@ def run_batch(
 
     The ``run_batch`` method of every batchable runner: the records of
     the runs :class:`BatchRunner` completed vectorized; a missing run is
-    finished with the runner's ``run_one``.
-    :meth:`InjectionSandbox.run_batch
-    <repro.carolfi.isolation.InjectionSandbox.run_batch>` is the same
-    contract across the sandbox pipe.
+    finished with the runner's ``run_one``.  It runs in the process
+    that runs the lease, a forked lease worker under subprocess
+    isolation.
     """
     return BatchRunner(runner, batch_size).run_many(runs)

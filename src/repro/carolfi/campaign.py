@@ -4,8 +4,8 @@ The paper injects at least 10,000 faults per benchmark, spread
 uniformly over the four fault models and the whole execution time, and
 its beam (§4) and hardened-code (§7) studies have the same unit of
 work.  :func:`run_campaign` is the one campaign function for all
-three: every campaign, serial or pooled, in process or sandboxed, runs
-through the shard scheduler over the parts in
+three: every campaign, serial or pooled, in process or in forked lease
+workers, runs through the shard scheduler over the parts in
 :mod:`repro.carolfi.engine`, deterministically under a single seed,
 optionally persisting every record to JSONL (the public-log analogue).
 
@@ -192,8 +192,7 @@ class CampaignConfig(CampaignKind["CampaignResult"]):
     checkpoint fingerprint: per-run RNG streams are keyed by run index
     and divergent runs fall back to the scalar path, so records are
     byte-identical at any batch size.  Each lease's runs are one
-    ``BatchRunner`` plan, stepped in the executor's process or inside
-    its sandboxed worker."""
+    ``BatchRunner`` plan, stepped in the process that runs the lease."""
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "fault_models", tuple(map(FaultModel, self.fault_models)))
@@ -302,18 +301,18 @@ def run_campaign(
     bit-identical for any ``workers`` count, shard layout or isolation
     mode.  Every campaign goes through the shard scheduler
     (:func:`repro.service.scheduler.run_shards`), so retries and
-    quarantine are decided alike everywhere: ``workers=1`` runs it as
-    one lease in the calling process
-    (:class:`~repro.service.local.InlineBackend`), any other count as
-    ``workers`` leases of whole shards, each in a disposable worker
-    process (:class:`~repro.service.local.LocalBackend`);
-    ``workers=None`` resolves via ``REPRO_WORKERS`` then
-    ``os.cpu_count()``.  ``backend`` overrides *where* leases execute
-    (a test seam: a scripted backend, whose lifetime stays the
-    caller's).
+    quarantine are decided alike everywhere: ``workers=1`` in process
+    runs it as one lease in the calling process
+    (:class:`~repro.service.local.InlineBackend`); any other count, and
+    any count under subprocess isolation, as ``workers`` leases of
+    whole shards, each in a disposable forked worker process
+    (:class:`~repro.service.local.LocalBackend`); ``workers=None``
+    resolves via ``REPRO_WORKERS`` then ``os.cpu_count()``.
+    ``backend`` overrides *where* leases execute (a test seam: a
+    scripted backend, whose lifetime stays the caller's).
 
-    A serial in-process campaign builds its own runner; a pool or a
-    subprocess sandbox warms this process's cached runner
+    A serial in-process campaign builds its own runner; a pool or
+    subprocess isolation warms this process's cached runner
     (:func:`~repro.carolfi.isolation.supervisor_for`) before any worker
     forks, so every worker inherits its golden store, and this function
     drops it at teardown.  ``runner`` is one the caller built for
@@ -322,7 +321,8 @@ def run_campaign(
     in-process campaign runs on it, and any other topology refuses it,
     because only a config's own fields may reach another process.
 
-    ``isolation`` selects where each run executes (see
+    ``isolation`` selects where each run executes, and the deadline and
+    RSS ceiling of a run in a lease worker (see
     :class:`~repro.carolfi.isolation.IsolationConfig`), ``retry`` the
     fault-domain policy (backoff, liveness, quarantine), and
     ``failure_log`` the failure-event JSONL path (default:
@@ -464,11 +464,10 @@ def run_campaign(
                             isolation=iso,
                             telemetry=tel,
                         )
-                        if workers > 1
+                        if forks
                         else InlineBackend(
                             config,
                             runner=local_runner,
-                            isolation=iso,
                             on_run_done=reporter.tick,
                         )
                     )

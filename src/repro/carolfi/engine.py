@@ -41,12 +41,11 @@ kind's DUE record with a ``sandbox:`` detail, never run again), and only
 a shard that keeps failing *without making progress* raises
 :class:`ShardFailure`; every event lands in ``failures.jsonl``.
 
-Each executor hands :func:`_execute_shard` its own runner: the
-:class:`~repro.carolfi.isolation.InjectionSandbox` it owns under
-subprocess isolation (crashes and hangs become *observed process
-deaths*, like the paper's GDB-supervised runs), or the kind's runner in
-its own process.  The default serial in-process campaign spawns no
-process, so the test suite remains subprocess-free.
+Each executor hands :func:`_execute_shard` the kind's runner in its
+own process.  Under subprocess isolation every lease runs in a forked
+lease worker, so crashes and hangs become *observed process deaths*,
+like the paper's GDB-supervised runs.  The default serial in-process
+campaign spawns no process, so the test suite remains subprocess-free.
 """
 
 from __future__ import annotations
@@ -61,7 +60,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.carolfi.isolation import SandboxError
 from repro.faults.outcome import DueKind
 from repro.telemetry import (
     DISABLED,
@@ -87,6 +85,7 @@ __all__ = [
     "ShardSpec",
     "backoff_delay",
     "campaign_fingerprint",
+    "count_run",
     "plan_shards",
     "resolve_workers",
     "shard_path",
@@ -157,10 +156,9 @@ class RetryPolicy:
     max_run_deaths: int = 2
     """Failed executions attributed to one run before it is quarantined.
 
-    A failed execution is an exception that escaped the crash net
-    (including a sandbox worker's own death), a shard-worker death, or
-    a reap.  The scheduler is the only reader: one threshold for every
-    execution mode."""
+    A failed execution is an exception that escaped the crash net, a
+    lease-worker death, or a reap.  The scheduler is the only reader:
+    one threshold for every execution mode."""
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -309,8 +307,8 @@ class FailureSink:
     counted into the campaign's ``repro_failure_events_total`` metric.
 
     All failure events funnel through the engine-side sink exactly once
-    (worker-side sandbox events are forwarded over the pipe first), so
-    this is the one place the counter can live without double counting.
+    (worker-side events are forwarded over the pipe first), so this is
+    the one place the counter can live without double counting.
     """
 
     def __init__(self, path: str | Path | None, telemetry: Telemetry | None = None):
@@ -338,6 +336,24 @@ class FailureSink:
 # -- shard execution (runs in whichever process executes the lease) -----------
 
 
+def count_run(row: dict[str, Any], seconds: float | None = None) -> None:
+    """Count one executed run's record, and the wall time of a scalar
+    run, into the ambient registry: :func:`_execute_shard` does so for
+    every record it hands on, and the local backend for a run it killed."""
+    registry = current_registry()
+    registry.counter(
+        "repro_runs_total", help="Injection runs executed (including re-executions), by outcome."
+    ).inc(outcome=row["outcome"])
+    if row.get("due_kind") is not None:
+        registry.counter(
+            "repro_runs_due_total", help="Executed runs classified DUE, by due kind."
+        ).inc(kind=row["due_kind"])
+    if seconds is not None and registry.enabled:
+        registry.histogram(
+            "repro_run_duration_seconds", help="Wall-clock duration of one injection run."
+        ).observe(seconds)
+
+
 def _execute_shard(
     config: "CampaignKind[Any]",
     spec: ShardSpec,
@@ -352,50 +368,38 @@ def _execute_shard(
     ``spec`` is the lease's run range: it may span several planned
     shards (``spec.index`` is the first), and a kind's batched path
     (:meth:`~repro.carolfi.campaign.CampaignKind.run_batch`) plans the
-    whole range at once.  ``runner`` is the executor's own — the
-    :class:`~repro.carolfi.isolation.InjectionSandbox` it owns, or the
-    kind's runner in its process; both take ``run_one`` and
-    ``due_record`` calls with the run index and the kind's ``run_args``.
+    whole range at once.  ``runner`` is the kind's runner in the
+    executor's process; it takes ``run_one`` and ``due_record`` calls
+    with the run index and the kind's ``run_args``.
     ``skip_runs`` maps quarantined runs to their ``(due_kind, detail)``:
     they are recorded as the runner's DUE records, not executed.
     ``on_run`` fires before each scalar run (the liveness beat the
     scheduler attributes deaths with).  ``stop`` is read before every
     run and returns the range's current end, so an executor can end
     the lease at a run boundary (the inline executor does when a
-    checkpoint cannot be written).  An exception
-    a run lets escape — a sandbox worker's death included — is raised
-    as :class:`ShardRunError` naming that run.  Checkpoints are the
-    scheduler's business, written from the records.
+    checkpoint cannot be written).  An exception a run lets escape is
+    raised as :class:`ShardRunError` naming that run.  Checkpoints are
+    the scheduler's business, written from the records.
 
     Telemetry is ambient (:func:`repro.telemetry.current_registry` /
     ``current_tracer``), so inline and worker executors instrument
     identically: per-outcome run counters, a run-duration histogram and
     one ``shard`` span around the whole range, batch pass included.
     """
-    registry = current_registry()
     tracer = current_tracer()
-    runs_total = registry.counter(
-        "repro_runs_total", help="Injection runs executed (including re-executions), by outcome."
-    )
-    dues_total = registry.counter(
-        "repro_runs_due_total", help="Executed runs classified DUE, by due kind."
-    )
-    run_seconds = registry.histogram(
-        "repro_run_duration_seconds", help="Wall-clock duration of one injection run."
-    )
     end = stop or (lambda: spec.stop)
     skip = skip_runs or {}
     with tracer.span("shard", shard=spec.index, start=spec.start, stop=spec.stop):
-        # The batched path, if the kind has one, runs first — inside the
-        # sandbox worker when there is one.  Runs it completes are
-        # looked up below; everything else — fallbacks, skips, a
-        # batch-wide abort — flows through the scalar machinery,
-        # including its error attribution.
+        # The batched path, if the kind has one, runs first.  Runs it
+        # completes are looked up below; everything else — fallbacks
+        # and skips — flows through the scalar machinery, including its
+        # error attribution.
         batched = config.run_batch(runner, [k for k in range(spec.start, end()) if k not in skip])
         for run_index in spec.run_indices():
             if run_index >= end():
                 break
             args = config.run_args(run_index)
+            seconds = None
             if run_index in skip:
                 kind, detail = skip[run_index]
                 record = runner.due_record(run_index, *args, kind=DueKind(kind), detail=detail)
@@ -407,16 +411,11 @@ def _execute_shard(
                 began = time.perf_counter()
                 try:
                     record = runner.run_one(run_index, *args)
-                except SandboxError:
-                    raise  # worker infrastructure failure: shard-level, not run-level
                 except Exception as exc:
                     raise ShardRunError(spec.index, run_index, exc) from exc
-                if registry.enabled:
-                    run_seconds.observe(time.perf_counter() - began)
+                seconds = time.perf_counter() - began
             row = record.to_dict()
-            runs_total.inc(outcome=row["outcome"])
-            if row.get("due_kind") is not None:
-                dues_total.inc(kind=row["due_kind"])
+            count_run(row, seconds)
             if on_record is not None:
                 on_record(run_index, row)
 

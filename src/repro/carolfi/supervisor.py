@@ -49,28 +49,12 @@ from repro.carolfi.batchrunner import run_batch
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.prefixcache import DEFAULT_SNAPSHOT_BUDGET, golden_store
 from repro.faults.models import FaultModel
-from repro.faults.outcome import DueKind, InjectionRecord, Outcome
+from repro.faults.outcome import _CRASH_EXCEPTIONS, DueKind, InjectionRecord, Outcome
 from repro.faults.site import FaultSite
 from repro.telemetry import current_registry, current_tracer
 from repro.util.rng import derive_rng
 
 __all__ = ["Supervisor"]
-
-#: Exceptions out of a resumed, corrupted execution that correspond to a
-#: crashed process (the segfault/abort analogues of our Python substrate).
-#: ``ArithmeticError`` covers Overflow/ZeroDivision/FloatingPointError
-#: plus any other numeric abort; ``MemoryError`` is the malloc-failure
-#: analogue (a corrupted size driving an absurd allocation).  Anything
-#: escaping this tuple would kill the campaign worker, so the net is
-#: deliberately wide — only genuine infrastructure bugs should escape.
-_CRASH_EXCEPTIONS = (
-    IndexError,
-    ValueError,
-    KeyError,
-    ArithmeticError,
-    MemoryError,
-    RuntimeError,
-)
 
 
 class Supervisor:
@@ -126,15 +110,10 @@ class Supervisor:
     def _count(self, name: str, **labels: Any) -> None:
         """Bump a cache-efficiency counter (no-op with telemetry off).
 
-        These counters describe *work saved in this process*, so unlike
-        record-derived metrics they legitimately differ across execution
-        topologies (a sandbox grandchild's restores are never merged
-        back) — consumers comparing serial to parallel registries must
-        exclude the ``repro_snapshot_*``/``repro_steps_skipped``/
-        ``repro_steps_converged``/``repro_compare_fastpath`` families
-        (``repro_snapshot_*`` includes ``repro_snapshot_budget_degraded``).
-        The snapshot restore, capture, skipped-step and converged-step
-        counters are bumped by the
+        These counters describe *work saved*; every lease worker ships
+        its deltas back, so serial and pooled registries hold equal
+        totals.  The snapshot restore, capture, skipped-step and
+        converged-step counters are bumped by the
         :class:`~repro.carolfi.prefixcache.PrefixStore` itself.
         """
         current_registry().counter(

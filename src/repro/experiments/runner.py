@@ -184,26 +184,29 @@ def main(argv: Sequence[str] | None = None) -> int:
         choices=[mode.value for mode in IsolationMode],
         default=None,
         help="where each injection executes: 'inproc' (default, fast) or "
-        "'subprocess' (disposable sandbox worker per campaign; crashes and "
-        "hangs become observed process deaths, as in the paper)",
+        "'subprocess' (every lease in a forked lease worker, even with "
+        "--workers 1; crashes and hangs become observed process deaths, "
+        "as in the paper)",
     )
     parser.add_argument(
         "--timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="hard per-injection wall-clock deadline; a worker over it is "
-        "killed and the run recorded as a hang DUE (subprocess isolation "
-        "only; default: 60, far above the ~30 ms slowest golden run at "
-        "default sizes, so only a run that never returns reaches it)",
+        help="hard per-injection wall-clock deadline; a lease worker whose "
+        "run passes it is killed and the run recorded as a hang DUE "
+        "(subprocess isolation only; default: 60, far above the ~30 ms "
+        "slowest golden run at default sizes, so only a run that never "
+        "returns reaches it)",
     )
     parser.add_argument(
         "--mem-limit",
         type=float,
         default=None,
         metavar="MB",
-        help="RSS ceiling for the sandbox worker; a worker over it is killed "
-        "and the run recorded as an OOM DUE (subprocess isolation only)",
+        help="RSS ceiling for a lease worker during a run; a worker over it "
+        "is killed and the run recorded as an OOM DUE (subprocess isolation "
+        "only)",
     )
     parser.add_argument(
         "--no-snapshots",

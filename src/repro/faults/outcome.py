@@ -6,7 +6,7 @@ A transient fault leads to one of three outcomes (paper Section 2.1):
 * **SDC** — Silent Data Corruption: the program completes but its
   output mismatches the golden copy.
 * **DUE** — Detected Unrecoverable Error: crash, hang (loop-guard
-  timeout or sandbox kill), or machine-check abort.
+  timeout or a deadline kill), or machine-check abort.
 """
 
 from __future__ import annotations
@@ -18,6 +18,22 @@ from typing import Any
 from repro.faults.site import FaultSite
 
 __all__ = ["DueKind", "InjectionRecord", "Outcome"]
+
+#: Exceptions out of a resumed, corrupted execution that correspond to a
+#: crashed process (the segfault/abort analogues of our Python substrate).
+#: ``ArithmeticError`` covers Overflow/ZeroDivision/FloatingPointError
+#: plus any other numeric abort; ``MemoryError`` is the malloc-failure
+#: analogue (a corrupted size driving an absurd allocation).  Anything
+#: escaping this tuple would kill the campaign worker, so the net is
+#: deliberately wide — only genuine infrastructure bugs should escape.
+_CRASH_EXCEPTIONS = (
+    IndexError,
+    ValueError,
+    KeyError,
+    ArithmeticError,
+    MemoryError,
+    RuntimeError,
+)
 
 
 class Outcome(str, enum.Enum):
@@ -36,9 +52,9 @@ class DueKind(str, enum.Enum):
     """How a DUE manifested."""
 
     CRASH = "crash"
-    """Unhandled exception in the benchmark, or an observed worker
-    process death (non-zero exit code / fatal signal) under subprocess
-    isolation (segfault analogue)."""
+    """Unhandled exception in the benchmark, or a run quarantined after
+    repeated failed executions, such as observed lease-worker deaths
+    (non-zero exit code / fatal signal: the segfault analogue)."""
 
     TIMEOUT = "timeout"
     """A deterministic hang guard tripped: a corrupted loop bound or step
@@ -46,13 +62,15 @@ class DueKind(str, enum.Enum):
     Never decided by the wall clock."""
 
     HANG = "hang"
-    """The isolation sandbox killed the worker at its hard wall-clock
-    deadline, or the scheduler reaped a silent worker — a true observed
-    hang that no loop guard saw."""
+    """Under subprocess isolation the local backend killed the lease
+    worker at its run's hard wall-clock deadline, or the scheduler
+    reaped a silent worker — a true observed hang that no loop guard
+    saw."""
 
     OOM = "oom"
-    """The isolation sandbox killed the worker for exceeding its RSS
-    memory ceiling (unbounded-allocation analogue)."""
+    """Under subprocess isolation the local backend killed the lease
+    worker for exceeding its RSS memory ceiling during a run
+    (unbounded-allocation analogue)."""
 
     MCA = "mca"
     """Machine-check abort raised by the ECC model (double-bit error)."""

@@ -74,9 +74,8 @@ from repro.carolfi.campaign import CampaignKind, run_campaign
 from repro.carolfi.flipscript import FlipScript, SitePolicy
 from repro.carolfi.isolation import EventCallback
 from repro.carolfi.prefixcache import golden_store
-from repro.carolfi.supervisor import _CRASH_EXCEPTIONS
 from repro.faults.models import FaultModel
-from repro.faults.outcome import DueKind
+from repro.faults.outcome import _CRASH_EXCEPTIONS, DueKind
 from repro.faults.site import FaultSite
 from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.hardening.guards import (
@@ -185,9 +184,7 @@ class HardenedSupervisor:
         #: Optional ``Callable[[DetectorEvent], None]`` wired into every
         #: guard of every run and fed the ABFT verdicts: a tap on the
         #: detectors, used by ``test_detector_events_match_full_replay``.
-        #: A batched run reports its join-time events, and a member a
-        #: guard detects at join reports them again from its scalar
-        #: fallback.
+        #: A batched run reports its join-time events.
         self.detector_observer = detector_observer
 
         # The golden walk also sets ``verify_kib_per_step``: the KiB of

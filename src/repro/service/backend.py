@@ -5,11 +5,12 @@ processes or pipes directly: it leases contiguous run ranges to a
 :class:`ShardBackend` and reacts to the events the backend drains
 back.  Two implementations exist:
 
-* :class:`repro.service.local.InlineBackend` — serial campaigns: each
-  lease runs synchronously in the calling process;
+* :class:`repro.service.local.InlineBackend` — serial in-process
+  campaigns: each lease runs synchronously in the calling process;
 * :class:`repro.service.local.LocalBackend` — the engine's
-  fault-domain pool: one disposable ``mp.Process`` per lease (one
-  lease per worker), heartbeats over a pipe.
+  fault-domain pool, and every campaign under subprocess isolation:
+  one disposable ``mp.Process`` per lease (one lease per worker),
+  heartbeats over a pipe.
 
 A **lease** is one attempt to execute one contiguous run range, which
 may span several shards: the scheduler cuts one per free executor slot
@@ -98,8 +99,11 @@ class LeaseResult:
 
     ``status`` is ``"done"`` (range fully executed, every record already
     streamed), ``"error"`` (one run raised an exception that escaped the
-    crash net; ``error_run`` attributes it) or ``"dead"`` (the executor
-    process exited without reporting).
+    crash net; ``error_run`` attributes it), ``"dead"`` (the executor
+    process exited without reporting) or ``"killed"`` (the backend killed
+    the executor at its run's deadline or RSS ceiling, after streaming
+    that run's DUE record; not a failure, so the scheduler re-queues the
+    rest of the range).
     """
 
     lease_id: str
@@ -136,7 +140,7 @@ class ShardBackend(abc.ABC):
 
     @abc.abstractmethod
     def results(self) -> list[LeaseResult]:
-        """Drain terminal lease outcomes (done / error / dead)."""
+        """Drain terminal lease outcomes (done / error / dead / killed)."""
 
     @abc.abstractmethod
     def cancel(self, lease_id: str) -> None:

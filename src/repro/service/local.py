@@ -6,13 +6,15 @@
 protocol of :mod:`repro.service.backend`).  The two executors differ
 only in which process runs it:
 
-* :class:`InlineBackend` — serial campaigns: each lease (normally the
-  whole campaign) runs synchronously in the calling process, inside
-  the campaign's own telemetry scope, its events streamed to the
-  scheduler as they happen;
-* :class:`LocalBackend` — pooled campaigns: one disposable,
-  individually supervised OS process per lease (normally one per
-  worker), heartbeating over a pipe.
+* :class:`InlineBackend` — serial in-process campaigns: each lease
+  (normally the whole campaign) runs synchronously in the calling
+  process, inside the campaign's own telemetry scope, its events
+  streamed to the scheduler as they happen;
+* :class:`LocalBackend` — pooled campaigns, and every campaign under
+  subprocess isolation: one disposable, individually supervised OS
+  process per lease (normally one per worker), heartbeating over a
+  pipe.  Under subprocess isolation it is also the sandbox: it kills a
+  worker whose run passes its deadline or RSS ceiling.
 
 A lease is a run range over one or more shards; ``_execute_shard``
 runs it as one ``BatchRunner`` plan, and the scheduler checkpoints each
@@ -22,36 +24,35 @@ Over the pipe, each event and the lease result travel as one pickled
 object (``Connection.send``, which length-prefixes every message);
 inline they reach the scheduler as they are.  No executor writes
 checkpoints: the scheduler does, from the streamed records.  Each
-executor owns what its leases run through: its
-:class:`~repro.carolfi.isolation.InjectionSandbox` — built on first use,
-closed when the executor ends, so no sandbox outlives its campaign — or
-the campaign's runner: its own in the calling process, or, in a lease
-worker, the one the worker inherited at fork.
+executor runs its leases through the campaign's runner: its own in the
+calling process, or, in a lease worker, the one the worker inherited
+at fork.
 
-Semantics preserved from the original pool: workers are not daemons
-(they must be able to spawn sandbox children), a dying worker is
-observed through its exit code, a lease result still sitting in the
-pipe is drained before the death is judged, and the campaign's
-fork-method runner warm-up keeps golden runs amortised across workers.
+Semantics preserved from the original pool: a dying worker is observed
+through its exit code, a lease result still sitting in the pipe is
+drained before the death is judged, and the campaign's fork-method
+runner warm-up keeps golden runs amortised across workers.
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import time
 from functools import partial
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.carolfi.engine import ShardRunError, ShardSpec, _execute_shard
+from repro.carolfi.engine import ShardRunError, ShardSpec, _execute_shard, count_run
 from repro.carolfi.isolation import (
     EventCallback,
-    InjectionSandbox,
     IsolationConfig,
     IsolationMode,
     describe_exitcode,
     mp_context,
+    rss_bytes,
     supervisor_for,
 )
+from repro.faults.outcome import DueKind
 from repro.service.backend import BackendEvent, LeaseResult, ShardBackend, ShardLease
 from repro.telemetry import ShardTelemetry, Telemetry, WorkerTelemetry
 
@@ -63,29 +64,18 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = ["InlineBackend", "LocalBackend"]
 
 
-def _new_sandbox(
-    config: "CampaignKind[Any]", isolation: IsolationConfig, on_event: EventCallback
-) -> InjectionSandbox | None:
-    """The executor's own sandbox, or ``None`` for in-process runs."""
-    if isolation.mode is not IsolationMode.SUBPROCESS:
-        return None
-    return InjectionSandbox(config, isolation, on_event=on_event)
-
-
 def _run_lease(
     config: "CampaignKind[Any]",
     lease: ShardLease,
-    sandbox: InjectionSandbox | None,
     runner: Callable[[EventCallback], Any],
     send: Callable[[BackendEvent], None],
     stop: Callable[[], int] | None = None,
 ) -> LeaseResult:
     """The one lease body: run ``[start, stop)``, report it as events.
 
-    The runs go through the executor's ``sandbox``, or without one
-    through the runner that ``runner(on_event)`` returns — the
-    process's cached one (:func:`supervisor_for`) or the campaign's own
-    in the calling process — built inside the lease's error net: a
+    The runs go through the runner that ``runner(on_event)`` returns —
+    the process's cached one (:func:`supervisor_for`) or the campaign's
+    own in the calling process — built inside the lease's error net: a
     runner that cannot be built fails the lease like a run error, and
     the scheduler retries it.
 
@@ -107,7 +97,7 @@ def _run_lease(
         _execute_shard(
             config,
             spec,
-            sandbox if sandbox is not None else runner(on_failure),
+            runner(on_failure),
             skip_runs=lease.skip,
             on_run=lambda k: send(BackendEvent("run", lease_id, run=k)),
             on_record=lambda k, row: send(BackendEvent("rec", lease_id, run=k, row=row)),
@@ -130,7 +120,6 @@ def _send(conn: "Connection", message: BackendEvent | LeaseResult) -> None:
 def _lease_worker_main(
     config: "CampaignKind[Any]",
     lease: ShardLease,
-    isolation: IsolationConfig,
     shard_tel: ShardTelemetry,
     conn: "Connection",
 ) -> None:
@@ -168,48 +157,37 @@ def _lease_worker_main(
             if records == die_after:
                 os._exit(7)
 
-    sandbox = _new_sandbox(
-        config,
-        isolation,
-        lambda event: send(BackendEvent("failure", lease.lease_id, payload=event)),
-    )
-    try:
-        # A ``lease`` span around the lease body, under the campaign span.
-        with worker_tel.activate(), worker_tel.tracer.span(
-            "lease",
-            lease=lease.lease_id,
-            shard=lease.shard_index,
-            start=lease.start,
-            stop=lease.stop,
-            attempt=lease.attempt,
-            worker=f"local/pid{os.getpid()}",
-        ):
-            # In process, the campaign's warm runner, inherited at fork
-            # (or built here, golden walk and all, under spawn).
-            result = _run_lease(config, lease, sandbox, partial(supervisor_for, config), send)
-        flush_telemetry()  # tail: the shard and lease spans
-    finally:
-        # Multiprocessing children skip regular atexit (os._exit), so
-        # nothing here is released unless we do it — and before the
-        # lease result, since the backend kills a worker once it has
-        # reported.  Close our sandbox: an orphaned one would only die
-        # on EOF.
-        if sandbox is not None:
-            sandbox.close()
+    # A ``lease`` span around the lease body, under the campaign span.
+    with worker_tel.activate(), worker_tel.tracer.span(
+        "lease",
+        lease=lease.lease_id,
+        shard=lease.shard_index,
+        start=lease.start,
+        stop=lease.stop,
+        attempt=lease.attempt,
+        worker=f"local/pid{os.getpid()}",
+    ):
+        # The campaign's warm runner, inherited at fork (or built here,
+        # golden walk and all, under spawn).
+        result = _run_lease(config, lease, partial(supervisor_for, config), send)
+    flush_telemetry()  # tail: the shard and lease spans
     _send(conn, result)
     conn.close()
 
 
 class _LeaseProc:
-    """One live lease: its process, pipe, and staged lease result."""
+    """One live lease: its process, pipe, staged lease result, and the
+    scalar run in flight (from its ``run`` beat to its ``rec``)."""
 
-    __slots__ = ("lease", "proc", "conn", "result")
+    __slots__ = ("lease", "proc", "conn", "result", "run", "began")
 
     def __init__(self, lease: ShardLease, proc: Any, conn: Any):
         self.lease = lease
         self.proc = proc
         self.conn = conn
         self.result: LeaseResult | None = None
+        self.run: int | None = None
+        self.began = 0.0
 
 
 class LocalBackend(ShardBackend):
@@ -219,9 +197,13 @@ class LocalBackend(ShardBackend):
     the backend observes that worker's exit code directly, the
     scheduler reaps it when its heartbeat stalls, and one pathological
     run can never poison a neighbouring shard's executor.  The campaign
-    warms its runner before building the backend, so workers and their
-    sandboxes inherit the golden run (spawn-started, each walks its
-    own).
+    warms its runner before building the backend, so workers inherit
+    the golden run (spawn-started, each walks its own).
+
+    Under subprocess isolation the backend also kills a worker whose
+    in-flight run passes ``timeout_s`` or whose RSS passes
+    ``mem_limit_mb`` (:meth:`_enforce`).  A batch pass has no run in
+    flight, so neither kill applies during it.
     """
 
     def __init__(
@@ -241,6 +223,7 @@ class LocalBackend(ShardBackend):
         self._ctx = mp_context()
         self._live: dict[str, _LeaseProc] = {}
         self._results: list[LeaseResult] = []
+        self._mem_unreadable = False
 
     def capacity(self) -> int:
         return self._workers - len(self._live)
@@ -252,14 +235,12 @@ class LocalBackend(ShardBackend):
             if self._telemetry is not None
             else ShardTelemetry()
         )
-        # Not a daemon: under subprocess isolation the lease worker must
-        # spawn sandbox children, which daemonic processes may not do.
-        # The scheduler reaps these workers itself (cancel) and the
-        # sandbox children ARE daemons, so a dying worker takes its
-        # sandbox down with it.
+        # Not a daemon: the backend kills and reaps its workers itself
+        # (cancel, close), so nothing relies on multiprocessing's
+        # exit-time termination of daemonic children.
         proc = self._ctx.Process(
             target=_lease_worker_main,
-            args=(self._config, lease, self._isolation, shard_tel, conn_w),
+            args=(self._config, lease, shard_tel, conn_w),
             daemon=False,
             name=f"lease-{lease.lease_id}",
         )
@@ -279,15 +260,80 @@ class LocalBackend(ShardBackend):
                 continue  # skip it; the lease is judged by its exit code
             if isinstance(message, LeaseResult):
                 live.result = message
-            else:
-                events.append(message)
+                continue
+            if message.kind == "run":
+                live.run, live.began = message.run, time.monotonic()
+            elif message.kind == "rec" and message.run == live.run:
+                live.run = None
+            events.append(message)
 
     def heartbeats(self) -> list[BackendEvent]:
         events: list[BackendEvent] = []
         for live in list(self._live.values()):
             self._drain_conn(live, events)
-            self._judge(live, events)
+            if not self._enforce(live, events):
+                self._judge(live, events)
         return events
+
+    def _enforce(self, live: _LeaseProc, events: list[BackendEvent]) -> bool:
+        """Kill the worker if its in-flight run is past the deadline or
+        the RSS ceiling; True if it did.
+
+        A kill is the run's outcome, not a failure: the backend sends a
+        ``sandbox_timeout_kill`` or ``sandbox_oom_kill`` failure event,
+        then the run's ``hang`` or ``oom`` DUE record, built here, and
+        ends the lease ``killed``, so the scheduler re-cuts the rest of
+        its range with no retry charged.  The event goes first, so the
+        scheduler charges it to the killed run's shard.
+        """
+        iso = self._isolation
+        run = live.run
+        if (
+            iso.mode is not IsolationMode.SUBPROCESS
+            or run is None
+            or live.result is not None
+            or not live.proc.is_alive()
+        ):
+            return False
+        lease_id = live.lease.lease_id
+        limit = iso.mem_limit_mb
+        if time.monotonic() - live.began > iso.timeout_s:
+            kind, event = DueKind.HANG, "sandbox_timeout_kill"
+            detail = f"wall-clock deadline {iso.timeout_s:.1f}s exceeded; worker killed"
+        elif limit is None or self._mem_unreadable:
+            return False
+        else:
+            rss = rss_bytes(live.proc.pid)
+            if rss is None:
+                self._mem_unreadable = True
+                event = "sandbox_mem_limit_unenforceable"
+                detail = "cannot read worker RSS on this platform"
+                events.append(self._failure(lease_id, event, run, detail))
+                return False
+            if rss <= int(limit * (1 << 20)):
+                return False
+            kind, event = DueKind.OOM, "sandbox_oom_kill"
+            detail = (
+                f"rss {rss / (1 << 20):.0f} MiB exceeded the "
+                f"{limit:.0f} MiB ceiling; worker killed"
+            )
+        self._retire(live)
+        events.append(self._failure(lease_id, event, run, detail))
+        config = self._config
+        record = supervisor_for(config).due_record(
+            run, *config.run_args(run), kind=kind, detail=f"sandbox: {detail}"
+        )
+        row = record.to_dict()
+        count_run(row, time.monotonic() - live.began)
+        events.append(BackendEvent("rec", lease_id, run=run, row=row))
+        self._results.append(LeaseResult(lease_id, "killed", detail=detail))
+        del self._live[lease_id]
+        return True
+
+    def _failure(self, lease_id: str, event: str, run: int, detail: str) -> BackendEvent:
+        benchmark = self._config.benchmark
+        payload = {"event": event, "benchmark": benchmark, "run": run, "detail": detail}
+        return BackendEvent("failure", lease_id, payload=payload)
 
     def _judge(self, live: _LeaseProc, events: list[BackendEvent]) -> None:
         """Stage a terminal result once the lease's fate is knowable."""
@@ -346,13 +392,11 @@ class InlineBackend(ShardBackend):
     and checkpoints while the lease (normally the whole campaign) runs
     on.  One lease at a time: capacity is 0 while a lease is staged or its
     result is still undrained.  ``on_run_done`` is called after every
-    record (the live progress line's tick).  No liveness to lose: a run
-    that hangs or kills this process takes the campaign with it —
-    subprocess isolation exists for exactly that.
-
-    Without a sandbox the runs go through ``runner(on_event)``, the
-    campaign's runner in this process.  With one, the sandbox's owner
-    warms the cached runner its workers fork from.
+    record (the live progress line's tick).  The runs go through
+    ``runner(on_event)``, the campaign's runner in this process.  No
+    liveness to lose: a run that hangs or kills this process takes the
+    campaign with it — subprocess isolation, which runs every lease in
+    a :class:`LocalBackend` worker, exists for exactly that.
     """
 
     def __init__(
@@ -360,16 +404,12 @@ class InlineBackend(ShardBackend):
         config: "CampaignKind[Any]",
         *,
         runner: Callable[[EventCallback], Any],
-        isolation: IsolationConfig | None = None,
         on_run_done: Callable[[], Any] | None = None,
     ):
         self._config = config
         self._runner = runner
-        self._isolation = isolation or IsolationConfig()
         self._on_run_done = on_run_done
-        self._sandbox: InjectionSandbox | None = None
         self._lease: ShardLease | None = None
-        self._running = ""
         self._events: list[BackendEvent] = []
         self._handler: Callable[[BackendEvent], None] | None = None
         self._handler_error: BaseException | None = None
@@ -401,17 +441,9 @@ class InlineBackend(ShardBackend):
     def heartbeats(self) -> list[BackendEvent]:
         lease, self._lease = self._lease, None
         if lease is not None:
-            self._running = lease.lease_id
-            if self._sandbox is None:
-                self._sandbox = _new_sandbox(
-                    self._config,
-                    self._isolation,
-                    lambda event: self._send(BackendEvent("failure", self._running, payload=event)),
-                )
             result = _run_lease(
                 self._config,
                 lease,
-                self._sandbox,
                 self._runner,
                 self._send,
                 # A failed handler ends the lease at the next run.
@@ -435,6 +467,3 @@ class InlineBackend(ShardBackend):
 
     def close(self) -> None:
         self._lease = None
-        if self._sandbox is not None:
-            self._sandbox.close()
-            self._sandbox = None

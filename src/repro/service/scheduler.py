@@ -32,7 +32,7 @@ pool one lease per worker.
 * **quarantine dedup** — a run is quarantined exactly once per
   campaign, keyed by ``(shard, run)``; every later lease ships the
   quarantined runs of its range, so a poison run is never re-executed
-  in another worker without its ``sandbox:`` failure event on record.
+  in another worker without its ``quarantine`` event on record.
 
 None of this can change campaign records: per-run RNG is keyed by run
 index, so a re-leased run produces byte-identical rows wherever and
@@ -230,8 +230,8 @@ def run_shards(
 
         Dedupe by ``(shard, run)``: only the first failure past the
         threshold emits the quarantine event and extends the skip set,
-        so no lease ever skips a run without its ``sandbox:`` event on
-        record.
+        so no lease ever skips a run without its ``quarantine`` event
+        on record.
         """
         key = (shard.spec.index, run)
         if key in quarantined:
@@ -344,12 +344,15 @@ def run_shards(
             return  # cancelled lease racing its own result: already judged
         if result.status == "error":
             # The executor attributes its own exception: a run-level
-            # error names the run, an infrastructure one (a sandbox that
-            # cannot start) names none and charges no run.
+            # error names the run, an infrastructure one (a runner that
+            # cannot be built) names none and charges no run.
             state.current_run = result.error_run
             handle_failure(state, result.detail, "run_error")
         elif result.status == "dead":
             handle_failure(state, result.detail, "worker_death")
+        # ``done`` and ``killed`` are no failures: a killed lease's
+        # record of its killed run has arrived, and settle() re-queues
+        # the rest of its range.
         settle()
 
     def handle_event(event: BackendEvent, now: float) -> None:

@@ -96,7 +96,6 @@ __all__ = [
     "append_snapshot",
     "current_registry",
     "current_tracer",
-    "deactivate",
     "parse_prometheus_samples",
     "parse_prometheus_series",
     "parse_prometheus_text",
@@ -134,18 +133,6 @@ def activate(registry: MetricsRegistry, tracer: Any) -> Iterator[None]:
         yield
     finally:
         _REGISTRY, _TRACER = previous
-
-
-def deactivate() -> None:
-    """Hard-reset ambient telemetry to disabled (no restore).
-
-    For processes that inherit an active telemetry scope they can never
-    report back through — e.g. the isolation sandbox's grandchild
-    workers, whose records travel over their own pipe while spans and
-    metrics would silently pile up in a buffer nobody drains.
-    """
-    global _REGISTRY, _TRACER
-    _REGISTRY, _TRACER = NULL_REGISTRY, NOOP_TRACER
 
 
 # -- configuration and facades -------------------------------------------------

@@ -32,7 +32,7 @@ from repro.telemetry import Telemetry, TelemetryConfig
 from repro.util.jsonlog import load_records, load_records_tolerant
 
 #: Small, fast campaign: nw with 4 steps, 24 injections over 4 shards,
-#: every run scalar (the batch counters are per-process, DESIGN §11.4).
+#: every run scalar (batch groups follow each lease's range, DESIGN §11.4).
 CONFIG = CampaignConfig(
     benchmark="nw",
     injections=24,
@@ -301,12 +301,26 @@ FAST_RETRY = RetryPolicy(backoff_base_s=0.001, backoff_cap_s=0.002)
 
 
 def test_unknown_benchmark_fails_with_retry(tmp_path):
+    """A runner that cannot be built fails its lease, in process or in a
+    forked lease worker; no run is charged, and the shard fails."""
     bad = CampaignConfig(benchmark="no-such-benchmark", injections=4, seed=1)
-    events = []
-    with pytest.raises(ShardFailure):
-        run_campaign(bad, workers=1, shard_size=2, progress=events.append, retry=FAST_RETRY)
-    kinds = [e.event for e in events]
-    assert "retried" in kinds and "failed" in kinds
+    for isolation in (None, IsolationConfig(mode=IsolationMode.SUBPROCESS)):
+        events = []
+        log = tmp_path / f"failures-{isolation is None}.jsonl"
+        with pytest.raises(ShardFailure):
+            run_campaign(
+                bad,
+                workers=1,
+                shard_size=2,
+                progress=events.append,
+                retry=FAST_RETRY,
+                isolation=isolation,
+                failure_log=log,
+            )
+        kinds = [e.event for e in events]
+        assert "retried" in kinds and "failed" in kinds
+        errors = [e for e in load_records_tolerant(log)[0] if e["event"] == "run_error"]
+        assert errors and all(e["run"] is None for e in errors)
 
 
 def test_shard_failure_carries_attempt_count():
@@ -437,20 +451,20 @@ def quarantined_records(result):
 
 @pytest.mark.parametrize(
     "failure, isolation",
-    [("oserror", None), ("exit", SUBPROC)],
-    ids=["inproc-oserror", "subprocess-exit"],
+    [("oserror", None), ("exit", SUBPROC), ("abort", SUBPROC), ("oserror", SUBPROC)],
+    ids=["inproc-oserror", "subprocess-exit", "subprocess-abort", "subprocess-oserror"],
 )
 def test_quarantined_records_do_not_depend_on_worker_count(failure, isolation):
-    """One scheduler decides quarantine, so a poison run's record — its
-    ``due_detail`` included — is the same serial and pooled."""
-    serial = run_campaign(
-        _chaos(failure), workers=1, shard_size=4, retry=FAST_RETRY, isolation=isolation
-    )
-    pooled = run_campaign(
-        _chaos(failure), workers=2, shard_size=4, retry=FAST_RETRY, isolation=isolation
-    )
-    assert quarantined_records(serial)
-    assert dicts(pooled) == dicts(serial)
+    """One scheduler decides quarantine over one kind of lease worker, so
+    a poison run's record — its ``due_detail`` included — is the
+    in-process pool's at any worker count and isolation mode."""
+    reference = run_campaign(_chaos(failure), workers=2, shard_size=4, retry=FAST_RETRY)
+    assert quarantined_records(reference)
+    for workers in (1, 2):
+        result = run_campaign(
+            _chaos(failure), workers=workers, shard_size=4, retry=FAST_RETRY, isolation=isolation
+        )
+        assert dicts(result) == dicts(reference), workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -499,17 +513,23 @@ def _running(pid):
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="needs /proc")
-def test_subprocess_campaigns_leave_no_sandbox_alive(tmp_path):
+def test_subprocess_campaigns_leave_no_lease_worker_alive(tmp_path):
     lud = CampaignConfig(benchmark="lud", injections=8, seed=13)
     for config, workers in ((CONFIG, 1), (lud, 1), (CONFIG, 2)):
-        log = tmp_path / f"{config.benchmark}-{workers}.jsonl"
+        trace = tmp_path / f"{config.benchmark}-{workers}.jsonl"
+        tel = Telemetry(TelemetryConfig(trace_path=trace))
         run_campaign(
-            config, workers=workers, shard_size=SHARD_SIZE, isolation=SUBPROC, failure_log=log
+            config, workers=workers, shard_size=SHARD_SIZE, isolation=SUBPROC, telemetry=tel
         )
+        tel.finalize()
         children = [p.name for p in multiprocessing.active_children()]
-        assert not [name for name in children if name.startswith("sandbox-")], children
-        spawned = [e["pid"] for e in load_records_tolerant(log)[0] if e["event"] == "sandbox_spawn"]
-        assert spawned, "the campaign never ran a sandbox; test is vacuous"
+        assert not [name for name in children if name.startswith("lease-")], children
+        spawned = [
+            int(span["attrs"]["worker"].rpartition("pid")[2])
+            for span in load_records(trace)
+            if span["name"] == "lease"
+        ]
+        assert spawned, "the campaign never ran a lease worker; test is vacuous"
         assert not [pid for pid in spawned if _running(pid)]
 
 
@@ -571,27 +591,9 @@ def test_parallel_telemetry_counters_match_serial_twin(serial_result):
     )
     assert dicts(serial) == dicts(serial_result)
     assert dicts(parallel) == dicts(serial_result)
-    serial_counters = tel_serial.registry.counter_values()
-    parallel_counters = tel_parallel.registry.counter_values()
-    # Sandbox spawn counts depend on worker topology (one sandbox per
-    # shard worker, not per run): drop them before comparing.  The
-    # prefix-cache efficiency counters are likewise topology
-    # dependent — each sandbox grandchild builds its own snapshot store
-    # and its counters die with it — so they are dropped too.
-    cache_families = (
-        "repro_snapshot_restores_total",
-        "repro_snapshot_captures_total",
-        "repro_steps_skipped_total",
-        "repro_steps_converged_total",
-        "repro_compare_fastpath_total",
-        "repro_snapshot_budget_degraded_total",
-    )
-    for counters in (serial_counters, parallel_counters):
-        counters.pop("repro_sandbox_spawns_total", None)
-        counters.get("repro_failure_events_total", {}).pop("event=sandbox_spawn", None)
-        for family in cache_families:
-            counters.pop(family, None)
-    assert parallel_counters == serial_counters
+    # Every lease worker ships its deltas back, prefix-cache counters
+    # included, so the two registries hold equal totals in every family.
+    assert tel_parallel.registry.counter_values() == tel_serial.registry.counter_values()
 
 
 def test_disabled_telemetry_leaves_records_bit_identical(serial_result):

@@ -1,11 +1,14 @@
-"""Process-isolated injection sandbox: observed deaths, kills, quarantine.
+"""Subprocess isolation: observed deaths, kills, quarantine.
 
-The chaos benchmark misbehaves only on runs whose injection corrupts its
-trigger word to a non-zero value, so every campaign here has a *benign
-twin* (``failure="none"``) with bit-identical records for all other
-runs.  The acceptance bar: a campaign whose benchmark raises genuinely
-uncatchable conditions completes, with the offending runs recorded as
-DUEs carrying a ``sandbox:`` detail and everything else untouched.
+Under subprocess isolation every lease runs in a forked lease worker,
+at any worker count, and the local backend kills a worker whose run
+passes its deadline or RSS ceiling.  The chaos benchmark misbehaves
+only on runs whose injection corrupts its trigger word to a non-zero
+value, so every campaign here has a *benign twin* (``failure="none"``)
+with bit-identical records for all other runs.  The acceptance bar: a
+campaign whose benchmark raises genuinely uncatchable conditions
+completes, with the offending runs recorded as DUEs carrying a
+``sandbox:`` detail and everything else untouched.
 
 Workers get their runner by fork from the per-process cache
 (``supervisor_for``), so the last tests pin that cache's lifetime.
@@ -20,10 +23,8 @@ from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.carolfi.engine import RetryPolicy
 from repro.carolfi.isolation import (
     _SUPERVISORS,
-    InjectionSandbox,
     IsolationConfig,
     IsolationMode,
-    SandboxError,
     rss_bytes,
     supervisor_key,
 )
@@ -59,6 +60,21 @@ def assert_matches_twin_except_sandbox_dues(result, clean_twin):
             assert record.to_dict() == twin.to_dict()
     assert sandbox_dues, "campaign never hit the trigger; test is vacuous"
     return sandbox_dues
+
+
+def assert_kills_are_outcomes(log, dues, event):
+    """A kill is the killed run's outcome, not a failure: one ``event``
+    per killed run, charged to its shard, and no failure event names
+    that run."""
+    events, skipped = load_records_tolerant(log)
+    assert skipped == 0
+    kills = [e for e in events if e["event"] == event]
+    assert sorted(e["run"] for e in kills) == sorted(r.run_index for r in dues)
+    assert all(e["shard"] == e["run"] // 4 for e in kills)  # shard_size=4
+    killed = {r.run_index for r in dues}
+    failures = ("run_error", "worker_death")
+    assert not [e for e in events if e["event"] in failures and e["run"] in killed]
+    assert not [e for e in events if e["event"] == "retry"]  # retries name no run
 
 
 # -- config validation ---------------------------------------------------------
@@ -110,19 +126,12 @@ def test_sandbox_records_match_inproc_for_clean_benchmark():
     assert [r.to_dict() for r in sandboxed.records] == [r.to_dict() for r in inproc.records]
 
 
-def test_sandbox_run_one_direct():
-    config = chaos_config("none")
-    with InjectionSandbox(config) as sandbox:
-        record = sandbox.run_one(0, FaultModel.SINGLE)
-    assert record.benchmark == "chaos"
-    assert record.run_index == 0
-
-
 # -- uncatchable failure modes (the acceptance criteria) -----------------------
 
 
 def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
-    """``os._exit(86)`` kills the worker; the run ends up a DUE, twice-tried."""
+    """``os._exit(86)`` kills the lease worker; the run ends up a DUE,
+    twice-tried."""
     log = tmp_path / "failures.jsonl"
     result = run_campaign(
         chaos_config("exit"), workers=1, shard_size=4, isolation=SUBPROC, failure_log=log
@@ -133,15 +142,16 @@ def test_hard_exit_is_quarantined_as_crash_due(tmp_path, clean_twin):
     events, skipped = load_records_tolerant(log)
     assert skipped == 0
     kinds = [e["event"] for e in events]
-    assert "sandbox_death" in kinds and "quarantine" in kinds
-    # The sandbox only reports each death; the scheduler charges it to
+    assert "worker_death" in kinds and "quarantine" in kinds
+    # The backend only reports each death; the scheduler charges it to
     # the run as a failed execution and quarantines at the threshold.
     quarantined = {e["run"] for e in events if e["event"] == "quarantine"}
     assert len(quarantined) == sum("quarantined" in r.due_detail for r in dues)
     for run in quarantined:
-        errors = [e for e in events if e["event"] == "run_error" and e["run"] == run]
-        assert len(errors) == RetryPolicy().max_run_deaths
-        assert max(e["deaths"] for e in errors) == RetryPolicy().max_run_deaths
+        deaths = [e for e in events if e["event"] == "worker_death" and e["run"] == run]
+        assert len(deaths) == RetryPolicy().max_run_deaths
+        assert max(e["deaths"] for e in deaths) == RetryPolicy().max_run_deaths
+        assert all(e["detail"] == "shard worker exit code 86" for e in deaths)
 
 
 def test_signal_death_classified_as_crash(clean_twin):
@@ -152,53 +162,52 @@ def test_signal_death_classified_as_crash(clean_twin):
     assert all(r.due_kind is DueKind.CRASH for r in dues)
 
 
-def test_guard_free_spin_killed_at_deadline_as_hang(clean_twin):
-    """A busy loop that never re-enters a guard only dies at the hard kill."""
+def test_guard_free_spin_killed_at_deadline_as_hang(tmp_path, clean_twin):
+    """A busy loop that never re-enters a guard only dies at the hard
+    kill, with one lease worker or two."""
     iso = IsolationConfig(mode=IsolationMode.SUBPROCESS, timeout_s=1.0)
-    result = run_campaign(chaos_config("spin", spin_s=60.0), workers=1, shard_size=4, isolation=iso)
-    dues = assert_matches_twin_except_sandbox_dues(result, clean_twin)
-    assert all(r.due_kind is DueKind.HANG for r in dues)
-    assert all("wall-clock deadline" in r.due_detail for r in dues)
+    for workers in (1, 2):
+        log = tmp_path / f"failures-{workers}.jsonl"
+        result = run_campaign(
+            chaos_config("spin", spin_s=60.0),
+            workers=workers,
+            shard_size=4,
+            isolation=iso,
+            failure_log=log,
+        )
+        dues = assert_matches_twin_except_sandbox_dues(result, clean_twin)
+        assert all(r.due_kind is DueKind.HANG for r in dues)
+        assert all(
+            r.due_detail == "sandbox: wall-clock deadline 1.0s exceeded; worker killed"
+            for r in dues
+        )
+        assert_kills_are_outcomes(log, dues, "sandbox_timeout_kill")
 
 
-def test_runaway_allocation_killed_at_rss_ceiling_as_oom(clean_twin):
+def test_runaway_allocation_killed_at_rss_ceiling_as_oom(tmp_path, clean_twin):
     if rss_bytes(os.getpid()) is None:
         pytest.skip("no /proc RSS accounting on this platform")
     iso = IsolationConfig(mode=IsolationMode.SUBPROCESS, mem_limit_mb=200)
-    result = run_campaign(
-        chaos_config("alloc", alloc_cap_mb=600), workers=1, shard_size=4, isolation=iso
-    )
-    dues = assert_matches_twin_except_sandbox_dues(result, clean_twin)
-    assert all(r.due_kind is DueKind.OOM for r in dues)
-    assert all("ceiling" in r.due_detail for r in dues)
+    for workers in (1, 2):
+        log = tmp_path / f"failures-{workers}.jsonl"
+        result = run_campaign(
+            chaos_config("alloc", alloc_cap_mb=600),
+            workers=workers,
+            shard_size=4,
+            isolation=iso,
+            failure_log=log,
+        )
+        dues = assert_matches_twin_except_sandbox_dues(result, clean_twin)
+        assert all(r.due_kind is DueKind.OOM for r in dues)
+        assert all("ceiling" in r.due_detail for r in dues)
+        assert_kills_are_outcomes(log, dues, "sandbox_oom_kill")
 
 
 def test_parallel_sandbox_campaign_matches_twin(clean_twin):
-    """Acceptance: pool + sandbox completes; non-poison records identical."""
+    """Acceptance: a subprocess pool completes; non-poison records identical."""
     result = run_campaign(chaos_config("abort"), workers=2, shard_size=4, isolation=SUBPROC)
     assert_matches_twin_except_sandbox_dues(result, clean_twin)
 
-
-# -- sandbox infrastructure failures ------------------------------------------
-
-
-def test_unknown_benchmark_raises_sandbox_error():
-    config = CampaignConfig(benchmark="no-such-benchmark", injections=1, seed=1)
-    sandbox = InjectionSandbox(config)
-    with pytest.raises(SandboxError):
-        sandbox.run_one(0, FaultModel.SINGLE)
-    sandbox.close()
-
-
-def test_deadline_and_metadata_survive_worker_death():
-    """Geometry stays available after a kill (no respawn just to classify)."""
-    config = chaos_config("none")
-    with InjectionSandbox(config) as sandbox:
-        steps = sandbox.total_steps
-        windows = sandbox.num_windows
-        sandbox._teardown()
-        assert sandbox.total_steps == steps
-        assert sandbox.num_windows == windows
 
 
 # -- the runner cache forked workers inherit -----------------------------------
@@ -208,7 +217,7 @@ NW_PARAMS = {"n": 16, "rows_per_step": 4}
 
 @pytest.mark.parametrize("workers, isolation", [(2, None), (1, SUBPROC)], ids=["pool", "sandbox"])
 def test_forking_campaigns_walk_the_golden_run_once(tmp_path, workers, isolation):
-    """A pool's and a sandbox's owner warm the runner before forking;
+    """A pool and a subprocess campaign warm the runner before forking;
     lease workers inherit it, so no process walks the golden run again."""
     config = CampaignConfig(
         benchmark="nw", injections=16, seed=37, benchmark_params=dict(NW_PARAMS)

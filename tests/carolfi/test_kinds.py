@@ -7,8 +7,8 @@ kept here on a runner of its own:
 * hardened: ``[supervisor.run_one(i, models[i % 4]) for i in range(n)]``.
 
 Every execution mode of :func:`~repro.carolfi.campaign.run_campaign` —
-inline, pooled, sandboxed, sharded differently, checkpointed and
-resumed — must produce exactly those records.
+inline, pooled, in a subprocess lease worker, sharded differently,
+checkpointed and resumed — must produce exactly those records.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def test_beam_shortcut_runs_on_the_callers_experiment(monkeypatch):
 @pytest.mark.parametrize("mode", ["inline", "pool", "sandbox-shard5"])
 def test_hardened_campaign_builds_one_runner_in_this_process(monkeypatch, mode):
     """The guard cost comes from the runner the campaign already built:
-    the inline executor's, or the warm-up a pool or sandbox forks from."""
+    the inline executor's, or the warm-up lease workers fork from."""
     built = []
     original = HardenedSupervisor.__init__
 
@@ -266,7 +266,7 @@ def test_beam_sandbox_death_is_quarantined_as_a_beam_due(monkeypatch):
             os._exit(86)
         return original(self, bench, state, index, resource, rng)
 
-    # The forked sandbox worker inherits the patched machine model.
+    # The forked lease worker inherits the patched machine model.
     monkeypatch.setattr(XeonPhiMachine, "apply_strike", dying)
     result = run_campaign(
         beam_config("lud", 16), shard_size=4, isolation=SUBPROC, retry=FAST

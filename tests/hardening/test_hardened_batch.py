@@ -6,10 +6,10 @@ like a CAROL-FI one: members join the golden walk at their interrupt
 steps, where :meth:`~repro.hardening.hardened.HardenedSupervisor.perturb`
 syncs their guards, flips and verifies once, and
 :meth:`~repro.hardening.hardened.HardenedSupervisor.finish` classifies
-the flushed output.  A member whose guard trips at join, or whose
-control state leaves the golden trajectory, finishes through
-``run_one``.  Either way each record must equal the from-step-0 replay
-of ``test_hardened_resume``.
+the flushed output.  A member whose guard trips at join is recorded
+there, from the ``FaultDetected``; one whose control state leaves the
+golden trajectory finishes through ``run_one``.  Either way each record
+must equal the from-step-0 replay of ``test_hardened_resume``.
 """
 
 from __future__ import annotations
@@ -59,24 +59,30 @@ def batched(sup, jobs, width: int):
 @pytest.mark.parametrize("seed", [1, 2])
 @pytest.mark.parametrize("name", names())
 def test_batched_records_match_full_replay(name, seed, width):
-    """Every plan vectorizes members and sends members a guard detects
-    at join to the scalar fallback; dgemm's and nw's also send
-    incoherent ones there, and CLAMR, without ``step_batch``, runs
-    every member scalar."""
+    """Every plan vectorizes members and records the members a guard
+    detects at join in the batch pass itself; dgemm's and nw's send
+    incoherent ones to the scalar fallback, and CLAMR, without
+    ``step_batch``, runs every member scalar."""
     sup = supervisor_for(name, seed)
     jobs = plan(sup)
     got, records, reached = batched(sup, jobs, width)
     assert got == reference(name, seed)
     if sup.benchmark.supports_batching:
         assert reached["vectorized"] > 0
-        assert reached["perturb"] > 0, "no guard tripped at join"
+        detected = [
+            r for r in records.values() if r.outcome == "detected" and r.detected_by != "abft"
+        ]
+        assert detected, "no guard tripped at join"
+        assert "perturb" not in reached
         assert name not in INCOHERENT or reached["incoherent"] > 0
     else:
         assert records == {} and reached == {"fallback": len(jobs), "unsupported": len(jobs)}
 
 
 def test_a_raising_perturb_leaves_the_rest_of_its_group_vectorized(monkeypatch):
-    """Only the member whose ``perturb`` raises leaves the group: every
+    """A member whose ``perturb`` raises leaves the group alone: a
+    ``FaultDetected`` is recorded at join as ``run_one`` records it, an
+    ``OSError`` (outside the crash net) falls back.  Either way every
     other member the walk vectorizes without the raise, it vectorizes
     with it, to the same record."""
     sup = supervisor_for("lavamd", 1)
@@ -89,13 +95,22 @@ def test_a_raising_perturb_leaves_the_rest_of_its_group_vectorized(monkeypatch):
         key=lambda record: (record.interrupt_step, record.run_index),
     )
     original = sup.perturb
-
-    def perturb(state, step, model, rng):
-        if step == victim.interrupt_step:
-            raise FaultDetected("box_ctl", GuardKind.DWC)
-        return original(state, step, model, rng)
-
-    monkeypatch.setattr(sup, "perturb", perturb)
-    records = BatchRunner(sup, 8).run_many(runs)
     assert len(baseline) > 2
-    assert records == {run: r for run, r in baseline.items() if run != victim.run_index}
+    rest = {run: r for run, r in baseline.items() if run != victim.run_index}
+    for error in (FaultDetected("box_ctl", GuardKind.DWC), OSError("outside the net")):
+
+        def perturb(state, step, model, rng):
+            if step == victim.interrupt_step:
+                raise error
+            return original(state, step, model, rng)
+
+        monkeypatch.setattr(sup, "perturb", perturb)
+        records = BatchRunner(sup, 8).run_many(runs)
+        if isinstance(error, FaultDetected):
+            scalar = sup.run_one(
+                victim.run_index, victim.fault_model, interrupt_step=victim.interrupt_step
+            )
+            assert scalar.outcome == "detected"
+            assert records == {**rest, victim.run_index: scalar}
+        else:
+            assert records == rest

@@ -21,14 +21,14 @@ LEASE = ShardLease(lease_id="s00000.1", shard_index=0, start=0, stop=2, attempt=
 REC = BackendEvent("rec", LEASE.lease_id, run=0, row={"run_index": 0})
 
 
-def undecodable_then_rec(config, lease, isolation, shard_tel, conn):
+def undecodable_then_rec(config, lease, shard_tel, conn):
     """A message that does not unpickle, a valid record, then death."""
     conn.send_bytes(b"\x00 not a pickle")
     conn.send(REC)
     os._exit(5)
 
 
-def torn_message(config, lease, isolation, shard_tel, conn):
+def torn_message(config, lease, shard_tel, conn):
     """A length prefix announcing more bytes than follow, then death."""
     os.write(conn.fileno(), struct.pack("!i", 1000) + b"x" * 10)
     os._exit(3)

@@ -170,7 +170,7 @@ def test_poison_run_quarantined_once_with_lease_attribution(tmp_path, serial_row
     assert trigger["deaths"] == FAST.max_run_deaths
     # Every lease issued after the triggering one whose range covers the
     # run ships the skip entry: the run is never re-leased without its
-    # sandbox event.
+    # quarantine event.
     covering = [l for l in backend.submitted if l.start <= poison < l.stop]
     assert [poison in l.skip for l in covering] == [
         k >= FAST.max_run_deaths for k in range(len(covering))

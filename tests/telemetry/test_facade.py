@@ -1,4 +1,4 @@
-"""Ambient telemetry: activate/deactivate scoping and the Telemetry bundle."""
+"""Ambient telemetry: activate scoping and the Telemetry bundle."""
 
 from repro.telemetry import (
     DISABLED,
@@ -9,7 +9,6 @@ from repro.telemetry import (
     activate,
     current_registry,
     current_tracer,
-    deactivate,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import Tracer
@@ -40,16 +39,6 @@ def test_activate_restores_on_exception():
             raise RuntimeError
     except RuntimeError:
         pass
-    assert current_registry() is NULL_REGISTRY
-
-
-def test_deactivate_hard_resets_inside_scope():
-    """Sandbox grandchildren kill inherited telemetry without a restore."""
-    reg = MetricsRegistry()
-    with activate(reg, NOOP_TRACER):
-        deactivate()
-        assert current_registry() is NULL_REGISTRY
-    # The outer scope's exit restores the pre-activate state regardless.
     assert current_registry() is NULL_REGISTRY
 
 
