@@ -16,8 +16,9 @@ Python/NumPy:
   spatial error patterns, relative-error tolerance sweeps, PVF by fault
   model and time window, criticality grading, machine-scale MTBF;
 * the mitigation techniques of the paper's discussion
-  (:mod:`repro.hardening`): ABFT, residue codes, duplication with
-  comparison, parity, redundant execution, selective plans;
+  (:mod:`repro.hardening`): ABFT and runtime guards (duplication with
+  comparison, parity, checksums) that hardened campaigns execute, and
+  the per-benchmark plans with each technique's detection probability;
 * a harness regenerating every figure and table
   (:mod:`repro.experiments`, CLI ``repro-experiments``).
 

@@ -1,24 +1,29 @@
 """Mitigation techniques and selective-hardening evaluation.
 
-Implements the techniques the paper's Section 6.1 discussion (and its
-"future work" plan) names, plus the machinery to evaluate them against
+Each technique the paper's Section 6.1 discussion (and its "future
+work" plan) names has one executable form, run by the hardened
+campaigns, and one model, its detection probability, replayed over
 recorded campaigns:
 
-* :mod:`repro.hardening.abft` — Huang-Abraham checksum matmul
-  (corrects single/line/random output patterns);
-* :mod:`repro.hardening.residue` — mod-3 / mod-15 residue codes
-  (catch Random/Zero and logic faults ECC cannot);
-* :mod:`repro.hardening.dwc` — selective duplication with comparison;
-* :mod:`repro.hardening.parity` — per-word parity (NW's single-fault
-  profile);
-* :mod:`repro.hardening.rmt` — redundant execution;
-* :mod:`repro.hardening.selective` — per-benchmark plans and the
-  criticality-driven recommender;
+* :mod:`repro.hardening.abft` — Huang-Abraham checksums for DGEMM's
+  output (corrects single/line/random output patterns);
+* :mod:`repro.hardening.guards` — runtime variable guards: DWC shadow
+  copies, per-word parity and float checksums;
+* :mod:`repro.hardening.hardened` — hardened campaigns, the guards and
+  ABFT around CAROL-FI injections (the paper's Section 7);
+* :mod:`repro.hardening.selective` — the paper's per-benchmark plans
+  and each technique's detection probability by fault model;
 * :mod:`repro.hardening.evaluate` — analytical coverage replay over
   injection and beam campaigns.
 """
 
-from repro.hardening.guards import FaultDetected, GuardKind, VariableGuard, build_guards
+from repro.hardening.guards import (
+    FaultDetected,
+    GuardKind,
+    VariableGuard,
+    build_guards,
+    word_parity,
+)
 from repro.hardening.hardened import (
     HardenedCampaignResult,
     HardenedConfig,
@@ -31,24 +36,18 @@ from repro.hardening.abft import (
     AbftResult,
     abft_check,
     abft_checksums,
-    abft_matmul,
 )
-from repro.hardening.dwc import DuplicatedVariable, DwcMismatch
 from repro.hardening.evaluate import (
     ABFT_CORRECTABLE_PATTERNS,
     CoverageReport,
     abft_beam_coverage,
     evaluate_plan,
 )
-from repro.hardening.parity import ParityMismatch, ParityProtected, word_parity
-from repro.hardening.residue import ResidueChecker, ResidueMismatch
-from repro.hardening.rmt import RedundantRunResult, redundant_run
 from repro.hardening.selective import (
     RECOMMENDED_PLANS,
     HardeningPlan,
     Technique,
     detection_probability,
-    recommend_plan,
 )
 
 __all__ = [
@@ -65,23 +64,13 @@ __all__ = [
     "AbftOutcome",
     "AbftResult",
     "CoverageReport",
-    "DuplicatedVariable",
-    "DwcMismatch",
     "HardeningPlan",
-    "ParityMismatch",
-    "ParityProtected",
     "RECOMMENDED_PLANS",
-    "RedundantRunResult",
-    "ResidueChecker",
-    "ResidueMismatch",
     "Technique",
     "abft_beam_coverage",
     "abft_check",
     "abft_checksums",
-    "abft_matmul",
     "detection_probability",
     "evaluate_plan",
-    "recommend_plan",
-    "redundant_run",
     "word_parity",
 ]

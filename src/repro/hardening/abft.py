@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["AbftOutcome", "AbftResult", "abft_check", "abft_checksums", "abft_matmul"]
+__all__ = ["AbftOutcome", "AbftResult", "abft_check", "abft_checksums"]
 
 
 class AbftOutcome(str, enum.Enum):
@@ -56,12 +56,6 @@ def abft_checksums(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray
     row_check = a @ b.sum(axis=1)
     col_check = a.sum(axis=0) @ b
     return row_check, col_check
-
-
-def abft_matmul(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """C = A @ B plus its protection checksums."""
-    row_check, col_check = abft_checksums(a, b)
-    return a @ b, row_check, col_check
 
 
 def _relative_tol(reference: np.ndarray, rtol: float) -> float:

@@ -1,7 +1,8 @@
 """Runtime variable guards for hardened execution.
 
-The evaluation in :mod:`repro.hardening.evaluate` is analytical; this
-module provides the *executable* counterparts used by the hardened
+The evaluation in :mod:`repro.hardening.evaluate` is analytical (each
+technique's :func:`~repro.hardening.selective.detection_probability`);
+this module provides the *executable* counterparts used by the hardened
 campaigns (:mod:`repro.hardening.hardened`): small check objects
 attached to live benchmark variables, verified between scheduling
 quanta and re-synced after every legitimate step.
@@ -10,8 +11,8 @@ Three guard kinds cover the paper's software techniques:
 
 * ``DWC`` — a bitwise shadow copy (duplication with comparison):
   detects every corruption of the protected store;
-* ``PARITY`` — one parity bit per word: detects odd-multiplicity
-  corruption, misses even (the Double model);
+* ``PARITY`` — one parity bit per word (:func:`word_parity`): detects
+  odd-multiplicity corruption, misses even (the Double model);
 * ``CHECKSUM`` — float row/column sums, the software analogue of the
   residue check for floating-point data (a residue code proper needs
   integer arithmetic): detects any value change outside float
@@ -28,7 +29,6 @@ import numpy as np
 
 from repro.benchmarks.base import Variable
 from repro.faults.site import FaultSite
-from repro.hardening.parity import word_parity
 
 __all__ = [
     "DetectorEvent",
@@ -38,7 +38,27 @@ __all__ = [
     "attach_observer",
     "build_guards",
     "sync_guards",
+    "word_parity",
 ]
+
+#: Parity (0/1) of each possible byte, for XOR-fold parity computation.
+_BYTE_PARITY = np.array([bin(i).count("1") & 1 for i in range(256)], dtype=np.uint8)
+
+
+def word_parity(arr: np.ndarray) -> np.ndarray:
+    """Parity bit (0/1) of each element's byte representation.
+
+    XOR-folds the element's bytes (parity is XOR-linear) and looks the
+    folded byte's parity up, so the scan is two vectorised passes.
+    """
+    if not isinstance(arr, np.ndarray):
+        raise TypeError("expected ndarray")
+    if arr.dtype.hasobject:
+        raise TypeError("cannot compute parity of object arrays")
+    flat = np.ascontiguousarray(arr).reshape(-1)
+    bytes_ = flat.view(np.uint8).reshape(flat.size, arr.dtype.itemsize)
+    folded = np.bitwise_xor.reduce(bytes_, axis=1)
+    return _BYTE_PARITY[folded]
 
 
 class FaultDetected(RuntimeError):

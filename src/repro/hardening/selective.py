@@ -5,8 +5,11 @@ what matters: "we can evaluate the most critical code portions, fault
 models, and time windows for each class of application and apply the
 most appropriate level of protection to provide the desired level of
 resilience."  This module encodes the paper's per-benchmark
-recommendations and a generic recommender that derives a plan from a
-criticality report.
+recommendations and the model of each technique: the probability that
+it detects a fault of each model, which the mitigation experiment
+replays over CAROL-FI records (:mod:`repro.hardening.evaluate`).  The
+techniques a campaign can execute run as the guards of
+:mod:`repro.hardening.guards`.
 """
 
 from __future__ import annotations
@@ -14,17 +17,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.analysis.criticality import PortionReport
 from repro.faults.models import FaultModel
-from repro.hardening.parity import detection_probability as parity_detection
-from repro.hardening.residue import detection_probability as residue_detection
 
 __all__ = [
     "HardeningPlan",
     "RECOMMENDED_PLANS",
     "Technique",
     "detection_probability",
-    "recommend_plan",
 ]
 
 
@@ -39,16 +38,19 @@ class Technique(str, enum.Enum):
     RMT = "redundant_multithreading"
 
 
-#: Rough cost models used for plan comparison: (memory overhead as a
-#: fraction of protected bytes, time overhead factor on protected code).
-TECHNIQUE_COSTS: dict[Technique, tuple[float, float]] = {
-    Technique.ABFT: (2.0 / 64.0, 1.10),  # one checksum row+col on an n x n tile
-    Technique.RESIDUE_MOD3: (2.0 / 64.0, 1.08),
-    Technique.RESIDUE_MOD15: (4.0 / 64.0, 1.08),
-    Technique.DWC: (1.0, 1.05),
-    Technique.PARITY: (1.0 / 64.0, 1.03),
-    Technique.RMT: (1.0, 2.00),
-}
+def _residue_detection(modulus: int, flipped_bits: int) -> float:
+    """Share of the 1- or 2-bit flips of a 64-bit word that change its
+    residue mod ``modulus``, counted over every choice of bit positions.
+
+    A flip changes the value by ``delta`` (±2^b per bit, both signs for
+    two bits), and escapes the check when ``delta % modulus == 0``.
+    """
+    if flipped_bits == 1:
+        deltas = [1 << b for b in range(64)]
+    else:
+        pairs = [(1 << hi, 1 << lo) for hi in range(64) for lo in range(hi)]
+        deltas = [hi + lo for hi, lo in pairs] + [hi - lo for hi, lo in pairs]
+    return sum(delta % modulus != 0 for delta in deltas) / len(deltas)
 
 
 def detection_probability(technique: Technique, model: FaultModel | str) -> float:
@@ -65,16 +67,16 @@ def detection_probability(technique: Technique, model: FaultModel | str) -> floa
         return 1.0
     if technique is Technique.PARITY:
         if model is FaultModel.SINGLE:
-            return parity_detection(1)
+            return 1.0  # odd multiplicity flips the parity bit
         if model is FaultModel.DOUBLE:
-            return parity_detection(2)
+            return 0.0  # even multiplicity leaves it unchanged
         return 0.5  # random/zero: final parity matches half the time
     if technique in (Technique.RESIDUE_MOD3, Technique.RESIDUE_MOD15):
         modulus = 3 if technique is Technique.RESIDUE_MOD3 else 15
         if model is FaultModel.SINGLE:
-            return residue_detection(modulus, 1)
+            return _residue_detection(modulus, 1)
         if model is FaultModel.DOUBLE:
-            return residue_detection(modulus, 2)
+            return _residue_detection(modulus, 2)
         return 1.0 - 1.0 / modulus
     if technique is Technique.ABFT:
         # Output-checksum verification catches any value change; the
@@ -94,17 +96,6 @@ class HardeningPlan:
 
     def technique_for(self, portion: str) -> Technique | None:
         return self.assignments.get(portion)
-
-    def memory_overhead_fraction(self, portion_bytes: dict[str, float]) -> float:
-        """Weighted extra-memory fraction over the whole image."""
-        total = sum(portion_bytes.values())
-        if total <= 0:
-            raise ValueError("portion byte map is empty")
-        extra = 0.0
-        for portion, technique in self.assignments.items():
-            mem, _time = TECHNIQUE_COSTS[technique]
-            extra += portion_bytes.get(portion, 0.0) * mem
-        return extra / total
 
 
 #: The paper's Section 6 / 6.1 recommendations, verbatim in structure.
@@ -181,26 +172,3 @@ RECOMMENDED_PLANS: dict[str, HardeningPlan] = {
         ),
     ),
 }
-
-
-def recommend_plan(
-    benchmark: str,
-    reports: list[PortionReport],
-    harmful_threshold: float = 0.3,
-    default_technique: Technique = Technique.DWC,
-) -> HardeningPlan:
-    """Derive a plan from measured criticality: protect hot portions."""
-    if not 0.0 <= harmful_threshold <= 1.0:
-        raise ValueError("threshold must be in [0, 1]")
-    assignments: dict[str, Technique] = {}
-    for report in reports:
-        if report.harmful_fraction >= harmful_threshold:
-            assignments[report.portion] = default_technique
-    return HardeningPlan(
-        benchmark,
-        assignments,
-        rationale=(
-            f"portions with >= {harmful_threshold:.0%} harmful faults, "
-            f"protected with {default_technique.value}"
-        ),
-    )

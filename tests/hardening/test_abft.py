@@ -1,11 +1,11 @@
-"""ABFT checksum matrix multiplication."""
+"""ABFT checksums for matrix multiplication."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums, abft_matmul
+from repro.hardening.abft import AbftOutcome, abft_check, abft_checksums
 from repro.util.rng import derive_rng
 
 
@@ -13,7 +13,7 @@ def _protected(n=12, seed=5):
     rng = derive_rng(seed, "abft")
     a = rng.standard_normal((n, n))
     b = rng.standard_normal((n, n))
-    return abft_matmul(a, b)
+    return (a @ b, *abft_checksums(a, b))
 
 
 def test_checksums_match_true_product():

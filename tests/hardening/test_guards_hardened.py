@@ -1,7 +1,11 @@
 """Runtime guards and hardened-execution campaigns."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.benchmarks.registry import create, names
 from repro.faults.models import FaultModel
@@ -11,9 +15,11 @@ from repro.hardening.guards import (
     GuardKind,
     VariableGuard,
     build_guards,
+    word_parity,
 )
 from repro.hardening.hardened import HardenedSupervisor, run_hardened_campaign
-from repro.util.bits import flip_bit_inplace
+from repro.hardening.selective import Technique, detection_probability
+from repro.util.bits import flip_bit_inplace, flip_bits_inplace
 
 # -- guards ---------------------------------------------------------------
 
@@ -39,6 +45,51 @@ def test_parity_guard_misses_even_flips():
     assert not guard.clean(arr)
     flip_bit_inplace(arr, 2, 9)  # second flip in the same word: even
     assert guard.clean(arr)
+
+
+def test_word_parity_known_values():
+    arr = np.array([0b0, 0b1, 0b11, 0b111], dtype=np.int64)
+    np.testing.assert_array_equal(word_parity(arr), [0, 1, 0, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(bits=st.lists(st.integers(0, 31), min_size=1, max_size=6, unique=True))
+def test_parity_catches_exactly_odd_multiplicities(bits):
+    guard = VariableGuard("x", GuardKind.PARITY)
+    arr = np.array([12345], dtype=np.int32)
+    guard.resync(arr)
+    for bit in bits:
+        flip_bit_inplace(arr, 0, bit)
+    assert guard.clean(arr) == (len(bits) % 2 == 0)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.float64], ids=["int32", "float64"])
+@pytest.mark.parametrize(
+    ("model", "flipped"),
+    [(FaultModel.SINGLE, 1), (FaultModel.DOUBLE, 2)],
+    ids=["single", "double"],
+)
+@pytest.mark.parametrize(
+    ("kind", "technique"),
+    [(GuardKind.DWC, Technique.DWC), (GuardKind.PARITY, Technique.PARITY)],
+    ids=["dwc", "parity"],
+)
+def test_guard_trips_exactly_when_the_model_is_certain(kind, technique, model, flipped, dtype):
+    """Where the Section 6.1 model is certain, the executable guard
+    agrees with it on every choice of flipped bits in one element."""
+    p = detection_probability(technique, model)
+    assert p in (0.0, 1.0)
+    golden = np.arange(8, dtype=dtype)
+    guard = VariableGuard("x", kind)
+    guard.resync(golden)
+    for bits in itertools.combinations(range(8 * golden.itemsize), flipped):
+        arr = golden.copy()
+        flip_bits_inplace(arr, 3, bits)
+        if p == 1.0:
+            with pytest.raises(FaultDetected):
+                guard.verify(arr)
+        else:
+            guard.verify(arr)
 
 
 def test_checksum_guard_detects_value_change():

@@ -1,104 +1,44 @@
-"""Residue codes (mod 3 / mod 15)."""
+"""Detection model of residue codes (mod 3 / mod 15)."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.hardening.residue import (
-    ResidueChecker,
-    ResidueMismatch,
-    detection_probability,
-)
+from repro.faults.models import FaultModel
+from repro.hardening.selective import Technique, detection_probability
 
-
-def test_check_bits():
-    assert ResidueChecker(3).check_bits == 2
-    assert ResidueChecker(15).check_bits == 4
-
-
-def test_modulus_validated():
-    with pytest.raises(ValueError):
-        ResidueChecker(1)
-
-
-def test_residue_values():
-    checker = ResidueChecker(3)
-    assert checker.residue(7) == 1
-    np.testing.assert_array_equal(checker.residue(np.array([3, 4, 5])), [0, 1, 2])
-
-
-def test_check_and_verify():
-    checker = ResidueChecker(15)
-    values = np.arange(10)
-    stored = checker.residue(values)
-    assert checker.check(values, stored)
-    values[3] += 1
-    assert not checker.check(values, stored)
-    with pytest.raises(ResidueMismatch):
-        checker.verify(values, stored)
+RESIDUES = (Technique.RESIDUE_MOD3, Technique.RESIDUE_MOD15)
 
 
 def test_every_single_bit_flip_detected_mod3_and_mod15():
     # Powers of two are never divisible by 3 or 15: Single is always
-    # caught (the paper's argument for residue over ECC).
-    for modulus in (3, 15):
-        checker = ResidueChecker(modulus)
-        for bit in range(64):
-            assert checker.detects_single_flip(bit), (modulus, bit)
+    # caught (the paper's argument for residue over ECC).  The share is
+    # counted over all 64 bit positions, so 1.0 means no bit escapes.
+    for technique in RESIDUES:
+        assert detection_probability(technique, FaultModel.SINGLE) == 1.0, technique
 
 
 def test_double_flip_sometimes_escapes_mod3():
-    checker = ResidueChecker(3)
-    # 2^1 + 2^0 = 3: escapes mod 3.
-    assert not checker.detects_delta(3)
-    assert checker.detects_delta(2**5 + 2**1)
-
-
-def test_checked_add_and_mul():
-    checker = ResidueChecker(15)
-    x, rx = 100, checker.residue(100)
-    y, ry = 37, checker.residue(37)
-    total, rt = checker.checked_add(x, int(rx), y, int(ry))
-    assert total == 137 and rt == 137 % 15
-    product, rp = checker.checked_mul(x, int(rx), y, int(ry))
-    assert product == 3700 and rp == 3700 % 15
-
-
-def test_checked_add_catches_corrupted_operand():
-    checker = ResidueChecker(3)
-    with pytest.raises(ResidueMismatch):
-        checker.checked_add(10, 2, 5, checker.residue(5))  # 10 % 3 == 1, not 2
+    # 2^1 + 2^0 = 3 escapes mod 3, so some double flips go unseen.
+    assert detection_probability(Technique.RESIDUE_MOD3, FaultModel.DOUBLE) < 1.0
 
 
 def test_detection_probability_single_is_one():
-    assert detection_probability(3, 1) == 1.0
-    assert detection_probability(15, 1) == 1.0
+    assert detection_probability(Technique.RESIDUE_MOD3, "single") == 1.0
+    assert detection_probability(Technique.RESIDUE_MOD15, "single") == 1.0
 
 
 def test_detection_probability_double_below_one():
     # mod 3: 2^b cycles (1, 2), so exactly half of the +/- pairings of
-    # two bits produce a delta divisible by 3.
-    p3 = detection_probability(3, 2)
-    p15 = detection_probability(15, 2)
+    # two bits change the value by a multiple of 3 and escape.
+    p3 = detection_probability(Technique.RESIDUE_MOD3, "double")
+    p15 = detection_probability(Technique.RESIDUE_MOD15, "double")
     assert p3 == pytest.approx(0.5)
     assert 0.5 < p15 < 1.0
     assert p15 > p3  # larger modulus catches more
 
 
 def test_detection_probability_many_bits_asymptotic():
-    assert detection_probability(3, 5) == pytest.approx(2 / 3)
-    assert detection_probability(15, 5) == pytest.approx(14 / 15)
-
-
-def test_detection_probability_validates():
-    with pytest.raises(ValueError):
-        detection_probability(3, 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(value=st.integers(0, 2**40), bit=st.integers(0, 40))
-def test_flip_changes_residue_mod3(value, bit):
-    checker = ResidueChecker(3)
-    flipped = value ^ (1 << bit)
-    assert checker.residue(value) != checker.residue(flipped)
+    # Random and Zero change many bits at once: the delta is a multiple
+    # of the modulus about once in ``modulus`` tries.
+    assert detection_probability(Technique.RESIDUE_MOD3, "random") == pytest.approx(2 / 3)
+    assert detection_probability(Technique.RESIDUE_MOD15, "random") == pytest.approx(14 / 15)
+    assert detection_probability(Technique.RESIDUE_MOD15, "zero") == pytest.approx(14 / 15)

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.analysis.criticality import criticality_by_portion
 from repro.faults.outcome import InjectionRecord, Outcome
 from repro.faults.site import FaultSite
 from repro.hardening.evaluate import (
@@ -15,7 +14,6 @@ from repro.hardening.selective import (
     HardeningPlan,
     Technique,
     detection_probability,
-    recommend_plan,
 )
 
 
@@ -60,18 +58,6 @@ def test_detection_probabilities_by_model():
     assert detection_probability(Technique.ABFT, "double") == 1.0
 
 
-def test_memory_overhead_weighted():
-    plan = HardeningPlan("x", {"a": Technique.DWC, "b": Technique.PARITY})
-    overhead = plan.memory_overhead_fraction({"a": 100.0, "b": 100.0, "c": 800.0})
-    assert overhead == pytest.approx((100 * 1.0 + 100 / 64) / 1000.0)
-
-
-def test_memory_overhead_validates():
-    plan = HardeningPlan("x", {})
-    with pytest.raises(ValueError):
-        plan.memory_overhead_fraction({})
-
-
 def test_evaluate_plan_counts():
     records = (
         [_record("control", Outcome.DUE)] * 4
@@ -113,20 +99,3 @@ def test_abft_beam_coverage(dgemm_beam):
     assert census.sdc_count == len(dgemm_beam.sdc_records())
     assert 0 <= census.correctable <= census.sdc_count
     assert census.detectable == census.sdc_count
-
-
-def test_recommend_plan_threshold():
-    records = (
-        [_record("control", Outcome.DUE)] * 9
-        + [_record("control", Outcome.MASKED)] * 1
-        + [_record("matrix", Outcome.MASKED)] * 10
-    )
-    reports = criticality_by_portion(records)
-    plan = recommend_plan("dgemm", reports, harmful_threshold=0.5)
-    assert plan.technique_for("control") is Technique.DWC
-    assert plan.technique_for("matrices") is None
-
-
-def test_recommend_plan_validates():
-    with pytest.raises(ValueError):
-        recommend_plan("x", [], harmful_threshold=2.0)

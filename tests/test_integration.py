@@ -19,7 +19,7 @@ from repro.carolfi.campaign import CampaignConfig, run_campaign
 from repro.faults.outcome import Outcome
 from repro.hardening.evaluate import abft_beam_coverage, evaluate_plan
 from repro.hardening.hardened import run_hardened_campaign
-from repro.hardening.selective import RECOMMENDED_PLANS, recommend_plan
+from repro.hardening.selective import RECOMMENDED_PLANS
 
 
 @pytest.fixture(scope="module")
@@ -80,14 +80,6 @@ def test_recommended_plan_coverage_matches_portion_mass(lud_injection):
     )
     assert coverage.covered_faults == manual_covered
     assert coverage.harmful_faults == len(harmful)
-
-
-def test_recommender_covers_the_hottest_portion(lud_injection):
-    reports = criticality_by_portion(lud_injection.records)
-    plan = recommend_plan("lud", reports, harmful_threshold=0.0)
-    # Threshold zero: every observed portion gets protection.
-    for report in reports:
-        assert plan.technique_for(report.portion) is not None
 
 
 # -- hardened vs baseline ---------------------------------------------------------
